@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import curvature as cv
-from .expansion import (Branch, RhoExpansion, closed_form_residual_series)
+from .expansion import (Branch, RhoExpansion, branch_guarantees,
+                        closed_form_residual_series)
 from .invariants import curvature_scale
 from .series import Series, SeriesTruncationError
 
@@ -178,9 +179,6 @@ class AmbientMetric:
 
     # -- component access ---------------------------------------------------
 
-    def metric_component(self, I: int, J: int) -> Graded:
-        return self.gt[I][J]
-
     def component_value(self, I: int, J: int, t: float, rho_coeff: int, point):
         """Numeric value of the rho^k coefficient of gt_IJ at (t, point)."""
         comp = self.gt[I][J]
@@ -301,7 +299,7 @@ class AmbientMetric:
 class BlockReport:
     name: str
     coeff_max: list
-    guaranteed: Optional[int]
+    guaranteed: int
     tol_abs: float
 
     @property
@@ -313,19 +311,16 @@ class BlockReport:
 
     @property
     def ok(self) -> bool:
-        g = self.guaranteed
-        if g is None:
-            return True
         fv = self.first_violation
-        return fv is None or fv > g
+        return fv is None or fv > self.guaranteed
 
     def describe(self) -> str:
         fv = self.first_violation
         vanish = ("all computed coefficients" if fv is None
                   else f"coefficients through {fv - 1}" if fv else "none")
         status = "ok" if self.ok else "VIOLATION"
-        want = "-" if self.guaranteed is None else str(self.guaranteed)
-        return (f"{self.name}: vanishing {vanish}; guaranteed through {want}; "
+        return (f"{self.name}: vanishing {vanish}; "
+                f"guaranteed through {self.guaranteed}; "
                 f"{status}; magnitudes "
                 + " ".join(f"{v:.2e}" for v in self.coeff_max))
 
@@ -379,44 +374,36 @@ def order_report(a: AmbientMetric, tol: float = 1e-9, *, points=None,
     Rt, Ft = a.ricci_closed()
     ric_g, _ = a.ricci_generic()
 
-    branch = e.branch
-    if branch is Branch.EVEN_INTEGER:
-        n_c = int(d + float(base.m)) // 2
-        solved = min(N, n_c - 1)
-        guaranteed_ij = solved - 1 if N < n_c else n_c - 2
-        guaranteed_trace = n_c - 1 if N >= n_c else guaranteed_ij
-    else:
-        guaranteed_ij = N - 1
-        guaranteed_trace = N - 1
-    # the oo blocks follow from the contracted second Bianchi identity and
-    # trail the tangential blocks by one rho order
-    guaranteed_oo = max(guaranteed_ij - 1, -1)
+    gu = branch_guarantees(d, base.m, N)
+    # the generic blocks lose two rho orders to the second derivatives
+    upto = max(N - 2, 0)
 
     blocks = {}
     tol_abs = tol * scale
     ij_series = [Rt[i][j] for i in range(d) for j in range(i, d)]
     blocks["ij"] = BlockReport("Ric[ij]", _series_block_max(ij_series, N - 1, points),
-                               guaranteed_ij, tol_abs)
+                               gu.ij, tol_abs)
     blocks["F"] = BlockReport("F", _series_block_max([Ft], N - 1, points),
-                              guaranteed_ij, tol_abs)
+                              gu.ij, tol_abs)
 
     trace = cv.acc_sum([a.Ginv[i][j] * Rt[i][j] for i in range(d)
                         for j in range(d)], a._zero_series)
     combo = trace - (Ft * float(base.m)) / (a.F * a.F) if base.m != 0.0 else trace
     blocks["trace_combo"] = BlockReport(
         "g^{ij}Ric_ij - (m/f^2)F", _series_block_max([combo], N - 1, points),
-        guaranteed_trace, tol_abs)
+        gu.trace, tol_abs)
 
+    # homogeneity makes the t row vanish for every g_rho, through every
+    # computed coefficient
     zero_blocks = [ric_g[0][I].val for I in range(a.n)]
     blocks["t_row"] = BlockReport(
         "Ric[0I] (structural zero)",
-        _series_block_max(zero_blocks, max(N - 2, 0), points), None, tol_abs)
+        _series_block_max(zero_blocks, upto, points), upto, tol_abs)
 
     oo_i = [ric_g[oo][i + 1].val for i in range(d)]
     blocks["rho_i"] = BlockReport(
-        "Ric[oo i]", _series_block_max(oo_i, max(N - 2, 0), points),
-        min(guaranteed_oo, N - 2), tol_abs)
+        "Ric[oo i]", _series_block_max(oo_i, upto, points), gu.rho, tol_abs)
     blocks["rho_rho"] = BlockReport(
-        "Ric[oo oo]", _series_block_max([ric_g[oo][oo].val], max(N - 2, 0), points),
-        min(guaranteed_oo, N - 2), tol_abs)
-    return ResidualReport(blocks, scale, tol, branch, N)
+        "Ric[oo oo]", _series_block_max([ric_g[oo][oo].val], upto, points),
+        gu.rho, tol_abs)
+    return ResidualReport(blocks, scale, tol, e.branch, N)

@@ -11,8 +11,10 @@ Subcommands::
 Common flags: --config PATH, --catalog NAME, --order N, --points K,
 --seed S, --tol X, --out PATH.  Reports are deterministic key-value
 text (identical inputs give byte-identical output apart from the
-trailing timings block); the exit status is 0 exactly when every check
-passed.  `verify --corrupt-coefficient K,I,J,EPS` is a test hook that
+trailing timings block) and are written in every case.  The exit status
+is 0 when every check passed, 1 when a check failed, 2 on a typed input
+or solver error and 3 on any other exception (`error = internal: ...`).
+`verify --corrupt-coefficient K,I,J,EPS` is a test hook that
 perturbs one solved coefficient to demonstrate check sensitivity.
 """
 
@@ -29,8 +31,8 @@ from . import invariants as inv
 from .ambient import AmbientMetric, order_report
 from .catalog import EntryRejected, load_entry, standard_catalog
 from .config import ConfigError, Report, load_config
-from .expansion import (Branch, ConsistencyError, OrderError, expand,
-                        obstruction)
+from .expansion import (ConsistencyError, OrderError, branch_guarantees,
+                        classify_branch, expand, obstruction)
 from .invariants import ValidationError, curvature_scale
 from .poincare import cone_identity_check, poincare_residual, to_poincare
 
@@ -180,8 +182,8 @@ def cmd_expand(args, report) -> int:
     if e.obstruction is not None:
         tol = prob.tol("identities", 1e-8)
         report.put("obstruction.constant", e.obstruction.c)
-        worst = _obstruction_identities(prob, e.obstruction, report, tol)
-        if float(prob.space.dim) + float(prob.space.m) == 4.0:
+        _obstruction_identities(prob, e.obstruction, report, tol)
+        if classify_branch(prob.space.dim, prob.space.m)[1] == 4.0:
             B = inv.weighted_bach(prob.space)
             diff = max(np.max(np.abs(e.obstruction.tensor.matrix_values(p)
                                      - B.matrix_values(p)))
@@ -190,8 +192,7 @@ def cmd_expand(args, report) -> int:
     a = AmbientMetric(e)
     rep = order_report(a, prob.tol("residual", 1e-9), points=prob.points)
     for name, block in rep.blocks.items():
-        report.put(f"order.{name}.guaranteed",
-                   -1 if block.guaranteed is None else block.guaranteed)
+        report.put(f"order.{name}.guaranteed", block.guaranteed)
         fv = block.first_violation
         report.put(f"order.{name}.first_violation", -1 if fv is None else fv)
         report.put(f"order.{name}.ok", block.ok)
@@ -200,7 +201,7 @@ def cmd_expand(args, report) -> int:
     return 0 if report.ok else 1
 
 
-def _obstruction_identities(prob, obs, report, tol) -> float:
+def _obstruction_identities(prob, obs, report, tol):
     from . import curvature as cv
     s = prob.space
     mat, ginv_f, _, gamma, derivs, zero = inv._space_geometry(s)
@@ -220,7 +221,6 @@ def _obstruction_identities(prob, obs, report, tol) -> float:
     report.put_check("obstruction_trace_identity", worst_tr, tol * prob.scale)
     report.put_check("obstruction_divergence_identity", worst_div,
                      tol * prob.scale)
-    return max(worst_tr, worst_div)
 
 
 def cmd_obstruction(args, report) -> int:
@@ -235,34 +235,42 @@ def cmd_obstruction(args, report) -> int:
     return 0 if report.ok else 1
 
 
+def _poincare_checks(prob, e, report, cone_points):
+    """The weighted-Einstein residual in r through the guaranteed power and,
+    when m > 0, the cone identities at `cone_points`.  Returns
+    (max_even_order, residual_trunc, guaranteed_power, sides_magnitude);
+    the last is None when m = 0."""
+    pc = to_poincare(e)
+    res = poincare_residual(pc)
+    gu = branch_guarantees(prob.space.dim, prob.space.m, e.order)
+    power = min(gu.poincare_power, res.trunc)
+    worst = 0.0
+    for k in range(-2, power + 1):
+        for name in ("ij", "ri", "rr"):
+            worst = max(worst, res.block_max(name, k, prob.points))
+        worst = max(worst, res.scalar_max(k, prob.points))
+    report.put_check("poincare_residual", worst,
+                     prob.tol("poincare", 1e-8) * prob.scale)
+    side = None
+    if prob.space.m > 0:
+        wr, wF, side = cone_identity_check(pc, points=cone_points)
+        cone_tol = prob.tol("cone", 1e-9) * max(prob.scale, side)
+        report.put_check("cone_identity_ricci", wr, cone_tol)
+        report.put_check("cone_identity_f", wF, cone_tol)
+    return pc.max_even_order, res.trunc, power, side
+
+
 def cmd_poincare(args, report) -> int:
     prob = _Problem(args)
     _echo(report, prob)
     e = _expansion_for(prob)
-    p = to_poincare(e)
-    res = poincare_residual(p)
-    report.put("poincare.max_even_order", p.max_even_order)
-    report.put("poincare.residual_trunc", res.trunc)
-    tol = prob.tol("poincare", 1e-8)
-    guaranteed = min(2 * e.order - 1, res.trunc)
-    if e.branch is Branch.EVEN_INTEGER:
-        n_c = int(prob.space.dim + float(prob.space.m)) // 2
-        guaranteed = min(2 * min(e.order, n_c - 1) - 1, res.trunc)
-    worst = 0.0
-    for power in range(-2, guaranteed + 1):
-        for name in ("ij", "ri", "rr"):
-            worst = max(worst, res.block_max(name, power, prob.points))
-        worst = max(worst, res.scalar_max(power, prob.points))
-    report.put("poincare.guaranteed_power", guaranteed)
-    report.put_check("poincare_residual", worst, tol * prob.scale)
-    if prob.space.m > 0:
-        wr, wF, side = cone_identity_check(p, points=prob.points[:4])
-        cone_scale = max(prob.scale, side)
+    max_even, trunc, power, side = _poincare_checks(prob, e, report,
+                                                    prob.points[:4])
+    report.put("poincare.max_even_order", max_even)
+    report.put("poincare.residual_trunc", trunc)
+    report.put("poincare.guaranteed_power", power)
+    if side is not None:
         report.put("cone.sides_magnitude", side)
-        report.put_check("cone_identity_ricci", wr,
-                         prob.tol("cone", 1e-9) * cone_scale)
-        report.put_check("cone_identity_f", wF,
-                         prob.tol("cone", 1e-9) * cone_scale)
     return 0 if report.ok else 1
 
 
@@ -292,10 +300,7 @@ def cmd_verify(args, report) -> int:
     a = AmbientMetric(e)
     rep = order_report(a, tol, points=prob.points)
     for name, block in rep.blocks.items():
-        worst = 0.0
-        g = block.guaranteed
-        if g is not None and g >= 0:
-            worst = max(block.coeff_max[: g + 1], default=0.0)
+        worst = max(block.coeff_max[: block.guaranteed + 1], default=0.0)
         report.put_check(f"ambient_order_{name}", worst, block.tol_abs)
 
     bianchi = inv.bianchi_residual(prob.space)
@@ -307,26 +312,7 @@ def cmd_verify(args, report) -> int:
         _obstruction_identities(prob, e.obstruction, report,
                                 prob.tol("identities", 1e-8))
 
-    pc = to_poincare(e)
-    res = poincare_residual(pc)
-    guaranteed = min(2 * e.order - 1, res.trunc)
-    if e.branch is Branch.EVEN_INTEGER:
-        n_c = int(prob.space.dim + float(prob.space.m)) // 2
-        guaranteed = min(2 * min(e.order, n_c - 1) - 1, res.trunc)
-    worst = 0.0
-    for power in range(-2, guaranteed + 1):
-        for name in ("ij", "ri", "rr"):
-            worst = max(worst, res.block_max(name, power, prob.points))
-        worst = max(worst, res.scalar_max(power, prob.points))
-    report.put_check("poincare_residual", worst,
-                     prob.tol("poincare", 1e-8) * prob.scale)
-    if prob.space.m > 0:
-        wr, wF, side = cone_identity_check(pc, points=prob.points[:3])
-        cone_scale = max(prob.scale, side)
-        report.put_check("cone_identity_ricci", wr,
-                         prob.tol("cone", 1e-9) * cone_scale)
-        report.put_check("cone_identity_f", wF,
-                         prob.tol("cone", 1e-9) * cone_scale)
+    _poincare_checks(prob, e, report, prob.points[:3])
 
     if entry is not None and entry.closed_form is not None:
         worst = _closed_form_agreement(prob, e, entry)
@@ -335,11 +321,7 @@ def cmd_verify(args, report) -> int:
 
 
 def _closed_form_agreement(prob, e, entry) -> float:
-    branch = e.branch
-    upto = e.order
-    if branch is Branch.EVEN_INTEGER:
-        n_c = int(prob.space.dim + float(prob.space.m)) // 2
-        upto = min(upto, n_c - 1)
+    upto = branch_guarantees(prob.space.dim, prob.space.m, e.order).solved
     g_want, f_want = entry.closed_form(upto)
     worst = 0.0
     for p in prob.points:
@@ -371,6 +353,9 @@ def main(argv=None) -> int:
             ConsistencyError) as exc:
         report.put("error", f"{type(exc).__name__}: {exc}")
         code = 2
+    except Exception as exc:
+        report.put("error", f"internal: {type(exc).__name__}: {exc}")
+        code = 3
     report.put_timing("total_seconds", time.perf_counter() - started)
     text = report.write(args.out)
     sys.stdout.write(text)

@@ -89,9 +89,6 @@ class ProblemConfig:
         space.check_at(space.sample(self.points, self.seed))
         return space
 
-    def tolerance(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
-
 
 def _parse_box(text: str, dim: int):
     parts = [p.strip() for p in text.split(";")]

@@ -47,10 +47,11 @@ from .invariants import MetricMeasureSpace, conformal_change, curvature_scale
 from .series import Series
 
 __all__ = [
-    "Branch", "RhoExpansion", "OrderStep", "ObstructionData",
-    "classify_branch", "expand", "solve_order_step", "obstruction",
-    "obstruction_constant", "expansion_series", "closed_form_residual_series",
-    "OrderError", "ConsistencyError", "conformal_change",
+    "Branch", "BranchGuarantees", "RhoExpansion", "OrderStep",
+    "ObstructionData", "classify_branch", "branch_guarantees", "expand",
+    "solve_order_step", "obstruction", "obstruction_constant",
+    "closed_form_residual_series", "OrderError", "ConsistencyError",
+    "conformal_change",
 ]
 
 BRANCH_SNAP_TOL = 1e-9
@@ -91,6 +92,40 @@ def classify_branch(d: int, m):
         branch = Branch.EVEN_INTEGER if nearest % 2 == 0 else Branch.ODD_INTEGER
         return branch, float(nearest), warnings
     return Branch.NON_INTEGER, dm, warnings
+
+
+@dataclass(frozen=True)
+class BranchGuarantees:
+    """The orders to which the construction determines the ambient structure.
+
+    Every number follows from `solved`, the last rho order whose
+    coefficients are determined: the requested order N, except on the even
+    branch, where the expansion is determined only below the critical
+    order n_c = (d+m)/2.  Ric[ij] and F then vanish through rho^(solved-1),
+    the trace combination g^{ij}Ric_ij - (m/f^2)F one order further once
+    the critical step has run, the oo blocks one order less (they follow
+    from the contracted Bianchi identity), and the Poincare residual
+    through r^(2 solved - 1).
+    """
+    solved: int
+    ij: int
+    trace: int
+    rho: int
+    poincare_power: int
+
+
+def branch_guarantees(d: int, m, order: int) -> BranchGuarantees:
+    """Guaranteed orders at deformation order `order`, with d+m snapped to
+    the integer as in `classify_branch`."""
+    branch, dm, _ = classify_branch(d, m)
+    solved = order
+    trace = order - 1
+    if branch is Branch.EVEN_INTEGER:
+        n_c = int(dm) // 2
+        solved = min(order, n_c - 1)
+        trace = n_c - 1 if order >= n_c else solved - 1
+    return BranchGuarantees(solved, solved - 1, trace, max(solved - 2, -1),
+                            2 * solved - 1)
 
 
 @dataclass
@@ -415,7 +450,3 @@ def obstruction(s: MetricMeasureSpace, *, check_points=None) -> ObstructionData:
     n_c = int(dm) // 2
     e = expand(s, n_c, check_points=check_points)
     return e.obstruction
-
-
-def expansion_series(e: RhoExpansion, trunc: Optional[int] = None):
-    return e.series(trunc)

@@ -89,9 +89,6 @@ class Series:
             return self.coeffs[k]
         return self.zero
 
-    def coefficients(self, lo: int, hi: int):
-        return [self.coefficient(p) for p in range(lo, hi + 1)]
-
     def is_structurally_zero(self) -> bool:
         return all(_is_zero_elem(c) for c in self.coeffs)
 

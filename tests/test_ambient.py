@@ -270,6 +270,7 @@ def test_order_report_noninteger():
     assert rep.ok
     assert rep.blocks["ij"].guaranteed == 2
     assert rep.blocks["ij"].first_violation is None
+    assert rep.blocks["t_row"].guaranteed == 1
     assert "NonInteger" in rep.describe()
 
 

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from smmsgeom import cli
 from smmsgeom.cli import main
 from smmsgeom.config import (ConfigError, Report, format_value, load_config)
 
@@ -172,6 +173,23 @@ def test_cli_expand_past_obstruction_structured_error(tmp_path):
     assert "error = OrderError" in text and "obstruction" in text
 
 
+def test_cli_near_integer_dm_uses_snapped_branch(tmp_path):
+    # d+m = 3.9999999999 is snapped to 4: the even branch's guarantees and
+    # the d+m = 4 obstruction = Bach check must follow the snapped value
+    path = tmp_path / "near.cfg"
+    path.write_text(CONFIG.replace("m = 0.5", "m = 0.9999999999"))
+    code, text = run_cli(["expand", "--config", str(path), "--order", "1"],
+                         tmp_path, "ne.txt")
+    assert code == 0
+    assert "branch = EvenInteger" in text
+    assert "order.ij.guaranteed = 0\n" in text
+    assert "check.obstruction_equals_bach.ok = true" in text
+    code, text = run_cli(["poincare", "--config", str(path), "--order", "1"],
+                         tmp_path, "np.txt")
+    assert code == 0
+    assert "poincare.guaranteed_power = 1\n" in text
+
+
 def test_cli_obstruction_branch_error(config_path, tmp_path):
     code, text = run_cli(["obstruction", "--config", config_path], tmp_path, "o.txt")
     assert code == 2
@@ -185,6 +203,19 @@ def test_cli_determinism(config_path, tmp_path):
                                 if not l.startswith("timings."))
     assert code1 == code2 == 0
     assert strip(t1) == strip(t2)
+
+
+def test_cli_internal_error_writes_report(config_path, tmp_path, monkeypatch):
+    def broken(args, report):
+        raise RuntimeError("deliberate failure")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+    out = tmp_path / "ie.txt"
+    code = main(["verify", "--config", config_path, "--out", str(out)])
+    assert code == 3
+    assert out.exists()
+    assert ("error = internal: RuntimeError: deliberate failure"
+            in out.read_text())
 
 
 def test_cli_requires_input():

@@ -11,7 +11,8 @@ from smmsgeom.catalog import (flat_space, hyperbolic_upper_half_space,
                               load_entry, quasi_einstein_entry, random_entry,
                               round_sphere_space)
 from smmsgeom.expansion import (Branch, ConsistencyError, OrderError,
-                                classify_branch, closed_form_residual_series,
+                                branch_guarantees, classify_branch,
+                                closed_form_residual_series,
                                 expand, obstruction, obstruction_constant,
                                 solve_order_step)
 
@@ -38,6 +39,31 @@ def test_classify_branch():
     assert classify_branch(3, Fraction(3, 1))[0] is Branch.EVEN_INTEGER
     branch, dm, warnings = classify_branch(3, 1.0 + 1e-12)
     assert branch is Branch.EVEN_INTEGER and dm == 4.0 and warnings
+
+
+# (d, m, N) -> (solved, ij/F, trace combination, oo blocks, Poincare r-power),
+# written out by hand from the branch rules
+GUARANTEE_TABLE = [
+    (3, 1.0, 1, (1, 0, 0, -1, 1)),           # d+m = 4, n_c = 2
+    (3, 1.0, 2, (1, 0, 1, -1, 1)),
+    (3, 1.0, 3, (1, 0, 1, -1, 1)),
+    (3, 0.9999999999, 1, (1, 0, 0, -1, 1)),  # snapped to d+m = 4
+    (3, 3.0, 1, (1, 0, 0, -1, 1)),           # d+m = 6, n_c = 3
+    (3, 3.0, 2, (2, 1, 1, 0, 3)),
+    (3, 3.0, 3, (2, 1, 2, 0, 3)),
+    (3, 1.5, 1, (1, 0, 0, -1, 1)),           # d+m = 4.5
+    (3, 1.5, 2, (2, 1, 1, 0, 3)),
+    (3, 1.5, 3, (3, 2, 2, 1, 5)),
+    (3, 2.0, 1, (1, 0, 0, -1, 1)),           # d+m = 5
+    (3, 2.0, 2, (2, 1, 1, 0, 3)),
+    (3, 2.0, 3, (3, 2, 2, 1, 5)),
+]
+
+
+@pytest.mark.parametrize("d,m,order,want", GUARANTEE_TABLE)
+def test_branch_guarantees_table(d, m, order, want):
+    gu = branch_guarantees(d, m, order)
+    assert (gu.solved, gu.ij, gu.trace, gu.rho, gu.poincare_power) == want
 
 
 def test_flat_expansion_vanishes():

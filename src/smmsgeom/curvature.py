@@ -20,6 +20,8 @@ conformally flat spaces with X_[ab] = (X_ab - X_ba)/2):
 
 from __future__ import annotations
 
+from functools import cache
+
 __all__ = [
     "matrix_inverse", "christoffel", "ricci", "riemann_lowered",
     "scalar_curvature", "gradient", "hessian", "laplacian", "grad_norm_sq",
@@ -401,7 +403,8 @@ def bianchi_residual(ric_phi, scal_phi, F_phi, f, ginv, dphi, gamma, derivs, zer
     return out
 
 
-def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero):
+def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
+                                      entries=None):
     """The second-derivative coordinate expression for the weighted Ricci
     tensor and its companion scalar, used as an independent route:
 
@@ -413,18 +416,30 @@ def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero):
     with G the first-kind connection symbols, plus
 
         F = f Lap f + (m-1)(|grad f|^2 - mu).
+
+    With `entries` (index pairs (I, J)), only those entries and their
+    mirrors are built, the rest of `ric` is None and F is None; each
+    built entry is the same expression as in the full build.
     """
     n = len(g)
+    if entries is None:
+        wanted = [(i, j) for i in range(n) for j in range(i, n)]
+    else:
+        wanted = sorted({(min(i, j), max(i, j)) for i, j in entries})
     dg = [[[derivs[k](g[i][j]) for k in range(n)] for j in range(n)]
           for i in range(n)]
-    d2g = [[[[derivs[l](dg[i][j][k]) for l in range(n)] for k in range(n)]
-            for j in range(n)] for i in range(n)]
+
+    @cache
+    def d2g(i, j, k, l):
+        return derivs[l](dg[i][j][k])
+
     gamma1 = [[[acc_sum([dg[j][p][i], dg[i][p][j], -dg[i][j][p]], zero) * 0.5
                 for p in range(n)] for j in range(n)] for i in range(n)]
     df = gradient(f, derivs)
     d2f = [[derivs[j](df[i]) for j in range(n)] for i in range(n)]
 
-    def _hess_entry(i, j):
+    @cache
+    def hess(i, j):
         terms = [d2f[i][j]]
         for kk in range(n):
             for ll in range(n):
@@ -434,36 +449,35 @@ def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero):
                 terms.append(-(ginv[kk][ll] * (gamma1[i][j][ll] * df[kk])))
         return acc_sum(terms, zero)
 
-    hess = [[_hess_entry(i, j) for j in range(n)] for i in range(n)]
+    # g^{KL} g^{PQ} does not depend on (I, J)
+    pairs = [(kk, ll) for kk in range(n) for ll in range(n)
+             if not _is_zero(ginv[kk][ll])]
+    gg = {(kk, ll, p, q): ginv[kk][ll] * ginv[p][q]
+          for kk, ll in pairs for p, q in pairs}
     ric = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            terms = []
-            for kk in range(n):
-                for ll in range(n):
-                    if _is_zero(ginv[kk][ll]):
-                        continue
-                    inner = acc_sum([d2g[j][kk][i][ll], d2g[i][ll][j][kk],
-                                     -d2g[i][j][kk][ll], -d2g[kk][ll][i][j]], zero)
-                    if not _is_zero(inner):
-                        terms.append((ginv[kk][ll] * inner) * 0.5)
-                    for p in range(n):
-                        for q in range(n):
-                            if _is_zero(ginv[p][q]):
-                                continue
-                            gg = ginv[kk][ll] * ginv[p][q]
-                            if not (_is_zero(gamma1[i][ll][p]) or _is_zero(gamma1[j][kk][q])):
-                                terms.append(gg * (gamma1[i][ll][p] * gamma1[j][kk][q]))
-                            if not (_is_zero(gamma1[i][j][p]) or _is_zero(gamma1[kk][ll][q])):
-                                terms.append(-(gg * (gamma1[i][j][p] * gamma1[kk][ll][q])))
-            if m != 0.0:
-                hf = hess[i][j]
-                if not _is_zero(hf):
-                    terms.append(-((hf * float(m)) / f))
-            ric[i][j] = ric[j][i] = acc_sum(terms, zero)
+    for i, j in wanted:
+        terms = []
+        for kk, ll in pairs:
+            inner = acc_sum([d2g(j, kk, i, ll), d2g(i, ll, j, kk),
+                             -d2g(i, j, kk, ll), -d2g(kk, ll, i, j)], zero)
+            if not _is_zero(inner):
+                terms.append((ginv[kk][ll] * inner) * 0.5)
+            for p, q in pairs:
+                gkp = gg[(kk, ll, p, q)]
+                if not (_is_zero(gamma1[i][ll][p]) or _is_zero(gamma1[j][kk][q])):
+                    terms.append(gkp * (gamma1[i][ll][p] * gamma1[j][kk][q]))
+                if not (_is_zero(gamma1[i][j][p]) or _is_zero(gamma1[kk][ll][q])):
+                    terms.append(-(gkp * (gamma1[i][j][p] * gamma1[kk][ll][q])))
+        if m != 0.0:
+            hf = hess(i, j)
+            if not _is_zero(hf):
+                terms.append(-((hf * float(m)) / f))
+        ric[i][j] = ric[j][i] = acc_sum(terms, zero)
+    if entries is not None:
+        return ric, None
 
-    lap = acc_sum([ginv[i][j] * hess[i][j] for i in range(n) for j in range(n)
-                   if not (_is_zero(ginv[i][j]) or _is_zero(hess[i][j]))], zero)
+    lap = acc_sum([ginv[i][j] * hess(i, j) for i in range(n) for j in range(n)
+                   if not (_is_zero(ginv[i][j]) or _is_zero(hess(i, j)))], zero)
     gn2 = grad_norm_sq(ginv, df, zero)
     F = f_curvature(f, lap, gn2, m, mu, zero)
     return ric, F

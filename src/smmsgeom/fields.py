@@ -1,30 +1,45 @@
 """Coordinate charts and lazily-evaluated scalar/tensor fields.
 
-A ScalarField is a pure evaluation rule (point, degree) -> Jet.  Fields
-are closed under arithmetic, the analytic primitives, and partial
-differentiation; they are immutable once built, so evaluations are
-cached per point (keeping the highest degree computed so far, of which
-every lower degree is a prefix).
+A ScalarField is one node of an expression DAG: an operation `op`, at
+most two child fields `a` and `b`, and one parameter `param` (a
+constant's value, a scale factor, an exponent, an axis, a primitive's
+name).  It stands for the pure evaluation rule (point, degree) -> Jet.
+Fields are closed under arithmetic, the analytic primitives and partial
+differentiation.
 
-Structural zeros and constants are folded at construction time: sums
-drop zero terms, products with a zero factor collapse, and so on.  This
-keeps the expression DAGs produced by the curvature machinery and the
-order-by-order solver from accumulating dead branches.
+Construction folds structural zeros and constants (sums drop zero
+terms, products with a zero factor collapse, and so on), so the DAGs
+built by the curvature machinery and the order-by-order solver carry no
+dead branches.  It then interns the node (hash-consing): every chart
+owns a table keyed on (op, child objects, param), so structurally equal
+nodes built on one chart are one object, evaluated once per point.
+Operands of commutative operations are never reordered, so every jet
+product keeps its summation order.
+The constants -0.0 and 0.0 are distinct nodes.
 
-Concurrency contract: fields are immutable after construction and no
-operation mutates shared state beyond the per-field memo caches, whose
-entries are pure values keyed by evaluation point; concurrent
-evaluations at distinct points are race-free.
+Evaluation walks the DAG children first with an explicit stack and
+never recurses, so the depth of a DAG (hundreds of nodes for the
+generic ambient Ricci entries at d = 4, a thousand at d = 5) is limited
+only by memory.  The chart keeps one memo per evaluation point, node ->
+the jet of the highest degree computed so far, of which every lower
+degree is a prefix.
+
+Concurrency contract: building a field inserts into the intern table of
+its chart, and evaluating one inserts into the chart's memos.  Both are
+unlocked check-then-insert dict updates, so build and evaluate the
+fields of one chart from one thread at a time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .jets import Jet
 
 __all__ = [
-    "Chart", "ScalarField", "ConstantField", "sample_points",
+    "Chart", "ScalarField", "sample_points",
     "SymTensor2Field", "Riemann4Field", "Cotton3Field",
 ]
 
@@ -32,9 +47,13 @@ _ANALYTIC = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
 
 
 class Chart:
-    """A named coordinate chart, optionally with a sampling box."""
+    """A named coordinate chart, optionally with a sampling box.
 
-    __slots__ = ("names", "dim", "box")
+    The chart owns the intern table of the fields built on it and their
+    memos; charts that are equal by name still keep separate tables.
+    """
+
+    __slots__ = ("names", "dim", "box", "_nodes", "_memos")
 
     def __init__(self, names, box=None):
         self.names = tuple(names)
@@ -44,20 +63,53 @@ class Chart:
             if len(box) != self.dim:
                 raise ValueError("box must give one interval per coordinate")
         self.box = box
+        self._nodes = {}
+        self._memos = {}  # point -> {node: Jet}
+
+    def _node(self, op, a=None, b=None, param=None) -> "ScalarField":
+        """The interned node (op, a, b, param) of this chart."""
+        key = (op, a, b, param)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = ScalarField(self, op, a, b, param)
+        return node
+
+    def _memo(self, point: tuple) -> dict:
+        memo = self._memos.get(point)
+        if memo is None:
+            memo = self._memos[point] = {}
+        return memo
 
     def coordinate(self, i: int) -> "ScalarField":
         if not 0 <= i < self.dim:
             raise IndexError(f"coordinate index {i} out of range")
-        return CoordinateField(self, i)
+        return self._node("coord", param=i)
 
     def coordinates(self):
         return [self.coordinate(i) for i in range(self.dim)]
 
     def constant(self, value: float) -> "ScalarField":
-        return ConstantField(self, float(value))
+        value = float(value)
+        # -0.0 == 0.0 as a dict key, so the sign is part of the key
+        key = ("const", math.copysign(1.0, value), value)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = ScalarField(self, "const", None, None, value)
+        return node
 
     def zero(self) -> "ScalarField":
-        return ConstantField(self, 0.0)
+        return self.constant(0.0)
+
+    def lift(self, field: "ScalarField") -> "ScalarField":
+        """`field` viewed on this chart, whose leading coordinates are
+        those of the field's chart."""
+        k = field.chart.dim
+        if self.names[:k] != field.chart.names:
+            raise ValueError("lift target must extend the parent chart")
+        c = field.const_value()
+        if c is not None:
+            return self.constant(c)
+        return self._node("lift", field, param=k)
 
     def __eq__(self, other):
         return isinstance(other, Chart) and self.names == other.names
@@ -81,14 +133,21 @@ def sample_points(chart: Chart, count: int, seed: int):
 
 
 class ScalarField:
-    """Base class: a pure map (point, degree) -> Jet on a fixed chart."""
+    """One interned DAG node: `op` applied to `a` and `b` (with `param`).
 
-    __slots__ = ("chart", "_cache", "_partials")
+    Build fields through a Chart and the operators below, never by
+    calling this class, so that the chart's intern table sees every node.
+    """
 
-    def __init__(self, chart: Chart):
+    __slots__ = ("chart", "op", "a", "b", "param", "is_zero")
+
+    def __init__(self, chart: Chart, op: str, a, b, param):
         self.chart = chart
-        self._cache = {}
-        self._partials = {}
+        self.op = op
+        self.a = a
+        self.b = b
+        self.param = param
+        self.is_zero = op == "const" and param == 0.0
 
     # -- evaluation -----------------------------------------------------
 
@@ -96,38 +155,32 @@ class ScalarField:
         point = tuple(point)
         if len(point) != self.chart.dim:
             raise ValueError(f"point has {len(point)} entries for chart {self.chart}")
-        hit = self._cache.get(point)
+        hit = self.chart._memo(point).get(self)
         if hit is not None and hit.degree >= degree:
             return hit.truncated(degree)
-        out = self._jet(point, degree)
-        self._cache[point] = out
-        return out
+        return _evaluate(self, point, degree)
 
     def value(self, point) -> float:
         return self.jet(point, 0).value
 
-    def _jet(self, point, degree: int) -> Jet:
-        raise NotImplementedError
-
     # -- structure ------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return False
 
     def const_value(self):
         """Constant value if this field is structurally constant, else None."""
-        return None
+        return self.param if self.op == "const" else None
+
+    def _wrap(self, op, param) -> "ScalarField":
+        return self.chart._node(op, self, param=param)
 
     # -- arithmetic with folding ----------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, (int, float)):
-            return ConstantField(self.chart, float(other))
         if isinstance(other, ScalarField):
-            if other.chart != self.chart:
+            if other.chart is not self.chart and other.chart != self.chart:
                 raise ValueError("fields live on different charts")
             return other
+        if isinstance(other, (int, float)):
+            return self.chart.constant(other)
         return None
 
     def __add__(self, other):
@@ -140,16 +193,16 @@ class ScalarField:
             return self
         a, b = self.const_value(), other.const_value()
         if a is not None and b is not None:
-            return ConstantField(self.chart, a + b)
-        return SumField(self, other)
+            return self.chart.constant(a + b)
+        return self.chart._node("sum", self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
         c = self.const_value()
         if c is not None:
-            return ConstantField(self.chart, -c)
-        return ScaledField(self, -1.0)
+            return self.chart.constant(-c)
+        return self._wrap("scale", -1.0)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -165,15 +218,15 @@ class ScalarField:
         if other is None:
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return ConstantField(self.chart, 0.0)
+            return self.chart.constant(0.0)
         a, b = self.const_value(), other.const_value()
         if a is not None and b is not None:
-            return ConstantField(self.chart, a * b)
+            return self.chart.constant(a * b)
         if a is not None:
-            return other if a == 1.0 else ScaledField(other, a)
+            return other if a == 1.0 else other._wrap("scale", a)
         if b is not None:
-            return self if b == 1.0 else ScaledField(self, b)
-        return ProductField(self, other)
+            return self if b == 1.0 else self._wrap("scale", b)
+        return self.chart._node("mul", self, other)
 
     __rmul__ = __mul__
 
@@ -186,18 +239,18 @@ class ScalarField:
             return self * (1.0 / b)
         if self.is_zero:
             return self
-        return QuotientField(self, other)
+        return self.chart._node("div", self, other)
 
     def __rtruediv__(self, other):
-        return ConstantField(self.chart, float(other)) / self
+        return self.chart.constant(other) / self
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("field exponents must be integers")
         c = self.const_value()
         if c is not None:
-            return ConstantField(self.chart, c ** k)
-        return PowerField(self, k)
+            return self.chart.constant(c ** k)
+        return self._wrap("pow", k)
 
     # -- analytic primitives ---------------------------------------------
 
@@ -206,8 +259,8 @@ class ScalarField:
             raise ValueError(f"unknown analytic primitive {name!r}")
         c = self.const_value()
         if c is not None:
-            return ConstantField(self.chart, float(getattr(np, name)(c)))
-        return ApplyField(self, name)
+            return self.chart.constant(float(getattr(np, name)(c)))
+        return self._wrap("apply", name)
 
     def exp(self):
         return self.apply("exp")
@@ -223,131 +276,87 @@ class ScalarField:
     def partial(self, axis: int) -> "ScalarField":
         if not 0 <= axis < self.chart.dim:
             raise IndexError(f"axis {axis} out of range for chart {self.chart}")
-        hit = self._partials.get(axis)
-        if hit is None:
-            hit = self._partial(axis)
-            self._partials[axis] = hit
-        return hit
-
-    def _partial(self, axis: int) -> "ScalarField":
-        return PartialField(self, axis)
+        if self.op == "const":
+            return self.chart.constant(0.0)
+        if self.op == "coord":
+            return self.chart.constant(1.0 if axis == self.param else 0.0)
+        return self._wrap("partial", axis)
 
     def gradient(self):
         return [self.partial(i) for i in range(self.chart.dim)]
 
 
-class ConstantField(ScalarField):
-    __slots__ = ("val",)
+def _evaluate(root: ScalarField, point: tuple, degree: int) -> Jet:
+    """Compute root's jet at (point, degree) into the memo, children first.
 
-    def __init__(self, chart, val: float):
-        super().__init__(chart)
-        self.val = float(val)
-
-    def _jet(self, point, degree):
-        return Jet.constant(self.val, self.chart.dim, degree)
-
-    @property
-    def is_zero(self):
-        return self.val == 0.0
-
-    def const_value(self):
-        return self.val
-
-    def _partial(self, axis):
-        return ConstantField(self.chart, 0.0)
-
-
-class CoordinateField(ScalarField):
-    __slots__ = ("axis",)
-
-    def __init__(self, chart, axis: int):
-        super().__init__(chart)
-        self.axis = axis
-
-    def _jet(self, point, degree):
-        return Jet.variable(point[self.axis], self.axis, self.chart.dim, degree)
-
-    def _partial(self, axis):
-        return ConstantField(self.chart, 1.0 if axis == self.axis else 0.0)
-
-
-class SumField(ScalarField):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        super().__init__(a.chart)
-        self.a, self.b = a, b
-
-    def _jet(self, point, degree):
-        return self.a.jet(point, degree) + self.b.jet(point, degree)
-
-
-class ScaledField(ScalarField):
-    __slots__ = ("a", "factor")
-
-    def __init__(self, a, factor: float):
-        super().__init__(a.chart)
-        self.a, self.factor = a, factor
-
-    def _jet(self, point, degree):
-        return self.a.jet(point, degree) * self.factor
-
-
-class ProductField(ScalarField):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        super().__init__(a.chart)
-        self.a, self.b = a, b
-
-    def _jet(self, point, degree):
-        return self.a.jet(point, degree) * self.b.jet(point, degree)
-
-
-class QuotientField(ScalarField):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        super().__init__(a.chart)
-        self.a, self.b = a, b
-
-    def _jet(self, point, degree):
-        return self.a.jet(point, degree) / self.b.jet(point, degree)
-
-
-class PowerField(ScalarField):
-    __slots__ = ("a", "k")
-
-    def __init__(self, a, k: int):
-        super().__init__(a.chart)
-        self.a, self.k = a, k
-
-    def _jet(self, point, degree):
-        return self.a.jet(point, degree) ** self.k
-
-
-class ApplyField(ScalarField):
-    __slots__ = ("a", "fn")
-
-    def __init__(self, a, fn: str):
-        super().__init__(a.chart)
-        self.a, self.fn = a, fn
-
-    def _jet(self, point, degree):
-        return getattr(self.a.jet(point, degree), self.fn)()
-
-
-class PartialField(ScalarField):
-    """d(parent)/dx_axis, realized by shifting the degree-(k+1) jet."""
-
-    __slots__ = ("a", "axis")
-
-    def __init__(self, a, axis: int):
-        super().__init__(a.chart)
-        self.a, self.axis = a, axis
-
-    def _jet(self, point, degree):
-        return self.a.jet(point, degree + 1).partial(self.axis)
+    A stack entry (node, point, memo, degree, expanded) is expanded once
+    its missing children are pushed above it; the children run in
+    argument order, as a recursive evaluation would, and when the entry
+    surfaces again the memo holds every jet it needs.  A `partial` node
+    needs its child one degree higher, and a `lift` node needs its child
+    at the leading coordinates of the point, in the child chart's memo.
+    """
+    stack = [(root, point, root.chart._memo(point), degree, False)]
+    out = None
+    while stack:
+        node, pt, memo, deg, expanded = stack[-1]
+        op = node.op
+        a = node.a
+        if a is not None:
+            b = node.b
+            if op == "lift":
+                cpt = pt[:node.param]
+                cmemo = a.chart._memo(cpt)
+            else:
+                cpt, cmemo = pt, memo
+            cdeg = deg + 1 if op == "partial" else deg
+        if not expanded:
+            hit = memo.get(node)
+            if hit is not None and hit.degree >= deg:
+                stack.pop()
+                continue
+            if a is not None:
+                base = len(stack)
+                for child in (a,) if b is None else (b, a):
+                    hit = cmemo.get(child)
+                    if hit is None or hit.degree < cdeg:
+                        stack.append((child, cpt, cmemo, cdeg, False))
+                if len(stack) > base:
+                    stack[base - 1] = (node, pt, memo, deg, True)
+                    continue
+        if a is not None:
+            a = cmemo[a]
+            if a.degree != cdeg:
+                a = a.truncated(cdeg)
+            if b is not None:
+                b = cmemo[b]
+                if b.degree != cdeg:
+                    b = b.truncated(cdeg)
+        if op == "sum":
+            out = a + b
+        elif op == "mul":
+            out = a * b
+        elif op == "scale":
+            out = a * node.param
+        elif op == "partial":
+            out = a.partial(node.param)
+        elif op == "div":
+            out = a / b
+        elif op == "const":
+            out = Jet.constant(node.param, node.chart.dim, deg)
+        elif op == "coord":
+            out = Jet.variable(pt[node.param], node.param, node.chart.dim, deg)
+        elif op == "pow":
+            out = a ** node.param
+        elif op == "apply":
+            out = getattr(a, node.param)()
+        elif op == "lift":
+            out = a.promote(node.chart.dim - node.param)
+        else:
+            raise ValueError(f"unknown field operation {op!r}")
+        memo[node] = out
+        stack.pop()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +381,7 @@ class SymTensor2Field:
         d = chart.dim
         for i in range(d):
             for j in range(i, d):
-                self.comps.setdefault((i, j), ConstantField(chart, 0.0))
+                self.comps.setdefault((i, j), chart.zero())
 
     @classmethod
     def from_matrix(cls, chart, matrix):
@@ -442,10 +451,10 @@ class Riemann4Field:
     def comp(self, i, j, k, l) -> ScalarField:
         key, sign = _riemann_canonical(i, j, k, l)
         if key is None:
-            return ConstantField(self.chart, 0.0)
+            return self.chart.zero()
         field = self.comps.get(key)
         if field is None:
-            return ConstantField(self.chart, 0.0)
+            return self.chart.zero()
         return field if sign > 0 else -field
 
     def values(self, point):
@@ -477,13 +486,13 @@ class Cotton3Field:
 
     def comp(self, i, j, k) -> ScalarField:
         if i == j:
-            return ConstantField(self.chart, 0.0)
+            return self.chart.zero()
         sign = 1.0
         if i > j:
             i, j, sign = j, i, -sign
         field = self.comps.get((i, j, k))
         if field is None:
-            return ConstantField(self.chart, 0.0)
+            return self.chart.zero()
         return field if sign > 0 else -field
 
     def values(self, point):

@@ -31,43 +31,12 @@ from . import curvature as cv
 from . import invariants as inv
 from .ambient import Graded
 from .expansion import RhoExpansion
-from .fields import Chart, ScalarField, SymTensor2Field
+from .fields import Chart, SymTensor2Field
 from .invariants import MetricMeasureSpace
 from .series import Series
 
 __all__ = ["PoincareStructure", "PoincareResidual", "to_poincare",
-           "poincare_residual", "cone_identity_check", "lift_field"]
-
-
-class _LiftedField(ScalarField):
-    """A base-chart field viewed on a chart with extra trailing coordinates."""
-
-    __slots__ = ("parent", "extra")
-
-    def __init__(self, parent: ScalarField, chart: Chart):
-        super().__init__(chart)
-        self.parent = parent
-        self.extra = chart.dim - parent.chart.dim
-        if self.extra < 0 or chart.names[: parent.chart.dim] != parent.chart.names:
-            raise ValueError("lift target must extend the parent chart")
-
-    def _jet(self, point, degree):
-        return self.parent.jet(point[: self.parent.chart.dim], degree).promote(
-            self.extra)
-
-    @property
-    def is_zero(self):
-        return self.parent.is_zero
-
-    def const_value(self):
-        return self.parent.const_value()
-
-
-def lift_field(field: ScalarField, chart: Chart) -> ScalarField:
-    c = field.const_value()
-    if c is not None:
-        return chart.constant(c)
-    return _LiftedField(field, chart)
+           "poincare_residual", "cone_identity_check"]
 
 
 @dataclass
@@ -205,7 +174,7 @@ def fixed_r_space(p: PoincareStructure, r_box=(0.05, 0.25)):
                             series.coeffs):
             if getattr(c, "is_zero", False):
                 continue
-            acc = acc + lift_field(c, chart) * (r ** power if power else 1.0)
+            acc = acc + chart.lift(c) * (r ** power if power else 1.0)
         return acc
 
     comps = {}

@@ -248,7 +248,6 @@ class Series:
             if p == 0:
                 continue
             out.append(c * float(p))
-        lo = self.shift - 1 if self.shift != 0 else self.shift
         # powers present after differentiation: p-1 for stored p != 0
         powers = [p - 1 for p, _ in self._items() if p != 0]
         if not powers:

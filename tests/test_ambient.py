@@ -293,3 +293,57 @@ def test_order_report_flat_everything_vanishes():
     assert rep.ok
     for b in rep.blocks.values():
         assert b.first_violation is None
+
+
+
+def test_restricted_generic_build_matches_full_build_bitwise():
+    # two copies on distinct charts share no field node, so the restricted
+    # and the full build are evaluated independently
+    a_part = AmbientMetric(expand(random_entry(d=3, m=0.5, mu=0.1, seed=21).space, 3))
+    a_full = AmbientMetric(expand(random_entry(d=3, m=0.5, mu=0.1, seed=21).space, 3))
+    # the entries order_report reads: the t row and the rho row
+    entries = ([(0, I) for I in range(a_part.n)]
+               + [(a_part.oo, I) for I in range(1, a_part.n)])
+    part, F_part = a_part.ricci_generic(entries)
+    full, F_full = a_full.ricci_generic()
+    assert F_part is None and F_full is not None
+    wanted = {(min(I, J), max(I, J)) for I, J in entries}
+    pts = a_part.base.sample(2, seed=4)
+    for I in range(a_part.n):
+        for J in range(a_part.n):
+            if (min(I, J), max(I, J)) not in wanted:
+                assert part[I][J] is None
+                continue
+            p, f = part[I][J], full[I][J]
+            assert p.is_zero == f.is_zero
+            if p.is_zero:
+                continue
+            assert p.deg == f.deg
+            assert (p.val.shift, p.val.trunc) == (f.val.shift, f.val.trunc)
+            for k in range(p.val.shift, p.val.trunc + 1):
+                cp, cf = p.val.coefficient(k), f.val.coefficient(k)
+                for pt in pts:
+                    vp = cp if isinstance(cp, float) else cp.value(pt)
+                    vf = cf if isinstance(cf, float) else cf.value(pt)
+                    assert vp == vf
+
+
+@pytest.mark.parametrize("make_space, orders", [
+    (lambda: random_entry(d=3, m=0.5, mu=0.1, seed=21).space, (1, 2, 3)),
+    # d+m = 4 stops at its critical order 2
+    (lambda: random_entry(d=3, m=1.0, mu=0.1, seed=21).space, (1, 2)),
+    (lambda: random_entry(d=3, m=2.0, mu=0.1, seed=21).space, (1, 2, 3)),
+    (lambda: load_entry("quasi-einstein").space, (1, 2, 3)),
+    (lambda: load_entry("wlcf").space, (1, 2, 3)),
+    (lambda: load_entry("gover-leitner").space, (1, 2, 3)),
+], ids=["random-m0.5", "random-m1", "random-m2", "quasi-einstein", "wlcf",
+        "gover-leitner"])
+def test_order_report_measures_through_every_guarantee(make_space, orders):
+    # a block that stops short of its guaranteed coefficient (a truncated
+    # series) would pass without being measured
+    s = make_space()
+    pts = s.sample(1, seed=0)
+    for N in orders:
+        rep = order_report(AmbientMetric(expand(s, N)), 1e-9, points=pts)
+        for b in rep.blocks.values():
+            assert len(b.coeff_max) > b.guaranteed, (N, b.name)

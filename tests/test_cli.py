@@ -1,9 +1,12 @@
 """Configuration parsing, report format, and the command-line surface."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import smmsgeom
 from smmsgeom import cli
 from smmsgeom.cli import main
 from smmsgeom.config import (ConfigError, Report, format_value, load_config)
@@ -221,3 +224,65 @@ def test_cli_internal_error_writes_report(config_path, tmp_path, monkeypatch):
 def test_cli_requires_input():
     code = main(["expand"])
     assert code == 2
+
+
+# random_entry(d=4, m=0.5, mu=0.1, seed=21): its generic ambient Ricci
+# entries are sum chains about 460 nodes deep
+CONFIG_D4 = """[chart]
+dimension = 4
+coordinates = x1 x2 x3 x4
+box = -0.5 0.5 ; -0.5 0.5 ; -0.5 0.5 ; -0.5 0.5
+
+[metric]
+g11 = 1+0.05*(0.419602*x4*x2+0.961621*x1*x2+0.916533*x2)
+g21 = 0+0.05*(0.344119*cos(1*x3)+0.70772*sin(1*x4)+-0.630457*x3*x4)
+g31 = 0+0.05*(-0.117211*x4*x2+-0.999471*x3+0.522537*cos(1*x2))
+g41 = 0+0.05*(-0.617943*cos(1*x3)+0.447558*x4+-0.232021*x2*x3)
+g22 = 1+0.05*(0.282976*cos(1*x1)+-0.614732*x2*x1+0.160519*sin(2*x4))
+g32 = 0+0.05*(-0.47363*cos(2*x2)+0.291368*sin(1*x3)+-0.846524*sin(2*x4))
+g42 = 0+0.05*(0.839392*x3*x3+-0.807594*x1+0.129291*x2*x3)
+g33 = 1+0.05*(-0.650372*x3+0.503003*x2+-0.641031*x3*x2)
+g43 = 0+0.05*(0.519841*x2*x3+-0.757995*x4*x2+-0.72961*cos(1*x4))
+g44 = 1+0.05*(0.654213*cos(1*x3)+0.201214*x3*x2+-0.941186*x4)
+
+[density]
+f = 1+0.05*(-0.408998*cos(1*x4)+0.5456*x4+-0.446849*x3)
+
+[parameters]
+m = 0.5
+mu = 0.1
+
+[solver]
+order = 1
+
+[sampling]
+points = 1
+seed = 21
+"""
+
+
+def test_cli_verify_d4_runs(tmp_path):
+    path = tmp_path / "d4.cfg"
+    path.write_text(CONFIG_D4)
+    code, text = run_cli(["verify", "--config", str(path), "--order", "1",
+                          "--points", "1"], tmp_path, "d4.txt")
+    assert code == 0, text
+    assert not any(line.startswith("error") for line in text.splitlines())
+    assert "config.dimension = 4" in text
+
+
+def test_cli_report_independent_of_hash_seed(tmp_path):
+    # interned fields live in dicts; no iteration order may reach a report
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smmsgeom.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    bodies = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+        proc = subprocess.run(
+            [sys.executable, "-m", "smmsgeom.cli", "verify", "--catalog", "wlcf",
+             "--order", "2", "--points", "1"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        bodies.append(proc.stdout.split("\ntimings.")[0])
+    assert "check.cone_identity_ricci.ok = true" in bodies[0]
+    assert bodies[0] == bodies[1]

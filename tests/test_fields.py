@@ -1,10 +1,14 @@
 """Scalar/tensor field behavior: purity, differentiation, symmetric storage."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
-from smmsgeom.fields import (Chart, ConstantField, Cotton3Field, Riemann4Field,
-                             SymTensor2Field, sample_points)
+from smmsgeom.curvature import acc_sum
+from smmsgeom.fields import (Chart, Cotton3Field, Riemann4Field, SymTensor2Field,
+                             sample_points)
 from smmsgeom.expressions import parse_expression
 
 
@@ -55,7 +59,7 @@ def test_structural_folding():
     assert (z * f).is_zero
     assert (f + z) is f
     assert (f * 1.0) is f
-    c = ConstantField(CHART, 2.0) * ConstantField(CHART, 3.0)
+    c = CHART.constant(2.0) * CHART.constant(3.0)
     assert c.const_value() == 6.0
 
 
@@ -108,3 +112,54 @@ def test_cotton_antisymmetry():
     assert c.comp(1, 0, 2).value(p) == pytest.approx(0.7)
     assert c.comp(0, 1, 2).value(p) == pytest.approx(-0.7)
     assert c.comp(1, 1, 2).value(p) == 0.0
+
+
+def test_structurally_equal_fields_are_one_node():
+    x, y = CHART.coordinates()
+    assert x * y is x * y
+    assert (x + 1.0).partial(0) is (x + 1.0).partial(0)
+    f = parse_expression("sin(x1)*x2", CHART)
+    assert parse_expression("sin(x1)*x2", CHART) is f
+    # operands of commutative operations keep their order
+    assert x * y is not y * x
+
+
+def test_charts_with_equal_names_share_no_node():
+    c1 = Chart(("x1", "x2"))
+    c2 = Chart(("x1", "x2"))
+    f1 = parse_expression("exp(x1)*x2 + 2", c1)
+    f2 = parse_expression("exp(x1)*x2 + 2", c2)
+    assert f1 is not f2
+    assert c1.constant(2.0) is not c2.constant(2.0)
+    assert c1.coordinate(0) is not c2.coordinate(0)
+    ids1 = {id(n) for n in c1._nodes.values()}
+    assert not ids1 & {id(n) for n in c2._nodes.values()}
+    assert f1.value((0.1, 0.2)) == f2.value((0.1, 0.2))
+
+
+def test_negative_zero_constant_keeps_its_sign():
+    neg = CHART.constant(-0.0)
+    pos = CHART.constant(0.0)
+    assert neg is not pos
+    assert math.copysign(1.0, neg.const_value()) == -1.0
+    assert math.copysign(1.0, pos.const_value()) == 1.0
+    assert math.copysign(1.0, neg.jet((0.1, 0.2), 1).value) == -1.0
+
+
+def test_deep_sum_evaluates_without_recursion():
+    # acc_sum left-folds into a 5000-deep chain of sum nodes
+    x, y = CHART.coordinates()
+    terms = [x * (y + float(k)) for k in range(5000)]
+    total = acc_sum(terms, CHART.zero())
+    p = (0.3, -0.2)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        value = total.value(p)
+        dx = total.partial(0).jet(p, 2)
+    finally:
+        sys.setrecursionlimit(old)
+    assert value == pytest.approx(sum(0.3 * (-0.2 + k) for k in range(5000)),
+                                  rel=1e-12)
+    assert dx.value == pytest.approx(sum(-0.2 + k for k in range(5000)),
+                                     rel=1e-12)

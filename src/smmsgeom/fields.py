@@ -3,7 +3,8 @@
 A ScalarField is one node of an expression DAG: an operation `op`, at
 most two child fields `a` and `b`, and one parameter `param` (a
 constant's value, a scale factor, an exponent, an axis, a primitive's
-name).  It stands for the pure evaluation rule (point, degree) -> Jet.
+name).  It stands for the pure evaluation rule (point, degree) -> Jet, whose
+degree-0 case, the value, is computed with plain floats.
 Fields are closed under arithmetic, the analytic primitives and partial
 differentiation.
 
@@ -20,9 +21,13 @@ The constants -0.0 and 0.0 are distinct nodes.
 Evaluation walks the DAG children first with an explicit stack and
 never recurses, so the depth of a DAG (hundreds of nodes for the
 generic ambient Ricci entries at d = 4, a thousand at d = 5) is limited
-only by memory.  The chart keeps one memo per evaluation point, node ->
-the jet of the highest degree computed so far, of which every lower
-degree is a prefix.
+only by memory.  The chart keeps one memo per evaluation point.  It maps
+a node asked only for its value to that value, a float, and any other
+node to the jet of the highest degree computed so far, of which every
+lower degree is a prefix.  Value requests run the float kernels of
+`jets` (only a `partial` node needs a jet, of its child at degree 1),
+which give the constant term of every jet of the node bit for bit, so a
+value is the same whichever request came first.
 
 Concurrency contract: building a field inserts into the intern table of
 its chart, and evaluating one inserts into the chart's memos.  Both are
@@ -36,7 +41,7 @@ import math
 
 import numpy as np
 
-from .jets import Jet
+from .jets import Jet, value_apply, value_power, value_quotient
 
 __all__ = [
     "Chart", "ScalarField", "sample_points",
@@ -64,7 +69,7 @@ class Chart:
                 raise ValueError("box must give one interval per coordinate")
         self.box = box
         self._nodes = {}
-        self._memos = {}  # point -> {node: Jet}
+        self._memos = {}  # point -> {node: float or Jet}
 
     def _node(self, op, a=None, b=None, param=None) -> "ScalarField":
         """The interned node (op, a, b, param) of this chart."""
@@ -151,17 +156,27 @@ class ScalarField:
 
     # -- evaluation -----------------------------------------------------
 
-    def jet(self, point, degree: int) -> Jet:
+    def _memo_at(self, point):
         point = tuple(point)
         if len(point) != self.chart.dim:
             raise ValueError(f"point has {len(point)} entries for chart {self.chart}")
-        hit = self.chart._memo(point).get(self)
-        if hit is not None and hit.degree >= degree:
+        return point, self.chart._memo(point)
+
+    def jet(self, point, degree: int) -> Jet:
+        if degree == 0:
+            return Jet.constant(self.value(point), self.chart.dim, 0)
+        point, memo = self._memo_at(point)
+        hit = memo.get(self)
+        if hit.__class__ is Jet and hit.degree >= degree:
             return hit.truncated(degree)
         return _evaluate(self, point, degree)
 
     def value(self, point) -> float:
-        return self.jet(point, 0).value
+        point, memo = self._memo_at(point)
+        hit = memo.get(self)
+        if hit is None:
+            return _evaluate(self, point, 0)
+        return hit if hit.__class__ is float else hit.value
 
     # -- structure ------------------------------------------------------
 
@@ -259,7 +274,7 @@ class ScalarField:
             raise ValueError(f"unknown analytic primitive {name!r}")
         c = self.const_value()
         if c is not None:
-            return self.chart.constant(float(getattr(np, name)(c)))
+            return self.chart.constant(value_apply(name, c))
         return self._wrap("apply", name)
 
     def exp(self):
@@ -286,15 +301,18 @@ class ScalarField:
         return [self.partial(i) for i in range(self.chart.dim)]
 
 
-def _evaluate(root: ScalarField, point: tuple, degree: int) -> Jet:
-    """Compute root's jet at (point, degree) into the memo, children first.
+def _evaluate(root: ScalarField, point: tuple, degree: int):
+    """Compute root at (point, degree) into the memo, children first, and
+    return it: the value as a float at degree 0, else the jet.
 
     A stack entry (node, point, memo, degree, expanded) is expanded once
     its missing children are pushed above it; the children run in
     argument order, as a recursive evaluation would, and when the entry
-    surfaces again the memo holds every jet it needs.  A `partial` node
-    needs its child one degree higher, and a `lift` node needs its child
-    at the leading coordinates of the point, in the child chart's memo.
+    surfaces again the memo holds everything it needs.  A `partial` node
+    needs its child one degree higher (so a jet, even for a value), and a
+    `lift` node needs its child at the leading coordinates of the point,
+    in the child chart's memo.  A value is served by any memo entry; a
+    jet request treats a float entry as missing and overwrites it.
     """
     stack = [(root, point, root.chart._memo(point), degree, False)]
     out = None
@@ -312,46 +330,57 @@ def _evaluate(root: ScalarField, point: tuple, degree: int) -> Jet:
             cdeg = deg + 1 if op == "partial" else deg
         if not expanded:
             hit = memo.get(node)
-            if hit is not None and hit.degree >= deg:
+            if hit is not None and (not deg or hit.__class__ is Jet
+                                    and hit.degree >= deg):
                 stack.pop()
                 continue
             if a is not None:
                 base = len(stack)
                 for child in (a,) if b is None else (b, a):
                     hit = cmemo.get(child)
-                    if hit is None or hit.degree < cdeg:
+                    if hit is None or cdeg and (hit.__class__ is not Jet
+                                                or hit.degree < cdeg):
                         stack.append((child, cpt, cmemo, cdeg, False))
                 if len(stack) > base:
                     stack[base - 1] = (node, pt, memo, deg, True)
                     continue
         if a is not None:
             a = cmemo[a]
-            if a.degree != cdeg:
-                a = a.truncated(cdeg)
             if b is not None:
                 b = cmemo[b]
-                if b.degree != cdeg:
+            if cdeg:
+                if a.degree != cdeg:
+                    a = a.truncated(cdeg)
+                if b is not None and b.degree != cdeg:
                     b = b.truncated(cdeg)
+            else:
+                if a.__class__ is Jet:
+                    a = a.value
+                if b.__class__ is Jet:
+                    b = b.value
         if op == "sum":
             out = a + b
         elif op == "mul":
-            out = a * b
+            out = a * b if deg else 0.0 + a * b
         elif op == "scale":
             out = a * node.param
         elif op == "partial":
             out = a.partial(node.param)
+            if not deg:
+                out = out.value
         elif op == "div":
-            out = a / b
+            out = a / b if deg else value_quotient(a, b)
         elif op == "const":
-            out = Jet.constant(node.param, node.chart.dim, deg)
+            out = Jet.constant(node.param, node.chart.dim, deg) if deg else node.param
         elif op == "coord":
-            out = Jet.variable(pt[node.param], node.param, node.chart.dim, deg)
+            out = (Jet.variable(pt[node.param], node.param, node.chart.dim, deg)
+                   if deg else float(pt[node.param]))
         elif op == "pow":
-            out = a ** node.param
+            out = a ** node.param if deg else value_power(a, node.param)
         elif op == "apply":
-            out = getattr(a, node.param)()
+            out = getattr(a, node.param)() if deg else value_apply(node.param, a)
         elif op == "lift":
-            out = a.promote(node.chart.dim - node.param)
+            out = a.promote(node.chart.dim - node.param) if deg else a
         else:
             raise ValueError(f"unknown field operation {op!r}")
         memo[node] = out

@@ -69,14 +69,19 @@ class MetricMeasureSpace:
         return self.chart.dim
 
     def check_at(self, points):
-        """Positive-definite g and positive f at the given points."""
+        """Finite positive-definite g and positive f at the given points.
+
+        Cholesky does not raise on NaN, so finiteness is tested first; the
+        density test is written so that NaN fails it."""
         for p in points:
             gm = self.g.matrix_values(p)
+            if not np.all(np.isfinite(gm)):
+                raise ValidationError(f"metric not finite at {p}")
             try:
                 np.linalg.cholesky(gm)
             except np.linalg.LinAlgError:
                 raise ValidationError(f"metric not positive definite at {p}")
-            if self.f.value(p) <= 0.0:
+            if not self.f.value(p) > 0.0:
                 raise ValidationError(f"density f not positive at {p}")
 
     def sample(self, count: int, seed: int):

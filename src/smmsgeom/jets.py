@@ -13,7 +13,8 @@ Arithmetic follows the represented functions: sums, truncated Cauchy
 products, division by jets with nonzero constant term, composition with
 univariate analytic functions, and partial differentiation (which lowers
 the degree by one).  Convolution sums always run in ascending graded-lex
-order over the left factor so repeated runs are bit-identical.
+order over the left factor so repeated runs are bit-identical.  The
+`value_*` functions are the degree-0 kernels on plain floats.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import math
 
 import numpy as np
 
-__all__ = ["Jet", "JetShapeError", "JetDivisionError", "jet_count"]
+__all__ = ["Jet", "JetShapeError", "JetDivisionError", "jet_count",
+           "value_quotient", "value_power", "value_apply"]
 
 # Divisor jets whose constant term is at or below PIVOT_REL times the
 # magnitude of their largest coefficient (floored at 1) are rejected.
@@ -41,6 +43,53 @@ class JetDivisionError(ZeroDivisionError):
 def jet_count(nvars: int, degree: int) -> int:
     """Number of multi-indices alpha with |alpha| <= degree."""
     return math.comb(nvars + degree, degree)
+
+
+def _check_pivot(b0, scale):
+    """Reject a divisor whose constant term b0 is at or below the pivot
+    floor; `scale` is the magnitude of its largest coefficient."""
+    floor = PIVOT_REL * max(1.0, scale)
+    if abs(b0) <= floor:
+        raise JetDivisionError(
+            f"constant term {b0:.3e} at or below pivot floor {floor:.3e}")
+
+
+def _check_domain(name: str, x: float):
+    """Reject log or sqrt of a non-positive value x."""
+    if x <= 0.0 and name in ("log", "sqrt"):
+        raise JetDivisionError(f"{name} of non-positive constant term {x:.3e}")
+
+
+# Degree-0 kernels: plain-float versions of the jet operations that give
+# the constant term of the degree-D result bit for bit, for every D >= 1.
+# The jet product accumulates into +0.0, hence `0.0 +` after each
+# product (it turns a -0.0 product into +0.0).
+
+def value_quotient(a: float, b: float) -> float:
+    """a / b, with the pivot test of jet division."""
+    _check_pivot(b, abs(b))
+    return a / b
+
+
+def value_power(x: float, k: int) -> float:
+    """x ** k by the square-and-multiply sequence of `Jet.__pow__`."""
+    if k < 0:
+        x, k = value_quotient(1.0, x), -k
+    out = 1.0
+    while k:
+        if k & 1:
+            out = 0.0 + out * x
+        x = 0.0 + x * x if k > 1 else x
+        k >>= 1
+    return out
+
+
+def value_apply(name: str, x: float) -> float:
+    """The analytic primitive `name` (a `math` function) at x."""
+    _check_domain(name, x)
+    # `compose` adds a +0.0 term to the constant term at every degree
+    # >= 1, which turns sin(-0.0) = -0.0 (or sinh) into +0.0
+    return 0.0 + getattr(math, name)(x)
 
 
 @lru_cache(maxsize=None)
@@ -71,19 +120,18 @@ def _product_table(nvars: int, degree: int):
     Ordered ascending over the left factor index, then the right, which
     fixes the summation order of every convolution.
     """
-    exps, pos = _exponent_table(nvars, degree)
-    ii, jj, kk = [], [], []
-    for i, a in enumerate(exps):
-        da = sum(a)
-        for j, b in enumerate(exps):
-            if da + sum(b) > degree:
-                continue
-            ii.append(i)
-            jj.append(j)
-            kk.append(pos[tuple(x + y for x, y in zip(a, b))])
-    return (np.asarray(ii, dtype=np.intp),
-            np.asarray(jj, dtype=np.intp),
-            np.asarray(kk, dtype=np.intp))
+    exps = np.array(_exponent_table(nvars, degree)[0], dtype=np.intp)
+    level = exps.sum(axis=1)
+    # np.nonzero walks the pair matrix row by row: I ascending, then J
+    ii, jj = np.nonzero(level[:, None] + level[None, :] <= degree)
+    # exponents are below degree + 1, so base degree + 1 encodes each
+    # tuple as one integer; the table's codes are not sorted (graded
+    # order), so search through their sorting permutation
+    radix = (degree + 1) ** np.arange(nvars - 1, -1, -1, dtype=np.intp)
+    codes = exps @ radix
+    order = np.argsort(codes)
+    kk = order[np.searchsorted(codes[order], (exps[ii] + exps[jj]) @ radix)]
+    return ii, jj, kk
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +146,7 @@ def _division_tables(nvars: int, degree: int):
     exps, _ = _exponent_table(nvars, degree)
     ii, jj, kk = _product_table(nvars, degree)
     levels = []
-    deg_k = np.array([sum(exps[k]) for k in kk])
+    deg_k = np.array([sum(e) for e in exps], dtype=np.intp)[kk]
     for t in range(degree + 1):
         sel = (deg_k == t) & (ii != 0)
         levels.append((ii[sel], jj[sel], kk[sel]))
@@ -200,11 +248,13 @@ class Jet:
         return self.coefficient(alpha) * fact
 
     def truncated(self, degree: int) -> "Jet":
+        """The degree-`degree` prefix, as a view: jets are never written
+        after construction."""
         if degree > self.degree:
             raise JetShapeError(f"cannot extend degree {self.degree} to {degree}")
         if degree == self.degree:
             return self
-        return Jet(self.nvars, degree, self.coeffs[: jet_count(self.nvars, degree)].copy())
+        return Jet(self.nvars, degree, self.coeffs[: jet_count(self.nvars, degree)])
 
     def _check(self, other: "Jet"):
         if self.nvars != other.nvars or self.degree != other.degree:
@@ -238,8 +288,8 @@ class Jet:
             return Jet(self.nvars, self.degree, self.coeffs * float(other))
         self._check(other)
         ii, jj, kk = _product_table(self.nvars, self.degree)
-        out = np.zeros_like(self.coeffs)
-        np.add.at(out, kk, self.coeffs[ii] * other.coeffs[jj])
+        out = np.bincount(kk, self.coeffs[ii] * other.coeffs[jj],
+                          len(self.coeffs))
         return Jet(self.nvars, self.degree, out)
 
     __rmul__ = __mul__
@@ -250,10 +300,7 @@ class Jet:
         noise floor at machine precision even for high degrees."""
         b = other.coeffs
         b0 = b[0]
-        floor = PIVOT_REL * max(1.0, float(np.max(np.abs(b))))
-        if abs(b0) <= floor:
-            raise JetDivisionError(
-                f"constant term {b0:.3e} at or below pivot floor {floor:.3e}")
+        _check_pivot(b0, float(np.max(np.abs(b))))
         c = np.zeros_like(self.coeffs)
         acc = np.zeros_like(self.coeffs)
         slices = _level_slices(self.nvars, self.degree)
@@ -314,8 +361,7 @@ class Jet:
 
     def log(self):
         x = self.value
-        if x <= 0.0:
-            raise JetDivisionError(f"log of non-positive constant term {x:.3e}")
+        _check_domain("log", x)
         derivs = [math.log(x)]
         for k in range(1, self.degree + 1):
             derivs.append(((-1.0) ** (k - 1)) * math.factorial(k - 1) / x ** k)
@@ -323,8 +369,7 @@ class Jet:
 
     def sqrt(self):
         x = self.value
-        if x <= 0.0:
-            raise JetDivisionError(f"sqrt of non-positive constant term {x:.3e}")
+        _check_domain("sqrt", x)
         derivs = [math.sqrt(x)]
         c = 0.5
         for k in range(1, self.degree + 1):

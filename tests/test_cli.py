@@ -80,6 +80,27 @@ def test_negative_density_rejected_with_point(tmp_path):
         cfg.space()
 
 
+@pytest.mark.parametrize("old,new,error", [
+    ("g22 = 1", "g22 = sqrt(-1)", "ConfigError: metric entry g22"),
+    ("f = 1 + 0.05*x1", "f = sqrt(-1)", "ConfigError: density f"),
+    ("g33 = 1 + 0.03*x2^2", "g33 = 1+0*log(0)", "ConfigError: metric entry g33"),
+    ("f = 1 + 0.05*x1", "f = exp(1000)", "ConfigError: density f"),
+    ("g22 = 1", "g22 = 1e308*10 - 1e308*10",
+     "ValidationError: metric not finite"),
+    ("f = 1 + 0.05*x1", "f = 1e308*10 - 1e308*10",
+     "ValidationError: density f not positive"),
+])
+def test_cli_rejects_non_finite_input(tmp_path, old, new, error):
+    # constants fold at build time: a fold that leaves the domain raises,
+    # and the NaN of inf - inf must not pass the metric and density checks
+    path = tmp_path / "bad.cfg"
+    path.write_text(CONFIG.replace(old, new))
+    code, text = run_cli(["verify", "--config", str(path), "--order", "1"],
+                         tmp_path, "bad.txt")
+    assert code == 2
+    assert f"error = {error}" in text
+
+
 def test_format_value_roundtrip():
     x = 0.1 + 0.2
     assert float(format_value(x)) == x

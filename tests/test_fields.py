@@ -10,6 +10,7 @@ from smmsgeom.curvature import acc_sum
 from smmsgeom.fields import (Chart, Cotton3Field, Riemann4Field, SymTensor2Field,
                              sample_points)
 from smmsgeom.expressions import parse_expression
+from smmsgeom.jets import JetDivisionError
 
 
 CHART = Chart(("x1", "x2"), box=((-0.5, 0.5), (-0.5, 0.5)))
@@ -148,18 +149,69 @@ def test_negative_zero_constant_keeps_its_sign():
 
 def test_deep_sum_evaluates_without_recursion():
     # acc_sum left-folds into a 5000-deep chain of sum nodes
-    x, y = CHART.coordinates()
-    terms = [x * (y + float(k)) for k in range(5000)]
-    total = acc_sum(terms, CHART.zero())
+    def build():
+        chart = Chart(("x1", "x2"))
+        x, y = chart.coordinates()
+        return acc_sum([x * (y + float(k)) for k in range(5000)], chart.zero())
+
+    total, fresh = build(), build()
     p = (0.3, -0.2)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         value = total.value(p)
+        dx_value = total.partial(0).value(p)
         dx = total.partial(0).jet(p, 2)
+        jet = fresh.jet(p, 2)
     finally:
         sys.setrecursionlimit(old)
     assert value == pytest.approx(sum(0.3 * (-0.2 + k) for k in range(5000)),
                                   rel=1e-12)
     assert dx.value == pytest.approx(sum(-0.2 + k for k in range(5000)),
                                      rel=1e-12)
+    assert value == jet.value and dx_value == dx.value
+
+
+def test_value_is_a_python_float():
+    chart = Chart(("x1", "x2"))
+    f = parse_expression("x1*exp(x2) + x1", chart)
+    p = (np.float64(0.25), np.float64(-0.5))
+    v = f.value(p)
+    assert type(v) is float
+    assert type(chart.coordinate(0).value(p)) is float
+    assert type(f.partial(1).value(p)) is float
+    assert v == parse_expression("x1*exp(x2) + x1", ("x1", "x2")).jet(p, 2).value
+    assert f.jet(p, 0).degree == 0 and f.jet(p, 0).value == v
+
+
+@pytest.mark.parametrize("text", ["log(x1 - 1)", "sqrt(x1 - x2 - 2)",
+                                  "x2/(x1 - 0.5)", "(x1 - 0.5)^-2",
+                                  "exp(x2)*log(x1 - 0.5)"])
+def test_value_raises_like_jet(text):
+    p = (0.5, 0.25)
+    with pytest.raises(JetDivisionError) as by_jet:
+        parse_expression(text, ("x1", "x2")).jet(p, 1)
+    with pytest.raises(JetDivisionError) as by_value:
+        parse_expression(text, ("x1", "x2")).value(p)
+    assert str(by_value.value) == str(by_jet.value)
+
+
+def test_constant_fold_rejects_log_and_sqrt_domain():
+    with pytest.raises(JetDivisionError, match="sqrt of non-positive"):
+        parse_expression("1 + sqrt(-1)", ("x1", "x2"))
+    with pytest.raises(JetDivisionError, match="log of non-positive"):
+        parse_expression("1 + 0*log(0)", ("x1", "x2"))
+    assert parse_expression("sqrt(4)", ("x1", "x2")).const_value() == 2.0
+
+
+def test_negative_zero_sign_matches_jet():
+    # -x1 is -0.0 at x1 = 0; the jet product accumulates into +0.0, and
+    # the composition of sin or sinh adds +0.0 to the constant term
+    p = (0.0, 0.3)
+    chart = Chart(("x1", "x2"))
+    neg = -chart.coordinate(0)
+    assert math.copysign(1.0, neg.value(p)) == -1.0
+    for text in ("(-x1)*(x2 + 2)", "sin(-x1)", "sinh(-x1)"):
+        value = parse_expression(text, ("x1", "x2")).value(p)
+        jet = parse_expression(text, ("x1", "x2")).jet(p, 1)
+        assert math.copysign(1.0, value) == math.copysign(1.0, jet.value) == 1.0

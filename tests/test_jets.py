@@ -183,3 +183,88 @@ def test_jets_match_finite_differences(expr, point):
         fact = math.factorial(alpha[0]) * math.factorial(alpha[1])
         got = jet.coefficient(alpha) * fact
         assert got == pytest.approx(want, rel=1e-6, abs=1e-7)
+
+
+def product_table_loop(nvars, degree):
+    """Reference: the product table by a double loop over exponent pairs."""
+    from smmsgeom.jets import _exponent_table
+    exps, pos = _exponent_table(nvars, degree)
+    ii, jj, kk = [], [], []
+    for i, a in enumerate(exps):
+        da = sum(a)
+        for j, b in enumerate(exps):
+            if da + sum(b) > degree:
+                continue
+            ii.append(i)
+            jj.append(j)
+            kk.append(pos[tuple(x + y for x, y in zip(a, b))])
+    return (np.asarray(ii, dtype=np.intp), np.asarray(jj, dtype=np.intp),
+            np.asarray(kk, dtype=np.intp))
+
+
+@pytest.mark.parametrize("nvars", range(1, 6))
+def test_product_table_matches_loop(nvars):
+    from smmsgeom.jets import _product_table
+    for degree in range(7 if nvars == 5 else 11):
+        got = _product_table(nvars, degree)
+        want = product_table_loop(nvars, degree)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
+def _random_coeffs(rng, n):
+    """Normal coefficients with some exact +0.0 and -0.0 entries."""
+    c = rng.normal(size=n)
+    c[rng.random(n) < 0.2] = 0.0
+    c[rng.random(n) < 0.2] = -0.0
+    return c
+
+
+@pytest.mark.parametrize("nvars,degree", [(3, 10), (4, 6), (3, 2), (3, 0), (5, 4)])
+def test_product_matches_add_at_bitwise(nvars, degree):
+    from smmsgeom.jets import _product_table
+    rng = np.random.default_rng(nvars * 100 + degree)
+    ii, jj, kk = _product_table(nvars, degree)
+    n = jet_count(nvars, degree)
+    for _ in range(200):
+        a = Jet(nvars, degree, _random_coeffs(rng, n))
+        b = Jet(nvars, degree, _random_coeffs(rng, n))
+        want = np.zeros(n)
+        np.add.at(want, kk, a.coeffs[ii] * b.coeffs[jj])
+        # bit patterns, so that signed zeros count
+        np.testing.assert_array_equal((a * b).coeffs.view(np.uint64),
+                                      want.view(np.uint64))
+
+
+def test_operations_leave_operands_unchanged():
+    # truncated() hands out views of memoised jets, so no operation may
+    # write into an operand's coefficients
+    rng = np.random.default_rng(5)
+    n = jet_count(2, 4)
+    a = Jet(2, 4, rng.normal(size=n))
+    b = Jet(2, 4, rng.normal(size=n))
+    a.coeffs[0], b.coeffs[0] = 1.5, -0.7
+    pos = Jet(2, 4, rng.normal(size=n))
+    pos.coeffs[0] = 2.0
+    low = a.truncated(2)
+    jets = (a, b, pos, low)
+    before = [j.coeffs.tobytes() for j in jets]
+    ops = [
+        lambda: a + b, lambda: a + 2.0, lambda: 2.0 + a, lambda: -a,
+        lambda: a - b, lambda: a - 2.0, lambda: 2.0 - a,
+        lambda: a * b, lambda: a * 2.0, lambda: 2.0 * a,
+        lambda: a / b, lambda: a / 2.0, lambda: 2.0 / a, lambda: a.reciprocal(),
+        lambda: a ** 3, lambda: a ** -2, lambda: a ** 0,
+        lambda: a.exp(), lambda: pos.log(), lambda: pos.sqrt(), lambda: a.sin(),
+        lambda: a.cos(), lambda: a.sinh(), lambda: a.cosh(),
+        lambda: a.compose([1.0, 2.0, 3.0, 4.0, 5.0]),
+        lambda: a.partial(0), lambda: a.partial(1), lambda: a.promote(2),
+        lambda: a.truncated(1), lambda: low * low, lambda: low + 1.0,
+        lambda: low.exp(), lambda: low.promote(1), lambda: low.partial(0),
+    ]
+    for op in ops:
+        op()
+    assert [j.coeffs.tobytes() for j in jets] == before
+    # the view still reads the prefix of its parent
+    np.testing.assert_array_equal(low.coeffs, a.coeffs[:jet_count(2, 2)])

@@ -77,3 +77,37 @@ def test_random_expression_matches_finite_differences(seed):
         fact = math.factorial(alpha[0]) * math.factorial(alpha[1])
         got = jet.coefficient(alpha) * fact
         assert got == pytest.approx(want, rel=1e-6, abs=2e-6), (text, alpha)
+
+
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_random_expression_value_equals_jet_constant_term(seed):
+    # the float path gives the jet's constant term bit for bit, whichever
+    # request comes first; each order starts from fresh charts
+    rng = np.random.default_rng(1000 + seed)
+    text = random_expression(rng)
+    point = tuple(float(v) for v in rng.uniform(-0.4, 0.4, size=2))
+
+    def fields():
+        f = parse_expression(text, NAMES)
+        return [f, f.partial(0), f.partial(1).partial(0)]
+
+    for k in (1, 2, 3):
+        reference = [g.jet(point, k) for g in fields()]
+        value_first = fields()
+        values = [g.value(point) for g in value_first]
+        jets = [g.jet(point, k) for g in value_first]
+        jet_first = fields()
+        jets_then = [g.jet(point, k) for g in jet_first]
+        values_then = [g.value(point) for g in jet_first]
+        for ref, v, j, jt, vt in zip(reference, values, jets, jets_then,
+                                     values_then):
+            assert type(v) is float and type(vt) is float
+            assert _bits(v) == _bits(vt) == _bits(ref.coeffs[0]), (text, k)
+            np.testing.assert_array_equal(j.coeffs.view(np.uint64),
+                                          ref.coeffs.view(np.uint64))
+            np.testing.assert_array_equal(jt.coeffs.view(np.uint64),
+                                          ref.coeffs.view(np.uint64))

@@ -11,9 +11,13 @@ Subcommands::
 Common flags: --config PATH, --catalog NAME, --order N, --points K,
 --seed S, --tol X, --out PATH.  Reports are deterministic key-value
 text (identical inputs give byte-identical output apart from the
-trailing timings block) and are written in every case.  The exit status
-is 0 when every check passed, 1 when a check failed, 2 on a typed input
-or solver error and 3 on any other exception (`error = internal: ...`).
+trailing timings block) and are written in every case.  The timings
+block gives the seconds of each stage a command ran (`timings.stage.*`)
+and the number of interned DAG nodes on the problem chart
+(`timings.stats.nodes`).  The exit status is 0 when every check passed,
+1 when a check failed, 2 on a typed input or solver error (a missing or
+malformed input, an order or point count below 1, an unknown catalog
+entry) and 3 on any other exception (`error = internal: ...`).
 `verify --corrupt-coefficient K,I,J,EPS` is a test hook that
 perturbs one solved coefficient to demonstrate check sensitivity.
 """
@@ -21,6 +25,7 @@ perturbs one solved coefficient to demonstrate check sensitivity.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 
@@ -73,19 +78,28 @@ class _Problem:
         self.catalog_entry = None
         if args.config and args.catalog:
             raise ConfigError("give either --config or --catalog, not both")
+        for flag, least in (("order", 1), ("points", 1), ("seed", 0)):
+            value = getattr(args, flag)
+            if value is not None and value < least:
+                raise ConfigError(f"--{flag} must be at least {least}, "
+                                  f"got {value}")
         if args.config:
             cfg = load_config(args.config)
             self.space = cfg.space()
-            self.order = args.order or cfg.order
-            self.points_n = args.points or cfg.points
+            self.order = cfg.order if args.order is None else args.order
+            self.points_n = cfg.points if args.points is None else args.points
             self.seed = cfg.seed if args.seed is None else args.seed
             self.tolerances = dict(cfg.tolerances)
             self.label = args.config
         elif args.catalog:
+            known = standard_catalog()
+            if args.catalog not in known:
+                raise ConfigError(f"unknown catalog entry {args.catalog!r}; "
+                                  f"known: {', '.join(sorted(known))}")
             self.catalog_entry = load_entry(args.catalog)
             self.space = self.catalog_entry.space
-            self.order = args.order or 3
-            self.points_n = args.points or 10
+            self.order = 3 if args.order is None else args.order
+            self.points_n = 10 if args.points is None else args.points
             self.seed = 0 if args.seed is None else args.seed
             self.tolerances = {}
             self.label = f"catalog:{args.catalog}"
@@ -98,6 +112,20 @@ class _Problem:
 
     def tol(self, name, default):
         return float(self.tolerances.get(name, default))
+
+
+def _start(args, report):
+    """Resolve the problem, timed as the setup stage, and echo it."""
+    with report.stage("setup"):
+        prob = _Problem(args)
+    _echo(report, prob)
+    return prob
+
+
+def _finish(prob, report) -> int:
+    """Record the DAG size and return the exit status of the checks."""
+    report.put_timing("stats.nodes", prob.space.chart.node_count)
+    return 0 if report.ok else 1
 
 
 def _echo(report, prob):
@@ -118,14 +146,11 @@ def _put_tensor(report, key, values):
 
 
 def cmd_invariants(args, report) -> int:
-    prob = _Problem(args)
-    _echo(report, prob)
+    prob = _start(args, report)
     s = prob.space
     w = inv.weighted_invariants(s)
     plain_scalar = inv.scalar(s.g)
-    bianchi = inv.bianchi_residual(s)
     tol = prob.tol("residual", 1e-9)
-    worst_bianchi = 0.0
     for n, p in enumerate(prob.points):
         key = f"point{n}"
         _put_tensor(report, f"{key}.coords", list(p))
@@ -142,13 +167,17 @@ def cmd_invariants(args, report) -> int:
                    float(np.max(np.abs(w.cotton.values(p)))))
         if w.bach is not None:
             _put_tensor(report, f"{key}.bach", w.bach.matrix_values(p))
-        worst_bianchi = max(worst_bianchi,
-                            max(abs(r.value(p)) for r in bianchi))
+    with report.stage("bianchi"):
+        bianchi = inv.bianchi_residual(s)
+        worst_bianchi = 0.0
+        for p in prob.points:
+            worst_bianchi = max(worst_bianchi,
+                                max(abs(r.value(p)) for r in bianchi))
     report.put_check("bianchi_residual", worst_bianchi,
                      prob.tol("bianchi", 1e-8) * prob.scale)
     report.put_check("trace_identity", _trace_identity_residual(s, w, prob.points),
                      tol * prob.scale)
-    return 0 if report.ok else 1
+    return _finish(prob, report)
 
 
 def _trace_identity_residual(s, w, points) -> float:
@@ -161,14 +190,20 @@ def _trace_identity_residual(s, w, points) -> float:
     return worst
 
 
-def _expansion_for(prob):
-    return expand(prob.space, prob.order, check_points=prob.points)
+def _expansion_for(prob, report):
+    with report.stage("expand"):
+        return expand(prob.space, prob.order, check_points=prob.points)
+
+
+def _order_report(prob, e, report):
+    with report.stage("order_report"):
+        return order_report(AmbientMetric(e), prob.tol("residual", 1e-9),
+                            points=prob.points)
 
 
 def cmd_expand(args, report) -> int:
-    prob = _Problem(args)
-    _echo(report, prob)
-    e = _expansion_for(prob)
+    prob = _start(args, report)
+    e = _expansion_for(prob, report)
     report.put("branch", e.branch.value)
     for n, note in enumerate(e.ambiguity_notes):
         report.put(f"ambiguity_note.{n}", note)
@@ -189,8 +224,7 @@ def cmd_expand(args, report) -> int:
                                      - B.matrix_values(p)))
                        for p in prob.points)
             report.put_check("obstruction_equals_bach", diff, tol * prob.scale)
-    a = AmbientMetric(e)
-    rep = order_report(a, prob.tol("residual", 1e-9), points=prob.points)
+    rep = _order_report(prob, e, report)
     for name, block in rep.blocks.items():
         report.put(f"order.{name}.guaranteed", block.guaranteed)
         fv = block.first_violation
@@ -198,7 +232,7 @@ def cmd_expand(args, report) -> int:
         report.put(f"order.{name}.ok", block.ok)
         if not block.ok:
             report.failures.append(f"order.{name}")
-    return 0 if report.ok else 1
+    return _finish(prob, report)
 
 
 def _obstruction_identities(prob, obs, report, tol):
@@ -224,15 +258,14 @@ def _obstruction_identities(prob, obs, report, tol):
 
 
 def cmd_obstruction(args, report) -> int:
-    prob = _Problem(args)
-    _echo(report, prob)
+    prob = _start(args, report)
     obs = obstruction(prob.space, check_points=prob.points)
     report.put("obstruction.constant", obs.c)
     for pn, p in enumerate(prob.points[: min(3, len(prob.points))]):
         _put_tensor(report, f"point{pn}.obstruction", obs.tensor.matrix_values(p))
         report.put(f"point{pn}.f_script", obs.scalar_part.value(p))
     _obstruction_identities(prob, obs, report, prob.tol("identities", 1e-8))
-    return 0 if report.ok else 1
+    return _finish(prob, report)
 
 
 def _poincare_checks(prob, e, report, cone_points):
@@ -240,20 +273,22 @@ def _poincare_checks(prob, e, report, cone_points):
     when m > 0, the cone identities at `cone_points`.  Returns
     (max_even_order, residual_trunc, guaranteed_power, sides_magnitude);
     the last is None when m = 0."""
-    pc = to_poincare(e)
-    res = poincare_residual(pc)
-    gu = branch_guarantees(prob.space.dim, prob.space.m, e.order)
-    power = min(gu.poincare_power, res.trunc)
-    worst = 0.0
-    for k in range(-2, power + 1):
-        for name in ("ij", "ri", "rr"):
-            worst = max(worst, res.block_max(name, k, prob.points))
-        worst = max(worst, res.scalar_max(k, prob.points))
+    with report.stage("poincare"):
+        pc = to_poincare(e)
+        res = poincare_residual(pc)
+        gu = branch_guarantees(prob.space.dim, prob.space.m, e.order)
+        power = min(gu.poincare_power, res.trunc)
+        worst = 0.0
+        for k in range(-2, power + 1):
+            for name in ("ij", "ri", "rr"):
+                worst = max(worst, res.block_max(name, k, prob.points))
+            worst = max(worst, res.scalar_max(k, prob.points))
     report.put_check("poincare_residual", worst,
                      prob.tol("poincare", 1e-8) * prob.scale)
     side = None
     if prob.space.m > 0:
-        wr, wF, side = cone_identity_check(pc, points=cone_points)
+        with report.stage("cone"):
+            wr, wF, side = cone_identity_check(pc, points=cone_points)
         cone_tol = prob.tol("cone", 1e-9) * max(prob.scale, side)
         report.put_check("cone_identity_ricci", wr, cone_tol)
         report.put_check("cone_identity_f", wF, cone_tol)
@@ -261,9 +296,8 @@ def _poincare_checks(prob, e, report, cone_points):
 
 
 def cmd_poincare(args, report) -> int:
-    prob = _Problem(args)
-    _echo(report, prob)
-    e = _expansion_for(prob)
+    prob = _start(args, report)
+    e = _expansion_for(prob, report)
     max_even, trunc, power, side = _poincare_checks(prob, e, report,
                                                     prob.points[:4])
     report.put("poincare.max_even_order", max_even)
@@ -271,13 +305,11 @@ def cmd_poincare(args, report) -> int:
     report.put("poincare.guaranteed_power", power)
     if side is not None:
         report.put("cone.sides_magnitude", side)
-    return 0 if report.ok else 1
+    return _finish(prob, report)
 
 
 def cmd_verify(args, report) -> int:
-    prob = _Problem(args)
-    _echo(report, prob)
-    tol = prob.tol("residual", 1e-9)
+    prob = _start(args, report)
     entry = prob.catalog_entry
     if entry is not None:
         try:
@@ -286,7 +318,7 @@ def cmd_verify(args, report) -> int:
         except EntryRejected as exc:
             report.put("catalog_flags.error", str(exc))
             report.put_check("catalog_flags", 1.0, 0.5)
-    e = _expansion_for(prob)
+    e = _expansion_for(prob, report)
     if args.corrupt_coefficient:
         k, i, j, eps = args.corrupt_coefficient.split(",")
         k, i, j, eps = int(k), int(i), int(j), float(eps)
@@ -297,14 +329,14 @@ def cmd_verify(args, report) -> int:
         e.g_coeffs[k] = SymTensor2Field(prob.space.chart, bad)
         report.put("corruption", f"g_coeff{k}[{i}{j}] += {eps}")
 
-    a = AmbientMetric(e)
-    rep = order_report(a, tol, points=prob.points)
+    rep = _order_report(prob, e, report)
     for name, block in rep.blocks.items():
         worst = max(block.coeff_max[: block.guaranteed + 1], default=0.0)
         report.put_check(f"ambient_order_{name}", worst, block.tol_abs)
 
-    bianchi = inv.bianchi_residual(prob.space)
-    worst = max(abs(r.value(p)) for p in prob.points for r in bianchi)
+    with report.stage("bianchi"):
+        bianchi = inv.bianchi_residual(prob.space)
+        worst = max(abs(r.value(p)) for p in prob.points for r in bianchi)
     report.put_check("bianchi_residual", worst,
                      prob.tol("bianchi", 1e-8) * prob.scale)
 
@@ -315,9 +347,10 @@ def cmd_verify(args, report) -> int:
     _poincare_checks(prob, e, report, prob.points[:3])
 
     if entry is not None and entry.closed_form is not None:
-        worst = _closed_form_agreement(prob, e, entry)
+        with report.stage("closed_form"):
+            worst = _closed_form_agreement(prob, e, entry)
         report.put_check("solver_matches_closed_form", worst, 1e-9 * prob.scale)
-    return 0 if report.ok else 1
+    return _finish(prob, report)
 
 
 def _closed_form_agreement(prob, e, entry) -> float:
@@ -342,27 +375,57 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    report = Report(__version__)
-    report.put("command", args.command)
-    started = time.perf_counter()
-    code = 0
+    """Run one command, write its report and return the exit status.
+
+    The cyclic collector is paused for the call and then restored to the
+    caller's state.  The expression DAG a command builds lives until the
+    command ends, so collections during it would only traverse the DAG
+    again and again and find next to nothing to free.  The DAG is a cycle
+    (nodes refer to their chart, whose intern table refers to them), so
+    an in-process caller gets it back at its next collection.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        code = _COMMANDS[args.command](args, report)
-    except (ConfigError, ValidationError, EntryRejected, OrderError,
-            ConsistencyError) as exc:
-        report.put("error", f"{type(exc).__name__}: {exc}")
-        code = 2
-    except Exception as exc:
-        report.put("error", f"internal: {type(exc).__name__}: {exc}")
-        code = 3
-    report.put_timing("total_seconds", time.perf_counter() - started)
-    text = report.write(args.out)
-    sys.stdout.write(text)
-    if report.failures and code == 0:
-        code = 1
-    return code
+        args = _parser().parse_args(argv)
+        report = Report(__version__)
+        report.put("command", args.command)
+        started = time.perf_counter()
+        code = 0
+        try:
+            code = _COMMANDS[args.command](args, report)
+        except (ConfigError, ValidationError, EntryRejected, OrderError,
+                ConsistencyError) as exc:
+            report.put("error", f"{type(exc).__name__}: {exc}")
+            code = 2
+        except Exception as exc:
+            report.put("error", f"internal: {type(exc).__name__}: {exc}")
+            code = 3
+        report.put_timing("total_seconds", time.perf_counter() - started)
+        text = report.write(args.out)
+        sys.stdout.write(text)
+        if report.failures and code == 0:
+            code = 1
+        return code
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def run() -> None:
+    """Process entry of the `smmsgeom` script and `python -m smmsgeom.cli`.
+
+    After `main` returns, every object left, the dead DAG included, is
+    moved to the collector's permanent generation, so interpreter
+    shutdown does not collect and free it object by object; atexit
+    handlers and stream flushes still run.  The collector is off from
+    the start, so no collection over the DAG runs between the two.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

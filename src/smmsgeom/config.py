@@ -38,6 +38,8 @@ comparison.
 from __future__ import annotations
 
 import configparser
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -107,6 +109,18 @@ def _parse_box(text: str, dim: int):
     return tuple(box)
 
 
+def _number(cp, section, key, kind, fallback):
+    """The option as `kind` (int or float), `fallback` when it is absent."""
+    text = cp.get(section, key, fallback=None)
+    if text is None:
+        return fallback
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{section}] {key} = {text!r} is not {noun}") from None
+
+
 def load_config(path: str) -> ProblemConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = cp.read(path)
@@ -131,13 +145,17 @@ def load_config(path: str) -> ProblemConfig:
                 metric[(j, i)] = cp.get("metric", key)
             elif i == j:
                 raise ConfigError(f"metric entry {key} is required")
-    order = cp.getint("solver", "order", fallback=2)
-    points = cp.getint("sampling", "points", fallback=10)
-    seed = cp.getint("sampling", "seed", fallback=0)
+    order = _number(cp, "solver", "order", int, 2)
+    points = _number(cp, "sampling", "points", int, 10)
+    seed = _number(cp, "sampling", "seed", int, 0)
+    for key, value, least in (("order", order, 1), ("points", points, 1),
+                              ("seed", seed, 0)):
+        if value < least:
+            raise ConfigError(f"{key} must be at least {least}, got {value}")
     tolerances = {}
     if cp.has_section("tolerances"):
-        for key, val in cp.items("tolerances"):
-            tolerances[key] = float(val)
+        for key in cp.options("tolerances"):
+            tolerances[key] = _number(cp, "tolerances", key, float, None)
     return ProblemConfig(dim, names, box, metric, f_expr, m, mu, order,
                          points, seed, tolerances)
 
@@ -176,6 +194,15 @@ class Report:
 
     def put_timing(self, key: str, seconds: float):
         self.timings[key] = seconds
+
+    @contextmanager
+    def stage(self, name: str):
+        """Record the seconds the enclosed block takes as `stage.<name>`."""
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[f"stage.{name}"] = time.perf_counter() - started
 
     @property
     def ok(self) -> bool:

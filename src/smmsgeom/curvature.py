@@ -34,9 +34,13 @@ __all__ = [
 
 
 def _is_zero(x) -> bool:
+    # ring elements (fields, series, Graded) say so themselves
+    is_zero = getattr(x, "is_zero", None)
+    if is_zero is not None:
+        return bool(is_zero)
     if isinstance(x, (int, float)):
         return x == 0.0
-    return bool(getattr(x, "is_zero", False))
+    return False
 
 
 def acc_sum(terms, zero):

@@ -79,6 +79,11 @@ class Chart:
             node = self._nodes[key] = ScalarField(self, op, a, b, param)
         return node
 
+    @property
+    def node_count(self) -> int:
+        """The number of nodes interned on this chart."""
+        return len(self._nodes)
+
     def _memo(self, point: tuple) -> dict:
         memo = self._memos.get(point)
         if memo is None:
@@ -190,8 +195,11 @@ class ScalarField:
     # -- arithmetic with folding ----------------------------------------
 
     def _coerce(self, other):
+        # the common case first: a field of this very chart
+        if other.__class__ is ScalarField and other.chart is self.chart:
+            return other
         if isinstance(other, ScalarField):
-            if other.chart is not self.chart and other.chart != self.chart:
+            if other.chart != self.chart:
                 raise ValueError("fields live on different charts")
             return other
         if isinstance(other, (int, float)):
@@ -206,9 +214,8 @@ class ScalarField:
             return other
         if other.is_zero:
             return self
-        a, b = self.const_value(), other.const_value()
-        if a is not None and b is not None:
-            return self.chart.constant(a + b)
+        if self.op == "const" and other.op == "const":
+            return self.chart.constant(self.param + other.param)
         return self.chart._node("sum", self, other)
 
     __radd__ = __add__
@@ -234,12 +241,13 @@ class ScalarField:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return self.chart.constant(0.0)
-        a, b = self.const_value(), other.const_value()
-        if a is not None and b is not None:
-            return self.chart.constant(a * b)
-        if a is not None:
+        if self.op == "const":
+            a = self.param
+            if other.op == "const":
+                return self.chart.constant(a * other.param)
             return other if a == 1.0 else other._wrap("scale", a)
-        if b is not None:
+        if other.op == "const":
+            b = other.param
             return self if b == 1.0 else self._wrap("scale", b)
         return self.chart._node("mul", self, other)
 

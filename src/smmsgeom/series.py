@@ -27,10 +27,13 @@ class SeriesTruncationError(ValueError):
 
 
 def _is_zero_elem(c) -> bool:
+    # ring elements (fields, series) say so themselves; numbers are tested
+    is_zero = getattr(c, "is_zero", None)
+    if is_zero is not None:
+        return bool(is_zero)
     if isinstance(c, (int, float)):
         return c == 0.0
-    is_zero = getattr(c, "is_zero", None)
-    return bool(is_zero) if is_zero is not None else False
+    return False
 
 
 def _min_trunc(a, b):
@@ -169,15 +172,15 @@ class Series:
         if trunc is not None:
             n = min(n, trunc - shift + 1)
         acc = [None] * n
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs)
+                   if not _is_zero_elem(b)]
         for i, a in enumerate(self.coeffs):
             if _is_zero_elem(a):
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in nonzero:
                 k = i + j
                 if k >= n:
                     break
-                if _is_zero_elem(b):
-                    continue
                 term = a * b
                 acc[k] = term if acc[k] is None else acc[k] + term
         out = [self.zero if c is None else c for c in acc]

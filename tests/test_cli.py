@@ -247,6 +247,53 @@ def test_cli_requires_input():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,old,new,error", [
+    (["verify", "--catalog", "bogus"], None, None,
+     "ConfigError: unknown catalog entry 'bogus'"),
+    (["verify"], "points = 5", "points = -1",
+     "ConfigError: points must be at least 1, got -1"),
+    (["invariants"], "points = 5", "points = 0",
+     "ConfigError: points must be at least 1, got 0"),
+    (["verify"], "order = 2", "order = two",
+     "ConfigError: [solver] order = 'two' is not an integer"),
+    (["verify"], "seed = 7", "seed = 7\n\n[tolerances]\nresidual = small",
+     "ConfigError: [tolerances] residual = 'small' is not a number"),
+    (["verify", "--points", "0"], None, None,
+     "ConfigError: --points must be at least 1, got 0"),
+    (["verify", "--order", "0"], None, None,
+     "ConfigError: --order must be at least 1, got 0"),
+    (["verify", "--points", "-2"], None, None,
+     "ConfigError: --points must be at least 1, got -2"),
+    (["verify"], "seed = 7", "seed = -7",
+     "ConfigError: seed must be at least 0, got -7"),
+    (["verify", "--catalog", "flat", "--seed", "-1"], None, None,
+     "ConfigError: --seed must be at least 0, got -1"),
+])
+def test_cli_rejects_bad_names_and_counts(tmp_path, argv, old, new, error):
+    # every case is a typed input error (exit 2), never an internal error
+    # or a silent fallback to a default
+    if argv[1:2] != ["--catalog"]:
+        path = tmp_path / "problem.cfg"
+        path.write_text(CONFIG.replace(old, new) if old else CONFIG)
+        argv = argv[:1] + ["--config", str(path)] + argv[1:]
+    code, text = run_cli(argv, tmp_path, "bad.txt")
+    assert code == 2
+    assert f"error = {error}" in text
+
+
+def test_cli_verify_reports_stage_timings(tmp_path):
+    code, text = run_cli(["verify", "--catalog", "quasi-einstein", "--order",
+                          "1", "--points", "1"], tmp_path, "st.txt")
+    assert code == 0
+    timings = dict(line.split(" = ") for line in text.splitlines()
+                   if line.startswith("timings."))
+    for stage in ("setup", "expand", "order_report", "bianchi", "poincare",
+                  "cone", "closed_form"):
+        assert float(timings.pop(f"timings.stage.{stage}")) >= 0.0
+    assert int(timings.pop("timings.stats.nodes")) > 0
+    assert set(timings) == {"timings.total_seconds"}
+
+
 # random_entry(d=4, m=0.5, mu=0.1, seed=21): its generic ambient Ricci
 # entries are sum chains about 460 nodes deep
 CONFIG_D4 = """[chart]

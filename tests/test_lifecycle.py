@@ -1,0 +1,152 @@
+"""The collector pause in `cli.main` and the process entry `cli.run`."""
+
+import ast
+import gc
+import os
+import subprocess
+import sys
+
+import pytest
+
+import smmsgeom
+from smmsgeom import cli
+from smmsgeom.config import Report
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(smmsgeom.__file__)))
+
+CONFIG = """[chart]
+dimension = 3
+coordinates = x1 x2 x3
+box = -0.5 0.5 ; -0.5 0.5 ; -0.5 0.5
+
+[metric]
+g11 = 1 + 0.05*sin(x1)
+g21 = 0.02*x1*x2
+g22 = 1
+g33 = 1 + 0.03*x2^2
+
+[density]
+f = 1 + 0.05*x1
+
+[parameters]
+m = 0.5
+mu = 0.2
+
+[solver]
+order = 1
+
+[sampling]
+points = 1
+seed = 7
+"""
+
+
+@pytest.fixture()
+def collector():
+    """Give the collector back in the state the test found it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_verify_makes_next_to_no_cyclic_garbage(collector):
+    # The premise of the pause: a command's objects live until it ends, so
+    # a collection during it finds almost nothing to free.  A change that
+    # turns nodes or series into cyclic garbage makes this fail, instead of
+    # growing memory unseen while the collector is paused.
+    args = cli._parser().parse_args(["verify", "--catalog", "quasi-einstein",
+                                     "--order", "2", "--points", "1"])
+    collected = []
+
+    def count(phase, info):
+        if phase == "stop":
+            collected.append(info["collected"])
+
+    gc.collect()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        code = cli._COMMANDS["verify"](args, Report("test"))
+    finally:
+        gc.callbacks.remove(count)
+    assert code == 0
+    assert collected, "the collector never ran"
+    assert sum(collected) < 1000
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_collector_state(collector, tmp_path, enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    frozen = gc.get_freeze_count()
+    code = cli.main(["verify", "--catalog", "flat", "--order", "1",
+                     "--points", "1", "--out", str(tmp_path / "r.txt")])
+    assert code == 0
+    assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() == frozen
+
+
+def test_main_pauses_collector_for_the_command(collector, monkeypatch, tmp_path):
+    seen = []
+
+    def command(args, report):
+        seen.append(gc.isenabled())
+        raise RuntimeError("deliberate failure")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", command)
+    gc.enable()
+    code = cli.main(["verify", "--catalog", "flat",
+                     "--out", str(tmp_path / "r.txt")])
+    assert (code, seen) == (3, [False])
+    assert gc.isenabled()
+    with pytest.raises(SystemExit):
+        cli.main(["no-such-command"])
+    assert gc.isenabled()
+
+
+def _body(text):
+    return text.split("\ntimings.")[0]
+
+
+@pytest.mark.parametrize("extra,old,new,want", [
+    ([], None, None, 0),
+    (["--corrupt-coefficient", "1,0,0,0.001"], None, None, 1),
+    ([], "points = 1", "points = 0", 2),
+])
+def test_process_entry_writes_the_in_process_report(tmp_path, extra, old, new,
+                                                    want):
+    # `python -m smmsgeom.cli` runs cli.run: main, then gc.freeze() before
+    # sys.exit.  The report it prints must be whole and equal main()'s.
+    path = tmp_path / "problem.cfg"
+    path.write_text(CONFIG.replace(old, new) if old else CONFIG)
+    argv = ["verify", "--config", str(path)] + extra
+    out = tmp_path / "in-process.txt"
+    assert cli.main(argv + ["--out", str(out)]) == want
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "smmsgeom.cli"] + argv,
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == want, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1].startswith("timings.total_seconds = ")
+    assert _body(proc.stdout) == _body(out.read_text())
+
+
+def test_console_script_is_the_main_block_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["smmsgeom"]
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    calls = [ast.unparse(node.func) for node in ast.walk(block)
+             if isinstance(node, ast.Call)]
+    assert calls == ["run"]
+    assert script == "smmsgeom.cli:run"

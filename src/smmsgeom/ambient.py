@@ -27,6 +27,7 @@ from typing import Optional
 from . import curvature as cv
 from .expansion import (Branch, RhoExpansion, branch_guarantees,
                         closed_form_residual_series)
+from .fields import evaluate, max_abs
 from .invariants import curvature_scale
 from .series import Series, SeriesTruncationError
 
@@ -182,9 +183,8 @@ class AmbientMetric:
     def component_value(self, I: int, J: int, t: float, rho_coeff: int, point):
         """Numeric value of the rho^k coefficient of gt_IJ at (t, point)."""
         comp = self.gt[I][J]
-        c = comp.val.coefficient(rho_coeff)
-        v = c if isinstance(c, float) else c.value(point)
-        return t ** comp.deg * v
+        v = evaluate([comp.val.coefficient(rho_coeff)], [point])[0, 0]
+        return t ** comp.deg * float(v)
 
     # -- connection ------------------------------------------------------------
 
@@ -343,20 +343,22 @@ class ResidualReport:
         return "\n".join([head] + [b.describe() for b in self.blocks.values()])
 
 
-def _series_block_max(series_list, upto, points):
-    out = []
-    for k in range(upto + 1):
-        worst = 0.0
-        for s in series_list:
+def _coefficient_maxima(blocks, points):
+    """name -> [max |rho^k coefficient| over the series and the points,
+    k = 0..upto or up to the first truncated one] for `blocks` mapping
+    name -> (series list, upto), all evaluated in one batch."""
+    roots, spans = [], {}
+    for name, (series_list, upto) in blocks.items():
+        start = len(roots)
+        for k in range(upto + 1):
             try:
-                c = s.coefficient(k)
+                roots += [s.coefficient(k) for s in series_list]
             except SeriesTruncationError:
-                return out
-            for p in points:
-                v = c if isinstance(c, float) else c.value(p)
-                worst = max(worst, abs(v))
-        out.append(worst)
-    return out
+                break
+        spans[name] = (start, len(roots), len(series_list))
+    vals = evaluate(roots, points)
+    return {name: [max_abs(vals[k:k + n]) for k in range(a, b, n)]
+            for name, (a, b, n) in spans.items()}
 
 
 def order_report(a: AmbientMetric, tol: float = 1e-9, *, points=None,
@@ -379,33 +381,26 @@ def order_report(a: AmbientMetric, tol: float = 1e-9, *, points=None,
     gu = branch_guarantees(d, base.m, N)
     # the generic blocks lose two rho orders to the second derivatives
     upto = max(N - 2, 0)
-
-    blocks = {}
-    tol_abs = tol * scale
-    ij_series = [Rt[i][j] for i in range(d) for j in range(i, d)]
-    blocks["ij"] = BlockReport("Ric[ij]", _series_block_max(ij_series, N - 1, points),
-                               gu.ij, tol_abs)
-    blocks["F"] = BlockReport("F", _series_block_max([Ft], N - 1, points),
-                              gu.ij, tol_abs)
-
     trace = cv.acc_sum([a.Ginv[i][j] * Rt[i][j] for i in range(d)
                         for j in range(d)], a._zero_series)
     combo = trace - (Ft * float(base.m)) / (a.F * a.F) if base.m != 0.0 else trace
-    blocks["trace_combo"] = BlockReport(
-        "g^{ij}Ric_ij - (m/f^2)F", _series_block_max([combo], N - 1, points),
-        gu.trace, tol_abs)
-
+    # name -> (label, series, last coefficient, guaranteed through);
     # homogeneity makes the t row vanish for every g_rho, through every
     # computed coefficient
-    zero_blocks = [ric_g[0][I].val for I in range(a.n)]
-    blocks["t_row"] = BlockReport(
-        "Ric[0I] (structural zero)",
-        _series_block_max(zero_blocks, upto, points), upto, tol_abs)
-
-    oo_i = [ric_g[oo][i + 1].val for i in range(d)]
-    blocks["rho_i"] = BlockReport(
-        "Ric[oo i]", _series_block_max(oo_i, upto, points), gu.rho, tol_abs)
-    blocks["rho_rho"] = BlockReport(
-        "Ric[oo oo]", _series_block_max([ric_g[oo][oo].val], upto, points),
-        gu.rho, tol_abs)
+    table = {
+        "ij": ("Ric[ij]", [Rt[i][j] for i in range(d) for j in range(i, d)],
+               N - 1, gu.ij),
+        "F": ("F", [Ft], N - 1, gu.ij),
+        "trace_combo": ("g^{ij}Ric_ij - (m/f^2)F", [combo], N - 1, gu.trace),
+        "t_row": ("Ric[0I] (structural zero)",
+                  [ric_g[0][I].val for I in range(a.n)], upto, upto),
+        "rho_i": ("Ric[oo i]", [ric_g[oo][i + 1].val for i in range(d)],
+                  upto, gu.rho),
+        "rho_rho": ("Ric[oo oo]", [ric_g[oo][oo].val], upto, gu.rho),
+    }
+    maxima = _coefficient_maxima(
+        {name: (series, last) for name, (_, series, last, _) in table.items()},
+        points)
+    blocks = {name: BlockReport(label, maxima[name], guaranteed, tol * scale)
+              for name, (label, _, _, guaranteed) in table.items()}
     return ResidualReport(blocks, scale, tol, e.branch, N)

@@ -29,7 +29,7 @@ import numpy as np
 from . import curvature as cv
 from . import invariants as inv
 from .expressions import parse_expression
-from .fields import Chart, SymTensor2Field
+from .fields import Chart, SymTensor2Field, evaluate, evaluate_named, max_abs
 from .invariants import MetricMeasureSpace
 
 __all__ = [
@@ -102,49 +102,44 @@ def round_sphere_space(d=3, m=2.0, mu=-1.0, f_expr="1") -> MetricMeasureSpace:
 # -- hypothesis verification ----------------------------------------------------
 
 
-def _max_entry(matrix_vals):
-    return float(np.max(np.abs(matrix_vals)))
-
-
 def _verify_flags(s, flags, params, tol, pts):
     scale = max(inv.curvature_scale(s, pts), 1.0)
+    if flags.get("gover_leitner") and s.f.const_value() != 1.0:
+        raise EntryRejected("the Gover-Leitner family requires f = 1")
+    groups = {"g": s.g.entries()}
+    if flags.get("quasi_einstein") or flags.get("gover_leitner"):
+        groups["ric"] = inv.weighted_ricci(s).entries()
+    if flags.get("quasi_einstein"):
+        groups["F"] = [inv.f_curvature(s), s.f]
+    if flags.get("wlcf"):
+        res_a, res_b, _ = inv.conformally_flat_identities(s)
+        groups["weyl"] = list(inv.weighted_weyl(s).comps.values())
+        groups["cotton"] = list(inv.weighted_cotton(s).comps.values())
+        groups["identities"] = res_a + [r for row in res_b for r in row]
+    v = evaluate_named(pts, **groups)
     if flags.get("quasi_einstein"):
         c = params["ric_eigenvalue"]
-        ric = inv.weighted_ricci(s)
-        F = inv.f_curvature(s)
-        for p in pts:
-            gm = s.g.matrix_values(p)
-            r1 = _max_entry(ric.matrix_values(p) - c * gm)
-            r2 = abs(F.value(p) + c * s.f.value(p) ** 2)
+        for p, ric, g, (F, f) in zip(pts, v["ric"], v["g"], v["F"]):
+            r1 = max_abs(ric - c * g)
+            r2 = abs(F + c * f ** 2)
             if max(r1, r2) > tol * scale:
                 raise EntryRejected(
                     f"quasi-Einstein hypotheses fail at {p}: "
                     f"|Ric_phi - c g| = {r1:.3e}, |F_phi + c f^2| = {r2:.3e}")
     if flags.get("wlcf"):
-        A = inv.weighted_weyl(s)
-        dP = inv.weighted_cotton(s)
-        for p in pts:
-            r1 = _max_entry(A.values(p))
-            r2 = _max_entry(dP.values(p))
+        for p, A, dP in zip(pts, v["weyl"], v["cotton"]):
+            r1, r2 = max_abs(A), max_abs(dP)
             if max(r1, r2) > tol * scale:
                 raise EntryRejected(
                     f"weighted conformal flatness fails at {p}: "
                     f"|weyl| = {r1:.3e}, |cotton| = {r2:.3e}")
-        for p in pts:
-            res_a, res_b, _ = inv.conformally_flat_identities(s)
-            r3 = max(abs(r.value(p)) for r in res_a)
-            r4 = max(abs(res_b[i][j].value(p)) for i in range(s.dim)
-                     for j in range(s.dim))
-            if max(r3, r4) > tol * scale:
+        for p, r in zip(pts, np.max(np.abs(v["identities"]), axis=1)):
+            if r > tol * scale:
                 raise EntryRejected(
-                    f"conformally-flat identities fail at {p}: {max(r3, r4):.3e}")
+                    f"conformally-flat identities fail at {p}: {r:.3e}")
     if flags.get("gover_leitner"):
-        if s.f.const_value() != 1.0:
-            raise EntryRejected("the Gover-Leitner family requires f = 1")
-        ric = inv.weighted_ricci(s)
-        for p in pts:
-            gm = s.g.matrix_values(p)
-            r = _max_entry(ric.matrix_values(p) + (s.dim - 1) * s.mu * gm)
+        for p, ric, g in zip(pts, v["ric"], v["g"]):
+            r = max_abs(ric + (s.dim - 1) * s.mu * g)
             if r > tol * scale:
                 raise EntryRejected(
                     f"|Ric + (d-1) mu g| = {r:.3e} at {p} exceeds {tol * scale:.3e}")
@@ -186,9 +181,8 @@ def quasi_einstein_entry(space: MetricMeasureSpace, ric_eigenvalue=None, *,
     pts = space.sample(points, seed)
     ric = inv.weighted_ricci(space)
     if ric_eigenvalue is None:
-        p0 = pts[0]
-        gm = space.g.matrix_values(p0)
-        ric_eigenvalue = float(ric.matrix_values(p0)[0, 0] / gm[0, 0])
+        r00, g00 = evaluate([ric.comp(0, 0), space.g.comp(0, 0)], pts[:1])[:, 0]
+        ric_eigenvalue = float(r00 / g00)
     c = float(ric_eigenvalue)
     params = {"ric_eigenvalue": c, "d": space.dim, "m": space.m, "mu": space.mu}
     flags = {"quasi_einstein": True, "ambient_flat": False}
@@ -341,13 +335,14 @@ def random_entry(d=3, m=1.0, mu=0.0, seed=0, amplitude=0.05, *,
     grid_1d = np.linspace(-box_half, box_half, 5)
     grid = [tuple(float(v) for v in p)
             for p in np.stack(np.meshgrid(*([grid_1d] * d)), -1).reshape(-1, d)]
-    for p in grid:
-        vals = g.matrix_values(p)
-        if np.min(np.linalg.eigvalsh(vals)) <= 1e-6:
+    v = evaluate_named(grid, g=g.entries(), f=[f])
+    lowest = np.linalg.eigvalsh(v["g"].reshape(-1, d, d)).min(axis=1)
+    for p, low, fv in zip(grid, lowest, v["f"][:, 0]):
+        if low <= 1e-6:
             raise EntryRejected(
                 f"perturbed metric loses positivity at {p} "
                 f"(seed={seed}, amplitude={amplitude})")
-        if f.value(p) <= 1e-6:
+        if fv <= 1e-6:
             raise EntryRejected(f"perturbed density loses positivity at {p}")
 
     return CatalogEntry(

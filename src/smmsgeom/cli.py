@@ -12,14 +12,16 @@ Common flags: --config PATH, --catalog NAME, --order N, --points K,
 --seed S, --tol X, --out PATH.  Reports are deterministic key-value
 text (identical inputs give byte-identical output apart from the
 trailing timings block) and are written in every case.  The timings
-block gives the seconds of each stage a command ran (`timings.stage.*`)
-and the number of interned DAG nodes on the problem chart
-(`timings.stats.nodes`).  The exit status is 0 when every check passed,
-1 when a check failed, 2 on a typed input or solver error (a missing or
-malformed input, an order or point count below 1, an unknown catalog
-entry) and 3 on any other exception (`error = internal: ...`).
-`verify --corrupt-coefficient K,I,J,EPS` is a test hook that
-perturbs one solved coefficient to demonstrate check sensitivity.
+block gives the seconds of each stage a command ran (`timings.stage.*`),
+and the interned DAG nodes and `fields.evaluate` calls of the problem
+chart (`timings.stats.nodes`, `.evaluations`).  The exit status is 0
+when every check passed, 1 when a check failed, 2 on a typed input or
+solver error (a missing or malformed input, an order or point count
+below 1, an unknown catalog entry or tolerance name, a tolerance that is
+not finite and non-negative) and 3 on any other exception (`error =
+internal: ...`).  `verify --corrupt-coefficient K,I,J,EPS` is a test
+hook that perturbs one solved coefficient to demonstrate check
+sensitivity.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from . import __version__
 from . import invariants as inv
 from .ambient import AmbientMetric, order_report
 from .catalog import EntryRejected, load_entry, standard_catalog
-from .config import ConfigError, Report, load_config
+from .config import ConfigError, Report, check_tolerance, load_config
 from .expansion import (ConsistencyError, OrderError, branch_guarantees,
                         classify_branch, expand, obstruction)
+from .fields import SymTensor2Field, evaluate, evaluate_named, max_abs
 from .invariants import ValidationError, curvature_scale
 from .poincare import cone_identity_check, poincare_residual, to_poincare
 
@@ -83,6 +86,8 @@ class _Problem:
             if value is not None and value < least:
                 raise ConfigError(f"--{flag} must be at least {least}, "
                                   f"got {value}")
+        if args.tol is not None:
+            check_tolerance("--tol", args.tol)
         if args.config:
             cfg = load_config(args.config)
             self.space = cfg.space()
@@ -123,8 +128,9 @@ def _start(args, report):
 
 
 def _finish(prob, report) -> int:
-    """Record the DAG size and return the exit status of the checks."""
+    """Record the DAG size and evaluation count; return the exit status."""
     report.put_timing("stats.nodes", prob.space.chart.node_count)
+    report.put_timing("stats.evaluations", prob.space.chart.evaluations)
     return 0 if report.ok else 1
 
 
@@ -142,52 +148,39 @@ def _echo(report, prob):
 def _put_tensor(report, key, values):
     arr = np.asarray(values)
     for idx in np.ndindex(arr.shape):
-        report.put(f"{key}.{''.join(str(i) for i in idx)}", float(arr[idx]))
+        suffix = "".join(str(i) for i in idx)
+        report.put(f"{key}.{suffix}" if suffix else key, float(arr[idx]))
 
 
 def cmd_invariants(args, report) -> int:
     prob = _start(args, report)
     s = prob.space
+    d = s.dim
     w = inv.weighted_invariants(s)
-    plain_scalar = inv.scalar(s.g)
-    tol = prob.tol("residual", 1e-9)
+    shown = {"ricci_phi": w.ricci_phi, "scalar": inv.scalar(s.g),
+             "scalar_phi": w.scalar_phi, "f_phi": w.f_phi,
+             "schouten": w.schouten, "schouten_scalar": w.schouten_scalar,
+             "y_phi": w.y_phi, "bach": w.bach}
+    v = _put_points(report, prob.points, shown, g=s.g.entries(), f=[s.f],
+                    weyl_norm=list(w.weyl.comps.values()),
+                    cotton_norm=list(w.cotton.comps.values()))
+    trace_resid = []
     for n, p in enumerate(prob.points):
-        key = f"point{n}"
-        _put_tensor(report, f"{key}.coords", list(p))
-        _put_tensor(report, f"{key}.ricci_phi", w.ricci_phi.matrix_values(p))
-        report.put(f"{key}.scalar", plain_scalar.value(p))
-        report.put(f"{key}.scalar_phi", w.scalar_phi.value(p))
-        report.put(f"{key}.f_phi", w.f_phi.value(p))
-        _put_tensor(report, f"{key}.schouten", w.schouten.matrix_values(p))
-        report.put(f"{key}.schouten_scalar", w.schouten_scalar.value(p))
-        report.put(f"{key}.y_phi", w.y_phi.value(p))
-        report.put(f"{key}.weyl_norm",
-                   float(np.max(np.abs(w.weyl.values(p)))))
-        report.put(f"{key}.cotton_norm",
-                   float(np.max(np.abs(w.cotton.values(p)))))
-        if w.bach is not None:
-            _put_tensor(report, f"{key}.bach", w.bach.matrix_values(p))
+        _put_tensor(report, f"point{n}.coords", list(p))
+        for name in ("weyl_norm", "cotton_norm"):
+            report.put(f"point{n}.{name}", max_abs(v[name][n]))
+        # the trace identity tr_g Ric_phi - (m/f^2) F_phi = R_phi
+        tr = float(np.trace(np.linalg.inv(v["g"][n].reshape(d, d))
+                            @ v["ricci_phi"][n].reshape(d, d)))
+        want = tr - float(s.m) / v["f"][n, 0] ** 2 * v["f_phi"][n, 0]
+        trace_resid.append(v["scalar_phi"][n, 0] - want)
     with report.stage("bianchi"):
-        bianchi = inv.bianchi_residual(s)
-        worst_bianchi = 0.0
-        for p in prob.points:
-            worst_bianchi = max(worst_bianchi,
-                                max(abs(r.value(p)) for r in bianchi))
+        worst_bianchi = max_abs(evaluate(inv.bianchi_residual(s), prob.points))
     report.put_check("bianchi_residual", worst_bianchi,
                      prob.tol("bianchi", 1e-8) * prob.scale)
-    report.put_check("trace_identity", _trace_identity_residual(s, w, prob.points),
-                     tol * prob.scale)
+    report.put_check("trace_identity", max_abs(trace_resid),
+                     prob.tol("residual", 1e-9) * prob.scale)
     return _finish(prob, report)
-
-
-def _trace_identity_residual(s, w, points) -> float:
-    worst = 0.0
-    for p in points:
-        gm = s.g.matrix_values(p)
-        tr = float(np.trace(np.linalg.inv(gm) @ w.ricci_phi.matrix_values(p)))
-        want = tr - float(s.m) / s.f.value(p) ** 2 * w.f_phi.value(p)
-        worst = max(worst, abs(w.scalar_phi.value(p) - want))
-    return worst
 
 
 def _expansion_for(prob, report):
@@ -209,21 +202,14 @@ def cmd_expand(args, report) -> int:
         report.put(f"ambiguity_note.{n}", note)
     for n, note in enumerate(e.warnings):
         report.put(f"warning.{n}", note)
-    for pn, p in enumerate(prob.points[: min(3, len(prob.points))]):
-        for k in range(e.order + 1):
-            _put_tensor(report, f"point{pn}.g_coeff{k}",
-                        e.g_coeffs[k].matrix_values(p))
-            report.put(f"point{pn}.f_coeff{k}", e.f_coeffs[k].value(p))
+    _put_points(report, prob.points[:3],
+                {f"{kind}_coeff{k}": coeffs[k] for k in range(e.order + 1)
+                 for kind, coeffs in (("g", e.g_coeffs), ("f", e.f_coeffs))})
     if e.obstruction is not None:
-        tol = prob.tol("identities", 1e-8)
         report.put("obstruction.constant", e.obstruction.c)
-        _obstruction_identities(prob, e.obstruction, report, tol)
-        if classify_branch(prob.space.dim, prob.space.m)[1] == 4.0:
-            B = inv.weighted_bach(prob.space)
-            diff = max(np.max(np.abs(e.obstruction.tensor.matrix_values(p)
-                                     - B.matrix_values(p)))
-                       for p in prob.points)
-            report.put_check("obstruction_equals_bach", diff, tol * prob.scale)
+        critical = classify_branch(prob.space.dim, prob.space.m)[1] == 4.0
+        _obstruction_identities(prob, e.obstruction, report,
+                                inv.weighted_bach(prob.space) if critical else None)
     rep = _order_report(prob, e, report)
     for name, block in rep.blocks.items():
         report.put(f"order.{name}.guaranteed", block.guaranteed)
@@ -235,36 +221,59 @@ def cmd_expand(args, report) -> int:
     return _finish(prob, report)
 
 
-def _obstruction_identities(prob, obs, report, tol):
+def _put_points(report, points, fields, **groups):
+    """Report each named scalar or symmetric tensor field (None: skipped)
+    at each point as `point<n>.<name>`.  The fields and the extra `groups`
+    of roots are evaluated in one batch; returns every value by name."""
+    fields = {name: f for name, f in fields.items() if f is not None}
+    v = evaluate_named(points, **groups, **{
+        name: f.entries() if isinstance(f, SymTensor2Field) else [f]
+        for name, f in fields.items()})
+    for n in range(len(points)):
+        for name, f in fields.items():
+            _put_tensor(report, f"point{n}.{name}", v[name][n].reshape(
+                (f.chart.dim,) * 2 if isinstance(f, SymTensor2Field) else ()))
+    return v
+
+
+def _obstruction_identities(prob, obs, report, bach=None):
+    """The trace and divergence identities of the obstruction tensor and,
+    given the weighted Bach tensor, their agreement."""
     from . import curvature as cv
     s = prob.space
+    d = s.dim
     mat, ginv_f, _, gamma, derivs, zero = inv._space_geometry(s)
-    dphi = cv.phi_gradient(s.f, derivs, s.m) if s.m else [zero] * s.dim
+    dphi = cv.phi_gradient(s.f, derivs, s.m) if s.m else [zero] * d
     div_O = cv.weighted_divergence_sym2(obs.tensor.as_matrix(), ginv_f, dphi,
                                         gamma, derivs, zero)
-    worst_tr = worst_div = 0.0
-    for p in prob.points:
-        gm = s.g.matrix_values(p)
-        fv = s.f.value(p)
-        tr = float(np.trace(np.linalg.inv(gm) @ obs.tensor.matrix_values(p)))
-        worst_tr = max(worst_tr, abs(tr - float(s.m) / fv ** 2
-                                     * obs.scalar_part.value(p)))
-        for l in range(s.dim):
-            want = obs.scalar_part.value(p) / fv ** 2 * dphi[l].value(p)
-            worst_div = max(worst_div, abs(div_O[l].value(p) - want))
-    report.put_check("obstruction_trace_identity", worst_tr, tol * prob.scale)
-    report.put_check("obstruction_divergence_identity", worst_div,
-                     tol * prob.scale)
+    v = evaluate_named(prob.points, g=s.g.entries(), f=[s.f],
+                       O=obs.tensor.entries(), scalar=[obs.scalar_part],
+                       dphi=dphi, div_O=div_O,
+                       bach=[] if bach is None else bach.entries())
+    tr_resid, div_resid = [], []
+    for n in range(len(prob.points)):
+        fv, sp = v["f"][n, 0], v["scalar"][n, 0]
+        tr = float(np.trace(np.linalg.inv(v["g"][n].reshape(d, d))
+                            @ v["O"][n].reshape(d, d)))
+        tr_resid.append(tr - float(s.m) / fv ** 2 * sp)
+        div_resid += [v["div_O"][n, l] - sp / fv ** 2 * v["dphi"][n, l]
+                      for l in range(d)]
+    tol = prob.tol("identities", 1e-8) * prob.scale
+    report.put_check("obstruction_trace_identity", max_abs(tr_resid), tol)
+    report.put_check("obstruction_divergence_identity", max_abs(div_resid),
+                     tol)
+    if bach is not None:
+        report.put_check("obstruction_equals_bach",
+                         max_abs(v["O"] - v["bach"]), tol)
 
 
 def cmd_obstruction(args, report) -> int:
     prob = _start(args, report)
     obs = obstruction(prob.space, check_points=prob.points)
     report.put("obstruction.constant", obs.c)
-    for pn, p in enumerate(prob.points[: min(3, len(prob.points))]):
-        _put_tensor(report, f"point{pn}.obstruction", obs.tensor.matrix_values(p))
-        report.put(f"point{pn}.f_script", obs.scalar_part.value(p))
-    _obstruction_identities(prob, obs, report, prob.tol("identities", 1e-8))
+    _put_points(report, prob.points[:3],
+                {"obstruction": obs.tensor, "f_script": obs.scalar_part})
+    _obstruction_identities(prob, obs, report)
     return _finish(prob, report)
 
 
@@ -278,11 +287,7 @@ def _poincare_checks(prob, e, report, cone_points):
         res = poincare_residual(pc)
         gu = branch_guarantees(prob.space.dim, prob.space.m, e.order)
         power = min(gu.poincare_power, res.trunc)
-        worst = 0.0
-        for k in range(-2, power + 1):
-            for name in ("ij", "ri", "rr"):
-                worst = max(worst, res.block_max(name, k, prob.points))
-            worst = max(worst, res.scalar_max(k, prob.points))
+        worst = res.block_max(range(-2, power + 1), prob.points)
     report.put_check("poincare_residual", worst,
                      prob.tol("poincare", 1e-8) * prob.scale)
     side = None
@@ -325,7 +330,6 @@ def cmd_verify(args, report) -> int:
         bad = dict(e.g_coeffs[k].comps)
         key = (min(i, j), max(i, j))
         bad[key] = bad[key] + prob.space.chart.constant(eps)
-        from .fields import SymTensor2Field
         e.g_coeffs[k] = SymTensor2Field(prob.space.chart, bad)
         report.put("corruption", f"g_coeff{k}[{i}{j}] += {eps}")
 
@@ -335,14 +339,13 @@ def cmd_verify(args, report) -> int:
         report.put_check(f"ambient_order_{name}", worst, block.tol_abs)
 
     with report.stage("bianchi"):
-        bianchi = inv.bianchi_residual(prob.space)
-        worst = max(abs(r.value(p)) for p in prob.points for r in bianchi)
+        worst = max_abs(evaluate(inv.bianchi_residual(prob.space),
+                                  prob.points))
     report.put_check("bianchi_residual", worst,
                      prob.tol("bianchi", 1e-8) * prob.scale)
 
     if e.obstruction is not None:
-        _obstruction_identities(prob, e.obstruction, report,
-                                prob.tol("identities", 1e-8))
+        _obstruction_identities(prob, e.obstruction, report)
 
     _poincare_checks(prob, e, report, prob.points[:3])
 
@@ -356,13 +359,10 @@ def cmd_verify(args, report) -> int:
 def _closed_form_agreement(prob, e, entry) -> float:
     upto = branch_guarantees(prob.space.dim, prob.space.m, e.order).solved
     g_want, f_want = entry.closed_form(upto)
-    worst = 0.0
-    for p in prob.points:
-        for k in range(upto + 1):
-            dg = e.g_coeffs[k].matrix_values(p) - g_want[k].matrix_values(p)
-            worst = max(worst, float(np.max(np.abs(dg))))
-            worst = max(worst, abs(e.f_coeffs[k].value(p) - f_want[k].value(p)))
-    return worst
+    roots = [c for g, f in ((e.g_coeffs, e.f_coeffs), (g_want, f_want))
+             for k in range(upto + 1) for c in g[k].entries() + [f[k]]]
+    got, want = np.split(evaluate(roots, prob.points), 2)
+    return max_abs(got - want)
 
 
 _COMMANDS = {

@@ -26,8 +26,8 @@ Configurations are INI files (configparser) with sections::
     points = 10
     seed = 7
 
-    [tolerances]        # optional overrides
-    residual = 1e-9
+    [tolerances]        # optional overrides, finite and non-negative
+    residual = 1e-9     # also bianchi, identities, poincare, cone
 
 Reports are flat "key = value" text: schema_version first, then sorted
 keys, with floats at 17 significant digits so doubles round-trip; the
@@ -38,6 +38,7 @@ comparison.
 from __future__ import annotations
 
 import configparser
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -48,9 +49,12 @@ from .fields import Chart, SymTensor2Field
 from .invariants import MetricMeasureSpace
 
 __all__ = ["ProblemConfig", "ConfigError", "Report", "load_config",
-           "format_value", "REPORT_SCHEMA_VERSION"]
+           "check_tolerance", "format_value", "REPORT_SCHEMA_VERSION",
+           "TOLERANCES"]
 
 REPORT_SCHEMA_VERSION = "1"
+
+TOLERANCES = ("residual", "bianchi", "identities", "poincare", "cone")
 
 
 class ConfigError(ValueError):
@@ -71,11 +75,8 @@ class ProblemConfig:
     seed: int
     tolerances: dict
 
-    def chart(self) -> Chart:
-        return Chart(self.coordinates, box=self.box)
-
     def space(self) -> MetricMeasureSpace:
-        chart = self.chart()
+        chart = Chart(self.coordinates, box=self.box)
         comps = {}
         for (i, j), expr in self.metric_exprs.items():
             try:
@@ -121,6 +122,14 @@ def _number(cp, section, key, kind, fallback):
         raise ConfigError(f"[{section}] {key} = {text!r} is not {noun}") from None
 
 
+def check_tolerance(name: str, value: float) -> float:
+    """`value` if it is a finite non-negative number, else a ConfigError."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ConfigError(f"{name} must be a finite non-negative number, "
+                          f"got {value!r}")
+    return value
+
+
 def load_config(path: str) -> ProblemConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = cp.read(path)
@@ -155,7 +164,11 @@ def load_config(path: str) -> ProblemConfig:
     tolerances = {}
     if cp.has_section("tolerances"):
         for key in cp.options("tolerances"):
-            tolerances[key] = _number(cp, "tolerances", key, float, None)
+            if key not in TOLERANCES:
+                raise ConfigError(f"unknown tolerance [tolerances] {key}; "
+                                  f"known: {', '.join(TOLERANCES)}")
+            tolerances[key] = check_tolerance(
+                f"[tolerances] {key}", _number(cp, "tolerances", key, float, None))
     return ProblemConfig(dim, names, box, metric, f_expr, m, mu, order,
                          points, seed, tolerances)
 

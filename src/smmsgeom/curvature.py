@@ -34,7 +34,8 @@ __all__ = [
 
 
 def _is_zero(x) -> bool:
-    # ring elements (fields, series, Graded) say so themselves
+    # ring elements (fields, series, Graded) say so themselves; numbers
+    # are tested
     is_zero = getattr(x, "is_zero", None)
     if is_zero is not None:
         return bool(is_zero)

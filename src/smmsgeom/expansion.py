@@ -38,11 +38,9 @@ from fractions import Fraction
 import math
 from typing import Optional
 
-import numpy as np
-
 from . import curvature as cv
 from . import invariants as inv
-from .fields import ScalarField, SymTensor2Field
+from .fields import ScalarField, SymTensor2Field, evaluate, max_abs
 from .invariants import MetricMeasureSpace, conformal_change, curvature_scale
 from .series import Series
 
@@ -310,10 +308,8 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *, branch=None, dm=None,
             check_points = base.sample(10, seed=0)
         scale = max(curvature_scale(base, check_points), 1.0)
         worst = 0.0
-        for p in check_points:
-            fv = f0.value(p)
-            resid = (m / fv ** 2) * Ferr.value(p) - Rtrace.value(p)
-            worst = max(worst, abs(resid))
+        for fv, F, R in evaluate([f0, Ferr, Rtrace], check_points).T:
+            worst = max(worst, abs((m / fv ** 2) * F - R))
         if worst > consistency_tol * scale:
             raise ConsistencyError(
                 f"consistency residual {worst:.3e} at order n = {n} exceeds "
@@ -397,8 +393,7 @@ def expand(s: MetricMeasureSpace, order: int, *, check_points=None,
             if obst is None:
                 obst = _measure_obstruction(s, g_coeffs, f_coeffs, n_c, dm)
             scale = max(curvature_scale(s, check_points), 1.0)
-            worst = max(abs(v) for p in check_points
-                        for v in np.ravel(obst.tensor.matrix_values(p)))
+            worst = max_abs(evaluate(obst.tensor.entries(), check_points))
             if worst > OBSTRUCTION_CONTINUATION_TOL * scale:
                 raise OrderError(
                     f"order {order} requested past the critical order {n_c}, "

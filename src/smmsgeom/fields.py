@@ -18,16 +18,18 @@ Operands of commutative operations are never reordered, so every jet
 product keeps its summation order.
 The constants -0.0 and 0.0 are distinct nodes.
 
-Evaluation walks the DAG children first with an explicit stack and
-never recurses, so the depth of a DAG (hundreds of nodes for the
-generic ambient Ricci entries at d = 4, a thousand at d = 5) is limited
-only by memory.  The chart keeps one memo per evaluation point.  It maps
-a node asked only for its value to that value, a float, and any other
-node to the jet of the highest degree computed so far, of which every
-lower degree is a prefix.  Value requests run the float kernels of
-`jets` (only a `partial` node needs a jet, of its child at degree 1),
-which give the constant term of every jet of the node bit for bit, so a
-value is the same whichever request came first.
+Values are read through one entry, `evaluate(roots, points)`: a
+(roots x points) array, computed one point at a time with every root on
+one stack.  `ScalarField.value` and the tensor `matrix_values`/`values`
+are calls of it, and `ScalarField.jet` runs the same walker at a degree.
+The walker goes children first and never recurses, so the depth of a
+DAG (a thousand nodes for the generic ambient Ricci entries at d = 5)
+is limited only by memory.  The chart keeps one memo per point, mapping
+a node asked only for its value to that float, and any other node to
+its jet of the highest degree computed so far.  Value requests run the
+float kernels of `jets` (a `partial` node needs its child's jet at
+degree 1), which give the constant term of every jet bit for bit, so a
+value does not depend on which request came first.
 
 Concurrency contract: building a field inserts into the intern table of
 its chart, and evaluating one inserts into the chart's memos.  Both are
@@ -44,7 +46,8 @@ import numpy as np
 from .jets import Jet, value_apply, value_power, value_quotient
 
 __all__ = [
-    "Chart", "ScalarField", "sample_points",
+    "Chart", "ScalarField", "evaluate", "evaluate_named", "max_abs",
+    "sample_points",
     "SymTensor2Field", "Riemann4Field", "Cotton3Field",
 ]
 
@@ -58,7 +61,7 @@ class Chart:
     memos; charts that are equal by name still keep separate tables.
     """
 
-    __slots__ = ("names", "dim", "box", "_nodes", "_memos")
+    __slots__ = ("names", "dim", "box", "evaluations", "_nodes", "_memos")
 
     def __init__(self, names, box=None):
         self.names = tuple(names)
@@ -68,6 +71,7 @@ class Chart:
             if len(box) != self.dim:
                 raise ValueError("box must give one interval per coordinate")
         self.box = box
+        self.evaluations = 0  # `evaluate` calls with a root on this chart
         self._nodes = {}
         self._memos = {}  # point -> {node: float or Jet}
 
@@ -161,27 +165,19 @@ class ScalarField:
 
     # -- evaluation -----------------------------------------------------
 
-    def _memo_at(self, point):
-        point = tuple(point)
-        if len(point) != self.chart.dim:
-            raise ValueError(f"point has {len(point)} entries for chart {self.chart}")
-        return point, self.chart._memo(point)
-
     def jet(self, point, degree: int) -> Jet:
         if degree == 0:
             return Jet.constant(self.value(point), self.chart.dim, 0)
-        point, memo = self._memo_at(point)
+        point = _checked(point, self.chart)
+        memo = self.chart._memo(point)
         hit = memo.get(self)
         if hit.__class__ is Jet and hit.degree >= degree:
             return hit.truncated(degree)
-        return _evaluate(self, point, degree)
+        _walk([self], point, degree)
+        return memo[self]
 
     def value(self, point) -> float:
-        point, memo = self._memo_at(point)
-        hit = memo.get(self)
-        if hit is None:
-            return _evaluate(self, point, 0)
-        return hit if hit.__class__ is float else hit.value
+        return float(evaluate([self], [point])[0, 0])
 
     # -- structure ------------------------------------------------------
 
@@ -288,12 +284,6 @@ class ScalarField:
     def exp(self):
         return self.apply("exp")
 
-    def log(self):
-        return self.apply("log")
-
-    def sqrt(self):
-        return self.apply("sqrt")
-
     # -- differentiation ---------------------------------------------------
 
     def partial(self, axis: int) -> "ScalarField":
@@ -305,25 +295,68 @@ class ScalarField:
             return self.chart.constant(1.0 if axis == self.param else 0.0)
         return self._wrap("partial", axis)
 
-    def gradient(self):
-        return [self.partial(i) for i in range(self.chart.dim)]
+
+def _checked(point, chart: Chart) -> tuple:
+    point = tuple(point)
+    if len(point) != chart.dim:
+        raise ValueError(f"point has {len(point)} entries for chart {chart}")
+    return point
 
 
-def _evaluate(root: ScalarField, point: tuple, degree: int):
-    """Compute root at (point, degree) into the memo, children first, and
-    return it: the value as a float at degree 0, else the jet.
+def evaluate(roots, points) -> np.ndarray:
+    """The values of `roots` (fields or plain floats) at `points`, as a
+    float64 array of shape (len(roots), len(points)).
+
+    The points are walked in order, so an evaluation error is raised at
+    the first point where it occurs.  Every chart that owns a root counts
+    the call in `Chart.evaluations`.
+    """
+    roots = list(roots)
+    nodes = [r for r in roots if r.__class__ is ScalarField]
+    charts = list({id(n.chart): n.chart for n in nodes}.values())
+    for chart in charts:
+        chart.evaluations += 1
+    out = np.empty((len(roots), len(points)))
+    for k, point in enumerate(points):
+        for chart in charts:
+            point = _checked(point, chart)
+        _walk(nodes, point, 0)
+        for r, root in enumerate(roots):
+            if root.__class__ is ScalarField:
+                root = root.chart._memos[point][root]
+                if root.__class__ is Jet:
+                    root = root.value
+            out[r, k] = root
+    return out
+
+
+def evaluate_named(points, **groups) -> dict:
+    """One `evaluate` over every group of roots, split back by name into
+    (len(points), len(group)) arrays, each point's row C-contiguous."""
+    rows = evaluate([r for group in groups.values() for r in group], points)
+    cuts = np.cumsum([len(group) for group in groups.values()])[:-1]
+    return dict(zip(groups, np.split(rows.T.copy(), cuts, axis=1)))
+
+
+def max_abs(values) -> float:
+    """max |v| over an array of values: 0.0 if it is empty, NaN if any v is."""
+    return float(np.max(np.abs(values), initial=0.0))
+
+
+def _walk(roots, point: tuple, degree: int) -> None:
+    """Compute each root at (point, degree) into the memo, children first.
 
     A stack entry (node, point, memo, degree, expanded) is expanded once
-    its missing children are pushed above it; the children run in
-    argument order, as a recursive evaluation would, and when the entry
-    surfaces again the memo holds everything it needs.  A `partial` node
-    needs its child one degree higher (so a jet, even for a value), and a
-    `lift` node needs its child at the leading coordinates of the point,
-    in the child chart's memo.  A value is served by any memo entry; a
-    jet request treats a float entry as missing and overwrites it.
+    its missing children are pushed above it; the roots run in the given
+    order and the children in argument order, as a recursive evaluation
+    would, and when an entry surfaces again the memo holds everything it
+    needs.  A `partial` node needs its child one degree higher (so a jet,
+    even for a value), and a `lift` node needs its child at the leading
+    coordinates of the point, in the child chart's memo.  A value is
+    served by any memo entry; a jet request overwrites a float entry.
     """
-    stack = [(root, point, root.chart._memo(point), degree, False)]
-    out = None
+    stack = [(root, point, root.chart._memo(point), degree, False)
+             for root in reversed(roots)]
     while stack:
         node, pt, memo, deg, expanded = stack[-1]
         op = node.op
@@ -393,7 +426,6 @@ def _evaluate(root: ScalarField, point: tuple, degree: int):
             raise ValueError(f"unknown field operation {op!r}")
         memo[node] = out
         stack.pop()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -436,21 +468,14 @@ class SymTensor2Field:
         d = self.chart.dim
         return [[self.comp(i, j) for j in range(d)] for i in range(d)]
 
+    def entries(self):
+        """The d*d component fields in row-major order."""
+        d = self.chart.dim
+        return [self.comp(i, j) for i in range(d) for j in range(d)]
+
     def matrix_values(self, point):
         d = self.chart.dim
-        out = np.empty((d, d))
-        for i in range(d):
-            for j in range(i, d):
-                out[i, j] = out[j, i] = self.comp(i, j).value(point)
-        return out
-
-    def __add__(self, other):
-        return SymTensor2Field(self.chart, {
-            k: f + other.comps[k] for k, f in self.comps.items()})
-
-    def __sub__(self, other):
-        return SymTensor2Field(self.chart, {
-            k: f - other.comps[k] for k, f in self.comps.items()})
+        return evaluate(self.entries(), [point]).reshape(d, d)
 
     def scale(self, factor):
         return SymTensor2Field(self.chart, {
@@ -495,15 +520,9 @@ class Riemann4Field:
         return field if sign > 0 else -field
 
     def values(self, point):
-        d = self.chart.dim
-        out = np.zeros((d, d, d, d))
-        for (i, j, k, l), field in self.comps.items():
-            v = field.value(point)
-            out[i, j, k, l] = out[k, l, i, j] = v
-            out[j, i, k, l] = out[k, l, j, i] = -v
-            out[i, j, l, k] = out[l, k, i, j] = -v
-            out[j, i, l, k] = out[l, k, j, i] = v
-        return out
+        shape = (self.chart.dim,) * 4
+        return evaluate([self.comp(*idx) for idx in np.ndindex(shape)],
+                        [point]).reshape(shape)
 
 
 class Cotton3Field:
@@ -533,10 +552,6 @@ class Cotton3Field:
         return field if sign > 0 else -field
 
     def values(self, point):
-        d = self.chart.dim
-        out = np.zeros((d, d, d))
-        for (i, j, k), field in self.comps.items():
-            v = field.value(point)
-            out[i, j, k] = v
-            out[j, i, k] = -v
-        return out
+        shape = (self.chart.dim,) * 3
+        return evaluate([self.comp(*idx) for idx in np.ndindex(shape)],
+                        [point]).reshape(shape)

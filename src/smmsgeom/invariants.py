@@ -29,7 +29,8 @@ import numpy as np
 
 from . import curvature as cv
 from .fields import (Chart, Cotton3Field, Riemann4Field, ScalarField,
-                     SymTensor2Field, sample_points)
+                     SymTensor2Field, evaluate, evaluate_named, max_abs,
+                     sample_points)
 
 __all__ = [
     "MetricMeasureSpace", "WeightedInvariants", "ValidationError",
@@ -73,15 +74,16 @@ class MetricMeasureSpace:
 
         Cholesky does not raise on NaN, so finiteness is tested first; the
         density test is written so that NaN fails it."""
-        for p in points:
-            gm = self.g.matrix_values(p)
+        d = self.dim
+        v = evaluate_named(points, g=self.g.entries(), f=[self.f])
+        for p, gm, fv in zip(points, v["g"].reshape(-1, d, d), v["f"][:, 0]):
             if not np.all(np.isfinite(gm)):
                 raise ValidationError(f"metric not finite at {p}")
             try:
                 np.linalg.cholesky(gm)
             except np.linalg.LinAlgError:
                 raise ValidationError(f"metric not positive definite at {p}")
-            if not self.f.value(p) > 0.0:
+            if not fv > 0.0:
                 raise ValidationError(f"density f not positive at {p}")
 
     def sample(self, count: int, seed: int):
@@ -269,9 +271,8 @@ def bach_asymmetry(s: MetricMeasureSpace, point) -> float:
         raise ValidationError("the weighted Bach tensor requires m > 0")
     weighted_bach(s)
     B = s._derived["bach"]
-    d = s.dim
-    return max(abs(B[i][j].value(point) - B[j][i].value(point))
-               for i in range(d) for j in range(d))
+    vals = evaluate([c for row in B for c in row], [point]).reshape(s.dim, -1)
+    return max_abs(vals - vals.T)
 
 
 def weighted_invariants(s: MetricMeasureSpace) -> WeightedInvariants:
@@ -350,15 +351,15 @@ def curvature_scale(s: MetricMeasureSpace, points) -> float:
 
     rm, hess_f = s.derived("scale_fields", build)
     d = s.dim
+    v = evaluate_named(points, g=s.g.entries(),
+                       rm=[x for a in rm for b in a for c in b for x in c],
+                       hf=[c for row in hess_f for c in row],
+                       f=[s.f], df=[s.f.partial(i) for i in range(d)])
     worst = 0.0
-    for p in points:
-        gm = s.g.matrix_values(p)
-        ginv = np.linalg.inv(gm)
-        rm_v = np.array([[[[rm[i][j][k][l].value(p) for l in range(d)]
-                           for k in range(d)] for j in range(d)] for i in range(d)])
-        hf_v = np.array([[hess_f[i][j].value(p) for j in range(d)] for i in range(d)])
-        fv = s.f.value(p)
-        df_v = np.array([s.f.partial(i).value(p) for i in range(d)])
+    for g, rm_v, hf_v, (fv,), df_v in zip(v["g"], v["rm"], v["hf"], v["f"],
+                                         v["df"]):
+        ginv = np.linalg.inv(g.reshape(d, d))
+        rm_v, hf_v = rm_v.reshape(d, d, d, d), hf_v.reshape(d, d)
         rm_norm = np.sqrt(abs(np.einsum(
             "ijkl,pqrs,ip,jq,kr,ls->", rm_v, rm_v, ginv, ginv, ginv, ginv)))
         hf_norm = np.sqrt(abs(np.einsum("ij,kl,ik,jl->", hf_v, hf_v, ginv, ginv))) / fv

@@ -31,7 +31,7 @@ from . import curvature as cv
 from . import invariants as inv
 from .ambient import Graded
 from .expansion import RhoExpansion
-from .fields import Chart, SymTensor2Field
+from .fields import Chart, SymTensor2Field, evaluate, evaluate_named, max_abs
 from .invariants import MetricMeasureSpace
 from .series import Series
 
@@ -71,9 +71,9 @@ class PoincareStructure:
     def boundary_values(self, point):
         """(g_r, f_r) at r = 0: the conformal-infinity representative."""
         d = self.dim
-        g0 = np.array([[self.g_r[i][j].coefficient(0).value(point)
-                        for j in range(d)] for i in range(d)])
-        return g0, self.f_r.coefficient(0).value(point)
+        vals = evaluate([s.coefficient(0) for row in self.g_r for s in row]
+                        + [self.f_r.coefficient(0)], [point])[:, 0]
+        return vals[:-1].reshape(d, d), float(vals[-1])
 
 
 def to_poincare(e: RhoExpansion) -> PoincareStructure:
@@ -102,18 +102,16 @@ class PoincareResidual:
     f_scalar: Series
     trunc: int
 
-    def block_max(self, name, power, points):
-        worst = 0.0
-        for s in self.ricci_blocks[name]:
-            c = s.coefficient(power)
-            for p in points:
-                v = c if isinstance(c, float) else c.value(p)
-                worst = max(worst, abs(v))
-        return worst
+    def block_max(self, powers, points, names=("ij", "ri", "rr", "F")):
+        """max |coefficient| over the r powers of the named blocks ("F" is
+        the F scalar) at the points, in one evaluation."""
+        series = [s for name in names for s in
+                  ([self.f_scalar] if name == "F" else self.ricci_blocks[name])]
+        return max_abs(evaluate([s.coefficient(k) for k in powers
+                                 for s in series], points))
 
-    def scalar_max(self, power, points):
-        c = self.f_scalar.coefficient(power)
-        return max(abs(c if isinstance(c, float) else c.value(p)) for p in points)
+    def scalar_max(self, powers, points):
+        return self.block_max(powers, points, ("F",))
 
 
 def poincare_residual(p: PoincareStructure) -> PoincareResidual:
@@ -233,20 +231,14 @@ def cone_identity_check(p: PoincareStructure, *, points=None, r_values=(0.1,),
     ric_cone, F_cone = cv.weighted_ricci_coordinate_formula(
         gc, gcinv, fc, float(base.m), mu_elem, derivs, zero_g)
 
-    worst_ric = 0.0
-    worst_F = 0.0
-    side_sample = 0.0
-    for pt in xr_points:
-        for a in range(d + 1):
-            for b in range(a, d + 1):
-                lhs_c = ric_cone[a + 1][b + 1]
-                lhs = 0.0 if lhs_c.is_zero else lhs_c.val.value(pt)
-                rhs = (ric_plus.comp(a, b).value(pt)
-                       + dm * space_plus.g.comp(a, b).value(pt))
-                worst_ric = max(worst_ric, abs(lhs - rhs))
-                side_sample = max(side_sample, abs(rhs))
-        lhs_F = 0.0 if F_cone.is_zero else F_cone.val.value(pt)
-        rhs_F = F_plus.value(pt) - dm * space_plus.f.value(pt) ** 2
-        worst_F = max(worst_F, abs(lhs_F - rhs_F))
-        side_sample = max(side_sample, abs(rhs_F))
-    return worst_ric, worst_F, side_sample
+    pairs = [(a, b) for a in range(d + 1) for b in range(a, d + 1)]
+    v = evaluate_named(
+        xr_points, lhs=[ric_cone[a + 1][b + 1].val for a, b in pairs],
+        ric=[ric_plus.comp(a, b) for a, b in pairs],
+        g=[space_plus.g.comp(a, b) for a, b in pairs],
+        F=[F_cone.val, F_plus, space_plus.f])
+    rhs = v["ric"] + dm * v["g"]
+    lhs_F, F, f = v["F"].T
+    rhs_F = np.array([Fv - dm * fv ** 2 for Fv, fv in zip(F, f)])
+    return (max_abs(v["lhs"] - rhs), max_abs(lhs_F - rhs_F),
+            max(max_abs(rhs), max_abs(rhs_F)))

@@ -19,21 +19,13 @@ coordinate (negative `shift` clears the poles algebraically).
 
 from __future__ import annotations
 
+from .curvature import _is_zero
+
 __all__ = ["Series", "SeriesTruncationError"]
 
 
 class SeriesTruncationError(ValueError):
     """A coefficient beyond the known truncation order was requested."""
-
-
-def _is_zero_elem(c) -> bool:
-    # ring elements (fields, series) say so themselves; numbers are tested
-    is_zero = getattr(c, "is_zero", None)
-    if is_zero is not None:
-        return bool(is_zero)
-    if isinstance(c, (int, float)):
-        return c == 0.0
-    return False
 
 
 def _min_trunc(a, b):
@@ -69,10 +61,6 @@ class Series:
         return cls([value], 0, trunc, zero)
 
     @classmethod
-    def monomial(cls, value, power: int, zero=0.0, trunc=None) -> "Series":
-        return cls([value], power, trunc, zero)
-
-    @classmethod
     def zero_series(cls, zero=0.0, trunc=None) -> "Series":
         return cls([], 1 if trunc is None else trunc + 1, trunc, zero)
 
@@ -93,7 +81,7 @@ class Series:
         return self.zero
 
     def is_structurally_zero(self) -> bool:
-        return all(_is_zero_elem(c) for c in self.coeffs)
+        return all(_is_zero(c) for c in self.coeffs)
 
     @property
     def is_zero(self) -> bool:
@@ -157,7 +145,7 @@ class Series:
     def __mul__(self, other):
         if not isinstance(other, Series):
             # coefficient-wise scaling by a ring element or number
-            return Series([c * other if not _is_zero_elem(c) else c
+            return Series([c * other if not _is_zero(c) else c
                            for c in self.coeffs], self.shift, self.trunc, self.zero)
         shift = self.shift + other.shift
         trunc = None
@@ -173,9 +161,9 @@ class Series:
             n = min(n, trunc - shift + 1)
         acc = [None] * n
         nonzero = [(j, b) for j, b in enumerate(other.coeffs)
-                   if not _is_zero_elem(b)]
+                   if not _is_zero(b)]
         for i, a in enumerate(self.coeffs):
-            if _is_zero_elem(a):
+            if _is_zero(a):
                 continue
             for j, b in nonzero:
                 k = i + j
@@ -193,7 +181,7 @@ class Series:
             return Series([c / other for c in self.coeffs],
                           self.shift, self.trunc, self.zero)
         v = 0
-        while v < len(other.coeffs) and _is_zero_elem(other.coeffs[v]):
+        while v < len(other.coeffs) and _is_zero(other.coeffs[v]):
             v += 1
         if v == len(other.coeffs):
             raise ZeroDivisionError("division by a structurally zero series")
@@ -224,7 +212,7 @@ class Series:
             a_k = self.coeffs[ka] if 0 <= ka < len(self.coeffs) else self.zero
             acc = a_k
             for j in range(max(0, k - len(bcoeffs) + 1), k):
-                if _is_zero_elem(out[j]) or _is_zero_elem(bcoeffs[k - j]):
+                if _is_zero(out[j]) or _is_zero(bcoeffs[k - j]):
                     continue
                 acc = acc - out[j] * bcoeffs[k - j]
             out.append(acc / lead)

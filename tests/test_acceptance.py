@@ -321,11 +321,8 @@ def test_criterion_10_poincare_correspondence(spaces, expansions):
             hi = min(2 * min(e.order, n_c - 1) - 1, res.trunc)
         else:
             hi = min(2 * e.order - 1, res.trunc)
-        for power in range(-2, hi + 1):
-            for name in ("ij", "ri", "rr"):
-                worst_res = max(worst_res,
-                                res.block_max(name, power, pts) / scale)
-            worst_res = max(worst_res, res.scalar_max(power, pts) / scale)
+        worst_res = max(worst_res,
+                        res.block_max(range(-2, hi + 1), pts) / scale)
         assert worst_res <= 1e-8
         wr, wF, side = cone_identity_check(p, points=pts[:3])
         cone_scale = max(scale, side)

@@ -268,6 +268,24 @@ def test_cli_requires_input():
      "ConfigError: seed must be at least 0, got -7"),
     (["verify", "--catalog", "flat", "--seed", "-1"], None, None,
      "ConfigError: --seed must be at least 0, got -1"),
+    (["invariants", "--tol", "nan"], None, None,
+     "ConfigError: --tol must be a finite non-negative number, got nan"),
+    (["invariants", "--tol", "inf"], None, None,
+     "ConfigError: --tol must be a finite non-negative number, got inf"),
+    (["invariants", "--tol", "-0.5"], None, None,
+     "ConfigError: --tol must be a finite non-negative number, got -0.5"),
+    (["invariants"], "seed = 7", "seed = 7\n\n[tolerances]\nresidual = nan",
+     "ConfigError: [tolerances] residual must be a finite non-negative "
+     "number, got nan"),
+    (["invariants"], "seed = 7", "seed = 7\n\n[tolerances]\nbianchi = -inf",
+     "ConfigError: [tolerances] bianchi must be a finite non-negative "
+     "number, got -inf"),
+    (["invariants"], "seed = 7", "seed = 7\n\n[tolerances]\ncone = -0.5",
+     "ConfigError: [tolerances] cone must be a finite non-negative "
+     "number, got -0.5"),
+    (["invariants"], "seed = 7", "seed = 7\n\n[tolerances]\nresidul = 1e-30",
+     "ConfigError: unknown tolerance [tolerances] residul; known: residual, "
+     "bianchi, identities, poincare, cone"),
 ])
 def test_cli_rejects_bad_names_and_counts(tmp_path, argv, old, new, error):
     # every case is a typed input error (exit 2), never an internal error
@@ -291,6 +309,7 @@ def test_cli_verify_reports_stage_timings(tmp_path):
                   "cone", "closed_form"):
         assert float(timings.pop(f"timings.stage.{stage}")) >= 0.0
     assert int(timings.pop("timings.stats.nodes")) > 0
+    assert int(timings.pop("timings.stats.evaluations")) > 0
     assert set(timings) == {"timings.total_seconds"}
 
 

@@ -1,6 +1,8 @@
 """Scalar/tensor field behavior: purity, differentiation, symmetric storage."""
 
 import math
+import pathlib
+import re
 import sys
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from smmsgeom.curvature import acc_sum
 from smmsgeom.fields import (Chart, Cotton3Field, Riemann4Field, SymTensor2Field,
-                             sample_points)
+                             evaluate, evaluate_named, sample_points)
 from smmsgeom.expressions import parse_expression
 from smmsgeom.jets import JetDivisionError
 
@@ -215,3 +217,93 @@ def test_negative_zero_sign_matches_jet():
         value = parse_expression(text, ("x1", "x2")).value(p)
         jet = parse_expression(text, ("x1", "x2")).jet(p, 1)
         assert math.copysign(1.0, value) == math.copysign(1.0, jet.value) == 1.0
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_evaluate_rows_do_not_depend_on_root_order():
+    def roots():
+        f = parse_expression("exp(x1)*sin(x2) + x1^3/(2 + x2)", ("x1", "x2"))
+        return [f, f.partial(0), f * f, f.partial(1).partial(0), -f]
+
+    pts = [(0.1, -0.3), (0.0, 0.2), (-0.25, 0.45)]
+    ref = evaluate(roots(), pts)
+    assert ref.shape == (5, 3)
+    reverse = evaluate(roots()[::-1], pts)[::-1]
+    twice = roots()
+    doubled = evaluate(twice + twice[::-1], pts)
+    np.testing.assert_array_equal(_bits(reverse), _bits(ref))
+    np.testing.assert_array_equal(_bits(doubled[:5]), _bits(ref))
+    np.testing.assert_array_equal(_bits(doubled[5:][::-1]), _bits(ref))
+
+
+def test_evaluate_takes_floats_constants_and_lifted_roots():
+    base = Chart(("x1", "x2"))
+    f = parse_expression("exp(x1)*x2", base)
+    xr = Chart(("x1", "x2", "r"))
+    r = xr.coordinate(2)
+    pts = [(0.1, 0.2, 0.3), (-0.2, 0.4, 0.1)]
+    fv = [f.value(p[:2]) for p in pts]
+    assert base.evaluations == 2  # value() is one evaluate call
+    rows = evaluate([2.5, -0.0, xr.constant(-0.0), xr.constant(3.0),
+                     xr.lift(f) * r, xr.lift(f)], pts)
+    want = [[2.5] * 2, [-0.0] * 2, [-0.0] * 2, [3.0] * 2,
+            [v * p[2] for v, p in zip(fv, pts)], fv]
+    np.testing.assert_array_equal(_bits(rows), _bits(want))
+    # the call is counted on the chart its roots live on, not on the
+    # chart a lift reads; plain floats belong to no chart
+    assert xr.evaluations == 1 and base.evaluations == 2
+    assert evaluate([1.0], pts).tolist() == [[1.0, 1.0]]
+    assert evaluate([], pts).shape == (0, 2)
+    with pytest.raises(ValueError, match="point has 2 entries"):
+        evaluate([r], [(0.1, 0.2)])
+
+
+def test_evaluate_named_splits_one_call():
+    chart = Chart(("x1", "x2"))
+    x, y = chart.coordinates()
+    g = SymTensor2Field(chart, {(0, 0): x + 1.0, (0, 1): x * y, (1, 1): y})
+    pts = [(0.5, 0.25), (-0.5, 2.0)]
+    v = evaluate_named(pts, g=g.entries(), f=[x * y * y])
+    assert chart.evaluations == 1
+    for n, p in enumerate(pts):
+        np.testing.assert_array_equal(v["g"][n].reshape(2, 2),
+                                      g.matrix_values(p))
+        assert v["f"][n, 0] == p[0] * p[1] * p[1]
+
+
+@pytest.mark.parametrize("text", ["log(x1 - 1)", "sqrt(x1 - x2 - 2)",
+                                  "x2/(x1 - 0.5)", "(x1 - 0.5)^-2",
+                                  "exp(x2)*log(x1 - 0.5)"])
+def test_evaluate_raises_like_value(text):
+    p = (0.5, 0.25)
+    with pytest.raises(JetDivisionError) as by_value:
+        parse_expression(text, ("x1", "x2")).value(p)
+    with pytest.raises(JetDivisionError) as by_evaluate:
+        evaluate([parse_expression(text, ("x1", "x2"))], [p, (0.3, 0.1)])
+    assert type(by_evaluate.value) is type(by_value.value)
+    assert str(by_evaluate.value) == str(by_value.value)
+
+
+# calls that evaluate one field at one point; outside `fields` (the batch
+# entry and its thin wrappers) and `jets` every evaluation goes through
+# `fields.evaluate`
+POINT_CALLS = re.compile(
+    r"\.value\(|\.jet\(|matrix_values\(|\.values\(\s*[^)\s]")
+
+
+def test_point_by_point_evaluation_stays_in_fields():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "smmsgeom"
+    found = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted(src.glob("*.py"))
+             if path.name not in ("fields.py", "jets.py")
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if POINT_CALLS.search(line)]
+    assert found == []
+    # the pattern does find each kind of call, and not dict .values()
+    for line in ("f.value(p)", "f.jet(p, 2)", "g.matrix_values(p)",
+                 "w.weyl.values(p)"):
+        assert POINT_CALLS.search(line), line
+    assert not POINT_CALLS.search("for x in d.values():")

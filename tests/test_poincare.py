@@ -12,11 +12,10 @@ from smmsgeom.poincare import (cone_identity_check, fixed_r_space,
 
 
 def residual_worst(res, powers, points):
-    worst = 0.0
-    for power in powers:
-        for name in ("ij", "ri", "rr"):
-            worst = max(worst, res.block_max(name, power, points))
-        worst = max(worst, res.scalar_max(power, points))
+    worst = res.block_max(powers, points)
+    # the default names cover the three Ricci blocks and the F scalar
+    assert worst == max(res.block_max(powers, points, ("ij", "ri", "rr")),
+                        res.scalar_max(powers, points))
     return worst
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from smmsgeom.expressions import parse_expression
+from smmsgeom.fields import evaluate
 from smmsgeom.jets import _exponent_table
 
 from test_jets import fd_derivative
@@ -111,3 +112,28 @@ def test_random_expression_value_equals_jet_constant_term(seed):
                                           ref.coeffs.view(np.uint64))
             np.testing.assert_array_equal(jt.coeffs.view(np.uint64),
                                           ref.coeffs.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_random_expression_evaluate_rows_equal_value_and_jet(seed):
+    # each row of one batched call is, bit for bit, what value() and the
+    # constant term of jet() give point by point on fresh charts
+    rng = np.random.default_rng(1000 + seed)
+    text = random_expression(rng)
+    points = [tuple(float(v) for v in rng.uniform(-0.4, 0.4, size=2))
+              for _ in range(3)]
+
+    def fields():
+        f = parse_expression(text, NAMES)
+        return [f, f.partial(0), f.partial(1).partial(0)]
+
+    rows = evaluate(fields(), points)
+    assert rows.dtype == np.float64 and rows.shape == (3, 3)
+    for g, row in zip(fields(), rows):
+        np.testing.assert_array_equal(
+            _bits(row), _bits([g.value(p) for p in points]), err_msg=text)
+    for k in (1, 2, 3):
+        for g, row in zip(fields(), rows):
+            np.testing.assert_array_equal(
+                _bits(row), _bits([g.jet(p, k).coeffs[0] for p in points]),
+                err_msg=f"{text} at degree {k}")

@@ -103,6 +103,15 @@ class Graded:
             return Graded(self.deg - other.deg, self.val / other.val)
         return NotImplemented
 
+    def truncated(self, order: int) -> "Graded":
+        """The rho-series cut after its rho^order coefficient; an exact
+        zero, or a series cut at or before that order, is returned as it
+        is."""
+        trunc = self.val.trunc
+        if self.is_zero or trunc is not None and trunc <= order:
+            return self
+        return Graded(self.deg, self.val.truncated(order))
+
     def __repr__(self):
         return f"Graded(t^{self.deg}, {self.val!r})"
 
@@ -232,13 +241,17 @@ class AmbientMetric:
         """(Rt_ij series matrix, Ft series): the solver's closed-form route."""
         return closed_form_residual_series(self.base, self.G, self.F)
 
-    def ricci_generic(self, entries=None):
+    def ricci_generic(self, entries=None, upto=None):
         """All blocks of the weighted Ricci tensor plus the F scalar from the
         generic coordinate formula on the graded components.  With
-        `entries` (index pairs), only those entries are built and F is None."""
+        `entries` (index pairs), only those entries are built and F is None.
+        With `upto`, products stop at the rho^upto coefficient: the
+        coefficients through it are the fields of the full build, and no
+        later one is built."""
+        truncate = None if upto is None else (lambda a: a.truncated(upto))
         return cv.weighted_ricci_coordinate_formula(
             self.gt, self.gtinv, self.ft, float(self.base.m), self.mu_elem,
-            self.derivs(), self.zero, entries)
+            self.derivs(), self.zero, entries, truncate)
 
     # -- curvature ------------------------------------------------------------
 
@@ -374,13 +387,13 @@ def order_report(a: AmbientMetric, tol: float = 1e-9, *, points=None,
     N = e.order
 
     Rt, Ft = a.ricci_closed()
-    # only the t row and the rho row are read from the generic route
-    ric_g, _ = a.ricci_generic([(0, I) for I in range(a.n)]
-                               + [(oo, I) for I in range(1, a.n)])
-
     gu = branch_guarantees(d, base.m, N)
     # the generic blocks lose two rho orders to the second derivatives
     upto = max(N - 2, 0)
+    # only the t row and the rho row are read from the generic route, and
+    # only through rho^upto
+    ric_g, _ = a.ricci_generic([(0, I) for I in range(a.n)]
+                               + [(oo, I) for I in range(1, a.n)], upto)
     trace = cv.acc_sum([a.Ginv[i][j] * Rt[i][j] for i in range(d)
                         for j in range(d)], a._zero_series)
     combo = trace - (Ft * float(base.m)) / (a.F * a.F) if base.m != 0.0 else trace

@@ -11,17 +11,29 @@ Subcommands::
 Common flags: --config PATH, --catalog NAME, --order N, --points K,
 --seed S, --tol X, --out PATH.  Reports are deterministic key-value
 text (identical inputs give byte-identical output apart from the
-trailing timings block) and are written in every case.  The timings
-block gives the seconds of each stage a command ran (`timings.stage.*`),
-and the interned DAG nodes and `fields.evaluate` calls of the problem
-chart (`timings.stats.nodes`, `.evaluations`).  The exit status is 0
-when every check passed, 1 when a check failed, 2 on a typed input or
-solver error (a missing or malformed input, an order or point count
+trailing timings block) and are written in every case; a usage error
+(an unknown command or option, an option without its value) is
+reported as `error = ConfigError: ...` on stdout only, since no
+`--out` has been read.  `--help` prints the usage and exits 0.  The
+timings block gives the seconds of each stage a command ran
+(`timings.stage.*`), and for the problem chart its interned DAG nodes,
+its `fields.evaluate` calls, its node computations and those of them
+that replaced a memo entry (`timings.stats.nodes`, `.evaluations`,
+`.computed`, `.recomputed`).  The exit status is 0 when every check
+passed, 1 when a check failed, 2 on a typed input or solver error (a
+usage error, a missing or malformed input, an order or point count
 below 1, an unknown catalog entry or tolerance name, a tolerance that is
 not finite and non-negative) and 3 on any other exception (`error =
 internal: ...`).  `verify --corrupt-coefficient K,I,J,EPS` is a test
 hook that perturbs one solved coefficient to demonstrate check
 sensitivity.
+
+`verify` runs the stage with the highest jet demand first, so that the
+later ones read the memo: the cone check, the Poincaré residual, then
+`order_report` and the rest; `poincare` also runs the cone check first.
+A command stops at its first error, so a run that would hit two reports
+the earlier stage's: an error of the cone stage comes before one of the
+Poincaré residual or of `order_report`.
 """
 
 from __future__ import annotations
@@ -47,8 +59,16 @@ from .poincare import cone_identity_check, poincare_residual, to_poincare
 __all__ = ["main"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are `ConfigError`s, so that
+    they end in a report like every other input error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="smmsgeom",
         description="weighted curvature invariants and ambient expansions "
                     "of smooth metric measure spaces")
@@ -128,9 +148,12 @@ def _start(args, report):
 
 
 def _finish(prob, report) -> int:
-    """Record the DAG size and evaluation count; return the exit status."""
-    report.put_timing("stats.nodes", prob.space.chart.node_count)
-    report.put_timing("stats.evaluations", prob.space.chart.evaluations)
+    """Record the DAG size and evaluation counters; return the exit status."""
+    chart = prob.space.chart
+    report.put_timing("stats.nodes", chart.node_count)
+    report.put_timing("stats.evaluations", chart.evaluations)
+    report.put_timing("stats.computed", chart.computed)
+    report.put_timing("stats.recomputed", chart.recomputed)
     return 0 if report.ok else 1
 
 
@@ -278,18 +301,13 @@ def cmd_obstruction(args, report) -> int:
 
 
 def _poincare_checks(prob, e, report, cone_points):
-    """The weighted-Einstein residual in r through the guaranteed power and,
-    when m > 0, the cone identities at `cone_points`.  Returns
+    """When m > 0, the cone identities at `cone_points`, then the
+    weighted-Einstein residual in r through the guaranteed power.  Returns
     (max_even_order, residual_trunc, guaranteed_power, sides_magnitude);
-    the last is None when m = 0."""
+    the last is None when m = 0.  The cone check's lifted fields need the
+    highest jet degrees of the coefficient fields, hence it runs first."""
     with report.stage("poincare"):
         pc = to_poincare(e)
-        res = poincare_residual(pc)
-        gu = branch_guarantees(prob.space.dim, prob.space.m, e.order)
-        power = min(gu.poincare_power, res.trunc)
-        worst = res.block_max(range(-2, power + 1), prob.points)
-    report.put_check("poincare_residual", worst,
-                     prob.tol("poincare", 1e-8) * prob.scale)
     side = None
     if prob.space.m > 0:
         with report.stage("cone"):
@@ -297,6 +315,13 @@ def _poincare_checks(prob, e, report, cone_points):
         cone_tol = prob.tol("cone", 1e-9) * max(prob.scale, side)
         report.put_check("cone_identity_ricci", wr, cone_tol)
         report.put_check("cone_identity_f", wF, cone_tol)
+    with report.stage("poincare"):
+        res = poincare_residual(pc)
+        gu = branch_guarantees(prob.space.dim, prob.space.m, e.order)
+        power = min(gu.poincare_power, res.trunc)
+        worst = res.block_max(range(-2, power + 1), prob.points)
+    report.put_check("poincare_residual", worst,
+                     prob.tol("poincare", 1e-8) * prob.scale)
     return pc.max_even_order, res.trunc, power, side
 
 
@@ -333,6 +358,9 @@ def cmd_verify(args, report) -> int:
         e.g_coeffs[k] = SymTensor2Field(prob.space.chart, bad)
         report.put("corruption", f"g_coeff{k}[{i}{j}] += {eps}")
 
+    # the highest jet demand first, so that later stages read the memo
+    _poincare_checks(prob, e, report, prob.points[:3])
+
     rep = _order_report(prob, e, report)
     for name, block in rep.blocks.items():
         worst = max(block.coeff_max[: block.guaranteed + 1], default=0.0)
@@ -346,8 +374,6 @@ def cmd_verify(args, report) -> int:
 
     if e.obstruction is not None:
         _obstruction_identities(prob, e.obstruction, report)
-
-    _poincare_checks(prob, e, report, prob.points[:3])
 
     if entry is not None and entry.closed_form is not None:
         with report.stage("closed_form"):
@@ -387,12 +413,13 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = _parser().parse_args(argv)
         report = Report(__version__)
-        report.put("command", args.command)
         started = time.perf_counter()
+        args = None
         code = 0
         try:
+            args = _parser().parse_args(argv)
+            report.put("command", args.command)
             code = _COMMANDS[args.command](args, report)
         except (ConfigError, ValidationError, EntryRejected, OrderError,
                 ConsistencyError) as exc:
@@ -402,7 +429,7 @@ def main(argv=None) -> int:
             report.put("error", f"internal: {type(exc).__name__}: {exc}")
             code = 3
         report.put_timing("total_seconds", time.perf_counter() - started)
-        text = report.write(args.out)
+        text = report.write(None if args is None else args.out)
         sys.stdout.write(text)
         if report.failures and code == 0:
             code = 1

@@ -210,12 +210,14 @@ class Report:
 
     @contextmanager
     def stage(self, name: str):
-        """Record the seconds the enclosed block takes as `stage.<name>`."""
+        """Add the seconds the enclosed block takes to `stage.<name>`."""
         started = time.perf_counter()
         try:
             yield
         finally:
-            self.timings[f"stage.{name}"] = time.perf_counter() - started
+            key = f"stage.{name}"
+            self.timings[key] = (self.timings.get(key, 0.0)
+                                 + time.perf_counter() - started)
 
     @property
     def ok(self) -> bool:

@@ -409,7 +409,7 @@ def bianchi_residual(ric_phi, scal_phi, F_phi, f, ginv, dphi, gamma, derivs, zer
 
 
 def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
-                                      entries=None):
+                                      entries=None, truncate=None):
     """The second-derivative coordinate expression for the weighted Ricci
     tensor and its companion scalar, used as an independent route:
 
@@ -425,6 +425,12 @@ def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
     With `entries` (index pairs (I, J)), only those entries and their
     mirrors are built, the rest of `ric` is None and F is None; each
     built entry is the same expression as in the full build.
+
+    With `truncate` (a map on scalars, e.g. cutting a series), the
+    connection symbols G, d f and the inverse metric pass through it
+    once the second derivatives are taken, so the products stop where it
+    cuts and what it keeps of each entry is the same expression as in
+    the full build.
     """
     n = len(g)
     if entries is None:
@@ -442,6 +448,12 @@ def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
                 for p in range(n)] for j in range(n)] for i in range(n)]
     df = gradient(f, derivs)
     d2f = [[derivs[j](df[i]) for j in range(n)] for i in range(n)]
+    if truncate is not None:
+        # only now: a cut d f would cut d2f one order earlier
+        gamma1 = [[[truncate(x) for x in row] for row in block]
+                  for block in gamma1]
+        ginv = [[truncate(x) for x in row] for row in ginv]
+        df = [truncate(x) for x in df]
 
     @cache
     def hess(i, j):

@@ -19,27 +19,43 @@ product keeps its summation order.
 The constants -0.0 and 0.0 are distinct nodes.
 
 Values are read through one entry, `evaluate(roots, points)`: a
-(roots x points) array, computed one point at a time with every root on
-one stack.  `ScalarField.value` and the tensor `matrix_values`/`values`
-are calls of it, and `ScalarField.jet` runs the same walker at a degree.
-The walker goes children first and never recurses, so the depth of a
-DAG (a thousand nodes for the generic ambient Ricci entries at d = 5)
-is limited only by memory.  The chart keeps one memo per point, mapping
-a node asked only for its value to that float, and any other node to
-its jet of the highest degree computed so far.  Value requests run the
-float kernels of `jets` (a `partial` node needs its child's jet at
-degree 1), which give the constant term of every jet bit for bit, so a
-value does not depend on which request came first.
+(roots x points) array, computed one point at a time.  `ScalarField.value`
+and the tensor `matrix_values`/`values` are calls of it, and
+`ScalarField.jet` runs the same sweep at a degree.
 
-Concurrency contract: building a field inserts into the intern table of
-its chart, and evaluating one inserts into the chart's memos.  Both are
-unlocked check-then-insert dict updates, so build and evaluate the
-fields of one chart from one thread at a time.
+Children are created before their parents, so a chart's creation order
+(`Chart.nodes`, a node's `index`) is already a topological order and
+serves as the evaluation tape; no traversal is needed to plan.  A sweep
+makes two passes per point.  The backward pass runs from the largest
+root index down and keeps, per node, the highest degree a parent needs:
+a `partial` needs its child one degree higher (so a jet even for a
+value), and a `lift` passes its demand to the child chart, which is
+planned after it (charts go in descending dimension).  The forward pass
+computes each needed node once, in creation order, at its planned
+degree; a parent planned lower reads a prefix view (`Jet.truncated`) or
+the constant term.  Neither pass recurses, so the depth of a DAG (a
+thousand nodes for the generic ambient Ricci entries at d = 5) is
+limited only by memory.
+
+Each chart keeps one memo per point: two lists indexed by node, holding
+the node's float (degree 0) or its jet of the highest degree computed so
+far, and that degree.  A node the memo serves is neither planned nor
+computed; one the memo holds at too low a degree is computed again
+(`Chart.computed` and `Chart.recomputed` count both).  Values run the
+float kernels of `jets`, which give the constant term of every jet bit
+for bit, so a value does not depend on which request came first.
+
+Concurrency contract: building a field appends to the node list and the
+intern table of its chart, and evaluating one writes the chart's memos.
+None of it is locked, so build and evaluate the fields of one chart from
+one thread at a time.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress, islice
+from operator import gt
 
 import numpy as np
 
@@ -57,11 +73,14 @@ _ANALYTIC = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
 class Chart:
     """A named coordinate chart, optionally with a sampling box.
 
-    The chart owns the intern table of the fields built on it and their
-    memos; charts that are equal by name still keep separate tables.
+    The chart owns the intern table of the fields built on it, their
+    list in creation order (`nodes`, indexed by `ScalarField.index`) and
+    their memos; charts that are equal by name still keep separate
+    tables.
     """
 
-    __slots__ = ("names", "dim", "box", "evaluations", "_nodes", "_memos")
+    __slots__ = ("names", "dim", "box", "evaluations", "computed",
+                 "recomputed", "nodes", "_table", "_memos")
 
     def __init__(self, names, box=None):
         self.names = tuple(names)
@@ -72,26 +91,36 @@ class Chart:
                 raise ValueError("box must give one interval per coordinate")
         self.box = box
         self.evaluations = 0  # `evaluate` calls with a root on this chart
-        self._nodes = {}
-        self._memos = {}  # point -> {node: float or Jet}
+        self.computed = 0     # node computations, in all calls
+        self.recomputed = 0   # of those, the ones that replaced a memo entry
+        self.nodes = []       # every node, in creation order
+        self._table = {}      # (op, a, b, param) -> node
+        self._memos = {}      # point -> (values, degrees) by node index
 
     def _node(self, op, a=None, b=None, param=None) -> "ScalarField":
         """The interned node (op, a, b, param) of this chart."""
         key = (op, a, b, param)
-        node = self._nodes.get(key)
+        node = self._table.get(key)
         if node is None:
-            node = self._nodes[key] = ScalarField(self, op, a, b, param)
+            node = self._table[key] = ScalarField(self, op, a, b, param)
         return node
 
     @property
     def node_count(self) -> int:
         """The number of nodes interned on this chart."""
-        return len(self._nodes)
+        return len(self.nodes)
 
-    def _memo(self, point: tuple) -> dict:
+    def _memo(self, point: tuple):
+        """The memo lists of `point`, grown to the current node count;
+        a degree of -1 marks a node not computed yet."""
         memo = self._memos.get(point)
         if memo is None:
-            memo = self._memos[point] = {}
+            memo = self._memos[point] = ([], [])
+        values, degrees = memo
+        grow = len(self.nodes) - len(values)
+        if grow:
+            values.extend([None] * grow)
+            degrees.extend([-1] * grow)
         return memo
 
     def coordinate(self, i: int) -> "ScalarField":
@@ -106,9 +135,9 @@ class Chart:
         value = float(value)
         # -0.0 == 0.0 as a dict key, so the sign is part of the key
         key = ("const", math.copysign(1.0, value), value)
-        node = self._nodes.get(key)
+        node = self._table.get(key)
         if node is None:
-            node = self._nodes[key] = ScalarField(self, "const", None, None, value)
+            node = self._table[key] = ScalarField(self, "const", None, None, value)
         return node
 
     def zero(self) -> "ScalarField":
@@ -116,9 +145,9 @@ class Chart:
 
     def lift(self, field: "ScalarField") -> "ScalarField":
         """`field` viewed on this chart, whose leading coordinates are
-        those of the field's chart."""
+        those of the field's chart and which has at least one more."""
         k = field.chart.dim
-        if self.names[:k] != field.chart.names:
+        if k >= self.dim or self.names[:k] != field.chart.names:
             raise ValueError("lift target must extend the parent chart")
         c = field.const_value()
         if c is not None:
@@ -151,9 +180,11 @@ class ScalarField:
 
     Build fields through a Chart and the operators below, never by
     calling this class, so that the chart's intern table sees every node.
+    A node's `index` is its position in the chart's creation order, so
+    its children on the same chart have smaller indices.
     """
 
-    __slots__ = ("chart", "op", "a", "b", "param", "is_zero")
+    __slots__ = ("chart", "op", "a", "b", "param", "is_zero", "index")
 
     def __init__(self, chart: Chart, op: str, a, b, param):
         self.chart = chart
@@ -162,6 +193,8 @@ class ScalarField:
         self.b = b
         self.param = param
         self.is_zero = op == "const" and param == 0.0
+        self.index = len(chart.nodes)
+        chart.nodes.append(self)
 
     # -- evaluation -----------------------------------------------------
 
@@ -169,12 +202,8 @@ class ScalarField:
         if degree == 0:
             return Jet.constant(self.value(point), self.chart.dim, 0)
         point = _checked(point, self.chart)
-        memo = self.chart._memo(point)
-        hit = memo.get(self)
-        if hit.__class__ is Jet and hit.degree >= degree:
-            return hit.truncated(degree)
-        _walk([self], point, degree)
-        return memo[self]
+        _sweep([self], point, degree)
+        return self.chart._memos[point][0][self.index].truncated(degree)
 
     def value(self, point) -> float:
         return float(evaluate([self], [point])[0, 0])
@@ -307,7 +336,7 @@ def evaluate(roots, points) -> np.ndarray:
     """The values of `roots` (fields or plain floats) at `points`, as a
     float64 array of shape (len(roots), len(points)).
 
-    The points are walked in order, so an evaluation error is raised at
+    The points are swept in order, so an evaluation error is raised at
     the first point where it occurs.  Every chart that owns a root counts
     the call in `Chart.evaluations`.
     """
@@ -320,10 +349,10 @@ def evaluate(roots, points) -> np.ndarray:
     for k, point in enumerate(points):
         for chart in charts:
             point = _checked(point, chart)
-        _walk(nodes, point, 0)
+        _sweep(nodes, point, 0)
         for r, root in enumerate(roots):
             if root.__class__ is ScalarField:
-                root = root.chart._memos[point][root]
+                root = root.chart._memos[point][0][root.index]
                 if root.__class__ is Jet:
                     root = root.value
             out[r, k] = root
@@ -343,89 +372,132 @@ def max_abs(values) -> float:
     return float(np.max(np.abs(values), initial=0.0))
 
 
-def _walk(roots, point: tuple, degree: int) -> None:
-    """Compute each root at (point, degree) into the memo, children first.
-
-    A stack entry (node, point, memo, degree, expanded) is expanded once
-    its missing children are pushed above it; the roots run in the given
-    order and the children in argument order, as a recursive evaluation
-    would, and when an entry surfaces again the memo holds everything it
-    needs.  A `partial` node needs its child one degree higher (so a jet,
-    even for a value), and a `lift` node needs its child at the leading
-    coordinates of the point, in the child chart's memo.  A value is
-    served by any memo entry; a jet request overwrites a float entry.
-    """
-    stack = [(root, point, root.chart._memo(point), degree, False)
-             for root in reversed(roots)]
-    while stack:
-        node, pt, memo, deg, expanded = stack[-1]
-        op = node.op
-        a = node.a
-        if a is not None:
-            b = node.b
-            if op == "lift":
-                cpt = pt[:node.param]
-                cmemo = a.chart._memo(cpt)
-            else:
-                cpt, cmemo = pt, memo
-            cdeg = deg + 1 if op == "partial" else deg
-        if not expanded:
-            hit = memo.get(node)
-            if hit is not None and (not deg or hit.__class__ is Jet
-                                    and hit.degree >= deg):
-                stack.pop()
+def _sweep(roots, point: tuple, degree: int) -> None:
+    """Compute each root at (point, degree) into the memo of its chart by
+    the two passes the module docstring describes.  Charts are planned
+    in descending dimension, so every lift is planned before the chart it
+    reads, and run in the opposite order."""
+    plans = {}  # id(chart) -> [chart, demand per node index, top index]
+    for root in roots:
+        _demand(plans, root, degree)
+    runs = []
+    while plans:
+        chart, need, top = plans.pop(max(plans, key=lambda k: plans[k][0].dim))
+        values, degrees = memo = chart._memo(point[:chart.dim])
+        nodes = chart.nodes
+        # the iterators skip, without Python code per node, every node
+        # whose demand the memo meets (or that has none, -1); they read
+        # both lists lazily, so a demand a parent writes is seen when the
+        # scan reaches the child
+        low = top + 1
+        for i in compress(range(top, -1, -1), map(
+                gt, islice(reversed(need), len(need) - 1 - top, None),
+                islice(reversed(degrees), len(degrees) - 1 - top, None))):
+            low = i
+            deg = need[i]
+            node = nodes[i]
+            a = node.a
+            if a is None:
                 continue
+            op = node.op
+            if op == "partial":
+                deg += 1
+            elif op == "lift":
+                _demand(plans, a, deg)
+                continue
+            if need[a.index] < deg:
+                need[a.index] = deg
+            b = node.b
+            if b is not None and need[b.index] < deg:
+                need[b.index] = deg
+        runs.append((chart, need, low, top, memo))
+    for chart, need, low, top, memo in reversed(runs):
+        _run(chart, need, low, top, memo, point[:chart.dim])
+
+
+def _demand(plans, node: ScalarField, degree: int) -> None:
+    """Plan `node` at `degree` at least, opening its chart's plan."""
+    chart = node.chart
+    plan = plans.get(id(chart))
+    if plan is None:
+        plan = plans[id(chart)] = [chart, [-1] * len(chart.nodes), -1]
+    if plan[1][node.index] < degree:
+        plan[1][node.index] = degree
+    if plan[2] < node.index:
+        plan[2] = node.index
+
+
+def _run(chart: Chart, need, low, top, memo, pt: tuple) -> None:
+    """The forward pass of `_sweep` over one chart: every node of index
+    `low`..`top` whose planned degree is above its memo's, in creation
+    order.  Computing node i writes only slot i, so the planned set does
+    not change while it is walked."""
+    values, degrees = memo
+    nodes = chart.nodes
+    computed = recomputed = 0
+    try:
+        for i in compress(range(low, top + 1),
+                          map(gt, islice(need, low, top + 1),
+                              islice(degrees, low, top + 1))):
+            node = nodes[i]
+            deg = need[i]
+            op = node.op
+            a = node.a
             if a is not None:
-                base = len(stack)
-                for child in (a,) if b is None else (b, a):
-                    hit = cmemo.get(child)
-                    if hit is None or cdeg and (hit.__class__ is not Jet
-                                                or hit.degree < cdeg):
-                        stack.append((child, cpt, cmemo, cdeg, False))
-                if len(stack) > base:
-                    stack[base - 1] = (node, pt, memo, deg, True)
-                    continue
-        if a is not None:
-            a = cmemo[a]
-            if b is not None:
-                b = cmemo[b]
-            if cdeg:
-                if a.degree != cdeg:
-                    a = a.truncated(cdeg)
-                if b is not None and b.degree != cdeg:
-                    b = b.truncated(cdeg)
+                if op == "lift":
+                    a = a.chart._memos[pt[:node.param]][0][a.index]
+                    cdeg = deg
+                else:
+                    a = values[a.index]
+                    cdeg = deg + 1 if op == "partial" else deg
+                b = node.b
+                if b is not None:
+                    b = values[b.index]
+                if cdeg:
+                    if a.degree != cdeg:
+                        a = a.truncated(cdeg)
+                    if b is not None and b.degree != cdeg:
+                        b = b.truncated(cdeg)
+                else:
+                    if a.__class__ is Jet:
+                        a = a.value
+                    if b.__class__ is Jet:
+                        b = b.value
+            if op == "sum":
+                out = a + b
+            elif op == "mul":
+                out = a * b if deg else 0.0 + a * b
+            elif op == "scale":
+                out = a * node.param
+            elif op == "partial":
+                out = a.partial(node.param)
+                if not deg:
+                    out = out.value
+            elif op == "div":
+                out = a / b if deg else value_quotient(a, b)
+            elif op == "const":
+                out = (Jet.constant(node.param, chart.dim, deg) if deg
+                       else node.param)
+            elif op == "coord":
+                out = (Jet.variable(pt[node.param], node.param, chart.dim, deg)
+                       if deg else float(pt[node.param]))
+            elif op == "pow":
+                out = a ** node.param if deg else value_power(a, node.param)
+            elif op == "apply":
+                out = (getattr(a, node.param)() if deg
+                       else value_apply(node.param, a))
+            elif op == "lift":
+                out = a.promote(chart.dim - node.param) if deg else a
             else:
-                if a.__class__ is Jet:
-                    a = a.value
-                if b.__class__ is Jet:
-                    b = b.value
-        if op == "sum":
-            out = a + b
-        elif op == "mul":
-            out = a * b if deg else 0.0 + a * b
-        elif op == "scale":
-            out = a * node.param
-        elif op == "partial":
-            out = a.partial(node.param)
-            if not deg:
-                out = out.value
-        elif op == "div":
-            out = a / b if deg else value_quotient(a, b)
-        elif op == "const":
-            out = Jet.constant(node.param, node.chart.dim, deg) if deg else node.param
-        elif op == "coord":
-            out = (Jet.variable(pt[node.param], node.param, node.chart.dim, deg)
-                   if deg else float(pt[node.param]))
-        elif op == "pow":
-            out = a ** node.param if deg else value_power(a, node.param)
-        elif op == "apply":
-            out = getattr(a, node.param)() if deg else value_apply(node.param, a)
-        elif op == "lift":
-            out = a.promote(node.chart.dim - node.param) if deg else a
-        else:
-            raise ValueError(f"unknown field operation {op!r}")
-        memo[node] = out
-        stack.pop()
+                raise ValueError(f"unknown field operation {op!r}")
+            if degrees[i] >= 0:
+                recomputed += 1
+            values[i] = out
+            degrees[i] = deg
+            computed += 1
+    finally:
+        chart.computed += computed
+        chart.recomputed += recomputed
 
 
 # ---------------------------------------------------------------------------

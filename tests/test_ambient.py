@@ -9,7 +9,7 @@ from smmsgeom.ambient import AmbientMetric, Graded, order_report
 from smmsgeom.catalog import flat_space, load_entry, random_entry
 from smmsgeom.expansion import Branch, RhoExpansion, expand
 from smmsgeom.fields import SymTensor2Field
-from smmsgeom.series import Series
+from smmsgeom.series import Series, SeriesTruncationError
 
 
 def flat_ambient(order=3, m=2.0):
@@ -347,3 +347,39 @@ def test_order_report_measures_through_every_guarantee(make_space, orders):
         rep = order_report(AmbientMetric(expand(s, N)), 1e-9, points=pts)
         for b in rep.blocks.values():
             assert len(b.coeff_max) > b.guaranteed, (N, b.name)
+
+
+def _read(scalar, k):
+    """The rho^k coefficient field, or None where the series stops short
+    (at N = 1 the generic rows are cut below rho^0 in both builds)."""
+    try:
+        return scalar.val.coefficient(k)
+    except SeriesTruncationError:
+        return None
+
+
+@pytest.mark.parametrize("m, N", [(0.5, 1), (0.5, 2), (0.5, 3), (1.0, 1),
+                                  (1.0, 2), (2.0, 1), (2.0, 2), (2.0, 3)])
+def test_truncated_generic_build_reads_the_full_build_fields(m, N):
+    # order_report reads the generic t and rho rows only through rho^upto;
+    # the build cut there must give the very fields the full build gives
+    # for those coefficients, and build fewer nodes
+    def build():
+        a = AmbientMetric(expand(random_entry(d=3, m=m, mu=0.1, seed=21).space, N))
+        return a, a.base.chart.node_count
+
+    upto = max(N - 2, 0)
+    a, before = build()
+    entries = ([(0, I) for I in range(a.n)]
+               + [(a.oo, I) for I in range(1, a.n)])
+    cut, _ = a.ricci_generic(entries, upto)
+    cut_nodes = a.base.chart.node_count - before
+    full, _ = a.ricci_generic(entries)
+    for I, J in entries:
+        c, f = cut[I][J], full[I][J]
+        assert c.is_zero == f.is_zero and c.deg == f.deg
+        for k in range(upto + 1):
+            assert _read(c, k) is _read(f, k), (I, J, k)
+    fresh, before = build()
+    fresh.ricci_generic(entries)
+    assert cut_nodes < fresh.base.chart.node_count - before

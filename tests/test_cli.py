@@ -310,6 +310,9 @@ def test_cli_verify_reports_stage_timings(tmp_path):
         assert float(timings.pop(f"timings.stage.{stage}")) >= 0.0
     assert int(timings.pop("timings.stats.nodes")) > 0
     assert int(timings.pop("timings.stats.evaluations")) > 0
+    for count in ("computed", "recomputed"):
+        value = timings.pop(f"timings.stats.{count}")
+        assert value.isdigit(), (count, value)
     assert set(timings) == {"timings.total_seconds"}
 
 

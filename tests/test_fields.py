@@ -12,7 +12,8 @@ from smmsgeom.curvature import acc_sum
 from smmsgeom.fields import (Chart, Cotton3Field, Riemann4Field, SymTensor2Field,
                              evaluate, evaluate_named, sample_points)
 from smmsgeom.expressions import parse_expression
-from smmsgeom.jets import JetDivisionError
+from smmsgeom.jets import (Jet, JetDivisionError, value_apply, value_power,
+                          value_quotient)
 
 
 CHART = Chart(("x1", "x2"), box=((-0.5, 0.5), (-0.5, 0.5)))
@@ -135,8 +136,8 @@ def test_charts_with_equal_names_share_no_node():
     assert f1 is not f2
     assert c1.constant(2.0) is not c2.constant(2.0)
     assert c1.coordinate(0) is not c2.coordinate(0)
-    ids1 = {id(n) for n in c1._nodes.values()}
-    assert not ids1 & {id(n) for n in c2._nodes.values()}
+    ids1 = {id(n) for n in c1.nodes}
+    assert not ids1 & {id(n) for n in c2.nodes}
     assert f1.value((0.1, 0.2)) == f2.value((0.1, 0.2))
 
 
@@ -307,3 +308,110 @@ def test_point_by_point_evaluation_stays_in_fields():
                  "w.weyl.values(p)"):
         assert POINT_CALLS.search(line), line
     assert not POINT_CALLS.search("for x in d.values():")
+
+
+def reference(node, point, degree, memo=None):
+    """A plain recursive evaluation of `node` at (point, degree), kept
+    apart from the engine: a float at degree 0 (through the float
+    kernels), otherwise a Jet.  It reads and writes nothing on the chart;
+    `memo` only shares the subexpressions of one call."""
+    memo = {} if memo is None else memo
+    key = (node, degree)
+    if key in memo:
+        return memo[key]
+    op, a, b, param, n = node.op, node.a, node.b, node.param, node.chart.dim
+    if op == "const":
+        out = Jet.constant(param, n, degree) if degree else param
+    elif op == "coord":
+        out = (Jet.variable(point[param], param, n, degree) if degree
+               else float(point[param]))
+    elif op == "partial":
+        out = reference(a, point, degree + 1, memo).partial(param)
+        out = out if degree else out.value
+    elif op == "lift":
+        out = reference(a, point[:param], degree, memo)
+        out = out.promote(n - param) if degree else out
+    else:
+        x = reference(a, point, degree, memo)
+        y = None if b is None else reference(b, point, degree, memo)
+        if op == "sum":
+            out = x + y
+        elif op == "mul":
+            out = x * y if degree else 0.0 + x * y
+        elif op == "scale":
+            out = x * param
+        elif op == "div":
+            out = x / y if degree else value_quotient(x, y)
+        elif op == "pow":
+            out = x ** param if degree else value_power(x, param)
+        else:
+            out = getattr(x, param)() if degree else value_apply(param, x)
+    memo[key] = out
+    return out
+
+
+def test_children_are_created_before_their_parents():
+    base = Chart(("x1", "x2"))
+    f = parse_expression("exp(x1)*sin(x2) + x1^3/(2 + x2)", base)
+    xr = Chart(("x1", "x2", "r"))
+    r = xr.coordinate(2)
+    g = (xr.lift(f.partial(0)) * r + xr.lift(f)).partial(2).partial(0) / r
+    for chart in (base, xr):
+        assert [node.index for node in chart.nodes] == list(range(chart.node_count))
+        for node in chart.nodes:
+            for child in (node.a, node.b):
+                if child is None:
+                    continue
+                if node.op == "lift":
+                    assert child.chart is base and node.chart is xr
+                else:
+                    assert child.chart is chart
+                    assert child.index < node.index, (node.op, child.op)
+    assert xr.nodes[g.index] is g
+
+
+def test_lifting_needs_a_longer_chart():
+    base = Chart(("x1", "x2"))
+    f = parse_expression("exp(x1)*x2", base)
+    for target in (base, Chart(("x1", "x2")), Chart(("x1",))):
+        with pytest.raises(ValueError, match="must extend"):
+            target.lift(f)
+
+
+def test_lifted_root_and_its_base_subtree_in_one_call():
+    base = Chart(("x1", "x2"))
+    f = parse_expression("exp(x1)*sin(x2) + x1*x2^2", base)
+    xr = Chart(("x1", "x2", "r"))
+    r = xr.coordinate(2)
+    # the partial along x1 needs the lifted field's jet, so the call
+    # hands degree 1 down to the base chart
+    roots = [xr.lift(f) * r, (xr.lift(f) * r).partial(0), xr.lift(f.partial(1))]
+    pts = [(0.1, 0.2, 0.3), (-0.2, 0.4, 0.1)]
+    rows = evaluate(roots, pts)
+    for row, root in zip(rows, roots):
+        want = [reference(root, p, 0) for p in pts]
+        np.testing.assert_array_equal(_bits(row), _bits(want))
+    # the base subtree was computed in that call, once, and is served
+    # from the memo afterwards
+    assert base.evaluations == 0 and base.recomputed == 0
+    done = base.computed
+    assert 0 < done <= 2 * base.node_count
+    evaluate([f, f.partial(1)], [p[:2] for p in pts])
+    assert base.computed == done
+
+
+def test_one_call_computes_each_node_at_most_once():
+    chart = Chart(("x1", "x2"))
+    f = parse_expression("exp(x1*x2)*sin(x2) + log(2 + x1)*x2^3", chart)
+    roots = [f, f.partial(0), f.partial(0).partial(1), f.partial(1) * f,
+             f.partial(1).partial(1).partial(0)]
+    evaluate(roots, [(0.1, 0.2)])
+    assert chart.recomputed == 0
+    assert 0 < chart.computed <= chart.node_count
+    # served from the memo: nothing is computed again
+    done = chart.computed
+    evaluate(roots, [(0.1, 0.2)])
+    assert chart.computed == done
+    # a higher degree replaces memo entries, each at most once per call
+    roots[0].jet((0.1, 0.2), 4)
+    assert 0 < chart.recomputed <= chart.computed - done <= chart.node_count

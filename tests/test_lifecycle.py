@@ -105,8 +105,8 @@ def test_main_pauses_collector_for_the_command(collector, monkeypatch, tmp_path)
                      "--out", str(tmp_path / "r.txt")])
     assert (code, seen) == (3, [False])
     assert gc.isenabled()
-    with pytest.raises(SystemExit):
-        cli.main(["no-such-command"])
+    # a usage error is an input error with a report, not a SystemExit
+    assert cli.main(["no-such-command"]) == 2
     assert gc.isenabled()
 
 
@@ -136,6 +136,34 @@ def test_process_entry_writes_the_in_process_report(tmp_path, extra, old, new,
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[-1].startswith("timings.total_seconds = ")
     assert _body(proc.stdout) == _body(out.read_text())
+
+
+@pytest.mark.parametrize("argv,error", [
+    # argparse reads "-1e-09" as an option, not as the value of --tol
+    (["invariants", "--catalog", "flat", "--points", "1", "--tol", "-1e-09"],
+     "argument --tol: expected one argument"),
+    (["no-such-command"], "argument command: invalid choice: "),
+    (["verify", "--catalog", "flat", "--points", "two"],
+     "argument --points: invalid int value: 'two'"),
+])
+def test_usage_error_prints_a_report(argv, error):
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "smmsgeom.cli"] + argv,
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "schema_version = 1"
+    assert lines[1].startswith(f"error = ConfigError: {error}"), lines
+    assert lines[-1].startswith("timings.total_seconds = ")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["verify", "--help"])
+    assert stop.value.code == 0
+    assert "--corrupt-coefficient" in capsys.readouterr().out
 
 
 def test_console_script_is_the_main_block_entry():

@@ -15,6 +15,7 @@ from smmsgeom.expressions import parse_expression
 from smmsgeom.fields import evaluate
 from smmsgeom.jets import _exponent_table
 
+from test_fields import reference
 from test_jets import fd_derivative
 
 NAMES = ("x1", "x2")
@@ -137,3 +138,39 @@ def test_random_expression_evaluate_rows_equal_value_and_jet(seed):
             np.testing.assert_array_equal(
                 _bits(row), _bits([g.jet(p, k).coeffs[0] for p in points]),
                 err_msg=f"{text} at degree {k}")
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_random_expression_sweep_matches_recursive_reference(seed):
+    # the planned sweep gives, bit for bit, what a plain recursive
+    # evaluation gives, at every degree and whichever request comes first
+    rng = np.random.default_rng(1000 + seed)
+    text = random_expression(rng)
+    points = [tuple(float(v) for v in rng.uniform(-0.4, 0.4, size=2))
+              for _ in range(2)]
+
+    def fields():
+        f = parse_expression(text, NAMES)
+        return [f, f.partial(0), f.partial(1).partial(0)]
+
+    memos = [{} for _ in points]
+    want = {k: [[np.atleast_1d(reference(g, p, k, memo).coeffs if k
+                               else reference(g, p, 0, memo))
+                 for p, memo in zip(points, memos)] for g in fields()]
+            for k in range(4)}
+    for k in range(4):
+        value_first = fields()
+        rows = evaluate(value_first, points)
+        jets = [[g.jet(p, k).coeffs for p in points] for g in value_first]
+        jet_first = fields()
+        jets_then = [[g.jet(p, k).coeffs for p in points] for g in jet_first]
+        rows_then = evaluate(jet_first, points)
+        for r in range(3):
+            for got in (rows[r], rows_then[r]):
+                np.testing.assert_array_equal(
+                    _bits(got), _bits([w[0] for w in want[0][r]]),
+                    err_msg=f"{text} value")
+            for got in (jets[r], jets_then[r]):
+                for g, w in zip(got, want[k][r]):
+                    np.testing.assert_array_equal(
+                        _bits(g), _bits(w), err_msg=f"{text} at degree {k}")

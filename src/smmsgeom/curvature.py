@@ -5,7 +5,9 @@ closed under +, -, *, / and multiplication by floats (ScalarField,
 Series, Graded, or plain floats).  Differentiation is injected as a
 list `derivs` of per-coordinate derivation callables, so the same code
 serves the base chart (jet-backed fields), deformation series, and the
-graded cone scalars.
+graded cone scalars.  `Geometry` assembles them for one metric (and
+density) on any of these rings, and is the one place where the
+weighted curvature of (g, f) is put together.
 
 Conventions (fixed so the unit round sphere has positive sectional
 curvature and R_{abkl} = -2(g_{a[l} P_{k]b} + g_{b[k} P_{l]a}) holds on
@@ -20,17 +22,23 @@ conformally flat spaces with X_[ab] = (X_ab - X_ba)/2):
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 
 __all__ = [
-    "matrix_inverse", "christoffel", "ricci", "riemann_lowered",
-    "scalar_curvature", "gradient", "hessian", "laplacian", "grad_norm_sq",
-    "bakry_emery_ricci", "f_curvature", "weighted_scalar",
+    "Geometry", "partials", "matrix_inverse", "christoffel", "ricci",
+    "riemann_lowered", "scalar_curvature", "gradient", "hessian", "laplacian",
+    "grad_norm_sq", "bakry_emery_ricci", "f_curvature", "weighted_scalar",
     "schouten_tensor", "kulkarni_nomizu", "weighted_weyl", "weighted_cotton",
     "cov_deriv_sym2", "weighted_divergence_sym2", "weighted_divergence_rank3",
     "weighted_bach", "bianchi_residual", "phi_gradient", "phi_hessian",
     "weighted_ricci_coordinate_formula",
 ]
+
+
+def partials(dim):
+    """The derivations d/dx^i, i < dim, of a ring whose elements have
+    `.partial(i)`: fields, series of fields, graded scalars."""
+    return [lambda a, i=i: a.partial(i) for i in range(dim)]
 
 
 def _is_zero(x) -> bool:
@@ -498,3 +506,61 @@ def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
     gn2 = grad_norm_sq(ginv, df, zero)
     F = f_curvature(f, lap, gn2, m, mu, zero)
     return ric, F
+
+
+def _part(function, *args):
+    """A Geometry attribute: the module function named `function` applied
+    to the attributes named `args`, built on first read and then kept.
+    The function is looked up at that read, so a wrapper put on the
+    module is seen."""
+    return cached_property(
+        lambda self: globals()[function](*(getattr(self, a) for a in args)))
+
+
+class Geometry:
+    """The curvature of the metric matrix `g` and the weighted curvature of
+    (g, f, m, mu), over the ring that `derivs` differentiates, with `zero`
+    its zero; the weighted attributes need the density `f`.
+
+    Every attribute is built on first read by the function of this module
+    named next to it below, and then kept, so a quantity nobody reads is
+    never built.  `inverse` is (ginv, det), `schouten` is (P, J, tr P, Y)
+    with P and Y also read alone, `dphi` is d phi = -m df/f (zeros when
+    m = 0) and `bach` needs m > 0.
+    """
+
+    def __init__(self, g, derivs, zero, f=None, m=0.0, mu=0.0):
+        self.g, self.derivs, self.zero = g, derivs, zero
+        self.f, self.m, self.mu = f, m, mu
+        self.dim = len(g)
+
+    inverse = _part("matrix_inverse", "g", "zero")
+    ginv = property(lambda self: self.inverse[0])
+    gamma = _part("christoffel", "g", "ginv", "derivs", "zero")
+    ric = _part("ricci", "gamma", "derivs", "zero")
+    scal = _part("scalar_curvature", "ginv", "ric", "zero")
+    rm = _part("riemann_lowered", "g", "gamma", "derivs", "zero")
+    df = _part("gradient", "f", "derivs")
+    hess_f = _part("hessian", "f", "gamma", "derivs", "zero")
+    lap_f = _part("laplacian", "ginv", "hess_f", "zero")
+    gn2_f = _part("grad_norm_sq", "ginv", "df", "zero")
+    ric_phi = _part("bakry_emery_ricci", "ric", "hess_f", "f", "m", "zero")
+    scal_phi = _part("weighted_scalar", "scal", "f", "lap_f", "gn2_f", "m",
+                     "mu", "zero")
+    F_phi = _part("f_curvature", "f", "lap_f", "gn2_f", "m", "mu", "zero")
+    schouten = _part("schouten_tensor", "ric_phi", "scal_phi", "g", "ginv",
+                     "dim", "m", "zero")
+    P = property(lambda self: self.schouten[0])
+    Y = property(lambda self: self.schouten[3])
+    weyl = _part("weighted_weyl", "rm", "P", "g", "zero")
+    cotton = _part("weighted_cotton", "P", "gamma", "derivs", "zero")
+    bach = _part("weighted_bach", "weyl", "P", "g", "ginv", "cotton", "dphi",
+                 "Y", "gamma", "derivs", "m", "zero")
+    bianchi = _part("bianchi_residual", "ric_phi", "scal_phi", "F_phi", "f",
+                    "ginv", "dphi", "gamma", "derivs", "zero")
+
+    @cached_property
+    def dphi(self):
+        if self.m == 0.0:
+            return [self.zero] * self.dim
+        return phi_gradient(self.f, self.derivs, self.m)

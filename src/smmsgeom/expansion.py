@@ -39,7 +39,6 @@ import math
 from typing import Optional
 
 from . import curvature as cv
-from . import invariants as inv
 from .fields import ScalarField, SymTensor2Field, evaluate, max_abs
 from .invariants import MetricMeasureSpace, conformal_change, curvature_scale
 from .series import Series
@@ -54,6 +53,8 @@ __all__ = [
 
 BRANCH_SNAP_TOL = 1e-9
 OBSTRUCTION_CONTINUATION_TOL = 1e-10
+# relative bound on the odd-critical consistency residual (m/f^2) Ft - tr Rt
+CONSISTENCY_TOL = 1e-8
 
 
 class OrderError(ValueError):
@@ -176,25 +177,6 @@ def _coeffs_to_series(base, g_coeffs, f_coeffs):
     return G, F
 
 
-def _slice_weighted_invariants(base, G, F):
-    """Intrinsic Ric_phi and F_phi of the rho-dependent slice, as series."""
-    chart = base.chart
-    zero = chart.zero()
-    exact_zero = Series.zero_series(zero)
-    derivs = [lambda S, i=i: S.map(lambda c: c.partial(i))
-              for i in range(base.dim)]
-    Ginv, _ = cv.matrix_inverse(G, exact_zero)
-    gamma = cv.christoffel(G, Ginv, derivs, exact_zero)
-    ric = cv.ricci(gamma, derivs, exact_zero)
-    hess_F = cv.hessian(F, gamma, derivs, exact_zero)
-    dF = cv.gradient(F, derivs)
-    lap_F = cv.laplacian(Ginv, hess_F, exact_zero)
-    gn2_F = cv.grad_norm_sq(Ginv, dF, exact_zero)
-    ric_phi = cv.bakry_emery_ricci(ric, hess_F, F, base.m, exact_zero)
-    F_phi = cv.f_curvature(F, lap_F, gn2_F, base.m, base.mu, exact_zero)
-    return ric_phi, F_phi, Ginv
-
-
 def closed_form_residual_series(base, G, F):
     """(Rt_ij, Ft): the ij block of the ambient weighted Ricci tensor and
     the ambient F-scalar, as rho-series over the chart, via the closed form
@@ -207,11 +189,11 @@ def closed_form_residual_series(base, G, F):
 
     with all primes rho-derivatives and traces taken in g_rho."""
     d, m = base.dim, float(base.m)
-    chart = base.chart
-    zero = chart.zero()
+    zero = base.chart.zero()
     ezero = Series.zero_series(zero)
     rho = Series([1.0], 1, None, zero)
-    ric_phi, F_phi, Ginv = _slice_weighted_invariants(base, G, F)
+    geo = cv.Geometry(G, cv.partials(d), ezero, F, base.m, base.mu)
+    Ginv = geo.ginv
     Gp = [[G[i][j].deriv() for j in range(d)] for i in range(d)]
     Gpp = [[Gp[i][j].deriv() for j in range(d)] for i in range(d)]
     Fp = F.deriv()
@@ -225,7 +207,7 @@ def closed_form_residual_series(base, G, F):
                              for k in range(d) for l in range(d)], ezero)
             terms = [rho * Gpp[i][j], -(rho * sq), rho * (tr_gp * Gp[i][j]) * 0.5,
                      -(Gp[i][j] * ((d + m) / 2.0 - 1.0)),
-                     -(tr_gp * G[i][j]) * 0.5, ric_phi[i][j]]
+                     -(tr_gp * G[i][j]) * 0.5, geo.ric_phi[i][j]]
             if m != 0.0:
                 terms.append(rho * ((Gp[i][j] * Fp) * m) / F)
                 terms.append(-(((G[i][j] * Fp) * m) / F))
@@ -236,7 +218,7 @@ def closed_form_residual_series(base, G, F):
         -(rho * (Fp * Fp)) * (2.0 * (m - 1.0)),
         ((F * F) * tr_gp) * 0.5,
         (F * Fp) * (2.0 * m + d - 2.0),
-        F_phi], ezero)
+        geo.F_phi], ezero)
     return Rt, Ft
 
 
@@ -256,17 +238,16 @@ def _residual_coefficients(base, g_coeffs, f_coeffs, n):
 
 
 def _trace_with_base(base, T):
-    mat, ginv, _, _, _, zero = inv._space_geometry(base)
+    ginv = base.geometry.ginv
     d = base.dim
     return cv.acc_sum([ginv[i][j] * T[i][j] for i in range(d) for j in range(d)],
-                      zero)
+                      base.chart.zero())
 
 
-def solve_order_step(base, g_coeffs, f_coeffs, n, *, branch=None, dm=None,
-                     check_points=None, consistency_tol=1e-8) -> OrderStep:
+def solve_order_step(base, g_coeffs, f_coeffs, n, *,
+                     check_points=None) -> OrderStep:
     """Determine the rho^n coefficients given coefficients through n-1."""
-    if branch is None or dm is None:
-        branch, dm, _ = classify_branch(base.dim, base.m)
+    branch, dm, _ = classify_branch(base.dim, base.m)
     d, m = base.dim, float(base.m)
     f0 = base.f
     chart = base.chart
@@ -310,10 +291,10 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *, branch=None, dm=None,
         worst = 0.0
         for fv, F, R in evaluate([f0, Ferr, Rtrace], check_points).T:
             worst = max(worst, abs((m / fv ** 2) * F - R))
-        if worst > consistency_tol * scale:
+        if worst > CONSISTENCY_TOL * scale:
             raise ConsistencyError(
                 f"consistency residual {worst:.3e} at order n = {n} exceeds "
-                f"{consistency_tol:.1e} x scale {scale:.3e}; the inputs are "
+                f"{CONSISTENCY_TOL:.1e} x scale {scale:.3e}; the inputs are "
                 f"outside the construction's hypotheses or precision degraded")
         omega = -(Ferr / (f0 * f0)) * (1.0 / dm)
         tau = omega * (2.0 * m / dm)
@@ -365,8 +346,8 @@ def _measure_obstruction(base, g_coeffs, f_coeffs, n_c, dm):
     return ObstructionData(tensor, scalar_part, c)
 
 
-def expand(s: MetricMeasureSpace, order: int, *, check_points=None,
-           consistency_tol=1e-8) -> RhoExpansion:
+def expand(s: MetricMeasureSpace, order: int, *,
+           check_points=None) -> RhoExpansion:
     """Solve the ambient deformation through the requested rho order.
 
     Spatial jets of g and f to degree 2*order + 2 back the computation;
@@ -403,9 +384,8 @@ def expand(s: MetricMeasureSpace, order: int, *, check_points=None,
             notes.append(
                 f"continuation past the critical order {n_c}: measured "
                 f"obstruction {worst:.2e} within tolerance")
-        step = solve_order_step(s, g_coeffs, f_coeffs, n, branch=branch, dm=dm,
-                                check_points=check_points,
-                                consistency_tol=consistency_tol)
+        step = solve_order_step(s, g_coeffs, f_coeffs, n,
+                                check_points=check_points)
         g_coeffs.append(step.psi)
         f_coeffs.append(step.upsilon)
         if step.note:
@@ -419,9 +399,7 @@ def expand(s: MetricMeasureSpace, order: int, *, check_points=None,
             scratch_g, scratch_f = list(g_coeffs), list(f_coeffs)
             for n in range(order + 1, n_c + 1):
                 step = solve_order_step(s, scratch_g, scratch_f, n,
-                                        branch=branch, dm=dm,
-                                        check_points=check_points,
-                                        consistency_tol=consistency_tol)
+                                        check_points=check_points)
                 scratch_g.append(step.psi)
                 scratch_f.append(step.upsilon)
             obst = _measure_obstruction(s, scratch_g, scratch_f, n_c, dm)

@@ -23,6 +23,7 @@ Hessian, so no logarithm is ever formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -63,11 +64,17 @@ class MetricMeasureSpace:
             raise ValidationError(
                 "m = 0 is accepted only with f identically 1 "
                 "(the unweighted reduction)")
-        self._derived = {}
 
     @property
     def dim(self) -> int:
         return self.chart.dim
+
+    @cached_property
+    def geometry(self) -> cv.Geometry:
+        """The weighted curvature of this space as raw nested fields, each
+        part built on first read and shared by every later reader."""
+        return cv.Geometry(self.g.as_matrix(), cv.partials(self.dim),
+                           self.chart.zero(), self.f, self.m, self.mu)
 
     def check_at(self, points):
         """Finite positive-definite g and positive f at the given points.
@@ -89,14 +96,6 @@ class MetricMeasureSpace:
     def sample(self, count: int, seed: int):
         return sample_points(self.chart, count, seed)
 
-    # Derived geometric data is cached per space so expression DAGs are shared.
-    def derived(self, key, builder):
-        hit = self._derived.get(key)
-        if hit is None:
-            hit = builder()
-            self._derived[key] = hit
-        return hit
-
 
 @dataclass
 class WeightedInvariants:
@@ -116,133 +115,75 @@ def euclidean_metric(chart: Chart) -> SymTensor2Field:
     return SymTensor2Field(chart, {(i, i): one for i in range(chart.dim)})
 
 
-def _derivs(chart: Chart):
-    return [lambda F, i=i: F.partial(i) for i in range(chart.dim)]
-
-
-def _geometry(g: SymTensor2Field):
-    """Shared (matrix, inverse, connection, derivs, zero) for a metric field."""
+def _metric_geometry(g: SymTensor2Field) -> cv.Geometry:
+    """The Geometry of a bare metric field on its chart."""
     chart = g.chart
-    zero = chart.zero()
-    derivs = _derivs(chart)
-    mat = g.as_matrix()
-    ginv, det = cv.matrix_inverse(mat, zero)
-    gamma = cv.christoffel(mat, ginv, derivs, zero)
-    return mat, ginv, det, gamma, derivs, zero
+    return cv.Geometry(g.as_matrix(), cv.partials(chart.dim), chart.zero())
 
 
-def _space_geometry(s: MetricMeasureSpace):
-    return s.derived("geometry", lambda: _geometry(s.g))
-
-
-# -- unweighted operations ----------------------------------------------------
-
-
-def christoffel(g: SymTensor2Field):
-    """Connection coefficients Gamma^k_ij as a nested list of fields."""
-    _, _, _, gamma, _, _ = _geometry(g)
-    return gamma
-
-
-def riemann(g: SymTensor2Field) -> Riemann4Field:
-    mat, _, _, gamma, derivs, zero = _geometry(g)
-    rm = cv.riemann_lowered(mat, gamma, derivs, zero)
-    d = g.chart.dim
-    return Riemann4Field(g.chart, {
+def _riemann_field(chart: Chart, rm) -> Riemann4Field:
+    """A Riemann4Field from a full nested d^4 array with its symmetries."""
+    d = chart.dim
+    return Riemann4Field(chart, {
         (i, j, k, l): rm[i][j][k][l]
         for i in range(d) for j in range(i + 1, d)
         for k in range(d) for l in range(k + 1, d) if (i, j) <= (k, l)})
 
 
+# -- unweighted operations on a bare metric -----------------------------------
+
+
+def christoffel(g: SymTensor2Field):
+    """Connection coefficients Gamma^k_ij as a nested list of fields."""
+    return _metric_geometry(g).gamma
+
+
+def riemann(g: SymTensor2Field) -> Riemann4Field:
+    return _riemann_field(g.chart, _metric_geometry(g).rm)
+
+
 def ricci(g: SymTensor2Field) -> SymTensor2Field:
-    _, _, _, gamma, derivs, zero = _geometry(g)
-    ric = cv.ricci(gamma, derivs, zero)
-    return SymTensor2Field.from_matrix(g.chart, ric)
+    return SymTensor2Field.from_matrix(g.chart, _metric_geometry(g).ric)
 
 
 def scalar(g: SymTensor2Field) -> ScalarField:
-    _, ginv, _, gamma, derivs, zero = _geometry(g)
-    ric = cv.ricci(gamma, derivs, zero)
-    return cv.scalar_curvature(ginv, ric, zero)
+    return _metric_geometry(g).scal
 
 
 # -- weighted operations ------------------------------------------------------
 
 
-def _weighted_core(s: MetricMeasureSpace):
-    """(ric_phi, scal_phi, F_phi, P, J, trP, Y) as raw nested fields."""
-
-    def build():
-        mat, ginv, _, gamma, derivs, zero = _space_geometry(s)
-        d = s.dim
-        ric = cv.ricci(gamma, derivs, zero)
-        scal = cv.scalar_curvature(ginv, ric, zero)
-        hess_f = cv.hessian(s.f, gamma, derivs, zero)
-        df = cv.gradient(s.f, derivs)
-        lap_f = cv.laplacian(ginv, hess_f, zero)
-        gn2_f = cv.grad_norm_sq(ginv, df, zero)
-        ric_phi = cv.bakry_emery_ricci(ric, hess_f, s.f, s.m, zero)
-        scal_phi = cv.weighted_scalar(scal, s.f, lap_f, gn2_f, s.m, s.mu, zero)
-        F_phi = cv.f_curvature(s.f, lap_f, gn2_f, s.m, s.mu, zero)
-        P, J, trP, Y = cv.schouten_tensor(ric_phi, scal_phi, mat, ginv, d, s.m, zero)
-        return ric_phi, scal_phi, F_phi, P, J, trP, Y
-
-    return s.derived("weighted_core", build)
-
-
 def weighted_ricci(s: MetricMeasureSpace) -> SymTensor2Field:
-    ric_phi = _weighted_core(s)[0]
-    return SymTensor2Field.from_matrix(s.chart, ric_phi)
+    return SymTensor2Field.from_matrix(s.chart, s.geometry.ric_phi)
 
 
 def weighted_scalar(s: MetricMeasureSpace) -> ScalarField:
-    return _weighted_core(s)[1]
+    return s.geometry.scal_phi
 
 
 def f_curvature(s: MetricMeasureSpace) -> ScalarField:
     """The scalar f Lap f + (m-1)(|grad f|^2 - mu)."""
-    return _weighted_core(s)[2]
+    return s.geometry.F_phi
 
 
 def schouten(s: MetricMeasureSpace):
     """(P, J, Y): weighted Schouten tensor, its scalar, and J - tr P."""
-    _, _, _, P, J, _, Y = _weighted_core(s)
+    P, J, _, Y = s.geometry.schouten
     return SymTensor2Field.from_matrix(s.chart, P), J, Y
 
 
 def kulkarni_nomizu(h: SymTensor2Field, k: SymTensor2Field) -> Riemann4Field:
     chart = h.chart
-    out = cv.kulkarni_nomizu(h.as_matrix(), k.as_matrix(), chart.zero())
-    d = chart.dim
-    return Riemann4Field(chart, {
-        (i, j, kk, l): out[i][j][kk][l]
-        for i in range(d) for j in range(i + 1, d)
-        for kk in range(d) for l in range(kk + 1, d) if (i, j) <= (kk, l)})
-
-
-def _weyl_cotton_raw(s: MetricMeasureSpace):
-    def build():
-        mat, _, _, gamma, derivs, zero = _space_geometry(s)
-        P = _weighted_core(s)[3]
-        rm = cv.riemann_lowered(mat, gamma, derivs, zero)
-        A = cv.weighted_weyl(rm, P, mat, zero)
-        dP = cv.weighted_cotton(P, gamma, derivs, zero)
-        return A, dP
-
-    return s.derived("weyl_cotton", build)
+    return _riemann_field(chart, cv.kulkarni_nomizu(
+        h.as_matrix(), k.as_matrix(), chart.zero()))
 
 
 def weighted_weyl(s: MetricMeasureSpace) -> Riemann4Field:
-    A, _ = _weyl_cotton_raw(s)
-    d = s.dim
-    return Riemann4Field(s.chart, {
-        (i, j, k, l): A[i][j][k][l]
-        for i in range(d) for j in range(i + 1, d)
-        for k in range(d) for l in range(k + 1, d) if (i, j) <= (k, l)})
+    return _riemann_field(s.chart, s.geometry.weyl)
 
 
 def weighted_cotton(s: MetricMeasureSpace) -> Cotton3Field:
-    _, dP = _weyl_cotton_raw(s)
+    dP = s.geometry.cotton
     d = s.dim
     return Cotton3Field(s.chart, {
         (i, j, k): dP[i][j][k]
@@ -252,52 +193,31 @@ def weighted_cotton(s: MetricMeasureSpace) -> Cotton3Field:
 def weighted_bach(s: MetricMeasureSpace) -> SymTensor2Field:
     if s.m == 0.0:
         raise ValidationError("the weighted Bach tensor requires m > 0")
-
-    def build():
-        mat, ginv, _, gamma, derivs, zero = _space_geometry(s)
-        _, _, _, P, _, _, Y = _weighted_core(s)
-        A, dP = _weyl_cotton_raw(s)
-        dphi = cv.phi_gradient(s.f, derivs, s.m)
-        return cv.weighted_bach(A, P, mat, ginv, dP, dphi, Y, gamma, derivs,
-                                s.m, zero)
-
-    B = s.derived("bach", build)
-    return SymTensor2Field.from_matrix(s.chart, B)
+    return SymTensor2Field.from_matrix(s.chart, s.geometry.bach)
 
 
 def bach_asymmetry(s: MetricMeasureSpace, point) -> float:
     """Residual |B_ij - B_ji| of the raw Bach computation (symmetry check)."""
     if s.m == 0.0:
         raise ValidationError("the weighted Bach tensor requires m > 0")
-    weighted_bach(s)
-    B = s._derived["bach"]
+    B = s.geometry.bach
     vals = evaluate([c for row in B for c in row], [point]).reshape(s.dim, -1)
     return max_abs(vals - vals.T)
 
 
 def weighted_invariants(s: MetricMeasureSpace) -> WeightedInvariants:
-    ric_phi, scal_phi, F_phi, _, J, _, Y = _weighted_core(s)
-    P_field, _, _ = schouten(s)
-    bach = weighted_bach(s) if s.m > 0 else None
+    geo = s.geometry
+    P_field, J, Y = schouten(s)
     return WeightedInvariants(
-        ricci_phi=SymTensor2Field.from_matrix(s.chart, ric_phi),
-        scalar_phi=scal_phi, f_phi=F_phi, schouten=P_field,
-        schouten_scalar=J, y_phi=Y, weyl=weighted_weyl(s),
-        cotton=weighted_cotton(s), bach=bach)
+        ricci_phi=weighted_ricci(s), scalar_phi=geo.scal_phi,
+        f_phi=geo.F_phi, schouten=P_field, schouten_scalar=J, y_phi=Y,
+        weyl=weighted_weyl(s), cotton=weighted_cotton(s),
+        bach=weighted_bach(s) if s.m > 0 else None)
 
 
 def bianchi_residual(s: MetricMeasureSpace):
     """Components of delta_phi Ric_phi - d R_phi / 2 - F_phi dphi / f^2."""
-
-    def build():
-        mat, ginv, _, gamma, derivs, zero = _space_geometry(s)
-        ric_phi, scal_phi, F_phi = _weighted_core(s)[:3]
-        dphi = ([zero] * s.dim if s.m == 0.0
-                else cv.phi_gradient(s.f, derivs, s.m))
-        return cv.bianchi_residual(ric_phi, scal_phi, F_phi, s.f, ginv, dphi,
-                                   gamma, derivs, zero)
-
-    return s.derived("bianchi", build)
+    return s.geometry.bianchi
 
 
 def conformally_flat_identities(s: MetricMeasureSpace):
@@ -310,11 +230,12 @@ def conformally_flat_identities(s: MetricMeasureSpace):
     """
     if s.m == 0.0:
         raise ValidationError("the identities require m > 0")
-    mat, ginv, _, gamma, derivs, zero = _space_geometry(s)
-    _, _, _, P, _, _, Y = _weighted_core(s)
+    geo = s.geometry
+    mat, ginv, derivs, zero = geo.g, geo.ginv, geo.derivs, geo.zero
+    P, _, _, Y = geo.schouten
+    dphi = geo.dphi
     d = s.dim
-    dphi = cv.phi_gradient(s.f, derivs, s.m)
-    hphi = cv.phi_hessian(s.f, gamma, derivs, s.m, zero)
+    hphi = cv.phi_hessian(s.f, geo.gamma, derivs, s.m, zero)
     grad_phi = [cv.acc_sum([ginv[i][j] * dphi[j] for j in range(d)
                             if not dphi[j].is_zero], zero) for i in range(d)]
     res_a = [cv.acc_sum([
@@ -324,8 +245,7 @@ def conformally_flat_identities(s: MetricMeasureSpace):
                           (dphi[i] * dphi[j]) * (1.0 / s.m),
                           mat[i][j] * Y], zero)
               for j in range(d)] for i in range(d)]
-    _, dP = _weyl_cotton_raw(s)
-    return res_a, res_b, dP
+    return res_a, res_b, geo.cotton
 
 
 def conformal_change(s: MetricMeasureSpace, u: ScalarField) -> MetricMeasureSpace:
@@ -342,14 +262,7 @@ def curvature_scale(s: MetricMeasureSpace, points) -> float:
     The reference magnitude that 'relative' tolerances are measured
     against throughout the package.
     """
-
-    def build():
-        mat, _, _, gamma, derivs, zero = _space_geometry(s)
-        rm = cv.riemann_lowered(mat, gamma, derivs, zero)
-        hess_f = cv.hessian(s.f, gamma, derivs, zero)
-        return rm, hess_f
-
-    rm, hess_f = s.derived("scale_fields", build)
+    rm, hess_f = s.geometry.rm, s.geometry.hess_f
     d = s.dim
     v = evaluate_named(points, g=s.g.entries(),
                        rm=[x for a in rm for b in a for c in b for x in c],

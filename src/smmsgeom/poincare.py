@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curvature as cv
-from . import invariants as inv
-from .ambient import Graded
+from .ambient import Graded, graded_derivs
 from .expansion import RhoExpansion
 from .fields import Chart, SymTensor2Field, evaluate, evaluate_named, max_abs
 from .invariants import MetricMeasureSpace
@@ -118,27 +117,17 @@ def poincare_residual(p: PoincareStructure) -> PoincareResidual:
     """Exact r-Laurent residual of the weighted-Einstein conditions."""
     base = p.base
     d = base.dim
-    chart = base.chart
-    zero = chart.zero()
-    ezero = Series.zero_series(zero)
     n = d + 1
     dm = d + float(base.m)
     gp = p.g_plus()
     fp = p.f_plus()
-    derivs = [lambda S, i=i: S.map(lambda c: c.partial(i)) for i in range(d)]
-    derivs.append(lambda S: S.deriv())
-    ginv, _ = cv.matrix_inverse(gp, ezero)
-    gamma = cv.christoffel(gp, ginv, derivs, ezero)
-    ric = cv.ricci(gamma, derivs, ezero)
-    hess = cv.hessian(fp, gamma, derivs, ezero)
-    df = cv.gradient(fp, derivs)
-    ric_phi = cv.bakry_emery_ricci(ric, hess, fp, base.m, ezero)
-    lap = cv.laplacian(ginv, hess, ezero)
-    gn2 = cv.grad_norm_sq(ginv, df, ezero)
-    F_phi = cv.f_curvature(fp, lap, gn2, base.m, base.mu, ezero)
-
-    resid = [[ric_phi[a][b] + gp[a][b] * dm for b in range(n)] for a in range(n)]
-    resid_F = F_phi - (fp * fp) * dm
+    # the chart partials, then d/dr
+    derivs = cv.partials(d) + [lambda S: S.deriv()]
+    geo = cv.Geometry(gp, derivs, Series.zero_series(base.chart.zero()), fp,
+                      base.m, base.mu)
+    resid = [[geo.ric_phi[a][b] + gp[a][b] * dm for b in range(n)]
+             for a in range(n)]
+    resid_F = geo.F_phi - (fp * fp) * dm
     blocks = {
         "ij": [resid[i][j] for i in range(d) for j in range(i, d)],
         "ri": [resid[d][i] for i in range(d)],
@@ -149,20 +138,26 @@ def poincare_residual(p: PoincareStructure) -> PoincareResidual:
     return PoincareResidual(blocks, resid_F, trunc)
 
 
-def _xr_chart(base: MetricMeasureSpace, r_box=(0.05, 0.25)) -> Chart:
+# the r interval of the (x, r) chart, and the r at which the cone
+# identities are checked
+R_BOX = (0.05, 0.25)
+R_VALUES = (0.1,)
+
+
+def _xr_chart(base: MetricMeasureSpace) -> Chart:
     box = list(base.chart.box) if base.chart.box else None
     if box is not None:
-        box = box + [r_box]
+        box = box + [R_BOX]
     return Chart(tuple(base.chart.names) + ("r",), box=box)
 
 
-def fixed_r_space(p: PoincareStructure, r_box=(0.05, 0.25)):
+def fixed_r_space(p: PoincareStructure):
     """The (d+1)-dimensional smooth metric measure space (g_plus, f_plus)
     realized with honest fields on the (x, r) chart, for evaluation at
     fixed small r; reuses the base tensor machinery verbatim."""
     base = p.base
     d = base.dim
-    chart = _xr_chart(base, r_box)
+    chart = _xr_chart(base)
     r = chart.coordinate(d)
     rinv2 = 1.0 / (r * r)
 
@@ -185,30 +180,26 @@ def fixed_r_space(p: PoincareStructure, r_box=(0.05, 0.25)):
     return MetricMeasureSpace(chart, g_plus, f_plus, base.m, base.mu)
 
 
-def cone_identity_check(p: PoincareStructure, *, points=None, r_values=(0.1,),
-                        r_box=(0.05, 0.25)):
-    """Verify both cone identities at fixed small r.
+def cone_identity_check(p: PoincareStructure, *, points=None):
+    """Verify both cone identities at fixed r in R_VALUES.
 
     Returns (worst_ricci, worst_F, sides): the worst absolute two-sided
     disagreements and a sample of the individually nonzero side values.
     """
     base = p.base
     d = base.dim
-    space_plus = fixed_r_space(p, r_box)
+    space_plus = fixed_r_space(p)
     chart = space_plus.chart
     dm = d + float(base.m)
     if points is None:
         points = base.sample(4, seed=0)
-    xr_points = [tuple(pt) + (rv,) for pt in points for rv in r_values]
-
-    ric_plus = inv.weighted_ricci(space_plus)
-    F_plus = inv.f_curvature(space_plus)
+    xr_points = [tuple(pt) + (rv,) for pt in points for rv in R_VALUES]
+    geo = space_plus.geometry
 
     # cone side: gc = s^2 g_plus - ds^2 with the s slot graded out
     zero = chart.zero()
     n = d + 2
-    gmat = space_plus.g.as_matrix()
-    ginv_f, _ = cv.matrix_inverse(gmat, zero)
+    gmat, ginv_f = geo.g, geo.ginv
     zero_g = Graded(0, zero)
     gc = [[zero_g] * n for _ in range(n)]
     gcinv = [[zero_g] * n for _ in range(n)]
@@ -220,23 +211,16 @@ def cone_identity_check(p: PoincareStructure, *, points=None, r_values=(0.1,),
             gcinv[a + 1][b + 1] = Graded(-2, ginv_f[a][b])
     fc = Graded(1, space_plus.f)
     mu_elem = Graded(0, chart.constant(base.mu))
-
-    def d_s(a):
-        if a.deg == 0:
-            return zero_g
-        return Graded(a.deg - 1, a.val * float(a.deg))
-
-    derivs = [d_s] + [
-        (lambda a, i=i: Graded(a.deg, a.val.partial(i))) for i in range(d + 1)]
     ric_cone, F_cone = cv.weighted_ricci_coordinate_formula(
-        gc, gcinv, fc, float(base.m), mu_elem, derivs, zero_g)
+        gc, gcinv, fc, float(base.m), mu_elem, graded_derivs(d + 1, zero_g),
+        zero_g)
 
     pairs = [(a, b) for a in range(d + 1) for b in range(a, d + 1)]
     v = evaluate_named(
         xr_points, lhs=[ric_cone[a + 1][b + 1].val for a, b in pairs],
-        ric=[ric_plus.comp(a, b) for a, b in pairs],
+        ric=[geo.ric_phi[a][b] for a, b in pairs],
         g=[space_plus.g.comp(a, b) for a, b in pairs],
-        F=[F_cone.val, F_plus, space_plus.f])
+        F=[F_cone.val, geo.F_phi, space_plus.f])
     rhs = v["ric"] + dm * v["g"]
     lhs_F, F, f = v["F"].T
     rhs_F = np.array([Fv - dm * fv ** 2 for Fv, fv in zip(F, f)])

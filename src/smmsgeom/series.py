@@ -255,6 +255,10 @@ class Series:
             coeffs.append(idx.get(p, self.zero))
         return Series(coeffs, lo, trunc, self.zero)
 
+    def partial(self, i: int) -> "Series":
+        """The chart partial d/dx^i, applied to every coefficient."""
+        return self.map(lambda c: c.partial(i))
+
     def map(self, fn) -> "Series":
         """Apply fn to every coefficient (e.g. a spatial partial derivative)."""
         return Series([fn(c) for c in self.coeffs], self.shift, self.trunc, self.zero)

@@ -95,10 +95,10 @@ def test_criterion_03_obstruction_is_bach(spaces):
     worst = max(float(np.max(np.abs(obs.tensor.matrix_values(p)
                                     - B.matrix_values(p)))) for p in pts)
     assert worst <= 1e-8 * scale
-    mat, ginv_f, _, gamma, derivs, zero = inv._space_geometry(s)
-    dphi = cv.phi_gradient(s.f, derivs, s.m)
-    div_O = cv.weighted_divergence_sym2(obs.tensor.as_matrix(), ginv_f, dphi,
-                                        gamma, derivs, zero)
+    geo = s.geometry
+    dphi = cv.phi_gradient(s.f, geo.derivs, s.m)
+    div_O = cv.weighted_divergence_sym2(obs.tensor.as_matrix(), geo.ginv, dphi,
+                                        geo.gamma, geo.derivs, geo.zero)
     for p in pts:
         gm = np.linalg.inv(s.g.matrix_values(p))
         fv = s.f.value(p)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from smmsgeom import invariants as inv
-from smmsgeom.ambient import AmbientMetric, Graded, order_report
+from smmsgeom.ambient import AmbientMetric, BlockReport, Graded, order_report
 from smmsgeom.catalog import flat_space, load_entry, random_entry
 from smmsgeom.expansion import Branch, RhoExpansion, expand
 from smmsgeom.fields import SymTensor2Field
@@ -25,6 +25,19 @@ def block_worst(comp, ks, pts):
             v = c if isinstance(c, float) else c.value(p)
             worst = max(worst, abs(v))
     return worst
+
+
+def test_block_report_counts_nan_as_a_violation():
+    nan = float("nan")
+    for coeff_max, first in (([1e-17, nan], 1), ([nan, 1e-17], 0)):
+        block = BlockReport("x", coeff_max, 1, 1e-9)
+        assert block.first_violation == first
+        assert not block.ok
+        assert np.isnan(block.worst)
+    block = BlockReport("x", [1e-17, 2e-9, nan], 0, 1e-9)
+    assert block.first_violation == 1
+    assert block.ok and block.worst == 1e-17
+    assert BlockReport("x", [], 2, 1e-9).ok
 
 
 def test_normal_form_shape():

@@ -158,6 +158,99 @@ def test_cli_invariants_sphere_scalar(tmp_path):
     assert values and all(abs(v - 6.0) < 1e-9 for v in values)
 
 
+FLAT_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "flat.cfg")
+
+
+@pytest.mark.parametrize("own_seed,run_seed", [(5, 0), (0, 5)])
+def test_cli_seed_override_is_validated_at_the_run_points(tmp_path, own_seed,
+                                                          run_seed):
+    # g11 = 1 + 3*x1 is negative for x1 < -1/3: seed 0 samples x1 = -0.483
+    # there, seed 5 samples none; the run's points decide, whichever seed
+    # the file names
+    with open(FLAT_CFG) as fh:
+        text = fh.read()
+    path = tmp_path / "override.cfg"
+    path.write_text(text.replace("g11 = 1\n", "g11 = 1 + 3*x1\n")
+                    .replace("seed = 0", f"seed = {own_seed}"))
+    code, report = run_cli(["invariants", "--config", str(path), "--seed",
+                            str(run_seed)], tmp_path, "o.txt")
+    if run_seed == 0:
+        assert code == 2
+        assert ("error = ValidationError: metric not positive definite"
+                in report)
+    else:
+        assert code == 0, report
+
+
+def test_cli_invariants_builds_each_curvature_part_once(config_path, tmp_path,
+                                                        monkeypatch):
+    from smmsgeom import curvature as cv
+    from smmsgeom.fields import ScalarField
+    names = ("matrix_inverse", "christoffel", "ricci", "riemann_lowered",
+             "hessian")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            # the last argument is the ring's zero: a field on the chart
+            if isinstance(args[-1], ScalarField):
+                calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cv, name, counted(name, getattr(cv, name)))
+    code, _ = run_cli(["invariants", "--config", config_path, "--points", "1"],
+                      tmp_path, "c.txt")
+    assert code == 0
+    assert calls == dict.fromkeys(names, 1)
+
+
+NAN_CONFIG = """[chart]
+dimension = 3
+coordinates = x1 x2 x3
+box = 0.9 1.0 ; -0.5 0.5 ; -0.5 0.5
+
+[metric]
+g11 = exp(700*x1)
+g22 = 1
+g33 = 1
+
+[density]
+f = 1 + 0.1*x2
+
+[parameters]
+m = 0.5
+mu = 0.1
+
+[solver]
+order = 2
+
+[sampling]
+points = 2
+seed = 3
+"""
+
+
+def test_cli_nan_coefficients_fail_the_order_checks(config_path, tmp_path):
+    # exp(700 x1) overflows the jets of g_rho, and its order-report maxima
+    # end in NaN; a NaN is never within a tolerance
+    path = tmp_path / "nan.cfg"
+    path.write_text(NAN_CONFIG)
+    code, text = run_cli(["expand", "--config", str(path)], tmp_path, "n.txt")
+    assert code == 1
+    for name in ("F", "trace_combo", "t_row", "rho_i", "rho_rho"):
+        assert f"order.{name}.ok = false" in text
+        assert f"order.{name}.first_violation = -1" not in text
+    code, text = run_cli(["verify", "--config", config_path, "--points", "1",
+                          "--corrupt-coefficient", "2,0,0,nan"],
+                         tmp_path, "vn.txt")
+    assert code == 1
+    assert "check.ambient_order_ij.ok = false" in text
+    assert "check.ambient_order_ij.value = nan" in text
+
+
 def test_cli_invariants_and_expand(config_path, tmp_path):
     code, text = run_cli(["invariants", "--config", config_path], tmp_path, "i.txt")
     assert code == 0

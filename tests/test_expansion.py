@@ -237,10 +237,10 @@ def test_obstruction_trace_and_divergence_identities():
         assert abs(tr - want) <= 1e-8 * scale
     # divergence: delta_phi O compared against (1/f^2) Fscript dphi
     from smmsgeom import curvature as cv
-    mat, ginv_f, _, gamma, derivs, zero = inv._space_geometry(s)
-    dphi = cv.phi_gradient(s.f, derivs, s.m)
-    div_O = cv.weighted_divergence_sym2(obs.tensor.as_matrix(), ginv_f, dphi,
-                                        gamma, derivs, zero)
+    geo = s.geometry
+    dphi = cv.phi_gradient(s.f, geo.derivs, s.m)
+    div_O = cv.weighted_divergence_sym2(obs.tensor.as_matrix(), geo.ginv, dphi,
+                                        geo.gamma, geo.derivs, geo.zero)
     for p in pts:
         fv = s.f.value(p)
         for l in range(3):

@@ -181,19 +181,19 @@ def test_oracle_route_generic_space():
 def test_cone_identity_trivial_and_catalog():
     s = flat_space(d=3, m=2.0, mu=0.0)
     p = to_poincare(expand(s, 2))
-    wr, wF, side = cone_identity_check(p, r_values=(0.1,))
+    wr, wF, side = cone_identity_check(p)
     assert wr < 1e-11 and wF < 1e-11 and side < 1e-11
 
     entry = load_entry('quasi-einstein')
     pe = to_poincare(entry.closed_expansion(4))
-    wr, wF, side = cone_identity_check(pe, r_values=(0.1,))
+    wr, wF, side = cone_identity_check(pe)
     assert wr < 1e-11 and wF < 1e-11
 
 
 def test_cone_identity_generic_nonzero_sides():
     s = random_entry(d=3, m=2.0, mu=0.1, seed=41, amplitude=0.04).space
     p = to_poincare(expand(s, 2))
-    wr, wF, side = cone_identity_check(p, r_values=(0.1,))
+    wr, wF, side = cone_identity_check(p)
     assert side > 1e-8          # the sides are individually nonzero
     assert wr <= 1e-9 and wF <= 1e-9
 

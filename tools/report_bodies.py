@@ -1,0 +1,79 @@
+"""Write the bodies of the standard reports, for comparing two checkouts.
+
+    python3 tools/report_bodies.py OUTDIR
+
+Runs `invariants`, `expand`, `poincare` and `verify` on every
+`configs/*.cfg`, on every catalog entry and on the seed-51 random-deep
+and even-critical configs of `bench/inputs.random_config`: 44 reports,
+each from its own `python3 -m smmsgeom.cli` child of this checkout.
+Writes the body of each (every line before the first `timings.` line)
+to OUTDIR/<command>.<input>.txt, and prints one line per report with
+its exit status and `timings.stats.nodes`.  Run it in two checkouts and
+compare with `diff -r OUTDIR_A OUTDIR_B`: a change that keeps the
+reports leaves no difference.
+"""
+
+from __future__ import annotations
+
+import glob
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COMMANDS = ("invariants", "expand", "poincare", "verify")
+CATALOG = ("flat", "quasi-einstein", "wlcf", "gover-leitner",
+           "gover-leitner-flat")
+# (name, d, m, mu, seed, order) as the random-deep and even-critical
+# workloads generate them
+RANDOM = (("random-deep-s51", 3, 0.5, 0.1, 51, 4),
+          ("even-critical-s51", 3, 1.0, 0.1, 51, 2))
+
+
+def _inputs(outdir):
+    """(name, CLI arguments, working directory) of every input, writing
+    the random configs.  Config paths are relative to the working
+    directory, so the `config.label` lines agree between checkouts."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+    from inputs import random_config
+
+    out = [(os.path.basename(p)[:-4],
+            ["--config", os.path.relpath(p, ROOT)], ROOT)
+           for p in sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))]
+    out += [(f"catalog-{name}", ["--catalog", name], ROOT)
+            for name in CATALOG]
+    for name, d, m, mu, seed, order in RANDOM:
+        path = os.path.join(outdir, f"{name}.cfg")
+        with open(path, "w") as fh:
+            fh.write(random_config(d, m, mu, seed, order)[0])
+        out.append((name, ["--config", f"{name}.cfg"], outdir))
+    return out
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.stderr.write(__doc__)
+        return 2
+    outdir = os.path.abspath(argv[0])
+    os.makedirs(outdir, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    for name, args, cwd in _inputs(outdir):
+        for command in COMMANDS:
+            proc = subprocess.run(
+                [sys.executable, "-m", "smmsgeom.cli", command, *args],
+                capture_output=True, text=True, env=env, cwd=cwd)
+            lines = proc.stdout.splitlines(keepends=True)
+            cut = next((k for k, line in enumerate(lines)
+                        if line.startswith("timings.")), len(lines))
+            body = os.path.join(outdir, f"{command}.{name}.txt")
+            with open(body, "w") as fh:
+                fh.writelines(lines[:cut])
+            nodes = next((line.split("=")[1].strip() for line in lines[cut:]
+                          if line.startswith("timings.stats.nodes ")), "-")
+            print(f"{command} {name} exit={proc.returncode} nodes={nodes}",
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -26,7 +26,8 @@ s = random_entry(d=3, m=1.7, mu=0.3, seed=11).space
 w = inv.weighted_invariants(s)
 pts = s.sample(4, seed=2)
 scale = inv.curvature_scale(s, pts)
-print(f"\nperturbed space (m = {s.m}, mu = {s.mu}), curvature scale {scale:.3f}")
+print(f"\nperturbed space (m = {s.m}, mu = {s.mu}), "
+      f"curvature scale {scale:.3f} (floored at 1)")
 
 worst = 0.0
 for p in pts:

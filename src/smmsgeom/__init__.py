@@ -2,8 +2,7 @@
 measure spaces, computed numerically through truncated jet arithmetic."""
 
 from .jets import Jet, JetDivisionError, JetShapeError
-from .fields import (Chart, ScalarField, SymTensor2Field, Riemann4Field,
-                     Cotton3Field, sample_points)
+from .fields import Chart, ScalarField, SymTensor2Field, sample_points
 from .expressions import parse_expression, ExpressionError
 from .series import Series, SeriesTruncationError
 from .invariants import (MetricMeasureSpace, WeightedInvariants,
@@ -21,8 +20,8 @@ from .catalog import (CatalogEntry, EntryRejected, quasi_einstein_entry,
 
 __all__ = [
     "Jet", "JetDivisionError", "JetShapeError",
-    "Chart", "ScalarField", "SymTensor2Field", "Riemann4Field",
-    "Cotton3Field", "sample_points", "parse_expression", "ExpressionError",
+    "Chart", "ScalarField", "SymTensor2Field", "sample_points",
+    "parse_expression", "ExpressionError",
     "Series", "SeriesTruncationError",
     "MetricMeasureSpace", "WeightedInvariants", "ValidationError",
     "weighted_invariants", "conformal_change", "curvature_scale",

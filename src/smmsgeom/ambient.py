@@ -155,12 +155,10 @@ class AmbientMetric:
         self.zero = Graded(0, self._zero_series)
         one = Series([chart.constant(1.0)], 0, None, zero_f)
         self.rho_series = Series([chart.constant(1.0)], 1, None, zero_f)
-        G, F = expansion.series()
-        self.G, self.F = G, F
-        # the rho-dependent slice (g_rho, f_rho), whose connection the
-        # closed forms share
-        self.slice = cv.Geometry(G, cv.partials(d), self._zero_series, F,
-                                 self.base.m, self.base.mu)
+        # the rho-dependent slice (g_rho, f_rho), whose curvature and
+        # rho-derivatives the closed forms share
+        self.slice = expansion.slice()
+        G, F = self.G, self.F = self.slice.g, self.slice.f
         self.Ginv = self.slice.ginv
 
         n, oo = self.n, self.oo
@@ -213,7 +211,7 @@ class AmbientMetric:
         ez = self._zero_series
         one = Series([chart.constant(1.0)], 0, None, chart.zero())
         gamma_slice = self.slice.gamma
-        Gp = [[self.G[i][j].deriv() for j in range(d)] for i in range(d)]
+        Gp = self.slice.Gp
         out = [[[self.zero] * n for _ in range(n)] for _ in range(n)]
         for i in range(d):
             for j in range(d):
@@ -241,7 +239,7 @@ class AmbientMetric:
 
     def ricci_closed(self):
         """(Rt_ij series matrix, Ft series): the solver's closed-form route."""
-        return closed_form_residual_series(self.base, self.G, self.F)
+        return closed_form_residual_series(self.slice)
 
     def ricci_generic(self, entries=None, upto=None):
         """All blocks of the weighted Ricci tensor plus the F scalar from the
@@ -272,8 +270,7 @@ class AmbientMetric:
         ez = self._zero_series
         G, Ginv = self.G, self.Ginv
         rm_slice = self.slice.rm
-        Gp = [[G[i][j].deriv() for j in range(d)] for i in range(d)]
-        Gpp = [[Gp[i][j].deriv() for j in range(d)] for i in range(d)]
+        Gp, Gpp = self.slice.Gp, self.slice.Gpp
 
         tang = {}
         for i in range(d):
@@ -389,7 +386,7 @@ def order_report(a: AmbientMetric, tol: float = 1e-9, *,
     e = a.expansion
     if points is None:
         points = base.sample(10, 0)
-    scale = max(curvature_scale(base, points), 1.0)
+    scale = curvature_scale(base, points)
     d, oo = a.d, a.oo
     N = e.order
 

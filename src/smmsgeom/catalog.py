@@ -103,7 +103,7 @@ def round_sphere_space(d=3, m=2.0, mu=-1.0, f_expr="1") -> MetricMeasureSpace:
 
 
 def _verify_flags(s, flags, params, tol, pts):
-    scale = max(inv.curvature_scale(s, pts), 1.0)
+    scale = inv.curvature_scale(s, pts)
     if flags.get("gover_leitner") and s.f.const_value() != 1.0:
         raise EntryRejected("the Gover-Leitner family requires f = 1")
     groups = {"g": s.g.entries()}
@@ -113,8 +113,8 @@ def _verify_flags(s, flags, params, tol, pts):
         groups["F"] = [inv.f_curvature(s), s.f]
     if flags.get("wlcf"):
         res_a, res_b, _ = inv.conformally_flat_identities(s)
-        groups["weyl"] = list(inv.weighted_weyl(s).comps.values())
-        groups["cotton"] = list(inv.weighted_cotton(s).comps.values())
+        groups["weyl"] = inv.independent_components(s.geometry.weyl)
+        groups["cotton"] = inv.independent_components(s.geometry.cotton)
         groups["identities"] = res_a + [r for row in res_b for r in row]
     v = evaluate_named(pts, **groups)
     if flags.get("quasi_einstein"):
@@ -227,8 +227,7 @@ def wlcf_entry(space: MetricMeasureSpace, *, tol=1e-9, points=6, seed=0,
         if order >= 1:
             g_coeffs.append(P_field.scale(2.0))
         if order >= 2:
-            mat = space.g.as_matrix()
-            ginv, _ = cv.matrix_inverse(mat, zero)
+            ginv = space.geometry.ginv
             P = P_field.as_matrix()
             P2 = [[cv.acc_sum([P[i][k] * (ginv[k][l] * P[l][j])
                                for k in range(d) for l in range(d)], zero)

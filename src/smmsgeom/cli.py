@@ -23,10 +23,12 @@ that replaced a memo entry (`timings.stats.nodes`, `.evaluations`,
 passed, 1 when a check failed, 2 on a typed input or solver error (a
 usage error, a missing or malformed input, an order or point count
 below 1, an unknown catalog entry or tolerance name, a tolerance that is
-not finite and non-negative) and 3 on any other exception (`error =
-internal: ...`).  `verify --corrupt-coefficient K,I,J,EPS` is a test
-hook that perturbs one solved coefficient to demonstrate check
-sensitivity.
+not finite and non-negative, a `--corrupt-coefficient` that does not
+name a solved coefficient, or a `JetDivisionError`: an input whose jets
+meet a division, `log` or `sqrt` outside its domain) and 3 on any other
+exception (`error = internal: ...`).  `verify --corrupt-coefficient
+K,I,J,EPS` is a test hook that perturbs one solved coefficient
+(0 <= K <= order, 0 <= I, J < d) to demonstrate check sensitivity.
 
 `verify` runs the stage with the highest jet demand first, so that the
 later ones read the memo: the cone check, the Poincaré residual, then
@@ -51,11 +53,13 @@ from . import curvature as cv
 from . import invariants as inv
 from .ambient import AmbientMetric, order_report
 from .catalog import EntryRejected, load_entry, standard_catalog
-from .config import ConfigError, Report, check_tolerance, load_config
+from .config import (TOLERANCES, ConfigError, Report, check_tolerance,
+                     load_config)
 from .expansion import (ConsistencyError, OrderError, branch_guarantees,
                         classify_branch, expand, obstruction)
 from .fields import SymTensor2Field, evaluate, evaluate_named, max_abs
 from .invariants import ValidationError, curvature_scale
+from .jets import JetDivisionError
 from .poincare import cone_identity_check, poincare_residual, to_poincare
 
 __all__ = ["main"]
@@ -138,10 +142,10 @@ class _Problem:
         if args.tol is not None:
             self.tolerances["residual"] = args.tol
         self.points = self.space.sample(self.points_n, self.seed)
-        self.scale = max(curvature_scale(self.space, self.points), 1.0)
+        self.scale = curvature_scale(self.space, self.points)
 
-    def tol(self, name, default):
-        return float(self.tolerances.get(name, default))
+    def tol(self, name):
+        return float(self.tolerances.get(name, TOLERANCES[name]))
 
 
 def _start(args, report):
@@ -190,8 +194,8 @@ def cmd_invariants(args, report) -> int:
              "schouten": w.schouten, "schouten_scalar": w.schouten_scalar,
              "y_phi": w.y_phi, "bach": w.bach}
     v = _put_points(report, prob.points, shown, g=s.g.entries(), f=[s.f],
-                    weyl_norm=list(w.weyl.comps.values()),
-                    cotton_norm=list(w.cotton.comps.values()))
+                    weyl_norm=inv.independent_components(w.weyl),
+                    cotton_norm=inv.independent_components(w.cotton))
     trace_resid = []
     for n, p in enumerate(prob.points):
         _put_tensor(report, f"point{n}.coords", list(p))
@@ -205,9 +209,9 @@ def cmd_invariants(args, report) -> int:
     with report.stage("bianchi"):
         worst_bianchi = max_abs(evaluate(inv.bianchi_residual(s), prob.points))
     report.put_check("bianchi_residual", worst_bianchi,
-                     prob.tol("bianchi", 1e-8) * prob.scale)
+                     prob.tol("bianchi") * prob.scale)
     report.put_check("trace_identity", max_abs(trace_resid),
-                     prob.tol("residual", 1e-9) * prob.scale)
+                     prob.tol("residual") * prob.scale)
     return _finish(prob, report)
 
 
@@ -218,7 +222,7 @@ def _expansion_for(prob, report):
 
 def _order_report(prob, e, report):
     with report.stage("order_report"):
-        return order_report(AmbientMetric(e), prob.tol("residual", 1e-9),
+        return order_report(AmbientMetric(e), prob.tol("residual"),
                             points=prob.points)
 
 
@@ -287,7 +291,7 @@ def _obstruction_identities(prob, obs, report, bach=None):
         tr_resid.append(tr - float(s.m) / fv ** 2 * sp)
         div_resid += [v["div_O"][n, l] - sp / fv ** 2 * v["dphi"][n, l]
                       for l in range(d)]
-    tol = prob.tol("identities", 1e-8) * prob.scale
+    tol = prob.tol("identities") * prob.scale
     report.put_check("obstruction_trace_identity", max_abs(tr_resid), tol)
     report.put_check("obstruction_divergence_identity", max_abs(div_resid),
                      tol)
@@ -318,7 +322,7 @@ def _poincare_checks(prob, e, report, cone_points):
     if prob.space.m > 0:
         with report.stage("cone"):
             wr, wF, side = cone_identity_check(pc, points=cone_points)
-        cone_tol = prob.tol("cone", 1e-9) * max(prob.scale, side)
+        cone_tol = prob.tol("cone") * max(prob.scale, side)
         report.put_check("cone_identity_ricci", wr, cone_tol)
         report.put_check("cone_identity_f", wF, cone_tol)
     with report.stage("poincare"):
@@ -327,7 +331,7 @@ def _poincare_checks(prob, e, report, cone_points):
         power = min(gu.poincare_power, res.trunc)
         worst = res.block_max(range(-2, power + 1), prob.points)
     report.put_check("poincare_residual", worst,
-                     prob.tol("poincare", 1e-8) * prob.scale)
+                     prob.tol("poincare") * prob.scale)
     return pc.max_even_order, res.trunc, power, side
 
 
@@ -346,6 +350,8 @@ def cmd_poincare(args, report) -> int:
 
 def cmd_verify(args, report) -> int:
     prob = _start(args, report)
+    corrupt = (_corruption(args.corrupt_coefficient, prob.order, prob.space.dim)
+               if args.corrupt_coefficient else None)
     entry = prob.catalog_entry
     if entry is not None:
         try:
@@ -355,9 +361,8 @@ def cmd_verify(args, report) -> int:
             report.put("catalog_flags.error", str(exc))
             report.put_check("catalog_flags", 1.0, 0.5)
     e = _expansion_for(prob, report)
-    if args.corrupt_coefficient:
-        k, i, j, eps = args.corrupt_coefficient.split(",")
-        k, i, j, eps = int(k), int(i), int(j), float(eps)
+    if corrupt:
+        k, i, j, eps = corrupt
         bad = dict(e.g_coeffs[k].comps)
         key = (min(i, j), max(i, j))
         bad[key] = bad[key] + prob.space.chart.constant(eps)
@@ -375,7 +380,7 @@ def cmd_verify(args, report) -> int:
         worst = max_abs(evaluate(inv.bianchi_residual(prob.space),
                                   prob.points))
     report.put_check("bianchi_residual", worst,
-                     prob.tol("bianchi", 1e-8) * prob.scale)
+                     prob.tol("bianchi") * prob.scale)
 
     if e.obstruction is not None:
         _obstruction_identities(prob, e.obstruction, report)
@@ -385,6 +390,26 @@ def cmd_verify(args, report) -> int:
             worst = _closed_form_agreement(prob, e, entry)
         report.put_check("solver_matches_closed_form", worst, 1e-9 * prob.scale)
     return _finish(prob, report)
+
+
+def _corruption(text, order, dim):
+    """(K, I, J, EPS) of `--corrupt-coefficient K,I,J,EPS`: K a solved
+    order 0..order, I and J chart indices 0..dim-1, EPS any float."""
+    fields = text.split(",")
+    if len(fields) != 4:
+        raise ConfigError(f"--corrupt-coefficient takes K,I,J,EPS, got {text!r}")
+    try:
+        k, i, j = (int(x) for x in fields[:3])
+        eps = float(fields[3])
+    except ValueError:
+        raise ConfigError(f"--corrupt-coefficient {text!r}: K, I and J must "
+                          f"be integers and EPS a number") from None
+    for name, value, top in (("K", k, order), ("I", i, dim - 1),
+                             ("J", j, dim - 1)):
+        if not 0 <= value <= top:
+            raise ConfigError(f"--corrupt-coefficient {name} = {value} is "
+                              f"outside 0..{top}")
+    return k, i, j, eps
 
 
 def _closed_form_agreement(prob, e, entry) -> float:
@@ -427,7 +452,7 @@ def main(argv=None) -> int:
             report.put("command", args.command)
             code = _COMMANDS[args.command](args, report)
         except (ConfigError, ValidationError, EntryRejected, OrderError,
-                ConsistencyError) as exc:
+                ConsistencyError, JetDivisionError) as exc:
             report.put("error", f"{type(exc).__name__}: {exc}")
             code = 2
         except Exception as exc:

@@ -54,7 +54,10 @@ __all__ = ["ProblemConfig", "ConfigError", "Report", "load_config",
 
 REPORT_SCHEMA_VERSION = "1"
 
-TOLERANCES = ("residual", "bianchi", "identities", "poincare", "cone")
+# the relative tolerances of the checks, by the name a [tolerances] section
+# (or, for `residual`, `--tol`) sets them with, and their defaults
+TOLERANCES = {"residual": 1e-9, "bianchi": 1e-8, "identities": 1e-8,
+              "poincare": 1e-8, "cone": 1e-9}
 
 
 class ConfigError(ValueError):

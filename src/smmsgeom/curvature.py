@@ -308,16 +308,14 @@ def phi_gradient(f, derivs, m):
     return [-(d(f) * float(m)) / f for d in derivs]
 
 
-def phi_hessian(f, gamma, derivs, m, zero):
+def phi_hessian(f, hess_f, df, m, zero):
     """Hess(phi) = -m (Hess f / f - df x df / f^2)."""
-    n = len(gamma)
-    hf = hessian(f, gamma, derivs, zero)
-    df = gradient(f, derivs)
+    n = len(df)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             out[i][j] = acc_sum(
-                [-(hf[i][j] * float(m)) / f,
+                [-(hess_f[i][j] * float(m)) / f,
                  ((df[i] * df[j]) * float(m)) / (f * f)], zero)
     return out
 
@@ -526,7 +524,7 @@ class Geometry:
     named next to it below, and then kept, so a quantity nobody reads is
     never built.  `inverse` is (ginv, det), `schouten` is (P, J, tr P, Y)
     with P and Y also read alone, `dphi` is d phi = -m df/f (zeros when
-    m = 0) and `bach` needs m > 0.
+    m = 0), `hess_phi` is Hess phi and `bach` needs m > 0.
     """
 
     def __init__(self, g, derivs, zero, f=None, m=0.0, mu=0.0):
@@ -542,6 +540,7 @@ class Geometry:
     rm = _part("riemann_lowered", "g", "gamma", "derivs", "zero")
     df = _part("gradient", "f", "derivs")
     hess_f = _part("hessian", "f", "gamma", "derivs", "zero")
+    hess_phi = _part("phi_hessian", "f", "hess_f", "df", "m", "zero")
     lap_f = _part("laplacian", "ginv", "hess_f", "zero")
     gn2_f = _part("grad_norm_sq", "ginv", "df", "zero")
     ric_phi = _part("bakry_emery_ricci", "ric", "hess_f", "f", "m", "zero")

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 import math
 from typing import Optional
 
@@ -44,7 +45,7 @@ from .invariants import MetricMeasureSpace, conformal_change, curvature_scale
 from .series import Series
 
 __all__ = [
-    "Branch", "BranchGuarantees", "RhoExpansion", "OrderStep",
+    "Branch", "BranchGuarantees", "RhoExpansion", "RhoSlice", "OrderStep",
     "ObstructionData", "classify_branch", "branch_guarantees", "expand",
     "solve_order_step", "obstruction", "obstruction_constant",
     "closed_form_residual_series", "OrderError", "ConsistencyError",
@@ -155,31 +156,44 @@ class RhoExpansion:
     ambiguity_notes: list = dc_field(default_factory=list)
     warnings: list = dc_field(default_factory=list)
 
-    def series(self, trunc: Optional[int] = None):
-        """(G, F): matrix of rho-series and the density rho-series."""
-        if trunc is None:
-            trunc = self.order
-        if trunc > self.order:
-            raise OrderError(f"expansion computed to order {self.order}, "
-                             f"coefficients to {trunc} requested")
-        return _coeffs_to_series(self.base, self.g_coeffs[: trunc + 1],
-                                 self.f_coeffs[: trunc + 1])
+    def slice(self) -> "RhoSlice":
+        """The rho-slice (g_rho, f_rho) of the computed coefficients."""
+        return RhoSlice(self.base, self.g_coeffs, self.f_coeffs)
 
 
-def _coeffs_to_series(base, g_coeffs, f_coeffs):
-    chart = base.chart
-    zero = chart.zero()
-    trunc = len(g_coeffs) - 1
-    d = base.dim
-    G = [[Series([g.comp(i, j) for g in g_coeffs], 0, trunc, zero)
-          for j in range(d)] for i in range(d)]
-    F = Series(list(f_coeffs), 0, trunc, zero)
-    return G, F
+class RhoSlice(cv.Geometry):
+    """The rho-slice (g_rho, f_rho) of the coefficient lists `g_coeffs`
+    and `f_coeffs` (rho^0 first), as rho-series over the chart of `base`
+    cut after the last coefficient: the Geometry of the slice (`g` is
+    the matrix G of series, `f` the series F), with the rho-derivatives
+    G', G'', F' and F'' that the closed forms read, each built on first
+    read and then kept."""
+
+    def __init__(self, base, g_coeffs, f_coeffs):
+        zero = base.chart.zero()
+        trunc = len(g_coeffs) - 1
+        d = base.dim
+        G = [[Series([g.comp(i, j) for g in g_coeffs], 0, trunc, zero)
+              for j in range(d)] for i in range(d)]
+        F = Series(list(f_coeffs), 0, trunc, zero)
+        super().__init__(G, cv.partials(d), Series.zero_series(zero), F,
+                         base.m, base.mu)
+        self.chart_zero = zero
+
+    Gp = cached_property(lambda self: _rho_derivs(self.g))
+    Gpp = cached_property(lambda self: _rho_derivs(self.Gp))
+    Fp = cached_property(lambda self: self.f.deriv())
+    Fpp = cached_property(lambda self: self.Fp.deriv())
 
 
-def closed_form_residual_series(base, G, F):
+def _rho_derivs(matrix):
+    return [[x.deriv() for x in row] for row in matrix]
+
+
+def closed_form_residual_series(geo: RhoSlice):
     """(Rt_ij, Ft): the ij block of the ambient weighted Ricci tensor and
-    the ambient F-scalar, as rho-series over the chart, via the closed form
+    the ambient F-scalar of the slice `geo`, as rho-series over the
+    chart, via the closed form
 
       Rt_ij = rho g''_ij - rho g^{kl} g'_ik g'_jl + rho (tr g')/2 g'_ij
               + rho (m/f) g'_ij f' - ((d+m)/2 - 1) g'_ij - (tr g')/2 g_ij
@@ -188,16 +202,11 @@ def closed_form_residual_series(base, G, F):
               + (f^2/2) tr g' + (2m+d-2) f f' + F_phi[g_rho, f_rho]
 
     with all primes rho-derivatives and traces taken in g_rho."""
-    d, m = base.dim, float(base.m)
-    zero = base.chart.zero()
-    ezero = Series.zero_series(zero)
-    rho = Series([1.0], 1, None, zero)
-    geo = cv.Geometry(G, cv.partials(d), ezero, F, base.m, base.mu)
-    Ginv = geo.ginv
-    Gp = [[G[i][j].deriv() for j in range(d)] for i in range(d)]
-    Gpp = [[Gp[i][j].deriv() for j in range(d)] for i in range(d)]
-    Fp = F.deriv()
-    Fpp = Fp.deriv()
+    d, m = geo.dim, float(geo.m)
+    ezero = geo.zero
+    rho = Series([1.0], 1, None, geo.chart_zero)
+    G, F, Ginv = geo.g, geo.f, geo.ginv
+    Gp, Gpp, Fp, Fpp = geo.Gp, geo.Gpp, geo.Fp, geo.Fpp
     tr_gp = cv.acc_sum([Ginv[k][l] * Gp[k][l] for k in range(d) for l in range(d)],
                        ezero)
     Rt = [[None] * d for _ in range(d)]
@@ -229,8 +238,7 @@ def _residual_coefficients(base, g_coeffs, f_coeffs, n):
     zero_f = chart.zero()
     g_ext = list(g_coeffs) + [zero_t] * (n + 1 - len(g_coeffs))
     f_ext = list(f_coeffs) + [zero_f] * (n + 1 - len(f_coeffs))
-    G, F = _coeffs_to_series(base, g_ext, f_ext)
-    Rt, Ft = closed_form_residual_series(base, G, F)
+    Rt, Ft = closed_form_residual_series(RhoSlice(base, g_ext, f_ext))
     d = base.dim
     Rerr = [[Rt[i][j].coefficient(n - 1) for j in range(d)] for i in range(d)]
     Ferr = Ft.coefficient(n - 1)
@@ -287,7 +295,7 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
     if is_odd_critical:
         if check_points is None:
             check_points = base.sample(10, seed=0)
-        scale = max(curvature_scale(base, check_points), 1.0)
+        scale = curvature_scale(base, check_points)
         worst = 0.0
         for fv, F, R in evaluate([f0, Ferr, Rtrace], check_points).T:
             worst = max(worst, abs((m / fv ** 2) * F - R))
@@ -335,8 +343,8 @@ def obstruction_constant(dm: int) -> float:
 
 def _measure_obstruction(base, g_coeffs, f_coeffs, n_c, dm):
     """ObstructionData from the completed-through-n_c coefficients."""
-    G, F = _coeffs_to_series(base, g_coeffs[: n_c + 1], f_coeffs[: n_c + 1])
-    Rt, Ft = closed_form_residual_series(base, G, F)
+    Rt, Ft = closed_form_residual_series(
+        RhoSlice(base, g_coeffs[: n_c + 1], f_coeffs[: n_c + 1]))
     d = base.dim
     c = obstruction_constant(int(dm))
     factor = c * math.factorial(n_c - 1)
@@ -373,7 +381,7 @@ def expand(s: MetricMeasureSpace, order: int, *,
             # continuation past the critical order needs a vanishing obstruction
             if obst is None:
                 obst = _measure_obstruction(s, g_coeffs, f_coeffs, n_c, dm)
-            scale = max(curvature_scale(s, check_points), 1.0)
+            scale = curvature_scale(s, check_points)
             worst = max_abs(evaluate(obst.tensor.entries(), check_points))
             if worst > OBSTRUCTION_CONTINUATION_TOL * scale:
                 raise OrderError(

@@ -20,7 +20,7 @@ The constants -0.0 and 0.0 are distinct nodes.
 
 Values are read through one entry, `evaluate(roots, points)`: a
 (roots x points) array, computed one point at a time.  `ScalarField.value`
-and the tensor `matrix_values`/`values` are calls of it, and
+and `SymTensor2Field.matrix_values` are calls of it, and
 `ScalarField.jet` runs the same sweep at a degree.
 
 Children are created before their parents, so a chart's creation order
@@ -63,8 +63,7 @@ from .jets import Jet, value_apply, value_power, value_quotient
 
 __all__ = [
     "Chart", "ScalarField", "evaluate", "evaluate_named", "max_abs",
-    "sample_points",
-    "SymTensor2Field", "Riemann4Field", "Cotton3Field",
+    "sample_points", "SymTensor2Field",
 ]
 
 _ANALYTIC = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
@@ -501,8 +500,9 @@ def _run(chart: Chart, need, low, top, memo, pt: tuple) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Tensor-valued fields.  Components are ScalarFields; symmetric storage
-# keeps one representative per orbit of the symmetry group.
+# Symmetric rank-2 tensor fields.  Tensors of higher rank (curvature,
+# Weyl, Cotton) are nested lists of ScalarFields, as `curvature` builds
+# them.
 # ---------------------------------------------------------------------------
 
 
@@ -552,78 +552,3 @@ class SymTensor2Field:
     def scale(self, factor):
         return SymTensor2Field(self.chart, {
             k: f * factor for k, f in self.comps.items()})
-
-
-def _riemann_canonical(i, j, k, l):
-    """Canonical key and sign under the pair (anti)symmetries; None if forced zero."""
-    if i == j or k == l:
-        return None, 0.0
-    sign = 1.0
-    if i > j:
-        i, j, sign = j, i, -sign
-    if k > l:
-        k, l, sign = l, k, -sign
-    if (i, j) > (k, l):
-        i, j, k, l = k, l, i, j
-    return (i, j, k, l), sign
-
-
-class Riemann4Field:
-    """Rank-4 field with the algebraic pair symmetries of a curvature tensor."""
-
-    __slots__ = ("chart", "comps")
-
-    def __init__(self, chart: Chart, comps):
-        self.chart = chart
-        self.comps = {}
-        for idx, field in comps.items():
-            key, sign = _riemann_canonical(*idx)
-            if key is None:
-                continue
-            self.comps[key] = field if sign > 0 else -field
-
-    def comp(self, i, j, k, l) -> ScalarField:
-        key, sign = _riemann_canonical(i, j, k, l)
-        if key is None:
-            return self.chart.zero()
-        field = self.comps.get(key)
-        if field is None:
-            return self.chart.zero()
-        return field if sign > 0 else -field
-
-    def values(self, point):
-        shape = (self.chart.dim,) * 4
-        return evaluate([self.comp(*idx) for idx in np.ndindex(shape)],
-                        [point]).reshape(shape)
-
-
-class Cotton3Field:
-    """Rank-3 field antisymmetric in its first two slots."""
-
-    __slots__ = ("chart", "comps")
-
-    def __init__(self, chart: Chart, comps):
-        self.chart = chart
-        self.comps = {}
-        for (i, j, k), field in comps.items():
-            if i == j:
-                continue
-            if i > j:
-                i, j, field = j, i, -field
-            self.comps[(i, j, k)] = field
-
-    def comp(self, i, j, k) -> ScalarField:
-        if i == j:
-            return self.chart.zero()
-        sign = 1.0
-        if i > j:
-            i, j, sign = j, i, -sign
-        field = self.comps.get((i, j, k))
-        if field is None:
-            return self.chart.zero()
-        return field if sign > 0 else -field
-
-    def values(self, point):
-        shape = (self.chart.dim,) * 3
-        return evaluate([self.comp(*idx) for idx in np.ndindex(shape)],
-                        [point]).reshape(shape)

@@ -29,17 +29,16 @@ from typing import Optional
 import numpy as np
 
 from . import curvature as cv
-from .fields import (Chart, Cotton3Field, Riemann4Field, ScalarField,
-                     SymTensor2Field, evaluate, evaluate_named, max_abs,
-                     sample_points)
+from .fields import (Chart, ScalarField, SymTensor2Field, evaluate,
+                     evaluate_named, max_abs, sample_points)
 
 __all__ = [
     "MetricMeasureSpace", "WeightedInvariants", "ValidationError",
     "christoffel", "riemann", "ricci", "scalar", "weighted_invariants",
     "weighted_ricci", "weighted_scalar", "f_curvature", "schouten",
-    "weighted_weyl", "weighted_cotton", "kulkarni_nomizu", "weighted_bach",
-    "bianchi_residual", "conformally_flat_identities", "conformal_change",
-    "curvature_scale", "euclidean_metric",
+    "weighted_bach", "bianchi_residual", "conformally_flat_identities",
+    "conformal_change", "curvature_scale", "euclidean_metric",
+    "independent_components",
 ]
 
 
@@ -105,8 +104,8 @@ class WeightedInvariants:
     schouten: SymTensor2Field
     schouten_scalar: ScalarField
     y_phi: ScalarField
-    weyl: Riemann4Field
-    cotton: Cotton3Field
+    weyl: list       # nested d^4 list of fields
+    cotton: list     # nested d^3 list of fields
     bach: Optional[SymTensor2Field]
 
 
@@ -121,13 +120,18 @@ def _metric_geometry(g: SymTensor2Field) -> cv.Geometry:
     return cv.Geometry(g.as_matrix(), cv.partials(chart.dim), chart.zero())
 
 
-def _riemann_field(chart: Chart, rm) -> Riemann4Field:
-    """A Riemann4Field from a full nested d^4 array with its symmetries."""
-    d = chart.dim
-    return Riemann4Field(chart, {
-        (i, j, k, l): rm[i][j][k][l]
-        for i in range(d) for j in range(i + 1, d)
-        for k in range(d) for l in range(k + 1, d) if (i, j) <= (k, l)})
+def independent_components(t) -> list:
+    """The components of a nested-list curvature tensor that its
+    symmetries leave free: t[i][j][k][l] with i < j, k < l and
+    (i, j) <= (k, l) for a rank-4 tensor with the pair symmetries of
+    Riemann, or t[i][j][k] with i < j for a rank-3 tensor antisymmetric
+    in its first two slots (Cotton)."""
+    d = len(t)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    if isinstance(t[0][0][0], list):
+        return [t[i][j][k][l] for n, (i, j) in enumerate(pairs)
+                for k, l in pairs[n:]]
+    return [t[i][j][k] for i, j in pairs for k in range(d)]
 
 
 # -- unweighted operations on a bare metric -----------------------------------
@@ -138,8 +142,9 @@ def christoffel(g: SymTensor2Field):
     return _metric_geometry(g).gamma
 
 
-def riemann(g: SymTensor2Field) -> Riemann4Field:
-    return _riemann_field(g.chart, _metric_geometry(g).rm)
+def riemann(g: SymTensor2Field):
+    """The lowered curvature R_ijkl as a nested list of fields."""
+    return _metric_geometry(g).rm
 
 
 def ricci(g: SymTensor2Field) -> SymTensor2Field:
@@ -172,24 +177,6 @@ def schouten(s: MetricMeasureSpace):
     return SymTensor2Field.from_matrix(s.chart, P), J, Y
 
 
-def kulkarni_nomizu(h: SymTensor2Field, k: SymTensor2Field) -> Riemann4Field:
-    chart = h.chart
-    return _riemann_field(chart, cv.kulkarni_nomizu(
-        h.as_matrix(), k.as_matrix(), chart.zero()))
-
-
-def weighted_weyl(s: MetricMeasureSpace) -> Riemann4Field:
-    return _riemann_field(s.chart, s.geometry.weyl)
-
-
-def weighted_cotton(s: MetricMeasureSpace) -> Cotton3Field:
-    dP = s.geometry.cotton
-    d = s.dim
-    return Cotton3Field(s.chart, {
-        (i, j, k): dP[i][j][k]
-        for i in range(d) for j in range(i + 1, d) for k in range(d)})
-
-
 def weighted_bach(s: MetricMeasureSpace) -> SymTensor2Field:
     if s.m == 0.0:
         raise ValidationError("the weighted Bach tensor requires m > 0")
@@ -211,7 +198,7 @@ def weighted_invariants(s: MetricMeasureSpace) -> WeightedInvariants:
     return WeightedInvariants(
         ricci_phi=weighted_ricci(s), scalar_phi=geo.scal_phi,
         f_phi=geo.F_phi, schouten=P_field, schouten_scalar=J, y_phi=Y,
-        weyl=weighted_weyl(s), cotton=weighted_cotton(s),
+        weyl=geo.weyl, cotton=geo.cotton,
         bach=weighted_bach(s) if s.m > 0 else None)
 
 
@@ -235,7 +222,7 @@ def conformally_flat_identities(s: MetricMeasureSpace):
     P, _, _, Y = geo.schouten
     dphi = geo.dphi
     d = s.dim
-    hphi = cv.phi_hessian(s.f, geo.gamma, derivs, s.m, zero)
+    hphi = geo.hess_phi
     grad_phi = [cv.acc_sum([ginv[i][j] * dphi[j] for j in range(d)
                             if not dphi[j].is_zero], zero) for i in range(d)]
     res_a = [cv.acc_sum([
@@ -257,10 +244,12 @@ def conformal_change(s: MetricMeasureSpace, u: ScalarField) -> MetricMeasureSpac
 
 
 def curvature_scale(s: MetricMeasureSpace, points) -> float:
-    """max over points of |Rm|_g + |Hess f / f|_g + |grad f / f|^2_g + |mu|.
+    """max(1, max over points of |Rm|_g + |Hess f / f|_g + |grad f / f|^2_g
+    + |mu|).
 
     The reference magnitude that 'relative' tolerances are measured
-    against throughout the package.
+    against throughout the package; the floor of 1 keeps a nearly flat
+    space from tightening them toward zero.
     """
     rm, hess_f = s.geometry.rm, s.geometry.hess_f
     d = s.dim
@@ -278,4 +267,4 @@ def curvature_scale(s: MetricMeasureSpace, points) -> float:
         hf_norm = np.sqrt(abs(np.einsum("ij,kl,ik,jl->", hf_v, hf_v, ginv, ginv))) / fv
         gf_norm = float(df_v @ ginv @ df_v) / fv ** 2
         worst = max(worst, rm_norm + hf_norm + gf_norm + abs(s.mu))
-    return worst
+    return max(worst, 1.0)

@@ -231,8 +231,7 @@ def test_criterion_08_branch_guarantees(spaces, expansions):
     assert e.branch is Branch.NON_INTEGER
     pts = s.sample(10, seed=9)
     scale = _scale(s, pts)
-    G, F = e.series()
-    Rt, Ft = closed_form_residual_series(s, G, F)
+    Rt, Ft = closed_form_residual_series(e.slice())
     worst = 0.0
     for k in range(3):
         for p in pts:
@@ -260,8 +259,9 @@ def test_criterion_08_branch_guarantees(spaces, expansions):
                 worst_row = max(worst_row, abs(c if isinstance(c, float)
                                                else c.value(p)))
     assert worst_row <= 1e-11
-    G1, F1 = e1.series()
-    Rt1, Ft1 = closed_form_residual_series(s1, G1, F1)
+    slice1 = e1.slice()
+    Rt1, Ft1 = closed_form_residual_series(slice1)
+    F1 = slice1.f
     from smmsgeom import curvature as cv
     trace = cv.acc_sum([a1.Ginv[i][j] * Rt1[i][j] for i in range(3)
                         for j in range(3)], a1._zero_series)

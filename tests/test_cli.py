@@ -183,28 +183,80 @@ def test_cli_seed_override_is_validated_at_the_run_points(tmp_path, own_seed,
         assert code == 0, report
 
 
-def test_cli_invariants_builds_each_curvature_part_once(config_path, tmp_path,
-                                                        monkeypatch):
+def count_builds(monkeypatch, names, ring):
+    """name -> calls of each `curvature` function in `names` whose last
+    argument, the ring's zero, satisfies `ring`; counted while the test
+    runs."""
     from smmsgeom import curvature as cv
-    from smmsgeom.fields import ScalarField
-    names = ("matrix_inverse", "christoffel", "ricci", "riemann_lowered",
-             "hessian")
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args):
-            # the last argument is the ring's zero: a field on the chart
-            if isinstance(args[-1], ScalarField):
+            if ring(args[-1]):
                 calls[name] += 1
             return fn(*args)
         return wrapper
 
     for name in names:
         monkeypatch.setattr(cv, name, counted(name, getattr(cv, name)))
+    return calls
+
+
+def on_chart(zero):
+    from smmsgeom.fields import ScalarField
+    return isinstance(zero, ScalarField)
+
+
+def test_cli_invariants_builds_each_curvature_part_once(config_path, tmp_path,
+                                                        monkeypatch):
+    names = ("matrix_inverse", "christoffel", "ricci", "riemann_lowered",
+             "hessian")
+    calls = count_builds(monkeypatch, names, on_chart)
     code, _ = run_cli(["invariants", "--config", config_path, "--points", "1"],
                       tmp_path, "c.txt")
     assert code == 0
     assert calls == dict.fromkeys(names, 1)
+
+
+def random_config(seed, m, mu, order):
+    """The config of `random_entry(d=3, m=m, mu=mu, seed=seed)` at one
+    sample point, as the benchmark writes it."""
+    from smmsgeom.catalog import random_entry
+    exprs = random_entry(d=3, m=m, mu=mu, seed=seed).params["expressions"]
+    metric = "\n".join(f"g{j + 1}{i + 1} = {exprs[f'g{i + 1}{j + 1}']}"
+                       for i in range(3) for j in range(i, 3))
+    return (f"[chart]\ndimension = 3\ncoordinates = x1 x2 x3\n"
+            f"box = -0.5 0.5 ; -0.5 0.5 ; -0.5 0.5\n\n[metric]\n{metric}\n\n"
+            f"[density]\nf = {exprs['f']}\n\n"
+            f"[parameters]\nm = {m!r}\nmu = {mu!r}\n\n"
+            f"[solver]\norder = {order}\n\n"
+            f"[sampling]\npoints = 1\nseed = {seed}\n")
+
+
+def test_cli_verify_inverts_each_series_metric_once(tmp_path, monkeypatch):
+    # one rho-slice per solver step (4) and one for the ambient metric,
+    # whose closed-form Ricci reads it, plus the r-Laurent metric of the
+    # Poincare residual; a second slice in `ricci_closed` made it 7
+    from smmsgeom.series import Series
+    calls = count_builds(monkeypatch, ("matrix_inverse", "christoffel"),
+                         lambda zero: isinstance(zero, Series))
+    path = tmp_path / "deep.cfg"
+    path.write_text(random_config(51, 0.5, 0.1, 4))
+    code, text = run_cli(["verify", "--config", str(path)], tmp_path, "d.txt")
+    assert code == 0, text
+    assert calls == {"matrix_inverse": 6, "christoffel": 6}
+
+
+def test_cli_catalog_verify_reads_the_space_geometry(tmp_path, monkeypatch):
+    # the base space and the (x, r) space of the cone check, one each: the
+    # weighted-flat identities read Hess phi from the space's Geometry, and
+    # the closed form its inverse metric
+    names = ("matrix_inverse", "hessian", "phi_hessian")
+    calls = count_builds(monkeypatch, names, on_chart)
+    code, text = run_cli(["verify", "--catalog", "wlcf", "--points", "1",
+                          "--order", "3"], tmp_path, "w.txt")
+    assert code == 0, text
+    assert calls == {"matrix_inverse": 2, "hessian": 2, "phi_hessian": 1}
 
 
 NAN_CONFIG = """[chart]
@@ -249,6 +301,41 @@ def test_cli_nan_coefficients_fail_the_order_checks(config_path, tmp_path):
     assert code == 1
     assert "check.ambient_order_ij.ok = false" in text
     assert "check.ambient_order_ij.value = nan" in text
+
+
+@pytest.mark.parametrize("command,old,new,error", [
+    # g_rho's jets overflow until a divisor meets the pivot floor
+    ("expand", "m = 0.5", "m = 1", "constant term"),
+    # sqrt(x2) at a sample point with x2 < 0
+    ("invariants", "g11 = exp(700*x1)\ng22 = 1",
+     "g11 = 1\ng22 = 1 + 0.1*sqrt(x2)", "sqrt of non-positive"),
+])
+def test_cli_jet_domain_errors_are_typed(tmp_path, command, old, new, error):
+    path = tmp_path / "domain.cfg"
+    path.write_text(NAN_CONFIG.replace("order = 2", "order = 3")
+                    .replace(old, new))
+    code, text = run_cli([command, "--config", str(path)], tmp_path, "j.txt")
+    assert code == 2, text
+    assert f"error = JetDivisionError: {error}" in text
+
+
+@pytest.mark.parametrize("spec,error", [
+    ("1,0,0", "takes K,I,J,EPS"),
+    ("a,b,c,d", "must be integers"),
+    ("1,0,0,x", "must be integers"),
+    ("9,0,0,1e-3", "K = 9 is outside 0..2"),
+    ("-1,0,0,1e-3", "K = -1 is outside 0..2"),
+    ("1,0,7,1e-3", "J = 7 is outside 0..2"),
+    ("1,3,0,1e-3", "I = 3 is outside 0..2"),
+])
+def test_cli_rejects_a_corruption_outside_the_expansion(config_path, tmp_path,
+                                                          spec, error):
+    code, text = run_cli(["verify", "--config", config_path, "--points", "1",
+                          f"--corrupt-coefficient={spec}"], tmp_path, "k.txt")
+    assert code == 2, text
+    assert "error = ConfigError: --corrupt-coefficient" in text
+    assert error in text
+    assert "corruption =" not in text
 
 
 def test_cli_invariants_and_expand(config_path, tmp_path):

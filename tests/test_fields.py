@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from smmsgeom.curvature import acc_sum
-from smmsgeom.fields import (Chart, Cotton3Field, Riemann4Field, SymTensor2Field,
-                             evaluate, evaluate_named, sample_points)
+from smmsgeom.fields import (Chart, SymTensor2Field, evaluate, evaluate_named,
+                             sample_points)
 from smmsgeom.expressions import parse_expression
 from smmsgeom.jets import (Jet, JetDivisionError, value_apply, value_power,
                           value_quotient)
@@ -90,32 +90,6 @@ def test_sym_tensor_storage_and_values():
     m = t.matrix_values((0.3, 0.5))
     assert m[0, 1] == m[1, 0] == pytest.approx(0.15)
     assert m[0, 0] == 2.0 and m[1, 1] == 0.0
-
-
-def test_riemann_storage_symmetry_roundtrip():
-    chart = Chart(("x1", "x2", "x3"))
-    f = parse_expression("x1+2", chart)
-    r = Riemann4Field(chart, {(0, 1, 0, 1): f})
-    p = (0.1, 0.2, 0.3)
-    v = f.value(p)
-    assert r.comp(0, 1, 0, 1).value(p) == pytest.approx(v)
-    assert r.comp(1, 0, 0, 1).value(p) == pytest.approx(-v)
-    assert r.comp(0, 1, 1, 0).value(p) == pytest.approx(-v)
-    assert r.comp(1, 0, 1, 0).value(p) == pytest.approx(v)
-    assert r.comp(0, 0, 1, 1).value(p) == 0.0
-    # pair exchange reads the same stored component
-    r2 = Riemann4Field(chart, {(0, 2, 0, 1): f})
-    assert r2.comp(0, 1, 0, 2).value(p) == pytest.approx(v)
-
-
-def test_cotton_antisymmetry():
-    chart = Chart(("x1", "x2", "x3"))
-    f = parse_expression("x3", chart)
-    c = Cotton3Field(chart, {(1, 0, 2): f})
-    p = (0.1, 0.2, 0.7)
-    assert c.comp(1, 0, 2).value(p) == pytest.approx(0.7)
-    assert c.comp(0, 1, 2).value(p) == pytest.approx(-0.7)
-    assert c.comp(1, 1, 2).value(p) == 0.0
 
 
 def test_structurally_equal_fields_are_one_node():

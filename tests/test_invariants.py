@@ -4,8 +4,9 @@ finite differences, and the exact identities."""
 import numpy as np
 import pytest
 
+from smmsgeom import curvature as cv
 from smmsgeom.expressions import parse_expression
-from smmsgeom.fields import Chart, SymTensor2Field
+from smmsgeom.fields import Chart, SymTensor2Field, evaluate
 from smmsgeom import invariants as inv
 from smmsgeom.invariants import MetricMeasureSpace, ValidationError
 
@@ -24,6 +25,12 @@ def sphere_space(m=0.0, mu=0.0, f_expr="1"):
     conf = parse_expression("4/((1+x1^2+x2^2+x3^2)^2)", chart)
     g = SymTensor2Field(chart, {(i, i): conf for i in range(3)})
     return MetricMeasureSpace(chart, g, parse_expression(f_expr, chart), m, mu)
+
+
+def values(t, p):
+    """A nested list of fields at the point p, as an array of its shape."""
+    arr = np.array(t, dtype=object)
+    return evaluate(arr.ravel().tolist(), [p]).reshape(arr.shape)
 
 
 def random_space(seed, d=3, m=1.0, mu=0.0, amplitude=0.05):
@@ -115,9 +122,8 @@ def test_round_3sphere_positive_curvature():
 
 def test_riemann_symmetries_sampled():
     s = random_space(5)
-    rm = inv.riemann(s.g)
     p = (0.2, -0.3, 0.1)
-    v = rm.values(p)
+    v = values(inv.riemann(s.g), p)
     assert np.allclose(v, -v.transpose(1, 0, 2, 3), atol=1e-12)
     assert np.allclose(v, -v.transpose(0, 1, 3, 2), atol=1e-12)
     assert np.allclose(v, v.transpose(2, 3, 0, 1), atol=1e-12)
@@ -265,26 +271,39 @@ def test_schouten_degenerate_dimension_rejected():
 
 def test_kulkarni_nomizu_orthonormal_value():
     s = euclidean_space()
-    gg = inv.kulkarni_nomizu(s.g, s.g)
-    p = (0.0, 0.0, 0.0)
-    assert gg.comp(0, 1, 0, 1).value(p) == pytest.approx(2.0)
-    assert gg.comp(0, 1, 1, 0).value(p) == pytest.approx(-2.0)
-    assert gg.comp(0, 1, 0, 2).value(p) == 0.0
+    g = s.g.as_matrix()
+    v = values(cv.kulkarni_nomizu(g, g, s.chart.zero()), (0.0, 0.0, 0.0))
+    assert v[0, 1, 0, 1] == pytest.approx(2.0)
+    assert v[0, 1, 1, 0] == pytest.approx(-2.0)
+    assert v[0, 1, 0, 2] == 0.0
+    assert np.array_equal(v, -v.transpose(1, 0, 2, 3))
+    assert np.array_equal(v, -v.transpose(0, 1, 3, 2))
+    assert np.array_equal(v, v.transpose(2, 3, 0, 1))
+
+
+def test_independent_components_follow_the_symmetries():
+    r = range(3)
+    t4 = [[[[(i, j, k, l) for l in r] for k in r] for j in r] for i in r]
+    assert inv.independent_components(t4) == [
+        (0, 1, 0, 1), (0, 1, 0, 2), (0, 1, 1, 2),
+        (0, 2, 0, 2), (0, 2, 1, 2), (1, 2, 1, 2)]
+    t3 = [[[(i, j, k) for k in r] for j in r] for i in r]
+    assert inv.independent_components(t3) == [
+        (i, j, k) for i, j in ((0, 1), (0, 2), (1, 2)) for k in r]
 
 
 def test_weyl_cotton_flat_zero():
     s = euclidean_space(m=1.0, mu=0.0)
-    A = inv.weighted_weyl(s)
-    dP = inv.weighted_cotton(s)
     p = (0.2, 0.1, -0.3)
-    assert np.allclose(A.values(p), 0.0, atol=1e-14)
-    assert np.allclose(dP.values(p), 0.0, atol=1e-14)
+    assert np.allclose(values(s.geometry.weyl, p), 0.0, atol=1e-14)
+    assert np.allclose(values(s.geometry.cotton, p), 0.0, atol=1e-14)
 
 
 def test_weyl_vanishes_on_space_form():
     s = sphere_space(m=0.0)
-    A = inv.weighted_weyl(s)
-    assert np.allclose(A.values((0.1, -0.2, 0.05)), 0.0, atol=1e-9)
+    A = values(s.geometry.weyl, (0.1, -0.2, 0.05))
+    assert A.shape == (3, 3, 3, 3)
+    assert np.allclose(A, 0.0, atol=1e-9)
 
 
 def test_bach_flat_zero():

@@ -2,15 +2,17 @@
 
     python3 tools/report_bodies.py OUTDIR
 
-Runs `invariants`, `expand`, `poincare` and `verify` on every
-`configs/*.cfg`, on every catalog entry and on the seed-51 random-deep
-and even-critical configs of `bench/inputs.random_config`: 44 reports,
-each from its own `python3 -m smmsgeom.cli` child of this checkout.
+Runs `invariants`, `expand`, `obstruction`, `poincare` and `verify` on
+every `configs/*.cfg`, on every catalog entry and on the seed-51
+random-deep and even-critical configs of `bench/inputs.random_config`:
+55 reports, each from its own `python3 -m smmsgeom.cli` child of this
+checkout (`obstruction` exits 2 where d+m is not an even integer).
 Writes the body of each (every line before the first `timings.` line)
 to OUTDIR/<command>.<input>.txt, and prints one line per report with
-its exit status and `timings.stats.nodes`.  Run it in two checkouts and
-compare with `diff -r OUTDIR_A OUTDIR_B`: a change that keeps the
-reports leaves no difference.
+its exit status and `timings.stats.nodes`, `.computed` and
+`.recomputed`.  Run it in two checkouts and compare with
+`diff -r OUTDIR_A OUTDIR_B`: a change that keeps the reports leaves no
+difference.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COMMANDS = ("invariants", "expand", "poincare", "verify")
+COMMANDS = ("invariants", "expand", "obstruction", "poincare", "verify")
 CATALOG = ("flat", "quasi-einstein", "wlcf", "gover-leitner",
            "gover-leitner-flat")
+STATS = ("nodes", "computed", "recomputed")
 # (name, d, m, mu, seed, order) as the random-deep and even-critical
 # workloads generate them
 RANDOM = (("random-deep-s51", 3, 0.5, 0.1, 51, 4),
@@ -68,10 +71,12 @@ def main(argv):
             body = os.path.join(outdir, f"{command}.{name}.txt")
             with open(body, "w") as fh:
                 fh.writelines(lines[:cut])
-            nodes = next((line.split("=")[1].strip() for line in lines[cut:]
-                          if line.startswith("timings.stats.nodes ")), "-")
-            print(f"{command} {name} exit={proc.returncode} nodes={nodes}",
-                  flush=True)
+            stats = dict(line[len("timings.stats."):].split(" = ")
+                         for line in lines[cut:]
+                         if line.startswith("timings.stats."))
+            print(f"{command} {name} exit={proc.returncode} "
+                  + " ".join(f"{key}={stats.get(key, '-').strip()}"
+                             for key in STATS), flush=True)
     return 0
 
 

@@ -156,9 +156,11 @@ class AmbientMetric:
         one = Series([chart.constant(1.0)], 0, None, zero_f)
         self.rho_series = Series([chart.constant(1.0)], 1, None, zero_f)
         # the rho-dependent slice (g_rho, f_rho), whose curvature and
-        # rho-derivatives the closed forms share
+        # rho-derivatives the closed forms share; its inverse is cut one
+        # rho power early, and the generic rows read gtinv only through
+        # rho^(N-2)
         self.slice = expansion.slice()
-        G, F = self.G, self.F = self.slice.g, self.slice.f
+        G, F = self.G, self.F = self.slice.G, self.slice.F
         self.Ginv = self.slice.ginv
 
         n, oo = self.n, self.oo

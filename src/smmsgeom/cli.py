@@ -19,16 +19,19 @@ timings block gives the seconds of each stage a command ran
 (`timings.stage.*`), and for the problem chart its interned DAG nodes,
 its `fields.evaluate` calls, its node computations and those of them
 that replaced a memo entry (`timings.stats.nodes`, `.evaluations`,
-`.computed`, `.recomputed`).  The exit status is 0 when every check
-passed, 1 when a check failed, 2 on a typed input or solver error (a
-usage error, a missing or malformed input, an order or point count
-below 1, an unknown catalog entry or tolerance name, a tolerance that is
-not finite and non-negative, a `--corrupt-coefficient` that does not
-name a solved coefficient, or a `JetDivisionError`: an input whose jets
-meet a division, `log` or `sqrt` outside its domain) and 3 on any other
-exception (`error = internal: ...`).  `verify --corrupt-coefficient
-K,I,J,EPS` is a test hook that perturbs one solved coefficient
-(0 <= K <= order, 0 <= I, J < d) to demonstrate check sensitivity.
+`.computed`, `.recomputed`); every report, an error report too, gives
+the peak resident set size of the process in MB
+(`timings.stats.peak_rss_mb`, from `getrusage`).  The exit status is 0
+when every check passed, 1 when a check failed, 2 on a typed input or
+solver error (a usage error, a missing or malformed input, an order or
+point count below 1, an unknown catalog entry or tolerance name, a
+tolerance that is not finite and non-negative, a
+`--corrupt-coefficient` that does not name a solved coefficient, or a
+`JetDivisionError`: an input whose jets meet a division, `log` or
+`sqrt` outside its domain) and 3 on any other exception
+(`error = internal: ...`).  `verify --corrupt-coefficient K,I,J,EPS` is
+a test hook that perturbs one solved coefficient (0 <= K <= order,
+0 <= I, J < d) to demonstrate check sensitivity.
 
 `verify` runs the stage with the highest jet demand first, so that the
 later ones read the memo: the cone check, the Poincaré residual, then
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import resource
 import sys
 import time
 
@@ -458,6 +462,9 @@ def main(argv=None) -> int:
         except Exception as exc:
             report.put("error", f"internal: {type(exc).__name__}: {exc}")
             code = 3
+        # ru_maxrss is in KiB on Linux
+        report.put_timing("stats.peak_rss_mb", resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024.0)
         report.put_timing("total_seconds", time.perf_counter() - started)
         text = report.write(None if args is None else args.out)
         sys.stdout.write(text)

@@ -428,9 +428,19 @@ def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
 
         F = f Lap f + (m-1)(|grad f|^2 - mu).
 
+    The quadratic term is contracted one index at a time,
+
+        U_I[K][P] = g^{KL} G_{ILP},   W_J[K][P] = g^{PQ} G_{JKQ},
+        V^P = g^{PQ} g^{KL} G_{KLQ},
+        g^{KL} g^{PQ}(...) = U_I[K][P] W_J[K][P] - G_{IJP} V^P,
+
+    so in dimension n the full build costs O(n^4) ring products, not the
+    O(n^6) of summing all four indices for every entry.
+
     With `entries` (index pairs (I, J)), only those entries and their
-    mirrors are built, the rest of `ric` is None and F is None; each
-    built entry is the same expression as in the full build.
+    mirrors are built (U only for their rows I), the rest of `ric` is
+    None and F is None; each built entry is the same expression as in
+    the full build.
 
     With `truncate` (a map on scalars, e.g. cutting a series), the
     connection symbols G, d f and the inverse metric pass through it
@@ -461,6 +471,11 @@ def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
         ginv = [[truncate(x) for x in row] for row in ginv]
         df = [truncate(x) for x in df]
 
+    def contract(a, b):
+        """sum_k a[k] b[k], skipping the structurally zero products."""
+        return acc_sum([x * y for x, y in zip(a, b)
+                        if not (_is_zero(x) or _is_zero(y))], zero)
+
     @cache
     def hess(i, j):
         terms = [d2f[i][j]]
@@ -472,11 +487,22 @@ def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
                 terms.append(-(ginv[kk][ll] * (gamma1[i][j][ll] * df[kk])))
         return acc_sum(terms, zero)
 
-    # g^{KL} g^{PQ} does not depend on (I, J)
+    @cache
+    def U(i):
+        return [[contract(ginv[kk], [gamma1[i][ll][p] for ll in range(n)])
+                 for p in range(n)] for kk in range(n)]
+
+    @cache
+    def W(j):
+        return [[contract(ginv[p], gamma1[j][kk]) for p in range(n)]
+                for kk in range(n)]
+
     pairs = [(kk, ll) for kk in range(n) for ll in range(n)
              if not _is_zero(ginv[kk][ll])]
-    gg = {(kk, ll, p, q): ginv[kk][ll] * ginv[p][q]
-          for kk, ll in pairs for p, q in pairs}
+    trace1 = [acc_sum([ginv[kk][ll] * gamma1[kk][ll][q] for kk, ll in pairs
+                       if not _is_zero(gamma1[kk][ll][q])], zero)
+              for q in range(n)]
+    V = [contract(ginv[p], trace1) for p in range(n)]
     ric = [[None] * n for _ in range(n)]
     for i, j in wanted:
         terms = []
@@ -485,12 +511,10 @@ def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
                              -d2g(i, j, kk, ll), -d2g(kk, ll, i, j)], zero)
             if not _is_zero(inner):
                 terms.append((ginv[kk][ll] * inner) * 0.5)
-            for p, q in pairs:
-                gkp = gg[(kk, ll, p, q)]
-                if not (_is_zero(gamma1[i][ll][p]) or _is_zero(gamma1[j][kk][q])):
-                    terms.append(gkp * (gamma1[i][ll][p] * gamma1[j][kk][q]))
-                if not (_is_zero(gamma1[i][j][p]) or _is_zero(gamma1[kk][ll][q])):
-                    terms.append(-(gkp * (gamma1[i][j][p] * gamma1[kk][ll][q])))
+        terms += [a * b for Uk, Wk in zip(U(i), W(j)) for a, b in zip(Uk, Wk)
+                  if not (_is_zero(a) or _is_zero(b))]
+        terms += [-(a * b) for a, b in zip(gamma1[i][j], V)
+                  if not (_is_zero(a) or _is_zero(b))]
         if m != 0.0:
             hf = hess(i, j)
             if not _is_zero(hf):

@@ -163,26 +163,31 @@ class RhoExpansion:
 
 class RhoSlice(cv.Geometry):
     """The rho-slice (g_rho, f_rho) of the coefficient lists `g_coeffs`
-    and `f_coeffs` (rho^0 first), as rho-series over the chart of `base`
-    cut after the last coefficient: the Geometry of the slice (`g` is
-    the matrix G of series, `f` the series F), with the rho-derivatives
-    G', G'', F' and F'' that the closed forms read, each built on first
+    and `f_coeffs` (rho^0 first, at least two), over the chart of
+    `base`.  `G` (a matrix) and `F` are the rho-series cut after the
+    last coefficient, and the rho-derivatives G', G'', F' and F'' that
+    the closed forms read are taken of them.  The Geometry (`g`, `f` and
+    every curvature attribute) is that of the slice cut one coefficient
+    earlier: the closed forms read its curvature only through that rho
+    power, so no later one is built.  Each attribute is built on first
     read and then kept."""
 
     def __init__(self, base, g_coeffs, f_coeffs):
         zero = base.chart.zero()
         trunc = len(g_coeffs) - 1
         d = base.dim
-        G = [[Series([g.comp(i, j) for g in g_coeffs], 0, trunc, zero)
-              for j in range(d)] for i in range(d)]
-        F = Series(list(f_coeffs), 0, trunc, zero)
-        super().__init__(G, cv.partials(d), Series.zero_series(zero), F,
+        self.G = [[Series([g.comp(i, j) for g in g_coeffs], 0, trunc, zero)
+                   for j in range(d)] for i in range(d)]
+        self.F = Series(list(f_coeffs), 0, trunc, zero)
+        super().__init__([[x.truncated(trunc - 1) for x in row]
+                          for row in self.G], cv.partials(d),
+                         Series.zero_series(zero), self.F.truncated(trunc - 1),
                          base.m, base.mu)
         self.chart_zero = zero
 
-    Gp = cached_property(lambda self: _rho_derivs(self.g))
+    Gp = cached_property(lambda self: _rho_derivs(self.G))
     Gpp = cached_property(lambda self: _rho_derivs(self.Gp))
-    Fp = cached_property(lambda self: self.f.deriv())
+    Fp = cached_property(lambda self: self.F.deriv())
     Fpp = cached_property(lambda self: self.Fp.deriv())
 
 
@@ -201,7 +206,10 @@ def closed_form_residual_series(geo: RhoSlice):
       Ft    = -2 rho f f'' - rho f f' tr g' - 2(m-1) rho (f')^2
               + (f^2/2) tr g' + (2m+d-2) f f' + F_phi[g_rho, f_rho]
 
-    with all primes rho-derivatives and traces taken in g_rho."""
+    with all primes rho-derivatives and traces taken in g_rho.  G' cuts
+    both series one rho power before the slice's last coefficient, so g,
+    f, g^{-1}, Ric_phi and F_phi are those of the Geometry of `geo`, the
+    slice cut there."""
     d, m = geo.dim, float(geo.m)
     ezero = geo.zero
     rho = Series([1.0], 1, None, geo.chart_zero)

@@ -22,6 +22,8 @@ Their agreement is a standing self-test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional
 
 from . import curvature as cv
@@ -74,6 +76,16 @@ class Graded:
         return Graded(self.deg, self.val + other.val)
 
     __radd__ = __add__
+
+    @staticmethod
+    def sum_of(terms):
+        """The left fold of `+` over `terms`: one graded scalar whose value
+        is the n-ary sum of theirs when they share one t-degree; terms of
+        unequal degree are folded (an exact zero may be among them)."""
+        deg = terms[0].deg
+        if any(t.deg != deg for t in terms):
+            return reduce(add, terms)
+        return Graded(deg, cv.fold_sum([t.val for t in terms]))
 
     def __neg__(self):
         return Graded(self.deg, -self.val)
@@ -161,7 +173,7 @@ class AmbientMetric:
         # rho^(N-2)
         self.slice = expansion.slice()
         G, F = self.G, self.F = self.slice.G, self.slice.F
-        self.Ginv = self.slice.ginv
+        self.Ginv = self.slice.geometry.ginv
 
         n, oo = self.n, self.oo
         gt = [[self.zero] * n for _ in range(n)]
@@ -212,7 +224,7 @@ class AmbientMetric:
         d, n, oo = self.d, self.n, self.oo
         ez = self._zero_series
         one = Series([chart.constant(1.0)], 0, None, chart.zero())
-        gamma_slice = self.slice.gamma
+        gamma_slice = self.slice.geometry.gamma
         Gp = self.slice.Gp
         out = [[[self.zero] * n for _ in range(n)] for _ in range(n)]
         for i in range(d):
@@ -271,7 +283,7 @@ class AmbientMetric:
         d = self.d
         ez = self._zero_series
         G, Ginv = self.G, self.Ginv
-        rm_slice = self.slice.rm
+        rm_slice = self.slice.geometry.rm
         Gp, Gpp = self.slice.Gp, self.slice.Gpp
 
         tang = {}
@@ -288,7 +300,8 @@ class AmbientMetric:
                             rm_slice[i][j][k][l], t2, t3,
                             -(self.rho_series * t4)], ez)
                         tang[(i, j, k, l)] = Graded(2, term)
-        cov_gp = cv.cov_deriv_sym2(Gp, self.slice.gamma, self.slice.derivs, ez)
+        geo = self.slice.geometry
+        cov_gp = cv.cov_deriv_sym2(Gp, geo.gamma, geo.derivs, ez)
         mixed = {}
         for j in range(d):
             for k in range(d):

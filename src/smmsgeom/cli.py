@@ -17,9 +17,10 @@ reported as `error = ConfigError: ...` on stdout only, since no
 `--out` has been read.  `--help` prints the usage and exits 0.  The
 timings block gives the seconds of each stage a command ran
 (`timings.stage.*`), and for the problem chart its interned DAG nodes,
-its `fields.evaluate` calls, its node computations and those of them
-that replaced a memo entry (`timings.stats.nodes`, `.evaluations`,
-`.computed`, `.recomputed`); every report, an error report too, gives
+those of them computed at no sampled point, its `fields.evaluate`
+calls, its node computations and those of them that replaced a memo
+entry (`timings.stats.nodes`, `.unread`, `.evaluations`, `.computed`,
+`.recomputed`); every report, an error report too, gives
 the peak resident set size of the process in MB
 (`timings.stats.peak_rss_mb`, from `getrusage`).  The exit status is 0
 when every check passed, 1 when a check failed, 2 on a typed input or
@@ -164,6 +165,7 @@ def _finish(prob, report) -> int:
     """Record the DAG size and evaluation counters; return the exit status."""
     chart = prob.space.chart
     report.put_timing("stats.nodes", chart.node_count)
+    report.put_timing("stats.unread", chart.unread)
     report.put_timing("stats.evaluations", chart.evaluations)
     report.put_timing("stats.computed", chart.computed)
     report.put_timing("stats.recomputed", chart.recomputed)

@@ -22,7 +22,8 @@ conformally flat spaces with X_[ab] = (X_ab - X_ba)/2):
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from operator import add
 
 __all__ = [
     "Geometry", "partials", "matrix_inverse", "christoffel", "ricci",
@@ -53,13 +54,25 @@ def _is_zero(x) -> bool:
 
 
 def acc_sum(terms, zero):
-    """Sum skipping structural zeros; `zero` is returned for an empty sum."""
-    acc = None
-    for t in terms:
-        if _is_zero(t):
-            continue
-        acc = t if acc is None else acc + t
-    return zero if acc is None else acc
+    """Sum skipping structural zeros; `zero` is returned for an empty sum.
+    The other terms are added by `fold_sum`, so a sum of fields is one
+    node, not a chain of partial sums."""
+    terms = [t for t in terms if not _is_zero(t)]
+    return fold_sum(terms) if terms else zero
+
+
+def fold_sum(terms):
+    """terms[0] + terms[1] + ..., as the left fold of `+` builds it, for a
+    nonempty list.  Where every term is of one class that has an n-ary
+    `sum_of` (fields, series, graded scalars), that builds the fold at
+    once; it gives what the fold gives.  Any other list is folded."""
+    first = terms[0]
+    cls = first.__class__
+    nary = getattr(cls, "sum_of", None)
+    if (nary is not None and len(terms) > 1
+            and all(t.__class__ is cls for t in terms)):
+        return nary(terms)
+    return reduce(add, terms)
 
 
 def _det(m, rows, cols, memo, zero):
@@ -123,17 +136,23 @@ def christoffel(g, ginv, derivs, zero):
 
 
 def ricci(gamma, derivs, zero):
-    """Ric[j][l] from the connection coefficients alone."""
+    """Ric[j][l] from the connection coefficients alone.  Of the partials
+    d_a Gamma^k_ij it builds, on first use, only the 2n^3 it reads:
+    d_k Gamma^k_lj and d_l Gamma^k_kj."""
     n = len(gamma)
-    dgam = [[[[derivs[a](gamma[k][i][j]) for a in range(n)]
-              for j in range(n)] for i in range(n)] for k in range(n)]
+
+    @cache
+    def dgam(k, i, j, a):
+        """d_a Gamma^k_ij."""
+        return derivs[a](gamma[k][i][j])
+
     ric = [[None] * n for _ in range(n)]
     for j in range(n):
         for l in range(j, n):
             terms = []
             for k in range(n):
-                terms.append(dgam[k][l][j][k])
-                terms.append(-dgam[k][k][j][l])
+                terms.append(dgam(k, l, j, k))
+                terms.append(-dgam(k, k, j, l))
                 for p in range(n):
                     if not (_is_zero(gamma[k][k][p]) or _is_zero(gamma[p][l][j])):
                         terms.append(gamma[k][k][p] * gamma[p][l][j])

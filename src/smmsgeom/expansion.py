@@ -136,6 +136,9 @@ class OrderStep:
     trace_system_det: float
     solvable: bool
     note: Optional[str] = None
+    # the Geometry of the slice of the coefficients through n-1 that the
+    # step read
+    geometry: Optional[cv.Geometry] = None
 
 
 @dataclass
@@ -155,34 +158,44 @@ class RhoExpansion:
     obstruction: Optional[ObstructionData] = None
     ambiguity_notes: list = dc_field(default_factory=list)
     warnings: list = dc_field(default_factory=list)
+    # the Geometry that the last solver step read: that of the slice of
+    # g_coeffs and f_coeffs without their last coefficients
+    geometry: Optional[cv.Geometry] = None
 
     def slice(self) -> "RhoSlice":
-        """The rho-slice (g_rho, f_rho) of the computed coefficients."""
-        return RhoSlice(self.base, self.g_coeffs, self.f_coeffs)
+        """The rho-slice (g_rho, f_rho) of the computed coefficients.  It
+        takes over `geometry` while the coefficients it was built from are
+        still those of the expansion."""
+        return RhoSlice(self.base, self.g_coeffs, self.f_coeffs, self.geometry)
 
 
-class RhoSlice(cv.Geometry):
+class RhoSlice:
     """The rho-slice (g_rho, f_rho) of the coefficient lists `g_coeffs`
     and `f_coeffs` (rho^0 first, at least two), over the chart of
     `base`.  `G` (a matrix) and `F` are the rho-series cut after the
     last coefficient, and the rho-derivatives G', G'', F' and F'' that
-    the closed forms read are taken of them.  The Geometry (`g`, `f` and
-    every curvature attribute) is that of the slice cut one coefficient
-    earlier: the closed forms read its curvature only through that rho
-    power, so no later one is built.  Each attribute is built on first
-    read and then kept."""
+    the closed forms read are taken of them.  `geometry` is the
+    Geometry (curvature and weighted curvature) of the slice cut one
+    coefficient earlier: the closed forms read its curvature only
+    through that rho power, so no later one is built.  A `geometry`
+    passed in is kept when its g and f hold the very coefficient objects
+    of that cut slice (and its m and mu are the base's), with every
+    attribute it has built; otherwise a new one is made.  Each attribute
+    is built on first read and then kept."""
 
-    def __init__(self, base, g_coeffs, f_coeffs):
+    def __init__(self, base, g_coeffs, f_coeffs, geometry=None):
         zero = base.chart.zero()
         trunc = len(g_coeffs) - 1
         d = base.dim
         self.G = [[Series([g.comp(i, j) for g in g_coeffs], 0, trunc, zero)
                    for j in range(d)] for i in range(d)]
         self.F = Series(list(f_coeffs), 0, trunc, zero)
-        super().__init__([[x.truncated(trunc - 1) for x in row]
-                          for row in self.G], cv.partials(d),
-                         Series.zero_series(zero), self.F.truncated(trunc - 1),
-                         base.m, base.mu)
+        g = [[x.truncated(trunc - 1) for x in row] for row in self.G]
+        f = self.F.truncated(trunc - 1)
+        if geometry is None or not _same_slice(geometry, g, f, base):
+            geometry = cv.Geometry(g, cv.partials(d), Series.zero_series(zero),
+                                   f, base.m, base.mu)
+        self.geometry = geometry
         self.chart_zero = zero
 
     Gp = cached_property(lambda self: _rho_derivs(self.G))
@@ -191,13 +204,26 @@ class RhoSlice(cv.Geometry):
     Fpp = cached_property(lambda self: self.Fp.deriv())
 
 
+def _same_slice(geometry, g, f, base) -> bool:
+    """Whether `geometry` is that of the series matrix `g` and the series
+    `f`, coefficient object by coefficient object, with base's m and mu."""
+    def same(a, b):
+        return ((a.shift, a.trunc, len(a.coeffs))
+                == (b.shift, b.trunc, len(b.coeffs))
+                and all(x is y for x, y in zip(a.coeffs, b.coeffs)))
+    return (geometry.m == base.m and geometry.mu == base.mu
+            and same(geometry.f, f)
+            and all(same(a, b) for ra, rb in zip(geometry.g, g)
+                    for a, b in zip(ra, rb)))
+
+
 def _rho_derivs(matrix):
     return [[x.deriv() for x in row] for row in matrix]
 
 
-def closed_form_residual_series(geo: RhoSlice):
+def closed_form_residual_series(slc: RhoSlice):
     """(Rt_ij, Ft): the ij block of the ambient weighted Ricci tensor and
-    the ambient F-scalar of the slice `geo`, as rho-series over the
+    the ambient F-scalar of the slice `slc`, as rho-series over the
     chart, via the closed form
 
       Rt_ij = rho g''_ij - rho g^{kl} g'_ik g'_jl + rho (tr g')/2 g'_ij
@@ -208,21 +234,30 @@ def closed_form_residual_series(geo: RhoSlice):
 
     with all primes rho-derivatives and traces taken in g_rho.  G' cuts
     both series one rho power before the slice's last coefficient, so g,
-    f, g^{-1}, Ric_phi and F_phi are those of the Geometry of `geo`, the
-    slice cut there."""
+    f, g^{-1}, Ric_phi and F_phi are those of the slice's `geometry`,
+    the slice cut there."""
+    geo = slc.geometry
     d, m = geo.dim, float(geo.m)
     ezero = geo.zero
-    rho = Series([1.0], 1, None, geo.chart_zero)
+    rho = Series([1.0], 1, None, slc.chart_zero)
     G, F, Ginv = geo.g, geo.f, geo.ginv
-    Gp, Gpp, Fp, Fpp = geo.Gp, geo.Gpp, geo.Fp, geo.Fpp
+    Gp, Gpp, Fp, Fpp = slc.Gp, slc.Gpp, slc.Fp, slc.Fpp
     tr_gp = cv.acc_sum([Ginv[k][l] * Gp[k][l] for k in range(d) for l in range(d)],
                        ezero)
+    # the operands of rho * sq and rho * (tr g') g', cut one rho power
+    # earlier than Gp: the rho shift would push their last power past
+    # the truncation of Rt
+    last = Gp[0][0].trunc - 1
+    Ginv_c = [[x.truncated(last) for x in row] for row in Ginv]
+    Gp_c = [[x.truncated(last) for x in row] for row in Gp]
+    tr_gp_c = tr_gp.truncated(last)
     Rt = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            sq = cv.acc_sum([Ginv[k][l] * (Gp[i][k] * Gp[j][l])
+            sq = cv.acc_sum([Ginv_c[k][l] * (Gp_c[i][k] * Gp_c[j][l])
                              for k in range(d) for l in range(d)], ezero)
-            terms = [rho * Gpp[i][j], -(rho * sq), rho * (tr_gp * Gp[i][j]) * 0.5,
+            terms = [rho * Gpp[i][j], -(rho * sq),
+                     rho * (tr_gp_c * Gp_c[i][j]) * 0.5,
                      -(Gp[i][j] * ((d + m) / 2.0 - 1.0)),
                      -(tr_gp * G[i][j]) * 0.5, geo.ric_phi[i][j]]
             if m != 0.0:
@@ -240,17 +275,19 @@ def closed_form_residual_series(geo: RhoSlice):
 
 
 def _residual_coefficients(base, g_coeffs, f_coeffs, n):
-    """rho^(n-1) coefficients of (Rt_ij, Ft) with zero candidate at order n."""
+    """rho^(n-1) coefficients of (Rt_ij, Ft) with zero candidate at order n,
+    and the Geometry of the slice they read (that of g_0..g_(n-1))."""
     chart = base.chart
     zero_t = SymTensor2Field.zero(chart)
     zero_f = chart.zero()
     g_ext = list(g_coeffs) + [zero_t] * (n + 1 - len(g_coeffs))
     f_ext = list(f_coeffs) + [zero_f] * (n + 1 - len(f_coeffs))
-    Rt, Ft = closed_form_residual_series(RhoSlice(base, g_ext, f_ext))
+    slc = RhoSlice(base, g_ext, f_ext)
+    Rt, Ft = closed_form_residual_series(slc)
     d = base.dim
     Rerr = [[Rt[i][j].coefficient(n - 1) for j in range(d)] for i in range(d)]
     Ferr = Ft.coefficient(n - 1)
-    return Rerr, Ferr
+    return Rerr, Ferr, slc.geometry
 
 
 def _trace_with_base(base, T):
@@ -269,7 +306,7 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
     chart = base.chart
     zero = chart.zero()
     g0 = base.g.as_matrix()
-    Rerr, Ferr = _residual_coefficients(base, g_coeffs, f_coeffs, n)
+    Rerr, Ferr, geometry = _residual_coefficients(base, g_coeffs, f_coeffs, n)
     Rtrace = _trace_with_base(base, Rerr)
     det = (2 * n - dm) * (n - dm)
 
@@ -293,7 +330,7 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
         note = ("critical even order: trace-free part and the combination "
                 "tr psi / 2 - (m/f) upsilon set to zero (canonical choice)")
         return OrderStep(n, SymTensor2Field.from_matrix(chart, psi), upsilon,
-                         det, False, note)
+                         det, False, note, geometry)
 
     # trace-free part (solvable whenever n != (d+m)/2)
     tf_factor = n * (n - dm / 2.0)
@@ -321,7 +358,7 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
                 "complementary combination tr psi / 2 + (m/f) upsilon set to "
                 "zero (canonical choice)")
         return OrderStep(n, SymTensor2Field.from_matrix(chart, psi), upsilon,
-                         det, False, note)
+                         det, False, note, geometry)
 
     if det == 0.0:
         raise OrderError(
@@ -340,7 +377,7 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
     psi = [[psi_tf[i][j] + (g0[i][j] * tau) * (1.0 / d) for j in range(d)]
            for i in range(d)]
     return OrderStep(n, SymTensor2Field.from_matrix(chart, psi), upsilon,
-                     det, True, None)
+                     det, True, None, geometry)
 
 
 def obstruction_constant(dm: int) -> float:
@@ -349,10 +386,12 @@ def obstruction_constant(dm: int) -> float:
     return (-2.0) ** (half - 1) * math.factorial(half - 1) / (dm - 2)
 
 
-def _measure_obstruction(base, g_coeffs, f_coeffs, n_c, dm):
-    """ObstructionData from the completed-through-n_c coefficients."""
+def _measure_obstruction(base, g_coeffs, f_coeffs, n_c, dm, geometry=None):
+    """ObstructionData from the completed-through-n_c coefficients; a
+    `geometry` of the slice through n_c - 1 is taken over as
+    `RhoSlice` allows."""
     Rt, Ft = closed_form_residual_series(
-        RhoSlice(base, g_coeffs[: n_c + 1], f_coeffs[: n_c + 1]))
+        RhoSlice(base, g_coeffs[: n_c + 1], f_coeffs[: n_c + 1], geometry))
     d = base.dim
     c = obstruction_constant(int(dm))
     factor = c * math.factorial(n_c - 1)
@@ -379,6 +418,7 @@ def expand(s: MetricMeasureSpace, order: int, *,
     f_coeffs = [s.f]
     notes = []
     obst = None
+    geometry = None  # that of the last step
     n_c = int(dm) // 2 if branch is Branch.EVEN_INTEGER else None
 
     if check_points is None and s.chart.box is not None:
@@ -388,7 +428,8 @@ def expand(s: MetricMeasureSpace, order: int, *,
         if branch is Branch.EVEN_INTEGER and n == n_c + 1:
             # continuation past the critical order needs a vanishing obstruction
             if obst is None:
-                obst = _measure_obstruction(s, g_coeffs, f_coeffs, n_c, dm)
+                obst = _measure_obstruction(s, g_coeffs, f_coeffs, n_c, dm,
+                                            geometry)
             scale = curvature_scale(s, check_points)
             worst = max_abs(evaluate(obst.tensor.entries(), check_points))
             if worst > OBSTRUCTION_CONTINUATION_TOL * scale:
@@ -404,12 +445,14 @@ def expand(s: MetricMeasureSpace, order: int, *,
                                 check_points=check_points)
         g_coeffs.append(step.psi)
         f_coeffs.append(step.upsilon)
+        geometry = step.geometry
         if step.note:
             notes.append(f"order {n}: {step.note}")
 
     if branch is Branch.EVEN_INTEGER and obst is None and order >= n_c - 1:
         if order >= n_c:
-            obst = _measure_obstruction(s, g_coeffs, f_coeffs, n_c, dm)
+            obst = _measure_obstruction(s, g_coeffs, f_coeffs, n_c, dm,
+                                        geometry)
         else:
             # run the critical step on a scratch copy to read the obstruction
             scratch_g, scratch_f = list(g_coeffs), list(f_coeffs)
@@ -418,10 +461,11 @@ def expand(s: MetricMeasureSpace, order: int, *,
                                         check_points=check_points)
                 scratch_g.append(step.psi)
                 scratch_f.append(step.upsilon)
-            obst = _measure_obstruction(s, scratch_g, scratch_f, n_c, dm)
+            obst = _measure_obstruction(s, scratch_g, scratch_f, n_c, dm,
+                                        step.geometry)
 
     return RhoExpansion(s, order, g_coeffs, f_coeffs, branch, obst,
-                        notes, warnings)
+                        notes, warnings, geometry)
 
 
 def obstruction(s: MetricMeasureSpace, *, check_points=None) -> ObstructionData:

@@ -3,17 +3,25 @@
 A ScalarField is one node of an expression DAG: an operation `op`, at
 most two child fields `a` and `b`, and one parameter `param` (a
 constant's value, a scale factor, an exponent, an axis, a primitive's
-name).  It stands for the pure evaluation rule (point, degree) -> Jet, whose
-degree-0 case, the value, is computed with plain floats.
+name).  A `sum` is the one exception: its `a` is the tuple of its terms,
+two or more, and `b` is None.  A node stands for the pure evaluation
+rule (point, degree) -> Jet, whose degree-0 case, the value, is computed
+with plain floats.
 Fields are closed under arithmetic, the analytic primitives and partial
 differentiation.
 
 Construction folds structural zeros and constants (sums drop zero
 terms, products with a zero factor collapse, and so on), so the DAGs
 built by the curvature machinery and the order-by-order solver carry no
-dead branches.  It then interns the node (hash-consing): every chart
-owns a table keyed on (op, child objects, param), so structurally equal
-nodes built on one chart are one object, evaluated once per point.
+dead branches.  `Chart.sum(terms)` builds the left fold of `+` over its
+terms as one node, and `x + y` is its two-term case: no chain of
+partial sums is built.  Evaluation adds the terms left to right, as the
+chain would (floats at degree 0; at a higher degree the first two
+coefficient arrays into a new one, then each further one in place), so
+every value and jet keeps the bits of the chain.  Construction then
+interns the node (hash-consing): every chart owns a table keyed on
+(op, child objects, param), so structurally equal nodes built on one
+chart are one object, evaluated once per point.
 Operands of commutative operations are never reordered, so every jet
 product keeps its summation order.
 The constants -0.0 and 0.0 are distinct nodes.
@@ -27,10 +35,11 @@ Children are created before their parents, so a chart's creation order
 (`Chart.nodes`, a node's `index`) is already a topological order and
 serves as the evaluation tape; no traversal is needed to plan.  A sweep
 makes two passes per point.  The backward pass runs from the largest
-root index down and keeps, per node, the highest degree a parent needs:
-a `partial` needs its child one degree higher (so a jet even for a
-value), and a `lift` passes its demand to the child chart, which is
-planned after it (charts go in descending dimension).  The forward pass
+root index down and keeps, per node, the highest degree a parent needs
+(a sum gives it to every term): a `partial` needs its child one degree
+higher (so a jet even for a value), and a `lift` passes its demand to
+the child chart, which is planned after it (charts go in descending
+dimension).  The forward pass
 computes each needed node once, in creation order, at its planned
 degree; a parent planned lower reads a prefix view (`Jet.truncated`) or
 the constant term.  Neither pass recurses, so the depth of a DAG (a
@@ -41,7 +50,8 @@ Each chart keeps one memo per point: two lists indexed by node, holding
 the node's float (degree 0) or its jet of the highest degree computed so
 far, and that degree.  A node the memo serves is neither planned nor
 computed; one the memo holds at too low a degree is computed again
-(`Chart.computed` and `Chart.recomputed` count both).  Values run the
+(`Chart.computed` and `Chart.recomputed` count both; `Chart.unread`
+counts the nodes no memo holds, built but never read).  Values run the
 float kernels of `jets`, which give the constant term of every jet bit
 for bit, so a value does not depend on which request came first.
 
@@ -104,10 +114,58 @@ class Chart:
             node = self._table[key] = ScalarField(self, op, a, b, param)
         return node
 
+    def sum(self, terms) -> "ScalarField":
+        """t0 + t1 + ... of `terms` (fields of this chart or numbers),
+        built as the left fold of `+` builds it, but as one node: zero
+        terms are skipped, a leading run of constants is folded (a folded
+        0.0 is then dropped), and the terms left are one `sum` node.  An
+        empty sum is 0.0."""
+        head = None   # the fold so far, while it is one term
+        tail = []     # the terms added to `head` since
+        for t in terms:
+            if t.__class__ is not ScalarField or t.chart is not self:
+                field = self._coerce(t)
+                if field is None:
+                    raise TypeError(f"cannot add {type(t).__name__} to a field")
+                t = field
+            if head is None or not tail and head.is_zero:
+                head = t
+            elif t.is_zero:
+                continue
+            elif not tail and head.op == "const" and t.op == "const":
+                head = self.constant(head.param + t.param)
+            else:
+                tail.append(t)
+        if head is None:
+            return self.zero()
+        if not tail:
+            return head
+        return self._node("sum", (head, *tail))
+
+    def _coerce(self, other):
+        """`other` as a field of this chart: a field of an equal chart as it
+        is, a number as a constant; None for anything else."""
+        if isinstance(other, ScalarField):
+            if other.chart != self:
+                raise ValueError("fields live on different charts")
+            return other
+        if isinstance(other, (int, float)):
+            return self.constant(other)
+        return None
+
     @property
     def node_count(self) -> int:
         """The number of nodes interned on this chart."""
         return len(self.nodes)
+
+    @property
+    def unread(self) -> int:
+        """The number of nodes computed at no point so far: those whose
+        degree is -1 in every memo."""
+        done = np.zeros(len(self.nodes), dtype=bool)
+        for _, degrees in self._memos.values():
+            done[:len(degrees)] |= np.asarray(degrees) >= 0
+        return int(np.count_nonzero(~done))
 
     def _memo(self, point: tuple):
         """The memo lists of `point`, grown to the current node count;
@@ -175,7 +233,8 @@ def sample_points(chart: Chart, count: int, seed: int):
 
 
 class ScalarField:
-    """One interned DAG node: `op` applied to `a` and `b` (with `param`).
+    """One interned DAG node: `op` applied to `a` and `b` (with `param`);
+    a `sum` adds the terms of the tuple `a`.
 
     Build fields through a Chart and the operators below, never by
     calling this class, so that the chart's intern table sees every node.
@@ -222,27 +281,20 @@ class ScalarField:
         # the common case first: a field of this very chart
         if other.__class__ is ScalarField and other.chart is self.chart:
             return other
-        if isinstance(other, ScalarField):
-            if other.chart != self.chart:
-                raise ValueError("fields live on different charts")
-            return other
-        if isinstance(other, (int, float)):
-            return self.chart.constant(other)
-        return None
+        return self.chart._coerce(other)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.op == "const" and other.op == "const":
-            return self.chart.constant(self.param + other.param)
-        return self.chart._node("sum", self, other)
+        return self.chart.sum((self, other))
 
     __radd__ = __add__
+
+    @staticmethod
+    def sum_of(terms):
+        """The n-ary `+` of fields: `Chart.sum` of their chart."""
+        return terms[0].chart.sum(terms)
 
     def __neg__(self):
         c = self.const_value()
@@ -399,6 +451,11 @@ def _sweep(roots, point: tuple, degree: int) -> None:
             if a is None:
                 continue
             op = node.op
+            if op == "sum":
+                for t in a:
+                    if need[t.index] < deg:
+                        need[t.index] = deg
+                continue
             if op == "partial":
                 deg += 1
             elif op == "lift":
@@ -442,7 +499,8 @@ def _run(chart: Chart, need, low, top, memo, pt: tuple) -> None:
             deg = need[i]
             op = node.op
             a = node.a
-            if a is not None:
+            # a sum reads its terms in `_add_terms`
+            if a is not None and op != "sum":
                 if op == "lift":
                     a = a.chart._memos[pt[:node.param]][0][a.index]
                     cdeg = deg
@@ -463,7 +521,7 @@ def _run(chart: Chart, need, low, top, memo, pt: tuple) -> None:
                     if b.__class__ is Jet:
                         b = b.value
             if op == "sum":
-                out = a + b
+                out = _add_terms([values[t.index] for t in a], deg)
             elif op == "mul":
                 out = a * b if deg else 0.0 + a * b
             elif op == "scale":
@@ -497,6 +555,24 @@ def _run(chart: Chart, need, low, top, memo, pt: tuple) -> None:
     finally:
         chart.computed += computed
         chart.recomputed += recomputed
+
+
+def _add_terms(xs, deg: int):
+    """The sum of the memo entries `xs` of a sum's terms at `deg`, added
+    left to right: floats at degree 0; at a higher degree the first two
+    coefficient arrays (prefixes where an entry is held higher) into a
+    new jet, then each further one in place."""
+    if not deg:
+        xs = [x.value if x.__class__ is Jet else x for x in xs]
+        out = xs[0] + xs[1]
+        for x in xs[2:]:
+            out += x
+        return out
+    xs = [x if x.degree == deg else x.truncated(deg) for x in xs]
+    out = xs[0] + xs[1]
+    for x in xs[2:]:
+        out.coeffs += x.coeffs
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ coordinate (negative `shift` clears the poles algebraically).
 
 from __future__ import annotations
 
-from .curvature import _is_zero
+from functools import reduce
+from operator import add
+
+from .curvature import _is_zero, fold_sum
 
 __all__ = ["Series", "SeriesTruncationError"]
 
@@ -110,28 +113,41 @@ class Series:
         return Series.constant(other, self.zero)
 
     def __add__(self, other):
-        other = self._as_series(other)
-        trunc = _min_trunc(self.trunc, other.trunc)
-        lo = min(self.shift, other.shift)
-        hi = max(self.max_stored, other.max_stored)
+        return Series._sum([self, self._as_series(other)])
+
+    __radd__ = __add__
+
+    @staticmethod
+    def sum_of(terms):
+        """The left fold of `+` over the series `terms`, built power by
+        power: each coefficient is the `fold_sum` of the terms'
+        coefficients at that power, so a field coefficient is one sum
+        node.  Over float coefficients the fold is taken as it is, since
+        there the zeros it pads with are not neutral (0.0 + -0.0 is
+        +0.0)."""
+        if isinstance(terms[0].zero, (int, float)):
+            return reduce(add, terms)
+        return Series._sum(terms)
+
+    @staticmethod
+    def _sum(terms):
+        """The series whose coefficient at each power is the `fold_sum` of
+        the terms' coefficients there (the first term's zero where none
+        has one), truncated at the lowest truncation among them."""
+        zero = terms[0].zero
+        trunc = None
+        for t in terms:
+            trunc = _min_trunc(trunc, t.trunc)
+        lo = min(t.shift for t in terms)
+        hi = max(t.max_stored for t in terms)
         if trunc is not None:
             hi = min(hi, trunc)
         out = []
         for p in range(lo, hi + 1):
-            ka, kb = p - self.shift, p - other.shift
-            a = self.coeffs[ka] if 0 <= ka < len(self.coeffs) else None
-            b = other.coeffs[kb] if 0 <= kb < len(other.coeffs) else None
-            if a is None and b is None:
-                out.append(self.zero)
-            elif a is None:
-                out.append(b)
-            elif b is None:
-                out.append(a)
-            else:
-                out.append(a + b)
-        return Series(out, lo, trunc, self.zero)
-
-    __radd__ = __add__
+            cs = [t.coeffs[p - t.shift] for t in terms
+                  if 0 <= p - t.shift < len(t.coeffs)]
+            out.append(fold_sum(cs) if cs else zero)
+        return Series(out, lo, trunc, zero)
 
     def __neg__(self):
         return Series([-c for c in self.coeffs], self.shift, self.trunc, self.zero)
@@ -159,7 +175,7 @@ class Series:
             return Series.zero_series(self.zero, trunc)
         if trunc is not None:
             n = min(n, trunc - shift + 1)
-        acc = [None] * n
+        terms = [[] for _ in range(n)]
         nonzero = [(j, b) for j, b in enumerate(other.coeffs)
                    if not _is_zero(b)]
         for i, a in enumerate(self.coeffs):
@@ -169,9 +185,8 @@ class Series:
                 k = i + j
                 if k >= n:
                     break
-                term = a * b
-                acc[k] = term if acc[k] is None else acc[k] + term
-        out = [self.zero if c is None else c for c in acc]
+                terms[k].append(a * b)
+        out = [fold_sum(c) if c else self.zero for c in terms]
         return Series(out, shift, trunc, self.zero)
 
     __rmul__ = __mul__

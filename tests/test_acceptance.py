@@ -261,7 +261,7 @@ def test_criterion_08_branch_guarantees(spaces, expansions):
     assert worst_row <= 1e-11
     slice1 = e1.slice()
     Rt1, Ft1 = closed_form_residual_series(slice1)
-    F1 = slice1.f
+    F1 = slice1.geometry.f
     from smmsgeom import curvature as cv
     trace = cv.acc_sum([a1.Ginv[i][j] * Rt1[i][j] for i in range(3)
                         for j in range(3)], a1._zero_series)
@@ -276,7 +276,7 @@ def test_criterion_08_branch_guarantees(spaces, expansions):
     # odd branch consistency at n = d+m = 5
     s2, e2 = spaces[2.0], expansions[2.0]
     assert e2.branch is Branch.ODD_INTEGER
-    Rerr, Ferr = _residual_coefficients(s2, e2.g_coeffs, e2.f_coeffs, 5)
+    Rerr, Ferr, _ = _residual_coefficients(s2, e2.g_coeffs, e2.f_coeffs, 5)
     Rtr = _trace_with_base(s2, Rerr)
     pts2 = s2.sample(10, seed=3)
     scale2 = _scale(s2, pts2)

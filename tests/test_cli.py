@@ -234,9 +234,10 @@ def random_config(seed, m, mu, order):
 
 
 def test_cli_verify_inverts_each_series_metric_once(tmp_path, monkeypatch):
-    # one rho-slice per solver step (4) and one for the ambient metric,
-    # whose closed-form Ricci reads it, plus the r-Laurent metric of the
-    # Poincare residual; a second slice in `ricci_closed` made it 7
+    # one rho-slice Geometry per solver step (4), which the ambient
+    # metric takes over from the last step, plus the r-Laurent metric of
+    # the Poincare residual; a slice Geometry of the ambient metric's own
+    # made it 6, and a second slice in `ricci_closed` 7
     from smmsgeom.series import Series
     calls = count_builds(monkeypatch, ("matrix_inverse", "christoffel"),
                          lambda zero: isinstance(zero, Series))
@@ -244,7 +245,23 @@ def test_cli_verify_inverts_each_series_metric_once(tmp_path, monkeypatch):
     path.write_text(random_config(51, 0.5, 0.1, 4))
     code, text = run_cli(["verify", "--config", str(path)], tmp_path, "d.txt")
     assert code == 0, text
-    assert calls == {"matrix_inverse": 6, "christoffel": 6}
+    assert calls == {"matrix_inverse": 5, "christoffel": 5}
+
+
+def test_cli_verify_builds_few_unread_nodes(tmp_path):
+    # order 2 on the seed-51 random space: 8,800 nodes, 1,254 never
+    # computed.  Before sums were one node, Ricci built only the partials
+    # it reads and the closed form cut its rho-multiplied products, the
+    # same run built 12,325 nodes, 2,134 of them never computed.
+    path = tmp_path / "small.cfg"
+    path.write_text(random_config(51, 0.5, 0.1, 2))
+    code, text = run_cli(["verify", "--config", str(path)], tmp_path, "u.txt")
+    assert code == 0, text
+    stats = dict(line[len("timings.stats."):].split(" = ")
+                 for line in text.splitlines()
+                 if line.startswith("timings.stats."))
+    assert int(stats["nodes"]) <= 9000
+    assert int(stats["unread"]) <= 1400
 
 
 def test_cli_catalog_verify_reads_the_space_geometry(tmp_path, monkeypatch):
@@ -508,6 +525,7 @@ def test_cli_verify_reports_stage_timings(tmp_path):
                   "cone", "closed_form"):
         assert float(timings.pop(f"timings.stage.{stage}")) >= 0.0
     assert int(timings.pop("timings.stats.nodes")) > 0
+    assert int(timings.pop("timings.stats.unread")) >= 0
     assert int(timings.pop("timings.stats.evaluations")) > 0
     for count in ("computed", "recomputed"):
         value = timings.pop(f"timings.stats.{count}")

@@ -120,6 +120,26 @@ def test_noninteger_branch_residuals_vanish():
     assert residual_worst(s, e, range(3), pts) <= 1e-9 * scale
 
 
+def test_slice_takes_over_the_last_step_geometry_only_while_it_fits():
+    from smmsgeom.fields import SymTensor2Field
+    s = random_entry(d=3, m=0.5, mu=0.2, seed=5).space
+    e = expand(s, 2)
+    assert e.slice().geometry is e.geometry is not None
+    # the last coefficient is not in the step's slice: still taken over
+    e.g_coeffs[2] = SymTensor2Field.zero(s.chart)
+    assert e.slice().geometry is e.geometry
+    # a new tensor of the same component fields is the same input
+    e.g_coeffs[1] = SymTensor2Field(s.chart, dict(e.g_coeffs[1].comps))
+    assert e.slice().geometry is e.geometry
+    # a changed component below the last coefficient is not
+    comps = dict(e.g_coeffs[1].comps)
+    comps[(0, 1)] = comps[(0, 1)] + 1e-3
+    e.g_coeffs[1] = SymTensor2Field(s.chart, comps)
+    fresh = e.slice().geometry
+    assert fresh is not e.geometry
+    assert fresh.g[0][1].coeffs[1] is comps[(0, 1)]
+
+
 def test_even_branch_critical_and_trace_combination():
     s = random_entry(d=3, m=1.0, mu=0.1, seed=21).space
     e = expand(s, 2)
@@ -251,7 +271,7 @@ def test_odd_branch_consistency_residual():
     e = expand(s, 4)
     assert e.branch is Branch.ODD_INTEGER
     from smmsgeom.expansion import _residual_coefficients, _trace_with_base
-    Rerr, Ferr = _residual_coefficients(s, e.g_coeffs, e.f_coeffs, 5)
+    Rerr, Ferr, _ = _residual_coefficients(s, e.g_coeffs, e.f_coeffs, 5)
     Rtr = _trace_with_base(s, Rerr)
     pts = s.sample(5, seed=3)
     scale = max(inv.curvature_scale(s, pts), 1.0)

@@ -124,14 +124,25 @@ def test_negative_zero_constant_keeps_its_sign():
     assert math.copysign(1.0, neg.jet((0.1, 0.2), 1).value) == -1.0
 
 
-def test_deep_sum_evaluates_without_recursion():
-    # acc_sum left-folds into a 5000-deep chain of sum nodes
+def _chain(terms):
+    """terms[0] + terms[1] + ..., one binary `+` at a time."""
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+def _check_deep_sum(nary):
+    """A sum of 5000 terms, as one node or as a chain of binary sums,
+    evaluated at a recursion limit of 1000."""
     def build():
         chart = Chart(("x1", "x2"))
         x, y = chart.coordinates()
-        return acc_sum([x * (y + float(k)) for k in range(5000)], chart.zero())
+        terms = [x * (y + float(k)) for k in range(5000)]
+        return acc_sum(terms, chart.zero()) if nary else _chain(terms)
 
     total, fresh = build(), build()
+    assert len(total.a) == (5000 if nary else 2)
     p = (0.3, -0.2)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
@@ -147,6 +158,73 @@ def test_deep_sum_evaluates_without_recursion():
     assert dx.value == pytest.approx(sum(-0.2 + k for k in range(5000)),
                                      rel=1e-12)
     assert value == jet.value and dx_value == dx.value
+
+
+def test_deep_sum_evaluates_without_recursion():
+    # binary `+` builds a 5000-deep chain of sum nodes
+    _check_deep_sum(nary=False)
+
+
+def test_nary_sum_of_5000_terms_evaluates():
+    _check_deep_sum(nary=True)
+
+
+def _sum_terms(chart, count):
+    """`count` terms on `chart`: a leading run of constants that folds to
+    0.0, then a seeded mix of constants, 0.0, -0.0, a repeated term and
+    fresh products."""
+    x, y = chart.coordinates()
+    rep = (x * y).exp()
+    kinds = [lambda k: chart.constant(0.25 * k - 1.0),
+             lambda k: chart.zero(), lambda k: chart.constant(-0.0),
+             lambda k: rep, lambda k: (x + float(k)) * y,
+             lambda k: (y * float(k)).apply("sin")]
+    lead = [chart.constant(1.5), chart.constant(-1.5), chart.constant(-0.0)]
+    picks = np.random.default_rng(count).integers(len(kinds), size=count)
+    return (lead + [kinds[i](k) for k, i in enumerate(picks)])[:count]
+
+
+@pytest.mark.parametrize("count", [3, 7, 40])
+def test_nary_sum_keeps_the_bits_of_the_chain(count):
+    pts = [(0.3, -0.2), (-0.45, 0.1), (0.0, -0.0)]
+
+    def build(nary):
+        # acc_sum against the binary chain it built before sums had one
+        # node: `+` over the terms that are not structurally zero
+        chart = Chart(("x1", "x2"))
+        terms = _sum_terms(chart, count)
+        total = (acc_sum(terms, chart.zero()) if nary
+                 else _chain([t for t in terms if not t.is_zero]))
+        return total, total.partial(0)
+
+    nary, chain = build(True), build(False)
+    if count > 3:
+        assert nary[0].op == "sum" and len(nary[0].a) > 2
+    np.testing.assert_array_equal(_bits(evaluate(nary, pts)),
+                                  _bits(evaluate(chain, pts)))
+    for k in range(4):
+        for p in pts:
+            want = build(False)[0].jet(p, k)
+            got = build(True)[0].jet(p, k)
+            np.testing.assert_array_equal(_bits(got.coeffs), _bits(want.coeffs))
+
+
+def test_chart_sum_builds_what_the_fold_of_plus_builds():
+    chart = Chart(("x1", "x2"))
+    x, y = chart.coordinates()
+    c = chart.constant
+    cases = [[c(1.5), c(-1.5)], [c(1.5), c(-1.5), x], [c(0.0), c(-0.0)],
+             [c(-0.0), c(0.0)], [x, c(0.0), c(-0.0)], [c(2.0), c(-0.0), c(3.0)],
+             [c(0.0), x], [x], [], [x, 2.0]]
+    for terms in cases:
+        want = _chain(terms) if terms else chart.zero()
+        assert chart.sum(terms) is want, terms
+    # a leading constant run folds; a later constant stays a term
+    total = chart.sum([c(1.0), c(2.0), x, c(3.0), c(0.0), x])
+    assert total.op == "sum" and total.a == (c(3.0), x, c(3.0), x)
+    assert x + y is chart.sum([x, y]) and x + y is not y + x
+    with pytest.raises(ValueError, match="different charts"):
+        chart.sum([x, Chart(("y1", "y2")).coordinate(0)])
 
 
 def test_value_is_a_python_float():
@@ -305,12 +383,15 @@ def reference(node, point, degree, memo=None):
     elif op == "lift":
         out = reference(a, point[:param], degree, memo)
         out = out.promote(n - param) if degree else out
+    elif op == "sum":
+        # the terms of a sum node, added left to right
+        out = reference(a[0], point, degree, memo)
+        for term in a[1:]:
+            out = out + reference(term, point, degree, memo)
     else:
         x = reference(a, point, degree, memo)
         y = None if b is None else reference(b, point, degree, memo)
-        if op == "sum":
-            out = x + y
-        elif op == "mul":
+        if op == "mul":
             out = x * y if degree else 0.0 + x * y
         elif op == "scale":
             out = x * param
@@ -333,7 +414,8 @@ def test_children_are_created_before_their_parents():
     for chart in (base, xr):
         assert [node.index for node in chart.nodes] == list(range(chart.node_count))
         for node in chart.nodes:
-            for child in (node.a, node.b):
+            children = node.a if node.op == "sum" else (node.a, node.b)
+            for child in children:
                 if child is None:
                     continue
                 if node.op == "lift":

@@ -107,3 +107,69 @@ def test_field_coefficients():
 def test_eval_at():
     s = Series([1.0, 2.0, 3.0], -1)
     assert s.eval_at(2.0) == pytest.approx(0.5 + 2.0 + 6.0)
+
+
+def _field_series(chart, rng):
+    """A series over `chart` with a seeded shift (negative too), length and
+    truncation (None, or one that may cut everything), whose coefficients
+    mix zeros, -0.0, constants, a repeated field and fresh fields."""
+    x, y = chart.coordinates()
+    pool = [chart.zero(), chart.constant(-0.0), chart.constant(1.25), x * y,
+            None, None]
+    shift = int(rng.integers(-2, 3))
+    count = int(rng.integers(0, 5))
+    trunc = None if rng.random() < 0.4 else int(rng.integers(-2, 5))
+    if trunc is not None:
+        count = max(0, min(count, trunc - shift + 1))
+    coeffs = []
+    for k in range(count):
+        c = pool[int(rng.integers(len(pool)))]
+        coeffs.append((x + float(k + shift)) * y if c is None else c)
+    return Series(coeffs, shift, trunc, chart.zero())
+
+
+def _chain(terms):
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+def test_nary_series_sum_equals_the_pairwise_chain():
+    from smmsgeom.curvature import acc_sum
+    from smmsgeom.fields import evaluate
+    pts = [(0.3, -0.2), (-0.1, 0.45)]
+    rng = np.random.default_rng(11)
+    long_sums = 0
+    for _ in range(60):
+        chart = Chart(("x1", "x2"))
+        terms = [_field_series(chart, rng)
+                 for _ in range(int(rng.integers(2, 7)))]
+        # acc_sum skips the exact zero series, as it did as a chain
+        kept = [t for t in terms if not t.is_zero]
+        cases = [(Series.sum_of(terms), _chain(terms))]
+        if kept:
+            cases.append((acc_sum(terms, Series.zero_series(chart.zero())),
+                          _chain(kept)))
+        for total, chain in cases:
+            assert total.trunc == chain.trunc
+            top = chain.trunc if chain.trunc is not None else chain.max_stored + 1
+            powers = range(min(t.shift for t in terms) - 1, top + 1)
+            got = [total.coefficient(p) for p in powers]
+            want = [chain.coefficient(p) for p in powers]
+            np.testing.assert_array_equal(
+                evaluate(got, pts).view(np.uint64),
+                evaluate(want, pts).view(np.uint64))
+            long_sums += sum(c.op == "sum" and len(c.a) > 2 for c in got)
+            if chain.trunc is not None:
+                with pytest.raises(SeriesTruncationError):
+                    total.coefficient(chain.trunc + 1)
+    assert long_sums > 0
+
+
+def test_float_series_sum_is_the_fold():
+    # the fold pads rho^1 with 0.0 before it adds the -0.0 there
+    terms = [Series([1.0], 0), Series([1.0], 2), Series([-0.0], 1)]
+    total = Series.sum_of(terms)
+    assert coeffs_of(total, 0, 2) == [1.0, 0.0, 1.0] == coeffs_of(_chain(terms), 0, 2)
+    assert np.copysign(1.0, total.coefficient(1)) == 1.0

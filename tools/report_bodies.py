@@ -9,7 +9,7 @@ random-deep and even-critical configs of `bench/inputs.random_config`:
 checkout (`obstruction` exits 2 where d+m is not an even integer).
 Writes the body of each (every line before the first `timings.` line)
 to OUTDIR/<command>.<input>.txt, and prints one line per report with
-its exit status and `timings.stats.nodes`, `.computed`,
+its exit status and `timings.stats.nodes`, `.unread`, `.computed`,
 `.recomputed` and `.peak_rss_mb`.  Run it in two checkouts and compare with
 `diff -r OUTDIR_A OUTDIR_B`: a change that keeps the reports leaves no
 difference.
@@ -26,7 +26,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = ("invariants", "expand", "obstruction", "poincare", "verify")
 CATALOG = ("flat", "quasi-einstein", "wlcf", "gover-leitner",
            "gover-leitner-flat")
-STATS = ("nodes", "computed", "recomputed", "peak_rss_mb")
+STATS = ("nodes", "unread", "computed", "recomputed", "peak_rss_mb")
 # (name, d, m, mu, seed, order) as the random-deep and even-critical
 # workloads generate them
 RANDOM = (("random-deep-s51", 3, 0.5, 0.1, 51, 4),

@@ -18,9 +18,10 @@ reported as `error = ConfigError: ...` on stdout only, since no
 timings block gives the seconds of each stage a command ran
 (`timings.stage.*`), and for the problem chart its interned DAG nodes,
 those of them computed at no sampled point, its `fields.evaluate`
-calls, its node computations and those of them that replaced a memo
-entry (`timings.stats.nodes`, `.unread`, `.evaluations`, `.computed`,
-`.recomputed`); every report, an error report too, gives
+calls, its node computations, those of them that replaced a memo
+entry, and the highest jet degree its memos hold
+(`timings.stats.nodes`, `.unread`, `.evaluations`, `.computed`,
+`.recomputed`, `.max_degree`); every report, an error report too, gives
 the peak resident set size of the process in MB
 (`timings.stats.peak_rss_mb`, from `getrusage`).  The exit status is 0
 when every check passed, 1 when a check failed, 2 on a typed input or
@@ -169,6 +170,7 @@ def _finish(prob, report) -> int:
     report.put_timing("stats.evaluations", chart.evaluations)
     report.put_timing("stats.computed", chart.computed)
     report.put_timing("stats.recomputed", chart.recomputed)
+    report.put_timing("stats.max_degree", chart.max_degree)
     return 0 if report.ok else 1
 
 

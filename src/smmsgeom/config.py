@@ -109,6 +109,9 @@ def _parse_box(text: str, dim: int):
         lo, hi = float(vals[0]), float(vals[1])
         if not lo < hi:
             raise ConfigError(f"box interval {part!r} is empty")
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"box interval {part!r} is not finite, or "
+                              f"its width overflows")
         box.append((lo, hi))
     return tuple(box)
 

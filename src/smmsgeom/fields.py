@@ -29,7 +29,11 @@ The constants -0.0 and 0.0 are distinct nodes.
 Values are read through one entry, `evaluate(roots, points)`: a
 (roots x points) array, computed one point at a time.  `ScalarField.value`
 and `SymTensor2Field.matrix_values` are calls of it, and
-`ScalarField.jet` runs the same sweep at a degree.
+`ScalarField.jet` runs the same sweep at a degree.  `sample_points`
+draws the points: it re-derives numpy's PCG64 stream, the one
+`np.random.default_rng(seed).uniform` reads, in plain integer
+arithmetic, so the points are numpy's bit for bit and no command
+imports `numpy.random`.
 
 Children are created before their parents, so a chart's creation order
 (`Chart.nodes`, a node's `index`) is already a topological order and
@@ -65,7 +69,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress, islice
-from operator import gt
+from operator import gt, index
 
 import numpy as np
 
@@ -143,10 +147,12 @@ class Chart:
         return self._node("sum", (head, *tail))
 
     def _coerce(self, other):
-        """`other` as a field of this chart: a field of an equal chart as it
-        is, a number as a constant; None for anything else."""
+        """`other` as a field of this chart: a field of this very chart as
+        it is, a number as a constant; None for anything else.  A field of
+        another chart is an error, even of one with the same names: its
+        index means nothing in this chart's memos."""
         if isinstance(other, ScalarField):
-            if other.chart != self:
+            if other.chart is not self:
                 raise ValueError("fields live on different charts")
             return other
         if isinstance(other, (int, float)):
@@ -157,6 +163,13 @@ class Chart:
     def node_count(self) -> int:
         """The number of nodes interned on this chart."""
         return len(self.nodes)
+
+    @property
+    def max_degree(self) -> int:
+        """The highest jet degree any memo holds for any node (0 for
+        values only, -1 when no node has been computed)."""
+        return max((max(degrees, default=-1)
+                    for _, degrees in self._memos.values()), default=-1)
 
     @property
     def unread(self) -> int:
@@ -221,15 +234,76 @@ class Chart:
         return f"Chart{self.names}"
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_state(seed: int):
+    """(state, inc) of `np.random.PCG64(seed)`: numpy's `SeedSequence`
+    hashes the seed's little-endian 32-bit words into a 4-word pool and
+    emits four 64-bit words w0..w3, which seed PCG64 (O'Neill 2014)."""
+    seed = index(seed)  # a Python int, so that no word product wraps
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, out = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        out.append(value ^ value >> 16)
+    w0, w1, w2, w3 = (out[i] | out[i + 1] << 32 for i in range(0, 8, 2))
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    return ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc
+
+
 def sample_points(chart: Chart, count: int, seed: int):
-    """Seeded uniform sample from the chart's declared box."""
+    """Seeded uniform sample from the chart's declared box: the points
+    `np.random.default_rng(seed).uniform(lo, hi, size=(count, dim))`
+    gives, bit for bit, drawn without importing `numpy.random`."""
     if chart.box is None:
         raise ValueError("chart has no sampling box declared")
-    rng = np.random.default_rng(seed)
-    lo = np.array([a for a, _ in chart.box])
-    hi = np.array([b for _, b in chart.box])
-    pts = rng.uniform(lo, hi, size=(count, chart.dim))
-    return [tuple(float(v) for v in p) for p in pts]
+    state, inc = _pcg64_state(seed)
+    widths = [hi - lo for lo, hi in chart.box]
+    if not all(map(math.isfinite, widths)):
+        raise OverflowError("Range exceeds valid bounds")
+    points = []
+    for _ in range(count):
+        point = []
+        for (lo, _), width in zip(chart.box, widths):
+            # one PCG64 step, its XSL-RR output, numpy's 53-bit double
+            state = (state * _PCG_MULT + inc) & _MASK128
+            x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+            x = (x >> rot | x << (64 - rot)) & _MASK64
+            point.append(lo + width * ((x >> 11) * 2.0 ** -53))
+        points.append(tuple(point))
+    return points
 
 
 class ScalarField:

@@ -101,6 +101,18 @@ def test_cli_rejects_non_finite_input(tmp_path, old, new, error):
     assert f"error = {error}" in text
 
 
+@pytest.mark.parametrize("box", ["0 inf", "-1e308 1e308"])
+def test_cli_rejects_a_box_that_is_not_finite(tmp_path, capsys, box):
+    # both pass the lo < hi check; the width hi - lo is not a float
+    path = tmp_path / "box.cfg"
+    path.write_text(CONFIG.replace("box = -0.5 0.5 ;", f"box = {box} ;"))
+    code, text = run_cli(["verify", "--config", str(path), "--order", "1"],
+                         tmp_path, "box.txt")
+    assert code == 2
+    assert f"error = ConfigError: box interval '{box}' is not finite" in text
+    assert capsys.readouterr().err == ""
+
+
 def test_format_value_roundtrip():
     x = 0.1 + 0.2
     assert float(format_value(x)) == x
@@ -530,6 +542,8 @@ def test_cli_verify_reports_stage_timings(tmp_path):
     for count in ("computed", "recomputed"):
         value = timings.pop(f"timings.stats.{count}")
         assert value.isdigit(), (count, value)
+    # order 1 asks for jets up to degree 2N + 2 = 4
+    assert int(timings.pop("timings.stats.max_degree")) == 4
     assert float(timings.pop("timings.stats.peak_rss_mb")) > 0.0
     assert set(timings) == {"timings.total_seconds"}
 

@@ -75,12 +75,73 @@ def test_chart_mismatch_rejected():
         f + g
 
 
+def test_chart_coercion_requires_the_very_chart():
+    # equal names do not make one chart: a child's index means nothing in
+    # another chart's memos (these read 0.2 and 0.25 when they were let in)
+    c1 = Chart(("x1", "x2"))
+    c2 = Chart(("x1", "x2"))
+    with pytest.raises(ValueError, match="different charts"):
+        (c1.coordinate(0) + c2.coordinate(1)).value((0.1, 0.2))
+    with pytest.raises(ValueError, match="different charts"):
+        (c1.coordinate(1) * (c2.coordinate(0) * c2.coordinate(1))).value(
+            (0.3, 0.5))
+    with pytest.raises(ValueError, match="different charts"):
+        c1.sum([c1.coordinate(0), c2.coordinate(1)])
+
+
 def test_sample_points_deterministic():
     a = sample_points(CHART, 5, seed=7)
     b = sample_points(CHART, 5, seed=7)
     assert a == b
     for p in a:
         assert all(-0.5 <= v <= 0.5 for v in p)
+
+
+def _numpy_sample(box, count, seed):
+    lo = np.array([a for a, _ in box])
+    hi = np.array([b for _, b in box])
+    return np.random.default_rng(seed).uniform(lo, hi, size=(count, len(box)))
+
+
+SEEDS = [*range(300), 2**32 - 1, 2**32, 2**64 + 3, 10**30]
+
+
+def test_sample_points_are_numpys_uniform_bit_for_bit():
+    boxes = np.random.default_rng(2022)
+    for n, seed in enumerate(SEEDS):
+        dim, count = 1 + n % 6, 1 + n % 12
+        lo = boxes.uniform(-5.0, 5.0, size=dim)
+        box = tuple(zip(lo, lo + boxes.uniform(1e-3, 10.0, size=dim)))
+        chart = Chart([f"x{i}" for i in range(dim)], box=box)
+        got = np.array(sample_points(chart, count, seed))
+        want = _numpy_sample(chart.box, count, seed)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64), err_msg=str(seed))
+
+
+def test_sample_points_stream_is_pinned():
+    # literal points, so the stream stays fixed whatever numpy does later
+    assert sample_points(CHART, 2, seed=7) == [
+        (0.12509546660466697, 0.3972138009695755),
+        (0.2756856902451935, -0.27479281000940814)]
+    chart = Chart(("x", "y", "z"), box=((0.0, 1.0), (-2.0, 3.0), (10.0, 10.5)))
+    assert sample_points(chart, 1, seed=2**64 + 3) == [
+        (0.7243886900316061, 0.051812709047901695, 10.253273442616758)]
+
+
+@pytest.mark.parametrize("box,seed,error", [
+    (((-0.5, 0.5),), -1, ValueError),
+    (((0.0, math.inf),), 0, OverflowError),
+    (((-1e308, 1e308),), 0, OverflowError),
+    (((-0.5, 0.5), (0.0, math.nan)), 3, OverflowError),
+])
+def test_sample_points_raise_like_numpy(box, seed, error):
+    chart = Chart([f"x{i}" for i in range(len(box))], box=box)
+    with pytest.raises(error):
+        sample_points(chart, 2, seed)
+    with np.errstate(over="ignore"), pytest.raises(error):
+        _numpy_sample(chart.box, 2, seed)
 
 
 def test_sym_tensor_storage_and_values():

@@ -9,10 +9,10 @@ random-deep and even-critical configs of `bench/inputs.random_config`:
 checkout (`obstruction` exits 2 where d+m is not an even integer).
 Writes the body of each (every line before the first `timings.` line)
 to OUTDIR/<command>.<input>.txt, and prints one line per report with
-its exit status and `timings.stats.nodes`, `.unread`, `.computed`,
-`.recomputed` and `.peak_rss_mb`.  Run it in two checkouts and compare with
-`diff -r OUTDIR_A OUTDIR_B`: a change that keeps the reports leaves no
-difference.
+its exit status and `timings.stats.nodes`, `.max_degree`, `.unread`,
+`.computed`, `.recomputed` and `.peak_rss_mb`.  Run it in two checkouts
+and compare with `diff -r OUTDIR_A OUTDIR_B`: a change that keeps the
+reports leaves no difference.
 """
 
 from __future__ import annotations
@@ -26,29 +26,43 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = ("invariants", "expand", "obstruction", "poincare", "verify")
 CATALOG = ("flat", "quasi-einstein", "wlcf", "gover-leitner",
            "gover-leitner-flat")
-STATS = ("nodes", "unread", "computed", "recomputed", "peak_rss_mb")
+STATS = ("nodes", "max_degree", "unread", "computed", "recomputed",
+         "peak_rss_mb")
 # (name, d, m, mu, seed, order) as the random-deep and even-critical
 # workloads generate them
 RANDOM = (("random-deep-s51", 3, 0.5, 0.1, 51, 4),
           ("even-critical-s51", 3, 1.0, 0.1, 51, 2))
 
 
-def _inputs(outdir):
+# writes random_config(d, m, mu, seed, order) to a path, in a child: a
+# forked child's ru_maxrss starts at its parent's resident set, so this
+# process must not import numpy, or its size would be every report's
+# floor of `peak_rss_mb`
+WRITE_CONFIG = """import sys
+from inputs import random_config
+path, d, m, mu, seed, order = sys.argv[1:]
+with open(path, "w") as fh:
+    fh.write(random_config(int(d), float(m), float(mu), int(seed),
+                           int(order))[0])
+"""
+
+
+def _inputs(outdir, env):
     """(name, CLI arguments, working directory) of every input, writing
     the random configs.  Config paths are relative to the working
     directory, so the `config.label` lines agree between checkouts."""
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
-    from inputs import random_config
-
+    env = dict(env, PYTHONPATH=os.pathsep.join(
+        [env["PYTHONPATH"], os.path.join(ROOT, "bench")]))
     out = [(os.path.basename(p)[:-4],
             ["--config", os.path.relpath(p, ROOT)], ROOT)
            for p in sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))]
     out += [(f"catalog-{name}", ["--catalog", name], ROOT)
             for name in CATALOG]
     for name, d, m, mu, seed, order in RANDOM:
-        path = os.path.join(outdir, f"{name}.cfg")
-        with open(path, "w") as fh:
-            fh.write(random_config(d, m, mu, seed, order)[0])
+        subprocess.run([sys.executable, "-c", WRITE_CONFIG,
+                        os.path.join(outdir, f"{name}.cfg"),
+                        *map(str, (d, m, mu, seed, order))],
+                       env=env, check=True)
         out.append((name, ["--config", f"{name}.cfg"], outdir))
     return out
 
@@ -60,7 +74,7 @@ def main(argv):
     outdir = os.path.abspath(argv[0])
     os.makedirs(outdir, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    for name, args, cwd in _inputs(outdir):
+    for name, args, cwd in _inputs(outdir, env):
         for command in COMMANDS:
             proc = subprocess.run(
                 [sys.executable, "-m", "smmsgeom.cli", command, *args],

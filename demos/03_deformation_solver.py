@@ -18,7 +18,7 @@ s = random_entry(d=3, m=0.5, mu=0.2, seed=5).space
 print(f"space: d = 3, m = {s.m} (d+m = {3 + s.m}: no integer orders in the way)")
 
 e = expand(s, 3)
-print("branch:", e.branch.value)
+print("branch:", e.plan.branch.value)
 
 P, _, Y = inv.schouten(s)
 p = s.sample(1, seed=2)[0]

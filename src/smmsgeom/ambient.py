@@ -27,8 +27,7 @@ from operator import add
 from typing import Optional
 
 from . import curvature as cv
-from .expansion import (Branch, RhoExpansion, branch_guarantees,
-                        closed_form_residual_series)
+from .expansion import Branch, RhoExpansion, closed_form_residual_series
 from .fields import evaluate, max_abs
 from .invariants import curvature_scale
 from .series import Series, SeriesTruncationError
@@ -406,7 +405,7 @@ def order_report(a: AmbientMetric, tol: float = 1e-9, *,
     N = e.order
 
     Rt, Ft = a.ricci_closed()
-    gu = branch_guarantees(d, base.m, N)
+    gu = e.plan.guarantees(N)
     # the generic blocks lose two rho orders to the second derivatives
     upto = max(N - 2, 0)
     # only the t row and the rho row are read from the generic route, and
@@ -435,4 +434,4 @@ def order_report(a: AmbientMetric, tol: float = 1e-9, *,
         points)
     blocks = {name: BlockReport(label, maxima[name], guaranteed, tol * scale)
               for name, (label, _, _, guaranteed) in table.items()}
-    return ResidualReport(blocks, scale, tol, e.branch, N)
+    return ResidualReport(blocks, scale, tol, e.plan.branch, N)

@@ -64,9 +64,8 @@ class CatalogEntry:
             raise ValueError(f"entry {self.name!r} has no closed-form deformation")
         from .expansion import RhoExpansion, classify_branch
         g_coeffs, f_coeffs = self.closed_form(order)
-        branch, _, warnings = classify_branch(self.space.dim, self.space.m)
-        return RhoExpansion(self.space, order, g_coeffs, f_coeffs, branch,
-                            warnings=list(warnings))
+        return RhoExpansion(self.space, order, g_coeffs, f_coeffs,
+                            classify_branch(self.space.dim, self.space.m))
 
 
 # -- base spaces ---------------------------------------------------------------

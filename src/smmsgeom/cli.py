@@ -38,8 +38,9 @@ a test hook that perturbs one solved coefficient (0 <= K <= order,
 `verify` runs the stage with the highest jet demand first, so that the
 later ones read the memo: the cone check, the Poincaré residual, then
 `order_report` and the rest; `poincare` also runs the cone check first,
-and `expand` runs the obstruction identities before it prints the
-coefficients.  A command stops at its first error, so a run that would
+`expand` runs the obstruction identities before it prints the
+coefficients, and `obstruction` runs them before it prints the
+obstruction.  A command stops at its first error, so a run that would
 hit two reports the earlier stage's: an error of the cone stage comes
 before one of the Poincaré residual or of `order_report`.
 """
@@ -61,8 +62,7 @@ from .ambient import AmbientMetric, order_report
 from .catalog import EntryRejected, load_entry, standard_catalog
 from .config import (TOLERANCES, ConfigError, Report, check_tolerance,
                      load_config)
-from .expansion import (ConsistencyError, OrderError, branch_guarantees,
-                        classify_branch, expand, obstruction)
+from .expansion import ConsistencyError, OrderError, expand, obstruction
 from .fields import SymTensor2Field, evaluate, evaluate_named, max_abs
 from .invariants import ValidationError, curvature_scale
 from .jets import JetDivisionError
@@ -237,18 +237,18 @@ def _order_report(prob, e, report):
 def cmd_expand(args, report) -> int:
     prob = _start(args, report)
     e = _expansion_for(prob, report)
-    report.put("branch", e.branch.value)
+    report.put("branch", e.plan.branch.value)
     for n, note in enumerate(e.ambiguity_notes):
         report.put(f"ambiguity_note.{n}", note)
-    for n, note in enumerate(e.warnings):
+    for n, note in enumerate(e.plan.warnings):
         report.put(f"warning.{n}", note)
     # the identities first: they ask for higher jets of the coefficients
     # than the printout, which then reads the memo
     if e.obstruction is not None:
         report.put("obstruction.constant", e.obstruction.c)
-        critical = classify_branch(prob.space.dim, prob.space.m)[1] == 4.0
         _obstruction_identities(prob, e.obstruction, report,
-                                inv.weighted_bach(prob.space) if critical else None)
+                                inv.weighted_bach(prob.space)
+                                if e.plan.n_c == 2 else None)
     _put_points(report, prob.points[:3],
                 {f"{kind}_coeff{k}": coeffs[k] for k in range(e.order + 1)
                  for kind, coeffs in (("g", e.g_coeffs), ("f", e.f_coeffs))})
@@ -312,9 +312,10 @@ def cmd_obstruction(args, report) -> int:
     prob = _start(args, report)
     obs = obstruction(prob.space, check_points=prob.points)
     report.put("obstruction.constant", obs.c)
+    # the identities first: they ask for higher jets than the printout
+    _obstruction_identities(prob, obs, report)
     _put_points(report, prob.points[:3],
                 {"obstruction": obs.tensor, "f_script": obs.scalar_part})
-    _obstruction_identities(prob, obs, report)
     return _finish(prob, report)
 
 
@@ -335,8 +336,7 @@ def _poincare_checks(prob, e, report, cone_points):
         report.put_check("cone_identity_f", wF, cone_tol)
     with report.stage("poincare"):
         res = poincare_residual(pc)
-        gu = branch_guarantees(prob.space.dim, prob.space.m, e.order)
-        power = min(gu.poincare_power, res.trunc)
+        power = min(e.plan.guarantees(e.order).poincare_power, res.trunc)
         worst = res.block_max(range(-2, power + 1), prob.points)
     report.put_check("poincare_residual", worst,
                      prob.tol("poincare") * prob.scale)
@@ -421,7 +421,7 @@ def _corruption(text, order, dim):
 
 
 def _closed_form_agreement(prob, e, entry) -> float:
-    upto = branch_guarantees(prob.space.dim, prob.space.m, e.order).solved
+    upto = e.plan.guarantees(e.order).solved
     g_want, f_want = entry.closed_form(upto)
     roots = [c for g, f in ((e.g_coeffs, e.f_coeffs), (g_want, f_want))
              for k in range(upto + 1) for c in g[k].entries() + [f[k]]]

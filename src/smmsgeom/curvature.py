@@ -390,17 +390,20 @@ def weighted_divergence_rank3(T, ginv, dphi, gamma, derivs, zero):
 
 
 def weighted_bach(A, P, g, ginv, dP, dphi, Y, gamma, derivs, m, zero):
-    """delta_phi dP - (1/m) tr dP x dphi + <A, P - (Y/m) g>."""
-    if m == 0.0:
-        raise ZeroDivisionError("the weighted Bach tensor divides by m; m must be positive")
+    """delta_phi dP - (1/m) tr dP x dphi + <A, P - (Y/m) g>; at m = 0,
+    where f = 1 makes dphi and Y vanish, the classical delta dP + <A, P>."""
     n = len(g)
     div_dP = weighted_divergence_rank3(dP, ginv, dphi, gamma, derivs, zero)
-    # (tr dP)_x = g^{ik} dP_{ixk}
-    tr_dP = [acc_sum([ginv[i][k] * dP[i][x][k] for i in range(n) for k in range(n)
-                      if not (_is_zero(ginv[i][k]) or _is_zero(dP[i][x][k]))], zero)
-             for x in range(n)]
-    S = [[P[i][j] - (g[i][j] * Y) * (1.0 / float(m)) for j in range(n)]
-         for i in range(n)]
+    if m == 0.0:
+        tr_dP, S = [zero] * n, P
+    else:
+        # (tr dP)_x = g^{ik} dP_{ixk}
+        tr_dP = [acc_sum([ginv[i][k] * dP[i][x][k]
+                          for i in range(n) for k in range(n)
+                          if not (_is_zero(ginv[i][k]) or _is_zero(dP[i][x][k]))],
+                         zero) for x in range(n)]
+        S = [[P[i][j] - (g[i][j] * Y) * (1.0 / float(m)) for j in range(n)]
+             for i in range(n)]
     Sup = [[acc_sum([ginv[i][a] * (ginv[j][b] * S[a][b])
                      for a in range(n) for b in range(n)
                      if not (_is_zero(ginv[i][a]) or _is_zero(ginv[j][b])
@@ -567,7 +570,8 @@ class Geometry:
     named next to it below, and then kept, so a quantity nobody reads is
     never built.  `inverse` is (ginv, det), `schouten` is (P, J, tr P, Y)
     with P and Y also read alone, `dphi` is d phi = -m df/f (zeros when
-    m = 0), `hess_phi` is Hess phi and `bach` needs m > 0.
+    m = 0), `hess_phi` is Hess phi and `bach` at m = 0 is the classical
+    Bach tensor.
     """
 
     def __init__(self, g, derivs, zero, f=None, m=0.0, mu=0.0):

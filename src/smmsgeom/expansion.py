@@ -17,13 +17,15 @@ so each order is a linear solve: the trace-free part carries the factor
 determinant is -(2n-d-m)(n-d-m).  Branches on d+m:
 
   non-integer   every order solvable;
-  even integer  at n = (d+m)/2 only the combination
+  even integer  at n_c = (d+m)/2 only the combination
                 tr psi / 2 + (m/f) upsilon is determined (the leftover
                 rho^(n-1) residual is the obstruction tensor);
-  odd integer   at n = d+m the trace system is rank one along
+  any integer   at n = d+m the trace system is rank one along
                 tr psi / 2 - (d/f) upsilon, solvable exactly when the
                 consistency residual (m/f^2) Ft - tr Rt vanishes there.
 
+`BranchPlan`, which `classify_branch` returns, states these rules once:
+it alone derives the critical orders and the branch guarantees from d+m.
 Undetermined directions at critical orders are set to zero and recorded.
 Residuals are recomputed from the closed-form expression of the ambient
 blocks (see `closed_form_residual_series`), never from the correction
@@ -45,8 +47,8 @@ from .invariants import MetricMeasureSpace, conformal_change, curvature_scale
 from .series import Series
 
 __all__ = [
-    "Branch", "BranchGuarantees", "RhoExpansion", "RhoSlice", "OrderStep",
-    "ObstructionData", "classify_branch", "branch_guarantees", "expand",
+    "Branch", "BranchGuarantees", "BranchPlan", "RhoExpansion", "RhoSlice",
+    "OrderStep", "ObstructionData", "classify_branch", "expand",
     "solve_order_step", "obstruction", "obstruction_constant",
     "closed_form_residual_series", "OrderError", "ConsistencyError",
     "conformal_change",
@@ -72,28 +74,6 @@ class Branch(Enum):
     ODD_INTEGER = "OddInteger"
 
 
-def classify_branch(d: int, m):
-    """(branch, d+m as float, warnings).  Rationals classify exactly;
-    floats within 1e-9 of an integer are snapped, with a warning."""
-    warnings = []
-    if isinstance(m, Fraction):
-        dm = Fraction(d) + m
-        if dm.denominator == 1:
-            dm_int = int(dm)
-            branch = Branch.EVEN_INTEGER if dm_int % 2 == 0 else Branch.ODD_INTEGER
-            return branch, float(dm), warnings
-        return Branch.NON_INTEGER, float(dm), warnings
-    dm = d + float(m)
-    nearest = round(dm)
-    if abs(dm - nearest) < BRANCH_SNAP_TOL:
-        if dm != nearest:
-            warnings.append(
-                f"d+m = {dm!r} snapped to the integer {nearest} for branch logic")
-        branch = Branch.EVEN_INTEGER if nearest % 2 == 0 else Branch.ODD_INTEGER
-        return branch, float(nearest), warnings
-    return Branch.NON_INTEGER, dm, warnings
-
-
 @dataclass(frozen=True)
 class BranchGuarantees:
     """The orders to which the construction determines the ambient structure.
@@ -114,18 +94,55 @@ class BranchGuarantees:
     poincare_power: int
 
 
-def branch_guarantees(d: int, m, order: int) -> BranchGuarantees:
-    """Guaranteed orders at deformation order `order`, with d+m snapped to
-    the integer as in `classify_branch`."""
-    branch, dm, _ = classify_branch(d, m)
-    solved = order
-    trace = order - 1
-    if branch is Branch.EVEN_INTEGER:
-        n_c = int(dm) // 2
-        solved = min(order, n_c - 1)
-        trace = n_c - 1 if order >= n_c else solved - 1
-    return BranchGuarantees(solved, solved - 1, trace, max(solved - 2, -1),
-                            2 * solved - 1)
+@dataclass(frozen=True)
+class BranchPlan:
+    """The branch of d+m and every order the construction derives from it:
+    the one statement of the branch rules that the solver, the
+    obstruction and the report checks read.  `dm` is d+m as a float,
+    snapped to the integer where `classify_branch` snapped it, and
+    `warnings` says so."""
+    branch: Branch
+    dm: float
+    warnings: tuple = ()
+
+    @property
+    def n_c(self) -> Optional[int]:
+        """The even critical order (d+m)/2, or None off the even branch."""
+        return int(self.dm) // 2 if self.branch is Branch.EVEN_INTEGER else None
+
+    @property
+    def n_odd(self) -> Optional[int]:
+        """The odd critical order d+m, where the trace system has rank one
+        and a consistency residual must vanish: on either integer branch,
+        else None."""
+        return None if self.branch is Branch.NON_INTEGER else int(self.dm)
+
+    def guarantees(self, order: int) -> BranchGuarantees:
+        """Guaranteed orders at deformation order `order`."""
+        n_c, solved, trace = self.n_c, order, order - 1
+        if n_c is not None:
+            solved = min(order, n_c - 1)
+            trace = n_c - 1 if order >= n_c else solved - 1
+        return BranchGuarantees(solved, solved - 1, trace,
+                                max(solved - 2, -1), 2 * solved - 1)
+
+
+def classify_branch(d: int, m) -> BranchPlan:
+    """The BranchPlan of d+m.  Rationals classify exactly; floats within
+    1e-9 of an integer are snapped, with a warning."""
+    if isinstance(m, Fraction):
+        dm = Fraction(d) + m
+        integer = dm.denominator == 1
+    else:
+        dm = d + float(m)
+        integer = abs(dm - round(dm)) < BRANCH_SNAP_TOL
+    if not integer:
+        return BranchPlan(Branch.NON_INTEGER, float(dm))
+    nearest = round(dm)
+    warnings = () if dm == nearest else (
+        f"d+m = {dm!r} snapped to the integer {nearest} for branch logic",)
+    return BranchPlan(Branch.ODD_INTEGER if nearest % 2 else Branch.EVEN_INTEGER,
+                      float(nearest), warnings)
 
 
 @dataclass
@@ -154,10 +171,9 @@ class RhoExpansion:
     order: int
     g_coeffs: list
     f_coeffs: list
-    branch: Branch
+    plan: BranchPlan
     obstruction: Optional[ObstructionData] = None
     ambiguity_notes: list = dc_field(default_factory=list)
-    warnings: list = dc_field(default_factory=list)
     # the Geometry that the last solver step read: that of the slice of
     # g_coeffs and f_coeffs without their last coefficients
     geometry: Optional[cv.Geometry] = None
@@ -300,7 +316,8 @@ def _trace_with_base(base, T):
 def solve_order_step(base, g_coeffs, f_coeffs, n, *,
                      check_points=None) -> OrderStep:
     """Determine the rho^n coefficients given coefficients through n-1."""
-    branch, dm, _ = classify_branch(base.dim, base.m)
+    plan = classify_branch(base.dim, base.m)
+    dm = plan.dm
     d, m = base.dim, float(base.m)
     f0 = base.f
     chart = base.chart
@@ -309,15 +326,19 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
     Rerr, Ferr, geometry = _residual_coefficients(base, g_coeffs, f_coeffs, n)
     Rtrace = _trace_with_base(base, Rerr)
     det = (2 * n - dm) * (n - dm)
+    even_critical = n == plan.n_c
+    note = None
 
-    is_even_critical = (branch is Branch.EVEN_INTEGER and 2 * n == int(dm))
-    is_odd_critical = ((branch in (Branch.ODD_INTEGER, Branch.EVEN_INTEGER))
-                       and n == int(dm) and not is_even_critical)
+    # trace-free part: solvable whenever n != (d+m)/2, where it is the
+    # canonical zero choice
+    tf_factor = n * (n - dm / 2.0)
+    psi_tf = [[zero if even_critical else
+               -(Rerr[i][j] - (g0[i][j] * Rtrace) * (1.0 / d)) * (1.0 / tf_factor)
+               for j in range(d)] for i in range(d)]
 
-    if is_even_critical:
+    if even_critical:
         # only tr psi / 2 + (m/f) upsilon is determined (even-order critical
-        # solve); trace-free psi and the complementary combination are the
-        # canonical zero choice
+        # solve); the complementary combination is the canonical zero choice
         combo = (Ferr * m) / (f0 * f0) - Rtrace if m != 0.0 else -Rtrace
         sigma = -(combo * (2.0 / dm ** 2))
         if m > 0.0:
@@ -326,18 +347,9 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
         else:
             tau = sigma * 2.0
             upsilon = zero
-        psi = [[(g0[i][j] * tau) * (1.0 / d) for j in range(d)] for i in range(d)]
         note = ("critical even order: trace-free part and the combination "
                 "tr psi / 2 - (m/f) upsilon set to zero (canonical choice)")
-        return OrderStep(n, SymTensor2Field.from_matrix(chart, psi), upsilon,
-                         det, False, note, geometry)
-
-    # trace-free part (solvable whenever n != (d+m)/2)
-    tf_factor = n * (n - dm / 2.0)
-    psi_tf = [[-(Rerr[i][j] - (g0[i][j] * Rtrace) * (1.0 / d)) * (1.0 / tf_factor)
-               for j in range(d)] for i in range(d)]
-
-    if is_odd_critical:
+    elif n == plan.n_odd:
         if check_points is None:
             check_points = base.sample(10, seed=0)
         scale = curvature_scale(base, check_points)
@@ -352,32 +364,28 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
         omega = -(Ferr / (f0 * f0)) * (1.0 / dm)
         tau = omega * (2.0 * m / dm)
         upsilon = -(f0 * omega) * (1.0 / dm)
-        psi = [[psi_tf[i][j] + (g0[i][j] * tau) * (1.0 / d) for j in range(d)]
-               for i in range(d)]
         note = (f"critical order n = d+m: consistency residual {worst:.2e}; "
                 "complementary combination tr psi / 2 + (m/f) upsilon set to "
                 "zero (canonical choice)")
-        return OrderStep(n, SymTensor2Field.from_matrix(chart, psi), upsilon,
-                         det, False, note, geometry)
-
-    if det == 0.0:
+    elif det == 0.0:
         raise OrderError(
             f"trace system determinant vanishes at order n = {n} outside the "
             "critical cases; this indicates an internal bug")
+    else:
+        # 2x2 trace system:  A tau - (B/f) upsilon = r1,  (f/2) tau + C upsilon = r2
+        A = n - d - m / 2.0
+        B = d * m
+        C = d + 2.0 * m - 2.0 * n
+        r1 = -(Rtrace * (1.0 / n))
+        r2 = -(Ferr / (f0 * float(n)))
+        denom = -det
+        tau = (r1 * C + ((r2 * B) / f0 if B != 0.0 else zero)) * (1.0 / denom)
+        upsilon = (r2 * A - (f0 * r1) * 0.5) * (1.0 / denom)
 
-    # 2x2 trace system:  A tau - (B/f) upsilon = r1,  (f/2) tau + C upsilon = r2
-    A = n - d - m / 2.0
-    B = d * m
-    C = d + 2.0 * m - 2.0 * n
-    r1 = -(Rtrace * (1.0 / n))
-    r2 = -(Ferr / (f0 * float(n)))
-    denom = -det
-    tau = (r1 * C + ((r2 * B) / f0 if B != 0.0 else zero)) * (1.0 / denom)
-    upsilon = (r2 * A - (f0 * r1) * 0.5) * (1.0 / denom)
     psi = [[psi_tf[i][j] + (g0[i][j] * tau) * (1.0 / d) for j in range(d)]
            for i in range(d)]
     return OrderStep(n, SymTensor2Field.from_matrix(chart, psi), upsilon,
-                     det, True, None, geometry)
+                     det, note is None, note, geometry)
 
 
 def obstruction_constant(dm: int) -> float:
@@ -386,14 +394,14 @@ def obstruction_constant(dm: int) -> float:
     return (-2.0) ** (half - 1) * math.factorial(half - 1) / (dm - 2)
 
 
-def _measure_obstruction(base, g_coeffs, f_coeffs, n_c, dm, geometry=None):
-    """ObstructionData from the completed-through-n_c coefficients; a
-    `geometry` of the slice through n_c - 1 is taken over as
-    `RhoSlice` allows."""
+def _measure_obstruction(base, n_c, g_coeffs, f_coeffs, geometry):
+    """ObstructionData at the even critical order `n_c` from the
+    coefficients through n_c; the `geometry` of the slice through
+    n_c - 1 is taken over as `RhoSlice` allows."""
     Rt, Ft = closed_form_residual_series(
-        RhoSlice(base, g_coeffs[: n_c + 1], f_coeffs[: n_c + 1], geometry))
+        RhoSlice(base, g_coeffs, f_coeffs, geometry))
     d = base.dim
-    c = obstruction_constant(int(dm))
+    c = obstruction_constant(2 * n_c)
     factor = c * math.factorial(n_c - 1)
     tensor = SymTensor2Field.from_matrix(base.chart, [
         [Rt[i][j].coefficient(n_c - 1) * factor for j in range(d)] for i in range(d)])
@@ -407,29 +415,44 @@ def expand(s: MetricMeasureSpace, order: int, *,
 
     Spatial jets of g and f to degree 2*order + 2 back the computation;
     the degree bookkeeping is automatic in the lazy field evaluation.
-    On the even branch, orders past the critical one require the measured
-    obstruction to vanish (continuation), and every canonical choice made
-    at a critical order is recorded in `ambiguity_notes`.
+    On the even branch from order n_c - 1 on, the solver runs through
+    the critical order n_c and measures the obstruction right after that
+    step; the steps past `order` are read for it and then dropped.
+    Orders past n_c require the measured obstruction to vanish
+    (continuation), and every canonical choice made at a critical order
+    is recorded in `ambiguity_notes`.
     """
     if order < 1:
         raise OrderError("expansion order must be at least 1")
-    branch, dm, warnings = classify_branch(s.dim, s.m)
+    plan = classify_branch(s.dim, s.m)
+    n_c = plan.n_c
+    last = order
+    if n_c is not None and order >= n_c - 1:
+        last = max(order, n_c)  # through n_c, for the obstruction
     g_coeffs = [s.g]
     f_coeffs = [s.f]
     notes = []
     obst = None
-    geometry = None  # that of the last step
-    n_c = int(dm) // 2 if branch is Branch.EVEN_INTEGER else None
+    geometry = None  # that of the last step through `order`
 
     if check_points is None and s.chart.box is not None:
         check_points = s.sample(10, seed=0)
 
-    for n in range(1, order + 1):
-        if branch is Branch.EVEN_INTEGER and n == n_c + 1:
-            # continuation past the critical order needs a vanishing obstruction
-            if obst is None:
-                obst = _measure_obstruction(s, g_coeffs, f_coeffs, n_c, dm,
-                                            geometry)
+    for n in range(1, last + 1):
+        step = solve_order_step(s, g_coeffs, f_coeffs, n,
+                                check_points=check_points)
+        g_coeffs.append(step.psi)
+        f_coeffs.append(step.upsilon)
+        if n <= order:
+            geometry = step.geometry
+            if step.note:
+                notes.append(f"order {n}: {step.note}")
+        if n != n_c:
+            continue
+        obst = _measure_obstruction(s, n_c, g_coeffs, f_coeffs, step.geometry)
+        if order > n_c:
+            # continuation past the critical order needs a vanishing
+            # obstruction
             scale = curvature_scale(s, check_points)
             worst = max_abs(evaluate(obst.tensor.entries(), check_points))
             if worst > OBSTRUCTION_CONTINUATION_TOL * scale:
@@ -441,45 +464,20 @@ def expand(s: MetricMeasureSpace, order: int, *,
             notes.append(
                 f"continuation past the critical order {n_c}: measured "
                 f"obstruction {worst:.2e} within tolerance")
-        step = solve_order_step(s, g_coeffs, f_coeffs, n,
-                                check_points=check_points)
-        g_coeffs.append(step.psi)
-        f_coeffs.append(step.upsilon)
-        geometry = step.geometry
-        if step.note:
-            notes.append(f"order {n}: {step.note}")
 
-    if branch is Branch.EVEN_INTEGER and obst is None and order >= n_c - 1:
-        if order >= n_c:
-            obst = _measure_obstruction(s, g_coeffs, f_coeffs, n_c, dm,
-                                        geometry)
-        else:
-            # run the critical step on a scratch copy to read the obstruction
-            scratch_g, scratch_f = list(g_coeffs), list(f_coeffs)
-            for n in range(order + 1, n_c + 1):
-                step = solve_order_step(s, scratch_g, scratch_f, n,
-                                        check_points=check_points)
-                scratch_g.append(step.psi)
-                scratch_f.append(step.upsilon)
-            obst = _measure_obstruction(s, scratch_g, scratch_f, n_c, dm,
-                                        step.geometry)
-
-    return RhoExpansion(s, order, g_coeffs, f_coeffs, branch, obst,
-                        notes, warnings, geometry)
+    return RhoExpansion(s, order, g_coeffs[:order + 1], f_coeffs[:order + 1],
+                        plan, obst, notes, geometry)
 
 
 def obstruction(s: MetricMeasureSpace, *, check_points=None) -> ObstructionData:
     """The obstruction tensor and scalar at order (d+m)/2 - 1.
 
-    Defined only when d+m is an even integer >= 4.  The rho-jet
+    Defined only when d+m is an even integer (>= 4, as d >= 3).  The rho-jet
     coefficient is converted to a rho-derivative with the factor
     ((d+m)/2 - 1)!.
     """
-    branch, dm, _ = classify_branch(s.dim, s.m)
-    if branch is not Branch.EVEN_INTEGER:
-        raise OrderError(f"obstruction requires d+m an even integer; d+m = {dm}")
-    if int(dm) < 4:
-        raise OrderError(f"obstruction requires d+m >= 4; d+m = {dm}")
-    n_c = int(dm) // 2
-    e = expand(s, n_c, check_points=check_points)
-    return e.obstruction
+    plan = classify_branch(s.dim, s.m)
+    if plan.n_c is None:
+        raise OrderError(f"obstruction requires d+m an even integer; "
+                         f"d+m = {plan.dm}")
+    return expand(s, plan.n_c, check_points=check_points).obstruction

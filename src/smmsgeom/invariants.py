@@ -14,7 +14,7 @@ weighted invariants computed here:
     weyl            Rm - schouten ^ g           (Kulkarni-Nomizu ^)
     cotton          antisymmetrized nabla schouten
     bach            delta_phi cotton - (1/m) tr cotton x dphi
-                    + <weyl, schouten - (y_phi/m) g>
+                    + <weyl, schouten - (y_phi/m) g>   (classical at m = 0)
 
 with phi = -m log f entering only through dphi = -m df/f and its
 Hessian, so no logarithm is ever formed.
@@ -178,15 +178,12 @@ def schouten(s: MetricMeasureSpace):
 
 
 def weighted_bach(s: MetricMeasureSpace) -> SymTensor2Field:
-    if s.m == 0.0:
-        raise ValidationError("the weighted Bach tensor requires m > 0")
+    """The weighted Bach tensor; the classical one at m = 0."""
     return SymTensor2Field.from_matrix(s.chart, s.geometry.bach)
 
 
 def bach_asymmetry(s: MetricMeasureSpace, point) -> float:
     """Residual |B_ij - B_ji| of the raw Bach computation (symmetry check)."""
-    if s.m == 0.0:
-        raise ValidationError("the weighted Bach tensor requires m > 0")
     B = s.geometry.bach
     vals = evaluate([c for row in B for c in row], [point]).reshape(s.dim, -1)
     return max_abs(vals - vals.T)

@@ -228,7 +228,7 @@ def test_criterion_08_branch_guarantees(spaces, expansions):
     consistency residual at the critical order is below 1e-8."""
     # non-integer branch
     s, e = spaces[0.5], expansions[0.5]
-    assert e.branch is Branch.NON_INTEGER
+    assert e.plan.branch is Branch.NON_INTEGER
     pts = s.sample(10, seed=9)
     scale = _scale(s, pts)
     Rt, Ft = closed_form_residual_series(e.slice())
@@ -243,7 +243,7 @@ def test_criterion_08_branch_guarantees(spaces, expansions):
 
     # even branch
     s1, e1 = spaces[1.0], expansions[1.0]
-    assert e1.branch is Branch.EVEN_INTEGER
+    assert e1.plan.branch is Branch.EVEN_INTEGER
     pts1 = s1.sample(10, seed=9)
     scale1 = _scale(s1, pts1)
     a1 = AmbientMetric(e1)
@@ -275,7 +275,7 @@ def test_criterion_08_branch_guarantees(spaces, expansions):
 
     # odd branch consistency at n = d+m = 5
     s2, e2 = spaces[2.0], expansions[2.0]
-    assert e2.branch is Branch.ODD_INTEGER
+    assert e2.plan.branch is Branch.ODD_INTEGER
     Rerr, Ferr, _ = _residual_coefficients(s2, e2.g_coeffs, e2.f_coeffs, 5)
     Rtr = _trace_with_base(s2, Rerr)
     pts2 = s2.sample(10, seed=3)
@@ -316,7 +316,7 @@ def test_criterion_10_poincare_correspondence(spaces, expansions):
         scale = _scale(s, pts)
         p = to_poincare(e)
         res = poincare_residual(p)
-        if e.branch is Branch.EVEN_INTEGER:
+        if e.plan.branch is Branch.EVEN_INTEGER:
             n_c = int(3 + m) // 2
             hi = min(2 * min(e.order, n_c - 1) - 1, res.trunc)
         else:

@@ -214,7 +214,7 @@ def test_first_unsolved_coefficient_generically_nonzero():
     e = expand(s, 2)
     g_ext = list(e.g_coeffs) + [SymTensor2Field.zero(s.chart)]
     f_ext = list(e.f_coeffs) + [s.chart.zero()]
-    a = AmbientMetric(RhoExpansion(s, 3, g_ext, f_ext, e.branch))
+    a = AmbientMetric(RhoExpansion(s, 3, g_ext, f_ext, e.plan))
     Rt, Ft = a.ricci_closed()
     pts = s.sample(5, seed=9)
     worst = max(abs(Rt[i][j].coefficient(2).value(p))
@@ -266,7 +266,7 @@ def test_rho_rho_block_responds_to_injected_perturbation():
     e = expand(s, 3)
     e.g_coeffs[n] = psi
     e.f_coeffs[n] = ups
-    a = AmbientMetric(RhoExpansion(s, 3, e.g_coeffs, e.f_coeffs, e.branch))
+    a = AmbientMetric(RhoExpansion(s, 3, e.g_coeffs, e.f_coeffs, e.plan))
     ric_g, _ = a.ricci_generic()
     oo = a.oo
     for p in s.sample(4, seed=6):

@@ -442,6 +442,67 @@ def test_cli_near_integer_dm_uses_snapped_branch(tmp_path):
     assert "poincare.guaranteed_power = 1\n" in text
 
 
+CONFIG_D4_M0 = """[chart]
+dimension = 4
+coordinates = x1 x2 x3 x4
+box = -0.3 0.3 ; -0.3 0.3 ; -0.3 0.3 ; -0.3 0.3
+
+[metric]
+g11 = 1 + 0.05*sin(x2)
+g21 = 0.02*x3
+g22 = 1
+g33 = 1 + 0.03*x1*x4
+g44 = 1
+
+[density]
+f = 1
+
+[parameters]
+m = 0
+mu = 0
+
+[solver]
+order = 1
+
+[sampling]
+points = 1
+seed = 3
+"""
+
+
+def test_cli_expand_m0_dm4_compares_the_obstruction_with_bach(tmp_path):
+    # d = 4, m = 0 is the unweighted d+m = 4 case: the obstruction is the
+    # classical Bach tensor, which the weighted one reduces to at m = 0
+    path = tmp_path / "d4m0.cfg"
+    path.write_text(CONFIG_D4_M0)
+    code, text = run_cli(["expand", "--config", str(path)], tmp_path,
+                         "d4m0.txt")
+    assert code == 0, text
+    assert "branch = EvenInteger" in text
+    assert "check.obstruction_equals_bach.ok = true" in text
+    # the obstruction is far above the check's limit of 1e-8, so the
+    # agreement is not vacuous
+    code, text = run_cli(["obstruction", "--config", str(path)], tmp_path,
+                         "d4m0o.txt")
+    assert code == 0, text
+    assert max(abs(float(line.split(" = ")[1])) for line in text.splitlines()
+               if line.startswith("point0.obstruction.")) > 1e-4
+
+
+def test_cli_obstruction_computes_each_node_about_once(tmp_path):
+    # the identities ask for the highest jets, so they run before the
+    # printout; printing first recomputed 2,438 of 5,222 computations
+    path = tmp_path / "even.cfg"
+    path.write_text(random_config(51, 1.0, 0.1, 2))
+    code, text = run_cli(["obstruction", "--config", str(path)], tmp_path,
+                         "ob.txt")
+    assert code == 0, text
+    stats = dict(line[len("timings.stats."):].split(" = ")
+                 for line in text.splitlines()
+                 if line.startswith("timings.stats."))
+    assert int(stats["recomputed"]) <= 600
+
+
 def test_cli_obstruction_branch_error(config_path, tmp_path):
     code, text = run_cli(["obstruction", "--config", config_path], tmp_path, "o.txt")
     assert code == 2

@@ -11,8 +11,7 @@ from smmsgeom.catalog import (flat_space, hyperbolic_upper_half_space,
                               load_entry, quasi_einstein_entry, random_entry,
                               round_sphere_space)
 from smmsgeom.expansion import (Branch, ConsistencyError, OrderError,
-                                branch_guarantees, classify_branch,
-                                closed_form_residual_series,
+                                classify_branch, closed_form_residual_series,
                                 expand, obstruction, obstruction_constant,
                                 solve_order_step)
 
@@ -31,13 +30,30 @@ def residual_worst(space, e, orders, points):
 
 
 def test_classify_branch():
-    assert classify_branch(3, 0.5)[0] is Branch.NON_INTEGER
-    assert classify_branch(3, 1.0)[0] is Branch.EVEN_INTEGER
-    assert classify_branch(3, 2.0)[0] is Branch.ODD_INTEGER
-    assert classify_branch(3, Fraction(1, 2))[0] is Branch.NON_INTEGER
-    assert classify_branch(3, Fraction(3, 1))[0] is Branch.EVEN_INTEGER
-    branch, dm, warnings = classify_branch(3, 1.0 + 1e-12)
-    assert branch is Branch.EVEN_INTEGER and dm == 4.0 and warnings
+    assert classify_branch(3, 0.5).branch is Branch.NON_INTEGER
+    assert classify_branch(3, 1.0).branch is Branch.EVEN_INTEGER
+    assert classify_branch(3, 2.0).branch is Branch.ODD_INTEGER
+    assert classify_branch(3, Fraction(1, 2)).branch is Branch.NON_INTEGER
+    assert classify_branch(3, Fraction(3, 1)).branch is Branch.EVEN_INTEGER
+    plan = classify_branch(3, 1.0 + 1e-12)
+    assert plan.branch is Branch.EVEN_INTEGER and plan.dm == 4.0
+    assert plan.warnings
+
+
+# (d, m) -> (n_c, the odd critical order d+m), from the branch rules
+PLAN_TABLE = [
+    (3, 0.5, None, None),         # d+m = 3.5
+    (3, 1.0, 2, 4),               # d+m = 4
+    (3, 0.9999999999, 2, 4),      # snapped to d+m = 4
+    (3, 2.0, None, 5),            # d+m = 5
+    (3, 3.0, 3, 6),               # d+m = 6
+]
+
+
+@pytest.mark.parametrize("d,m,n_c,n_odd", PLAN_TABLE)
+def test_branch_plan_critical_orders(d, m, n_c, n_odd):
+    plan = classify_branch(d, m)
+    assert (plan.n_c, plan.n_odd) == (n_c, n_odd)
 
 
 # (d, m, N) -> (solved, ij/F, trace combination, oo blocks, Poincare r-power),
@@ -61,7 +77,7 @@ GUARANTEE_TABLE = [
 
 @pytest.mark.parametrize("d,m,order,want", GUARANTEE_TABLE)
 def test_branch_guarantees_table(d, m, order, want):
-    gu = branch_guarantees(d, m, order)
+    gu = classify_branch(d, m).guarantees(order)
     assert (gu.solved, gu.ij, gu.trace, gu.rho, gu.poincare_power) == want
 
 
@@ -114,7 +130,7 @@ def test_second_order_matches_bach_formula():
 def test_noninteger_branch_residuals_vanish():
     s = random_entry(d=3, m=0.5, mu=0.2, seed=5).space
     e = expand(s, 3)
-    assert e.branch is Branch.NON_INTEGER
+    assert e.plan.branch is Branch.NON_INTEGER
     pts = s.sample(10, seed=9)
     scale = max(inv.curvature_scale(s, pts), 1.0)
     assert residual_worst(s, e, range(3), pts) <= 1e-9 * scale
@@ -143,7 +159,7 @@ def test_slice_takes_over_the_last_step_geometry_only_while_it_fits():
 def test_even_branch_critical_and_trace_combination():
     s = random_entry(d=3, m=1.0, mu=0.1, seed=21).space
     e = expand(s, 2)
-    assert e.branch is Branch.EVEN_INTEGER
+    assert e.plan.branch is Branch.EVEN_INTEGER
     assert any("critical even order" in note for note in e.ambiguity_notes)
     pts = s.sample(5, seed=9)
     scale = max(inv.curvature_scale(s, pts), 1.0)
@@ -160,6 +176,30 @@ def test_even_branch_critical_and_trace_combination():
             combo = tr - s.m / s.f.value(p) ** 2 * Ft.coefficient(k).value(p)
             worst = max(worst, abs(combo))
     assert worst <= 1e-9 * scale
+
+
+def obstruction_objects(e):
+    return list(e.obstruction.tensor.entries()) + [e.obstruction.scalar_part]
+
+
+def test_obstruction_is_measured_once_right_after_the_critical_step():
+    # below n_c the solver runs the critical step for the obstruction
+    # and keeps neither its coefficients nor its note
+    s = random_entry(d=3, m=1.0, mu=0.1, seed=21).space
+    e1, e2 = expand(s, 1), expand(s, 2)
+    assert all(a is b for a, b in zip(obstruction_objects(e1),
+                                      obstruction_objects(e2)))
+    assert len(e1.g_coeffs) == len(e1.f_coeffs) == 2
+    assert not any(note.startswith("order 2:") for note in e1.ambiguity_notes)
+    assert any(note.startswith("order 2:") for note in e2.ambiguity_notes)
+
+
+def test_continuation_reads_the_obstruction_of_the_critical_step():
+    s = flat_space(d=3, m=1.0)
+    e2, e3 = expand(s, 2), expand(s, 3)
+    assert all(a is b for a, b in zip(obstruction_objects(e2),
+                                      obstruction_objects(e3)))
+    assert sum("continuation" in note for note in e3.ambiguity_notes) == 1
 
 
 def test_even_branch_blocks_past_obstruction():
@@ -269,7 +309,7 @@ def test_obstruction_trace_and_divergence_identities():
 def test_odd_branch_consistency_residual():
     s = random_entry(d=3, m=2.0, mu=0.1, seed=41, amplitude=0.04).space
     e = expand(s, 4)
-    assert e.branch is Branch.ODD_INTEGER
+    assert e.plan.branch is Branch.ODD_INTEGER
     from smmsgeom.expansion import _residual_coefficients, _trace_with_base
     Rerr, Ferr, _ = _residual_coefficients(s, e.g_coeffs, e.f_coeffs, 5)
     Rtr = _trace_with_base(s, Rerr)
@@ -309,7 +349,7 @@ def test_fefferman_graham_reduction_m0_sphere():
     # m = 0, f = 1 on the unit round sphere: g_rho = (1 + rho/2)^2 g
     s = round_sphere_space(d=3, m=0.0, mu=0.0, f_expr="1")
     e = expand(s, 3)
-    assert e.branch is Branch.ODD_INTEGER
+    assert e.plan.branch is Branch.ODD_INTEGER
     lam = 0.5
     want = [1.0, 2 * lam, lam * lam, 0.0]
     pts = s.sample(4, seed=5)
@@ -346,7 +386,7 @@ def test_rational_m_matches_float_run():
                                 Fraction(1, 2), 0.2)
     e1 = expand(s_float, 2)
     e2 = expand(s_frac, 2)
-    assert e2.branch is Branch.NON_INTEGER
+    assert e2.plan.branch is Branch.NON_INTEGER
     for p in s_float.sample(2, seed=1):
         assert np.array_equal(e1.g_coeffs[2].matrix_values(p),
                               e2.g_coeffs[2].matrix_values(p))

@@ -102,6 +102,11 @@ class Graded:
         if isinstance(other, (int, float)):
             return Graded(self.deg, self.val * other)
         if isinstance(other, Graded):
+            # an exact zero absorbs, as in __add__ it carries no t-degree
+            if self.is_zero:
+                return self
+            if other.is_zero:
+                return other
             return Graded(self.deg + other.deg, self.val * other.val)
         return NotImplemented
 
@@ -300,7 +305,7 @@ class AmbientMetric:
                             -(self.rho_series * t4)], ez)
                         tang[(i, j, k, l)] = Graded(2, term)
         geo = self.slice.geometry
-        cov_gp = cv.cov_deriv_sym2(Gp, geo.gamma, geo.derivs, ez)
+        cov_gp = cv.cov_deriv(Gp, geo.gamma, geo.derivs, ez)
         mixed = {}
         for j in range(d):
             for k in range(d):
@@ -395,7 +400,9 @@ def order_report(a: AmbientMetric, tol: float = 1e-9, *,
                  points=None) -> ResidualReport:
     """Measured per-block orders of vanishing of the weighted Ricci tensor
     and the F scalar, against the branch guarantees of the construction,
-    at `points` (default: 10 points of the base box, seed 0)."""
+    at `points` (default: 10 points of the base box, seed 0).  While the
+    solved order is at most 1 the rho_i and rho_rho blocks guarantee no
+    coefficient, so they are neither built nor reported."""
     base = a.base
     e = a.expansion
     if points is None:
@@ -410,8 +417,10 @@ def order_report(a: AmbientMetric, tol: float = 1e-9, *,
     upto = max(N - 2, 0)
     # only the t row and the rho row are read from the generic route, and
     # only through rho^upto
-    ric_g, _ = a.ricci_generic([(0, I) for I in range(a.n)]
-                               + [(oo, I) for I in range(1, a.n)], upto)
+    rows = [(0, I) for I in range(a.n)]
+    if gu.rho >= 0:
+        rows += [(oo, I) for I in range(1, a.n)]
+    ric_g, _ = a.ricci_generic(rows, upto)
     trace = cv.acc_sum([a.Ginv[i][j] * Rt[i][j] for i in range(d)
                         for j in range(d)], a._zero_series)
     combo = trace - (Ft * float(base.m)) / (a.F * a.F) if base.m != 0.0 else trace
@@ -425,10 +434,11 @@ def order_report(a: AmbientMetric, tol: float = 1e-9, *,
         "trace_combo": ("g^{ij}Ric_ij - (m/f^2)F", [combo], N - 1, gu.trace),
         "t_row": ("Ric[0I] (structural zero)",
                   [ric_g[0][I].val for I in range(a.n)], upto, upto),
-        "rho_i": ("Ric[oo i]", [ric_g[oo][i + 1].val for i in range(d)],
-                  upto, gu.rho),
-        "rho_rho": ("Ric[oo oo]", [ric_g[oo][oo].val], upto, gu.rho),
     }
+    if gu.rho >= 0:
+        table["rho_i"] = ("Ric[oo i]", [ric_g[oo][i + 1].val for i in range(d)],
+                          upto, gu.rho)
+        table["rho_rho"] = ("Ric[oo oo]", [ric_g[oo][oo].val], upto, gu.rho)
     maxima = _coefficient_maxima(
         {name: (series, last) for name, (_, series, last, _) in table.items()},
         points)

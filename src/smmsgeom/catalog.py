@@ -21,7 +21,7 @@ plus seeded random perturbations of the flat space for test corpora.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,6 +40,13 @@ __all__ = [
 ]
 
 
+# the defining equations of an entry hold within this tolerance (relative
+# to the curvature scale) at this many sample points drawn with this seed
+_TOL = 1e-9
+_POINTS = 6
+_SEED = 0
+
+
 class EntryRejected(ValueError):
     """The candidate space fails its family's defining equations."""
 
@@ -51,12 +58,11 @@ class CatalogEntry:
     params: dict
     flags: dict
     closed_form: Optional[Callable[[int], tuple]] = None
-    notes: list = dc_field(default_factory=list)
 
-    def verify(self, tol: float = 1e-9, points: int = 6, seed: int = 0):
+    def verify(self, points: int = _POINTS, seed: int = _SEED):
         """Re-check the flags' defining equations (done at construction too)."""
         pts = self.space.sample(points, seed)
-        _verify_flags(self.space, self.flags, self.params, tol, pts)
+        _verify_flags(self.space, self.flags, self.params, pts)
 
     def closed_expansion(self, order: int):
         """The closed-form deformation wrapped as an expansion object."""
@@ -101,7 +107,7 @@ def round_sphere_space(d=3, m=2.0, mu=-1.0, f_expr="1") -> MetricMeasureSpace:
 # -- hypothesis verification ----------------------------------------------------
 
 
-def _verify_flags(s, flags, params, tol, pts):
+def _verify_flags(s, flags, params, pts):
     scale = inv.curvature_scale(s, pts)
     if flags.get("gover_leitner") and s.f.const_value() != 1.0:
         raise EntryRejected("the Gover-Leitner family requires f = 1")
@@ -121,55 +127,48 @@ def _verify_flags(s, flags, params, tol, pts):
         for p, ric, g, (F, f) in zip(pts, v["ric"], v["g"], v["F"]):
             r1 = max_abs(ric - c * g)
             r2 = abs(F + c * f ** 2)
-            if max(r1, r2) > tol * scale:
+            if max(r1, r2) > _TOL * scale:
                 raise EntryRejected(
                     f"quasi-Einstein hypotheses fail at {p}: "
                     f"|Ric_phi - c g| = {r1:.3e}, |F_phi + c f^2| = {r2:.3e}")
     if flags.get("wlcf"):
         for p, A, dP in zip(pts, v["weyl"], v["cotton"]):
             r1, r2 = max_abs(A), max_abs(dP)
-            if max(r1, r2) > tol * scale:
+            if max(r1, r2) > _TOL * scale:
                 raise EntryRejected(
                     f"weighted conformal flatness fails at {p}: "
                     f"|weyl| = {r1:.3e}, |cotton| = {r2:.3e}")
         for p, r in zip(pts, np.max(np.abs(v["identities"]), axis=1)):
-            if r > tol * scale:
+            if r > _TOL * scale:
                 raise EntryRejected(
                     f"conformally-flat identities fail at {p}: {r:.3e}")
     if flags.get("gover_leitner"):
         for p, ric, g in zip(pts, v["ric"], v["g"]):
             r = max_abs(ric + (s.dim - 1) * s.mu * g)
-            if r > tol * scale:
+            if r > _TOL * scale:
                 raise EntryRejected(
-                    f"|Ric + (d-1) mu g| = {r:.3e} at {p} exceeds {tol * scale:.3e}")
+                    f"|Ric + (d-1) mu g| = {r:.3e} at {p} exceeds {_TOL * scale:.3e}")
 
 
 # -- closed-form deformations ----------------------------------------------------
 
 
-def _einstein_like_closed_form(s, a):
-    """Coefficients of g_rho = (1 + a rho)^2 g as fields."""
+def _padded(coeffs, order, zero):
+    """`coeffs` followed by `zero` through the rho^order coefficient."""
+    return coeffs + [zero] * (order + 1 - len(coeffs))
 
-    def closed_form(order):
-        g_coeffs = [s.g]
-        f_coeffs = [s.f]
-        if order >= 1:
-            g_coeffs.append(s.g.scale(2.0 * a))
-        if order >= 2:
-            g_coeffs.append(s.g.scale(a * a))
-        zero_t = SymTensor2Field.zero(s.chart)
-        zero_f = s.chart.zero()
-        while len(g_coeffs) <= order:
-            g_coeffs.append(zero_t)
-        while len(f_coeffs) <= order:
-            f_coeffs.append(zero_f)
-        return g_coeffs, f_coeffs
 
-    return closed_form
+def _einstein_like_g(s, a, order):
+    """Coefficients of g_rho = (1 + a rho)^2 g through rho^order, as fields."""
+    g_coeffs = [s.g]
+    if order >= 1:
+        g_coeffs.append(s.g.scale(2.0 * a))
+    if order >= 2:
+        g_coeffs.append(s.g.scale(a * a))
+    return _padded(g_coeffs, order, SymTensor2Field.zero(s.chart))
 
 
 def quasi_einstein_entry(space: MetricMeasureSpace, ric_eigenvalue=None, *,
-                         tol=1e-9, points=6, seed=0,
                          name="quasi-einstein") -> CatalogEntry:
     """Entry for a space with Ric_phi = c g and F_phi = -c f^2.
 
@@ -177,7 +176,7 @@ def quasi_einstein_entry(space: MetricMeasureSpace, ric_eigenvalue=None, *,
     the hypotheses are then verified everywhere sampled and the entry is
     rejected on failure.
     """
-    pts = space.sample(points, seed)
+    pts = space.sample(_POINTS, _SEED)
     ric = inv.weighted_ricci(space)
     if ric_eigenvalue is None:
         r00, g00 = evaluate([ric.comp(0, 0), space.g.comp(0, 0)], pts[:1])[:, 0]
@@ -185,24 +184,21 @@ def quasi_einstein_entry(space: MetricMeasureSpace, ric_eigenvalue=None, *,
     c = float(ric_eigenvalue)
     params = {"ric_eigenvalue": c, "d": space.dim, "m": space.m, "mu": space.mu}
     flags = {"quasi_einstein": True, "ambient_flat": False}
-    _verify_flags(space, flags, params, tol, pts)
+    _verify_flags(space, flags, params, pts)
     a = c / (2.0 * (space.dim + space.m - 1.0))
     params["schouten_eigenvalue"] = a
 
     def closed_form(order):
-        g_coeffs, _ = _einstein_like_closed_form(space, a)(order)
+        g_coeffs = _einstein_like_g(space, a, order)
         f_coeffs = [space.f]
         if order >= 1:
             f_coeffs.append(space.f * a)
-        while len(f_coeffs) <= order:
-            f_coeffs.append(space.chart.zero())
-        return g_coeffs, f_coeffs
+        return g_coeffs, _padded(f_coeffs, order, space.chart.zero())
 
     return CatalogEntry(name, space, params, flags, closed_form)
 
 
-def wlcf_entry(space: MetricMeasureSpace, *, tol=1e-9, points=6, seed=0,
-               name="wlcf") -> CatalogEntry:
+def wlcf_entry(space: MetricMeasureSpace, *, name="wlcf") -> CatalogEntry:
     """Entry for a space locally conformally flat in the weighted sense.
 
     The deformation terminates at second order:
@@ -211,10 +207,10 @@ def wlcf_entry(space: MetricMeasureSpace, *, tol=1e-9, points=6, seed=0,
     """
     if space.m <= 0:
         raise EntryRejected("the weighted-flat family requires m > 0")
-    pts = space.sample(points, seed)
+    pts = space.sample(_POINTS, _SEED)
     flags = {"wlcf": True, "ambient_flat": True}
     params = {"d": space.dim, "m": space.m, "mu": space.mu}
-    _verify_flags(space, flags, params, tol, pts)
+    _verify_flags(space, flags, params, pts)
 
     P_field, _, Y = inv.schouten(space)
 
@@ -232,14 +228,11 @@ def wlcf_entry(space: MetricMeasureSpace, *, tol=1e-9, points=6, seed=0,
                                for k in range(d) for l in range(d)], zero)
                    for j in range(d)] for i in range(d)]
             g_coeffs.append(SymTensor2Field.from_matrix(chart, P2))
-        while len(g_coeffs) <= order:
-            g_coeffs.append(SymTensor2Field.zero(chart))
         f_coeffs = [space.f]
         if order >= 1:
             f_coeffs.append(space.f * Y * (1.0 / space.m))
-        while len(f_coeffs) <= order:
-            f_coeffs.append(zero)
-        return g_coeffs, f_coeffs
+        return (_padded(g_coeffs, order, SymTensor2Field.zero(chart)),
+                _padded(f_coeffs, order, zero))
 
     return CatalogEntry(name, space, params, flags, closed_form)
 
@@ -257,30 +250,27 @@ def conformal_wlcf_space(d=3, m=2.0, a=0.3, u_expr="0.2*x1") -> MetricMeasureSpa
     return inv.conformal_change(base, u)
 
 
-def gover_leitner_entry(space: MetricMeasureSpace, *, tol=1e-9, points=6,
-                        seed=0, name="gover-leitner") -> CatalogEntry:
+def gover_leitner_entry(space: MetricMeasureSpace, *,
+                        name="gover-leitner") -> CatalogEntry:
     """Entry for f = 1 with Ric = -(d-1) mu g (an Einstein base).
 
     Uses a = -mu/2 (the Schouten eigenvalue; in the other common
     normalization the Einstein constant is lam = -(d-1) mu).  The
     deformation is g_rho = (1 + a rho)^2 g, f_rho = 1 - a rho.
     """
-    pts = space.sample(points, seed)
+    pts = space.sample(_POINTS, _SEED)
     flags = {"gover_leitner": True, "ambient_flat": False}
     params = {"d": space.dim, "m": space.m, "mu": space.mu}
-    _verify_flags(space, flags, params, tol, pts)
+    _verify_flags(space, flags, params, pts)
     a = -space.mu / 2.0
     params["schouten_eigenvalue"] = a
 
     def closed_form(order):
-        g_coeffs, _ = _einstein_like_closed_form(space, a)(order)
-        one = space.chart.constant(1.0)
-        f_coeffs = [one]
+        g_coeffs = _einstein_like_g(space, a, order)
+        f_coeffs = [space.chart.constant(1.0)]
         if order >= 1:
             f_coeffs.append(space.chart.constant(-a))
-        while len(f_coeffs) <= order:
-            f_coeffs.append(space.chart.zero())
-        return g_coeffs, f_coeffs
+        return g_coeffs, _padded(f_coeffs, order, space.chart.zero())
 
     return CatalogEntry(name, space, params, flags, closed_form)
 

@@ -285,8 +285,8 @@ def _obstruction_identities(prob, obs, report, bach=None):
     d = s.dim
     geo = s.geometry
     dphi = geo.dphi
-    div_O = cv.weighted_divergence_sym2(obs.tensor.as_matrix(), geo.ginv, dphi,
-                                        geo.gamma, geo.derivs, geo.zero)
+    div_O = cv.weighted_divergence(obs.tensor.as_matrix(), geo.ginv, dphi,
+                                   geo.gamma, geo.derivs, geo.zero)
     v = evaluate_named(prob.points, g=s.g.entries(), f=[s.f],
                        O=obs.tensor.entries(), scalar=[obs.scalar_part],
                        dphi=dphi, div_O=div_O,

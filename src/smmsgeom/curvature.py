@@ -9,6 +9,12 @@ graded cone scalars.  `Geometry` assembles them for one metric (and
 density) on any of these rings, and is the one place where the
 weighted curvature of (g, f) is put together.
 
+Every ring absorbs an exact zero (its product with anything is that
+zero) and `acc_sum` drops exact zeros, so a formula tests for zero only
+where the test saves building an operand: the contractions skip the
+structurally zero entries of g^{ij}, and `_det` skips a zero entry
+before it expands the minor.
+
 Conventions (fixed so the unit round sphere has positive sectional
 curvature and R_{abkl} = -2(g_{a[l} P_{k]b} + g_{b[k} P_{l]a}) holds on
 conformally flat spaces with X_[ab] = (X_ab - X_ba)/2):
@@ -23,16 +29,15 @@ conformally flat spaces with X_[ab] = (X_ab - X_ba)/2):
 from __future__ import annotations
 
 from functools import cache, cached_property, reduce
-from operator import add
+from operator import add, getitem
 
 __all__ = [
     "Geometry", "partials", "matrix_inverse", "christoffel", "ricci",
     "riemann_lowered", "scalar_curvature", "gradient", "hessian", "laplacian",
     "grad_norm_sq", "bakry_emery_ricci", "f_curvature", "weighted_scalar",
     "schouten_tensor", "kulkarni_nomizu", "weighted_weyl", "weighted_cotton",
-    "cov_deriv_sym2", "weighted_divergence_sym2", "weighted_divergence_rank3",
-    "weighted_bach", "bianchi_residual", "phi_gradient", "phi_hessian",
-    "weighted_ricci_coordinate_formula",
+    "cov_deriv", "weighted_divergence", "weighted_bach", "bianchi_residual",
+    "phi_gradient", "phi_hessian", "weighted_ricci_coordinate_formula",
 ]
 
 
@@ -88,8 +93,6 @@ def _det(m, rows, cols, memo, zero):
         if _is_zero(m[r][c]):
             continue
         minor = _det(m, rows[1:], cols[:t] + cols[t + 1:], memo, zero)
-        if _is_zero(minor):
-            continue
         term = m[r][c] * minor
         terms.append(term if t % 2 == 0 else -term)
     return memo.setdefault(key, acc_sum(terms, zero))
@@ -128,8 +131,7 @@ def christoffel(g, ginv, derivs, zero):
                     if _is_zero(ginv[k][l]):
                         continue
                     inner = acc_sum([dg[j][l][i], dg[i][l][j], -dg[i][j][l]], zero)
-                    if not _is_zero(inner):
-                        terms.append(ginv[k][l] * inner)
+                    terms.append(ginv[k][l] * inner)
                 val = acc_sum(terms, zero) * 0.5
                 gamma[k][i][j] = gamma[k][j][i] = val
     return gamma
@@ -154,10 +156,8 @@ def ricci(gamma, derivs, zero):
                 terms.append(dgam(k, l, j, k))
                 terms.append(-dgam(k, k, j, l))
                 for p in range(n):
-                    if not (_is_zero(gamma[k][k][p]) or _is_zero(gamma[p][l][j])):
-                        terms.append(gamma[k][k][p] * gamma[p][l][j])
-                    if not (_is_zero(gamma[k][l][p]) or _is_zero(gamma[p][k][j])):
-                        terms.append(-(gamma[k][l][p] * gamma[p][k][j]))
+                    terms.append(gamma[k][k][p] * gamma[p][l][j])
+                    terms.append(-(gamma[k][l][p] * gamma[p][k][j]))
             ric[j][l] = ric[l][j] = acc_sum(terms, zero)
     return ric
 
@@ -174,10 +174,8 @@ def riemann_lowered(g, gamma, derivs, zero):
                 for l in range(n):
                     terms = [dgam[m][l][j][k], -dgam[m][k][j][l]]
                     for p in range(n):
-                        if not (_is_zero(gamma[m][k][p]) or _is_zero(gamma[p][l][j])):
-                            terms.append(gamma[m][k][p] * gamma[p][l][j])
-                        if not (_is_zero(gamma[m][l][p]) or _is_zero(gamma[p][k][j])):
-                            terms.append(-(gamma[m][l][p] * gamma[p][k][j]))
+                        terms.append(gamma[m][k][p] * gamma[p][l][j])
+                        terms.append(-(gamma[m][l][p] * gamma[p][k][j]))
                     rm_up[m][j][k][l] = acc_sum(terms, zero)
     rm = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -185,16 +183,14 @@ def riemann_lowered(g, gamma, derivs, zero):
             for k in range(n):
                 for l in range(n):
                     rm[i][j][k][l] = acc_sum(
-                        [g[i][m] * rm_up[m][j][k][l] for m in range(n)
-                         if not (_is_zero(g[i][m]) or _is_zero(rm_up[m][j][k][l]))],
-                        zero)
+                        [g[i][m] * rm_up[m][j][k][l] for m in range(n)], zero)
     return rm
 
 
 def scalar_curvature(ginv, ric, zero):
     n = len(ginv)
-    return acc_sum([ginv[i][j] * ric[i][j] for i in range(n) for j in range(n)
-                    if not (_is_zero(ginv[i][j]) or _is_zero(ric[i][j]))], zero)
+    return acc_sum([ginv[i][j] * ric[i][j] for i in range(n) for j in range(n)],
+                   zero)
 
 
 def gradient(f, derivs):
@@ -209,8 +205,7 @@ def hessian(f, gamma, derivs, zero):
         for j in range(i, n):
             terms = [derivs[i](df[j])]
             for k in range(n):
-                if not (_is_zero(gamma[k][i][j]) or _is_zero(df[k])):
-                    terms.append(-(gamma[k][i][j] * df[k]))
+                terms.append(-(gamma[k][i][j] * df[k]))
             h[i][j] = h[j][i] = acc_sum(terms, zero)
     return h
 
@@ -222,15 +217,15 @@ def laplacian(ginv, hess, zero):
 def grad_norm_sq(ginv, df, zero):
     n = len(ginv)
     return acc_sum([ginv[i][j] * (df[i] * df[j]) for i in range(n) for j in range(n)
-                    if not (_is_zero(ginv[i][j]) or _is_zero(df[i]) or _is_zero(df[j]))],
-                   zero)
+                    if not _is_zero(ginv[i][j])], zero)
 
 
 # -- weighted invariants ------------------------------------------------------
 
 
 def bakry_emery_ricci(ric, hess_f, f, m, zero):
-    """Ric - (m/f) Hess f; the m = 0 correction drops structurally."""
+    """Ric - (m/f) Hess f; the correction is left out where m or the Hess f
+    entry is zero, since a zero Ric entry minus 0 would fold to -0.0."""
     n = len(ric)
     if m == 0.0:
         return [row[:] for row in ric]
@@ -252,7 +247,7 @@ def f_curvature(f, lap_f, gn2_f, m, mu, zero):
 def weighted_scalar(scal, f, lap_f, gn2_f, m, mu, zero):
     """R - (2m/f) Lap f - m(m-1)/f^2 (|grad f|^2 - mu)."""
     terms = [scal]
-    if m != 0.0 and not _is_zero(lap_f):
+    if m != 0.0:
         terms.append(-((lap_f * (2.0 * float(m))) / f))
     if m != 0.0 and m != 1.0:
         terms.append(-(((gn2_f - mu) * (float(m) * (float(m) - 1.0))) / (f * f)))
@@ -275,18 +270,14 @@ def schouten_tensor(ric_phi, scal_phi, g, ginv, d, m, zero):
 def kulkarni_nomizu(h, k, zero):
     """(h ^ k)_xyzw = h_xz k_yw + h_yw k_xz - h_xw k_yz - h_yz k_xw."""
     n = len(h)
-
-    def prod(a, b):
-        return zero if (_is_zero(a) or _is_zero(b)) else a * b
-
     out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for x in range(n):
         for y in range(n):
             for z in range(n):
                 for w in range(n):
                     out[x][y][z][w] = acc_sum(
-                        [prod(h[x][z], k[y][w]), prod(h[y][w], k[x][z]),
-                         -prod(h[x][w], k[y][z]), -prod(h[y][z], k[x][w])], zero)
+                        [h[x][z] * k[y][w], h[y][w] * k[x][z],
+                         -(h[x][w] * k[y][z]), -(h[y][z] * k[x][w])], zero)
     return out
 
 
@@ -297,27 +288,40 @@ def weighted_weyl(rm, P, g, zero):
               for k in range(n)] for j in range(n)] for i in range(n)]
 
 
-def cov_deriv_sym2(T, gamma, derivs, zero):
-    """nabla_k T_ij as out[k][i][j]."""
+def _shaped(template, entry, idx=()):
+    """The nested list shaped like `template` whose entry at each index
+    tuple idx is entry(idx), built in lexicographic order."""
+    if not isinstance(template, list):
+        return entry(idx)
+    return [_shaped(t, entry, idx + (i,)) for i, t in enumerate(template)]
+
+
+def _at(T, idx):
+    return reduce(getitem, idx, T)
+
+
+def cov_deriv(T, gamma, derivs, zero):
+    """nabla_a T_{b...} as out[a][b]..., for a covariant tensor T of any
+    rank (its nesting depth): d_a T minus, for each p and then each slot,
+    Gamma^p_{a slot} times T with p in that slot."""
     n = len(gamma)
-    out = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                terms = [derivs[k](T[i][j])]
-                for p in range(n):
-                    if not (_is_zero(gamma[p][k][i]) or _is_zero(T[p][j])):
-                        terms.append(-(gamma[p][k][i] * T[p][j]))
-                    if not (_is_zero(gamma[p][k][j]) or _is_zero(T[i][p])):
-                        terms.append(-(gamma[p][k][j] * T[i][p]))
-                out[k][i][j] = acc_sum(terms, zero)
-    return out
+
+    def entry(idx):
+        a, rest = idx[0], idx[1:]
+        terms = [derivs[a](_at(T, rest))]
+        for p in range(n):
+            for s, b in enumerate(rest):
+                terms.append(-(gamma[p][a][b]
+                               * _at(T, rest[:s] + (p,) + rest[s + 1:])))
+        return acc_sum(terms, zero)
+
+    return _shaped([T] * n, entry)
 
 
 def weighted_cotton(P, gamma, derivs, zero):
     """dP[i][j][k] = nabla_i P_jk - nabla_j P_ik."""
     n = len(gamma)
-    dP_cov = cov_deriv_sym2(P, gamma, derivs, zero)
+    dP_cov = cov_deriv(P, gamma, derivs, zero)
     return [[[dP_cov[i][j][k] - dP_cov[j][i][k] for k in range(n)]
              for j in range(n)] for i in range(n)]
 
@@ -339,86 +343,53 @@ def phi_hessian(f, hess_f, df, m, zero):
     return out
 
 
-def weighted_divergence_sym2(T, ginv, dphi, gamma, derivs, zero):
-    """(delta_phi T)_j = g^{ik}(nabla_i T_kj - phi_i T_kj)."""
+def weighted_divergence(T, ginv, dphi, gamma, derivs, zero):
+    """(delta_phi T)_{j...} = g^{ab}(nabla_a T_{bj...} - phi_a T_{bj...}),
+    for a covariant tensor T of rank 2 or more."""
     n = len(ginv)
-    covT = cov_deriv_sym2(T, gamma, derivs, zero)
-    out = []
-    for j in range(n):
+    covT = cov_deriv(T, gamma, derivs, zero)
+
+    def entry(rest):
         terms = []
-        for i in range(n):
-            for k in range(n):
-                if _is_zero(ginv[i][k]):
+        for a in range(n):
+            for b in range(n):
+                if _is_zero(ginv[a][b]):
                     continue
-                terms.append(ginv[i][k] * covT[i][k][j])
-                if not (_is_zero(dphi[i]) or _is_zero(T[k][j])):
-                    terms.append(-(ginv[i][k] * (dphi[i] * T[k][j])))
-        out.append(acc_sum(terms, zero))
-    return out
+                terms.append(ginv[a][b] * _at(covT, (a, b) + rest))
+                terms.append(-(ginv[a][b] * (dphi[a] * _at(T, (b,) + rest))))
+        return acc_sum(terms, zero)
 
-
-def weighted_divergence_rank3(T, ginv, dphi, gamma, derivs, zero):
-    """(delta_phi T)_{jk} = g^{ab}(nabla_a T_{bjk} - phi_a T_{bjk})."""
-    n = len(ginv)
-    covT = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for j in range(n):
-                for k in range(n):
-                    terms = [derivs[a](T[b][j][k])]
-                    for p in range(n):
-                        for (slot, tpjk) in ((b, (p, j, k)), (j, (b, p, k)),
-                                             (k, (b, j, p))):
-                            gam = gamma[p][a][slot]
-                            tv = T[tpjk[0]][tpjk[1]][tpjk[2]]
-                            if not (_is_zero(gam) or _is_zero(tv)):
-                                terms.append(-(gam * tv))
-                    covT[a][b][j][k] = acc_sum(terms, zero)
-    out = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            terms = []
-            for a in range(n):
-                for b in range(n):
-                    if _is_zero(ginv[a][b]):
-                        continue
-                    terms.append(ginv[a][b] * covT[a][b][j][k])
-                    if not (_is_zero(dphi[a]) or _is_zero(T[b][j][k])):
-                        terms.append(-(ginv[a][b] * (dphi[a] * T[b][j][k])))
-            out[j][k] = acc_sum(terms, zero)
-    return out
+    return _shaped(T[0], entry)
 
 
 def weighted_bach(A, P, g, ginv, dP, dphi, Y, gamma, derivs, m, zero):
     """delta_phi dP - (1/m) tr dP x dphi + <A, P - (Y/m) g>; at m = 0,
     where f = 1 makes dphi and Y vanish, the classical delta dP + <A, P>."""
     n = len(g)
-    div_dP = weighted_divergence_rank3(dP, ginv, dphi, gamma, derivs, zero)
+    div_dP = weighted_divergence(dP, ginv, dphi, gamma, derivs, zero)
     if m == 0.0:
-        tr_dP, S = [zero] * n, P
+        S = P
     else:
         # (tr dP)_x = g^{ik} dP_{ixk}
         tr_dP = [acc_sum([ginv[i][k] * dP[i][x][k]
-                          for i in range(n) for k in range(n)
-                          if not (_is_zero(ginv[i][k]) or _is_zero(dP[i][x][k]))],
-                         zero) for x in range(n)]
+                          for i in range(n) for k in range(n)], zero)
+                 for x in range(n)]
         S = [[P[i][j] - (g[i][j] * Y) * (1.0 / float(m)) for j in range(n)]
              for i in range(n)]
     Sup = [[acc_sum([ginv[i][a] * (ginv[j][b] * S[a][b])
                      for a in range(n) for b in range(n)
-                     if not (_is_zero(ginv[i][a]) or _is_zero(ginv[j][b])
-                             or _is_zero(S[a][b]))], zero)
+                     if not (_is_zero(ginv[i][a]) or _is_zero(ginv[j][b]))],
+                    zero)
             for j in range(n)] for i in range(n)]
     out = [[None] * n for _ in range(n)]
     for j in range(n):
         for l in range(n):
             terms = [div_dP[j][l]]
-            if not (_is_zero(tr_dP[j]) or _is_zero(dphi[l])):
+            if m != 0.0:
                 terms.append(-((tr_dP[j] * dphi[l]) * (1.0 / float(m))))
             for a in range(n):
                 for c in range(n):
-                    if not (_is_zero(A[a][j][c][l]) or _is_zero(Sup[a][c])):
-                        terms.append(A[a][j][c][l] * Sup[a][c])
+                    terms.append(A[a][j][c][l] * Sup[a][c])
             out[j][l] = acc_sum(terms, zero)
     return out
 
@@ -426,14 +397,10 @@ def weighted_bach(A, P, g, ginv, dP, dphi, Y, gamma, derivs, m, zero):
 def bianchi_residual(ric_phi, scal_phi, F_phi, f, ginv, dphi, gamma, derivs, zero):
     """delta_phi Ric_phi - d(R_phi)/2 - F_phi dphi / f^2, a 1-form."""
     n = len(ginv)
-    div_ric = weighted_divergence_sym2(ric_phi, ginv, dphi, gamma, derivs, zero)
-    out = []
-    for j in range(n):
-        terms = [div_ric[j], -(derivs[j](scal_phi) * 0.5)]
-        if not (_is_zero(F_phi) or _is_zero(dphi[j])):
-            terms.append(-((F_phi * dphi[j]) / (f * f)))
-        out.append(acc_sum(terms, zero))
-    return out
+    div_ric = weighted_divergence(ric_phi, ginv, dphi, gamma, derivs, zero)
+    return [acc_sum([div_ric[j], -(derivs[j](scal_phi) * 0.5),
+                     -((F_phi * dphi[j]) / (f * f))], zero)
+            for j in range(n)]
 
 
 def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
@@ -494,17 +461,15 @@ def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
         df = [truncate(x) for x in df]
 
     def contract(a, b):
-        """sum_k a[k] b[k], skipping the structurally zero products."""
-        return acc_sum([x * y for x, y in zip(a, b)
-                        if not (_is_zero(x) or _is_zero(y))], zero)
+        """sum_k a[k] b[k]."""
+        return acc_sum([x * y for x, y in zip(a, b)], zero)
 
     @cache
     def hess(i, j):
         terms = [d2f[i][j]]
         for kk in range(n):
             for ll in range(n):
-                if (_is_zero(ginv[kk][ll]) or _is_zero(gamma1[i][j][ll])
-                        or _is_zero(df[kk])):
+                if _is_zero(ginv[kk][ll]):
                     continue
                 terms.append(-(ginv[kk][ll] * (gamma1[i][j][ll] * df[kk])))
         return acc_sum(terms, zero)
@@ -521,8 +486,7 @@ def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
 
     pairs = [(kk, ll) for kk in range(n) for ll in range(n)
              if not _is_zero(ginv[kk][ll])]
-    trace1 = [acc_sum([ginv[kk][ll] * gamma1[kk][ll][q] for kk, ll in pairs
-                       if not _is_zero(gamma1[kk][ll][q])], zero)
+    trace1 = [acc_sum([ginv[kk][ll] * gamma1[kk][ll][q] for kk, ll in pairs], zero)
               for q in range(n)]
     V = [contract(ginv[p], trace1) for p in range(n)]
     ric = [[None] * n for _ in range(n)]
@@ -531,22 +495,17 @@ def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
         for kk, ll in pairs:
             inner = acc_sum([d2g(j, kk, i, ll), d2g(i, ll, j, kk),
                              -d2g(i, j, kk, ll), -d2g(kk, ll, i, j)], zero)
-            if not _is_zero(inner):
-                terms.append((ginv[kk][ll] * inner) * 0.5)
-        terms += [a * b for Uk, Wk in zip(U(i), W(j)) for a, b in zip(Uk, Wk)
-                  if not (_is_zero(a) or _is_zero(b))]
-        terms += [-(a * b) for a, b in zip(gamma1[i][j], V)
-                  if not (_is_zero(a) or _is_zero(b))]
+            terms.append((ginv[kk][ll] * inner) * 0.5)
+        terms += [a * b for Uk, Wk in zip(U(i), W(j)) for a, b in zip(Uk, Wk)]
+        terms += [-(a * b) for a, b in zip(gamma1[i][j], V)]
         if m != 0.0:
-            hf = hess(i, j)
-            if not _is_zero(hf):
-                terms.append(-((hf * float(m)) / f))
+            terms.append(-((hess(i, j) * float(m)) / f))
         ric[i][j] = ric[j][i] = acc_sum(terms, zero)
     if entries is not None:
         return ric, None
 
     lap = acc_sum([ginv[i][j] * hess(i, j) for i in range(n) for j in range(n)
-                   if not (_is_zero(ginv[i][j]) or _is_zero(hess(i, j)))], zero)
+                   if not _is_zero(ginv[i][j])], zero)
     gn2 = grad_norm_sq(ginv, df, zero)
     F = f_curvature(f, lap, gn2, m, mu, zero)
     return ric, F

@@ -386,6 +386,9 @@ class ScalarField:
         return (-self) + other
 
     def __mul__(self, other):
+        if self.is_zero and isinstance(other, (int, float)):
+            # absorbed before the number becomes a constant node
+            return self.chart.constant(0.0)
         other = self._coerce(other)
         if other is None:
             return NotImplemented

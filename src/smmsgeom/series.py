@@ -15,6 +15,9 @@ The expansion coefficient fields produced by the ambient recursion ride
 through this class in the deformation variable, and the conformally
 compact structures reuse it as Laurent series in the boundary defining
 coordinate (negative `shift` clears the poles algebraically).
+
+An exact zero absorbs: times any series, or divided by a nonzero one,
+it gives itself, whatever the other operand's truncation.
 """
 
 from __future__ import annotations
@@ -83,9 +86,6 @@ class Series:
             return self.coeffs[k]
         return self.zero
 
-    def is_structurally_zero(self) -> bool:
-        return all(_is_zero(c) for c in self.coeffs)
-
     @property
     def is_zero(self) -> bool:
         """True only for the exact zero series.
@@ -93,7 +93,7 @@ class Series:
         A truncated series with all stored coefficients zero is O(X^(t+1)),
         not zero, and must keep participating in truncation bookkeeping.
         """
-        return self.trunc is None and self.is_structurally_zero()
+        return self.trunc is None and all(_is_zero(c) for c in self.coeffs)
 
     def truncated(self, trunc: int) -> "Series":
         if self.trunc is not None and trunc > self.trunc:
@@ -163,6 +163,10 @@ class Series:
             # coefficient-wise scaling by a ring element or number
             return Series([c * other if not _is_zero(c) else c
                            for c in self.coeffs], self.shift, self.trunc, self.zero)
+        if self.is_zero:
+            return self
+        if other.is_zero:
+            return other
         shift = self.shift + other.shift
         trunc = None
         if self.trunc is not None:
@@ -200,6 +204,8 @@ class Series:
             v += 1
         if v == len(other.coeffs):
             raise ZeroDivisionError("division by a structurally zero series")
+        if self.is_zero:
+            return self
         bshift = other.shift + v
         bcoeffs = other.coeffs[v:]
         shift = self.shift - bshift

@@ -97,8 +97,8 @@ def test_criterion_03_obstruction_is_bach(spaces):
     assert worst <= 1e-8 * scale
     geo = s.geometry
     dphi = cv.phi_gradient(s.f, geo.derivs, s.m)
-    div_O = cv.weighted_divergence_sym2(obs.tensor.as_matrix(), geo.ginv, dphi,
-                                        geo.gamma, geo.derivs, geo.zero)
+    div_O = cv.weighted_divergence(obs.tensor.as_matrix(), geo.ginv, dphi,
+                                   geo.gamma, geo.derivs, geo.zero)
     for p in pts:
         gm = np.linalg.inv(s.g.matrix_values(p))
         fv = s.f.value(p)

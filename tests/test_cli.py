@@ -503,6 +503,22 @@ def test_cli_obstruction_computes_each_node_about_once(tmp_path):
     assert int(stats["recomputed"]) <= 600
 
 
+def test_cli_expand_builds_no_rho_row_while_none_is_guaranteed(tmp_path):
+    # d+m = 4 solves through order 1, where no rho-row coefficient is
+    # guaranteed: the rho_i and rho_rho blocks could fail no check, and
+    # building their generic rows made 6,434 nodes in place of 6,014
+    path = tmp_path / "even.cfg"
+    path.write_text(random_config(51, 1.0, 0.1, 2))
+    code, text = run_cli(["expand", "--config", str(path)], tmp_path, "e.txt")
+    assert code == 0, text
+    assert "order.t_row.ok = true" in text
+    assert "order.rho_" not in text
+    stats = dict(line[len("timings.stats."):].split(" = ")
+                 for line in text.splitlines()
+                 if line.startswith("timings.stats."))
+    assert int(stats["nodes"]) <= 6100
+
+
 def test_cli_obstruction_branch_error(config_path, tmp_path):
     code, text = run_cli(["obstruction", "--config", config_path], tmp_path, "o.txt")
     assert code == 2

@@ -297,8 +297,8 @@ def test_obstruction_trace_and_divergence_identities():
     from smmsgeom import curvature as cv
     geo = s.geometry
     dphi = cv.phi_gradient(s.f, geo.derivs, s.m)
-    div_O = cv.weighted_divergence_sym2(obs.tensor.as_matrix(), geo.ginv, dphi,
-                                        geo.gamma, geo.derivs, geo.zero)
+    div_O = cv.weighted_divergence(obs.tensor.as_matrix(), geo.ginv, dphi,
+                                   geo.gamma, geo.derivs, geo.zero)
     for p in pts:
         fv = s.f.value(p)
         for l in range(3):

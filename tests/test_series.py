@@ -104,6 +104,29 @@ def test_field_coefficients():
     assert d.coefficient(1).value(p) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("ring", ["float", "field"])
+def test_exact_zero_absorbs_a_truncated_series(ring):
+    # 0 * (a + O(X^t)) is 0 exactly: no padded zero coefficients, no
+    # truncation order, so later sums drop it
+    from smmsgeom.ambient import Graded
+    if ring == "float":
+        z, coeffs = 0.0, [1.0, 2.0, 3.0]
+    else:
+        chart = Chart(("x",))
+        z = chart.zero()
+        coeffs = [parse_expression("1+x", chart), chart.constant(2.0)]
+    S = Series(coeffs, -1, trunc=3, zero=z)
+    zero = Series.zero_series(z)
+    for product in (zero * S, S * zero, zero / S):
+        assert product.is_zero
+    with pytest.raises(ZeroDivisionError):
+        S / zero
+    with pytest.raises(ZeroDivisionError):
+        zero / zero
+    assert (Graded(1, zero) * Graded(2, S)).is_zero
+    assert (Graded(2, S) * Graded(1, zero)).is_zero
+
+
 def test_eval_at():
     s = Series([1.0, 2.0, 3.0], -1)
     assert s.eval_at(2.0) == pytest.approx(0.5 + 2.0 + 6.0)

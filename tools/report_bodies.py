@@ -10,9 +10,10 @@ checkout (`obstruction` exits 2 where d+m is not an even integer).
 Writes the body of each (every line before the first `timings.` line)
 to OUTDIR/<command>.<input>.txt, and prints one line per report with
 its exit status and `timings.stats.nodes`, `.max_degree`, `.unread`,
-`.computed`, `.recomputed` and `.peak_rss_mb`.  Run it in two checkouts
-and compare with `diff -r OUTDIR_A OUTDIR_B`: a change that keeps the
-reports leaves no difference.
+`.computed`, `.recomputed` and `.peak_rss_mb`.  The same lines without
+`peak_rss_mb`, which varies from run to run, go to OUTDIR/stats.txt.
+Run it in two checkouts and compare with `diff -r OUTDIR_A OUTDIR_B`: a
+change that keeps the reports and the DAG counts leaves no difference.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = ("invariants", "expand", "obstruction", "poincare", "verify")
 CATALOG = ("flat", "quasi-einstein", "wlcf", "gover-leitner",
            "gover-leitner-flat")
-STATS = ("nodes", "max_degree", "unread", "computed", "recomputed",
-         "peak_rss_mb")
+# the deterministic counts; peak_rss_mb is printed but not kept
+STATS = ("nodes", "max_degree", "unread", "computed", "recomputed")
 # (name, d, m, mu, seed, order) as the random-deep and even-critical
 # workloads generate them
 RANDOM = (("random-deep-s51", 3, 0.5, 0.1, 51, 4),
@@ -74,23 +75,27 @@ def main(argv):
     outdir = os.path.abspath(argv[0])
     os.makedirs(outdir, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    for name, args, cwd in _inputs(outdir, env):
-        for command in COMMANDS:
-            proc = subprocess.run(
-                [sys.executable, "-m", "smmsgeom.cli", command, *args],
-                capture_output=True, text=True, env=env, cwd=cwd)
-            lines = proc.stdout.splitlines(keepends=True)
-            cut = next((k for k, line in enumerate(lines)
-                        if line.startswith("timings.")), len(lines))
-            body = os.path.join(outdir, f"{command}.{name}.txt")
-            with open(body, "w") as fh:
-                fh.writelines(lines[:cut])
-            stats = dict(line[len("timings.stats."):].split(" = ")
-                         for line in lines[cut:]
-                         if line.startswith("timings.stats."))
-            print(f"{command} {name} exit={proc.returncode} "
-                  + " ".join(f"{key}={stats.get(key, '-').strip()}"
-                             for key in STATS), flush=True)
+    with open(os.path.join(outdir, "stats.txt"), "w") as counts:
+        for name, args, cwd in _inputs(outdir, env):
+            for command in COMMANDS:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "smmsgeom.cli", command, *args],
+                    capture_output=True, text=True, env=env, cwd=cwd)
+                lines = proc.stdout.splitlines(keepends=True)
+                cut = next((k for k, line in enumerate(lines)
+                            if line.startswith("timings.")), len(lines))
+                body = os.path.join(outdir, f"{command}.{name}.txt")
+                with open(body, "w") as fh:
+                    fh.writelines(lines[:cut])
+                stats = dict(line[len("timings.stats."):].split(" = ")
+                             for line in lines[cut:]
+                             if line.startswith("timings.stats."))
+                row = (f"{command} {name} exit={proc.returncode} "
+                       + " ".join(f"{key}={stats.get(key, '-').strip()}"
+                                  for key in STATS))
+                counts.write(row + "\n")
+                print(f"{row} peak_rss_mb="
+                      f"{stats.get('peak_rss_mb', '-').strip()}", flush=True)
     return 0
 
 

@@ -95,9 +95,6 @@ class Graded:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return Graded(self.deg, self.val * other)
@@ -266,10 +263,9 @@ class AmbientMetric:
         With `upto`, products stop at the rho^upto coefficient: the
         coefficients through it are the fields of the full build, and no
         later one is built."""
-        truncate = None if upto is None else (lambda a: a.truncated(upto))
         return cv.weighted_ricci_coordinate_formula(
             self.gt, self.gtinv, self.ft, float(self.base.m), self.mu_elem,
-            self.derivs(), self.zero, entries, truncate)
+            self.derivs(), self.zero, entries, upto)
 
     # -- curvature ------------------------------------------------------------
 
@@ -421,8 +417,7 @@ def order_report(a: AmbientMetric, tol: float = 1e-9, *,
     if gu.rho >= 0:
         rows += [(oo, I) for I in range(1, a.n)]
     ric_g, _ = a.ricci_generic(rows, upto)
-    trace = cv.acc_sum([a.Ginv[i][j] * Rt[i][j] for i in range(d)
-                        for j in range(d)], a._zero_series)
+    trace = cv.trace(a.Ginv, Rt, a._zero_series)
     combo = trace - (Ft * float(base.m)) / (a.F * a.F) if base.m != 0.0 else trace
     # name -> (label, series, last coefficient, guaranteed through);
     # homogeneity makes the t row vanish for every g_rho, through every

@@ -60,8 +60,8 @@ from . import curvature as cv
 from . import invariants as inv
 from .ambient import AmbientMetric, order_report
 from .catalog import EntryRejected, load_entry, standard_catalog
-from .config import (TOLERANCES, ConfigError, Report, check_tolerance,
-                     load_config)
+from .config import (MINIMUMS, TOLERANCES, ConfigError, Report,
+                     check_tolerance, load_config)
 from .expansion import ConsistencyError, OrderError, expand, obstruction
 from .fields import SymTensor2Field, evaluate, evaluate_named, max_abs
 from .invariants import ValidationError, curvature_scale
@@ -113,7 +113,7 @@ class _Problem:
         self.catalog_entry = None
         if args.config and args.catalog:
             raise ConfigError("give either --config or --catalog, not both")
-        for flag, least in (("order", 1), ("points", 1), ("seed", 0)):
+        for flag, least in MINIMUMS.items():
             value = getattr(args, flag)
             if value is not None and value < least:
                 raise ConfigError(f"--{flag} must be at least {least}, "
@@ -123,7 +123,7 @@ class _Problem:
         if args.config:
             cfg = load_config(args.config)
             # overrides first, so that the space is checked at the run's points
-            for flag in ("order", "points", "seed"):
+            for flag in MINIMUMS:
                 if getattr(args, flag) is not None:
                     setattr(cfg, flag, getattr(args, flag))
             self.space = cfg.space()
@@ -214,13 +214,19 @@ def cmd_invariants(args, report) -> int:
                             @ v["ricci_phi"][n].reshape(d, d)))
         want = tr - float(s.m) / v["f"][n, 0] ** 2 * v["f_phi"][n, 0]
         trace_resid.append(v["scalar_phi"][n, 0] - want)
-    with report.stage("bianchi"):
-        worst_bianchi = max_abs(evaluate(inv.bianchi_residual(s), prob.points))
-    report.put_check("bianchi_residual", worst_bianchi,
-                     prob.tol("bianchi") * prob.scale)
+    _bianchi_check(prob, report)
     report.put_check("trace_identity", max_abs(trace_resid),
                      prob.tol("residual") * prob.scale)
     return _finish(prob, report)
+
+
+def _bianchi_check(prob, report):
+    """The contracted weighted Bianchi identity at the sample points."""
+    with report.stage("bianchi"):
+        worst = max_abs(evaluate(inv.bianchi_residual(prob.space),
+                                 prob.points))
+    report.put_check("bianchi_residual", worst,
+                     prob.tol("bianchi") * prob.scale)
 
 
 def _expansion_for(prob, report):
@@ -321,9 +327,9 @@ def cmd_obstruction(args, report) -> int:
 
 def _poincare_checks(prob, e, report, cone_points):
     """When m > 0, the cone identities at `cone_points`, then the
-    weighted-Einstein residual in r through the guaranteed power.  Returns
-    (max_even_order, residual_trunc, guaranteed_power, sides_magnitude);
-    the last is None when m = 0.  The cone check's lifted fields need the
+    weighted-Einstein residual in r through the guaranteed power, its
+    last.  Returns (max_even_order, residual_trunc, sides_magnitude); the
+    last is None when m = 0.  The cone check's lifted fields need the
     highest jet degrees of the coefficient fields, hence it runs first."""
     with report.stage("poincare"):
         pc = to_poincare(e)
@@ -336,21 +342,19 @@ def _poincare_checks(prob, e, report, cone_points):
         report.put_check("cone_identity_f", wF, cone_tol)
     with report.stage("poincare"):
         res = poincare_residual(pc)
-        power = min(e.plan.guarantees(e.order).poincare_power, res.trunc)
-        worst = res.block_max(range(-2, power + 1), prob.points)
+        worst = res.block_max(range(-2, res.trunc + 1), prob.points)
     report.put_check("poincare_residual", worst,
                      prob.tol("poincare") * prob.scale)
-    return pc.max_even_order, res.trunc, power, side
+    return pc.max_even_order, res.trunc, side
 
 
 def cmd_poincare(args, report) -> int:
     prob = _start(args, report)
     e = _expansion_for(prob, report)
-    max_even, trunc, power, side = _poincare_checks(prob, e, report,
-                                                    prob.points[:4])
+    max_even, trunc, side = _poincare_checks(prob, e, report, prob.points[:4])
     report.put("poincare.max_even_order", max_even)
     report.put("poincare.residual_trunc", trunc)
-    report.put("poincare.guaranteed_power", power)
+    report.put("poincare.guaranteed_power", trunc)
     if side is not None:
         report.put("cone.sides_magnitude", side)
     return _finish(prob, report)
@@ -384,11 +388,7 @@ def cmd_verify(args, report) -> int:
     for name, block in rep.blocks.items():
         report.put_check(f"ambient_order_{name}", block.worst, block.tol_abs)
 
-    with report.stage("bianchi"):
-        worst = max_abs(evaluate(inv.bianchi_residual(prob.space),
-                                  prob.points))
-    report.put_check("bianchi_residual", worst,
-                     prob.tol("bianchi") * prob.scale)
+    _bianchi_check(prob, report)
 
     if e.obstruction is not None:
         _obstruction_identities(prob, e.obstruction, report)

@@ -50,7 +50,7 @@ from .invariants import MetricMeasureSpace
 
 __all__ = ["ProblemConfig", "ConfigError", "Report", "load_config",
            "check_tolerance", "format_value", "REPORT_SCHEMA_VERSION",
-           "TOLERANCES"]
+           "TOLERANCES", "MINIMUMS"]
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -58,6 +58,10 @@ REPORT_SCHEMA_VERSION = "1"
 # (or, for `residual`, `--tol`) sets them with, and their defaults
 TOLERANCES = {"residual": 1e-9, "bianchi": 1e-8, "identities": 1e-8,
               "poincare": 1e-8, "cone": 1e-9}
+
+
+# the least value of each integer setting, in a config file or a flag
+MINIMUMS = {"order": 1, "points": 1, "seed": 0}
 
 
 class ConfigError(ValueError):
@@ -163,10 +167,10 @@ def load_config(path: str) -> ProblemConfig:
     order = _number(cp, "solver", "order", int, 2)
     points = _number(cp, "sampling", "points", int, 10)
     seed = _number(cp, "sampling", "seed", int, 0)
-    for key, value, least in (("order", order, 1), ("points", points, 1),
-                              ("seed", seed, 0)):
-        if value < least:
-            raise ConfigError(f"{key} must be at least {least}, got {value}")
+    for key, value in (("order", order), ("points", points), ("seed", seed)):
+        if value < MINIMUMS[key]:
+            raise ConfigError(f"{key} must be at least {MINIMUMS[key]}, "
+                              f"got {value}")
     tolerances = {}
     if cp.has_section("tolerances"):
         for key in cp.options("tolerances"):
@@ -184,8 +188,6 @@ def format_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return format(v, ".17g")
-    if isinstance(v, int):
-        return str(v)
     return str(v)
 
 

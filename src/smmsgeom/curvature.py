@@ -33,10 +33,10 @@ from operator import add, getitem
 
 __all__ = [
     "Geometry", "partials", "matrix_inverse", "christoffel", "ricci",
-    "riemann_lowered", "scalar_curvature", "gradient", "hessian", "laplacian",
-    "grad_norm_sq", "bakry_emery_ricci", "f_curvature", "weighted_scalar",
-    "schouten_tensor", "kulkarni_nomizu", "weighted_weyl", "weighted_cotton",
-    "cov_deriv", "weighted_divergence", "weighted_bach", "bianchi_residual",
+    "riemann_lowered", "trace", "gradient", "hessian", "grad_norm_sq",
+    "bakry_emery_ricci", "f_curvature", "weighted_scalar", "schouten_tensor",
+    "kulkarni_nomizu", "weighted_weyl", "weighted_cotton", "cov_deriv",
+    "weighted_divergence", "weighted_bach", "bianchi_residual",
     "phi_gradient", "phi_hessian", "weighted_ricci_coordinate_formula",
 ]
 
@@ -187,9 +187,10 @@ def riemann_lowered(g, gamma, derivs, zero):
     return rm
 
 
-def scalar_curvature(ginv, ric, zero):
+def trace(ginv, T, zero):
+    """g^{ij} T_ij (i outer, j inner): R from Ric, Lap f from Hess f, tr P."""
     n = len(ginv)
-    return acc_sum([ginv[i][j] * ric[i][j] for i in range(n) for j in range(n)],
+    return acc_sum([ginv[i][j] * T[i][j] for i in range(n) for j in range(n)],
                    zero)
 
 
@@ -208,10 +209,6 @@ def hessian(f, gamma, derivs, zero):
                 terms.append(-(gamma[k][i][j] * df[k]))
             h[i][j] = h[j][i] = acc_sum(terms, zero)
     return h
-
-
-def laplacian(ginv, hess, zero):
-    return scalar_curvature(ginv, hess, zero)
 
 
 def grad_norm_sq(ginv, df, zero):
@@ -262,7 +259,7 @@ def schouten_tensor(ric_phi, scal_phi, g, ginv, d, m, zero):
     J = scal_phi * (1.0 / (2.0 * (dm - 1.0)))
     P = [[(ric_phi[i][j] - g[i][j] * J) * (1.0 / (dm - 2.0)) for j in range(d)]
          for i in range(d)]
-    trP = scalar_curvature(ginv, P, zero)
+    trP = trace(ginv, P, zero)
     Y = J - trP
     return P, J, trP, Y
 
@@ -404,7 +401,7 @@ def bianchi_residual(ric_phi, scal_phi, F_phi, f, ginv, dphi, gamma, derivs, zer
 
 
 def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
-                                      entries=None, truncate=None):
+                                      entries=None, upto=None):
     """The second-derivative coordinate expression for the weighted Ricci
     tensor and its companion scalar, used as an independent route:
 
@@ -431,11 +428,11 @@ def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
     None and F is None; each built entry is the same expression as in
     the full build.
 
-    With `truncate` (a map on scalars, e.g. cutting a series), the
-    connection symbols G, d f and the inverse metric pass through it
-    once the second derivatives are taken, so the products stop where it
-    cuts and what it keeps of each entry is the same expression as in
-    the full build.
+    With `upto` (a series order), the connection symbols G, d f and the
+    inverse metric are cut after their X^upto coefficient
+    (`.truncated(upto)`) once the second derivatives are taken, so the
+    products stop there and what they keep of each entry is the same
+    expression as in the full build.
     """
     n = len(g)
     if entries is None:
@@ -453,12 +450,12 @@ def weighted_ricci_coordinate_formula(g, ginv, f, m, mu, derivs, zero,
                 for p in range(n)] for j in range(n)] for i in range(n)]
     df = gradient(f, derivs)
     d2f = [[derivs[j](df[i]) for j in range(n)] for i in range(n)]
-    if truncate is not None:
+    if upto is not None:
         # only now: a cut d f would cut d2f one order earlier
-        gamma1 = [[[truncate(x) for x in row] for row in block]
+        gamma1 = [[[x.truncated(upto) for x in row] for row in block]
                   for block in gamma1]
-        ginv = [[truncate(x) for x in row] for row in ginv]
-        df = [truncate(x) for x in df]
+        ginv = [[x.truncated(upto) for x in row] for row in ginv]
+        df = [x.truncated(upto) for x in df]
 
     def contract(a, b):
         """sum_k a[k] b[k]."""
@@ -542,12 +539,12 @@ class Geometry:
     ginv = property(lambda self: self.inverse[0])
     gamma = _part("christoffel", "g", "ginv", "derivs", "zero")
     ric = _part("ricci", "gamma", "derivs", "zero")
-    scal = _part("scalar_curvature", "ginv", "ric", "zero")
+    scal = _part("trace", "ginv", "ric", "zero")
     rm = _part("riemann_lowered", "g", "gamma", "derivs", "zero")
     df = _part("gradient", "f", "derivs")
     hess_f = _part("hessian", "f", "gamma", "derivs", "zero")
     hess_phi = _part("phi_hessian", "f", "hess_f", "df", "m", "zero")
-    lap_f = _part("laplacian", "ginv", "hess_f", "zero")
+    lap_f = _part("trace", "ginv", "hess_f", "zero")
     gn2_f = _part("grad_norm_sq", "ginv", "df", "zero")
     ric_phi = _part("bakry_emery_ricci", "ric", "hess_f", "f", "m", "zero")
     scal_phi = _part("weighted_scalar", "scal", "f", "lap_f", "gn2_f", "m",

@@ -258,8 +258,7 @@ def closed_form_residual_series(slc: RhoSlice):
     rho = Series([1.0], 1, None, slc.chart_zero)
     G, F, Ginv = geo.g, geo.f, geo.ginv
     Gp, Gpp, Fp, Fpp = slc.Gp, slc.Gpp, slc.Fp, slc.Fpp
-    tr_gp = cv.acc_sum([Ginv[k][l] * Gp[k][l] for k in range(d) for l in range(d)],
-                       ezero)
+    tr_gp = cv.trace(Ginv, Gp, ezero)
     # the operands of rho * sq and rho * (tr g') g', cut one rho power
     # earlier than Gp: the rho shift would push their last power past
     # the truncation of Rt
@@ -306,13 +305,6 @@ def _residual_coefficients(base, g_coeffs, f_coeffs, n):
     return Rerr, Ferr, slc.geometry
 
 
-def _trace_with_base(base, T):
-    ginv = base.geometry.ginv
-    d = base.dim
-    return cv.acc_sum([ginv[i][j] * T[i][j] for i in range(d) for j in range(d)],
-                      base.chart.zero())
-
-
 def solve_order_step(base, g_coeffs, f_coeffs, n, *,
                      check_points=None) -> OrderStep:
     """Determine the rho^n coefficients given coefficients through n-1."""
@@ -324,7 +316,7 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
     zero = chart.zero()
     g0 = base.g.as_matrix()
     Rerr, Ferr, geometry = _residual_coefficients(base, g_coeffs, f_coeffs, n)
-    Rtrace = _trace_with_base(base, Rerr)
+    Rtrace = cv.trace(base.geometry.ginv, Rerr, zero)
     det = (2 * n - dm) * (n - dm)
     even_critical = n == plan.n_c
     note = None

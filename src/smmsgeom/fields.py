@@ -88,8 +88,8 @@ class Chart:
 
     The chart owns the intern table of the fields built on it, their
     list in creation order (`nodes`, indexed by `ScalarField.index`) and
-    their memos; charts that are equal by name still keep separate
-    tables.
+    their memos.  A chart is equal only to itself: another with the same
+    names keeps its own table and rejects this one's fields.
     """
 
     __slots__ = ("names", "dim", "box", "evaluations", "computed",
@@ -223,12 +223,6 @@ class Chart:
         if c is not None:
             return self.constant(c)
         return self._node("lift", field, param=k)
-
-    def __eq__(self, other):
-        return isinstance(other, Chart) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
 
     def __repr__(self):
         return f"Chart{self.names}"

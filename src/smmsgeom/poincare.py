@@ -13,9 +13,11 @@ transported orders:
 
 vanish as r-series to twice the rho order.  Two independent routes
 compute this residual: exact truncated Laurent series in r (poles of
-g_plus cleared algebraically, no finite differencing), and an honest
-(d+1)-dimensional smooth metric measure space on an (x, r) chart
-evaluated at fixed small r, which also drives the cone identity
+g_plus cleared algebraically, no finite differencing; built only
+through the r power the branch guarantees, the one its check reads),
+and an honest (d+1)-dimensional smooth metric measure space on an
+(x, r) chart evaluated at fixed small r, which also drives the cone
+identity
 
     Ric_phi(s^2 g_plus - ds^2) = Ric_phi(g_plus) + (d+m) g_plus,
     F(s^2 g_plus - ds^2)       = F_phi(g_plus) - (d+m) f_plus^2.
@@ -23,7 +25,7 @@ evaluated at fixed small r, which also drives the cone identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,7 +116,13 @@ class PoincareResidual:
 
 
 def poincare_residual(p: PoincareStructure) -> PoincareResidual:
-    """Exact r-Laurent residual of the weighted-Einstein conditions."""
+    """Exact r-Laurent residual of the weighted-Einstein conditions, built
+    only through the r power the branch guarantees, its `trunc`: g_r and
+    f_r are cut two powers above it."""
+    e = p.expansion
+    cut = e.plan.guarantees(e.order).poincare_power + 2
+    p = replace(p, g_r=[[s.truncated(cut) for s in row] for row in p.g_r],
+                f_r=p.f_r.truncated(cut))
     base = p.base
     d = base.dim
     n = d + 1

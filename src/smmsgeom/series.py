@@ -155,9 +155,6 @@ class Series:
     def __sub__(self, other):
         return self + (-self._as_series(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Series):
             # coefficient-wise scaling by a ring element or number
@@ -239,42 +236,17 @@ class Series:
             out.append(acc / lead)
         return Series(out, shift, trunc, self.zero)
 
-    def __rtruediv__(self, other):
-        return Series.constant(other, self.zero) / self
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise TypeError("series exponents must be nonnegative integers")
-        out = Series.constant(1.0 if isinstance(self.zero, float) else self.zero + 1.0,
-                              self.zero)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- calculus ------------------------------------------------------------
 
     def deriv(self) -> "Series":
-        """Derivative with respect to the series variable."""
-        out = []
-        for p, c in self._items():
-            if p == 0:
-                continue
-            out.append(c * float(p))
-        # powers present after differentiation: p-1 for stored p != 0
-        powers = [p - 1 for p, _ in self._items() if p != 0]
-        if not powers:
-            t = None if self.trunc is None else self.trunc - 1
-            return Series.zero_series(self.zero, t)
-        lo = min(powers)
+        """Derivative in the series variable: p c_p is the X^(p-1) term."""
         trunc = None if self.trunc is None else self.trunc - 1
-        coeffs = []
-        idx = {p: c for p, c in zip(powers, out)}
-        hi = max(powers)
-        if trunc is not None:
-            hi = min(hi, trunc)
-        for p in range(lo, hi + 1):
-            coeffs.append(idx.get(p, self.zero))
-        return Series(coeffs, lo, trunc, self.zero)
+        d = {p - 1: c * float(p) for p, c in self._items() if p != 0}
+        if not d:
+            return Series.zero_series(self.zero, trunc)
+        lo = min(d)
+        return Series([d.get(p, self.zero) for p in range(lo, max(d) + 1)],
+                      lo, trunc, self.zero)
 
     def partial(self, i: int) -> "Series":
         """The chart partial d/dx^i, applied to every coefficient."""

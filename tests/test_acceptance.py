@@ -15,7 +15,7 @@ from smmsgeom.ambient import AmbientMetric, Graded, order_report
 from smmsgeom.catalog import (load_entry, random_entry, round_sphere_space)
 from smmsgeom.expansion import (Branch, expand, obstruction,
                                 closed_form_residual_series,
-                                _residual_coefficients, _trace_with_base)
+                                _residual_coefficients)
 from smmsgeom.invariants import conformal_change
 from smmsgeom.poincare import cone_identity_check, poincare_residual, to_poincare
 
@@ -277,7 +277,7 @@ def test_criterion_08_branch_guarantees(spaces, expansions):
     s2, e2 = spaces[2.0], expansions[2.0]
     assert e2.plan.branch is Branch.ODD_INTEGER
     Rerr, Ferr, _ = _residual_coefficients(s2, e2.g_coeffs, e2.f_coeffs, 5)
-    Rtr = _trace_with_base(s2, Rerr)
+    Rtr = cv.trace(s2.geometry.ginv, Rerr, s2.chart.zero())
     pts2 = s2.sample(10, seed=3)
     scale2 = _scale(s2, pts2)
     worst_odd = max(abs(s2.m / s2.f.value(p) ** 2 * Ferr.value(p)

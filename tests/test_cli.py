@@ -519,6 +519,24 @@ def test_cli_expand_builds_no_rho_row_while_none_is_guaranteed(tmp_path):
     assert int(stats["nodes"]) <= 6100
 
 
+def test_cli_poincare_builds_the_residual_through_the_guaranteed_power(
+        tmp_path):
+    # d+m = 4 solves through order 1, so the r-Laurent residual is
+    # guaranteed through r^1; building it through r^3, the truncation of
+    # g_r, made 6,877 nodes, 2,953 of them never computed
+    path = tmp_path / "even.cfg"
+    path.write_text(random_config(51, 1.0, 0.1, 2))
+    code, text = run_cli(["poincare", "--config", str(path)], tmp_path,
+                         "p.txt")
+    assert code == 0, text
+    assert "poincare.residual_trunc = 1\n" in text
+    assert "poincare.guaranteed_power = 1\n" in text
+    stats = dict(line[len("timings.stats."):].split(" = ")
+                 for line in text.splitlines()
+                 if line.startswith("timings.stats."))
+    assert int(stats["nodes"]) <= 5000
+
+
 def test_cli_obstruction_branch_error(config_path, tmp_path):
     code, text = run_cli(["obstruction", "--config", config_path], tmp_path, "o.txt")
     assert code == 2

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the current library."""
+"""Every demo script, and the README's library tour, runs to completion
+against the current library."""
 
 import glob
 import os
@@ -11,10 +12,23 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
-def test_demo_runs(path):
+def _run(argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, path], env=env, cwd=ROOT,
+    done = subprocess.run([sys.executable, *argv], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_runs(path):
+    _run([path])
+
+
+def test_readme_library_tour_runs():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    tour = readme.split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "import smmsgeom" in code or "from smmsgeom" in code
+    _run(["-c", code])

@@ -310,9 +310,10 @@ def test_odd_branch_consistency_residual():
     s = random_entry(d=3, m=2.0, mu=0.1, seed=41, amplitude=0.04).space
     e = expand(s, 4)
     assert e.plan.branch is Branch.ODD_INTEGER
-    from smmsgeom.expansion import _residual_coefficients, _trace_with_base
+    from smmsgeom import curvature as cv
+    from smmsgeom.expansion import _residual_coefficients
     Rerr, Ferr, _ = _residual_coefficients(s, e.g_coeffs, e.f_coeffs, 5)
-    Rtr = _trace_with_base(s, Rerr)
+    Rtr = cv.trace(s.geometry.ginv, Rerr, s.chart.zero())
     pts = s.sample(5, seed=3)
     scale = max(inv.curvature_scale(s, pts), 1.0)
     for p in pts:

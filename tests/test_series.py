@@ -79,13 +79,21 @@ def test_roundtrip_division():
 
 
 def test_deriv():
-    s = Series([7.0, 1.0, 2.0, 3.0], -2, trunc=2)   # 7x^-2 + x^-1 + 2 + 3x + O(x^3)
-    d = s.deriv()
-    assert d.coefficient(-3) == -14.0
-    assert d.coefficient(-2) == -1.0
-    assert d.coefficient(-1) == 0.0
-    assert d.coefficient(0) == 3.0
-    assert d.trunc == 1
+    # (series, (shift, len(coeffs), trunc) of its derivative, coefficients)
+    cases = [
+        # 7x^-2 + x^-1 + 2 + 3x + O(x^3): the constant leaves a gap at x^-1
+        (Series([7.0, 1.0, 2.0, 3.0], -2, trunc=2), (-3, 5, 1),
+         [-14.0, -1.0, 0.0, 3.0, 0.0]),
+        (Series([1.0, 2.0, 3.0]), (0, 2, None), [2.0, 6.0]),
+        (Series.constant(5.0), (1, 0, None), []),
+        (Series.constant(5.0, trunc=0), (0, 0, -1), []),
+        (Series.constant(5.0, trunc=2), (0, 2, 1), [0.0, 0.0]),
+        (Series([2.0, 3.0], 1), (0, 2, None), [2.0, 6.0]),
+    ]
+    for s, layout, values in cases:
+        d = s.deriv()
+        assert (d.shift, len(d.coeffs), d.trunc) == layout
+        assert d.coeffs == values
 
 
 def test_field_coefficients():

@@ -8,7 +8,8 @@ closed under arithmetic, the analytic primitives, and differentiation.
 
 import numpy as np
 
-from smmsgeom import Jet, parse_expression
+from smmsgeom.expressions import parse_expression
+from smmsgeom.jets import Jet
 
 # jets compose like the functions they represent
 x = Jet.variable(0.0, 0, 1, 4)

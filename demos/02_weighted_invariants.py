@@ -17,13 +17,14 @@ from smmsgeom.catalog import random_entry, round_sphere_space
 s = round_sphere_space(d=3, m=0.0, mu=0.0, f_expr="1")
 P, J, Y = inv.schouten(s)
 p = (0.1, -0.2, 0.15)
-print("round 3-sphere: scalar curvature =", round(inv.scalar(s.g).value(p), 10))
+print("round 3-sphere: scalar curvature =", round(s.geometry.scal.value(p), 10))
 print("  J =", round(J.value(p), 10), " P/g =",
       round(P.comp(0, 0).value(p) / s.g.comp(0, 0).value(p), 10))
 
 # a seeded perturbed space with m = 1.7
 s = random_entry(d=3, m=1.7, mu=0.3, seed=11).space
-w = inv.weighted_invariants(s)
+geo = s.geometry
+ric_phi = inv.weighted_ricci(s)
 pts = s.sample(4, seed=2)
 scale = inv.curvature_scale(s, pts)
 print(f"\nperturbed space (m = {s.m}, mu = {s.mu}), "
@@ -32,13 +33,13 @@ print(f"\nperturbed space (m = {s.m}, mu = {s.mu}), "
 worst = 0.0
 for p in pts:
     gm = np.linalg.inv(s.g.matrix_values(p))
-    tr = float(np.trace(gm @ w.ricci_phi.matrix_values(p)))
-    lhs = w.scalar_phi.value(p)
-    rhs = tr - s.m / s.f.value(p) ** 2 * w.f_phi.value(p)
+    tr = float(np.trace(gm @ ric_phi.matrix_values(p)))
+    lhs = geo.scal_phi.value(p)
+    rhs = tr - s.m / s.f.value(p) ** 2 * geo.F_phi.value(p)
     worst = max(worst, abs(lhs - rhs))
 print("trace identity residual:", worst)
 
-worst = max(abs(r.value(p)) for p in pts for r in inv.bianchi_residual(s))
+worst = max(abs(r.value(p)) for p in pts for r in geo.bianchi)
 print("weighted Bianchi residual:", worst)
 
 worst = max(inv.bach_asymmetry(s, p) for p in pts)

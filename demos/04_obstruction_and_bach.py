@@ -12,7 +12,7 @@ import numpy as np
 
 from smmsgeom import invariants as inv
 from smmsgeom.catalog import random_entry
-from smmsgeom.expansion import obstruction, conformal_change
+from smmsgeom.expansion import obstruction
 from smmsgeom.expressions import parse_expression
 
 s = random_entry(d=3, m=1.0, mu=0.1, seed=21).space
@@ -34,7 +34,7 @@ print("trace identity |O^i_i - (m/f^2) F|:", tr_err)
 
 # conformal covariance, exponent fitted from data
 u = parse_expression("0.1*x1", s.chart)
-obs2 = obstruction(conformal_change(s, u))
+obs2 = obstruction(inv.conformal_change(s, u))
 logs, us = [], []
 for p in pts:
     O1, O2 = obs.tensor.matrix_values(p), obs2.tensor.matrix_values(p)

@@ -115,7 +115,7 @@ def _verify_flags(s, flags, params, pts):
     if flags.get("quasi_einstein") or flags.get("gover_leitner"):
         groups["ric"] = inv.weighted_ricci(s).entries()
     if flags.get("quasi_einstein"):
-        groups["F"] = [inv.f_curvature(s), s.f]
+        groups["F"] = [s.geometry.F_phi, s.f]
     if flags.get("wlcf"):
         res_a, res_b, _ = inv.conformally_flat_identities(s)
         groups["weyl"] = inv.independent_components(s.geometry.weyl)

@@ -14,26 +14,28 @@ text (identical inputs give byte-identical output apart from the
 trailing timings block) and are written in every case; a usage error
 (an unknown command or option, an option without its value) is
 reported as `error = ConfigError: ...` on stdout only, since no
-`--out` has been read.  `--help` prints the usage and exits 0.  The
-timings block gives the seconds of each stage a command ran
-(`timings.stage.*`), and for the problem chart its interned DAG nodes,
-those of them computed at no sampled point, its `fields.evaluate`
-calls, its node computations, those of them that replaced a memo
-entry, and the highest jet degree its memos hold
-(`timings.stats.nodes`, `.unread`, `.evaluations`, `.computed`,
-`.recomputed`, `.max_degree`); every report, an error report too, gives
-the peak resident set size of the process in MB
-(`timings.stats.peak_rss_mb`, from `getrusage`).  The exit status is 0
-when every check passed, 1 when a check failed, 2 on a typed input or
-solver error (a usage error, a missing or malformed input, an order or
-point count below 1, an unknown catalog entry or tolerance name, a
-tolerance that is not finite and non-negative, a
-`--corrupt-coefficient` that does not name a solved coefficient, or a
-`JetDivisionError`: an input whose jets meet a division, `log` or
-`sqrt` outside its domain) and 3 on any other exception
-(`error = internal: ...`).  `verify --corrupt-coefficient K,I,J,EPS` is
-a test hook that perturbs one solved coefficient (0 <= K <= order,
-0 <= I, J < d) to demonstrate check sensitivity.
+`--out` has been read.  So is an `--out` that cannot be written, unless
+the report already holds an error, which it then keeps with its exit
+status.  `--help` prints the usage and exits 0.  The timings block
+gives the seconds of each stage a command ran (`timings.stage.*`), and
+for the problem chart its interned DAG nodes, those of them computed
+at no sampled point, its `fields.evaluate` calls, its node
+computations, those of them that replaced a memo entry, and the
+highest jet degree its memos hold (`timings.stats.nodes`, `.unread`,
+`.evaluations`, `.computed`, `.recomputed`, `.max_degree`); every
+report, an error report too, gives the peak resident set size of the
+process in MB (`timings.stats.peak_rss_mb`, from `getrusage`).  The
+exit status is 0 when every check passed, 1 when a check failed, 2 on
+a typed input or solver error (a usage error, an unwritable `--out`, a
+missing or malformed input, an order or point count below 1, an
+unknown catalog entry or tolerance name, a tolerance that is not
+finite and non-negative, a `--corrupt-coefficient` that does not name
+a solved coefficient, or a `JetDivisionError`: an input whose jets
+meet a division, `log` or `sqrt` outside its domain) and 3 on any
+other exception (`error = internal: ...`).
+`verify --corrupt-coefficient K,I,J,EPS` is a test hook that perturbs
+one solved coefficient (0 <= K <= order, 0 <= I, J < d) to demonstrate
+check sensitivity.
 
 `verify` runs the stage with the highest jet demand first, so that the
 later ones read the memo: the cone check, the Poincaré residual, then
@@ -62,7 +64,8 @@ from .ambient import AmbientMetric, order_report
 from .catalog import EntryRejected, load_entry, standard_catalog
 from .config import (MINIMUMS, TOLERANCES, ConfigError, Report,
                      check_tolerance, load_config)
-from .expansion import ConsistencyError, OrderError, expand, obstruction
+from .expansion import (ConsistencyError, OrderError, classify_branch,
+                        expand, obstruction)
 from .fields import SymTensor2Field, evaluate, evaluate_named, max_abs
 from .invariants import ValidationError, curvature_scale
 from .jets import JetDivisionError
@@ -196,14 +199,15 @@ def cmd_invariants(args, report) -> int:
     prob = _start(args, report)
     s = prob.space
     d = s.dim
-    w = inv.weighted_invariants(s)
-    shown = {"ricci_phi": w.ricci_phi, "scalar": s.geometry.scal,
-             "scalar_phi": w.scalar_phi, "f_phi": w.f_phi,
-             "schouten": w.schouten, "schouten_scalar": w.schouten_scalar,
-             "y_phi": w.y_phi, "bach": w.bach}
+    geo = s.geometry
+    P, J, Y = inv.schouten(s)
+    shown = {"ricci_phi": inv.weighted_ricci(s), "scalar": geo.scal,
+             "scalar_phi": geo.scal_phi, "f_phi": geo.F_phi,
+             "schouten": P, "schouten_scalar": J, "y_phi": Y,
+             "bach": inv.weighted_bach(s) if s.m > 0 else None}
     v = _put_points(report, prob.points, shown, g=s.g.entries(), f=[s.f],
-                    weyl_norm=inv.independent_components(w.weyl),
-                    cotton_norm=inv.independent_components(w.cotton))
+                    weyl_norm=inv.independent_components(geo.weyl),
+                    cotton_norm=inv.independent_components(geo.cotton))
     trace_resid = []
     for n, p in enumerate(prob.points):
         _put_tensor(report, f"point{n}.coords", list(p))
@@ -223,8 +227,7 @@ def cmd_invariants(args, report) -> int:
 def _bianchi_check(prob, report):
     """The contracted weighted Bianchi identity at the sample points."""
     with report.stage("bianchi"):
-        worst = max_abs(evaluate(inv.bianchi_residual(prob.space),
-                                 prob.points))
+        worst = max_abs(evaluate(prob.space.geometry.bianchi, prob.points))
     report.put_check("bianchi_residual", worst,
                      prob.tol("bianchi") * prob.scale)
 
@@ -252,9 +255,7 @@ def cmd_expand(args, report) -> int:
     # than the printout, which then reads the memo
     if e.obstruction is not None:
         report.put("obstruction.constant", e.obstruction.c)
-        _obstruction_identities(prob, e.obstruction, report,
-                                inv.weighted_bach(prob.space)
-                                if e.plan.n_c == 2 else None)
+        _obstruction_identities(prob, e.obstruction, report)
     _put_points(report, prob.points[:3],
                 {f"{kind}_coeff{k}": coeffs[k] for k in range(e.order + 1)
                  for kind, coeffs in (("g", e.g_coeffs), ("f", e.f_coeffs))})
@@ -284,19 +285,20 @@ def _put_points(report, points, fields, **groups):
     return v
 
 
-def _obstruction_identities(prob, obs, report, bach=None):
+def _obstruction_identities(prob, obs, report):
     """The trace and divergence identities of the obstruction tensor and,
-    given the weighted Bach tensor, their agreement."""
+    at d+m = 4 (n_c = 2), its agreement with the weighted Bach tensor."""
     s = prob.space
     d = s.dim
     geo = s.geometry
+    bach = (inv.weighted_bach(s).entries()
+            if classify_branch(d, s.m).n_c == 2 else [])
     dphi = geo.dphi
     div_O = cv.weighted_divergence(obs.tensor.as_matrix(), geo.ginv, dphi,
                                    geo.gamma, geo.derivs, geo.zero)
     v = evaluate_named(prob.points, g=s.g.entries(), f=[s.f],
                        O=obs.tensor.entries(), scalar=[obs.scalar_part],
-                       dphi=dphi, div_O=div_O,
-                       bach=[] if bach is None else bach.entries())
+                       dphi=dphi, div_O=div_O, bach=bach)
     tr_resid, div_resid = [], []
     for n in range(len(prob.points)):
         fv, sp = v["f"][n, 0], v["scalar"][n, 0]
@@ -309,7 +311,7 @@ def _obstruction_identities(prob, obs, report, bach=None):
     report.put_check("obstruction_trace_identity", max_abs(tr_resid), tol)
     report.put_check("obstruction_divergence_identity", max_abs(div_resid),
                      tol)
-    if bach is not None:
+    if bach:
         report.put_check("obstruction_equals_bach",
                          max_abs(v["O"] - v["bach"]), tol)
 
@@ -470,7 +472,14 @@ def main(argv=None) -> int:
         report.put_timing("stats.peak_rss_mb", resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024.0)
         report.put_timing("total_seconds", time.perf_counter() - started)
-        text = report.write(None if args is None else args.out)
+        try:
+            text = report.write(None if args is None else args.out)
+        except OSError as exc:
+            if "error" not in report.entries:
+                report.put("error", f"ConfigError: cannot write the report "
+                                    f"to {args.out!r}: {exc.strerror}")
+                code = 2
+            text = report.render()
         sys.stdout.write(text)
         if report.failures and code == 0:
             code = 1

@@ -4,7 +4,7 @@ Configurations are INI files (configparser) with sections::
 
     [chart]
     dimension = 3
-    coordinates = x1 x2 x3
+    coordinates = x1 x2 x3  # distinct, and none a function name (sin, ...)
     box = -0.5 0.5 ; -0.5 0.5 ; -0.5 0.5
 
     [metric]            # lower-triangle entries g21, g31, g32 default to 0
@@ -15,7 +15,7 @@ Configurations are INI files (configparser) with sections::
     [density]
     f = 1
 
-    [parameters]
+    [parameters]        # finite numbers
     m = 1.0
     mu = 0.0
 
@@ -44,7 +44,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-from .expressions import parse_expression
+from .expressions import FUNCTIONS, parse_expression
 from .fields import Chart, SymTensor2Field
 from .invariants import MetricMeasureSpace
 
@@ -156,6 +156,16 @@ def load_config(path: str) -> ProblemConfig:
         raise ConfigError(str(exc))
     if len(names) != dim:
         raise ConfigError(f"{dim} coordinates expected, got {len(names)}")
+    for n, name in enumerate(names):
+        if name in names[:n]:
+            raise ConfigError(f"[chart] coordinate {name!r} is named twice")
+        if name in FUNCTIONS:
+            raise ConfigError(f"[chart] coordinate {name!r} is a function "
+                              f"name")
+    for key, value in (("m", m), ("mu", mu)):
+        if not math.isfinite(value):
+            raise ConfigError(f"[parameters] {key} must be a finite number, "
+                              f"got {value!r}")
     metric = {}
     for i in range(dim):
         for j in range(i + 1):

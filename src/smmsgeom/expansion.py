@@ -43,7 +43,7 @@ from typing import Optional
 
 from . import curvature as cv
 from .fields import ScalarField, SymTensor2Field, evaluate, max_abs
-from .invariants import MetricMeasureSpace, conformal_change, curvature_scale
+from .invariants import MetricMeasureSpace, curvature_scale
 from .series import Series
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "OrderStep", "ObstructionData", "classify_branch", "expand",
     "solve_order_step", "obstruction", "obstruction_constant",
     "closed_form_residual_series", "OrderError", "ConsistencyError",
-    "conformal_change",
 ]
 
 BRANCH_SNAP_TOL = 1e-9

@@ -2,29 +2,31 @@
 
 A smooth metric measure space is the five-tuple (chart, g, f, m, mu): a
 Riemannian metric g on a coordinate chart, a positive density f, the
-dimensional parameter m >= 0 and the curvature parameter mu.  The
-weighted invariants computed here:
+dimensional parameter m >= 0 and the curvature parameter mu.  Its
+weighted invariants are the attributes of `space.geometry`, a
+`curvature.Geometry`:
 
-    ricci_phi       Ric - (m/f) Hess f          (Bakry-Emery Ricci)
-    scalar_phi      R - (2m/f) Lap f - m(m-1)/f^2 (|grad f|^2 - mu)
-    f_phi           f Lap f + (m-1)(|grad f|^2 - mu)
-    schouten        (ricci_phi - schouten_scalar * g)/(d+m-2)
-    schouten_scalar scalar_phi / (2(d+m-1))
-    y_phi           schouten_scalar - tr_g schouten
-    weyl            Rm - schouten ^ g           (Kulkarni-Nomizu ^)
-    cotton          antisymmetrized nabla schouten
+    ric_phi         Ric - (m/f) Hess f          (Bakry-Emery Ricci)
+    scal_phi        R - (2m/f) Lap f - m(m-1)/f^2 (|grad f|^2 - mu)
+    F_phi           f Lap f + (m-1)(|grad f|^2 - mu)
+    schouten        (P, J, tr_g P, Y) with
+                    P = (ric_phi - J g)/(d+m-2), J = scal_phi / (2(d+m-1)),
+                    Y = J - tr_g P
+    weyl            Rm - P ^ g                  (Kulkarni-Nomizu ^)
+    cotton          antisymmetrized nabla P
     bach            delta_phi cotton - (1/m) tr cotton x dphi
-                    + <weyl, schouten - (y_phi/m) g>   (classical at m = 0)
+                    + <weyl, P - (Y/m) g>       (classical at m = 0)
+    bianchi         delta_phi ric_phi - d scal_phi / 2 - F_phi dphi / f^2
 
 with phi = -m log f entering only through dphi = -m df/f and its
-Hessian, so no logarithm is ever formed.
+Hessian, so no logarithm is ever formed.  `weighted_ricci`, `schouten`
+and `weighted_bach` give the rank-2 ones as `SymTensor2Field`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -33,12 +35,9 @@ from .fields import (Chart, ScalarField, SymTensor2Field, evaluate,
                      evaluate_named, max_abs, sample_points)
 
 __all__ = [
-    "MetricMeasureSpace", "WeightedInvariants", "ValidationError",
-    "christoffel", "riemann", "ricci", "scalar", "weighted_invariants",
-    "weighted_ricci", "weighted_scalar", "f_curvature", "schouten",
-    "weighted_bach", "bianchi_residual", "conformally_flat_identities",
-    "conformal_change", "curvature_scale", "euclidean_metric",
-    "independent_components",
+    "MetricMeasureSpace", "ValidationError", "weighted_ricci", "schouten",
+    "weighted_bach", "conformally_flat_identities", "conformal_change",
+    "curvature_scale", "euclidean_metric", "independent_components",
 ]
 
 
@@ -96,28 +95,9 @@ class MetricMeasureSpace:
         return sample_points(self.chart, count, seed)
 
 
-@dataclass
-class WeightedInvariants:
-    ricci_phi: SymTensor2Field
-    scalar_phi: ScalarField
-    f_phi: ScalarField
-    schouten: SymTensor2Field
-    schouten_scalar: ScalarField
-    y_phi: ScalarField
-    weyl: list       # nested d^4 list of fields
-    cotton: list     # nested d^3 list of fields
-    bach: Optional[SymTensor2Field]
-
-
 def euclidean_metric(chart: Chart) -> SymTensor2Field:
     one = chart.constant(1.0)
     return SymTensor2Field(chart, {(i, i): one for i in range(chart.dim)})
-
-
-def _metric_geometry(g: SymTensor2Field) -> cv.Geometry:
-    """The Geometry of a bare metric field on its chart."""
-    chart = g.chart
-    return cv.Geometry(g.as_matrix(), cv.partials(chart.dim), chart.zero())
 
 
 def independent_components(t) -> list:
@@ -134,41 +114,8 @@ def independent_components(t) -> list:
     return [t[i][j][k] for i, j in pairs for k in range(d)]
 
 
-# -- unweighted operations on a bare metric -----------------------------------
-
-
-def christoffel(g: SymTensor2Field):
-    """Connection coefficients Gamma^k_ij as a nested list of fields."""
-    return _metric_geometry(g).gamma
-
-
-def riemann(g: SymTensor2Field):
-    """The lowered curvature R_ijkl as a nested list of fields."""
-    return _metric_geometry(g).rm
-
-
-def ricci(g: SymTensor2Field) -> SymTensor2Field:
-    return SymTensor2Field.from_matrix(g.chart, _metric_geometry(g).ric)
-
-
-def scalar(g: SymTensor2Field) -> ScalarField:
-    return _metric_geometry(g).scal
-
-
-# -- weighted operations ------------------------------------------------------
-
-
 def weighted_ricci(s: MetricMeasureSpace) -> SymTensor2Field:
     return SymTensor2Field.from_matrix(s.chart, s.geometry.ric_phi)
-
-
-def weighted_scalar(s: MetricMeasureSpace) -> ScalarField:
-    return s.geometry.scal_phi
-
-
-def f_curvature(s: MetricMeasureSpace) -> ScalarField:
-    """The scalar f Lap f + (m-1)(|grad f|^2 - mu)."""
-    return s.geometry.F_phi
 
 
 def schouten(s: MetricMeasureSpace):
@@ -187,21 +134,6 @@ def bach_asymmetry(s: MetricMeasureSpace, point) -> float:
     B = s.geometry.bach
     vals = evaluate([c for row in B for c in row], [point]).reshape(s.dim, -1)
     return max_abs(vals - vals.T)
-
-
-def weighted_invariants(s: MetricMeasureSpace) -> WeightedInvariants:
-    geo = s.geometry
-    P_field, J, Y = schouten(s)
-    return WeightedInvariants(
-        ricci_phi=weighted_ricci(s), scalar_phi=geo.scal_phi,
-        f_phi=geo.F_phi, schouten=P_field, schouten_scalar=J, y_phi=Y,
-        weyl=geo.weyl, cotton=geo.cotton,
-        bach=weighted_bach(s) if s.m > 0 else None)
-
-
-def bianchi_residual(s: MetricMeasureSpace):
-    """Components of delta_phi Ric_phi - d R_phi / 2 - F_phi dphi / f^2."""
-    return s.geometry.bianchi
 
 
 def conformally_flat_identities(s: MetricMeasureSpace):

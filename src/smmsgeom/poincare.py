@@ -111,9 +111,6 @@ class PoincareResidual:
         return max_abs(evaluate([s.coefficient(k) for k in powers
                                  for s in series], points))
 
-    def scalar_max(self, powers, points):
-        return self.block_max(powers, points, ("F",))
-
 
 def poincare_residual(p: PoincareStructure) -> PoincareResidual:
     """Exact r-Laurent residual of the weighted-Einstein conditions, built

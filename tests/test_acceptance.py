@@ -295,7 +295,7 @@ def test_criterion_09_weighted_bianchi():
                          seed=seed).space
         pts = s.sample(3, seed=40 + seed)
         scale = _scale(s, pts)
-        res = inv.bianchi_residual(s)
+        res = s.geometry.bianchi
         for p in pts:
             for r in res:
                 val = abs(r.value(p))

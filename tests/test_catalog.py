@@ -79,7 +79,7 @@ def test_gover_leitner_sphere_values():
     assert s.mu == -1.0
     assert entry.params["schouten_eigenvalue"] == pytest.approx(0.5)
     # F_phi = -(m-1) mu = m - 1
-    F = inv.f_curvature(s)
+    F = s.geometry.F_phi
     p = s.sample(1, seed=0)[0]
     assert F.value(p) == pytest.approx(s.m - 1.0, abs=1e-10)
     # P = lam g and Y = -m lam for this family

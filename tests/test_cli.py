@@ -472,7 +472,8 @@ seed = 3
 
 def test_cli_expand_m0_dm4_compares_the_obstruction_with_bach(tmp_path):
     # d = 4, m = 0 is the unweighted d+m = 4 case: the obstruction is the
-    # classical Bach tensor, which the weighted one reduces to at m = 0
+    # classical Bach tensor, which the weighted one reduces to at m = 0;
+    # every command that measures the obstruction compares the two
     path = tmp_path / "d4m0.cfg"
     path.write_text(CONFIG_D4_M0)
     code, text = run_cli(["expand", "--config", str(path)], tmp_path,
@@ -480,11 +481,16 @@ def test_cli_expand_m0_dm4_compares_the_obstruction_with_bach(tmp_path):
     assert code == 0, text
     assert "branch = EvenInteger" in text
     assert "check.obstruction_equals_bach.ok = true" in text
+    code, text = run_cli(["verify", "--config", str(path)], tmp_path,
+                         "d4m0v.txt")
+    assert code == 0, text
+    assert "check.obstruction_equals_bach.ok = true" in text
     # the obstruction is far above the check's limit of 1e-8, so the
     # agreement is not vacuous
     code, text = run_cli(["obstruction", "--config", str(path)], tmp_path,
                          "d4m0o.txt")
     assert code == 0, text
+    assert "check.obstruction_equals_bach.ok = true" in text
     assert max(abs(float(line.split(" = ")[1])) for line in text.splitlines()
                if line.startswith("point0.obstruction.")) > 1e-4
 
@@ -565,6 +571,29 @@ def test_cli_internal_error_writes_report(config_path, tmp_path, monkeypatch):
             in out.read_text())
 
 
+def test_cli_unwritable_out_is_a_typed_error(tmp_path, capsys, monkeypatch):
+    # the report goes to stdout with exit 2, as a usage error's does
+    out = tmp_path / "missing" / "r.txt"
+    code = main(["invariants", "--catalog", "flat", "--points", "1",
+                 "--out", str(out)])
+    text = capsys.readouterr().out
+    assert code == 2
+    assert (f"error = ConfigError: cannot write the report to '{out}': "
+            f"No such file or directory\n") in text
+    assert "check.bianchi_residual.ok = true" in text
+    assert not out.exists()
+    # an earlier error is kept, with its exit status
+
+    def broken(args, report):
+        raise RuntimeError("deliberate failure")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+    code = main(["verify", "--catalog", "flat", "--out", str(out)])
+    text = capsys.readouterr().out
+    assert code == 3
+    assert "error = internal: RuntimeError: deliberate failure\n" in text
+
+
 def test_cli_requires_input():
     code = main(["expand"])
     assert code == 2
@@ -609,6 +638,18 @@ def test_cli_requires_input():
     (["invariants"], "seed = 7", "seed = 7\n\n[tolerances]\nresidul = 1e-30",
      "ConfigError: unknown tolerance [tolerances] residul; known: residual, "
      "bianchi, identities, poincare, cone"),
+    (["verify"], "m = 0.5", "m = nan",
+     "ConfigError: [parameters] m must be a finite number, got nan"),
+    (["verify"], "m = 0.5", "m = inf",
+     "ConfigError: [parameters] m must be a finite number, got inf"),
+    (["verify"], "mu = 0.2", "mu = -inf",
+     "ConfigError: [parameters] mu must be a finite number, got -inf"),
+    # a repeated name would silently mean its last axis, and a function
+    # name cannot be read as a coordinate in an expression
+    (["verify"], "x1 x2 x3", "x1 x2 x2",
+     "ConfigError: [chart] coordinate 'x2' is named twice"),
+    (["verify"], "x1 x2 x3", "x1 sin x3",
+     "ConfigError: [chart] coordinate 'sin' is a function name"),
 ])
 def test_cli_rejects_bad_names_and_counts(tmp_path, argv, old, new, error):
     # every case is a typed input error (exit 2), never an internal error

@@ -44,7 +44,7 @@ def random_space(seed, d=3, m=1.0, mu=0.0, amplitude=0.05):
 
 def test_christoffel_flat_zero():
     s = euclidean_space()
-    gamma = inv.christoffel(s.g)
+    gamma = s.geometry.gamma
     for k in range(3):
         for i in range(3):
             for j in range(3):
@@ -55,7 +55,7 @@ def test_christoffel_round_2sphere_polar():
     chart = Chart(("theta", "phi"))
     g = SymTensor2Field(chart, {(0, 0): chart.constant(1.0),
                                 (1, 1): parse_expression("sin(theta)^2", chart)})
-    gamma = inv.christoffel(g)
+    gamma = cv.Geometry(g.as_matrix(), cv.partials(2), chart.zero()).gamma
     theta = 0.7
     want = -np.sin(theta) * np.cos(theta)
     assert gamma[0][1][1].value((theta, 1.2)) == pytest.approx(want, abs=1e-10)
@@ -77,7 +77,7 @@ def test_christoffel_conformal_closed_form():
     chart = Chart(("x1", "x2", "x3"))
     e2u = parse_expression("exp(2*x1)", chart)
     g = SymTensor2Field(chart, {(i, i): e2u for i in range(3)})
-    gamma = inv.christoffel(g)
+    gamma = cv.Geometry(g.as_matrix(), cv.partials(3), chart.zero()).gamma
     p = (0.2, -0.1, 0.3)
     assert gamma[0][0][0].value(p) == pytest.approx(1.0, abs=1e-12)
     assert gamma[0][1][1].value(p) == pytest.approx(-1.0, abs=1e-12)
@@ -89,42 +89,44 @@ def test_christoffel_conformal_closed_form():
 
 def test_flat_curvature_zero():
     s = euclidean_space()
-    assert inv.scalar(s.g).is_zero
-    ric = inv.ricci(s.g)
+    assert s.geometry.scal.is_zero
+    ric = s.geometry.ric
     for i in range(3):
         for j in range(3):
-            assert ric.comp(i, j).is_zero
+            assert ric[i][j].is_zero
 
 
 def test_round_2sphere_scalar():
     chart = Chart(("theta", "phi"))
     g = SymTensor2Field(chart, {(0, 0): chart.constant(1.0),
                                 (1, 1): parse_expression("sin(theta)^2", chart)})
-    assert inv.scalar(g).value((0.9, 0.4)) == pytest.approx(2.0, abs=1e-10)
+    scal = cv.Geometry(g.as_matrix(), cv.partials(2), chart.zero()).scal
+    assert scal.value((0.9, 0.4)) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_hyperbolic_plane_scalar():
     chart = Chart(("x", "y"))
     conf = parse_expression("1/(y^2)", chart)
     g = SymTensor2Field(chart, {(0, 0): conf, (1, 1): conf})
-    assert inv.scalar(g).value((0.3, 1.7)) == pytest.approx(-2.0, abs=1e-10)
+    scal = cv.Geometry(g.as_matrix(), cv.partials(2), chart.zero()).scal
+    assert scal.value((0.3, 1.7)) == pytest.approx(-2.0, abs=1e-10)
 
 
 def test_round_3sphere_positive_curvature():
     s = sphere_space()
     p = (0.1, -0.2, 0.15)
-    assert inv.scalar(s.g).value(p) == pytest.approx(6.0, abs=1e-9)
-    ric = inv.ricci(s.g)
+    assert s.geometry.scal.value(p) == pytest.approx(6.0, abs=1e-9)
+    ric = s.geometry.ric
     gm = s.g.matrix_values(p)
     for i in range(3):
         for j in range(3):
-            assert ric.comp(i, j).value(p) == pytest.approx(2.0 * gm[i, j], abs=1e-9)
+            assert ric[i][j].value(p) == pytest.approx(2.0 * gm[i, j], abs=1e-9)
 
 
 def test_riemann_symmetries_sampled():
     s = random_space(5)
     p = (0.2, -0.3, 0.1)
-    v = values(inv.riemann(s.g), p)
+    v = values(s.geometry.rm, p)
     assert np.allclose(v, -v.transpose(1, 0, 2, 3), atol=1e-12)
     assert np.allclose(v, -v.transpose(0, 1, 3, 2), atol=1e-12)
     assert np.allclose(v, v.transpose(2, 3, 0, 1), atol=1e-12)
@@ -166,7 +168,8 @@ def test_weighted_ricci_trivial_cases():
     s2 = MetricMeasureSpace(s2.chart, s2.g, s2.chart.constant(1.0), 0.0, 0.0)
     p = (0.1, 0.2, -0.3)
     got = inv.weighted_ricci(s2).matrix_values(p)
-    want = inv.ricci(s2.g).matrix_values(p)
+    want = SymTensor2Field.from_matrix(s2.chart,
+                                       s2.geometry.ric).matrix_values(p)
     assert np.allclose(got, want, atol=0)
 
 
@@ -187,27 +190,27 @@ def test_weighted_ricci_hand_value_and_fd_hessian():
 
 def test_weighted_scalar_closed_forms():
     s = euclidean_space(m=2.5, mu=0.8)
-    assert inv.weighted_scalar(s).value((0.1, 0.2, 0.3)) == pytest.approx(
+    assert s.geometry.scal_phi.value((0.1, 0.2, 0.3)) == pytest.approx(
         2.5 * 1.5 * 0.8, rel=1e-12)
     s0 = random_space(7, m=1.0)
     s0 = MetricMeasureSpace(s0.chart, s0.g, s0.chart.constant(1.0), 0.0, 0.0)
     p = (0.905 * 0.2, -0.1, 0.22)
-    assert inv.weighted_scalar(s0).value(p) == pytest.approx(
-        inv.scalar(s0.g).value(p), rel=1e-12)
+    assert s0.geometry.scal_phi.value(p) == pytest.approx(
+        s0.geometry.scal.value(p), rel=1e-12)
     sph = sphere_space(m=3.0)
     p = (0.05, 0.1, -0.2)
-    assert inv.weighted_scalar(sph).value(p) == pytest.approx(
-        inv.scalar(sph.g).value(p), rel=1e-9)
+    assert sph.geometry.scal_phi.value(p) == pytest.approx(
+        sph.geometry.scal.value(p), rel=1e-9)
 
 
 def test_f_curvature_closed_forms():
     s = euclidean_space(m=4.0, mu=0.3)
-    assert inv.f_curvature(s).value((0.2, 0.0, 0.1)) == pytest.approx(
+    assert s.geometry.F_phi.value((0.2, 0.0, 0.1)) == pytest.approx(
         -(4.0 - 1) * 0.3, rel=1e-12)
     s1 = euclidean_space(m=1.0, mu=0.9)
-    assert inv.f_curvature(s1).value((0.2, 0.0, 0.1)) == 0.0
+    assert s1.geometry.F_phi.value((0.2, 0.0, 0.1)) == 0.0
     s2 = euclidean_space(m=2.0, mu=0.0, f_expr="1+x1^2")
-    assert inv.f_curvature(s2).value((0.0, 0.0, 0.0)) == pytest.approx(2.0, rel=1e-12)
+    assert s2.geometry.F_phi.value((0.0, 0.0, 0.0)) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_trace_identity_random_spaces():
@@ -215,8 +218,8 @@ def test_trace_identity_random_spaces():
         s = random_space(seed, m=0.5 + 0.3 * seed, mu=0.1 * seed - 0.4)
         pts = s.sample(20, seed=100 + seed)
         ric = inv.weighted_ricci(s)
-        rphi = inv.weighted_scalar(s)
-        fphi = inv.f_curvature(s)
+        rphi = s.geometry.scal_phi
+        fphi = s.geometry.F_phi
         for p in pts:
             gm = s.g.matrix_values(p)
             tr = float(np.trace(np.linalg.inv(gm) @ ric.matrix_values(p)))
@@ -334,12 +337,12 @@ def test_bach_vanishes_on_quasi_einstein():
 
 def test_bianchi_residual_trivial_and_exact():
     s = euclidean_space(m=2.0, mu=0.0)
-    res = inv.bianchi_residual(s)
+    res = s.geometry.bianchi
     for r in res:
         assert r.is_zero
 
     sph = sphere_space(m=2.0, mu=1.0)
-    res = inv.bianchi_residual(sph)
+    res = sph.geometry.bianchi
     for p in [(0.1, 0.0, -0.2), (0.25, 0.1, 0.3)]:
         for r in res:
             assert abs(r.value(p)) < 1e-10
@@ -352,7 +355,7 @@ def test_bianchi_residual_random_spaces():
         pts = s.sample(2, seed=40 + seed)
         scale = max(inv.curvature_scale(s, pts), 1.0)
         for p in pts:
-            for r in inv.bianchi_residual(s):
+            for r in s.geometry.bianchi:
                 assert abs(r.value(p)) <= 1e-8 * scale
 
 
@@ -364,8 +367,8 @@ def test_m_to_zero_continuity():
     P_cls, J_cls, _ = inv.schouten(s_cls)
     assert J_eps.value(p) == pytest.approx(J_cls.value(p), rel=1e-4)
     assert np.allclose(P_eps.matrix_values(p), P_cls.matrix_values(p), rtol=1e-4)
-    assert inv.weighted_scalar(s_eps).value(p) == pytest.approx(
-        inv.weighted_scalar(s_cls).value(p), rel=1e-4)
+    assert s_eps.geometry.scal_phi.value(p) == pytest.approx(
+        s_cls.geometry.scal_phi.value(p), rel=1e-4)
 
 
 def test_conformal_change_basics():

@@ -15,7 +15,7 @@ def residual_worst(res, powers, points):
     worst = res.block_max(powers, points)
     # the default names cover the three Ricci blocks and the F scalar
     assert worst == max(res.block_max(powers, points, ("ij", "ri", "rr")),
-                        res.scalar_max(powers, points))
+                        res.block_max(powers, points, ("F",)))
     return worst
 
 
@@ -132,7 +132,7 @@ def test_oracle_route_matches_series_route():
     dm = d + space_plus.m
     res = poincare_residual(p)
     ric_plus = inv.weighted_ricci(space_plus)
-    F_plus = inv.f_curvature(space_plus)
+    F_plus = space_plus.geometry.F_phi
     r0 = 0.1
     for pt in entry.space.sample(2, seed=3):
         xr = tuple(pt) + (r0,)

@@ -48,7 +48,7 @@ with open(path, "w") as fh:
 """
 
 
-def _inputs(outdir, env):
+def inputs(outdir, env):
     """(name, CLI arguments, working directory) of every input, writing
     the random configs.  Config paths are relative to the working
     directory, so the `config.label` lines agree between checkouts."""
@@ -76,7 +76,7 @@ def main(argv):
     os.makedirs(outdir, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     with open(os.path.join(outdir, "stats.txt"), "w") as counts:
-        for name, args, cwd in _inputs(outdir, env):
+        for name, args, cwd in inputs(outdir, env):
             for command in COMMANDS:
                 proc = subprocess.run(
                     [sys.executable, "-m", "smmsgeom.cli", command, *args],

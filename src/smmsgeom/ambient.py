@@ -204,14 +204,6 @@ class AmbientMetric:
         return graded_derivs(self.d, self.zero) + [
             lambda a: Graded(a.deg, a.val.deriv())]
 
-    # -- component access ---------------------------------------------------
-
-    def component_value(self, I: int, J: int, t: float, rho_coeff: int, point):
-        """Numeric value of the rho^k coefficient of gt_IJ at (t, point)."""
-        comp = self.gt[I][J]
-        v = evaluate([comp.val.coefficient(rho_coeff)], [point])[0, 0]
-        return t ** comp.deg * float(v)
-
     # -- connection ------------------------------------------------------------
 
     def christoffels_closed(self):

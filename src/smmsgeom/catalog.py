@@ -59,10 +59,10 @@ class CatalogEntry:
     flags: dict
     closed_form: Optional[Callable[[int], tuple]] = None
 
-    def verify(self, points: int = _POINTS, seed: int = _SEED):
-        """Re-check the flags' defining equations (done at construction too)."""
-        pts = self.space.sample(points, seed)
-        _verify_flags(self.space, self.flags, self.params, pts)
+    def verify(self, points):
+        """Re-check the flags' defining equations (done at construction
+        too) at the sample `points`."""
+        _verify_flags(self.space, self.flags, self.params, points)
 
     def closed_expansion(self, order: int):
         """The closed-form deformation wrapped as an expansion object."""

@@ -16,8 +16,12 @@ trailing timings block) and are written in every case; a usage error
 reported as `error = ConfigError: ...` on stdout only, since no
 `--out` has been read.  So is an `--out` that cannot be written, unless
 the report already holds an error, which it then keeps with its exit
-status.  `--help` prints the usage and exits 0.  The timings block
-gives the seconds of each stage a command ran (`timings.stage.*`), and
+status.  `--help` prints the usage and exits 0.  `--tol` sets the
+`residual` tolerance, which also bounds `verify`'s agreement with a
+catalog closed form.  The timings block gives the seconds of each stage
+a command ran (`timings.stage.*`: setup, invariants, catalog_flags,
+expand, identities, coefficients, order_report, bianchi, poincare, cone,
+closed_form; every field evaluation runs inside one of them), and
 for the problem chart its interned DAG nodes, those of them computed
 at no sampled point, its `fields.evaluate` calls, its node
 computations, those of them that replaced a memo entry, and the
@@ -200,14 +204,16 @@ def cmd_invariants(args, report) -> int:
     s = prob.space
     d = s.dim
     geo = s.geometry
-    P, J, Y = inv.schouten(s)
-    shown = {"ricci_phi": inv.weighted_ricci(s), "scalar": geo.scal,
-             "scalar_phi": geo.scal_phi, "f_phi": geo.F_phi,
-             "schouten": P, "schouten_scalar": J, "y_phi": Y,
-             "bach": inv.weighted_bach(s) if s.m > 0 else None}
-    v = _put_points(report, prob.points, shown, g=s.g.entries(), f=[s.f],
-                    weyl_norm=inv.independent_components(geo.weyl),
-                    cotton_norm=inv.independent_components(geo.cotton))
+    with report.stage("invariants"):
+        P, J, Y = inv.schouten(s)
+        shown = {"ricci_phi": inv.weighted_ricci(s), "scalar": geo.scal,
+                 "scalar_phi": geo.scal_phi, "f_phi": geo.F_phi,
+                 "schouten": P, "schouten_scalar": J, "y_phi": Y,
+                 "bach": inv.weighted_bach(s) if s.m > 0 else None}
+        v = _put_points(
+            report, prob.points, shown, g=s.g.entries(), f=[s.f],
+            weyl_norm=inv.independent_components(geo.weyl),
+            cotton_norm=inv.independent_components(geo.cotton))
     trace_resid = []
     for n, p in enumerate(prob.points):
         _put_tensor(report, f"point{n}.coords", list(p))
@@ -256,9 +262,10 @@ def cmd_expand(args, report) -> int:
     if e.obstruction is not None:
         report.put("obstruction.constant", e.obstruction.c)
         _obstruction_identities(prob, e.obstruction, report)
-    _put_points(report, prob.points[:3],
-                {f"{kind}_coeff{k}": coeffs[k] for k in range(e.order + 1)
-                 for kind, coeffs in (("g", e.g_coeffs), ("f", e.f_coeffs))})
+    with report.stage("coefficients"):
+        _put_points(report, prob.points[:3], {
+            f"{kind}_coeff{k}": coeffs[k] for k in range(e.order + 1)
+            for kind, coeffs in (("g", e.g_coeffs), ("f", e.f_coeffs))})
     rep = _order_report(prob, e, report)
     for name, block in rep.blocks.items():
         report.put(f"order.{name}.guaranteed", block.guaranteed)
@@ -288,42 +295,45 @@ def _put_points(report, points, fields, **groups):
 def _obstruction_identities(prob, obs, report):
     """The trace and divergence identities of the obstruction tensor and,
     at d+m = 4 (n_c = 2), its agreement with the weighted Bach tensor."""
-    s = prob.space
-    d = s.dim
-    geo = s.geometry
-    bach = (inv.weighted_bach(s).entries()
-            if classify_branch(d, s.m).n_c == 2 else [])
-    dphi = geo.dphi
-    div_O = cv.weighted_divergence(obs.tensor.as_matrix(), geo.ginv, dphi,
-                                   geo.gamma, geo.derivs, geo.zero)
-    v = evaluate_named(prob.points, g=s.g.entries(), f=[s.f],
-                       O=obs.tensor.entries(), scalar=[obs.scalar_part],
-                       dphi=dphi, div_O=div_O, bach=bach)
-    tr_resid, div_resid = [], []
-    for n in range(len(prob.points)):
-        fv, sp = v["f"][n, 0], v["scalar"][n, 0]
-        tr = float(np.trace(np.linalg.inv(v["g"][n].reshape(d, d))
-                            @ v["O"][n].reshape(d, d)))
-        tr_resid.append(tr - float(s.m) / fv ** 2 * sp)
-        div_resid += [v["div_O"][n, l] - sp / fv ** 2 * v["dphi"][n, l]
-                      for l in range(d)]
-    tol = prob.tol("identities") * prob.scale
-    report.put_check("obstruction_trace_identity", max_abs(tr_resid), tol)
-    report.put_check("obstruction_divergence_identity", max_abs(div_resid),
-                     tol)
-    if bach:
-        report.put_check("obstruction_equals_bach",
-                         max_abs(v["O"] - v["bach"]), tol)
+    with report.stage("identities"):
+        s = prob.space
+        d = s.dim
+        geo = s.geometry
+        bach = (inv.weighted_bach(s).entries()
+                if classify_branch(d, s.m).n_c == 2 else [])
+        dphi = geo.dphi
+        div_O = cv.weighted_divergence(obs.tensor.as_matrix(), geo.ginv, dphi,
+                                       geo.gamma, geo.derivs, geo.zero)
+        v = evaluate_named(prob.points, g=s.g.entries(), f=[s.f],
+                           O=obs.tensor.entries(), scalar=[obs.scalar_part],
+                           dphi=dphi, div_O=div_O, bach=bach)
+        tr_resid, div_resid = [], []
+        for n in range(len(prob.points)):
+            fv, sp = v["f"][n, 0], v["scalar"][n, 0]
+            tr = float(np.trace(np.linalg.inv(v["g"][n].reshape(d, d))
+                                @ v["O"][n].reshape(d, d)))
+            tr_resid.append(tr - float(s.m) / fv ** 2 * sp)
+            div_resid += [v["div_O"][n, l] - sp / fv ** 2 * v["dphi"][n, l]
+                          for l in range(d)]
+        tol = prob.tol("identities") * prob.scale
+        report.put_check("obstruction_trace_identity", max_abs(tr_resid), tol)
+        report.put_check("obstruction_divergence_identity", max_abs(div_resid),
+                         tol)
+        if bach:
+            report.put_check("obstruction_equals_bach",
+                             max_abs(v["O"] - v["bach"]), tol)
 
 
 def cmd_obstruction(args, report) -> int:
     prob = _start(args, report)
-    obs = obstruction(prob.space, check_points=prob.points)
+    with report.stage("expand"):
+        obs = obstruction(prob.space, check_points=prob.points)
     report.put("obstruction.constant", obs.c)
     # the identities first: they ask for higher jets than the printout
     _obstruction_identities(prob, obs, report)
-    _put_points(report, prob.points[:3],
-                {"obstruction": obs.tensor, "f_script": obs.scalar_part})
+    with report.stage("coefficients"):
+        _put_points(report, prob.points[:3],
+                    {"obstruction": obs.tensor, "f_script": obs.scalar_part})
     return _finish(prob, report)
 
 
@@ -369,7 +379,8 @@ def cmd_verify(args, report) -> int:
     entry = prob.catalog_entry
     if entry is not None:
         try:
-            entry.verify(points=min(prob.points_n, 6), seed=prob.seed)
+            with report.stage("catalog_flags"):
+                entry.verify(prob.points[:6])
             report.put_check("catalog_flags", 0.0, 1.0)
         except EntryRejected as exc:
             report.put("catalog_flags.error", str(exc))
@@ -398,7 +409,8 @@ def cmd_verify(args, report) -> int:
     if entry is not None and entry.closed_form is not None:
         with report.stage("closed_form"):
             worst = _closed_form_agreement(prob, e, entry)
-        report.put_check("solver_matches_closed_form", worst, 1e-9 * prob.scale)
+        report.put_check("solver_matches_closed_form", worst,
+                         prob.tol("residual") * prob.scale)
     return _finish(prob, report)
 
 

@@ -29,6 +29,11 @@ Configurations are INI files (configparser) with sections::
     [tolerances]        # optional overrides, finite and non-negative
     residual = 1e-9     # also bianchi, identities, poincare, cone
 
+A section or key outside this schema is a ConfigError that names it, an
+upper-triangle metric entry such as g12 too (write it as g21).  `--tol`
+overrides `residual`, which also bounds the agreement with a catalog
+closed form.
+
 Reports are flat "key = value" text: schema_version first, then sorted
 keys, with floats at 17 significant digits so doubles round-trip; the
 timings block comes last so byte comparison modulo timings is a prefix
@@ -44,8 +49,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-from .expressions import FUNCTIONS, parse_expression
-from .fields import Chart, SymTensor2Field
+from .expressions import parse_expression
+from .fields import FUNCTIONS, Chart, SymTensor2Field
 from .invariants import MetricMeasureSpace
 
 __all__ = ["ProblemConfig", "ConfigError", "Report", "load_config",
@@ -62,6 +67,13 @@ TOLERANCES = {"residual": 1e-9, "bianchi": 1e-8, "identities": 1e-8,
 
 # the least value of each integer setting, in a config file or a flag
 MINIMUMS = {"order": 1, "points": 1, "seed": 0}
+
+# the keys of each section; [metric] takes the lower triangle g<i><j>,
+# i >= j, of the chart's dimension
+_SECTIONS = {"chart": ("dimension", "coordinates", "box"), "metric": (),
+             "density": ("f",), "parameters": ("m", "mu"),
+             "solver": ("order",), "sampling": ("points", "seed"),
+             "tolerances": tuple(TOLERANCES)}
 
 
 class ConfigError(ValueError):
@@ -132,6 +144,28 @@ def _number(cp, section, key, kind, fallback):
         raise ConfigError(f"[{section}] {key} = {text!r} is not {noun}") from None
 
 
+def _check_keys(cp, dim: int):
+    """A ConfigError naming the first section or key outside the schema."""
+    for section in cp.sections() + [cp.default_section] * bool(cp.defaults()):
+        if section not in _SECTIONS:
+            raise ConfigError(f"[{section}] is not a section of the "
+                              f"configuration; known: {', '.join(_SECTIONS)}")
+        known = ([f"g{i+1}{j+1}" for i in range(dim) for j in range(i + 1)]
+                 if section == "metric" else _SECTIONS[section])
+        for key in cp.options(section):
+            if key in known:
+                continue
+            if section == "tolerances":
+                raise ConfigError(f"unknown tolerance [tolerances] {key}; "
+                                  f"known: {', '.join(known)}")
+            swapped = "g" + key[2:0:-1]  # g12 -> g21
+            if section == "metric" and swapped in known:
+                raise ConfigError(f"[metric] {key} is not in the lower "
+                                  f"triangle; write it as {swapped}")
+            raise ConfigError(f"[{section}] {key} is not a key of "
+                              f"[{section}]; known: {', '.join(known)}")
+
+
 def check_tolerance(name: str, value: float) -> float:
     """`value` if it is a finite non-negative number, else a ConfigError."""
     if not (math.isfinite(value) and value >= 0.0):
@@ -154,6 +188,7 @@ def load_config(path: str) -> ProblemConfig:
         mu = cp.getfloat("parameters", "mu")
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(str(exc))
+    _check_keys(cp, dim)
     if len(names) != dim:
         raise ConfigError(f"{dim} coordinates expected, got {len(names)}")
     for n, name in enumerate(names):
@@ -184,9 +219,6 @@ def load_config(path: str) -> ProblemConfig:
     tolerances = {}
     if cp.has_section("tolerances"):
         for key in cp.options("tolerances"):
-            if key not in TOLERANCES:
-                raise ConfigError(f"unknown tolerance [tolerances] {key}; "
-                                  f"known: {', '.join(TOLERANCES)}")
             tolerances[key] = check_tolerance(
                 f"[tolerances] {key}", _number(cp, "tolerances", key, float, None))
     return ProblemConfig(dim, names, box, metric, f_expr, m, mu, order,

@@ -22,11 +22,14 @@ determinant is -(2n-d-m)(n-d-m).  Branches on d+m:
                 rho^(n-1) residual is the obstruction tensor);
   any integer   at n = d+m the trace system is rank one along
                 tr psi / 2 - (d/f) upsilon, solvable exactly when the
-                consistency residual (m/f^2) Ft - tr Rt vanishes there.
+                consistency residual (m/f^2) Ft - tr Rt vanishes there;
+                the rho^(n-2) coefficient of Ric[oo oo], which moves by
+                -n(n-1)(tr psi / 2 + (m/f) upsilon), fixes the rest.
 
 `BranchPlan`, which `classify_branch` returns, states these rules once:
 it alone derives the critical orders and the branch guarantees from d+m.
-Undetermined directions at critical orders are set to zero and recorded.
+Only n_c leaves directions undetermined; they are set to zero and
+recorded.
 Residuals are recomputed from the closed-form expression of the ambient
 blocks (see `closed_form_residual_series`), never from the correction
 model, so a transcription error in either would fail the round trip.
@@ -152,9 +155,6 @@ class OrderStep:
     trace_system_det: float
     solvable: bool
     note: Optional[str] = None
-    # the Geometry of the slice of the coefficients through n-1 that the
-    # step read
-    geometry: Optional[cv.Geometry] = None
 
 
 @dataclass
@@ -173,15 +173,10 @@ class RhoExpansion:
     plan: BranchPlan
     obstruction: Optional[ObstructionData] = None
     ambiguity_notes: list = dc_field(default_factory=list)
-    # the Geometry that the last solver step read: that of the slice of
-    # g_coeffs and f_coeffs without their last coefficients
-    geometry: Optional[cv.Geometry] = None
 
     def slice(self) -> "RhoSlice":
-        """The rho-slice (g_rho, f_rho) of the computed coefficients.  It
-        takes over `geometry` while the coefficients it was built from are
-        still those of the expansion."""
-        return RhoSlice(self.base, self.g_coeffs, self.f_coeffs, self.geometry)
+        """The rho-slice (g_rho, f_rho) of the computed coefficients."""
+        return RhoSlice(self.base, self.g_coeffs, self.f_coeffs)
 
 
 class RhoSlice:
@@ -192,24 +187,27 @@ class RhoSlice:
     the closed forms read are taken of them.  `geometry` is the
     Geometry (curvature and weighted curvature) of the slice cut one
     coefficient earlier: the closed forms read its curvature only
-    through that rho power, so no later one is built.  A `geometry`
-    passed in is kept when its g and f hold the very coefficient objects
-    of that cut slice (and its m and mu are the base's), with every
-    attribute it has built; otherwise a new one is made.  Each attribute
-    is built on first read and then kept."""
+    through that rho power, so no later one is built.  It is looked up
+    in `base.slice_geometries` by the coefficient fields of that cut
+    slice and built only on a miss, so slices of equal fields (a solver
+    step's, the expansion's) share one Geometry and what it has built.
+    Each attribute is built on first read and then kept."""
 
-    def __init__(self, base, g_coeffs, f_coeffs, geometry=None):
+    def __init__(self, base, g_coeffs, f_coeffs):
         zero = base.chart.zero()
         trunc = len(g_coeffs) - 1
         d = base.dim
         self.G = [[Series([g.comp(i, j) for g in g_coeffs], 0, trunc, zero)
                    for j in range(d)] for i in range(d)]
         self.F = Series(list(f_coeffs), 0, trunc, zero)
-        g = [[x.truncated(trunc - 1) for x in row] for row in self.G]
-        f = self.F.truncated(trunc - 1)
-        if geometry is None or not _same_slice(geometry, g, f, base):
-            geometry = cv.Geometry(g, cv.partials(d), Series.zero_series(zero),
-                                   f, base.m, base.mu)
+        key = (tuple(x for g in g_coeffs[:-1] for x in g.entries())
+               + tuple(f_coeffs[:-1]))
+        geometry = base.slice_geometries.get(key)
+        if geometry is None:
+            geometry = base.slice_geometries[key] = cv.Geometry(
+                [[x.truncated(trunc - 1) for x in row] for row in self.G],
+                cv.partials(d), Series.zero_series(zero),
+                self.F.truncated(trunc - 1), base.m, base.mu)
         self.geometry = geometry
         self.chart_zero = zero
 
@@ -217,19 +215,6 @@ class RhoSlice:
     Gpp = cached_property(lambda self: _rho_derivs(self.Gp))
     Fp = cached_property(lambda self: self.F.deriv())
     Fpp = cached_property(lambda self: self.Fp.deriv())
-
-
-def _same_slice(geometry, g, f, base) -> bool:
-    """Whether `geometry` is that of the series matrix `g` and the series
-    `f`, coefficient object by coefficient object, with base's m and mu."""
-    def same(a, b):
-        return ((a.shift, a.trunc, len(a.coeffs))
-                == (b.shift, b.trunc, len(b.coeffs))
-                and all(x is y for x, y in zip(a.coeffs, b.coeffs)))
-    return (geometry.m == base.m and geometry.mu == base.mu
-            and same(geometry.f, f)
-            and all(same(a, b) for ra, rb in zip(geometry.g, g)
-                    for a, b in zip(ra, rb)))
 
 
 def _rho_derivs(matrix):
@@ -290,7 +275,7 @@ def closed_form_residual_series(slc: RhoSlice):
 
 def _residual_coefficients(base, g_coeffs, f_coeffs, n):
     """rho^(n-1) coefficients of (Rt_ij, Ft) with zero candidate at order n,
-    and the Geometry of the slice they read (that of g_0..g_(n-1))."""
+    and the slice they read (g_0..g_(n-1) and the zero candidate)."""
     chart = base.chart
     zero_t = SymTensor2Field.zero(chart)
     zero_f = chart.zero()
@@ -301,7 +286,22 @@ def _residual_coefficients(base, g_coeffs, f_coeffs, n):
     d = base.dim
     Rerr = [[Rt[i][j].coefficient(n - 1) for j in range(d)] for i in range(d)]
     Ferr = Ft.coefficient(n - 1)
-    return Rerr, Ferr, slc.geometry
+    return Rerr, Ferr, slc
+
+
+def _rho_rho_coefficient(slc: RhoSlice, k: int):
+    """The rho^k coefficient of Ric_phi[oo oo] of the slice `slc`, by its
+    closed form -tr(g^-1 g'')/2 + tr(g^-1 g' g^-1 g')/4 - (m/f) f''."""
+    geo = slc.geometry
+    d, ez = geo.dim, geo.zero
+    Ginv = [[x.truncated(k) for x in row] for row in geo.ginv]
+    Gp = [[x.truncated(k) for x in row] for row in slc.Gp]
+    sq = [[cv.acc_sum([Ginv[a][b] * (Gp[i][a] * Gp[j][b])
+                       for a in range(d) for b in range(d)], ez)
+           for j in range(d)] for i in range(d)]
+    return cv.acc_sum([cv.trace(Ginv, slc.Gpp, ez) * -0.5,
+                       cv.trace(Ginv, sq, ez) * 0.25,
+                       -((slc.Fpp * float(geo.m)) / geo.f)], ez).coefficient(k)
 
 
 def solve_order_step(base, g_coeffs, f_coeffs, n, *,
@@ -314,7 +314,7 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
     chart = base.chart
     zero = chart.zero()
     g0 = base.g.as_matrix()
-    Rerr, Ferr, geometry = _residual_coefficients(base, g_coeffs, f_coeffs, n)
+    Rerr, Ferr, slc = _residual_coefficients(base, g_coeffs, f_coeffs, n)
     Rtrace = cv.trace(base.geometry.ginv, Rerr, zero)
     det = (2 * n - dm) * (n - dm)
     even_critical = n == plan.n_c
@@ -353,11 +353,15 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
                 f"{CONSISTENCY_TOL:.1e} x scale {scale:.3e}; the inputs are "
                 f"outside the construction's hypotheses or precision degraded")
         omega = -(Ferr / (f0 * f0)) * (1.0 / dm)
-        tau = omega * (2.0 * m / dm)
-        upsilon = -(f0 * omega) * (1.0 / dm)
+        # the null direction (tau, upsilon) = (2d, f) of the trace system
+        # moves the rho^(n-2) coefficient of Ric[oo oo] by -n(n-1)(d+m):
+        # the rho-rho equation fixes its multiple
+        null = _rho_rho_coefficient(slc, n - 2) * (1.0 / (n * (n - 1) * dm))
+        tau = omega * (2.0 * m / dm) + null * (2.0 * d)
+        upsilon = f0 * null - (f0 * omega) * (1.0 / dm)
         note = (f"critical order n = d+m: consistency residual {worst:.2e}; "
-                "complementary combination tr psi / 2 + (m/f) upsilon set to "
-                "zero (canonical choice)")
+                "the combination tr psi / 2 + (m/f) upsilon fixed by the "
+                "rho-rho equation")
     elif det == 0.0:
         raise OrderError(
             f"trace system determinant vanishes at order n = {n} outside the "
@@ -376,7 +380,7 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
     psi = [[psi_tf[i][j] + (g0[i][j] * tau) * (1.0 / d) for j in range(d)]
            for i in range(d)]
     return OrderStep(n, SymTensor2Field.from_matrix(chart, psi), upsilon,
-                     det, note is None, note, geometry)
+                     det, note is None, note)
 
 
 def obstruction_constant(dm: int) -> float:
@@ -385,12 +389,10 @@ def obstruction_constant(dm: int) -> float:
     return (-2.0) ** (half - 1) * math.factorial(half - 1) / (dm - 2)
 
 
-def _measure_obstruction(base, n_c, g_coeffs, f_coeffs, geometry):
+def _measure_obstruction(base, n_c, g_coeffs, f_coeffs):
     """ObstructionData at the even critical order `n_c` from the
-    coefficients through n_c; the `geometry` of the slice through
-    n_c - 1 is taken over as `RhoSlice` allows."""
-    Rt, Ft = closed_form_residual_series(
-        RhoSlice(base, g_coeffs, f_coeffs, geometry))
+    coefficients through n_c."""
+    Rt, Ft = closed_form_residual_series(RhoSlice(base, g_coeffs, f_coeffs))
     d = base.dim
     c = obstruction_constant(2 * n_c)
     factor = c * math.factorial(n_c - 1)
@@ -424,7 +426,6 @@ def expand(s: MetricMeasureSpace, order: int, *,
     f_coeffs = [s.f]
     notes = []
     obst = None
-    geometry = None  # that of the last step through `order`
 
     if check_points is None and s.chart.box is not None:
         check_points = s.sample(10, seed=0)
@@ -434,13 +435,11 @@ def expand(s: MetricMeasureSpace, order: int, *,
                                 check_points=check_points)
         g_coeffs.append(step.psi)
         f_coeffs.append(step.upsilon)
-        if n <= order:
-            geometry = step.geometry
-            if step.note:
-                notes.append(f"order {n}: {step.note}")
+        if n <= order and step.note:
+            notes.append(f"order {n}: {step.note}")
         if n != n_c:
             continue
-        obst = _measure_obstruction(s, n_c, g_coeffs, f_coeffs, step.geometry)
+        obst = _measure_obstruction(s, n_c, g_coeffs, f_coeffs)
         if order > n_c:
             # continuation past the critical order needs a vanishing
             # obstruction
@@ -457,7 +456,7 @@ def expand(s: MetricMeasureSpace, order: int, *,
                 f"obstruction {worst:.2e} within tolerance")
 
     return RhoExpansion(s, order, g_coeffs[:order + 1], f_coeffs[:order + 1],
-                        plan, obst, notes, geometry)
+                        plan, obst, notes)
 
 
 def obstruction(s: MetricMeasureSpace, *, check_points=None) -> ObstructionData:

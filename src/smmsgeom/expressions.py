@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import re
 
-from .fields import Chart, ScalarField
+from .fields import FUNCTIONS, Chart, ScalarField
 
 __all__ = ["parse_expression", "ExpressionError", "UnknownIdentifierError",
-           "ArityError", "FUNCTIONS"]
-
-FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
+           "ArityError"]
 
 _TOKEN = re.compile(r"""
     (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)

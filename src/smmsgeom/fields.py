@@ -77,10 +77,11 @@ from .jets import Jet, value_apply, value_power, value_quotient
 
 __all__ = [
     "Chart", "ScalarField", "evaluate", "evaluate_named", "max_abs",
-    "sample_points", "SymTensor2Field",
+    "sample_points", "SymTensor2Field", "FUNCTIONS",
 ]
 
-_ANALYTIC = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
+# the analytic primitives a field applies, and an expression calls
+FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
 
 
 class Chart:
@@ -425,7 +426,7 @@ class ScalarField:
     # -- analytic primitives ---------------------------------------------
 
     def apply(self, name: str) -> "ScalarField":
-        if name not in _ANALYTIC:
+        if name not in FUNCTIONS:
             raise ValueError(f"unknown analytic primitive {name!r}")
         c = self.const_value()
         if c is not None:

@@ -74,6 +74,12 @@ class MetricMeasureSpace:
         return cv.Geometry(self.g.as_matrix(), cv.partials(self.dim),
                            self.chart.zero(), self.f, self.m, self.mu)
 
+    @cached_property
+    def slice_geometries(self) -> dict:
+        """The Geometry of each rho-slice over this space, by the
+        coefficient fields of the slice (see `expansion.RhoSlice`)."""
+        return {}
+
     def check_at(self, points):
         """Finite positive-definite g and positive f at the given points.
 

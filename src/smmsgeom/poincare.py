@@ -69,13 +69,6 @@ class PoincareStructure:
         rm1 = Series([self.base.chart.constant(1.0)], -1, None, zero)
         return rm1 * self.f_r
 
-    def boundary_values(self, point):
-        """(g_r, f_r) at r = 0: the conformal-infinity representative."""
-        d = self.dim
-        vals = evaluate([s.coefficient(0) for row in self.g_r for s in row]
-                        + [self.f_r.coefficient(0)], [point])[:, 0]
-        return vals[:-1].reshape(d, d), float(vals[-1])
-
 
 def to_poincare(e: RhoExpansion) -> PoincareStructure:
     """Even r-series from the rho-coefficients: r^(2k) picks up (-1/2)^k."""
@@ -143,17 +136,8 @@ def poincare_residual(p: PoincareStructure) -> PoincareResidual:
     return PoincareResidual(blocks, resid_F, trunc)
 
 
-# the r interval of the (x, r) chart, and the r at which the cone
-# identities are checked
-R_BOX = (0.05, 0.25)
-R_VALUES = (0.1,)
-
-
-def _xr_chart(base: MetricMeasureSpace) -> Chart:
-    box = list(base.chart.box) if base.chart.box else None
-    if box is not None:
-        box = box + [R_BOX]
-    return Chart(tuple(base.chart.names) + ("r",), box=box)
+# the r at which the cone identities are checked
+R = 0.1
 
 
 def fixed_r_space(p: PoincareStructure):
@@ -162,7 +146,7 @@ def fixed_r_space(p: PoincareStructure):
     fixed small r; reuses the base tensor machinery verbatim."""
     base = p.base
     d = base.dim
-    chart = _xr_chart(base)
+    chart = Chart(tuple(base.chart.names) + ("r",))
     r = chart.coordinate(d)
     rinv2 = 1.0 / (r * r)
 
@@ -186,7 +170,7 @@ def fixed_r_space(p: PoincareStructure):
 
 
 def cone_identity_check(p: PoincareStructure, *, points=None):
-    """Verify both cone identities at fixed r in R_VALUES.
+    """Verify both cone identities at r = R.
 
     Returns (worst_ricci, worst_F, sides): the worst absolute two-sided
     disagreements and a sample of the individually nonzero side values.
@@ -198,7 +182,7 @@ def cone_identity_check(p: PoincareStructure, *, points=None):
     dm = d + float(base.m)
     if points is None:
         points = base.sample(4, seed=0)
-    xr_points = [tuple(pt) + (rv,) for pt in points for rv in R_VALUES]
+    xr_points = [tuple(pt) + (R,) for pt in points]
     geo = space_plus.geometry
 
     # cone side: gc = s^2 g_plus - ds^2 with the s slot graded out

@@ -283,8 +283,14 @@ def test_criterion_08_branch_guarantees(spaces, expansions):
     worst_odd = max(abs(s2.m / s2.f.value(p) ** 2 * Ferr.value(p)
                         - Rtr.value(p)) for p in pts2)
     assert worst_odd <= 1e-8 * scale2
+    # the odd critical step also solves the rho-rho block, read here from
+    # the generic route, which the solver does not use
+    rho_rho = order_report(AmbientMetric(expand(s2, 5)),
+                           points=pts2[:3]).blocks["rho_rho"]
+    assert rho_rho.guaranteed == 3 and rho_rho.ok
     _passed(8, f"branch guarantees hold (non-integer {worst:.2e}, even trace "
-               f"combination {worst_combo:.2e}, odd consistency {worst_odd:.2e})")
+               f"combination {worst_combo:.2e}, odd consistency {worst_odd:.2e}"
+               f", odd rho-rho {rho_rho.worst:.2e})")
 
 
 def test_criterion_09_weighted_bianchi():

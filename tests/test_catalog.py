@@ -31,7 +31,7 @@ def test_hyperbolic_quasi_einstein_accepted():
                                  ric_eigenvalue=-4.0)
     # Ric_phi = -(d+m-1) g and the Schouten eigenvalue is -1/2
     assert entry.params["schouten_eigenvalue"] == pytest.approx(-0.5)
-    entry.verify()
+    entry.verify(entry.space.sample(6, 0))
 
 
 def test_sphere_not_quasi_einstein_rejected():
@@ -166,7 +166,7 @@ def test_random_entry_positivity_rejection():
 def test_standard_catalog_all_load_and_verify():
     for name in standard_catalog():
         entry = load_entry(name)
-        entry.verify()
+        entry.verify(entry.space.sample(6, 0))
         assert isinstance(entry, CatalogEntry)
 
 

@@ -260,6 +260,25 @@ def test_cli_verify_inverts_each_series_metric_once(tmp_path, monkeypatch):
     assert calls == {"matrix_inverse": 5, "christoffel": 5}
 
 
+@pytest.mark.parametrize("odd", ["d3-m2", "d3-m0"])
+def test_cli_verify_solves_the_odd_critical_order(tmp_path, odd):
+    # at n = d+m the trace system leaves tr psi / 2 + (m/f) upsilon free
+    # of the rho^(n-1) residuals; the rho-rho block fixes it.  Set to zero
+    # instead, Ric[oo oo] read 0.316 (d = 3, m = 2) and 4e-4 (m = 0, f = 1)
+    # at rho^(n-2), and the Poincare residual failed with it.
+    text = (random_config(51, 2.0, 0.1, 5) if odd == "d3-m2" else
+            CONFIG.replace("f = 1 + 0.05*x1", "f = 1")
+            .replace("m = 0.5", "m = 0").replace("order = 2", "order = 3"))
+    path = tmp_path / "odd.cfg"
+    path.write_text(text)
+    code, text = run_cli(["verify", "--config", str(path)], tmp_path,
+                         "odd.txt")
+    assert code == 0, text
+    assert "ok = false" not in text
+    assert "check.ambient_order_rho_rho.ok = true" in text
+    assert "check.poincare_residual.ok = true" in text
+
+
 def test_cli_verify_builds_few_unread_nodes(tmp_path):
     # order 2 on the seed-51 random space: 8,800 nodes, 1,254 never
     # computed.  Before sums were one node, Ricci built only the partials
@@ -650,6 +669,18 @@ def test_cli_requires_input():
      "ConfigError: [chart] coordinate 'x2' is named twice"),
     (["verify"], "x1 x2 x3", "x1 sin x3",
      "ConfigError: [chart] coordinate 'sin' is a function name"),
+    # a key or section outside the schema would be silently ignored
+    (["verify"], "g22 = 1", "g22 = 1\ng12 = 0.3",
+     "ConfigError: [metric] g12 is not in the lower triangle; write it as "
+     "g21"),
+    (["verify"], "g22 = 1", "g22 = 1\ngxx = 7",
+     "ConfigError: [metric] gxx is not a key of [metric]; known: g11, g21, "
+     "g22, g31, g32, g33"),
+    (["verify"], "order = 2", "oder = 5",
+     "ConfigError: [solver] oder is not a key of [solver]; known: order"),
+    (["verify"], "seed = 7", "seed = 7\n\n[extra]\nx = 1",
+     "ConfigError: [extra] is not a section of the configuration; known: "
+     "chart, metric, density, parameters, solver, sampling, tolerances"),
 ])
 def test_cli_rejects_bad_names_and_counts(tmp_path, argv, old, new, error):
     # every case is a typed input error (exit 2), never an internal error
@@ -669,8 +700,8 @@ def test_cli_verify_reports_stage_timings(tmp_path):
     assert code == 0
     timings = dict(line.split(" = ") for line in text.splitlines()
                    if line.startswith("timings."))
-    for stage in ("setup", "expand", "order_report", "bianchi", "poincare",
-                  "cone", "closed_form"):
+    for stage in ("setup", "catalog_flags", "expand", "order_report",
+                  "bianchi", "poincare", "cone", "closed_form"):
         assert float(timings.pop(f"timings.stage.{stage}")) >= 0.0
     assert int(timings.pop("timings.stats.nodes")) > 0
     assert int(timings.pop("timings.stats.unread")) >= 0
@@ -682,6 +713,40 @@ def test_cli_verify_reports_stage_timings(tmp_path):
     assert int(timings.pop("timings.stats.max_degree")) == 4
     assert float(timings.pop("timings.stats.peak_rss_mb")) > 0.0
     assert set(timings) == {"timings.total_seconds"}
+
+
+def test_cli_every_evaluation_runs_inside_a_timed_stage(tmp_path,
+                                                       monkeypatch):
+    # so that timings.stage.* accounts for the work of each command
+    from contextlib import contextmanager
+    from smmsgeom import fields
+    open_stages = []
+    stage, sweep = Report.stage, fields._sweep
+
+    @contextmanager
+    def marked(self, name):
+        open_stages.append(name)
+        try:
+            with stage(self, name):
+                yield
+        finally:
+            open_stages.pop()
+
+    def checked(*args):
+        assert open_stages, "a field was evaluated outside every stage"
+        return sweep(*args)
+
+    path = tmp_path / "even.cfg"
+    path.write_text(random_config(51, 1.0, 0.1, 2))
+    monkeypatch.setattr(Report, "stage", marked)
+    monkeypatch.setattr(fields, "_sweep", checked)
+    runs = [[command, "--config", str(path)] for command in
+            ("invariants", "expand", "obstruction", "poincare", "verify")]
+    runs.append(["verify", "--catalog", "quasi-einstein", "--order", "1",
+                 "--points", "1"])
+    for argv in runs:
+        code, text = run_cli(argv, tmp_path, "stages.txt")
+        assert code == 0, text
 
 
 # random_entry(d=4, m=0.5, mu=0.1, seed=21): its generic ambient Ricci

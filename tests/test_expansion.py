@@ -137,22 +137,27 @@ def test_noninteger_branch_residuals_vanish():
 
 
 def test_slice_takes_over_the_last_step_geometry_only_while_it_fits():
+    from smmsgeom.expansion import RhoSlice
     from smmsgeom.fields import SymTensor2Field
     s = random_entry(d=3, m=0.5, mu=0.2, seed=5).space
     e = expand(s, 2)
-    assert e.slice().geometry is e.geometry is not None
+    # the slice the last solver step read: g_0, g_1 and a zero candidate
+    zero = SymTensor2Field.zero(s.chart)
+    step = RhoSlice(s, e.g_coeffs[:2] + [zero],
+                    e.f_coeffs[:2] + [s.chart.zero()]).geometry
+    assert e.slice().geometry is step is not None
     # the last coefficient is not in the step's slice: still taken over
-    e.g_coeffs[2] = SymTensor2Field.zero(s.chart)
-    assert e.slice().geometry is e.geometry
+    e.g_coeffs[2] = zero
+    assert e.slice().geometry is step
     # a new tensor of the same component fields is the same input
     e.g_coeffs[1] = SymTensor2Field(s.chart, dict(e.g_coeffs[1].comps))
-    assert e.slice().geometry is e.geometry
+    assert e.slice().geometry is step
     # a changed component below the last coefficient is not
     comps = dict(e.g_coeffs[1].comps)
     comps[(0, 1)] = comps[(0, 1)] + 1e-3
     e.g_coeffs[1] = SymTensor2Field(s.chart, comps)
     fresh = e.slice().geometry
-    assert fresh is not e.geometry
+    assert fresh is not step
     assert fresh.g[0][1].coeffs[1] is comps[(0, 1)]
 
 

@@ -7,6 +7,7 @@ import pytest
 from smmsgeom import invariants as inv
 from smmsgeom.catalog import flat_space, load_entry, random_entry
 from smmsgeom.expansion import expand
+from smmsgeom.fields import evaluate
 from smmsgeom.poincare import (cone_identity_check, fixed_r_space,
                                poincare_residual, to_poincare)
 
@@ -24,9 +25,10 @@ def test_flat_model_is_weighted_hyperbolic():
     p = to_poincare(expand(s, 2))
     pt = (0.1, -0.2, 0.3)
     # g_plus = r^-2 (dr^2 + g): boundary metric is g itself
-    g0, f0 = p.boundary_values(pt)
-    assert np.allclose(g0, np.eye(3))
-    assert f0 == 1.0
+    vals = evaluate([x.coefficient(0) for row in p.g_r for x in row]
+                    + [p.f_r.coefficient(0)], [pt])[:, 0]
+    assert np.allclose(vals[:-1].reshape(3, 3), np.eye(3))
+    assert vals[-1] == 1.0
     res = poincare_residual(p)
     assert residual_worst(res, range(-2, res.trunc + 1), [pt]) == 0.0
 

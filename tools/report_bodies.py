@@ -3,9 +3,10 @@
     python3 tools/report_bodies.py OUTDIR
 
 Runs `invariants`, `expand`, `obstruction`, `poincare` and `verify` on
-every `configs/*.cfg`, on every catalog entry and on the seed-51
-random-deep and even-critical configs of `bench/inputs.random_config`:
-55 reports, each from its own `python3 -m smmsgeom.cli` child of this
+every `configs/*.cfg`, on every catalog entry, on the seed-51
+random-deep and even-critical configs of `bench/inputs.random_config`
+and on a seed-51 config that reaches the odd critical order n = d+m = 5:
+60 reports, each from its own `python3 -m smmsgeom.cli` child of this
 checkout (`obstruction` exits 2 where d+m is not an even integer).
 Writes the body of each (every line before the first `timings.` line)
 to OUTDIR/<command>.<input>.txt, and prints one line per report with
@@ -30,9 +31,10 @@ CATALOG = ("flat", "quasi-einstein", "wlcf", "gover-leitner",
 # the deterministic counts; peak_rss_mb is printed but not kept
 STATS = ("nodes", "max_degree", "unread", "computed", "recomputed")
 # (name, d, m, mu, seed, order) as the random-deep and even-critical
-# workloads generate them
+# workloads generate them, and one through the odd critical order d+m
 RANDOM = (("random-deep-s51", 3, 0.5, 0.1, 51, 4),
-          ("even-critical-s51", 3, 1.0, 0.1, 51, 2))
+          ("even-critical-s51", 3, 1.0, 0.1, 51, 2),
+          ("odd-critical-s51", 3, 2.0, 0.1, 51, 5))
 
 
 # writes random_config(d, m, mu, seed, order) to a path, in a child: a

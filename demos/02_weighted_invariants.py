@@ -12,6 +12,7 @@ import numpy as np
 
 from smmsgeom import invariants as inv
 from smmsgeom.catalog import random_entry, round_sphere_space
+from smmsgeom.fields import evaluate_named, max_abs
 
 # the unit round sphere: classical Schouten data P = g/2, J = 3/2
 s = round_sphere_space(d=3, m=0.0, mu=0.0, f_expr="1")
@@ -26,21 +27,19 @@ s = random_entry(d=3, m=1.7, mu=0.3, seed=11).space
 geo = s.geometry
 ric_phi = inv.weighted_ricci(s)
 pts = s.sample(4, seed=2)
-scale = inv.curvature_scale(s, pts)
+scale = inv.curvature_scale(s, pts).result()
 print(f"\nperturbed space (m = {s.m}, mu = {s.mu}), "
       f"curvature scale {scale:.3f} (floored at 1)")
 
+# every value the two identities read, in one evaluation
+v = evaluate_named(pts, g=s.g.entries(), ric=ric_phi.entries(),
+                   scalars=[geo.scal_phi, s.f, geo.F_phi], bianchi=geo.bianchi)
 worst = 0.0
-for p in pts:
-    gm = np.linalg.inv(s.g.matrix_values(p))
-    tr = float(np.trace(gm @ ric_phi.matrix_values(p)))
-    lhs = geo.scal_phi.value(p)
-    rhs = tr - s.m / s.f.value(p) ** 2 * geo.F_phi.value(p)
-    worst = max(worst, abs(lhs - rhs))
+for g, ric, (lhs, f, F) in zip(v["g"], v["ric"], v["scalars"]):
+    tr = float(np.trace(np.linalg.inv(g.reshape(3, 3)) @ ric.reshape(3, 3)))
+    worst = max(worst, abs(lhs - (tr - s.m / f ** 2 * F)))
 print("trace identity residual:", worst)
-
-worst = max(abs(r.value(p)) for p in pts for r in geo.bianchi)
-print("weighted Bianchi residual:", worst)
+print("weighted Bianchi residual:", max_abs(v["bianchi"]))
 
 worst = max(inv.bach_asymmetry(s, p) for p in pts)
 print("weighted Bach asymmetry:", worst)

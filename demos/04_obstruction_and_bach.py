@@ -14,35 +14,36 @@ from smmsgeom import invariants as inv
 from smmsgeom.catalog import random_entry
 from smmsgeom.expansion import obstruction
 from smmsgeom.expressions import parse_expression
+from smmsgeom.fields import evaluate_named, max_abs
 
 s = random_entry(d=3, m=1.0, mu=0.1, seed=21).space
 obs = obstruction(s)
 B = inv.weighted_bach(s)
 pts = s.sample(5, seed=9)
+u = parse_expression("0.1*x1", s.chart)
+obs2 = obstruction(inv.conformal_change(s, u))
+# every value below, in one evaluation
+v = evaluate_named(pts, O=obs.tensor.entries(), B=B.entries(),
+                   O2=obs2.tensor.entries(), g=s.g.entries(),
+                   scalars=[s.f, obs.scalar_part, u])
 print("normalization constant c =", obs.c)
-worst = max(float(np.max(np.abs(obs.tensor.matrix_values(p)
-                                - B.matrix_values(p)))) for p in pts)
-print("max |obstruction - weighted Bach| over samples:", worst)
+print("max |obstruction - weighted Bach| over samples:", max_abs(v["O"] - v["B"]))
 
 tr_err = 0.0
-for p in pts:
-    gm = np.linalg.inv(s.g.matrix_values(p))
-    tr = float(np.trace(gm @ obs.tensor.matrix_values(p)))
-    tr_err = max(tr_err, abs(tr - s.m / s.f.value(p) ** 2
-                             * obs.scalar_part.value(p)))
+for g, O, (f, F, _) in zip(v["g"], v["O"], v["scalars"]):
+    tr = float(np.trace(np.linalg.inv(g.reshape(3, 3)) @ O.reshape(3, 3)))
+    tr_err = max(tr_err, abs(tr - s.m / f ** 2 * F))
 print("trace identity |O^i_i - (m/f^2) F|:", tr_err)
 
 # conformal covariance, exponent fitted from data
-u = parse_expression("0.1*x1", s.chart)
-obs2 = obstruction(inv.conformal_change(s, u))
 logs, us = [], []
-for p in pts:
-    O1, O2 = obs.tensor.matrix_values(p), obs2.tensor.matrix_values(p)
+for O1, O2, (_, _, up) in zip(v["O"], v["O2"], v["scalars"]):
+    O1, O2 = O1.reshape(3, 3), O2.reshape(3, 3)
     for i in range(3):
         for j in range(3):
             if abs(O1[i, j]) > 1e-3 * np.max(np.abs(O1)):
                 logs.append(np.log(O2[i, j] / O1[i, j]))
-                us.append(u.value(p))
+                us.append(up)
 logs, us = np.asarray(logs), np.asarray(us)
 w = float(logs @ us / (us @ us))
 print(f"fitted conformal weight: {w:.8f}   (2 - d - m = {2 - 3 - s.m})")

@@ -13,18 +13,14 @@ import numpy as np
 from smmsgeom.ambient import AmbientMetric
 from smmsgeom.catalog import load_entry
 from smmsgeom.expansion import expand
+from smmsgeom.fields import evaluate, max_abs
 
 
 def residual_through(a, degree, pts):
     Rt, Ft = a.ricci_closed()
-    worst = 0.0
-    for k in range(degree + 1):
-        for p in pts:
-            for i in range(3):
-                for j in range(i, 3):
-                    worst = max(worst, abs(Rt[i][j].coefficient(k).value(p)))
-            worst = max(worst, abs(Ft.coefficient(k).value(p)))
-    return worst
+    series = [Rt[i][j] for i in range(3) for j in range(i, 3)] + [Ft]
+    return max_abs(evaluate([s.coefficient(k) for k in range(degree + 1)
+                             for s in series], pts))
 
 
 for name in ("quasi-einstein", "wlcf", "gover-leitner"):
@@ -36,20 +32,18 @@ for name in ("quasi-einstein", "wlcf", "gover-leitner"):
           f"{residual_through(a, 4, pts):.2e}")
     e = expand(entry.space, 3)
     g_want, f_want = entry.closed_form(3)
-    worst = max(float(np.max(np.abs(e.g_coeffs[k].matrix_values(p)
-                                    - g_want[k].matrix_values(p))))
-                for k in range(4) for p in pts)
+    got, want = np.split(evaluate(
+        [c for g in (e.g_coeffs, g_want) for k in range(4)
+         for c in g[k].entries()], pts), 2)
+    worst = max_abs(got - want)
     print(f"  solver reproduces the closed form through order 3: {worst:.2e}")
 
 w = load_entry("wlcf")
 aw = AmbientMetric(w.closed_expansion(5))
 tang, mixed, normal = aw.curvature_closed()
 pts = w.space.sample(3, seed=1)
-worst = 0.0
-for comp_map in (tang, mixed, normal):
-    for comp in comp_map.values():
-        for k in range(4):
-            worst = max(worst, max(abs(comp.val.coefficient(k).value(p))
-                                   for p in pts))
+worst = max_abs(evaluate([comp.val.coefficient(k)
+                          for comp_map in (tang, mixed, normal)
+                          for comp in comp_map.values() for k in range(4)], pts))
 print(f"\nweighted-flat family: max ambient curvature component = {worst:.2e} "
       f"(the ambient metric is flat)")

@@ -28,9 +28,9 @@ res = poincare_residual(p)
 print(f"\nweighted-Einstein residual as exact r-series "
       f"(known through r^{res.trunc}):")
 for power in range(-2, res.trunc + 1):
-    w = res.block_max([power], pts)
+    w = res.block_max([power], pts).result()
     print(f"  r^{power:+d}: {w:.2e}")
 
-wr, wF, side = cone_identity_check(p, points=pts[:3])
+wr, wF, side = cone_identity_check(p, points=pts[:3]).result()
 print(f"\ncone identity at r = 0.1: sides of magnitude {side:.2e} agree to "
       f"{max(wr, wF):.2e}")

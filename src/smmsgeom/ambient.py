@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import curvature as cv
 from .expansion import Branch, RhoExpansion, closed_form_residual_series
-from .fields import evaluate, max_abs
+from .fields import Request, max_abs
 from .invariants import curvature_scale
 from .series import Series, SeriesTruncationError
 
@@ -366,10 +366,11 @@ class ResidualReport:
         return "\n".join([head] + [b.describe() for b in self.blocks.values()])
 
 
-def _coefficient_maxima(blocks, points):
-    """name -> [max |rho^k coefficient| over the series and the points,
-    k = 0..upto or up to the first truncated one] for `blocks` mapping
-    name -> (series list, upto), all evaluated in one batch."""
+def _coefficient_maxima(blocks):
+    """(roots, maxima) for `blocks` mapping name -> (series list, upto):
+    the roots are the rho^k coefficients of the series, k = 0..upto or up
+    to the first truncated one, and `maxima` takes their values to
+    name -> [max |rho^k coefficient| over the series and the points]."""
     roots, spans = [], {}
     for name, (series_list, upto) in blocks.items():
         start = len(roots)
@@ -379,18 +380,22 @@ def _coefficient_maxima(blocks, points):
             except SeriesTruncationError:
                 break
         spans[name] = (start, len(roots), len(series_list))
-    vals = evaluate(roots, points)
-    return {name: [max_abs(vals[k:k + n]) for k in range(a, b, n)]
-            for name, (a, b, n) in spans.items()}
+
+    def maxima(vals):
+        return {name: [max_abs(vals[k:k + n]) for k in range(a, b, n)]
+                for name, (a, b, n) in spans.items()}
+
+    return roots, maxima
 
 
 def order_report(a: AmbientMetric, tol: float = 1e-9, *,
-                 points=None) -> ResidualReport:
-    """Measured per-block orders of vanishing of the weighted Ricci tensor
-    and the F scalar, against the branch guarantees of the construction,
-    at `points` (default: 10 points of the base box, seed 0).  While the
-    solved order is at most 1 the rho_i and rho_rho blocks guarantee no
-    coefficient, so they are neither built nor reported."""
+                 points=None) -> Request:
+    """The request for the measured per-block orders of vanishing of the
+    weighted Ricci tensor and the F scalar, against the branch guarantees
+    of the construction, at `points` (default: 10 points of the base box,
+    seed 0); its result is a ResidualReport.  While the solved order is
+    at most 1 the rho_i and rho_rho blocks guarantee no coefficient, so
+    they are neither built nor reported."""
     base = a.base
     e = a.expansion
     if points is None:
@@ -426,9 +431,19 @@ def order_report(a: AmbientMetric, tol: float = 1e-9, *,
         table["rho_i"] = ("Ric[oo i]", [ric_g[oo][i + 1].val for i in range(d)],
                           upto, gu.rho)
         table["rho_rho"] = ("Ric[oo oo]", [ric_g[oo][oo].val], upto, gu.rho)
-    maxima = _coefficient_maxima(
-        {name: (series, last) for name, (_, series, last, _) in table.items()},
-        points)
-    blocks = {name: BlockReport(label, maxima[name], guaranteed, tol * scale)
+    roots, maxima = _coefficient_maxima(
+        {name: (series, last) for name, (_, series, last, _) in table.items()})
+    blocks = {name: (label, guaranteed)
               for name, (label, _, _, guaranteed) in table.items()}
-    return ResidualReport(blocks, scale, tol, e.plan.branch, N)
+    cut = len(scale.roots)
+    branch = e.plan.branch
+
+    def reduce(vals):
+        s = scale.reduce(vals[:cut])
+        worst = maxima(vals[cut:])
+        return ResidualReport(
+            {name: BlockReport(label, worst[name], guaranteed, tol * s)
+             for name, (label, guaranteed) in blocks.items()},
+            s, tol, branch, N)
+
+    return Request(scale.roots + roots, points, reduce)

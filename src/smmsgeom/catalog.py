@@ -29,7 +29,8 @@ import numpy as np
 from . import curvature as cv
 from . import invariants as inv
 from .expressions import parse_expression
-from .fields import Chart, SymTensor2Field, evaluate, evaluate_named, max_abs
+from .fields import (Chart, Request, SymTensor2Field, evaluate,
+                     evaluate_named, max_abs)
 from .invariants import MetricMeasureSpace
 
 __all__ = [
@@ -59,10 +60,11 @@ class CatalogEntry:
     flags: dict
     closed_form: Optional[Callable[[int], tuple]] = None
 
-    def verify(self, points):
-        """Re-check the flags' defining equations (done at construction
-        too) at the sample `points`."""
-        _verify_flags(self.space, self.flags, self.params, points)
+    def verify(self, points) -> Request:
+        """The request that re-checks the flags' defining equations (done
+        at construction too) at the sample `points`; its result is the
+        first failure found, an EntryRejected, or None."""
+        return _verify_flags(self.space, self.flags, self.params, points)
 
     def closed_expansion(self, order: int):
         """The closed-form deformation wrapped as an expansion object."""
@@ -107,10 +109,12 @@ def round_sphere_space(d=3, m=2.0, mu=-1.0, f_expr="1") -> MetricMeasureSpace:
 # -- hypothesis verification ----------------------------------------------------
 
 
-def _verify_flags(s, flags, params, pts):
-    scale = inv.curvature_scale(s, pts)
+def _verify_flags(s, flags, params, pts) -> Request:
+    """The request that checks the defining equations of `flags` at `pts`;
+    its result is the first failure found, an EntryRejected, or None."""
     if flags.get("gover_leitner") and s.f.const_value() != 1.0:
         raise EntryRejected("the Gover-Leitner family requires f = 1")
+    scale = inv.curvature_scale(s, pts)
     groups = {"g": s.g.entries()}
     if flags.get("quasi_einstein") or flags.get("gover_leitner"):
         groups["ric"] = inv.weighted_ricci(s).entries()
@@ -121,33 +125,50 @@ def _verify_flags(s, flags, params, pts):
         groups["weyl"] = inv.independent_components(s.geometry.weyl)
         groups["cotton"] = inv.independent_components(s.geometry.cotton)
         groups["identities"] = res_a + [r for row in res_b for r in row]
-    v = evaluate_named(pts, **groups)
-    if flags.get("quasi_einstein"):
-        c = params["ric_eigenvalue"]
-        for p, ric, g, (F, f) in zip(pts, v["ric"], v["g"], v["F"]):
-            r1 = max_abs(ric - c * g)
-            r2 = abs(F + c * f ** 2)
-            if max(r1, r2) > _TOL * scale:
-                raise EntryRejected(
-                    f"quasi-Einstein hypotheses fail at {p}: "
-                    f"|Ric_phi - c g| = {r1:.3e}, |F_phi + c f^2| = {r2:.3e}")
-    if flags.get("wlcf"):
-        for p, A, dP in zip(pts, v["weyl"], v["cotton"]):
-            r1, r2 = max_abs(A), max_abs(dP)
-            if max(r1, r2) > _TOL * scale:
-                raise EntryRejected(
-                    f"weighted conformal flatness fails at {p}: "
-                    f"|weyl| = {r1:.3e}, |cotton| = {r2:.3e}")
-        for p, r in zip(pts, np.max(np.abs(v["identities"]), axis=1)):
-            if r > _TOL * scale:
-                raise EntryRejected(
-                    f"conformally-flat identities fail at {p}: {r:.3e}")
-    if flags.get("gover_leitner"):
-        for p, ric, g in zip(pts, v["ric"], v["g"]):
-            r = max_abs(ric + (s.dim - 1) * s.mu * g)
-            if r > _TOL * scale:
-                raise EntryRejected(
-                    f"|Ric + (d-1) mu g| = {r:.3e} at {p} exceeds {_TOL * scale:.3e}")
+    checks = Request.named(pts, **groups)
+    cut = len(scale.roots)
+    flags, c, d, mu = dict(flags), params.get("ric_eigenvalue"), s.dim, s.mu
+
+    def reduce(vals):
+        limit = _TOL * scale.reduce(vals[:cut])
+        v = checks.reduce(vals[cut:])
+        if flags.get("quasi_einstein"):
+            for p, ric, g, (F, f) in zip(pts, v["ric"], v["g"], v["F"]):
+                r1 = max_abs(ric - c * g)
+                r2 = abs(F + c * f ** 2)
+                if max(r1, r2) > limit:
+                    return EntryRejected(
+                        f"quasi-Einstein hypotheses fail at {p}: "
+                        f"|Ric_phi - c g| = {r1:.3e}, "
+                        f"|F_phi + c f^2| = {r2:.3e}")
+        if flags.get("wlcf"):
+            for p, A, dP in zip(pts, v["weyl"], v["cotton"]):
+                r1, r2 = max_abs(A), max_abs(dP)
+                if max(r1, r2) > limit:
+                    return EntryRejected(
+                        f"weighted conformal flatness fails at {p}: "
+                        f"|weyl| = {r1:.3e}, |cotton| = {r2:.3e}")
+            for p, r in zip(pts, np.max(np.abs(v["identities"]), axis=1)):
+                if r > limit:
+                    return EntryRejected(
+                        f"conformally-flat identities fail at {p}: {r:.3e}")
+        if flags.get("gover_leitner"):
+            for p, ric, g in zip(pts, v["ric"], v["g"]):
+                r = max_abs(ric + (d - 1) * mu * g)
+                if r > limit:
+                    return EntryRejected(
+                        f"|Ric + (d-1) mu g| = {r:.3e} at {p} exceeds "
+                        f"{limit:.3e}")
+        return None
+
+    return Request(scale.roots + checks.roots, pts, reduce)
+
+
+def _accept(s, flags, params, pts) -> None:
+    """Raise the first failure of the flags' defining equations at `pts`."""
+    rejected = _verify_flags(s, flags, params, pts).result()
+    if rejected is not None:
+        raise rejected
 
 
 # -- closed-form deformations ----------------------------------------------------
@@ -184,7 +205,7 @@ def quasi_einstein_entry(space: MetricMeasureSpace, ric_eigenvalue=None, *,
     c = float(ric_eigenvalue)
     params = {"ric_eigenvalue": c, "d": space.dim, "m": space.m, "mu": space.mu}
     flags = {"quasi_einstein": True, "ambient_flat": False}
-    _verify_flags(space, flags, params, pts)
+    _accept(space, flags, params, pts)
     a = c / (2.0 * (space.dim + space.m - 1.0))
     params["schouten_eigenvalue"] = a
 
@@ -210,7 +231,7 @@ def wlcf_entry(space: MetricMeasureSpace, *, name="wlcf") -> CatalogEntry:
     pts = space.sample(_POINTS, _SEED)
     flags = {"wlcf": True, "ambient_flat": True}
     params = {"d": space.dim, "m": space.m, "mu": space.mu}
-    _verify_flags(space, flags, params, pts)
+    _accept(space, flags, params, pts)
 
     P_field, _, Y = inv.schouten(space)
 
@@ -261,7 +282,7 @@ def gover_leitner_entry(space: MetricMeasureSpace, *,
     pts = space.sample(_POINTS, _SEED)
     flags = {"gover_leitner": True, "ambient_flat": False}
     params = {"d": space.dim, "m": space.m, "mu": space.mu}
-    _verify_flags(space, flags, params, pts)
+    _accept(space, flags, params, pts)
     a = -space.mu / 2.0
     params["schouten_eigenvalue"] = a
 

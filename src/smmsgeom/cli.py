@@ -21,14 +21,15 @@ status.  `--help` prints the usage and exits 0.  `--tol` sets the
 catalog closed form.  The timings block gives the seconds of each stage
 a command ran (`timings.stage.*`: setup, invariants, catalog_flags,
 expand, identities, coefficients, order_report, bianchi, poincare, cone,
-closed_form; every field evaluation runs inside one of them), and
-for the problem chart its interned DAG nodes, those of them computed
-at no sampled point, its `fields.evaluate` calls, its node
-computations, those of them that replaced a memo entry, and the
-highest jet degree its memos hold (`timings.stats.nodes`, `.unread`,
-`.evaluations`, `.computed`, `.recomputed`, `.max_degree`); every
-report, an error report too, gives the peak resident set size of the
-process in MB (`timings.stats.peak_rss_mb`, from `getrusage`).  The
+closed_form, evaluate; every field evaluation runs inside one of them),
+and for the problem chart its interned DAG nodes, those of them
+computed at no sampled point, its `fields.run` calls, its node
+computations, those of them at a (node, point) that an earlier call of
+the command had already computed, and the highest jet degree computed
+(`timings.stats.nodes`, `.unread`, `.evaluations`, `.computed`,
+`.recomputed`, `.max_degree`); every report, an error report too,
+gives the peak resident set size of the process in MB
+(`timings.stats.peak_rss_mb`, from `getrusage`).  The
 exit status is 0 when every check passed, 1 when a check failed, 2 on
 a typed input or solver error (a usage error, an unwritable `--out`, a
 missing or malformed input, an order or point count below 1, an
@@ -41,14 +42,18 @@ other exception (`error = internal: ...`).
 one solved coefficient (0 <= K <= order, 0 <= I, J < d) to demonstrate
 check sensitivity.
 
-`verify` runs the stage with the highest jet demand first, so that the
-later ones read the memo: the cone check, the Poincaré residual, then
-`order_report` and the rest; `poincare` also runs the cone check first,
-`expand` runs the obstruction identities before it prints the
-coefficients, and `obstruction` runs them before it prints the
-obstruction.  A command stops at its first error, so a run that would
-hit two reports the earlier stage's: an error of the cone stage comes
-before one of the Poincaré residual or of `order_report`.
+Each stage builds the fields it checks or prints and hands them on as
+a `fields.Request`; the command then evaluates every request, the
+curvature scale's first, in one `fields.run` call, timed as
+`timings.stage.evaluate`, and reports from the results.  Only input
+validation (the sample points of a config, a catalog entry's
+construction) and the solver's gates (the odd critical consistency
+residual and the continuation past the critical order) evaluate
+before it, inside the setup and expand stages.  A command stops at its
+first error: an error of the sweep is that of its first failing point
+(in the order of the sample points), and a stage that fails while the
+requests are built still has the requests before it swept and
+reported, unless the sweep fails too, whose error then comes first.
 """
 
 from __future__ import annotations
@@ -70,7 +75,8 @@ from .config import (MINIMUMS, TOLERANCES, ConfigError, Report,
                      check_tolerance, load_config)
 from .expansion import (ConsistencyError, OrderError, classify_branch,
                         expand, obstruction)
-from .fields import SymTensor2Field, evaluate, evaluate_named, max_abs
+from . import fields
+from .fields import Request, SymTensor2Field, max_abs
 from .invariants import ValidationError, curvature_scale
 from .jets import JetDivisionError
 from .poincare import cone_identity_check, poincare_residual, to_poincare
@@ -155,7 +161,8 @@ class _Problem:
         if args.tol is not None:
             self.tolerances["residual"] = args.tol
         self.points = self.space.sample(self.points_n, self.seed)
-        self.scale = curvature_scale(self.space, self.points)
+        self.scale_request = curvature_scale(self.space, self.points)
+        self.scale = None  # the result of `scale_request`, once swept
 
     def tol(self, name):
         return float(self.tolerances.get(name, TOLERANCES[name]))
@@ -167,6 +174,41 @@ def _start(args, report):
         prob = _Problem(args)
     _echo(report, prob)
     return prob
+
+
+class _Checks:
+    """The requests of one command and what to do with their results.
+
+    `add(request, finish)` collects a request; leaving the `with` block
+    sweeps them all in one `fields.run`, timed as the evaluate stage,
+    and hands each result to its `finish` in order.  The problem's
+    curvature scale comes first: its finish sets and reports
+    `prob.scale`, which later finishes read.  The block is swept when an
+    error leaves it too, so the report keeps what the stages before the
+    error measured; an error of the sweep then replaces that error.
+    """
+
+    def __init__(self, prob, report):
+        self.prob = prob
+        self.report = report
+        self.pending = [(prob.scale_request, self._scale)]
+
+    def _scale(self, scale):
+        self.prob.scale = scale
+        self.report.put("scale", scale)
+
+    def add(self, request, finish):
+        self.pending.append((request, finish))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *error):
+        with self.report.stage("evaluate"):
+            results = fields.run([request for request, _ in self.pending])
+        for (_, finish), result in zip(self.pending, results):
+            finish(result)
+        return False
 
 
 def _finish(prob, report) -> int:
@@ -189,7 +231,6 @@ def _echo(report, prob):
     report.put("config.order", prob.order)
     report.put("config.points", prob.points_n)
     report.put("config.seed", prob.seed)
-    report.put("scale", prob.scale)
 
 
 def _put_tensor(report, key, values):
@@ -204,38 +245,43 @@ def cmd_invariants(args, report) -> int:
     s = prob.space
     d = s.dim
     geo = s.geometry
-    with report.stage("invariants"):
-        P, J, Y = inv.schouten(s)
-        shown = {"ricci_phi": inv.weighted_ricci(s), "scalar": geo.scal,
-                 "scalar_phi": geo.scal_phi, "f_phi": geo.F_phi,
-                 "schouten": P, "schouten_scalar": J, "y_phi": Y,
-                 "bach": inv.weighted_bach(s) if s.m > 0 else None}
-        v = _put_points(
-            report, prob.points, shown, g=s.g.entries(), f=[s.f],
-            weyl_norm=inv.independent_components(geo.weyl),
-            cotton_norm=inv.independent_components(geo.cotton))
-    trace_resid = []
-    for n, p in enumerate(prob.points):
-        _put_tensor(report, f"point{n}.coords", list(p))
-        for name in ("weyl_norm", "cotton_norm"):
-            report.put(f"point{n}.{name}", max_abs(v[name][n]))
-        # the trace identity tr_g Ric_phi - (m/f^2) F_phi = R_phi
-        tr = float(np.trace(np.linalg.inv(v["g"][n].reshape(d, d))
-                            @ v["ricci_phi"][n].reshape(d, d)))
-        want = tr - float(s.m) / v["f"][n, 0] ** 2 * v["f_phi"][n, 0]
-        trace_resid.append(v["scalar_phi"][n, 0] - want)
-    _bianchi_check(prob, report)
-    report.put_check("trace_identity", max_abs(trace_resid),
-                     prob.tol("residual") * prob.scale)
+
+    def trace_identity(v):
+        trace_resid = []
+        for n, p in enumerate(prob.points):
+            _put_tensor(report, f"point{n}.coords", list(p))
+            for name in ("weyl_norm", "cotton_norm"):
+                report.put(f"point{n}.{name}", max_abs(v[name][n]))
+            # the trace identity tr_g Ric_phi - (m/f^2) F_phi = R_phi
+            tr = float(np.trace(np.linalg.inv(v["g"][n].reshape(d, d))
+                                @ v["ricci_phi"][n].reshape(d, d)))
+            want = tr - float(s.m) / v["f"][n, 0] ** 2 * v["f_phi"][n, 0]
+            trace_resid.append(v["scalar_phi"][n, 0] - want)
+        report.put_check("trace_identity", max_abs(trace_resid),
+                         prob.tol("residual") * prob.scale)
+
+    with _Checks(prob, report) as checks:
+        with report.stage("invariants"):
+            P, J, Y = inv.schouten(s)
+            shown = {"ricci_phi": inv.weighted_ricci(s), "scalar": geo.scal,
+                     "scalar_phi": geo.scal_phi, "f_phi": geo.F_phi,
+                     "schouten": P, "schouten_scalar": J, "y_phi": Y,
+                     "bach": inv.weighted_bach(s) if s.m > 0 else None}
+            _put_points(
+                checks, report, prob.points, shown, trace_identity,
+                g=s.g.entries(), f=[s.f],
+                weyl_norm=inv.independent_components(geo.weyl),
+                cotton_norm=inv.independent_components(geo.cotton))
+        _bianchi_check(prob, report, checks)
     return _finish(prob, report)
 
 
-def _bianchi_check(prob, report):
+def _bianchi_check(prob, report, checks):
     """The contracted weighted Bianchi identity at the sample points."""
     with report.stage("bianchi"):
-        worst = max_abs(evaluate(prob.space.geometry.bianchi, prob.points))
-    report.put_check("bianchi_residual", worst,
-                     prob.tol("bianchi") * prob.scale)
+        request = Request(prob.space.geometry.bianchi, prob.points, max_abs)
+    checks.add(request, lambda worst: report.put_check(
+        "bianchi_residual", worst, prob.tol("bianchi") * prob.scale))
 
 
 def _expansion_for(prob, report):
@@ -243,56 +289,67 @@ def _expansion_for(prob, report):
         return expand(prob.space, prob.order, check_points=prob.points)
 
 
-def _order_report(prob, e, report):
+def _order_report(prob, e, report, checks, finish):
+    """Add the `order_report` request, whose report `finish` receives."""
     with report.stage("order_report"):
-        return order_report(AmbientMetric(e), prob.tol("residual"),
-                            points=prob.points)
+        request = order_report(AmbientMetric(e), prob.tol("residual"),
+                               points=prob.points)
+    checks.add(request, finish)
 
 
 def cmd_expand(args, report) -> int:
     prob = _start(args, report)
-    e = _expansion_for(prob, report)
-    report.put("branch", e.plan.branch.value)
-    for n, note in enumerate(e.ambiguity_notes):
-        report.put(f"ambiguity_note.{n}", note)
-    for n, note in enumerate(e.plan.warnings):
-        report.put(f"warning.{n}", note)
-    # the identities first: they ask for higher jets of the coefficients
-    # than the printout, which then reads the memo
-    if e.obstruction is not None:
-        report.put("obstruction.constant", e.obstruction.c)
-        _obstruction_identities(prob, e.obstruction, report)
-    with report.stage("coefficients"):
-        _put_points(report, prob.points[:3], {
-            f"{kind}_coeff{k}": coeffs[k] for k in range(e.order + 1)
-            for kind, coeffs in (("g", e.g_coeffs), ("f", e.f_coeffs))})
-    rep = _order_report(prob, e, report)
-    for name, block in rep.blocks.items():
-        report.put(f"order.{name}.guaranteed", block.guaranteed)
-        fv = block.first_violation
-        report.put(f"order.{name}.first_violation", -1 if fv is None else fv)
-        report.put(f"order.{name}.ok", block.ok)
-        if not block.ok:
-            report.failures.append(f"order.{name}")
+
+    def put_orders(rep):
+        for name, block in rep.blocks.items():
+            report.put(f"order.{name}.guaranteed", block.guaranteed)
+            fv = block.first_violation
+            report.put(f"order.{name}.first_violation",
+                       -1 if fv is None else fv)
+            report.put(f"order.{name}.ok", block.ok)
+            if not block.ok:
+                report.failures.append(f"order.{name}")
+
+    with _Checks(prob, report) as checks:
+        e = _expansion_for(prob, report)
+        report.put("branch", e.plan.branch.value)
+        for n, note in enumerate(e.ambiguity_notes):
+            report.put(f"ambiguity_note.{n}", note)
+        for n, note in enumerate(e.plan.warnings):
+            report.put(f"warning.{n}", note)
+        if e.obstruction is not None:
+            report.put("obstruction.constant", e.obstruction.c)
+            _obstruction_identities(prob, e.obstruction, report, checks)
+        with report.stage("coefficients"):
+            _put_points(checks, report, prob.points[:3], {
+                f"{kind}_coeff{k}": coeffs[k] for k in range(e.order + 1)
+                for kind, coeffs in (("g", e.g_coeffs), ("f", e.f_coeffs))})
+        _order_report(prob, e, report, checks, put_orders)
     return _finish(prob, report)
 
 
-def _put_points(report, points, fields, **groups):
-    """Report each named scalar or symmetric tensor field (None: skipped)
-    at each point as `point<n>.<name>`.  The fields and the extra `groups`
-    of roots are evaluated in one batch; returns every value by name."""
+def _put_points(checks, report, points, fields, then=None, **groups):
+    """Add the request that reports each named scalar or symmetric tensor
+    field (None: skipped) at each point as `point<n>.<name>`.  The fields
+    and the extra `groups` of roots are one request; `then`, if given,
+    receives every value by name after the report."""
     fields = {name: f for name, f in fields.items() if f is not None}
-    v = evaluate_named(points, **groups, **{
+
+    def put(v):
+        for n in range(len(points)):
+            for name, f in fields.items():
+                _put_tensor(report, f"point{n}.{name}", v[name][n].reshape(
+                    (f.chart.dim,) * 2 if isinstance(f, SymTensor2Field)
+                    else ()))
+        if then is not None:
+            then(v)
+
+    checks.add(Request.named(points, **groups, **{
         name: f.entries() if isinstance(f, SymTensor2Field) else [f]
-        for name, f in fields.items()})
-    for n in range(len(points)):
-        for name, f in fields.items():
-            _put_tensor(report, f"point{n}.{name}", v[name][n].reshape(
-                (f.chart.dim,) * 2 if isinstance(f, SymTensor2Field) else ()))
-    return v
+        for name, f in fields.items()}), put)
 
 
-def _obstruction_identities(prob, obs, report):
+def _obstruction_identities(prob, obs, report, checks):
     """The trace and divergence identities of the obstruction tensor and,
     at d+m = 4 (n_c = 2), its agreement with the weighted Bach tensor."""
     with report.stage("identities"):
@@ -304,113 +361,127 @@ def _obstruction_identities(prob, obs, report):
         dphi = geo.dphi
         div_O = cv.weighted_divergence(obs.tensor.as_matrix(), geo.ginv, dphi,
                                        geo.gamma, geo.derivs, geo.zero)
-        v = evaluate_named(prob.points, g=s.g.entries(), f=[s.f],
-                           O=obs.tensor.entries(), scalar=[obs.scalar_part],
-                           dphi=dphi, div_O=div_O, bach=bach)
+        request = Request.named(
+            prob.points, g=s.g.entries(), f=[s.f], O=obs.tensor.entries(),
+            scalar=[obs.scalar_part], dphi=dphi, div_O=div_O, bach=bach)
+    m, points, compare = float(s.m), prob.points, bool(bach)
+
+    def put(v):
         tr_resid, div_resid = [], []
-        for n in range(len(prob.points)):
+        for n in range(len(points)):
             fv, sp = v["f"][n, 0], v["scalar"][n, 0]
             tr = float(np.trace(np.linalg.inv(v["g"][n].reshape(d, d))
                                 @ v["O"][n].reshape(d, d)))
-            tr_resid.append(tr - float(s.m) / fv ** 2 * sp)
+            tr_resid.append(tr - m / fv ** 2 * sp)
             div_resid += [v["div_O"][n, l] - sp / fv ** 2 * v["dphi"][n, l]
                           for l in range(d)]
         tol = prob.tol("identities") * prob.scale
         report.put_check("obstruction_trace_identity", max_abs(tr_resid), tol)
         report.put_check("obstruction_divergence_identity", max_abs(div_resid),
                          tol)
-        if bach:
+        if compare:
             report.put_check("obstruction_equals_bach",
                              max_abs(v["O"] - v["bach"]), tol)
+
+    checks.add(request, put)
 
 
 def cmd_obstruction(args, report) -> int:
     prob = _start(args, report)
-    with report.stage("expand"):
-        obs = obstruction(prob.space, check_points=prob.points)
-    report.put("obstruction.constant", obs.c)
-    # the identities first: they ask for higher jets than the printout
-    _obstruction_identities(prob, obs, report)
-    with report.stage("coefficients"):
-        _put_points(report, prob.points[:3],
-                    {"obstruction": obs.tensor, "f_script": obs.scalar_part})
+    with _Checks(prob, report) as checks:
+        with report.stage("expand"):
+            obs = obstruction(prob.space, check_points=prob.points)
+        report.put("obstruction.constant", obs.c)
+        _obstruction_identities(prob, obs, report, checks)
+        with report.stage("coefficients"):
+            _put_points(checks, report, prob.points[:3],
+                        {"obstruction": obs.tensor,
+                         "f_script": obs.scalar_part})
     return _finish(prob, report)
 
 
-def _poincare_checks(prob, e, report, cone_points):
-    """When m > 0, the cone identities at `cone_points`, then the
-    weighted-Einstein residual in r through the guaranteed power, its
-    last.  Returns (max_even_order, residual_trunc, sides_magnitude); the
-    last is None when m = 0.  The cone check's lifted fields need the
-    highest jet degrees of the coefficient fields, hence it runs first."""
+def _poincare_checks(prob, e, report, checks, cone_points, sides=False):
+    """Add, when m > 0, the cone identities at `cone_points` (and, with
+    `sides`, report their sides' magnitude), then the weighted-Einstein
+    residual in r through the guaranteed power, its last.  Returns
+    (max_even_order, residual_trunc)."""
     with report.stage("poincare"):
         pc = to_poincare(e)
-    side = None
     if prob.space.m > 0:
         with report.stage("cone"):
-            wr, wF, side = cone_identity_check(pc, points=cone_points)
-        cone_tol = prob.tol("cone") * max(prob.scale, side)
-        report.put_check("cone_identity_ricci", wr, cone_tol)
-        report.put_check("cone_identity_f", wF, cone_tol)
+            cone = cone_identity_check(pc, points=cone_points)
+
+        def put_cone(result):
+            wr, wF, side = result
+            cone_tol = prob.tol("cone") * max(prob.scale, side)
+            report.put_check("cone_identity_ricci", wr, cone_tol)
+            report.put_check("cone_identity_f", wF, cone_tol)
+            if sides:
+                report.put("cone.sides_magnitude", side)
+
+        checks.add(cone, put_cone)
     with report.stage("poincare"):
         res = poincare_residual(pc)
         worst = res.block_max(range(-2, res.trunc + 1), prob.points)
-    report.put_check("poincare_residual", worst,
-                     prob.tol("poincare") * prob.scale)
-    return pc.max_even_order, res.trunc, side
+    checks.add(worst, lambda w: report.put_check(
+        "poincare_residual", w, prob.tol("poincare") * prob.scale))
+    return pc.max_even_order, res.trunc
 
 
 def cmd_poincare(args, report) -> int:
     prob = _start(args, report)
-    e = _expansion_for(prob, report)
-    max_even, trunc, side = _poincare_checks(prob, e, report, prob.points[:4])
-    report.put("poincare.max_even_order", max_even)
-    report.put("poincare.residual_trunc", trunc)
-    report.put("poincare.guaranteed_power", trunc)
-    if side is not None:
-        report.put("cone.sides_magnitude", side)
+    with _Checks(prob, report) as checks:
+        e = _expansion_for(prob, report)
+        max_even, trunc = _poincare_checks(prob, e, report, checks,
+                                           prob.points[:4], sides=True)
+        report.put("poincare.max_even_order", max_even)
+        report.put("poincare.residual_trunc", trunc)
+        report.put("poincare.guaranteed_power", trunc)
     return _finish(prob, report)
 
 
 def cmd_verify(args, report) -> int:
     prob = _start(args, report)
-    corrupt = (_corruption(args.corrupt_coefficient, prob.order, prob.space.dim)
-               if args.corrupt_coefficient else None)
     entry = prob.catalog_entry
-    if entry is not None:
-        try:
-            with report.stage("catalog_flags"):
-                entry.verify(prob.points[:6])
+
+    def put_flags(rejected):
+        if rejected is None:
             report.put_check("catalog_flags", 0.0, 1.0)
-        except EntryRejected as exc:
-            report.put("catalog_flags.error", str(exc))
+        else:
+            report.put("catalog_flags.error", str(rejected))
             report.put_check("catalog_flags", 1.0, 0.5)
-    e = _expansion_for(prob, report)
-    if corrupt:
-        k, i, j, eps = corrupt
-        bad = dict(e.g_coeffs[k].comps)
-        key = (min(i, j), max(i, j))
-        bad[key] = bad[key] + prob.space.chart.constant(eps)
-        e.g_coeffs[k] = SymTensor2Field(prob.space.chart, bad)
-        report.put("corruption", f"g_coeff{k}[{i}{j}] += {eps}")
 
-    # the highest jet demand first, so that later stages read the memo
-    _poincare_checks(prob, e, report, prob.points[:3])
+    def put_orders(rep):
+        for name, block in rep.blocks.items():
+            report.put_check(f"ambient_order_{name}", block.worst,
+                             block.tol_abs)
 
-    rep = _order_report(prob, e, report)
-    for name, block in rep.blocks.items():
-        report.put_check(f"ambient_order_{name}", block.worst, block.tol_abs)
-
-    _bianchi_check(prob, report)
-
-    if e.obstruction is not None:
-        _obstruction_identities(prob, e.obstruction, report)
-
-    if entry is not None and entry.closed_form is not None:
-        with report.stage("closed_form"):
-            worst = _closed_form_agreement(prob, e, entry)
-        report.put_check("solver_matches_closed_form", worst,
-                         prob.tol("residual") * prob.scale)
+    with _Checks(prob, report) as checks:
+        corrupt = (_corruption(args.corrupt_coefficient, prob.order,
+                               prob.space.dim)
+                   if args.corrupt_coefficient else None)
+        if entry is not None:
+            with report.stage("catalog_flags"):
+                checks.add(entry.verify(prob.points[:6]), put_flags)
+        e = _expansion_for(prob, report)
+        if corrupt:
+            k, i, j, eps = corrupt
+            bad = dict(e.g_coeffs[k].comps)
+            key = (min(i, j), max(i, j))
+            bad[key] = bad[key] + prob.space.chart.constant(eps)
+            e.g_coeffs[k] = SymTensor2Field(prob.space.chart, bad)
+            report.put("corruption", f"g_coeff{k}[{i}{j}] += {eps}")
+        _poincare_checks(prob, e, report, checks, prob.points[:3])
+        _order_report(prob, e, report, checks, put_orders)
+        _bianchi_check(prob, report, checks)
+        if e.obstruction is not None:
+            _obstruction_identities(prob, e.obstruction, report, checks)
+        if entry is not None and entry.closed_form is not None:
+            with report.stage("closed_form"):
+                agreement = _closed_form_agreement(prob, e, entry)
+            checks.add(agreement, lambda worst: report.put_check(
+                "solver_matches_closed_form", worst,
+                prob.tol("residual") * prob.scale))
     return _finish(prob, report)
 
 
@@ -434,13 +505,18 @@ def _corruption(text, order, dim):
     return k, i, j, eps
 
 
-def _closed_form_agreement(prob, e, entry) -> float:
+def _closed_form_agreement(prob, e, entry) -> Request:
+    """The request for max |solved - closed-form coefficient|."""
     upto = e.plan.guarantees(e.order).solved
     g_want, f_want = entry.closed_form(upto)
     roots = [c for g, f in ((e.g_coeffs, e.f_coeffs), (g_want, f_want))
              for k in range(upto + 1) for c in g[k].entries() + [f[k]]]
-    got, want = np.split(evaluate(roots, prob.points), 2)
-    return max_abs(got - want)
+
+    def worst(values):
+        got, want = np.split(values, 2)
+        return max_abs(got - want)
+
+    return Request(roots, prob.points, worst)
 
 
 _COMMANDS = {

@@ -45,7 +45,7 @@ import math
 from typing import Optional
 
 from . import curvature as cv
-from .fields import ScalarField, SymTensor2Field, evaluate, max_abs
+from .fields import Request, ScalarField, SymTensor2Field, max_abs, run
 from .invariants import MetricMeasureSpace, curvature_scale
 from .series import Series
 
@@ -153,7 +153,6 @@ class OrderStep:
     psi: SymTensor2Field
     upsilon: ScalarField
     trace_system_det: float
-    solvable: bool
     note: Optional[str] = None
 
 
@@ -343,9 +342,10 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
     elif n == plan.n_odd:
         if check_points is None:
             check_points = base.sample(10, seed=0)
-        scale = curvature_scale(base, check_points)
+        scale, gate = run([curvature_scale(base, check_points),
+                           Request([f0, Ferr, Rtrace], check_points)])
         worst = 0.0
-        for fv, F, R in evaluate([f0, Ferr, Rtrace], check_points).T:
+        for fv, F, R in gate.T:
             worst = max(worst, abs((m / fv ** 2) * F - R))
         if worst > CONSISTENCY_TOL * scale:
             raise ConsistencyError(
@@ -380,7 +380,7 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
     psi = [[psi_tf[i][j] + (g0[i][j] * tau) * (1.0 / d) for j in range(d)]
            for i in range(d)]
     return OrderStep(n, SymTensor2Field.from_matrix(chart, psi), upsilon,
-                     det, note is None, note)
+                     det, note)
 
 
 def obstruction_constant(dm: int) -> float:
@@ -443,8 +443,9 @@ def expand(s: MetricMeasureSpace, order: int, *,
         if order > n_c:
             # continuation past the critical order needs a vanishing
             # obstruction
-            scale = curvature_scale(s, check_points)
-            worst = max_abs(evaluate(obst.tensor.entries(), check_points))
+            scale, worst = run([
+                curvature_scale(s, check_points),
+                Request(obst.tensor.entries(), check_points, max_abs)])
             if worst > OBSTRUCTION_CONTINUATION_TOL * scale:
                 raise OrderError(
                     f"order {order} requested past the critical order {n_c}, "

@@ -26,58 +26,67 @@ Operands of commutative operations are never reordered, so every jet
 product keeps its summation order.
 The constants -0.0 and 0.0 are distinct nodes.
 
-Values are read through one entry, `evaluate(roots, points)`: a
-(roots x points) array, computed one point at a time.  `ScalarField.value`
-and `SymTensor2Field.matrix_values` are calls of it, and
-`ScalarField.jet` runs the same sweep at a degree.  `sample_points`
-draws the points: it re-derives numpy's PCG64 stream, the one
-`np.random.default_rng(seed).uniform` reads, in plain integer
-arithmetic, so the points are numpy's bit for bit and no command
-imports `numpy.random`.
+Values are read through one entry, `run(requests)`.  A `Request` holds
+root fields (or plain floats), the points to evaluate them at and a
+reduction of the (roots x points) array of their values; `run` sweeps
+every request in one pass over the points and returns the reductions.
+`evaluate(roots, points)` is one request whose result is that array,
+`evaluate_named` splits it by name, and `ScalarField.value`,
+`SymTensor2Field.matrix_values` and `ScalarField.jet` (at a degree) run
+the same sweep.  `sample_points` draws the points: it re-derives
+numpy's PCG64 stream, the one `np.random.default_rng(seed).uniform`
+reads, in plain integer arithmetic, so the points are numpy's bit for
+bit and no command imports `numpy.random`.
 
 Children are created before their parents, so a chart's creation order
 (`Chart.nodes`, a node's `index`) is already a topological order and
-serves as the evaluation tape; no traversal is needed to plan.  A sweep
-makes two passes per point.  The backward pass runs from the largest
-root index down and keeps, per node, the highest degree a parent needs
-(a sum gives it to every term): a `partial` needs its child one degree
-higher (so a jet even for a value), and a `lift` passes its demand to
-the child chart, which is planned after it (charts go in descending
-dimension).  The forward pass
-computes each needed node once, in creation order, at its planned
-degree; a parent planned lower reads a prefix view (`Jet.truncated`) or
-the constant term.  Neither pass recurses, so the depth of a DAG (a
-thousand nodes for the generic ambient Ricci entries at d = 5) is
-limited only by memory.
+serves as the evaluation tape; no traversal is needed to plan.  The
+k-th step of a sweep evaluates every root of every request that has a
+k-th point, in two passes over each (chart, point) that step reads.
+The backward pass runs from the largest root index down and keeps, per
+node, the highest degree a parent needs (a sum gives it to every term)
+and the number of its planned readers: a `partial` needs its child one
+degree higher (so a jet even for a value), and a `lift` passes its
+demand, and one reader, to the child chart at the point's leading
+coordinates, which is planned after it (charts go in descending
+dimension).  The forward pass computes each planned node once, in
+creation order, at its planned degree; a parent planned lower reads a
+prefix view (`Jet.truncated`) or the constant term.  A node's slot is
+emptied as soon as its last reader has been computed, the roots' slots
+when the step's values are read, so only one point's live jets are
+resident and nothing is kept between calls (Griewank and Walther,
+*Evaluating Derivatives*, ch. 13).  Neither pass recurses, so the depth
+of a DAG (a thousand nodes for the generic ambient Ricci entries at
+d = 5) is limited only by memory.
 
-Each chart keeps one memo per point: two lists indexed by node, holding
-the node's float (degree 0) or its jet of the highest degree computed so
-far, and that degree.  A node the memo serves is neither planned nor
-computed; one the memo holds at too low a degree is computed again
-(`Chart.computed` and `Chart.recomputed` count both; `Chart.unread`
-counts the nodes no memo holds, built but never read).  Values run the
-float kernels of `jets`, which give the constant term of every jet bit
-for bit, so a value does not depend on which request came first.
+Each chart counts, over all calls, its node computations
+(`Chart.computed`), those of a node at a point where an earlier call
+had already computed it (`Chart.recomputed`), the highest degree
+computed (`Chart.max_degree`) and the nodes computed at no point
+(`Chart.unread`); one bytearray per point flags the nodes computed
+there.  Values run the float kernels of `jets`, which give the constant
+term of every jet bit for bit, so a value does not depend on the degree
+its node was planned at, nor on which other roots share the sweep.
 
 Concurrency contract: building a field appends to the node list and the
-intern table of its chart, and evaluating one writes the chart's memos.
-None of it is locked, so build and evaluate the fields of one chart from
-one thread at a time.
+intern table of its chart, and evaluating one writes the chart's
+counters.  None of it is locked, so build and evaluate the fields of one
+chart from one thread at a time.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import compress, islice
-from operator import gt, index
+from operator import index
 
 import numpy as np
 
 from .jets import Jet, value_apply, value_power, value_quotient
 
 __all__ = [
-    "Chart", "ScalarField", "evaluate", "evaluate_named", "max_abs",
-    "sample_points", "SymTensor2Field", "FUNCTIONS",
+    "Chart", "ScalarField", "Request", "run", "evaluate", "evaluate_named",
+    "max_abs", "sample_points", "SymTensor2Field", "FUNCTIONS",
 ]
 
 # the analytic primitives a field applies, and an expression calls
@@ -89,12 +98,13 @@ class Chart:
 
     The chart owns the intern table of the fields built on it, their
     list in creation order (`nodes`, indexed by `ScalarField.index`) and
-    their memos.  A chart is equal only to itself: another with the same
-    names keeps its own table and rejects this one's fields.
+    the evaluation counters of the module docstring.  A chart is equal
+    only to itself: another with the same names keeps its own table and
+    rejects this one's fields.
     """
 
     __slots__ = ("names", "dim", "box", "evaluations", "computed",
-                 "recomputed", "nodes", "_table", "_memos")
+                 "recomputed", "max_degree", "nodes", "_table", "_done")
 
     def __init__(self, names, box=None):
         self.names = tuple(names)
@@ -104,12 +114,13 @@ class Chart:
             if len(box) != self.dim:
                 raise ValueError("box must give one interval per coordinate")
         self.box = box
-        self.evaluations = 0  # `evaluate` calls with a root on this chart
+        self.evaluations = 0  # `run` calls with a root on this chart
         self.computed = 0     # node computations, in all calls
-        self.recomputed = 0   # of those, the ones that replaced a memo entry
+        self.recomputed = 0   # of those, at a (node, point) computed before
+        self.max_degree = -1  # the highest degree computed (0: values only)
         self.nodes = []       # every node, in creation order
         self._table = {}      # (op, a, b, param) -> node
-        self._memos = {}      # point -> (values, degrees) by node index
+        self._done = {}       # point -> bytearray, 1 by each node computed there
 
     def _node(self, op, a=None, b=None, param=None) -> "ScalarField":
         """The interned node (op, a, b, param) of this chart."""
@@ -151,7 +162,7 @@ class Chart:
         """`other` as a field of this chart: a field of this very chart as
         it is, a number as a constant; None for anything else.  A field of
         another chart is an error, even of one with the same names: its
-        index means nothing in this chart's memos."""
+        index means nothing in this chart's tape."""
         if isinstance(other, ScalarField):
             if other.chart is not self:
                 raise ValueError("fields live on different charts")
@@ -166,33 +177,12 @@ class Chart:
         return len(self.nodes)
 
     @property
-    def max_degree(self) -> int:
-        """The highest jet degree any memo holds for any node (0 for
-        values only, -1 when no node has been computed)."""
-        return max((max(degrees, default=-1)
-                    for _, degrees in self._memos.values()), default=-1)
-
-    @property
     def unread(self) -> int:
-        """The number of nodes computed at no point so far: those whose
-        degree is -1 in every memo."""
+        """The number of nodes computed at no point so far."""
         done = np.zeros(len(self.nodes), dtype=bool)
-        for _, degrees in self._memos.values():
-            done[:len(degrees)] |= np.asarray(degrees) >= 0
+        for flags in self._done.values():
+            done[:len(flags)] |= np.frombuffer(flags, dtype=bool)
         return int(np.count_nonzero(~done))
-
-    def _memo(self, point: tuple):
-        """The memo lists of `point`, grown to the current node count;
-        a degree of -1 marks a node not computed yet."""
-        memo = self._memos.get(point)
-        if memo is None:
-            memo = self._memos[point] = ([], [])
-        values, degrees = memo
-        grow = len(self.nodes) - len(values)
-        if grow:
-            values.extend([None] * grow)
-            degrees.extend([-1] * grow)
-        return memo
 
     def coordinate(self, i: int) -> "ScalarField":
         if not 0 <= i < self.dim:
@@ -328,9 +318,7 @@ class ScalarField:
     def jet(self, point, degree: int) -> Jet:
         if degree == 0:
             return Jet.constant(self.value(point), self.chart.dim, 0)
-        point = _checked(point, self.chart)
-        _sweep([self], point, degree)
-        return self.chart._memos[point][0][self.index].truncated(degree)
+        return _sweep([self], [_checked(point, self.chart)], degree)[0]
 
     def value(self, point) -> float:
         return float(evaluate([self], [point])[0, 0])
@@ -455,39 +443,89 @@ def _checked(point, chart: Chart) -> tuple:
     return point
 
 
+class Request:
+    """Roots to evaluate at points, and the reduction of their values.
+
+    `roots` are fields or plain floats; `reduce` takes the float64 array
+    of shape (len(roots), len(points)) that `evaluate` gives for them
+    (None: the array is the result).  A request holds nothing else, so
+    whatever its roots were built from can be dropped before it runs.
+    """
+
+    __slots__ = ("roots", "points", "reduce")
+
+    def __init__(self, roots, points, reduce=None):
+        self.roots = list(roots)
+        self.points = [tuple(p) for p in points]
+        self.reduce = reduce
+        for chart in {id(r.chart): r.chart for r in self.roots
+                      if r.__class__ is ScalarField}.values():
+            for point in self.points:
+                _checked(point, chart)
+
+    @classmethod
+    def named(cls, points, reduce=None, **groups) -> "Request":
+        """One request for every group of roots; `reduce` (None: the
+        identity) takes name -> (len(points), len(group)) array, each
+        point's row C-contiguous."""
+        sizes = {name: len(group) for name, group in groups.items()}
+
+        def split(rows):
+            cuts = np.cumsum(list(sizes.values()))[:-1]
+            v = dict(zip(sizes, np.split(rows.T.copy(), cuts, axis=1)))
+            return v if reduce is None else reduce(v)
+
+        return cls([r for group in groups.values() for r in group], points,
+                   split)
+
+    def result(self):
+        """This request's reduction, from a sweep of it alone."""
+        return run([self])[0]
+
+
+def run(requests) -> list:
+    """The result of each request, from one sweep over their points.
+
+    Step k evaluates every root of each request that has a k-th point,
+    so an evaluation error is raised at the first step where it occurs.
+    Every chart that owns a root counts the call in `Chart.evaluations`.
+    The reductions run after the sweep, in order.
+    """
+    requests = list(requests)
+    out = [np.empty((len(q.roots), len(q.points))) for q in requests]
+    charts = {id(r.chart): r.chart for q in requests for r in q.roots
+              if r.__class__ is ScalarField}
+    for chart in charts.values():
+        chart.evaluations += 1
+    for k in range(max((len(q.points) for q in requests), default=0)):
+        roots, points, slots = [], [], []
+        for q, vals in zip(requests, out):
+            if k >= len(q.points):
+                continue
+            point = q.points[k]
+            for r, root in enumerate(q.roots):
+                if root.__class__ is ScalarField:
+                    roots.append(root)
+                    points.append(point)
+                    slots.append((vals, r))
+                else:
+                    vals[r, k] = root
+        for (vals, r), value in zip(slots, _sweep(roots, points, 0)):
+            vals[r, k] = value.value if value.__class__ is Jet else value
+    return [vals if q.reduce is None else q.reduce(vals)
+            for q, vals in zip(requests, out)]
+
+
 def evaluate(roots, points) -> np.ndarray:
     """The values of `roots` (fields or plain floats) at `points`, as a
-    float64 array of shape (len(roots), len(points)).
-
-    The points are swept in order, so an evaluation error is raised at
-    the first point where it occurs.  Every chart that owns a root counts
-    the call in `Chart.evaluations`.
-    """
-    roots = list(roots)
-    nodes = [r for r in roots if r.__class__ is ScalarField]
-    charts = list({id(n.chart): n.chart for n in nodes}.values())
-    for chart in charts:
-        chart.evaluations += 1
-    out = np.empty((len(roots), len(points)))
-    for k, point in enumerate(points):
-        for chart in charts:
-            point = _checked(point, chart)
-        _sweep(nodes, point, 0)
-        for r, root in enumerate(roots):
-            if root.__class__ is ScalarField:
-                root = root.chart._memos[point][0][root.index]
-                if root.__class__ is Jet:
-                    root = root.value
-            out[r, k] = root
-    return out
+    float64 array of shape (len(roots), len(points)): one request."""
+    return Request(roots, points).result()
 
 
 def evaluate_named(points, **groups) -> dict:
     """One `evaluate` over every group of roots, split back by name into
     (len(points), len(group)) arrays, each point's row C-contiguous."""
-    rows = evaluate([r for group in groups.values() for r in group], points)
-    cuts = np.cumsum([len(group) for group in groups.values()])[:-1]
-    return dict(zip(groups, np.split(rows.T.copy(), cuts, axis=1)))
+    return Request.named(points, **groups).result()
 
 
 def max_abs(values) -> float:
@@ -495,93 +533,155 @@ def max_abs(values) -> float:
     return float(np.max(np.abs(values), initial=0.0))
 
 
-def _sweep(roots, point: tuple, degree: int) -> None:
-    """Compute each root at (point, degree) into the memo of its chart by
-    the two passes the module docstring describes.  Charts are planned
-    in descending dimension, so every lift is planned before the chart it
-    reads, and run in the opposite order."""
-    plans = {}  # id(chart) -> [chart, demand per node index, top index]
-    for root in roots:
-        _demand(plans, root, degree)
-    runs = []
-    while plans:
-        chart, need, top = plans.pop(max(plans, key=lambda k: plans[k][0].dim))
-        values, degrees = memo = chart._memo(point[:chart.dim])
-        nodes = chart.nodes
-        # the iterators skip, without Python code per node, every node
-        # whose demand the memo meets (or that has none, -1); they read
-        # both lists lazily, so a demand a parent writes is seen when the
-        # scan reaches the child
-        low = top + 1
-        for i in compress(range(top, -1, -1), map(
-                gt, islice(reversed(need), len(need) - 1 - top, None),
-                islice(reversed(degrees), len(degrees) - 1 - top, None))):
-            low = i
-            deg = need[i]
-            node = nodes[i]
-            a = node.a
-            if a is None:
-                continue
-            op = node.op
-            if op == "sum":
-                for t in a:
-                    if need[t.index] < deg:
-                        need[t.index] = deg
-                continue
-            if op == "partial":
-                deg += 1
-            elif op == "lift":
-                _demand(plans, a, deg)
-                continue
-            if need[a.index] < deg:
-                need[a.index] = deg
-            b = node.b
-            if b is not None and need[b.index] < deg:
-                need[b.index] = deg
-        runs.append((chart, need, low, top, memo))
-    for chart, need, low, top, memo in reversed(runs):
-        _run(chart, need, low, top, memo, point[:chart.dim])
+class _Plan:
+    """One chart at one point in a sweep step: by node index, the planned
+    degree (`need`, -1 for none), the readers not yet computed (`uses`)
+    and the computed value or jet (`values`)."""
+
+    __slots__ = ("chart", "point", "need", "uses", "values", "top", "low")
+
+    def __init__(self, chart: Chart, point: tuple):
+        size = len(chart.nodes)
+        self.chart = chart
+        self.point = point
+        self.need = [-1] * size
+        self.uses = [0] * size
+        self.values = [None] * size
+        self.top = -1   # the largest demanded index
+        self.low = 0    # the smallest planned index, once planned
 
 
-def _demand(plans, node: ScalarField, degree: int) -> None:
-    """Plan `node` at `degree` at least, opening its chart's plan."""
+def _sweep(roots, points, degree: int) -> list:
+    """Each root at its point, at `degree` (a float at 0, else a Jet), by
+    the two passes the module docstring describes.  Plans are made in
+    descending chart dimension, so every lift is planned before the plan
+    it reads, and run in the opposite order."""
+    plans = {}  # (id(chart), point) -> _Plan
+    pins = []
+    for root, point in zip(roots, points):
+        plan = _demand(plans, root, point, degree)
+        plan.uses[root.index] += 1  # read after the passes
+        pins.append((plan, root.index))
+    order = []
+    todo = list(plans.values())
+    while todo:
+        plan = max(todo, key=lambda p: p.chart.dim)
+        todo.remove(plan)
+        known = len(plans)
+        _plan(plan, plans)
+        todo += list(plans.values())[known:]
+        order.append(plan)
+    for plan in reversed(order):
+        _run(plan, plans)
+    return [plan.values[i] for plan, i in pins]
+
+
+def _demand(plans, node: ScalarField, point: tuple, degree: int) -> _Plan:
+    """Plan `node` at `point` at `degree` at least, opening the plan of
+    its chart there; returns the plan."""
     chart = node.chart
-    plan = plans.get(id(chart))
+    plan = plans.get((id(chart), point))
     if plan is None:
-        plan = plans[id(chart)] = [chart, [-1] * len(chart.nodes), -1]
-    if plan[1][node.index] < degree:
-        plan[1][node.index] = degree
-    if plan[2] < node.index:
-        plan[2] = node.index
+        plan = plans[(id(chart), point)] = _Plan(chart, point)
+    i = node.index
+    if plan.need[i] < degree:
+        plan.need[i] = degree
+    if plan.top < i:
+        plan.top = i
+    return plan
 
 
-def _run(chart: Chart, need, low, top, memo, pt: tuple) -> None:
-    """The forward pass of `_sweep` over one chart: every node of index
-    `low`..`top` whose planned degree is above its memo's, in creation
-    order.  Computing node i writes only slot i, so the planned set does
-    not change while it is walked."""
-    values, degrees = memo
+def _plan(plan: _Plan, plans) -> None:
+    """The backward pass of one plan: from its top index down, hand each
+    planned node's degree to its children and count it as their reader.
+    The scan reads `need` lazily, so a demand a parent writes is seen
+    when the scan reaches the child; nodes with none (-1) are skipped
+    without Python code per node."""
+    need, uses, nodes = plan.need, plan.uses, plan.chart.nodes
+    top = low = plan.top
+    for i in compress(range(top, -1, -1), map(_PLANNED, islice(
+            reversed(need), len(need) - 1 - top, None))):
+        low = i
+        deg = need[i]
+        node = nodes[i]
+        a = node.a
+        if a is None:
+            continue
+        op = node.op
+        if op == "sum":
+            for t in a:
+                j = t.index
+                uses[j] += 1
+                if need[j] < deg:
+                    need[j] = deg
+            continue
+        if op == "partial":
+            deg += 1
+        elif op == "lift":
+            _demand(plans, a, plan.point[:node.param], deg).uses[a.index] += 1
+            continue
+        j = a.index
+        uses[j] += 1
+        if need[j] < deg:
+            need[j] = deg
+        b = node.b
+        if b is not None:
+            j = b.index
+            uses[j] += 1
+            if need[j] < deg:
+                need[j] = deg
+    plan.low = low
+    chart = plan.chart
+    chart.max_degree = max(chart.max_degree, max(need, default=-1))
+
+
+_PLANNED = (-1).__lt__  # a planned degree, not -1
+
+
+def _run(plan: _Plan, plans) -> None:
+    """The forward pass of one plan: every planned node of index `low`..
+    `top`, in creation order.  Computing node i writes only slot i and
+    empties the slots of the children it was the last reader of."""
+    chart, pt, need, uses, values = (plan.chart, plan.point, plan.need,
+                                     plan.uses, plan.values)
     nodes = chart.nodes
+    done = chart._done.get(pt)
+    if done is None:
+        done = chart._done[pt] = bytearray()
+    if len(done) < len(nodes):
+        done.extend(bytes(len(nodes) - len(done)))
+    low, top = plan.low, plan.top
     computed = recomputed = 0
     try:
         for i in compress(range(low, top + 1),
-                          map(gt, islice(need, low, top + 1),
-                              islice(degrees, low, top + 1))):
+                          map(_PLANNED, islice(need, low, top + 1))):
             node = nodes[i]
             deg = need[i]
             op = node.op
             a = node.a
-            # a sum reads its terms in `_add_terms`
+            # a sum reads its terms below
             if a is not None and op != "sum":
+                j = a.index
                 if op == "lift":
-                    a = a.chart._memos[pt[:node.param]][0][a.index]
+                    src = plans[(id(a.chart), pt[:node.param])]
+                    a = src.values[j]
+                    src.uses[j] -= 1
+                    if not src.uses[j]:
+                        src.values[j] = None
                     cdeg = deg
                 else:
-                    a = values[a.index]
+                    a = values[j]
+                    uses[j] -= 1
+                    if not uses[j]:
+                        values[j] = None
                     cdeg = deg + 1 if op == "partial" else deg
                 b = node.b
                 if b is not None:
-                    b = values[b.index]
+                    j = b.index
+                    b = values[j]
+                    uses[j] -= 1
+                    if not uses[j]:
+                        values[j] = None
                 if cdeg:
                     if a.degree != cdeg:
                         a = a.truncated(cdeg)
@@ -593,7 +693,14 @@ def _run(chart: Chart, need, low, top, memo, pt: tuple) -> None:
                     if b.__class__ is Jet:
                         b = b.value
             if op == "sum":
-                out = _add_terms([values[t.index] for t in a], deg)
+                xs = []
+                for t in a:
+                    j = t.index
+                    xs.append(values[j])
+                    uses[j] -= 1
+                    if not uses[j]:
+                        values[j] = None
+                out = _add_terms(xs, deg)
             elif op == "mul":
                 out = a * b if deg else 0.0 + a * b
             elif op == "scale":
@@ -619,10 +726,11 @@ def _run(chart: Chart, need, low, top, memo, pt: tuple) -> None:
                 out = a.promote(chart.dim - node.param) if deg else a
             else:
                 raise ValueError(f"unknown field operation {op!r}")
-            if degrees[i] >= 0:
-                recomputed += 1
             values[i] = out
-            degrees[i] = deg
+            if done[i]:
+                recomputed += 1
+            else:
+                done[i] = 1
             computed += 1
     finally:
         chart.computed += computed
@@ -630,10 +738,10 @@ def _run(chart: Chart, need, low, top, memo, pt: tuple) -> None:
 
 
 def _add_terms(xs, deg: int):
-    """The sum of the memo entries `xs` of a sum's terms at `deg`, added
-    left to right: floats at degree 0; at a higher degree the first two
-    coefficient arrays (prefixes where an entry is held higher) into a
-    new jet, then each further one in place."""
+    """The sum of the values `xs` of a sum's terms at `deg`, added left
+    to right: floats at degree 0; at a higher degree the first two
+    coefficient arrays (prefixes where a term is held higher) into a new
+    jet, then each further one in place."""
     if not deg:
         xs = [x.value if x.__class__ is Jet else x for x in xs]
         out = xs[0] + xs[1]

@@ -31,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from . import curvature as cv
-from .fields import (Chart, ScalarField, SymTensor2Field, evaluate,
-                     evaluate_named, max_abs, sample_points)
+from .fields import (Chart, Request, ScalarField, SymTensor2Field,
+                     evaluate, evaluate_named, max_abs, sample_points)
 
 __all__ = [
     "MetricMeasureSpace", "ValidationError", "weighted_ricci", "schouten",
@@ -178,28 +178,32 @@ def conformal_change(s: MetricMeasureSpace, u: ScalarField) -> MetricMeasureSpac
     return MetricMeasureSpace(s.chart, g2, eu * s.f, s.m, s.mu)
 
 
-def curvature_scale(s: MetricMeasureSpace, points) -> float:
-    """max(1, max over points of |Rm|_g + |Hess f / f|_g + |grad f / f|^2_g
-    + |mu|).
+def curvature_scale(s: MetricMeasureSpace, points) -> Request:
+    """The request for max(1, max over points of |Rm|_g + |Hess f / f|_g
+    + |grad f / f|^2_g + |mu|).
 
     The reference magnitude that 'relative' tolerances are measured
     against throughout the package; the floor of 1 keeps a nearly flat
     space from tightening them toward zero.
     """
     rm, hess_f = s.geometry.rm, s.geometry.hess_f
-    d = s.dim
-    v = evaluate_named(points, g=s.g.entries(),
-                       rm=[x for a in rm for b in a for c in b for x in c],
-                       hf=[c for row in hess_f for c in row],
-                       f=[s.f], df=[s.f.partial(i) for i in range(d)])
-    worst = 0.0
-    for g, rm_v, hf_v, (fv,), df_v in zip(v["g"], v["rm"], v["hf"], v["f"],
-                                         v["df"]):
-        ginv = np.linalg.inv(g.reshape(d, d))
-        rm_v, hf_v = rm_v.reshape(d, d, d, d), hf_v.reshape(d, d)
-        rm_norm = np.sqrt(abs(np.einsum(
-            "ijkl,pqrs,ip,jq,kr,ls->", rm_v, rm_v, ginv, ginv, ginv, ginv)))
-        hf_norm = np.sqrt(abs(np.einsum("ij,kl,ik,jl->", hf_v, hf_v, ginv, ginv))) / fv
-        gf_norm = float(df_v @ ginv @ df_v) / fv ** 2
-        worst = max(worst, rm_norm + hf_norm + gf_norm + abs(s.mu))
-    return max(worst, 1.0)
+    d, mu = s.dim, s.mu
+
+    def reduce(v):
+        worst = 0.0
+        for g, rm_v, hf_v, (fv,), df_v in zip(v["g"], v["rm"], v["hf"],
+                                             v["f"], v["df"]):
+            ginv = np.linalg.inv(g.reshape(d, d))
+            rm_v, hf_v = rm_v.reshape(d, d, d, d), hf_v.reshape(d, d)
+            rm_norm = np.sqrt(abs(np.einsum(
+                "ijkl,pqrs,ip,jq,kr,ls->", rm_v, rm_v, ginv, ginv, ginv, ginv)))
+            hf_norm = np.sqrt(abs(np.einsum("ij,kl,ik,jl->", hf_v, hf_v,
+                                            ginv, ginv))) / fv
+            gf_norm = float(df_v @ ginv @ df_v) / fv ** 2
+            worst = max(worst, rm_norm + hf_norm + gf_norm + abs(mu))
+        return max(worst, 1.0)
+
+    return Request.named(points, reduce, g=s.g.entries(),
+                         rm=[x for a in rm for b in a for c in b for x in c],
+                         hf=[c for row in hess_f for c in row],
+                         f=[s.f], df=[s.f.partial(i) for i in range(d)])

@@ -32,7 +32,7 @@ import numpy as np
 from . import curvature as cv
 from .ambient import Graded, graded_derivs
 from .expansion import RhoExpansion
-from .fields import Chart, SymTensor2Field, evaluate, evaluate_named, max_abs
+from .fields import Chart, Request, SymTensor2Field, max_abs
 from .invariants import MetricMeasureSpace
 from .series import Series
 
@@ -97,12 +97,12 @@ class PoincareResidual:
     trunc: int
 
     def block_max(self, powers, points, names=("ij", "ri", "rr", "F")):
-        """max |coefficient| over the r powers of the named blocks ("F" is
-        the F scalar) at the points, in one evaluation."""
+        """The request for max |coefficient| over the r powers of the named
+        blocks ("F" is the F scalar) at the points."""
         series = [s for name in names for s in
                   ([self.f_scalar] if name == "F" else self.ricci_blocks[name])]
-        return max_abs(evaluate([s.coefficient(k) for k in powers
-                                 for s in series], points))
+        return Request([s.coefficient(k) for k in powers for s in series],
+                       points, max_abs)
 
 
 def poincare_residual(p: PoincareStructure) -> PoincareResidual:
@@ -169,11 +169,12 @@ def fixed_r_space(p: PoincareStructure):
     return MetricMeasureSpace(chart, g_plus, f_plus, base.m, base.mu)
 
 
-def cone_identity_check(p: PoincareStructure, *, points=None):
-    """Verify both cone identities at r = R.
+def cone_identity_check(p: PoincareStructure, *, points=None) -> Request:
+    """The request that verifies both cone identities at r = R.
 
-    Returns (worst_ricci, worst_F, sides): the worst absolute two-sided
-    disagreements and a sample of the individually nonzero side values.
+    Its result is (worst_ricci, worst_F, sides): the worst absolute
+    two-sided disagreements and a sample of the individually nonzero
+    side values.
     """
     base = p.base
     d = base.dim
@@ -205,13 +206,16 @@ def cone_identity_check(p: PoincareStructure, *, points=None):
         zero_g)
 
     pairs = [(a, b) for a in range(d + 1) for b in range(a, d + 1)]
-    v = evaluate_named(
-        xr_points, lhs=[ric_cone[a + 1][b + 1].val for a, b in pairs],
+
+    def reduce(v):
+        rhs = v["ric"] + dm * v["g"]
+        lhs_F, F, f = v["F"].T
+        rhs_F = np.array([Fv - dm * fv ** 2 for Fv, fv in zip(F, f)])
+        return (max_abs(v["lhs"] - rhs), max_abs(lhs_F - rhs_F),
+                max(max_abs(rhs), max_abs(rhs_F)))
+
+    return Request.named(
+        xr_points, reduce, lhs=[ric_cone[a + 1][b + 1].val for a, b in pairs],
         ric=[geo.ric_phi[a][b] for a, b in pairs],
         g=[space_plus.g.comp(a, b) for a, b in pairs],
         F=[F_cone.val, geo.F_phi, space_plus.f])
-    rhs = v["ric"] + dm * v["g"]
-    lhs_F, F, f = v["F"].T
-    rhs_F = np.array([Fv - dm * fv ** 2 for Fv, fv in zip(F, f)])
-    return (max_abs(v["lhs"] - rhs), max_abs(lhs_F - rhs_F),
-            max(max_abs(rhs), max_abs(rhs_F)))

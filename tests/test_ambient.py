@@ -8,7 +8,7 @@ from smmsgeom import invariants as inv
 from smmsgeom.ambient import AmbientMetric, BlockReport, Graded, order_report
 from smmsgeom.catalog import flat_space, load_entry, random_entry
 from smmsgeom.expansion import Branch, RhoExpansion, expand
-from smmsgeom.fields import SymTensor2Field, evaluate
+from smmsgeom.fields import SymTensor2Field, evaluate, max_abs
 from smmsgeom.series import Series, SeriesTruncationError
 
 
@@ -17,14 +17,19 @@ def flat_ambient(order=3, m=2.0):
     return AmbientMetric(expand(s, order)), s
 
 
+def block_roots(comp, ks):
+    """The rho^k coefficients of a graded block, k in `ks` (none if it
+    is a structural zero)."""
+    return [] if comp.is_zero else [comp.val.coefficient(k) for k in ks]
+
+
 def block_worst(comp, ks, pts):
-    worst = 0.0
-    for k in ks:
-        c = comp.val.coefficient(k) if not comp.is_zero else 0.0
-        for p in pts:
-            v = c if isinstance(c, float) else c.value(p)
-            worst = max(worst, abs(v))
-    return worst
+    return max_abs(evaluate(block_roots(comp, ks), pts))
+
+
+def _closed_blocks(Rt, Ft):
+    """The upper triangle of the closed-form ambient Ricci blocks, and F."""
+    return [Rt[i][j] for i in range(3) for j in range(i, 3)] + [Ft]
 
 
 def test_block_report_counts_nan_as_a_violation():
@@ -156,14 +161,9 @@ def test_quasi_einstein_ambient_vanishes_to_full_degree():
     a = AmbientMetric(entry.closed_expansion(6))
     Rt, Ft = a.ricci_closed()
     pts = entry.space.sample(4, seed=2)
-    scale = max(inv.curvature_scale(entry.space, pts), 1.0)
-    worst = 0.0
-    for k in range(5):
-        for p in pts:
-            for i in range(3):
-                for j in range(i, 3):
-                    worst = max(worst, abs(Rt[i][j].coefficient(k).value(p)))
-            worst = max(worst, abs(Ft.coefficient(k).value(p)))
+    scale = max(inv.curvature_scale(entry.space, pts).result(), 1.0)
+    worst = max_abs(evaluate([c.coefficient(k) for k in range(5)
+                              for c in _closed_blocks(Rt, Ft)], pts))
     assert worst <= 1e-10 * scale
 
 
@@ -173,16 +173,13 @@ def test_dual_route_agreement_random_metric():
     Rt, Ft = a.ricci_closed()
     ric_g, F_g = a.ricci_generic()
     pts = s.sample(3, seed=8)
-    scale = max(inv.curvature_scale(s, pts), 1.0)
-    for k in range(2):
-        for p in pts:
-            for i in range(3):
-                for j in range(i, 3):
-                    diff = (ric_g[i + 1][j + 1].val.coefficient(k).value(p)
-                            - Rt[i][j].coefficient(k).value(p))
-                    assert abs(diff) <= 1e-10 * scale
-            assert abs(F_g.val.coefficient(k).value(p)
-                       - Ft.coefficient(k).value(p)) <= 1e-10 * scale
+    scale = max(inv.curvature_scale(s, pts).result(), 1.0)
+    generic = [ric_g[i + 1][j + 1].val for i in range(3)
+               for j in range(i, 3)] + [F_g.val]
+    got, want = np.split(evaluate(
+        [c.coefficient(k) for blocks in (generic, _closed_blocks(Rt, Ft))
+         for k in range(2) for c in blocks], pts), 2)
+    assert (np.abs(got - want) <= 1e-10 * scale).all()
 
 
 def test_t_row_vanishes_identically():
@@ -199,13 +196,10 @@ def test_generic_solver_residual_order_pattern():
     a = AmbientMetric(expand(s, 3))
     Rt, Ft = a.ricci_closed()
     pts = s.sample(5, seed=9)
-    scale = max(inv.curvature_scale(s, pts), 1.0)
-    for k in range(3):
-        for p in pts:
-            for i in range(3):
-                for j in range(i, 3):
-                    assert abs(Rt[i][j].coefficient(k).value(p)) <= 1e-9 * scale
-            assert abs(Ft.coefficient(k).value(p)) <= 1e-9 * scale
+    scale = max(inv.curvature_scale(s, pts).result(), 1.0)
+    values = evaluate([c.coefficient(k) for k in range(3)
+                       for c in _closed_blocks(Rt, Ft)], pts)
+    assert (np.abs(values) <= 1e-9 * scale).all()
 
 
 def test_first_unsolved_coefficient_generically_nonzero():
@@ -218,8 +212,8 @@ def test_first_unsolved_coefficient_generically_nonzero():
     a = AmbientMetric(RhoExpansion(s, 3, g_ext, f_ext, e.plan))
     Rt, Ft = a.ricci_closed()
     pts = s.sample(5, seed=9)
-    worst = max(abs(Rt[i][j].coefficient(2).value(p))
-                for p in pts for i in range(3) for j in range(3))
+    worst = max_abs(evaluate([Rt[i][j].coefficient(2) for i in range(3)
+                              for j in range(3)], pts))
     assert worst > 1e-8
 
 
@@ -228,17 +222,16 @@ def test_wlcf_flatness_and_ricci():
     a = AmbientMetric(w.closed_expansion(5))
     tang, mixed, normal = a.curvature_closed()
     pts = w.space.sample(3, seed=1)
-    scale = max(inv.curvature_scale(w.space, pts), 1.0)
-    worst = 0.0
-    for comp_map in (tang, mixed, normal):
-        for comp in comp_map.values():
-            worst = max(worst, block_worst(comp, range(4), pts))
+    scale = max(inv.curvature_scale(w.space, pts).result(), 1.0)
+    worst = max_abs(evaluate([c for comp_map in (tang, mixed, normal)
+                              for comp in comp_map.values()
+                              for c in block_roots(comp, range(4))], pts))
     assert worst <= 1e-9 * scale
     Rt, Ft = a.ricci_closed()
-    worst = max(
-        max(block_worst(Graded(0, Rt[i][j]), range(4), pts)
-            for i in range(3) for j in range(i, 3)),
-        block_worst(Graded(0, Ft), range(4), pts))
+    worst = max_abs(evaluate(
+        [c for i in range(3) for j in range(i, 3)
+         for c in block_roots(Graded(0, Rt[i][j]), range(4))]
+        + block_roots(Graded(0, Ft), range(4)), pts))
     assert worst <= 1e-9 * scale
 
 
@@ -280,7 +273,7 @@ def test_rho_rho_block_responds_to_injected_perturbation():
 def test_order_report_noninteger():
     s = random_entry(d=3, m=0.5, mu=0.2, seed=5).space
     a = AmbientMetric(expand(s, 3))
-    rep = order_report(a, 1e-9)
+    rep = order_report(a, 1e-9).result()
     assert rep.ok
     assert rep.blocks["ij"].guaranteed == 2
     assert rep.blocks["ij"].first_violation is None
@@ -291,7 +284,7 @@ def test_order_report_noninteger():
 def test_order_report_even_branch_pattern():
     s = random_entry(d=3, m=1.0, mu=0.1, seed=21).space
     a = AmbientMetric(expand(s, 2))
-    rep = order_report(a, 1e-9)
+    rep = order_report(a, 1e-9).result()
     assert rep.ok
     ij = rep.blocks["ij"]
     # residual survives at the obstruction order (d+m)/2 - 1 = 1
@@ -303,7 +296,7 @@ def test_order_report_even_branch_pattern():
 
 def test_order_report_flat_everything_vanishes():
     a, s = flat_ambient(order=4)
-    rep = order_report(a, 1e-9, points=[(0.1, 0.2, -0.3)])
+    rep = order_report(a, 1e-9, points=[(0.1, 0.2, -0.3)]).result()
     assert rep.ok
     for b in rep.blocks.values():
         assert b.first_violation is None
@@ -323,6 +316,7 @@ def test_restricted_generic_build_matches_full_build_bitwise():
     assert F_part is None and F_full is not None
     wanted = {(min(I, J), max(I, J)) for I, J in entries}
     pts = a_part.base.sample(2, seed=4)
+    got, want = [], []
     for I in range(a_part.n):
         for J in range(a_part.n):
             if (min(I, J), max(I, J)) not in wanted:
@@ -334,12 +328,10 @@ def test_restricted_generic_build_matches_full_build_bitwise():
                 continue
             assert p.deg == f.deg
             assert (p.val.shift, p.val.trunc) == (f.val.shift, f.val.trunc)
-            for k in range(p.val.shift, p.val.trunc + 1):
-                cp, cf = p.val.coefficient(k), f.val.coefficient(k)
-                for pt in pts:
-                    vp = cp if isinstance(cp, float) else cp.value(pt)
-                    vf = cf if isinstance(cf, float) else cf.value(pt)
-                    assert vp == vf
+            ks = range(p.val.shift, p.val.trunc + 1)
+            got += [p.val.coefficient(k) for k in ks]
+            want += [f.val.coefficient(k) for k in ks]
+    assert (evaluate(got, pts) == evaluate(want, pts)).all()
 
 
 @pytest.mark.parametrize("make_space, orders", [
@@ -358,7 +350,8 @@ def test_order_report_measures_through_every_guarantee(make_space, orders):
     s = make_space()
     pts = s.sample(1, seed=0)
     for N in orders:
-        rep = order_report(AmbientMetric(expand(s, N)), 1e-9, points=pts)
+        rep = order_report(AmbientMetric(expand(s, N)), 1e-9,
+                           points=pts).result()
         for b in rep.blocks.values():
             assert len(b.coeff_max) > b.guaranteed, (N, b.name)
 

@@ -31,7 +31,7 @@ def test_hyperbolic_quasi_einstein_accepted():
                                  ric_eigenvalue=-4.0)
     # Ric_phi = -(d+m-1) g and the Schouten eigenvalue is -1/2
     assert entry.params["schouten_eigenvalue"] == pytest.approx(-0.5)
-    entry.verify(entry.space.sample(6, 0))
+    assert entry.verify(entry.space.sample(6, 0)).result() is None
 
 
 def test_sphere_not_quasi_einstein_rejected():
@@ -61,7 +61,7 @@ def test_wlcf_lemma_identities():
     entry = load_entry('wlcf')
     s = entry.space
     pts = s.sample(4, seed=3)
-    scale = max(inv.curvature_scale(s, pts), 1.0)
+    scale = max(inv.curvature_scale(s, pts).result(), 1.0)
     res_a, res_b, dP = inv.conformally_flat_identities(s)
     for p in pts:
         assert max(abs(r.value(p)) for r in res_a) <= 1e-8 * scale
@@ -118,7 +118,7 @@ def test_wlcf_trivial_entry_and_solver_match():
     e = expand(s, 3)
     g_want, f_want = entry.closed_form(3)
     pts = s.sample(3, seed=2)
-    scale = max(inv.curvature_scale(s, pts), 1.0)
+    scale = max(inv.curvature_scale(s, pts).result(), 1.0)
     for p in pts:
         for k in range(4):
             dg = e.g_coeffs[k].matrix_values(p) - g_want[k].matrix_values(p)
@@ -133,7 +133,7 @@ def test_gover_leitner_solver_matches_closed_form():
     e = expand(s, 4)
     g_want, f_want = entry.closed_form(4)
     pts = s.sample(3, seed=7)
-    scale = max(inv.curvature_scale(s, pts), 1.0)
+    scale = max(inv.curvature_scale(s, pts).result(), 1.0)
     for p in pts:
         for k in range(5):
             dg = e.g_coeffs[k].matrix_values(p) - g_want[k].matrix_values(p)
@@ -166,7 +166,7 @@ def test_random_entry_positivity_rejection():
 def test_standard_catalog_all_load_and_verify():
     for name in standard_catalog():
         entry = load_entry(name)
-        entry.verify(entry.space.sample(6, 0))
+        assert entry.verify(entry.space.sample(6, 0)).result() is None
         assert isinstance(entry, CatalogEntry)
 
 

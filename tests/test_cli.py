@@ -295,6 +295,59 @@ def test_cli_verify_builds_few_unread_nodes(tmp_path):
     assert int(stats["unread"]) <= 1400
 
 
+# runs its arguments as a command: a forked child's peak resident set
+# starts at its parent's, so the CLI is started from this small process
+# and not from the test's, which holds numpy and the suite's DAGs
+SPAWN = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+
+
+def _child_stats(argv, cwd):
+    """`timings.stats` of one `python -m smmsgeom.cli` process, whose peak
+    resident set is its own."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smmsgeom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SPAWN, sys.executable, "-m",
+                           "smmsgeom.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return dict(line[len("timings.stats."):].split(" = ")
+                for line in proc.stdout.splitlines()
+                if line.startswith("timings.stats."))
+
+
+def test_cli_verify_memory_does_not_grow_with_the_points(tmp_path):
+    # one point's jets are live at a time and none is kept after the
+    # sweep, so ten points cost about what one does; a memo holding every
+    # jet at every point read 46.5 MB at 10 points against 36.1 MB at 1
+    path = tmp_path / "deep.cfg"
+    path.write_text(random_config(51, 0.5, 0.1, 2))
+    one, ten = (float(_child_stats(["verify", "--config", str(path),
+                                    "--points", n], tmp_path)["peak_rss_mb"])
+                for n in ("1", "10"))
+    assert ten <= 1.1 * one, (one, ten)
+
+
+def test_cli_verify_recomputes_at_most_in_proportion_to_the_points(tmp_path):
+    # a node is computed again only where an evaluation before the sweep
+    # (input validation, a solver gate) computed it at the same point; a
+    # memo shared between stages recomputed 23,469 nodes at 10 points
+    # against 676 at 1
+    path = tmp_path / "even.cfg"
+    path.write_text(random_config(51, 1.0, 0.1, 2))
+    counts = []
+    for n in ("1", "10"):
+        code, text = run_cli(["verify", "--config", str(path), "--points", n],
+                             tmp_path, f"r{n}.txt")
+        assert code == 0, text
+        stats = dict(line[len("timings.stats."):].split(" = ")
+                     for line in text.splitlines()
+                     if line.startswith("timings.stats."))
+        counts.append(int(stats["recomputed"]))
+    assert 0 < counts[1] <= 10 * counts[0], counts
+
+
 def test_cli_catalog_verify_reads_the_space_geometry(tmp_path, monkeypatch):
     # the base space and the (x, r) space of the cone check, one each: the
     # weighted-flat identities read Hess phi from the space's Geometry, and
@@ -701,7 +754,7 @@ def test_cli_verify_reports_stage_timings(tmp_path):
     timings = dict(line.split(" = ") for line in text.splitlines()
                    if line.startswith("timings."))
     for stage in ("setup", "catalog_flags", "expand", "order_report",
-                  "bianchi", "poincare", "cone", "closed_form"):
+                  "bianchi", "poincare", "cone", "closed_form", "evaluate"):
         assert float(timings.pop(f"timings.stage.{stage}")) >= 0.0
     assert int(timings.pop("timings.stats.nodes")) > 0
     assert int(timings.pop("timings.stats.unread")) >= 0

@@ -1,5 +1,6 @@
 """Scalar/tensor field behavior: purity, differentiation, symmetric storage."""
 
+import gc
 import math
 import pathlib
 import re
@@ -77,7 +78,7 @@ def test_chart_mismatch_rejected():
 
 def test_chart_coercion_requires_the_very_chart():
     # equal names do not make one chart: a child's index means nothing in
-    # another chart's memos (these read 0.2 and 0.25 when they were let in)
+    # another chart's tape (these read 0.2 and 0.25 when they were let in)
     c1 = Chart(("x1", "x2"))
     c2 = Chart(("x1", "x2"))
     with pytest.raises(ValueError, match="different charts"):
@@ -495,6 +496,11 @@ def test_lifting_needs_a_longer_chart():
             target.lift(f)
 
 
+def _live_jets():
+    gc.collect()
+    return sum(type(o) is Jet for o in gc.get_objects())
+
+
 def test_lifted_root_and_its_base_subtree_in_one_call():
     base = Chart(("x1", "x2"))
     f = parse_expression("exp(x1)*sin(x2) + x1*x2^2", base)
@@ -504,17 +510,22 @@ def test_lifted_root_and_its_base_subtree_in_one_call():
     # hands degree 1 down to the base chart
     roots = [xr.lift(f) * r, (xr.lift(f) * r).partial(0), xr.lift(f.partial(1))]
     pts = [(0.1, 0.2, 0.3), (-0.2, 0.4, 0.1)]
+    held = _live_jets()
     rows = evaluate(roots, pts)
     for row, root in zip(rows, roots):
         want = [reference(root, p, 0) for p in pts]
         np.testing.assert_array_equal(_bits(row), _bits(want))
-    # the base subtree was computed in that call, once, and is served
-    # from the memo afterwards
+    # the base subtree was computed in that call, once per point, and
+    # no jet of it is held afterwards
     assert base.evaluations == 0 and base.recomputed == 0
+    assert base.max_degree == 1 and base.unread == 0
     done = base.computed
-    assert 0 < done <= 2 * base.node_count
+    assert done == 2 * base.node_count
+    assert _live_jets() == held
+    # a later call at the same points computes its nodes again
     evaluate([f, f.partial(1)], [p[:2] for p in pts])
-    assert base.computed == done
+    assert base.computed - done == base.recomputed > 0
+    assert _live_jets() == held
 
 
 def test_one_call_computes_each_node_at_most_once():
@@ -522,13 +533,23 @@ def test_one_call_computes_each_node_at_most_once():
     f = parse_expression("exp(x1*x2)*sin(x2) + log(2 + x1)*x2^3", chart)
     roots = [f, f.partial(0), f.partial(0).partial(1), f.partial(1) * f,
              f.partial(1).partial(1).partial(0)]
-    evaluate(roots, [(0.1, 0.2)])
+    pts = [(0.1, 0.2), (0.3, -0.1), (0.1, 0.2)]
+    held = _live_jets()
+    evaluate(roots, pts[:2])
     assert chart.recomputed == 0
-    assert 0 < chart.computed <= chart.node_count
-    # served from the memo: nothing is computed again
+    assert chart.computed == 2 * (chart.node_count - chart.unread)
+    assert chart.max_degree == 3
+    assert _live_jets() == held
+    # a repeated call computes the same count again, every one of them
+    # a recomputation
     done = chart.computed
-    evaluate(roots, [(0.1, 0.2)])
-    assert chart.computed == done
-    # a higher degree replaces memo entries, each at most once per call
-    roots[0].jet((0.1, 0.2), 4)
-    assert 0 < chart.recomputed <= chart.computed - done <= chart.node_count
+    evaluate(roots, pts[:2])
+    assert chart.computed == 2 * done == done + chart.recomputed
+    # a point repeated within one call is computed at each occurrence
+    evaluate(roots, pts)
+    assert chart.computed == 2 * done + done // 2 * 3
+    # a jet runs the same sweep and is the only jet it leaves
+    jet = roots[0].jet(pts[0], 4)
+    assert chart.max_degree == 4
+    assert _live_jets() == held + 1
+    np.testing.assert_array_equal(jet.coeffs, reference(f, pts[0], 4).coeffs)

@@ -238,7 +238,7 @@ def test_product_matches_add_at_bitwise(nvars, degree):
 
 
 def test_operations_leave_operands_unchanged():
-    # truncated() hands out views of memoised jets, so no operation may
+    # truncated() hands out views of computed jets, so no operation may
     # write into an operand's coefficients
     rng = np.random.default_rng(5)
     n = jet_count(2, 4)

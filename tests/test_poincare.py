@@ -7,16 +7,17 @@ import pytest
 from smmsgeom import invariants as inv
 from smmsgeom.catalog import flat_space, load_entry, random_entry
 from smmsgeom.expansion import expand
-from smmsgeom.fields import evaluate
+from smmsgeom.fields import evaluate, evaluate_named
 from smmsgeom.poincare import (cone_identity_check, fixed_r_space,
                                poincare_residual, to_poincare)
 
 
 def residual_worst(res, powers, points):
-    worst = res.block_max(powers, points)
+    worst = res.block_max(powers, points).result()
     # the default names cover the three Ricci blocks and the F scalar
-    assert worst == max(res.block_max(powers, points, ("ij", "ri", "rr")),
-                        res.block_max(powers, points, ("F",)))
+    assert worst == max(
+        res.block_max(powers, points, ("ij", "ri", "rr")).result(),
+        res.block_max(powers, points, ("F",)).result())
     return worst
 
 
@@ -91,7 +92,7 @@ def test_quasi_einstein_residual_vanishes():
     p = to_poincare(entry.closed_expansion(4))
     res = poincare_residual(p)
     pts = entry.space.sample(3, seed=1)
-    scale = max(inv.curvature_scale(entry.space, pts), 1.0)
+    scale = max(inv.curvature_scale(entry.space, pts).result(), 1.0)
     worst = residual_worst(res, range(-2, res.trunc + 1), pts)
     assert worst <= 1e-10 * scale
 
@@ -102,7 +103,7 @@ def test_transported_orders_noninteger():
     p = to_poincare(expand(s, N))
     res = poincare_residual(p)
     pts = s.sample(5, seed=9)
-    scale = max(inv.curvature_scale(s, pts), 1.0)
+    scale = max(inv.curvature_scale(s, pts).result(), 1.0)
     # residual = O(r^{2N}) transported from the rho orders; verify every
     # computable coefficient below that
     hi = min(2 * N - 1, res.trunc)
@@ -115,7 +116,7 @@ def test_transported_orders_even_and_odd():
         p = to_poincare(expand(s, N))
         res = poincare_residual(p)
         pts = s.sample(4, seed=9)
-        scale = max(inv.curvature_scale(s, pts), 1.0)
+        scale = max(inv.curvature_scale(s, pts).result(), 1.0)
         if m == 1.0:
             # even branch: guaranteed through rho^{(d+m)/2-2} -> r^{2(n_c-1)-1}
             hi = min(2 * (2 - 1) - 1, res.trunc)
@@ -167,35 +168,37 @@ def test_oracle_route_generic_space():
     r0 = 0.1
     # truncation tail bound: coefficients beyond res.trunc scale like r^{trunc+1}
     tail = 10.0 * r0 ** (res.trunc + 1)
+    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+    blocks = res.ricci_blocks["ij"]
+    coeffs = [c for series in blocks for c in series.coeffs
+              if not isinstance(c, (int, float))]
     for pt in s.sample(2, seed=5):
         xr = tuple(pt) + (r0,)
-        idx = 0
-        for i in range(3):
-            for j in range(i, 3):
-                series_val = res.ricci_blocks["ij"][idx].eval_at(
-                    r0, lambda c: c.value(pt))
-                field_val = (ric_plus.comp(i, j).value(xr)
-                             + dm * space_plus.g.comp(i, j).value(xr))
-                assert field_val == pytest.approx(series_val, abs=tail)
-                idx += 1
+        v = evaluate_named([xr], ric=[ric_plus.comp(i, j) for i, j in pairs],
+                           g=[space_plus.g.comp(i, j) for i, j in pairs])
+        at_pt = dict(zip(map(id, coeffs), evaluate(coeffs, [pt])[:, 0]))
+        for idx in range(len(pairs)):
+            series_val = blocks[idx].eval_at(r0, lambda c: at_pt[id(c)])
+            field_val = v["ric"][0, idx] + dm * v["g"][0, idx]
+            assert field_val == pytest.approx(series_val, abs=tail)
 
 
 def test_cone_identity_trivial_and_catalog():
     s = flat_space(d=3, m=2.0, mu=0.0)
     p = to_poincare(expand(s, 2))
-    wr, wF, side = cone_identity_check(p)
+    wr, wF, side = cone_identity_check(p).result()
     assert wr < 1e-11 and wF < 1e-11 and side < 1e-11
 
     entry = load_entry('quasi-einstein')
     pe = to_poincare(entry.closed_expansion(4))
-    wr, wF, side = cone_identity_check(pe)
+    wr, wF, side = cone_identity_check(pe).result()
     assert wr < 1e-11 and wF < 1e-11
 
 
 def test_cone_identity_generic_nonzero_sides():
     s = random_entry(d=3, m=2.0, mu=0.1, seed=41, amplitude=0.04).space
     p = to_poincare(expand(s, 2))
-    wr, wF, side = cone_identity_check(p)
+    wr, wF, side = cone_identity_check(p).result()
     assert side > 1e-8          # the sides are individually nonzero
     assert wr <= 1e-9 and wF <= 1e-9
 

@@ -1,6 +1,6 @@
 """Write the bodies of the standard reports, for comparing two checkouts.
 
-    python3 tools/report_bodies.py OUTDIR
+    python3 tools/report_bodies.py [--points N] OUTDIR
 
 Runs `invariants`, `expand`, `obstruction`, `poincare` and `verify` on
 every `configs/*.cfg`, on every catalog entry, on the seed-51
@@ -15,10 +15,13 @@ its exit status and `timings.stats.nodes`, `.max_degree`, `.unread`,
 `peak_rss_mb`, which varies from run to run, go to OUTDIR/stats.txt.
 Run it in two checkouts and compare with `diff -r OUTDIR_A OUTDIR_B`: a
 change that keeps the reports and the DAG counts leaves no difference.
+`--points N` runs every report with the CLI's `--points N` override, so
+that the counts and `peak_rss_mb` of two point counts can be compared.
 """
 
 from __future__ import annotations
 
+import argparse
 import glob
 import os
 import subprocess
@@ -71,17 +74,22 @@ def inputs(outdir, env):
 
 
 def main(argv):
-    if len(argv) != 1:
-        sys.stderr.write(__doc__)
-        return 2
-    outdir = os.path.abspath(argv[0])
+    parser = argparse.ArgumentParser(
+        description="write the bodies and counts of the standard reports")
+    parser.add_argument("outdir")
+    parser.add_argument("--points", type=int,
+                        help="run every report with `--points N`")
+    args = parser.parse_args(argv)
+    points = [] if args.points is None else ["--points", str(args.points)]
+    outdir = os.path.abspath(args.outdir)
     os.makedirs(outdir, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     with open(os.path.join(outdir, "stats.txt"), "w") as counts:
         for name, args, cwd in inputs(outdir, env):
             for command in COMMANDS:
                 proc = subprocess.run(
-                    [sys.executable, "-m", "smmsgeom.cli", command, *args],
+                    [sys.executable, "-m", "smmsgeom.cli", command, *args,
+                     *points],
                     capture_output=True, text=True, env=env, cwd=cwd)
                 lines = proc.stdout.splitlines(keepends=True)
                 cut = next((k for k, line in enumerate(lines)

@@ -1,8 +1,7 @@
 """Catalog of smooth metric measure spaces with known ambient structure.
 
-Three closed-form families, each verified against its defining equations
-at construction (entries whose hypothesis residuals exceed tolerance are
-rejected rather than silently enshrined):
+Three closed-form families, each with the defining equations that
+`CatalogEntry.verify` checks at given sample points:
 
   quasi-Einstein       Ric_phi = c g and F_phi = -c f^2 for a constant c.
                        Deformation: g_rho = (1 + a rho)^2 g and
@@ -16,7 +15,15 @@ rejected rather than silently enshrined):
                        f_rho = 1 - a rho with a = -mu/2 (again the
                        Schouten eigenvalue).
 
-plus seeded random perturbations of the flat space for test corpora.
+plus seeded random perturbations of the flat space for test corpora,
+which belong to no family and check nothing.
+
+Construction builds fields and evaluates none but a random entry's
+positivity grid.  It rejects (EntryRejected) only what needs no further
+evaluation: f != 1 for Gover-Leitner, m <= 0 for the weighted-flat
+family, and a random entry that loses positivity.  Whether the defining
+equations hold is the result of `verify`'s request, which the CLI sweeps
+with the rest of a command's checks and reports as `check.catalog_flags`.
 """
 
 from __future__ import annotations
@@ -29,8 +36,7 @@ import numpy as np
 from . import curvature as cv
 from . import invariants as inv
 from .expressions import parse_expression
-from .fields import (Chart, Request, SymTensor2Field, evaluate,
-                     evaluate_named, max_abs)
+from .fields import Chart, Request, SymTensor2Field, evaluate_named
 from .invariants import MetricMeasureSpace
 
 __all__ = [
@@ -41,11 +47,9 @@ __all__ = [
 ]
 
 
-# the defining equations of an entry hold within this tolerance (relative
-# to the curvature scale) at this many sample points drawn with this seed
+# the defining equations of an entry hold within this tolerance, relative
+# to the curvature scale
 _TOL = 1e-9
-_POINTS = 6
-_SEED = 0
 
 
 class EntryRejected(ValueError):
@@ -57,14 +61,17 @@ class CatalogEntry:
     name: str
     space: MetricMeasureSpace
     params: dict
-    flags: dict
     closed_form: Optional[Callable[[int], tuple]] = None
+    # sample points -> the request that checks the family's equations
+    equations: Optional[Callable[[list], Request]] = None
 
     def verify(self, points) -> Request:
-        """The request that re-checks the flags' defining equations (done
-        at construction too) at the sample `points`; its result is the
-        first failure found, an EntryRejected, or None."""
-        return _verify_flags(self.space, self.flags, self.params, points)
+        """The request that checks the entry's defining equations at the
+        sample `points`; its result is the first failure found, an
+        EntryRejected, or None (always, for an entry of no family)."""
+        if self.equations is None:
+            return Request([], points, lambda _: None)
+        return self.equations(points)
 
     def closed_expansion(self, order: int):
         """The closed-form deformation wrapped as an expansion object."""
@@ -106,69 +113,38 @@ def round_sphere_space(d=3, m=2.0, mu=-1.0, f_expr="1") -> MetricMeasureSpace:
     return MetricMeasureSpace(chart, g, parse_expression(f_expr, chart), m, mu)
 
 
-# -- hypothesis verification ----------------------------------------------------
+# -- defining equations ---------------------------------------------------------
 
 
-def _verify_flags(s, flags, params, pts) -> Request:
-    """The request that checks the defining equations of `flags` at `pts`;
-    its result is the first failure found, an EntryRejected, or None."""
-    if flags.get("gover_leitner") and s.f.const_value() != 1.0:
-        raise EntryRejected("the Gover-Leitner family requires f = 1")
+def _equations(s, pts, family, groups, residuals) -> Request:
+    """The request that checks the defining equations of `family` at
+    `pts`.  `groups` name the roots they read, and `residuals` maps the
+    values (name -> (len(pts), len(group)) array) to each equation's
+    residual at each point.  The result is an EntryRejected naming the
+    equations that exceed _TOL times the curvature scale at the first
+    point where one does, or None."""
     scale = inv.curvature_scale(s, pts)
-    groups = {"g": s.g.entries()}
-    if flags.get("quasi_einstein") or flags.get("gover_leitner"):
-        groups["ric"] = inv.weighted_ricci(s).entries()
-    if flags.get("quasi_einstein"):
-        groups["F"] = [s.geometry.F_phi, s.f]
-    if flags.get("wlcf"):
-        res_a, res_b, _ = inv.conformally_flat_identities(s)
-        groups["weyl"] = inv.independent_components(s.geometry.weyl)
-        groups["cotton"] = inv.independent_components(s.geometry.cotton)
-        groups["identities"] = res_a + [r for row in res_b for r in row]
     checks = Request.named(pts, **groups)
     cut = len(scale.roots)
-    flags, c, d, mu = dict(flags), params.get("ric_eigenvalue"), s.dim, s.mu
 
     def reduce(vals):
         limit = _TOL * scale.reduce(vals[:cut])
-        v = checks.reduce(vals[cut:])
-        if flags.get("quasi_einstein"):
-            for p, ric, g, (F, f) in zip(pts, v["ric"], v["g"], v["F"]):
-                r1 = max_abs(ric - c * g)
-                r2 = abs(F + c * f ** 2)
-                if max(r1, r2) > limit:
-                    return EntryRejected(
-                        f"quasi-Einstein hypotheses fail at {p}: "
-                        f"|Ric_phi - c g| = {r1:.3e}, "
-                        f"|F_phi + c f^2| = {r2:.3e}")
-        if flags.get("wlcf"):
-            for p, A, dP in zip(pts, v["weyl"], v["cotton"]):
-                r1, r2 = max_abs(A), max_abs(dP)
-                if max(r1, r2) > limit:
-                    return EntryRejected(
-                        f"weighted conformal flatness fails at {p}: "
-                        f"|weyl| = {r1:.3e}, |cotton| = {r2:.3e}")
-            for p, r in zip(pts, np.max(np.abs(v["identities"]), axis=1)):
-                if r > limit:
-                    return EntryRejected(
-                        f"conformally-flat identities fail at {p}: {r:.3e}")
-        if flags.get("gover_leitner"):
-            for p, ric, g in zip(pts, v["ric"], v["g"]):
-                r = max_abs(ric + (d - 1) * mu * g)
-                if r > limit:
-                    return EntryRejected(
-                        f"|Ric + (d-1) mu g| = {r:.3e} at {p} exceeds "
-                        f"{limit:.3e}")
+        res = residuals(checks.reduce(vals[cut:]))
+        for n, p in enumerate(pts):
+            failing = [f"{eq} = {r[n]:.3e}" for eq, r in res.items()
+                       if not r[n] <= limit]
+            if failing:
+                return EntryRejected(
+                    f"the {family} equations fail at {p}: "
+                    f"{', '.join(failing)} (limit {limit:.3e})")
         return None
 
     return Request(scale.roots + checks.roots, pts, reduce)
 
 
-def _accept(s, flags, params, pts) -> None:
-    """Raise the first failure of the flags' defining equations at `pts`."""
-    rejected = _verify_flags(s, flags, params, pts).result()
-    if rejected is not None:
-        raise rejected
+def _row_max(values):
+    """max |v| over each point's row of `values`."""
+    return np.max(np.abs(values), axis=1, initial=0.0)
 
 
 # -- closed-form deformations ----------------------------------------------------
@@ -189,25 +165,22 @@ def _einstein_like_g(s, a, order):
     return _padded(g_coeffs, order, SymTensor2Field.zero(s.chart))
 
 
-def quasi_einstein_entry(space: MetricMeasureSpace, ric_eigenvalue=None, *,
+def quasi_einstein_entry(space: MetricMeasureSpace, ric_eigenvalue, *,
                          name="quasi-einstein") -> CatalogEntry:
-    """Entry for a space with Ric_phi = c g and F_phi = -c f^2.
-
-    If the eigenvalue c is not supplied it is read off at a sample point;
-    the hypotheses are then verified everywhere sampled and the entry is
-    rejected on failure.
-    """
-    pts = space.sample(_POINTS, _SEED)
-    ric = inv.weighted_ricci(space)
-    if ric_eigenvalue is None:
-        r00, g00 = evaluate([ric.comp(0, 0), space.g.comp(0, 0)], pts[:1])[:, 0]
-        ric_eigenvalue = float(r00 / g00)
+    """Entry for a space with Ric_phi = c g and F_phi = -c f^2, where c is
+    `ric_eigenvalue`."""
     c = float(ric_eigenvalue)
-    params = {"ric_eigenvalue": c, "d": space.dim, "m": space.m, "mu": space.mu}
-    flags = {"quasi_einstein": True, "ambient_flat": False}
-    _accept(space, flags, params, pts)
     a = c / (2.0 * (space.dim + space.m - 1.0))
-    params["schouten_eigenvalue"] = a
+    params = {"ric_eigenvalue": c, "d": space.dim, "m": space.m,
+              "mu": space.mu, "schouten_eigenvalue": a}
+
+    def equations(pts):
+        return _equations(space, pts, "quasi-Einstein", {
+            "g": space.g.entries(), "ric": inv.weighted_ricci(space).entries(),
+            "F": [space.geometry.F_phi, space.f]}, lambda v: {
+            "|Ric_phi - c g|": _row_max(v["ric"] - c * v["g"]),
+            "|F_phi + c f^2|": _row_max(v["F"][:, :1]
+                                        + c * v["F"][:, 1:] ** 2)})
 
     def closed_form(order):
         g_coeffs = _einstein_like_g(space, a, order)
@@ -216,7 +189,7 @@ def quasi_einstein_entry(space: MetricMeasureSpace, ric_eigenvalue=None, *,
             f_coeffs.append(space.f * a)
         return g_coeffs, _padded(f_coeffs, order, space.chart.zero())
 
-    return CatalogEntry(name, space, params, flags, closed_form)
+    return CatalogEntry(name, space, params, closed_form, equations)
 
 
 def wlcf_entry(space: MetricMeasureSpace, *, name="wlcf") -> CatalogEntry:
@@ -228,12 +201,16 @@ def wlcf_entry(space: MetricMeasureSpace, *, name="wlcf") -> CatalogEntry:
     """
     if space.m <= 0:
         raise EntryRejected("the weighted-flat family requires m > 0")
-    pts = space.sample(_POINTS, _SEED)
-    flags = {"wlcf": True, "ambient_flat": True}
     params = {"d": space.dim, "m": space.m, "mu": space.mu}
-    _accept(space, flags, params, pts)
-
     P_field, _, Y = inv.schouten(space)
+
+    def equations(pts):
+        res_a, res_b, _ = inv.conformally_flat_identities(space)
+        return _equations(space, pts, "weighted conformally flat", {
+            "weyl": inv.independent_components(space.geometry.weyl),
+            "cotton": inv.independent_components(space.geometry.cotton),
+            "identities": res_a + [r for row in res_b for r in row]},
+            lambda v: {f"|{key}|": _row_max(rows) for key, rows in v.items()})
 
     def closed_form(order):
         chart = space.chart
@@ -255,7 +232,7 @@ def wlcf_entry(space: MetricMeasureSpace, *, name="wlcf") -> CatalogEntry:
         return (_padded(g_coeffs, order, SymTensor2Field.zero(chart)),
                 _padded(f_coeffs, order, zero))
 
-    return CatalogEntry(name, space, params, flags, closed_form)
+    return CatalogEntry(name, space, params, closed_form, equations)
 
 
 def conformal_wlcf_space(d=3, m=2.0, a=0.3, u_expr="0.2*x1") -> MetricMeasureSpace:
@@ -279,12 +256,17 @@ def gover_leitner_entry(space: MetricMeasureSpace, *,
     normalization the Einstein constant is lam = -(d-1) mu).  The
     deformation is g_rho = (1 + a rho)^2 g, f_rho = 1 - a rho.
     """
-    pts = space.sample(_POINTS, _SEED)
-    flags = {"gover_leitner": True, "ambient_flat": False}
-    params = {"d": space.dim, "m": space.m, "mu": space.mu}
-    _accept(space, flags, params, pts)
+    if space.f.const_value() != 1.0:
+        raise EntryRejected("the Gover-Leitner family requires f = 1")
     a = -space.mu / 2.0
-    params["schouten_eigenvalue"] = a
+    params = {"d": space.dim, "m": space.m, "mu": space.mu,
+              "schouten_eigenvalue": a}
+
+    def equations(pts):
+        return _equations(space, pts, "Gover-Leitner", {
+            "g": space.g.entries(), "ric": inv.weighted_ricci(space).entries()},
+            lambda v: {"|Ric + (d-1) mu g|": _row_max(
+                v["ric"] + (space.dim - 1) * space.mu * v["g"])})
 
     def closed_form(order):
         g_coeffs = _einstein_like_g(space, a, order)
@@ -293,7 +275,7 @@ def gover_leitner_entry(space: MetricMeasureSpace, *,
             f_coeffs.append(space.chart.constant(-a))
         return g_coeffs, _padded(f_coeffs, order, space.chart.zero())
 
-    return CatalogEntry(name, space, params, flags, closed_form)
+    return CatalogEntry(name, space, params, closed_form, equations)
 
 
 # -- seeded random spaces ---------------------------------------------------------
@@ -357,8 +339,7 @@ def random_entry(d=3, m=1.0, mu=0.0, seed=0, amplitude=0.05, *,
     return CatalogEntry(
         name or f"random-d{d}-seed{seed}", space,
         {"d": d, "m": m, "mu": mu, "seed": seed, "amplitude": amplitude,
-         "expressions": exprs},
-        flags={})
+         "expressions": exprs})
 
 
 # -- the named catalog -------------------------------------------------------------

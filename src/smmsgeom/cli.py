@@ -19,8 +19,8 @@ the report already holds an error, which it then keeps with its exit
 status.  `--help` prints the usage and exits 0.  `--tol` sets the
 `residual` tolerance, which also bounds `verify`'s agreement with a
 catalog closed form.  The timings block gives the seconds of each stage
-a command ran (`timings.stage.*`: setup, invariants, catalog_flags,
-expand, identities, coefficients, order_report, bianchi, poincare, cone,
+a command ran (`timings.stage.*`: setup, invariants, expand,
+identities, coefficients, order_report, bianchi, poincare, cone,
 closed_form, evaluate; every field evaluation runs inside one of them),
 and for the problem chart its interned DAG nodes, those of them
 computed at no sampled point, its `fields.run` calls, its node
@@ -44,16 +44,17 @@ check sensitivity.
 
 Each stage builds the fields it checks or prints and hands them on as
 a `fields.Request`; the command then evaluates every request, the
-curvature scale's first, in one `fields.run` call, timed as
+curvature scale's first and a catalog entry's defining equations
+(`check.catalog_flags`) next, in one `fields.run` call, timed as
 `timings.stage.evaluate`, and reports from the results.  Only input
-validation (the sample points of a config, a catalog entry's
-construction) and the solver's gates (the odd critical consistency
-residual and the continuation past the critical order) evaluate
-before it, inside the setup and expand stages.  A command stops at its
-first error: an error of the sweep is that of its first failing point
-(in the order of the sample points), and a stage that fails while the
-requests are built still has the requests before it swept and
-reported, unless the sweep fails too, whose error then comes first.
+validation (the sample points of a config) and the solver's gates (the
+odd critical consistency residual and the continuation past the
+critical order) evaluate before it, inside the setup and expand
+stages.  A command stops at its first error: an error of the sweep is
+that of its first failing point (in the order of the sample points),
+and a stage that fails while the requests are built still has the
+requests before it swept and reported, unless the sweep fails too,
+whose error then comes first.
 """
 
 from __future__ import annotations
@@ -163,6 +164,11 @@ class _Problem:
         self.points = self.space.sample(self.points_n, self.seed)
         self.scale_request = curvature_scale(self.space, self.points)
         self.scale = None  # the result of `scale_request`, once swept
+        # at six points of the run's seed: the first six of `points` when
+        # it has six or more
+        self.entry_request = (None if self.catalog_entry is None else
+                              self.catalog_entry.verify(
+                                  self.space.sample(6, self.seed)))
 
     def tol(self, name):
         return float(self.tolerances.get(name, TOLERANCES[name]))
@@ -183,19 +189,30 @@ class _Checks:
     sweeps them all in one `fields.run`, timed as the evaluate stage,
     and hands each result to its `finish` in order.  The problem's
     curvature scale comes first: its finish sets and reports
-    `prob.scale`, which later finishes read.  The block is swept when an
-    error leaves it too, so the report keeps what the stages before the
-    error measured; an error of the sweep then replaces that error.
+    `prob.scale`, which later finishes read.  A catalog entry's defining
+    equations come next, reported as `check.catalog_flags` by every
+    command.  The block is swept when an error leaves it too, so the
+    report keeps what the stages before the error measured; an error of
+    the sweep then replaces that error.
     """
 
     def __init__(self, prob, report):
         self.prob = prob
         self.report = report
         self.pending = [(prob.scale_request, self._scale)]
+        if prob.entry_request is not None:
+            self.pending.append((prob.entry_request, self._entry))
 
     def _scale(self, scale):
         self.prob.scale = scale
         self.report.put("scale", scale)
+
+    def _entry(self, rejected):
+        if rejected is None:
+            self.report.put_check("catalog_flags", 0.0, 1.0)
+        else:
+            self.report.put("catalog_flags.error", str(rejected))
+            self.report.put_check("catalog_flags", 1.0, 0.5)
 
     def add(self, request, finish):
         self.pending.append((request, finish))
@@ -444,13 +461,6 @@ def cmd_verify(args, report) -> int:
     prob = _start(args, report)
     entry = prob.catalog_entry
 
-    def put_flags(rejected):
-        if rejected is None:
-            report.put_check("catalog_flags", 0.0, 1.0)
-        else:
-            report.put("catalog_flags.error", str(rejected))
-            report.put_check("catalog_flags", 1.0, 0.5)
-
     def put_orders(rep):
         for name, block in rep.blocks.items():
             report.put_check(f"ambient_order_{name}", block.worst,
@@ -460,9 +470,6 @@ def cmd_verify(args, report) -> int:
         corrupt = (_corruption(args.corrupt_coefficient, prob.order,
                                prob.space.dim)
                    if args.corrupt_coefficient else None)
-        if entry is not None:
-            with report.stage("catalog_flags"):
-                checks.add(entry.verify(prob.points[:6]), put_flags)
         e = _expansion_for(prob, report)
         if corrupt:
             k, i, j, eps = corrupt

@@ -1,6 +1,6 @@
 """Problem configuration files and deterministic report output.
 
-Configurations are INI files (configparser) with sections::
+Configurations are INI files (configparser, UTF-8) with sections::
 
     [chart]
     dimension = 3
@@ -176,7 +176,15 @@ def check_tolerance(name: str, value: float) -> float:
 
 def load_config(path: str) -> ProblemConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(path)
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        # a line outside every section or not `key = value`, or a section
+        # or key given twice; the message names the file, on several lines
+        raise ConfigError(" ".join(str(exc).split())) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"configuration file {path!r} is not UTF-8 "
+                          f"text: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read configuration file {path!r}")
     try:

@@ -36,8 +36,12 @@ def test_hyperbolic_quasi_einstein_accepted():
 
 def test_sphere_not_quasi_einstein_rejected():
     # Ric_phi = (d-1) g but F_phi = 0 != -(d-1) f^2 when mu = 0
-    with pytest.raises(EntryRejected):
-        quasi_einstein_entry(round_sphere_space(d=3, m=2.0, mu=0.0))
+    entry = quasi_einstein_entry(round_sphere_space(d=3, m=2.0, mu=0.0),
+                                 ric_eigenvalue=2.0)
+    rejected = entry.verify(entry.space.sample(6, 0)).result()
+    assert isinstance(rejected, EntryRejected)
+    assert "|F_phi + c f^2|" in str(rejected)
+    assert "|Ric_phi - c g|" not in str(rejected)
 
 
 def test_sphere_quasi_einstein_with_tuned_mu():
@@ -45,16 +49,22 @@ def test_sphere_quasi_einstein_with_tuned_mu():
     s = round_sphere_space(d=3, m=2.0, mu=2.0)
     entry = quasi_einstein_entry(s, ric_eigenvalue=2.0)
     assert entry.params["schouten_eigenvalue"] == pytest.approx(0.25)
+    assert entry.verify(s.sample(6, 0)).result() is None
 
 
 def test_wlcf_accepted_and_exponential_density_rejected():
     entry = wlcf_entry(conformal_wlcf_space())
-    assert entry.flags["ambient_flat"]
+    assert entry.verify(entry.space.sample(6, 0)).result() is None
     chart = Chart(("x1", "x2", "x3"), box=[(-0.4, 0.4)] * 3)
     bad = MetricMeasureSpace(chart, inv.euclidean_metric(chart),
                              parse_expression("exp(x1)", chart), 2.0, 0.0)
+    assert isinstance(wlcf_entry(bad).verify(bad.sample(6, 0)).result(),
+                      EntryRejected)
+
+
+def test_wlcf_requires_positive_m():
     with pytest.raises(EntryRejected):
-        wlcf_entry(bad)
+        wlcf_entry(flat_space(m=0.0))
 
 
 def test_wlcf_lemma_identities():
@@ -91,7 +101,8 @@ def test_gover_leitner_sphere_values():
 
 def test_gover_leitner_requires_unit_density():
     s = round_sphere_space(d=3, m=2.0, mu=-1.0, f_expr="1+0*x1")
-    gover_leitner_entry(s)  # constant-1 expression folds and is accepted
+    # the constant-1 expression folds and is accepted
+    assert gover_leitner_entry(s).verify(s.sample(6, 0)).result() is None
     s_bad = hyperbolic_upper_half_space(d=3, m=2.0)
     with pytest.raises(EntryRejected):
         gover_leitner_entry(s_bad)
@@ -99,13 +110,15 @@ def test_gover_leitner_requires_unit_density():
 
 def test_gover_leitner_wrong_sign_rejected():
     # the sphere has Ric = +2g; claiming mu = +1 flips the required sign
-    with pytest.raises(EntryRejected):
-        gover_leitner_entry(round_sphere_space(d=3, m=2.0, mu=1.0))
+    s = round_sphere_space(d=3, m=2.0, mu=1.0)
+    assert isinstance(gover_leitner_entry(s).verify(s.sample(6, 0)).result(),
+                      EntryRejected)
 
 
 def test_wlcf_trivial_entry_and_solver_match():
     # a = 0, u = 0 degenerates to the flat trivial entry
     trivial = wlcf_entry(conformal_wlcf_space(a=0.0, u_expr="0"))
+    assert trivial.verify(trivial.space.sample(6, 0)).result() is None
     p = (0.1, 0.2, -0.1)
     g_coeffs, f_coeffs = trivial.closed_form(3)
     for k in range(1, 4):
@@ -161,6 +174,29 @@ def test_random_entry_amplitude_zero_is_flat():
 def test_random_entry_positivity_rejection():
     with pytest.raises(EntryRejected):
         random_entry(d=3, m=1.0, mu=0.0, seed=0, amplitude=5.0)
+
+
+def test_random_entry_checks_nothing():
+    e = random_entry(d=3, m=1.0, mu=0.0, seed=3)
+    request = e.verify(e.space.sample(6, 0))
+    assert not request.roots
+    assert request.result() is None
+
+
+def test_construction_evaluates_nothing(monkeypatch):
+    # an entry's equations are checked by its `verify` request alone
+    from smmsgeom import fields
+    sweeps = []
+    sweep = fields._sweep
+
+    def counted(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(fields, "_sweep", counted)
+    for name, build in standard_catalog().items():
+        build()
+        assert not sweeps, name
 
 
 def test_standard_catalog_all_load_and_verify():

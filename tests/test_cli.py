@@ -488,6 +488,40 @@ def test_cli_catalog_verify(tmp_path):
     assert "check.solver_matches_closed_form.ok = true" in text
 
 
+@pytest.mark.parametrize("command", ["invariants", "expand", "obstruction",
+                                     "poincare", "verify"])
+def test_cli_catalog_equations_checked_once_in_the_sweep(tmp_path, command):
+    # construction evaluates nothing, so the sweep recomputes nothing
+    code, text = run_cli([command, "--catalog", "quasi-einstein"], tmp_path,
+                         "qe.txt")
+    assert "check.catalog_flags.ok = true\n" in text
+    if command == "obstruction":
+        # d+m = 5: the sweep still reports what was built before the error
+        assert code == 2
+        assert "error = OrderError: obstruction requires d+m an even" in text
+    else:
+        assert code == 0, text
+        assert "timings.stats.recomputed = 0\n" in text
+
+
+@pytest.mark.parametrize("command", ["verify", "expand"])
+def test_cli_failing_catalog_entry_is_a_failed_check(tmp_path, monkeypatch,
+                                                     command):
+    # Ric_phi = 2 g on the unit sphere, but F_phi = 0 != -2 f^2 at mu = 0
+    from smmsgeom.catalog import quasi_einstein_entry, round_sphere_space
+    monkeypatch.setattr(cli, "load_entry", lambda name: quasi_einstein_entry(
+        round_sphere_space(d=3, m=2.0, mu=0.0), ric_eigenvalue=2.0))
+    code, text = run_cli([command, "--catalog", "quasi-einstein", "--points",
+                          "1", "--order", "1"], tmp_path, "bad.txt")
+    assert code == 1, text
+    assert "check.catalog_flags.ok = false\n" in text
+    error = next(line for line in text.splitlines()
+                 if line.startswith("catalog_flags.error = "))
+    assert "the quasi-Einstein equations fail at" in error
+    assert "|F_phi + c f^2| = 2.000e+00" in error
+    assert "|Ric_phi - c g|" not in error
+
+
 def test_cli_expand_past_obstruction_structured_error(tmp_path):
     path = tmp_path / "even.cfg"
     path.write_text(CONFIG.replace("m = 0.5", "m = 1.0"))
@@ -734,17 +768,32 @@ def test_cli_requires_input():
     (["verify"], "seed = 7", "seed = 7\n\n[extra]\nx = 1",
      "ConfigError: [extra] is not a section of the configuration; known: "
      "chart, metric, density, parameters, solver, sampling, tolerances"),
+    # a file that is not INI text names the file (<path>) and the fault
+    (["verify"], "[chart]", "dimension = 3\n[chart]",
+     "ConfigError: File contains no section headers. file: '<path>', "
+     "line: 2 'dimension = 3\\n'\n"),
+    (["verify"], "seed = 7", "seed = 7\n\n[chart]\ndimension = 3",
+     "ConfigError: While reading from '<path>' [line 27]: section 'chart' "
+     "already exists\n"),
+    (["verify"], "g22 = 1", "g22 = 1\ng22 = 2",
+     "ConfigError: While reading from '<path>' [line 11]: option 'g22' in "
+     "section 'metric' already exists\n"),
+    # a byte that is not UTF-8, written through surrogateescape
+    (["verify"], "f = 1 + 0.05*x1", "f = 1 + 0.05*x1\udcff",
+     "ConfigError: configuration file '<path>' is not UTF-8 text: 'utf-8' "
+     "codec can't decode byte 0xff in position 187: invalid start byte\n"),
 ])
 def test_cli_rejects_bad_names_and_counts(tmp_path, argv, old, new, error):
     # every case is a typed input error (exit 2), never an internal error
     # or a silent fallback to a default
+    path = tmp_path / "problem.cfg"
     if argv[1:2] != ["--catalog"]:
-        path = tmp_path / "problem.cfg"
-        path.write_text(CONFIG.replace(old, new) if old else CONFIG)
+        text = CONFIG.replace(old, new) if old else CONFIG
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         argv = argv[:1] + ["--config", str(path)] + argv[1:]
     code, text = run_cli(argv, tmp_path, "bad.txt")
     assert code == 2
-    assert f"error = {error}" in text
+    assert f"error = {error}".replace("<path>", str(path)) in text
 
 
 def test_cli_verify_reports_stage_timings(tmp_path):
@@ -753,8 +802,8 @@ def test_cli_verify_reports_stage_timings(tmp_path):
     assert code == 0
     timings = dict(line.split(" = ") for line in text.splitlines()
                    if line.startswith("timings."))
-    for stage in ("setup", "catalog_flags", "expand", "order_report",
-                  "bianchi", "poincare", "cone", "closed_form", "evaluate"):
+    for stage in ("setup", "expand", "order_report", "bianchi", "poincare",
+                  "cone", "closed_form", "evaluate"):
         assert float(timings.pop(f"timings.stage.{stage}")) >= 0.0
     assert int(timings.pop("timings.stats.nodes")) > 0
     assert int(timings.pop("timings.stats.unread")) >= 0

@@ -3,11 +3,13 @@
     python3 tools/report_bodies.py [--points N] OUTDIR
 
 Runs `invariants`, `expand`, `obstruction`, `poincare` and `verify` on
-every `configs/*.cfg`, on every catalog entry, on the seed-51
-random-deep and even-critical configs of `bench/inputs.random_config`
-and on a seed-51 config that reaches the odd critical order n = d+m = 5:
-60 reports, each from its own `python3 -m smmsgeom.cli` child of this
-checkout (`obstruction` exits 2 where d+m is not an even integer).
+every `configs/*.cfg`, on every catalog entry, on the `wlcf` entry at
+`--seed 7` (its defining equations are checked at that seed's points),
+on the seed-51 random-deep and even-critical configs of
+`bench/inputs.random_config` and on a seed-51 config that reaches the
+odd critical order n = d+m = 5: 65 reports, each from its own
+`python3 -m smmsgeom.cli` child of this checkout (`obstruction` exits 2
+where d+m is not an even integer).
 Writes the body of each (every line before the first `timings.` line)
 to OUTDIR/<command>.<input>.txt, and prints one line per report with
 its exit status and `timings.stats.nodes`, `.max_degree`, `.unread`,
@@ -64,6 +66,8 @@ def inputs(outdir, env):
            for p in sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))]
     out += [(f"catalog-{name}", ["--catalog", name], ROOT)
             for name in CATALOG]
+    out.append(("catalog-wlcf-seed7", ["--catalog", "wlcf", "--seed", "7"],
+                ROOT))
     for name, d, m, mu, seed, order in RANDOM:
         subprocess.run([sys.executable, "-c", WRITE_CONFIG,
                         os.path.join(outdir, f"{name}.cfg"),

@@ -27,9 +27,9 @@ computed at no sampled point, its `fields.run` calls, its node
 computations, those of them at a (node, point) that an earlier call of
 the command had already computed, and the highest jet degree computed
 (`timings.stats.nodes`, `.unread`, `.evaluations`, `.computed`,
-`.recomputed`, `.max_degree`); every report, an error report too,
-gives the peak resident set size of the process in MB
-(`timings.stats.peak_rss_mb`, from `getrusage`).  The
+`.recomputed`, `.max_degree`), in an error report too once the problem
+was resolved; every report gives the peak resident set size of the
+process in MB (`timings.stats.peak_rss_mb`, from `getrusage`).  The
 exit status is 0 when every check passed, 1 when a check failed, 2 on
 a typed input or solver error (a usage error, an unwritable `--out`, a
 missing or malformed input, an order or point count below 1, an
@@ -187,13 +187,13 @@ class _Checks:
 
     `add(request, finish)` collects a request; leaving the `with` block
     sweeps them all in one `fields.run`, timed as the evaluate stage,
-    and hands each result to its `finish` in order.  The problem's
-    curvature scale comes first: its finish sets and reports
-    `prob.scale`, which later finishes read.  A catalog entry's defining
+    hands each result to its `finish` in order and records the problem
+    chart's DAG counters.  The problem's curvature scale comes first: its
+    finish sets and reports `prob.scale`, which later finishes read.  A catalog entry's defining
     equations come next, reported as `check.catalog_flags` by every
     command.  The block is swept when an error leaves it too, so the
-    report keeps what the stages before the error measured; an error of
-    the sweep then replaces that error.
+    report keeps what the stages before the error measured, the counters
+    included; an error of the sweep then replaces that error.
     """
 
     def __init__(self, prob, report):
@@ -221,23 +221,24 @@ class _Checks:
         return self
 
     def __exit__(self, *error):
-        with self.report.stage("evaluate"):
-            results = fields.run([request for request, _ in self.pending])
-        for (_, finish), result in zip(self.pending, results):
-            finish(result)
+        try:
+            with self.report.stage("evaluate"):
+                results = fields.run([request for request, _ in self.pending])
+            for (_, finish), result in zip(self.pending, results):
+                finish(result)
+        finally:
+            _put_counters(self.prob.space.chart, self.report)
         return False
 
 
-def _finish(prob, report) -> int:
-    """Record the DAG size and evaluation counters; return the exit status."""
-    chart = prob.space.chart
+def _put_counters(chart, report):
+    """Record the DAG size and evaluation counters of the problem chart."""
     report.put_timing("stats.nodes", chart.node_count)
     report.put_timing("stats.unread", chart.unread)
     report.put_timing("stats.evaluations", chart.evaluations)
     report.put_timing("stats.computed", chart.computed)
     report.put_timing("stats.recomputed", chart.recomputed)
     report.put_timing("stats.max_degree", chart.max_degree)
-    return 0 if report.ok else 1
 
 
 def _echo(report, prob):
@@ -290,7 +291,7 @@ def cmd_invariants(args, report) -> int:
                 weyl_norm=inv.independent_components(geo.weyl),
                 cotton_norm=inv.independent_components(geo.cotton))
         _bianchi_check(prob, report, checks)
-    return _finish(prob, report)
+    return 0 if report.ok else 1
 
 
 def _bianchi_check(prob, report, checks):
@@ -342,7 +343,7 @@ def cmd_expand(args, report) -> int:
                 f"{kind}_coeff{k}": coeffs[k] for k in range(e.order + 1)
                 for kind, coeffs in (("g", e.g_coeffs), ("f", e.f_coeffs))})
         _order_report(prob, e, report, checks, put_orders)
-    return _finish(prob, report)
+    return 0 if report.ok else 1
 
 
 def _put_points(checks, report, points, fields, then=None, **groups):
@@ -414,7 +415,7 @@ def cmd_obstruction(args, report) -> int:
             _put_points(checks, report, prob.points[:3],
                         {"obstruction": obs.tensor,
                          "f_script": obs.scalar_part})
-    return _finish(prob, report)
+    return 0 if report.ok else 1
 
 
 def _poincare_checks(prob, e, report, checks, cone_points, sides=False):
@@ -454,7 +455,7 @@ def cmd_poincare(args, report) -> int:
         report.put("poincare.max_even_order", max_even)
         report.put("poincare.residual_trunc", trunc)
         report.put("poincare.guaranteed_power", trunc)
-    return _finish(prob, report)
+    return 0 if report.ok else 1
 
 
 def cmd_verify(args, report) -> int:
@@ -489,7 +490,7 @@ def cmd_verify(args, report) -> int:
             checks.add(agreement, lambda worst: report.put_check(
                 "solver_matches_closed_form", worst,
                 prob.tol("residual") * prob.scale))
-    return _finish(prob, report)
+    return 0 if report.ok else 1
 
 
 def _corruption(text, order, dim):
@@ -542,8 +543,9 @@ def main(argv=None) -> int:
     caller's state.  The expression DAG a command builds lives until the
     command ends, so collections during it would only traverse the DAG
     again and again and find next to nothing to free.  The DAG is a cycle
-    (nodes refer to their chart, whose intern table refers to them), so
-    an in-process caller gets it back at its next collection.
+    (nodes refer to their chart, whose node list and intern tables refer
+    to them), so an in-process caller gets it back at its next
+    collection.
     """
     collecting = gc.isenabled()
     gc.disable()

@@ -68,14 +68,13 @@ def acc_sum(terms, zero):
 
 def fold_sum(terms):
     """terms[0] + terms[1] + ..., as the left fold of `+` builds it, for a
-    nonempty list.  Where every term is of one class that has an n-ary
-    `sum_of` (fields, series, graded scalars), that builds the fold at
-    once; it gives what the fold gives.  Any other list is folded."""
-    first = terms[0]
-    cls = first.__class__
-    nary = getattr(cls, "sum_of", None)
+    nonempty list.  Where every term has the same n-ary `sum_of` (fields,
+    a zero constant of their subclass too, series, graded scalars), that
+    builds the fold at once; it gives what the fold gives.  Any other
+    list is folded."""
+    nary = getattr(terms[0], "sum_of", None)
     if (nary is not None and len(terms) > 1
-            and all(t.__class__ is cls for t in terms)):
+            and all(getattr(t, "sum_of", None) is nary for t in terms)):
         return nary(terms)
     return reduce(add, terms)
 

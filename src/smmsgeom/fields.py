@@ -19,9 +19,10 @@ partial sums is built.  Evaluation adds the terms left to right, as the
 chain would (floats at degree 0; at a higher degree the first two
 coefficient arrays into a new one, then each further one in place), so
 every value and jet keeps the bits of the chain.  Construction then
-interns the node (hash-consing): every chart owns a table keyed on
-(op, child objects, param), so structurally equal nodes built on one
-chart are one object, evaluated once per point.
+interns the node (hash-consing): every chart owns one table per op (per
+op and param for a unary op), keyed by what the node already holds, so
+structurally equal nodes built on one chart are one object, evaluated
+once per point.
 Operands of commutative operations are never reordered, so every jet
 product keeps its summation order.
 The constants -0.0 and 0.0 are distinct nodes.
@@ -68,7 +69,7 @@ there.  Values run the float kernels of `jets`, which give the constant
 term of every jet bit for bit, so a value does not depend on the degree
 its node was planned at, nor on which other roots share the sweep.
 
-Concurrency contract: building a field appends to the node list and the
+Concurrency contract: building a field appends to the node list and an
 intern table of its chart, and evaluating one writes the chart's
 counters.  None of it is locked, so build and evaluate the fields of one
 chart from one thread at a time.
@@ -96,15 +97,15 @@ FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
 class Chart:
     """A named coordinate chart, optionally with a sampling box.
 
-    The chart owns the intern table of the fields built on it, their
+    The chart owns the intern tables of the fields built on it, their
     list in creation order (`nodes`, indexed by `ScalarField.index`) and
     the evaluation counters of the module docstring.  A chart is equal
-    only to itself: another with the same names keeps its own table and
+    only to itself: another with the same names keeps its own tables and
     rejects this one's fields.
     """
 
     __slots__ = ("names", "dim", "box", "evaluations", "computed",
-                 "recomputed", "max_degree", "nodes", "_table", "_done")
+                 "recomputed", "max_degree", "nodes", "_tables", "_done")
 
     def __init__(self, names, box=None):
         self.names = tuple(names)
@@ -119,15 +120,32 @@ class Chart:
         self.recomputed = 0   # of those, at a (node, point) computed before
         self.max_degree = -1  # the highest degree computed (0: values only)
         self.nodes = []       # every node, in creation order
-        self._table = {}      # (op, a, b, param) -> node
+        # the intern tables: op or (op, param) -> key -> node; a constant's
+        # param is its sign (-0.0 == 0.0 as a dict key), its key its value
+        self._tables = {op: {} for op in ("sum", "mul", "div", "coord",
+                                          ("const", 1.0), ("const", -1.0))}
         self._done = {}       # point -> bytearray, 1 by each node computed there
 
-    def _node(self, op, a=None, b=None, param=None) -> "ScalarField":
-        """The interned node (op, a, b, param) of this chart."""
-        key = (op, a, b, param)
-        node = self._table.get(key)
+    def _node(self, op, a, b=None, param=None) -> "ScalarField":
+        """The interned node of this chart that applies `op` (with
+        `param`) to `a` and `b`.  Its key is made of objects the node
+        holds already, in the table of its op, or of its op and param for
+        a unary op: a sum's key is its term tuple, a product's or a
+        quotient's the one int that packs both operand indices, a lift's
+        its operand (whose index belongs to another chart) and any other
+        unary node's its operand's index."""
+        if b is not None:
+            table, key = self._tables[op], a.index << 32 | b.index
+        elif op == "sum":
+            table, key = self._tables[op], a
+        else:
+            table = self._tables.get((op, param))
+            if table is None:
+                table = self._tables[(op, param)] = {}
+            key = a if op == "lift" else a.index
+        node = table.get(key)
         if node is None:
-            node = self._table[key] = ScalarField(self, op, a, b, param)
+            node = table[key] = ScalarField(self, op, a, b, param)
         return node
 
     def sum(self, terms) -> "ScalarField":
@@ -187,18 +205,22 @@ class Chart:
     def coordinate(self, i: int) -> "ScalarField":
         if not 0 <= i < self.dim:
             raise IndexError(f"coordinate index {i} out of range")
-        return self._node("coord", param=i)
+        table = self._tables["coord"]
+        node = table.get(i)
+        if node is None:
+            node = table[i] = ScalarField(self, "coord", None, None, i)
+        return node
 
     def coordinates(self):
         return [self.coordinate(i) for i in range(self.dim)]
 
     def constant(self, value: float) -> "ScalarField":
         value = float(value)
-        # -0.0 == 0.0 as a dict key, so the sign is part of the key
-        key = ("const", math.copysign(1.0, value), value)
-        node = self._table.get(key)
+        table = self._tables[("const", math.copysign(1.0, value))]
+        node = table.get(value)
         if node is None:
-            node = self._table[key] = ScalarField(self, "const", None, None, value)
+            cls = _Zero if value == 0.0 else ScalarField
+            node = table[value] = cls(self, "const", None, None, value)
         return node
 
     def zero(self) -> "ScalarField":
@@ -296,12 +318,15 @@ class ScalarField:
     a `sum` adds the terms of the tuple `a`.
 
     Build fields through a Chart and the operators below, never by
-    calling this class, so that the chart's intern table sees every node.
+    calling this class, so that the chart's intern tables see every node.
     A node's `index` is its position in the chart's creation order, so
-    its children on the same chart have smaller indices.
+    its children on the same chart have smaller indices.  `is_zero` is
+    true only on a chart's constants 0.0 and -0.0, of the subclass
+    `_Zero`; test for a field with `isinstance`.
     """
 
-    __slots__ = ("chart", "op", "a", "b", "param", "is_zero", "index")
+    __slots__ = ("chart", "op", "a", "b", "param", "index")
+    is_zero = False
 
     def __init__(self, chart: Chart, op: str, a, b, param):
         self.chart = chart
@@ -309,7 +334,6 @@ class ScalarField:
         self.a = a
         self.b = b
         self.param = param
-        self.is_zero = op == "const" and param == 0.0
         self.index = len(chart.nodes)
         chart.nodes.append(self)
 
@@ -436,6 +460,14 @@ class ScalarField:
         return self._wrap("partial", axis)
 
 
+class _Zero(ScalarField):
+    """The constant 0.0 or -0.0 of a chart: a class of its own, so that
+    `is_zero` is a class attribute and no node spends a slot on it."""
+
+    __slots__ = ()
+    is_zero = True
+
+
 def _checked(point, chart: Chart) -> tuple:
     point = tuple(point)
     if len(point) != chart.dim:
@@ -459,7 +491,7 @@ class Request:
         self.points = [tuple(p) for p in points]
         self.reduce = reduce
         for chart in {id(r.chart): r.chart for r in self.roots
-                      if r.__class__ is ScalarField}.values():
+                      if isinstance(r, ScalarField)}.values():
             for point in self.points:
                 _checked(point, chart)
 
@@ -494,7 +526,7 @@ def run(requests) -> list:
     requests = list(requests)
     out = [np.empty((len(q.roots), len(q.points))) for q in requests]
     charts = {id(r.chart): r.chart for q in requests for r in q.roots
-              if r.__class__ is ScalarField}
+              if isinstance(r, ScalarField)}
     for chart in charts.values():
         chart.evaluations += 1
     for k in range(max((len(q.points) for q in requests), default=0)):
@@ -504,7 +536,7 @@ def run(requests) -> list:
                 continue
             point = q.points[k]
             for r, root in enumerate(q.roots):
-                if root.__class__ is ScalarField:
+                if isinstance(root, ScalarField):
                     roots.append(root)
                     points.append(point)
                     slots.append((vals, r))

@@ -6,15 +6,20 @@ A jet of degree D in n variables stores the coefficients
 
 densely, in graded lexicographic order (total degree first, then
 lexicographic on the exponent tuple).  Grading first means a degree-D'
-jet is a prefix slice of a degree-D jet for D' <= D, which is what makes
-lazy evaluation caches cheap.
+jet is a prefix slice of a degree-D jet for D' <= D, so a parent that
+needs a node at a lower degree reads a view of its jet.
 
 Arithmetic follows the represented functions: sums, truncated Cauchy
 products, division by jets with nonzero constant term, composition with
 univariate analytic functions, and partial differentiation (which lowers
 the degree by one).  Convolution sums always run in ascending graded-lex
-order over the left factor so repeated runs are bit-identical.  The
-`value_*` functions are the degree-0 kernels on plain floats.
+order over the left factor so repeated runs are bit-identical.  One
+product table per (nvars, degree) fixes that order for both: its terms
+are grouped by the total degree of the output coefficient and keep the
+left factor ascending within each group, so a product sums every output
+coefficient in that order, and division, which solves one degree after
+another, reads each degree's group as a slice.  The `value_*` functions
+are the degree-0 kernels on plain floats.
 """
 
 from __future__ import annotations
@@ -117,13 +122,19 @@ def _exponent_table(nvars: int, degree: int):
 def _product_table(nvars: int, degree: int):
     """Index triples (I, J, K) with exps[K] = exps[I] + exps[J].
 
-    Ordered ascending over the left factor index, then the right, which
-    fixes the summation order of every convolution.
+    Grouped by the total degree of K, ascending, and within each level
+    ascending over the left factor index, then the right.  Every K's terms
+    are then in I-ascending order, which fixes the summation order of
+    every product, and each level starts with its I = 0 terms, which
+    division skips.
     """
     exps = np.array(_exponent_table(nvars, degree)[0], dtype=np.intp)
     level = exps.sum(axis=1)
     # np.nonzero walks the pair matrix row by row: I ascending, then J
     ii, jj = np.nonzero(level[:, None] + level[None, :] <= degree)
+    # a stable sort keeps that order within each level of K
+    by_level = np.argsort(level[ii] + level[jj], kind="stable")
+    ii, jj = ii[by_level], jj[by_level]
     # exponents are below degree + 1, so base degree + 1 encodes each
     # tuple as one integer; the table's codes are not sorted (graded
     # order), so search through their sorting permutation
@@ -135,31 +146,25 @@ def _product_table(nvars: int, degree: int):
 
 
 @lru_cache(maxsize=None)
-def _division_tables(nvars: int, degree: int):
-    """Per total-degree level t: index triples (I, J, K) with
-    exps[K] = exps[I] + exps[J], |exps[K]| = t and I != 0.
+def _division_levels(nvars: int, degree: int):
+    """Per total-degree level t >= 1: the coefficient slice [lo, hi) of
+    the level and views (I, J, K) of its product-table terms with I != 0.
 
     Drives the graded long-division recursion
         c[K] = (a[K] - sum b[I] c[J]) / b[0],
-    where every J referenced at level t lies in a lower level.
+    where every J referenced at level t lies in a lower level.  Level t
+    has hi - lo terms with I = 0 (J = K), which lead its table slice.
     """
-    exps, _ = _exponent_table(nvars, degree)
     ii, jj, kk = _product_table(nvars, degree)
-    levels = []
-    deg_k = np.array([sum(e) for e in exps], dtype=np.intp)[kk]
-    for t in range(degree + 1):
-        sel = (deg_k == t) & (ii != 0)
-        levels.append((ii[sel], jj[sel], kk[sel]))
-    return levels
-
-
-@lru_cache(maxsize=None)
-def _level_slices(nvars: int, degree: int):
-    """Coefficient-vector slice [start, stop) of each total-degree level."""
-    out = []
-    for t in range(degree + 1):
-        lo = 0 if t == 0 else jet_count(nvars, t - 1)
-        out.append((lo, jet_count(nvars, t)))
+    out, lo = [], 1
+    for t in range(1, degree + 1):
+        hi = jet_count(nvars, t)
+        # C(2 nvars + t, t) pairs have total degree t or less, so level t
+        # is the table slice past those below t, less its I = 0 terms
+        start = math.comb(2 * nvars + t - 1, t - 1) + hi - lo
+        stop = math.comb(2 * nvars + t, t)
+        out.append((lo, hi, ii[start:stop], jj[start:stop], kk[start:stop]))
+        lo = hi
     return tuple(out)
 
 
@@ -303,14 +308,9 @@ class Jet:
         _check_pivot(b0, float(np.max(np.abs(b))))
         c = np.zeros_like(self.coeffs)
         acc = np.zeros_like(self.coeffs)
-        slices = _level_slices(self.nvars, self.degree)
-        levels = _division_tables(self.nvars, self.degree)
         c[0] = self.coeffs[0] / b0
-        for t in range(1, self.degree + 1):
-            ii, jj, kk = levels[t]
-            if len(kk):
-                np.add.at(acc, kk, b[ii] * c[jj])
-            lo, hi = slices[t]
+        for lo, hi, ii, jj, kk in _division_levels(self.nvars, self.degree):
+            np.add.at(acc, kk, b[ii] * c[jj])
             c[lo:hi] = (self.coeffs[lo:hi] - acc[lo:hi]) / b0
         return Jet(self.nvars, self.degree, c)
 

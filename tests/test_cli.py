@@ -1,8 +1,10 @@
 """Configuration parsing, report format, and the command-line surface."""
 
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -329,6 +331,44 @@ def test_cli_verify_memory_does_not_grow_with_the_points(tmp_path):
     assert ten <= 1.1 * one, (one, ten)
 
 
+def test_cli_verify_dag_bytes_per_node(tmp_path):
+    # what `fields` allocated and the DAG still holds when the command
+    # returns (nodes, intern tables, term tuples, indices), per node of
+    # every chart: about 250 B with one (op, a, b, param) key tuple per
+    # node and an `is_zero` slot, 190 B with keys made of what each node
+    # holds
+    from smmsgeom import fields
+    path = tmp_path / "small.cfg"
+    path.write_text(random_config(51, 0.5, 0.1, 2))
+
+    def charts():
+        return {id(c): c for c in gc.get_objects()
+                if isinstance(c, fields.Chart)}
+
+    enabled = gc.isenabled()
+    gc.collect()
+    # paused, so that the command's DAG outlives `main` until measured
+    gc.disable()
+    # each chart held with its count, so that no id is reused
+    before = {key: (c, c.node_count) for key, c in charts().items()}
+    tracemalloc.start()
+    try:
+        code, text = run_cli(["verify", "--config", str(path)], tmp_path,
+                             "b.txt")
+        held = sum(stat.size for stat in tracemalloc.take_snapshot()
+                   .filter_traces([tracemalloc.Filter(True, fields.__file__)])
+                   .statistics("filename"))
+        nodes = sum(c.node_count - before.get(key, (c, 0))[1]
+                    for key, c in charts().items())
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+        gc.collect()
+    assert code == 0, text
+    assert held / nodes <= 220, (held, nodes)
+
+
 def test_cli_verify_recomputes_at_most_in_proportion_to_the_points(tmp_path):
     # a node is computed again only where an evaluation before the sweep
     # (input validation, a solver gate) computed it at the same point; a
@@ -502,6 +542,25 @@ def test_cli_catalog_equations_checked_once_in_the_sweep(tmp_path, command):
     else:
         assert code == 0, text
         assert "timings.stats.recomputed = 0\n" in text
+
+
+def test_cli_error_report_gives_the_dag_counters(tmp_path):
+    # d+m = 5: the obstruction fails once the problem is resolved, and the
+    # report counts the DAG the stages before the error built
+    code, text = run_cli(["obstruction", "--catalog", "quasi-einstein"],
+                         tmp_path, "qe.txt")
+    assert code == 2
+    stats = dict(line[len("timings.stats."):].split(" = ")
+                 for line in text.splitlines()
+                 if line.startswith("timings.stats."))
+    assert sorted(stats) == ["computed", "evaluations", "max_degree", "nodes",
+                             "peak_rss_mb", "recomputed", "unread"]
+    assert int(stats["nodes"]) > 0 and int(stats["computed"]) > 0
+    # no problem, no chart to count
+    code, text = run_cli(["verify", "--catalog", "bogus"], tmp_path, "b.txt")
+    assert code == 2
+    assert "timings.stats.peak_rss_mb = " in text
+    assert "timings.stats.nodes" not in text
 
 
 @pytest.mark.parametrize("command", ["verify", "expand"])

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from smmsgeom.curvature import acc_sum
+from smmsgeom.curvature import acc_sum, fold_sum
 from smmsgeom.fields import (Chart, SymTensor2Field, evaluate, evaluate_named,
                              sample_points)
 from smmsgeom.expressions import parse_expression
@@ -175,6 +175,46 @@ def test_charts_with_equal_names_share_no_node():
     ids1 = {id(n) for n in c1.nodes}
     assert not ids1 & {id(n) for n in c2.nodes}
     assert f1.value((0.1, 0.2)) == f2.value((0.1, 0.2))
+
+
+def test_lifts_from_charts_with_equal_names_stay_apart():
+    # the two operands have equal indices, each in its own chart; keyed
+    # by index, the second lift returned the first and read 1.0 twice
+    a, b = Chart(("x",)), Chart(("x",))
+    xy = Chart(("x", "y"))
+    fa, fb = 2 * a.coordinate(0), 3 * b.coordinate(0)
+    assert fa.index == fb.index
+    la, lb = xy.lift(fa), xy.lift(fb)
+    assert la is not lb and la is xy.lift(fa)
+    np.testing.assert_array_equal(evaluate([la, lb], [(0.5, 0.0)]),
+                                  [[1.0], [1.5]])
+
+
+def test_zero_constant_roots_evaluate_to_zero():
+    # the zero constants are the one subclass of nodes (`is_zero`), and a
+    # root is told from a plain float by `isinstance`
+    chart = Chart(("x1", "x2"))
+    x = chart.coordinate(0)
+    pos, neg = chart.zero(), chart.constant(-0.0)
+    assert pos.is_zero and neg.is_zero and not x.is_zero
+    assert not chart.constant(1.0).is_zero
+    values = evaluate([pos, neg, x, 0.0], [(0.25, 0.5), (0.75, 0.5)])
+    np.testing.assert_array_equal(values, [[0.0, 0.0], [0.0, 0.0],
+                                           [0.25, 0.75], [0.0, 0.0]])
+    assert list(np.signbit(values[:2, 0])) == [False, True]
+    assert pos.value((0.1, 0.2)) == 0.0
+    np.testing.assert_array_equal(pos.jet((0.1, 0.2), 2).coeffs, np.zeros(6))
+    assert evaluate_named([(0.1, 0.2)], z=[pos])["z"].tolist() == [[0.0]]
+
+
+def test_fold_sum_with_a_zero_term_is_one_node():
+    # a zero constant has the same n-ary sum as every field, so a list
+    # that holds one is still one sum node, not a chain of partial sums
+    chart = Chart(("x1", "x2"))
+    x, y = chart.coordinates()
+    z = x * y
+    total = fold_sum([chart.zero(), x, y, z])
+    assert total is chart.sum([x, y, z]) and total.a == (x, y, z)
 
 
 def test_negative_zero_constant_keeps_its_sign():

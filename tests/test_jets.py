@@ -186,18 +186,20 @@ def test_jets_match_finite_differences(expr, point):
 
 
 def product_table_loop(nvars, degree):
-    """Reference: the product table by a double loop over exponent pairs."""
+    """Reference: the product table by a double loop over exponent pairs,
+    one total degree of the product at a time."""
     from smmsgeom.jets import _exponent_table
     exps, pos = _exponent_table(nvars, degree)
     ii, jj, kk = [], [], []
-    for i, a in enumerate(exps):
-        da = sum(a)
-        for j, b in enumerate(exps):
-            if da + sum(b) > degree:
-                continue
-            ii.append(i)
-            jj.append(j)
-            kk.append(pos[tuple(x + y for x, y in zip(a, b))])
+    for level in range(degree + 1):
+        for i, a in enumerate(exps):
+            da = sum(a)
+            for j, b in enumerate(exps):
+                if da + sum(b) != level:
+                    continue
+                ii.append(i)
+                jj.append(j)
+                kk.append(pos[tuple(x + y for x, y in zip(a, b))])
     return (np.asarray(ii, dtype=np.intp), np.asarray(jj, dtype=np.intp),
             np.asarray(kk, dtype=np.intp))
 
@@ -235,6 +237,38 @@ def test_product_matches_add_at_bitwise(nvars, degree):
         # bit patterns, so that signed zeros count
         np.testing.assert_array_equal((a * b).coeffs.view(np.uint64),
                                       want.view(np.uint64))
+
+
+def divided_by_levels(a, b):
+    """Reference: graded long division with each level's terms selected by
+    a mask on the product table, I != 0, accumulated by `np.add.at`."""
+    from smmsgeom.jets import _exponent_table, _product_table
+    exps, _ = _exponent_table(a.nvars, a.degree)
+    ii, jj, kk = _product_table(a.nvars, a.degree)
+    level = np.array([sum(e) for e in exps], dtype=np.intp)
+    c = np.zeros_like(a.coeffs)
+    acc = np.zeros_like(a.coeffs)
+    c[0] = a.coeffs[0] / b.coeffs[0]
+    for t in range(1, a.degree + 1):
+        sel = (level[kk] == t) & (ii != 0)
+        np.add.at(acc, kk[sel], b.coeffs[ii[sel]] * c[jj[sel]])
+        at = level == t
+        c[at] = (a.coeffs[at] - acc[at]) / b.coeffs[0]
+    return c
+
+
+@pytest.mark.parametrize("nvars,degree", [(3, 10), (4, 6), (3, 2), (3, 0),
+                                          (5, 4), (1, 8), (2, 5)])
+def test_division_matches_masked_levels_bitwise(nvars, degree):
+    rng = np.random.default_rng(nvars * 100 + degree)
+    n = jet_count(nvars, degree)
+    for _ in range(100):
+        a = Jet(nvars, degree, _random_coeffs(rng, n))
+        b = Jet(nvars, degree, _random_coeffs(rng, n))
+        b.coeffs[0] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+        np.testing.assert_array_equal(
+            (a / b).coeffs.view(np.uint64),
+            divided_by_levels(a, b).view(np.uint64))
 
 
 def test_operations_leave_operands_unchanged():

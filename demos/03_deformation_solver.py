@@ -27,4 +27,5 @@ print("  solver:", np.round(e.g_coeffs[1].matrix_values(p)[0], 6))
 print("  2P    :", np.round(2 * P.matrix_values(p)[0], 6))
 
 print("\nresidual report of the assembled ambient structure:")
-print(order_report(AmbientMetric(e), 1e-9).result().describe())
+print(order_report(AmbientMetric(e), 1e-9,
+                   points=s.sample(10, 0)).result().describe())

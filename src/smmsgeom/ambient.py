@@ -389,17 +389,14 @@ def _coefficient_maxima(blocks):
 
 
 def order_report(a: AmbientMetric, tol: float = 1e-9, *,
-                 points=None) -> Request:
+                 points) -> Request:
     """The request for the measured per-block orders of vanishing of the
     weighted Ricci tensor and the F scalar, against the branch guarantees
-    of the construction, at `points` (default: 10 points of the base box,
-    seed 0); its result is a ResidualReport.  While the solved order is
-    at most 1 the rho_i and rho_rho blocks guarantee no coefficient, so
-    they are neither built nor reported."""
+    of the construction, at `points`; its result is a ResidualReport.
+    While the solved order is at most 1 the rho_i and rho_rho blocks
+    guarantee no coefficient, so they are neither built nor reported."""
     base = a.base
     e = a.expansion
-    if points is None:
-        points = base.sample(10, 0)
     scale = curvature_scale(base, points)
     d, oo = a.d, a.oo
     N = e.order

@@ -44,17 +44,16 @@ check sensitivity.
 
 Each stage builds the fields it checks or prints and hands them on as
 a `fields.Request`; the command then evaluates every request, the
-curvature scale's first and a catalog entry's defining equations
-(`check.catalog_flags`) next, in one `fields.run` call, timed as
-`timings.stage.evaluate`, and reports from the results.  Only input
-validation (the sample points of a config) and the solver's gates (the
-odd critical consistency residual and the continuation past the
-critical order) evaluate before it, inside the setup and expand
-stages.  A command stops at its first error: an error of the sweep is
-that of its first failing point (in the order of the sample points),
-and a stage that fails while the requests are built still has the
-requests before it swept and reported, unless the sweep fails too,
-whose error then comes first.
+curvature scale's first, a catalog entry's defining equations
+(`check.catalog_flags`) and the solver's gates next, in one
+`fields.run` call, timed as `timings.stage.evaluate`, and reports from
+the results.  Only input validation (the sample points of a config)
+evaluates before it.  A command stops at its first error: an error of
+the sweep is that of its first failing point (in the order of the
+sample points), a failing gate's comes before any stage's results, and
+a stage that fails while the requests are built still has the requests
+before it swept and reported, unless the sweep fails too, whose error
+then comes first.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ from .catalog import EntryRejected, load_entry, standard_catalog
 from .config import (MINIMUMS, TOLERANCES, ConfigError, Report,
                      check_tolerance, load_config)
 from .expansion import (ConsistencyError, OrderError, classify_branch,
-                        expand, obstruction)
+                        expand, gate_request, obstruction)
 from . import fields
 from .fields import Request, SymTensor2Field, max_abs
 from .invariants import ValidationError, curvature_scale
@@ -187,13 +186,14 @@ class _Checks:
 
     `add(request, finish)` collects a request; leaving the `with` block
     sweeps them all in one `fields.run`, timed as the evaluate stage,
-    hands each result to its `finish` in order and records the problem
-    chart's DAG counters.  The problem's curvature scale comes first: its
-    finish sets and reports `prob.scale`, which later finishes read.  A catalog entry's defining
-    equations come next, reported as `check.catalog_flags` by every
-    command.  The block is swept when an error leaves it too, so the
-    report keeps what the stages before the error measured, the counters
-    included; an error of the sweep then replaces that error.
+    then hands each request's reduced values to its `finish`, in order,
+    and records the problem chart's DAG counters.  The curvature scale
+    comes first (its finish sets `prob.scale`), a catalog entry's defining
+    equations next, then the solver's gates, whose failing reduction
+    raises before any stage's finish.  The block is swept when an error
+    leaves it too, so the report keeps what the stages before the error
+    measured, the counters included; an error of the sweep or a
+    reduction replaces that error.
     """
 
     def __init__(self, prob, report):
@@ -223,9 +223,10 @@ class _Checks:
     def __exit__(self, *error):
         try:
             with self.report.stage("evaluate"):
-                results = fields.run([request for request, _ in self.pending])
-            for (_, finish), result in zip(self.pending, results):
-                finish(result)
+                values = fields.run([Request(request.roots, request.points)
+                                     for request, _ in self.pending])
+            for (request, finish), v in zip(self.pending, values):
+                finish(request.reduce(v))
         finally:
             _put_counters(self.prob.space.chart, self.report)
         return False
@@ -302,9 +303,12 @@ def _bianchi_check(prob, report, checks):
         "bianchi_residual", worst, prob.tol("bianchi") * prob.scale))
 
 
-def _expansion_for(prob, report):
+def _expansion_for(prob, report, checks, finish=lambda measured: None):
+    """The expansion of the problem, adding the request of its gates."""
     with report.stage("expand"):
-        return expand(prob.space, prob.order, check_points=prob.points)
+        e = expand(prob.space, prob.order)
+        checks.add(gate_request(e, prob.points), finish)
+    return e
 
 
 def _order_report(prob, e, report, checks, finish):
@@ -328,11 +332,13 @@ def cmd_expand(args, report) -> int:
             if not block.ok:
                 report.failures.append(f"order.{name}")
 
-    with _Checks(prob, report) as checks:
-        e = _expansion_for(prob, report)
-        report.put("branch", e.plan.branch.value)
+    def put_notes(measured):
         for n, note in enumerate(e.ambiguity_notes):
-            report.put(f"ambiguity_note.{n}", note)
+            report.put(f"ambiguity_note.{n}", note.format(**measured))
+
+    with _Checks(prob, report) as checks:
+        e = _expansion_for(prob, report, checks, put_notes)
+        report.put("branch", e.plan.branch.value)
         for n, note in enumerate(e.plan.warnings):
             report.put(f"warning.{n}", note)
         if e.obstruction is not None:
@@ -408,7 +414,7 @@ def cmd_obstruction(args, report) -> int:
     prob = _start(args, report)
     with _Checks(prob, report) as checks:
         with report.stage("expand"):
-            obs = obstruction(prob.space, check_points=prob.points)
+            obs = obstruction(prob.space)
         report.put("obstruction.constant", obs.c)
         _obstruction_identities(prob, obs, report, checks)
         with report.stage("coefficients"):
@@ -449,7 +455,7 @@ def _poincare_checks(prob, e, report, checks, cone_points, sides=False):
 def cmd_poincare(args, report) -> int:
     prob = _start(args, report)
     with _Checks(prob, report) as checks:
-        e = _expansion_for(prob, report)
+        e = _expansion_for(prob, report, checks)
         max_even, trunc = _poincare_checks(prob, e, report, checks,
                                            prob.points[:4], sides=True)
         report.put("poincare.max_even_order", max_even)
@@ -471,7 +477,7 @@ def cmd_verify(args, report) -> int:
         corrupt = (_corruption(args.corrupt_coefficient, prob.order,
                                prob.space.dim)
                    if args.corrupt_coefficient else None)
-        e = _expansion_for(prob, report)
+        e = _expansion_for(prob, report, checks)
         if corrupt:
             k, i, j, eps = corrupt
             bad = dict(e.g_coeffs[k].comps)

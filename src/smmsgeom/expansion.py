@@ -45,14 +45,14 @@ import math
 from typing import Optional
 
 from . import curvature as cv
-from .fields import Request, ScalarField, SymTensor2Field, max_abs, run
+from .fields import Request, ScalarField, SymTensor2Field, max_abs
 from .invariants import MetricMeasureSpace, curvature_scale
 from .series import Series
 
 __all__ = [
     "Branch", "BranchGuarantees", "BranchPlan", "RhoExpansion", "RhoSlice",
     "OrderStep", "ObstructionData", "classify_branch", "expand",
-    "solve_order_step", "obstruction", "obstruction_constant",
+    "gate_request", "solve_order_step", "obstruction", "obstruction_constant",
     "closed_form_residual_series", "OrderError", "ConsistencyError",
 ]
 
@@ -154,6 +154,7 @@ class OrderStep:
     upsilon: ScalarField
     trace_system_det: float
     note: Optional[str] = None
+    gate: tuple = ()  # at n = d+m: f, Ferr and tr Rerr, assumed consistent
 
 
 @dataclass
@@ -171,7 +172,10 @@ class RhoExpansion:
     f_coeffs: list
     plan: BranchPlan
     obstruction: Optional[ObstructionData] = None
+    # a gate's note has a format field, named after the gate, for the
+    # value `gate_request` measures
     ambiguity_notes: list = dc_field(default_factory=list)
+    gates: dict = dc_field(default_factory=dict)  # gate name -> roots
 
     def slice(self) -> "RhoSlice":
         """The rho-slice (g_rho, f_rho) of the computed coefficients."""
@@ -303,8 +307,7 @@ def _rho_rho_coefficient(slc: RhoSlice, k: int):
                        -((slc.Fpp * float(geo.m)) / geo.f)], ez).coefficient(k)
 
 
-def solve_order_step(base, g_coeffs, f_coeffs, n, *,
-                     check_points=None) -> OrderStep:
+def solve_order_step(base, g_coeffs, f_coeffs, n) -> OrderStep:
     """Determine the rho^n coefficients given coefficients through n-1."""
     plan = classify_branch(base.dim, base.m)
     dm = plan.dm
@@ -317,7 +320,7 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
     Rtrace = cv.trace(base.geometry.ginv, Rerr, zero)
     det = (2 * n - dm) * (n - dm)
     even_critical = n == plan.n_c
-    note = None
+    note, gate = None, ()
 
     # trace-free part: solvable whenever n != (d+m)/2, where it is the
     # canonical zero choice
@@ -340,18 +343,7 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
         note = ("critical even order: trace-free part and the combination "
                 "tr psi / 2 - (m/f) upsilon set to zero (canonical choice)")
     elif n == plan.n_odd:
-        if check_points is None:
-            check_points = base.sample(10, seed=0)
-        scale, gate = run([curvature_scale(base, check_points),
-                           Request([f0, Ferr, Rtrace], check_points)])
-        worst = 0.0
-        for fv, F, R in gate.T:
-            worst = max(worst, abs((m / fv ** 2) * F - R))
-        if worst > CONSISTENCY_TOL * scale:
-            raise ConsistencyError(
-                f"consistency residual {worst:.3e} at order n = {n} exceeds "
-                f"{CONSISTENCY_TOL:.1e} x scale {scale:.3e}; the inputs are "
-                f"outside the construction's hypotheses or precision degraded")
+        gate = (f0, Ferr, Rtrace)
         omega = -(Ferr / (f0 * f0)) * (1.0 / dm)
         # the null direction (tau, upsilon) = (2d, f) of the trace system
         # moves the rho^(n-2) coefficient of Ric[oo oo] by -n(n-1)(d+m):
@@ -359,9 +351,9 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
         null = _rho_rho_coefficient(slc, n - 2) * (1.0 / (n * (n - 1) * dm))
         tau = omega * (2.0 * m / dm) + null * (2.0 * d)
         upsilon = f0 * null - (f0 * omega) * (1.0 / dm)
-        note = (f"critical order n = d+m: consistency residual {worst:.2e}; "
-                "the combination tr psi / 2 + (m/f) upsilon fixed by the "
-                "rho-rho equation")
+        note = ("critical order n = d+m: consistency residual "
+                "{consistency:.2e}; the combination tr psi / 2 + (m/f) "
+                "upsilon fixed by the rho-rho equation")
     elif det == 0.0:
         raise OrderError(
             f"trace system determinant vanishes at order n = {n} outside the "
@@ -380,7 +372,7 @@ def solve_order_step(base, g_coeffs, f_coeffs, n, *,
     psi = [[psi_tf[i][j] + (g0[i][j] * tau) * (1.0 / d) for j in range(d)]
            for i in range(d)]
     return OrderStep(n, SymTensor2Field.from_matrix(chart, psi), upsilon,
-                     det, note)
+                     det, note, gate)
 
 
 def obstruction_constant(dm: int) -> float:
@@ -392,28 +384,26 @@ def obstruction_constant(dm: int) -> float:
 def _measure_obstruction(base, n_c, g_coeffs, f_coeffs):
     """ObstructionData at the even critical order `n_c` from the
     coefficients through n_c."""
-    Rt, Ft = closed_form_residual_series(RhoSlice(base, g_coeffs, f_coeffs))
-    d = base.dim
+    Rerr, Ferr, _ = _residual_coefficients(base, g_coeffs, f_coeffs, n_c)
     c = obstruction_constant(2 * n_c)
     factor = c * math.factorial(n_c - 1)
-    tensor = SymTensor2Field.from_matrix(base.chart, [
-        [Rt[i][j].coefficient(n_c - 1) * factor for j in range(d)] for i in range(d)])
-    scalar_part = Ft.coefficient(n_c - 1) * factor
-    return ObstructionData(tensor, scalar_part, c)
+    tensor = SymTensor2Field.from_matrix(
+        base.chart, [[x * factor for x in row] for row in Rerr])
+    return ObstructionData(tensor, Ferr * factor, c)
 
 
-def expand(s: MetricMeasureSpace, order: int, *,
-           check_points=None) -> RhoExpansion:
+def expand(s: MetricMeasureSpace, order: int) -> RhoExpansion:
     """Solve the ambient deformation through the requested rho order.
 
     Spatial jets of g and f to degree 2*order + 2 back the computation;
     the degree bookkeeping is automatic in the lazy field evaluation.
     On the even branch from order n_c - 1 on, the solver runs through
-    the critical order n_c and measures the obstruction right after that
+    the critical order n_c and builds the obstruction right after that
     step; the steps past `order` are read for it and then dropped.
-    Orders past n_c require the measured obstruction to vanish
-    (continuation), and every canonical choice made at a critical order
-    is recorded in `ambiguity_notes`.
+    Every canonical choice made at a critical order is recorded in
+    `ambiguity_notes`.  The solve evaluates nothing: the gates it passes
+    on trust (the continuation past n_c, the consistency at n = d+m) are
+    recorded in `gates` and measured by `gate_request`.
     """
     if order < 1:
         raise OrderError("expansion order must be at least 1")
@@ -425,42 +415,65 @@ def expand(s: MetricMeasureSpace, order: int, *,
     g_coeffs = [s.g]
     f_coeffs = [s.f]
     notes = []
+    gates = {}
     obst = None
 
-    if check_points is None and s.chart.box is not None:
-        check_points = s.sample(10, seed=0)
-
     for n in range(1, last + 1):
-        step = solve_order_step(s, g_coeffs, f_coeffs, n,
-                                check_points=check_points)
+        step = solve_order_step(s, g_coeffs, f_coeffs, n)
         g_coeffs.append(step.psi)
         f_coeffs.append(step.upsilon)
         if n <= order and step.note:
             notes.append(f"order {n}: {step.note}")
+        if step.gate:
+            gates["consistency"] = step.gate
         if n != n_c:
             continue
         obst = _measure_obstruction(s, n_c, g_coeffs, f_coeffs)
         if order > n_c:
-            # continuation past the critical order needs a vanishing
-            # obstruction
-            scale, worst = run([
-                curvature_scale(s, check_points),
-                Request(obst.tensor.entries(), check_points, max_abs)])
-            if worst > OBSTRUCTION_CONTINUATION_TOL * scale:
-                raise OrderError(
-                    f"order {order} requested past the critical order {n_c}, "
-                    f"but the obstruction tensor is nonzero (measured "
-                    f"{worst:.3e} > {OBSTRUCTION_CONTINUATION_TOL:.1e} x scale "
-                    f"{scale:.3e}); the expansion stops at order {n_c}")
+            gates["continuation"] = obst.tensor.entries()
             notes.append(
                 f"continuation past the critical order {n_c}: measured "
-                f"obstruction {worst:.2e} within tolerance")
+                "obstruction {continuation:.2e} within tolerance")
 
     return RhoExpansion(s, order, g_coeffs[:order + 1], f_coeffs[:order + 1],
-                        plan, obst, notes)
+                        plan, obst, notes, gates)
 
 
-def obstruction(s: MetricMeasureSpace, *, check_points=None) -> ObstructionData:
+def gate_request(e: RhoExpansion, points) -> Request:
+    """The request that measures the gates of `e` at `points`: the
+    obstruction past n_c, then the consistency residual at n = d+m, each
+    against the curvature scale.  Its reduction raises the error of the
+    first gate that fails, else gives gate name -> measured value."""
+    scale = curvature_scale(e.base, points)
+    m, n_c = float(e.base.m), e.plan.n_c
+
+    def reduce(v):
+        limit = scale.reduce(v.pop("scale").T)
+        measured = {}
+        if "continuation" in v:
+            worst = measured["continuation"] = max_abs(v["continuation"])
+            if worst > OBSTRUCTION_CONTINUATION_TOL * limit:
+                raise OrderError(
+                    f"order {e.order} requested past the critical order {n_c}, "
+                    f"but the obstruction tensor is nonzero (measured "
+                    f"{worst:.3e} > {OBSTRUCTION_CONTINUATION_TOL:.1e} x scale "
+                    f"{limit:.3e}); the expansion stops at order {n_c}")
+        if "consistency" in v:
+            worst = measured["consistency"] = max(
+                [0.0] + [abs((m / fv ** 2) * F - R)
+                         for fv, F, R in v["consistency"]])
+            if worst > CONSISTENCY_TOL * limit:
+                raise ConsistencyError(
+                    f"consistency residual {worst:.3e} at order n = "
+                    f"{e.plan.n_odd} exceeds {CONSISTENCY_TOL:.1e} x scale "
+                    f"{limit:.3e}; the inputs are outside the construction's "
+                    f"hypotheses or precision degraded")
+        return measured
+
+    return Request.named(points, reduce, scale=scale.roots, **e.gates)
+
+
+def obstruction(s: MetricMeasureSpace) -> ObstructionData:
     """The obstruction tensor and scalar at order (d+m)/2 - 1.
 
     Defined only when d+m is an even integer (>= 4, as d >= 3).  The rho-jet
@@ -471,4 +484,4 @@ def obstruction(s: MetricMeasureSpace, *, check_points=None) -> ObstructionData:
     if plan.n_c is None:
         raise OrderError(f"obstruction requires d+m an even integer; "
                          f"d+m = {plan.dm}")
-    return expand(s, plan.n_c, check_points=check_points).obstruction
+    return expand(s, plan.n_c).obstruction

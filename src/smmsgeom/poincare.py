@@ -169,8 +169,8 @@ def fixed_r_space(p: PoincareStructure):
     return MetricMeasureSpace(chart, g_plus, f_plus, base.m, base.mu)
 
 
-def cone_identity_check(p: PoincareStructure, *, points=None) -> Request:
-    """The request that verifies both cone identities at r = R.
+def cone_identity_check(p: PoincareStructure, *, points) -> Request:
+    """The request that verifies both cone identities at r = R and `points`.
 
     Its result is (worst_ricci, worst_F, sides): the worst absolute
     two-sided disagreements and a sample of the individually nonzero
@@ -181,8 +181,6 @@ def cone_identity_check(p: PoincareStructure, *, points=None) -> Request:
     space_plus = fixed_r_space(p)
     chart = space_plus.chart
     dm = d + float(base.m)
-    if points is None:
-        points = base.sample(4, seed=0)
     xr_points = [tuple(pt) + (R,) for pt in points]
     geo = space_plus.geometry
 

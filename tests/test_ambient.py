@@ -273,7 +273,7 @@ def test_rho_rho_block_responds_to_injected_perturbation():
 def test_order_report_noninteger():
     s = random_entry(d=3, m=0.5, mu=0.2, seed=5).space
     a = AmbientMetric(expand(s, 3))
-    rep = order_report(a, 1e-9).result()
+    rep = order_report(a, 1e-9, points=s.sample(10, 0)).result()
     assert rep.ok
     assert rep.blocks["ij"].guaranteed == 2
     assert rep.blocks["ij"].first_violation is None
@@ -284,7 +284,7 @@ def test_order_report_noninteger():
 def test_order_report_even_branch_pattern():
     s = random_entry(d=3, m=1.0, mu=0.1, seed=21).space
     a = AmbientMetric(expand(s, 2))
-    rep = order_report(a, 1e-9).result()
+    rep = order_report(a, 1e-9, points=s.sample(10, 0)).result()
     assert rep.ok
     ij = rep.blocks["ij"]
     # residual survives at the obstruction order (d+m)/2 - 1 = 1

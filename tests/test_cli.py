@@ -370,10 +370,9 @@ def test_cli_verify_dag_bytes_per_node(tmp_path):
 
 
 def test_cli_verify_recomputes_at_most_in_proportion_to_the_points(tmp_path):
-    # a node is computed again only where an evaluation before the sweep
-    # (input validation, a solver gate) computed it at the same point; a
-    # memo shared between stages recomputed 23,469 nodes at 10 points
-    # against 676 at 1
+    # a node is computed again only where input validation, before the
+    # sweep, computed it at the same point; a memo shared between stages
+    # recomputed 23,469 nodes at 10 points against 676 at 1
     path = tmp_path / "even.cfg"
     path.write_text(random_config(51, 1.0, 0.1, 2))
     counts = []
@@ -588,6 +587,29 @@ def test_cli_expand_past_obstruction_structured_error(tmp_path):
                          tmp_path, "pe.txt")
     assert code == 2
     assert "error = OrderError" in text and "obstruction" in text
+
+
+@pytest.mark.parametrize("command", ["expand", "poincare", "verify"])
+def test_cli_failing_gate_is_one_request_of_the_sweep(tmp_path, command):
+    # past a nonzero obstruction: the continuation gate's error comes after
+    # the scale is reported, and the command recomputes only what input
+    # validation computed, as `invariants` does
+    path = tmp_path / "even.cfg"
+    path.write_text(random_config(51, 1.0, 0.1, 3))
+    recomputed = []
+    for name in ("invariants", command):
+        code, text = run_cli([name, "--config", str(path)], tmp_path,
+                             f"{name}.txt")
+        recomputed.append(next(line for line in text.splitlines()
+                               if line.startswith("timings.stats.recomputed")))
+    assert code == 2
+    assert ("error = OrderError: order 3 requested past the critical order "
+            "2, but the obstruction tensor is nonzero (measured 1.969e-01 > "
+            "1.0e-10 x scale 1.000e+00); the expansion stops at order 2\n"
+            in text)
+    assert "\nscale = 1\n" in text
+    assert "ambiguity_note" not in text
+    assert recomputed[0] == recomputed[1]
 
 
 def test_cli_near_integer_dm_uses_snapped_branch(tmp_path):

@@ -10,11 +10,18 @@ from smmsgeom import invariants as inv
 from smmsgeom.catalog import (flat_space, hyperbolic_upper_half_space,
                               load_entry, quasi_einstein_entry, random_entry,
                               round_sphere_space)
-from smmsgeom.expansion import (Branch, ConsistencyError, OrderError,
-                                classify_branch, closed_form_residual_series,
-                                expand, obstruction, obstruction_constant,
-                                solve_order_step)
+from smmsgeom.expansion import (CONSISTENCY_TOL, Branch, ConsistencyError,
+                                OrderError, classify_branch,
+                                closed_form_residual_series, expand,
+                                gate_request, obstruction,
+                                obstruction_constant, solve_order_step)
 from smmsgeom.fields import evaluate, evaluate_named, max_abs
+
+
+def gate_notes(e, points):
+    """The notes of `e`, with the gates measured at `points`."""
+    measured = gate_request(e, points).result()
+    return [note.format(**measured) for note in e.ambiguity_notes]
 
 
 def residual_worst(space, e, orders, points):
@@ -203,20 +210,23 @@ def test_continuation_reads_the_obstruction_of_the_critical_step():
     e2, e3 = expand(s, 2), expand(s, 3)
     assert all(a is b for a, b in zip(obstruction_objects(e2),
                                       obstruction_objects(e3)))
-    assert sum("continuation" in note for note in e3.ambiguity_notes) == 1
+    notes = gate_notes(e3, s.sample(10, seed=0))
+    assert sum("continuation" in note for note in notes) == 1
 
 
 def test_even_branch_blocks_past_obstruction():
     s = random_entry(d=3, m=1.0, mu=0.1, seed=21).space
+    e = expand(s, 3)
     with pytest.raises(OrderError, match="obstruction"):
-        expand(s, 3)
+        gate_request(e, s.sample(10, seed=0)).result()
 
 
 def test_even_branch_continuation_when_obstruction_vanishes():
     # the round sphere with f = 1, m = 1 has d+m = 4 and zero obstruction
     s = round_sphere_space(d=3, m=1.0, mu=-1.0)
     e = expand(s, 3)
-    assert any("continuation" in note for note in e.ambiguity_notes)
+    assert any("continuation" in note
+               for note in gate_notes(e, s.sample(10, seed=0)))
     a = 0.5  # Schouten eigenvalue of the unit sphere
     p = (0.1, -0.05, 0.2)
     gm = s.g.matrix_values(p)
@@ -330,9 +340,44 @@ def test_odd_critical_step_solves_and_records():
     # cheap odd-critical exercise: flat space reaches n = d+m = 5 trivially
     s = flat_space(d=3, m=2.0, mu=0.0)
     e = expand(s, 5)
-    assert any("critical order n = d+m" in note for note in e.ambiguity_notes)
+    assert any("critical order n = d+m" in note
+               for note in gate_notes(e, s.sample(10, seed=0)))
     p = (0.05, 0.1, -0.1)
     assert np.allclose(e.g_coeffs[5].matrix_values(p), 0.0, atol=1e-12)
+
+
+def test_consistency_gate_fails_above_its_limit():
+    s = flat_space(d=3, m=2.0, mu=0.0)
+    e = expand(s, 5)
+    assert list(e.gates) == ["consistency"]
+    pts = s.sample(3, seed=0)
+    request = gate_request(e, pts)
+    values = evaluate(request.roots, pts)
+    scale = inv.curvature_scale(s, pts).result()
+    limit = CONSISTENCY_TOL * scale
+    # the last three rows are f, Ferr and tr Rerr: at Ferr = 0 the
+    # residual (m/f^2) Ferr - tr Rerr is -tr Rerr
+    values[-3:-1] = [[1.0] * 3, [0.0] * 3]
+    values[-1] = [0.0, -0.99 * limit, 0.0]
+    assert request.reduce(values) == {"consistency": 0.99 * limit}
+    values[-1, 1] = -2.0 * limit
+    with pytest.raises(ConsistencyError) as failure:
+        request.reduce(values)
+    assert str(failure.value) == (
+        f"consistency residual {2.0 * limit:.3e} at order n = 5 exceeds "
+        f"1.0e-08 x scale {scale:.3e}; the inputs are outside the "
+        f"construction's hypotheses or precision degraded")
+
+
+@pytest.mark.parametrize("m, order, gate", [(2.0, 5, "consistency"),
+                                            (1.0, 3, "continuation")])
+def test_expand_evaluates_nothing(m, order, gate):
+    s = flat_space(d=3, m=m, mu=0.0)
+    chart = s.chart
+    before = chart.evaluations, chart.computed
+    e = expand(s, order)
+    assert (chart.evaluations, chart.computed) == before
+    assert list(e.gates) == [gate]
 
 
 def test_quasi_einstein_solver_matches_closed_form():

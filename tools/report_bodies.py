@@ -6,10 +6,12 @@ Runs `invariants`, `expand`, `obstruction`, `poincare` and `verify` on
 every `configs/*.cfg`, on every catalog entry, on the `wlcf` entry at
 `--seed 7` (its defining equations are checked at that seed's points),
 on the seed-51 random-deep and even-critical configs of
-`bench/inputs.random_config` and on a seed-51 config that reaches the
-odd critical order n = d+m = 5: 65 reports, each from its own
+`bench/inputs.random_config`, on a seed-51 config that reaches the
+odd critical order n = d+m = 5 and on the even-critical config at
+order 3, past its nonzero obstruction: 70 reports, each from its own
 `python3 -m smmsgeom.cli` child of this checkout (`obstruction` exits 2
-where d+m is not an even integer).
+where d+m is not an even integer, and `expand`, `poincare` and `verify`
+exit 2 past the obstruction, from the continuation gate).
 Writes the body of each (every line before the first `timings.` line)
 to OUTDIR/<command>.<input>.txt, and prints one line per report with
 its exit status and `timings.stats.nodes`, `.max_degree`, `.unread`,
@@ -36,10 +38,12 @@ CATALOG = ("flat", "quasi-einstein", "wlcf", "gover-leitner",
 # the deterministic counts; peak_rss_mb is printed but not kept
 STATS = ("nodes", "max_degree", "unread", "computed", "recomputed")
 # (name, d, m, mu, seed, order) as the random-deep and even-critical
-# workloads generate them, and one through the odd critical order d+m
+# workloads generate them, one through the odd critical order d+m and
+# one past the even critical order, whose continuation gate fails
 RANDOM = (("random-deep-s51", 3, 0.5, 0.1, 51, 4),
           ("even-critical-s51", 3, 1.0, 0.1, 51, 2),
-          ("odd-critical-s51", 3, 2.0, 0.1, 51, 5))
+          ("odd-critical-s51", 3, 2.0, 0.1, 51, 5),
+          ("even-past-critical-s51", 3, 1.0, 0.1, 51, 3))
 
 
 # writes random_config(d, m, mu, seed, order) to a path, in a child: a

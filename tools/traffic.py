@@ -2,7 +2,7 @@
 
     python3 tools/traffic.py WORKDIR
 
-Runs, in this one process, the 60 commands of `tools/report_bodies.py`
+Runs, in this one process, the 70 commands of `tools/report_bodies.py`
 (writing its random configs to WORKDIR) plus one
 `verify --corrupt-coefficient`, each through `smmsgeom.cli.main`, under
 a `sys.setprofile` hook that is installed before the package is first

@@ -18,7 +18,7 @@ print("  ", np.round((x.exp() * (2.0 * x).exp()).coeffs, 6))
 
 # division is a graded long division with machine-precision noise floor
 z = Jet.variable(0.8, 0, 1, 8)
-recip = 1.0 / (z * z)
+recip = (z * z).reciprocal()
 exact = [(-1.0) ** k * (k + 1) * 0.8 ** (-(2 + k)) for k in range(9)]
 print("max error of 1/z^2 coefficients at degree 8:",
       np.max(np.abs(recip.coeffs - exact)))

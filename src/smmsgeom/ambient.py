@@ -337,33 +337,11 @@ class BlockReport:
         """Every guaranteed coefficient within the tolerance (NaN fails)."""
         return bool(self.worst <= self.tol_abs)
 
-    def describe(self) -> str:
-        fv = self.first_violation
-        vanish = ("all computed coefficients" if fv is None
-                  else f"coefficients through {fv - 1}" if fv else "none")
-        status = "ok" if self.ok else "VIOLATION"
-        return (f"{self.name}: vanishing {vanish}; "
-                f"guaranteed through {self.guaranteed}; "
-                f"{status}; magnitudes "
-                + " ".join(f"{v:.2e}" for v in self.coeff_max))
-
 
 @dataclass
 class ResidualReport:
     blocks: dict
-    scale: float
-    tol: float
     branch: Branch
-    order: int
-
-    @property
-    def ok(self) -> bool:
-        return all(b.ok for b in self.blocks.values())
-
-    def describe(self) -> str:
-        head = (f"branch {self.branch.value}, order {self.order}, "
-                f"scale {self.scale:.3e}, tol {self.tol:.1e} (relative)")
-        return "\n".join([head] + [b.describe() for b in self.blocks.values()])
 
 
 def _coefficient_maxima(blocks):
@@ -440,7 +418,6 @@ def order_report(a: AmbientMetric, tol: float = 1e-9, *,
         worst = maxima(vals[cut:])
         return ResidualReport(
             {name: BlockReport(label, worst[name], guaranteed, tol * s)
-             for name, (label, guaranteed) in blocks.items()},
-            s, tol, branch, N)
+             for name, (label, guaranteed) in blocks.items()}, branch)
 
     return Request(scale.roots + roots, points, reduce)

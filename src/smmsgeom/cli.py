@@ -53,7 +53,9 @@ the sweep is that of its first failing point (in the order of the
 sample points), a failing gate's comes before any stage's results, and
 a stage that fails while the requests are built still has the requests
 before it swept and reported, unless the sweep fails too, whose error
-then comes first.
+then comes first.  `obstruction` at a d+m that is not an even integer
+fails before anything is built: its report has the config echo, the
+error and the counters of input validation.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from .catalog import EntryRejected, load_entry, standard_catalog
 from .config import (MINIMUMS, TOLERANCES, ConfigError, Report,
                      check_tolerance, load_config)
 from .expansion import (ConsistencyError, OrderError, classify_branch,
-                        expand, gate_request, obstruction)
+                        critical_order, expand, gate_request, obstruction)
 from . import fields
 from .fields import Request, SymTensor2Field, max_abs
 from .invariants import ValidationError, curvature_scale
@@ -161,13 +163,7 @@ class _Problem:
         if args.tol is not None:
             self.tolerances["residual"] = args.tol
         self.points = self.space.sample(self.points_n, self.seed)
-        self.scale_request = curvature_scale(self.space, self.points)
-        self.scale = None  # the result of `scale_request`, once swept
-        # at six points of the run's seed: the first six of `points` when
-        # it has six or more
-        self.entry_request = (None if self.catalog_entry is None else
-                              self.catalog_entry.verify(
-                                  self.space.sample(6, self.seed)))
+        self.scale = None  # the curvature scale, once swept
 
     def tol(self, name):
         return float(self.tolerances.get(name, TOLERANCES[name]))
@@ -189,19 +185,24 @@ class _Checks:
     then hands each request's reduced values to its `finish`, in order,
     and records the problem chart's DAG counters.  The curvature scale
     comes first (its finish sets `prob.scale`), a catalog entry's defining
-    equations next, then the solver's gates, whose failing reduction
-    raises before any stage's finish.  The block is swept when an error
-    leaves it too, so the report keeps what the stages before the error
-    measured, the counters included; an error of the sweep or a
-    reduction replaces that error.
+    equations next, both built in the setup stage, then the solver's
+    gates, whose failing reduction raises before any stage's finish.  The
+    block is swept when an error leaves it too, so the report keeps what
+    the stages before the error measured, the counters included; an error
+    of the sweep or a reduction replaces that error.
     """
 
     def __init__(self, prob, report):
         self.prob = prob
         self.report = report
-        self.pending = [(prob.scale_request, self._scale)]
-        if prob.entry_request is not None:
-            self.pending.append((prob.entry_request, self._entry))
+        with report.stage("setup"):
+            self.pending = [(curvature_scale(prob.space, prob.points),
+                             self._scale)]
+            if prob.catalog_entry is not None:
+                # at six points of the run's seed: the first six of
+                # `points` when it has six or more
+                self.pending.append((prob.catalog_entry.verify(
+                    prob.space.sample(6, prob.seed)), self._entry))
 
     def _scale(self, scale):
         self.prob.scale = scale
@@ -412,6 +413,12 @@ def _obstruction_identities(prob, obs, report, checks):
 
 def cmd_obstruction(args, report) -> int:
     prob = _start(args, report)
+    try:
+        critical_order(prob.space)
+    except OrderError:
+        # d+m alone decides, so nothing is built
+        _put_counters(prob.space.chart, report)
+        raise
     with _Checks(prob, report) as checks:
         with report.stage("expand"):
             obs = obstruction(prob.space)

@@ -52,8 +52,9 @@ from .series import Series
 __all__ = [
     "Branch", "BranchGuarantees", "BranchPlan", "RhoExpansion", "RhoSlice",
     "OrderStep", "ObstructionData", "classify_branch", "expand",
-    "gate_request", "solve_order_step", "obstruction", "obstruction_constant",
-    "closed_form_residual_series", "OrderError", "ConsistencyError",
+    "gate_request", "solve_order_step", "critical_order", "obstruction",
+    "obstruction_constant", "closed_form_residual_series", "OrderError",
+    "ConsistencyError",
 ]
 
 BRANCH_SNAP_TOL = 1e-9
@@ -473,15 +474,21 @@ def gate_request(e: RhoExpansion, points) -> Request:
     return Request.named(points, reduce, scale=scale.roots, **e.gates)
 
 
-def obstruction(s: MetricMeasureSpace) -> ObstructionData:
-    """The obstruction tensor and scalar at order (d+m)/2 - 1.
-
-    Defined only when d+m is an even integer (>= 4, as d >= 3).  The rho-jet
-    coefficient is converted to a rho-derivative with the factor
-    ((d+m)/2 - 1)!.
-    """
+def critical_order(s: MetricMeasureSpace) -> int:
+    """The even critical order n_c = (d+m)/2 of the obstruction; an
+    OrderError unless d+m is an even integer (>= 4, as d >= 3)."""
     plan = classify_branch(s.dim, s.m)
     if plan.n_c is None:
         raise OrderError(f"obstruction requires d+m an even integer; "
                          f"d+m = {plan.dm}")
-    return expand(s, plan.n_c).obstruction
+    return plan.n_c
+
+
+def obstruction(s: MetricMeasureSpace) -> ObstructionData:
+    """The obstruction tensor and scalar at order (d+m)/2 - 1.
+
+    Defined only when d+m is an even integer (`critical_order`).  The
+    rho-jet coefficient is converted to a rho-derivative with the factor
+    ((d+m)/2 - 1)!.
+    """
+    return expand(s, critical_order(s)).obstruction

@@ -211,9 +211,6 @@ class Chart:
             node = table[i] = ScalarField(self, "coord", None, None, i)
         return node
 
-    def coordinates(self):
-        return [self.coordinate(i) for i in range(self.dim)]
-
     def constant(self, value: float) -> "ScalarField":
         value = float(value)
         table = self._tables[("const", math.copysign(1.0, value))]
@@ -388,9 +385,6 @@ class ScalarField:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if self.is_zero and isinstance(other, (int, float)):

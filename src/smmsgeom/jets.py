@@ -245,13 +245,6 @@ class Jet:
         _, pos = _exponent_table(self.nvars, self.degree)
         return float(self.coeffs[pos[tuple(alpha)]])
 
-    def derivative(self, alpha) -> float:
-        """Mixed partial d^alpha F(p) (the coefficient times alpha!)."""
-        fact = 1.0
-        for a in alpha:
-            fact *= math.factorial(a)
-        return self.coefficient(alpha) * fact
-
     def truncated(self, degree: int) -> "Jet":
         """The degree-`degree` prefix, as a view: jets are never written
         after construction."""
@@ -278,15 +271,6 @@ class Jet:
         return Jet(self.nvars, self.degree, self.coeffs + other.coeffs)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(self.nvars, self.degree, -self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -float(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -322,9 +306,6 @@ class Jet:
             return Jet(self.nvars, self.degree, self.coeffs / float(other))
         self._check(other)
         return self._divided_by(other)
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * float(other)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):

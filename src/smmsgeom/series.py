@@ -256,14 +256,6 @@ class Series:
         """Apply fn to every coefficient (e.g. a spatial partial derivative)."""
         return Series([fn(c) for c in self.coeffs], self.shift, self.trunc, self.zero)
 
-    def eval_at(self, x: float, value_fn=None):
-        """Numeric value at X = x, evaluating coefficients via value_fn."""
-        total = 0.0
-        for p, c in self._items():
-            v = c if isinstance(c, (int, float)) else value_fn(c)
-            total += v * x ** p
-        return total
-
     def __repr__(self):
         t = "exact" if self.trunc is None else f"O(X^{self.trunc + 1})"
         return f"Series(shift={self.shift}, len={len(self.coeffs)}, {t})"

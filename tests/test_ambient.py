@@ -274,18 +274,18 @@ def test_order_report_noninteger():
     s = random_entry(d=3, m=0.5, mu=0.2, seed=5).space
     a = AmbientMetric(expand(s, 3))
     rep = order_report(a, 1e-9, points=s.sample(10, 0)).result()
-    assert rep.ok
+    assert all(b.ok for b in rep.blocks.values())
     assert rep.blocks["ij"].guaranteed == 2
     assert rep.blocks["ij"].first_violation is None
     assert rep.blocks["t_row"].guaranteed == 1
-    assert "NonInteger" in rep.describe()
+    assert rep.branch is Branch.NON_INTEGER
 
 
 def test_order_report_even_branch_pattern():
     s = random_entry(d=3, m=1.0, mu=0.1, seed=21).space
     a = AmbientMetric(expand(s, 2))
     rep = order_report(a, 1e-9, points=s.sample(10, 0)).result()
-    assert rep.ok
+    assert all(b.ok for b in rep.blocks.values())
     ij = rep.blocks["ij"]
     # residual survives at the obstruction order (d+m)/2 - 1 = 1
     assert ij.guaranteed == 0
@@ -297,8 +297,8 @@ def test_order_report_even_branch_pattern():
 def test_order_report_flat_everything_vanishes():
     a, s = flat_ambient(order=4)
     rep = order_report(a, 1e-9, points=[(0.1, 0.2, -0.3)]).result()
-    assert rep.ok
     for b in rep.blocks.values():
+        assert b.ok
         assert b.first_violation is None
 
 

@@ -533,22 +533,26 @@ def test_cli_catalog_equations_checked_once_in_the_sweep(tmp_path, command):
     # construction evaluates nothing, so the sweep recomputes nothing
     code, text = run_cli([command, "--catalog", "quasi-einstein"], tmp_path,
                          "qe.txt")
-    assert "check.catalog_flags.ok = true\n" in text
     if command == "obstruction":
-        # d+m = 5: the sweep still reports what was built before the error
+        # d+m = 5: the command fails before the equations are built
         assert code == 2
         assert "error = OrderError: obstruction requires d+m an even" in text
+        assert "check.catalog_flags" not in text
     else:
         assert code == 0, text
+        assert "check.catalog_flags.ok = true\n" in text
         assert "timings.stats.recomputed = 0\n" in text
 
 
 def test_cli_error_report_gives_the_dag_counters(tmp_path):
-    # d+m = 5: the obstruction fails once the problem is resolved, and the
-    # report counts the DAG the stages before the error built
-    code, text = run_cli(["obstruction", "--catalog", "quasi-einstein"],
-                         tmp_path, "qe.txt")
+    # past a nonzero obstruction the continuation gate fails in the sweep,
+    # and the report counts the DAG the stages before the error built
+    path = tmp_path / "even.cfg"
+    path.write_text(random_config(51, 1.0, 0.1, 3))
+    code, text = run_cli(["expand", "--config", str(path)], tmp_path,
+                         "e.txt")
     assert code == 2
+    assert "error = OrderError: order 3 requested past the critical" in text
     stats = dict(line[len("timings.stats."):].split(" = ")
                  for line in text.splitlines()
                  if line.startswith("timings.stats."))
@@ -730,10 +734,59 @@ def test_cli_poincare_builds_the_residual_through_the_guaranteed_power(
     assert int(stats["nodes"]) <= 5000
 
 
+@pytest.mark.parametrize("argv,validation", [
+    # the 66 computations of input validation: g and f at the one point
+    (["--config", "deep.cfg"], 66),
+    # a catalog entry's space is not checked at its points
+    (["--catalog", "quasi-einstein"], 0),
+])
+def test_cli_obstruction_at_odd_dm_builds_nothing(tmp_path, monkeypatch,
+                                                  argv, validation):
+    # d+m = 3.5 and 5: the config alone decides the error, so neither the
+    # curvature scale nor a catalog entry's equations are built or swept
+    # (1,215 and 4,368 computations before the error was raised)
+    (tmp_path / "deep.cfg").write_text(random_config(51, 0.5, 0.1, 4))
+    monkeypatch.chdir(tmp_path)
+    code, text = run_cli(["obstruction", *argv], tmp_path, "o.txt")
+    assert code == 2
+    body = [line.split(" = ")[0] for line in text.splitlines()
+            if not line.startswith("timings.")]
+    assert body == ["schema_version", "command", "config.dimension",
+                    "config.label", "config.m", "config.mu", "config.order",
+                    "config.points", "config.seed", "error", "tool_version"]
+    assert "error = OrderError: obstruction requires d+m an even" in text
+    assert f"timings.stats.computed = {validation}\n" in text
+
+
 def test_cli_obstruction_branch_error(config_path, tmp_path):
     code, text = run_cli(["obstruction", "--config", config_path], tmp_path, "o.txt")
     assert code == 2
     assert "error = OrderError" in text
+
+
+def test_cli_verify_runs_the_analytic_jets(tmp_path, monkeypatch):
+    # configs/analytic.cfg is the one standard input whose jets pass
+    # through log, sqrt, sinh, cosh and the reciprocal (a negative power)
+    from smmsgeom.jets import Jet
+    calls = dict.fromkeys(("log", "sqrt", "sinh", "cosh", "reciprocal"), 0)
+    for name in calls:
+        def counted(self, name=name, jet=getattr(Jet, name)):
+            calls[name] += 1
+            return jet(self)
+        monkeypatch.setattr(Jet, name, counted)
+    path = os.path.join(os.path.dirname(FLAT_CFG), "analytic.cfg")
+    bodies = []
+    for n in range(2):
+        code, text = run_cli(["verify", "--config", path], tmp_path,
+                             f"a{n}.txt")
+        assert code == 0, text
+        checks = [line for line in text.splitlines()
+                  if line.startswith("check.") and ".ok = " in line]
+        assert len(checks) == 11
+        assert all(line.endswith(".ok = true") for line in checks), checks
+        bodies.append(text[:text.index("timings.")])
+    assert bodies[0] == bodies[1]
+    assert all(calls.values()), calls
 
 
 def test_cli_determinism(config_path, tmp_path):

@@ -35,7 +35,8 @@ def test_parsed_jet_matches_finite_differences():
 
     for alpha in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (3, 0), (0, 3)]:
         want = fd_derivative(numeric, point, alpha, h=1e-3)
-        assert jet.derivative(alpha) == pytest.approx(want, rel=1e-6, abs=1e-6)
+        got = jet.coefficient(alpha) * math.prod(map(math.factorial, alpha))
+        assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
 
 
 def test_precedence_and_power():

@@ -155,7 +155,7 @@ def test_sym_tensor_storage_and_values():
 
 
 def test_structurally_equal_fields_are_one_node():
-    x, y = CHART.coordinates()
+    x, y = CHART.coordinate(0), CHART.coordinate(1)
     assert x * y is x * y
     assert (x + 1.0).partial(0) is (x + 1.0).partial(0)
     f = parse_expression("sin(x1)*x2", CHART)
@@ -211,7 +211,7 @@ def test_fold_sum_with_a_zero_term_is_one_node():
     # a zero constant has the same n-ary sum as every field, so a list
     # that holds one is still one sum node, not a chain of partial sums
     chart = Chart(("x1", "x2"))
-    x, y = chart.coordinates()
+    x, y = chart.coordinate(0), chart.coordinate(1)
     z = x * y
     total = fold_sum([chart.zero(), x, y, z])
     assert total is chart.sum([x, y, z]) and total.a == (x, y, z)
@@ -239,7 +239,7 @@ def _check_deep_sum(nary):
     evaluated at a recursion limit of 1000."""
     def build():
         chart = Chart(("x1", "x2"))
-        x, y = chart.coordinates()
+        x, y = chart.coordinate(0), chart.coordinate(1)
         terms = [x * (y + float(k)) for k in range(5000)]
         return acc_sum(terms, chart.zero()) if nary else _chain(terms)
 
@@ -275,7 +275,7 @@ def _sum_terms(chart, count):
     """`count` terms on `chart`: a leading run of constants that folds to
     0.0, then a seeded mix of constants, 0.0, -0.0, a repeated term and
     fresh products."""
-    x, y = chart.coordinates()
+    x, y = chart.coordinate(0), chart.coordinate(1)
     rep = (x * y).exp()
     kinds = [lambda k: chart.constant(0.25 * k - 1.0),
              lambda k: chart.zero(), lambda k: chart.constant(-0.0),
@@ -313,7 +313,7 @@ def test_nary_sum_keeps_the_bits_of_the_chain(count):
 
 def test_chart_sum_builds_what_the_fold_of_plus_builds():
     chart = Chart(("x1", "x2"))
-    x, y = chart.coordinates()
+    x, y = chart.coordinate(0), chart.coordinate(1)
     c = chart.constant
     cases = [[c(1.5), c(-1.5)], [c(1.5), c(-1.5), x], [c(0.0), c(-0.0)],
              [c(-0.0), c(0.0)], [x, c(0.0), c(-0.0)], [c(2.0), c(-0.0), c(3.0)],
@@ -418,7 +418,7 @@ def test_evaluate_takes_floats_constants_and_lifted_roots():
 
 def test_evaluate_named_splits_one_call():
     chart = Chart(("x1", "x2"))
-    x, y = chart.coordinates()
+    x, y = chart.coordinate(0), chart.coordinate(1)
     g = SymTensor2Field(chart, {(0, 0): x + 1.0, (0, 1): x * y, (1, 1): y})
     pts = [(0.5, 0.25), (-0.5, 2.0)]
     v = evaluate_named(pts, g=g.entries(), f=[x * y * y])

@@ -135,16 +135,11 @@ def test_exact_zero_absorbs_a_truncated_series(ring):
     assert (Graded(2, S) * Graded(1, zero)).is_zero
 
 
-def test_eval_at():
-    s = Series([1.0, 2.0, 3.0], -1)
-    assert s.eval_at(2.0) == pytest.approx(0.5 + 2.0 + 6.0)
-
-
 def _field_series(chart, rng):
     """A series over `chart` with a seeded shift (negative too), length and
     truncation (None, or one that may cut everything), whose coefficients
     mix zeros, -0.0, constants, a repeated field and fresh fields."""
-    x, y = chart.coordinates()
+    x, y = chart.coordinate(0), chart.coordinate(1)
     pool = [chart.zero(), chart.constant(-0.0), chart.constant(1.25), x * y,
             None, None]
     shift = int(rng.integers(-2, 3))

@@ -3,15 +3,19 @@
     python3 tools/report_bodies.py [--points N] OUTDIR
 
 Runs `invariants`, `expand`, `obstruction`, `poincare` and `verify` on
-every `configs/*.cfg`, on every catalog entry, on the `wlcf` entry at
-`--seed 7` (its defining equations are checked at that seed's points),
-on the seed-51 random-deep and even-critical configs of
+every `configs/*.cfg` (`analytic.cfg` reaches the jets of `log`, `sqrt`,
+`sinh`, `cosh` and negative powers), on every catalog entry, on the
+`wlcf` entry at `--seed 7` (its defining equations are checked at that
+seed's points), on the seed-51 random-deep and even-critical configs of
 `bench/inputs.random_config`, on a seed-51 config that reaches the
 odd critical order n = d+m = 5 and on the even-critical config at
-order 3, past its nonzero obstruction: 70 reports, each from its own
-`python3 -m smmsgeom.cli` child of this checkout (`obstruction` exits 2
-where d+m is not an even integer, and `expand`, `poincare` and `verify`
-exit 2 past the obstruction, from the continuation gate).
+order 3, past its nonzero obstruction; then three single runs:
+`verify --tol 1e-8` on `configs/flat.cfg`, a usage error (an unknown
+option) and a config with a malformed expression.  That is 78 reports,
+each from its own `python3 -m smmsgeom.cli` child of this checkout
+(`obstruction` exits 2 where d+m is not an even integer, `expand`,
+`poincare` and `verify` exit 2 past the obstruction, from the
+continuation gate, and the two input errors exit 2).
 Writes the body of each (every line before the first `timings.` line)
 to OUTDIR/<command>.<input>.txt, and prints one line per report with
 its exit status and `timings.stats.nodes`, `.max_degree`, `.unread`,
@@ -44,6 +48,7 @@ RANDOM = (("random-deep-s51", 3, 0.5, 0.1, 51, 4),
           ("even-critical-s51", 3, 1.0, 0.1, 51, 2),
           ("odd-critical-s51", 3, 2.0, 0.1, 51, 5),
           ("even-past-critical-s51", 3, 1.0, 0.1, 51, 3))
+FLAT = os.path.join("configs", "flat.cfg")
 
 
 # writes random_config(d, m, mu, seed, order) to a path, in a child: a
@@ -81,6 +86,25 @@ def inputs(outdir, env):
     return out
 
 
+def runs(outdir, env):
+    """(command, input name, CLI arguments, working directory) of every
+    report: each command on each of `inputs`, then the single runs, the
+    last on a copy of `configs/flat.cfg` with a malformed expression
+    that this writes to `outdir`."""
+    with open(os.path.join(ROOT, FLAT)) as fh:
+        flat = fh.read()
+    with open(os.path.join(outdir, "malformed.cfg"), "w") as fh:
+        fh.write(flat.replace("g22 = 1", "g22 = 1 + * x2"))
+    out = [(command, name, args, cwd) for name, args, cwd in inputs(outdir, env)
+           for command in COMMANDS]
+    return out + [
+        ("verify", "flat-tol", ["--config", FLAT, "--tol", "1e-8"], ROOT),
+        ("verify", "usage-error", ["--config", FLAT, "--no-such-option"],
+         ROOT),
+        ("verify", "malformed-expression", ["--config", "malformed.cfg"],
+         outdir)]
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         description="write the bodies and counts of the standard reports")
@@ -93,27 +117,26 @@ def main(argv):
     os.makedirs(outdir, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     with open(os.path.join(outdir, "stats.txt"), "w") as counts:
-        for name, args, cwd in inputs(outdir, env):
-            for command in COMMANDS:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "smmsgeom.cli", command, *args,
-                     *points],
-                    capture_output=True, text=True, env=env, cwd=cwd)
-                lines = proc.stdout.splitlines(keepends=True)
-                cut = next((k for k, line in enumerate(lines)
-                            if line.startswith("timings.")), len(lines))
-                body = os.path.join(outdir, f"{command}.{name}.txt")
-                with open(body, "w") as fh:
-                    fh.writelines(lines[:cut])
-                stats = dict(line[len("timings.stats."):].split(" = ")
-                             for line in lines[cut:]
-                             if line.startswith("timings.stats."))
-                row = (f"{command} {name} exit={proc.returncode} "
-                       + " ".join(f"{key}={stats.get(key, '-').strip()}"
-                                  for key in STATS))
-                counts.write(row + "\n")
-                print(f"{row} peak_rss_mb="
-                      f"{stats.get('peak_rss_mb', '-').strip()}", flush=True)
+        for command, name, args, cwd in runs(outdir, env):
+            proc = subprocess.run(
+                [sys.executable, "-m", "smmsgeom.cli", command, *args,
+                 *points],
+                capture_output=True, text=True, env=env, cwd=cwd)
+            lines = proc.stdout.splitlines(keepends=True)
+            cut = next((k for k, line in enumerate(lines)
+                        if line.startswith("timings.")), len(lines))
+            body = os.path.join(outdir, f"{command}.{name}.txt")
+            with open(body, "w") as fh:
+                fh.writelines(lines[:cut])
+            stats = dict(line[len("timings.stats."):].split(" = ")
+                         for line in lines[cut:]
+                         if line.startswith("timings.stats."))
+            row = (f"{command} {name} exit={proc.returncode} "
+                   + " ".join(f"{key}={stats.get(key, '-').strip()}"
+                              for key in STATS))
+            counts.write(row + "\n")
+            print(f"{row} peak_rss_mb="
+                  f"{stats.get('peak_rss_mb', '-').strip()}", flush=True)
     return 0
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from smmsgeom import invariants as inv
 from smmsgeom.catalog import random_entry, round_sphere_space
-from smmsgeom.fields import evaluate_named, max_abs
+from smmsgeom.fields import Request, max_abs
 
 # the unit round sphere: classical Schouten data P = g/2, J = 3/2
 s = round_sphere_space(d=3, m=0.0, mu=0.0, f_expr="1")
@@ -32,8 +32,9 @@ print(f"\nperturbed space (m = {s.m}, mu = {s.mu}), "
       f"curvature scale {scale:.3f} (floored at 1)")
 
 # every value the two identities read, in one evaluation
-v = evaluate_named(pts, g=s.g.entries(), ric=ric_phi.entries(),
-                   scalars=[geo.scal_phi, s.f, geo.F_phi], bianchi=geo.bianchi)
+v = Request(pts, g=s.g.entries(), ric=ric_phi.entries(),
+            scalars=[geo.scal_phi, s.f, geo.F_phi],
+            bianchi=geo.bianchi).result()
 worst = 0.0
 for g, ric, (lhs, f, F) in zip(v["g"], v["ric"], v["scalars"]):
     tr = float(np.trace(np.linalg.inv(g.reshape(3, 3)) @ ric.reshape(3, 3)))

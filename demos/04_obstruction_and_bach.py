@@ -14,7 +14,7 @@ from smmsgeom import invariants as inv
 from smmsgeom.catalog import random_entry
 from smmsgeom.expansion import obstruction
 from smmsgeom.expressions import parse_expression
-from smmsgeom.fields import evaluate_named, max_abs
+from smmsgeom.fields import Request, max_abs
 
 s = random_entry(d=3, m=1.0, mu=0.1, seed=21).space
 obs = obstruction(s)
@@ -23,9 +23,9 @@ pts = s.sample(5, seed=9)
 u = parse_expression("0.1*x1", s.chart)
 obs2 = obstruction(inv.conformal_change(s, u))
 # every value below, in one evaluation
-v = evaluate_named(pts, O=obs.tensor.entries(), B=B.entries(),
-                   O2=obs2.tensor.entries(), g=s.g.entries(),
-                   scalars=[s.f, obs.scalar_part, u])
+v = Request(pts, O=obs.tensor.entries(), B=B.entries(),
+            O2=obs2.tensor.entries(), g=s.g.entries(),
+            scalars=[s.f, obs.scalar_part, u]).result()
 print("normalization constant c =", obs.c)
 print("max |obstruction - weighted Bach| over samples:", max_abs(v["O"] - v["B"]))
 

@@ -344,30 +344,20 @@ class ResidualReport:
     branch: Branch
 
 
-def _coefficient_maxima(blocks):
-    """(roots, maxima) for `blocks` mapping name -> (series list, upto):
-    the roots are the rho^k coefficients of the series, k = 0..upto or up
-    to the first truncated one, and `maxima` takes their values to
-    name -> [max |rho^k coefficient| over the series and the points]."""
-    roots, spans = [], {}
-    for name, (series_list, upto) in blocks.items():
-        start = len(roots)
-        for k in range(upto + 1):
-            try:
-                roots += [s.coefficient(k) for s in series_list]
-            except SeriesTruncationError:
-                break
-        spans[name] = (start, len(roots), len(series_list))
-
-    def maxima(vals):
-        return {name: [max_abs(vals[k:k + n]) for k in range(a, b, n)]
-                for name, (a, b, n) in spans.items()}
-
-    return roots, maxima
+def _coefficient_maxima(series_list, upto, points) -> Request:
+    """The request for [max |rho^k coefficient| over `series_list` and
+    the points], k = 0..upto or up to the first truncated coefficient."""
+    groups = {}
+    for k in range(upto + 1):
+        try:
+            groups[str(k)] = [s.coefficient(k) for s in series_list]
+        except SeriesTruncationError:
+            break
+    return Request(points, lambda v: [max_abs(c) for c in v.values()],
+                   **groups)
 
 
-def order_report(a: AmbientMetric, tol: float = 1e-9, *,
-                 points) -> Request:
+def order_report(a: AmbientMetric, tol: float, *, points) -> Request:
     """The request for the measured per-block orders of vanishing of the
     weighted Ricci tensor and the F scalar, against the branch guarantees
     of the construction, at `points`; its result is a ResidualReport.
@@ -375,7 +365,6 @@ def order_report(a: AmbientMetric, tol: float = 1e-9, *,
     guarantee no coefficient, so they are neither built nor reported."""
     base = a.base
     e = a.expansion
-    scale = curvature_scale(base, points)
     d, oo = a.d, a.oo
     N = e.order
 
@@ -406,18 +395,16 @@ def order_report(a: AmbientMetric, tol: float = 1e-9, *,
         table["rho_i"] = ("Ric[oo i]", [ric_g[oo][i + 1].val for i in range(d)],
                           upto, gu.rho)
         table["rho_rho"] = ("Ric[oo oo]", [ric_g[oo][oo].val], upto, gu.rho)
-    roots, maxima = _coefficient_maxima(
-        {name: (series, last) for name, (_, series, last, _) in table.items()})
     blocks = {name: (label, guaranteed)
               for name, (label, _, _, guaranteed) in table.items()}
-    cut = len(scale.roots)
     branch = e.plan.branch
 
-    def reduce(vals):
-        s = scale.reduce(vals[:cut])
-        worst = maxima(vals[cut:])
+    def reduce(v):
+        limit = tol * v["scale"]
         return ResidualReport(
-            {name: BlockReport(label, worst[name], guaranteed, tol * s)
+            {name: BlockReport(label, v[name], guaranteed, limit)
              for name, (label, guaranteed) in blocks.items()}, branch)
 
-    return Request(scale.roots + roots, points, reduce)
+    return Request(points, reduce, scale=curvature_scale(base, points), **{
+        name: _coefficient_maxima(series, last, points)
+        for name, (_, series, last, _) in table.items()})

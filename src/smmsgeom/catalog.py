@@ -36,7 +36,7 @@ import numpy as np
 from . import curvature as cv
 from . import invariants as inv
 from .expressions import parse_expression
-from .fields import Chart, Request, SymTensor2Field, evaluate_named
+from .fields import Chart, Request, SymTensor2Field
 from .invariants import MetricMeasureSpace
 
 __all__ = [
@@ -70,7 +70,7 @@ class CatalogEntry:
         sample `points`; its result is the first failure found, an
         EntryRejected, or None (always, for an entry of no family)."""
         if self.equations is None:
-            return Request([], points, lambda _: None)
+            return Request(points, lambda _: None)
         return self.equations(points)
 
     def closed_expansion(self, order: int):
@@ -123,13 +123,10 @@ def _equations(s, pts, family, groups, residuals) -> Request:
     residual at each point.  The result is an EntryRejected naming the
     equations that exceed _TOL times the curvature scale at the first
     point where one does, or None."""
-    scale = inv.curvature_scale(s, pts)
-    checks = Request.named(pts, **groups)
-    cut = len(scale.roots)
 
-    def reduce(vals):
-        limit = _TOL * scale.reduce(vals[:cut])
-        res = residuals(checks.reduce(vals[cut:]))
+    def reduce(v):
+        limit = _TOL * v.pop("scale")
+        res = residuals(v)
         for n, p in enumerate(pts):
             failing = [f"{eq} = {r[n]:.3e}" for eq, r in res.items()
                        if not r[n] <= limit]
@@ -139,7 +136,7 @@ def _equations(s, pts, family, groups, residuals) -> Request:
                     f"{', '.join(failing)} (limit {limit:.3e})")
         return None
 
-    return Request(scale.roots + checks.roots, pts, reduce)
+    return Request(pts, reduce, scale=inv.curvature_scale(s, pts), **groups)
 
 
 def _row_max(values):
@@ -177,10 +174,9 @@ def quasi_einstein_entry(space: MetricMeasureSpace, ric_eigenvalue, *,
     def equations(pts):
         return _equations(space, pts, "quasi-Einstein", {
             "g": space.g.entries(), "ric": inv.weighted_ricci(space).entries(),
-            "F": [space.geometry.F_phi, space.f]}, lambda v: {
+            "F": [space.geometry.F_phi], "f": [space.f]}, lambda v: {
             "|Ric_phi - c g|": _row_max(v["ric"] - c * v["g"]),
-            "|F_phi + c f^2|": _row_max(v["F"][:, :1]
-                                        + c * v["F"][:, 1:] ** 2)})
+            "|F_phi + c f^2|": _row_max(v["F"] + c * v["f"] ** 2)})
 
     def closed_form(order):
         g_coeffs = _einstein_like_g(space, a, order)
@@ -202,7 +198,6 @@ def wlcf_entry(space: MetricMeasureSpace, *, name="wlcf") -> CatalogEntry:
     if space.m <= 0:
         raise EntryRejected("the weighted-flat family requires m > 0")
     params = {"d": space.dim, "m": space.m, "mu": space.mu}
-    P_field, _, Y = inv.schouten(space)
 
     def equations(pts):
         res_a, res_b, _ = inv.conformally_flat_identities(space)
@@ -216,6 +211,7 @@ def wlcf_entry(space: MetricMeasureSpace, *, name="wlcf") -> CatalogEntry:
         chart = space.chart
         zero = chart.zero()
         d = space.dim
+        P_field, _, Y = inv.schouten(space)
         g_coeffs = [space.g]
         if order >= 1:
             g_coeffs.append(P_field.scale(2.0))
@@ -326,7 +322,7 @@ def random_entry(d=3, m=1.0, mu=0.0, seed=0, amplitude=0.05, *,
     grid_1d = np.linspace(-box_half, box_half, 5)
     grid = [tuple(float(v) for v in p)
             for p in np.stack(np.meshgrid(*([grid_1d] * d)), -1).reshape(-1, d)]
-    v = evaluate_named(grid, g=g.entries(), f=[f])
+    v = Request(grid, g=g.entries(), f=[f]).result()
     lowest = np.linalg.eigvalsh(v["g"].reshape(-1, d, d)).min(axis=1)
     for p, low, fv in zip(grid, lowest, v["f"][:, 0]):
         if low <= 1e-6:

@@ -182,8 +182,8 @@ class _Checks:
 
     `add(request, finish)` collects a request; leaving the `with` block
     sweeps them all in one `fields.run`, timed as the evaluate stage,
-    then hands each request's reduced values to its `finish`, in order,
-    and records the problem chart's DAG counters.  The curvature scale
+    then hands each request's result (`Request.finish`) to its `finish`,
+    in order, and records the problem chart's DAG counters.  The curvature scale
     comes first (its finish sets `prob.scale`), a catalog entry's defining
     equations next, both built in the setup stage, then the solver's
     gates, whose failing reduction raises before any stage's finish.  The
@@ -224,10 +224,9 @@ class _Checks:
     def __exit__(self, *error):
         try:
             with self.report.stage("evaluate"):
-                values = fields.run([Request(request.roots, request.points)
-                                     for request, _ in self.pending])
+                values = fields.run([request for request, _ in self.pending])
             for (request, finish), v in zip(self.pending, values):
-                finish(request.reduce(v))
+                finish(request.finish(v))
         finally:
             _put_counters(self.prob.space.chart, self.report)
         return False
@@ -299,7 +298,8 @@ def cmd_invariants(args, report) -> int:
 def _bianchi_check(prob, report, checks):
     """The contracted weighted Bianchi identity at the sample points."""
     with report.stage("bianchi"):
-        request = Request(prob.space.geometry.bianchi, prob.points, max_abs)
+        request = Request(prob.points, lambda v: max_abs(v["bianchi"]),
+                          bianchi=prob.space.geometry.bianchi)
     checks.add(request, lambda worst: report.put_check(
         "bianchi_residual", worst, prob.tol("bianchi") * prob.scale))
 
@@ -369,7 +369,7 @@ def _put_points(checks, report, points, fields, then=None, **groups):
         if then is not None:
             then(v)
 
-    checks.add(Request.named(points, **groups, **{
+    checks.add(Request(points, **groups, **{
         name: f.entries() if isinstance(f, SymTensor2Field) else [f]
         for name, f in fields.items()}), put)
 
@@ -386,7 +386,7 @@ def _obstruction_identities(prob, obs, report, checks):
         dphi = geo.dphi
         div_O = cv.weighted_divergence(obs.tensor.as_matrix(), geo.ginv, dphi,
                                        geo.gamma, geo.derivs, geo.zero)
-        request = Request.named(
+        request = Request(
             prob.points, g=s.g.entries(), f=[s.f], O=obs.tensor.entries(),
             scalar=[obs.scalar_part], dphi=dphi, div_O=div_O, bach=bach)
     m, points, compare = float(s.m), prob.points, bool(bach)
@@ -530,14 +530,10 @@ def _closed_form_agreement(prob, e, entry) -> Request:
     """The request for max |solved - closed-form coefficient|."""
     upto = e.plan.guarantees(e.order).solved
     g_want, f_want = entry.closed_form(upto)
-    roots = [c for g, f in ((e.g_coeffs, e.f_coeffs), (g_want, f_want))
-             for k in range(upto + 1) for c in g[k].entries() + [f[k]]]
-
-    def worst(values):
-        got, want = np.split(values, 2)
-        return max_abs(got - want)
-
-    return Request(roots, prob.points, worst)
+    got, want = ([c for k in range(upto + 1) for c in g[k].entries() + [f[k]]]
+                 for g, f in ((e.g_coeffs, e.f_coeffs), (g_want, f_want)))
+    return Request(prob.points, lambda v: max_abs(v["got"] - v["want"]),
+                   got=got, want=want)
 
 
 _COMMANDS = {

@@ -445,11 +445,10 @@ def gate_request(e: RhoExpansion, points) -> Request:
     obstruction past n_c, then the consistency residual at n = d+m, each
     against the curvature scale.  Its reduction raises the error of the
     first gate that fails, else gives gate name -> measured value."""
-    scale = curvature_scale(e.base, points)
     m, n_c = float(e.base.m), e.plan.n_c
 
     def reduce(v):
-        limit = scale.reduce(v.pop("scale").T)
+        limit = v["scale"]
         measured = {}
         if "continuation" in v:
             worst = measured["continuation"] = max_abs(v["continuation"])
@@ -471,7 +470,8 @@ def gate_request(e: RhoExpansion, points) -> Request:
                     f"hypotheses or precision degraded")
         return measured
 
-    return Request.named(points, reduce, scale=scale.roots, **e.gates)
+    return Request(points, reduce, scale=curvature_scale(e.base, points),
+                   **e.gates)
 
 
 def critical_order(s: MetricMeasureSpace) -> int:

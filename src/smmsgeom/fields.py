@@ -27,17 +27,18 @@ Operands of commutative operations are never reordered, so every jet
 product keeps its summation order.
 The constants -0.0 and 0.0 are distinct nodes.
 
-Values are read through one entry, `run(requests)`.  A `Request` holds
-root fields (or plain floats), the points to evaluate them at and a
-reduction of the (roots x points) array of their values; `run` sweeps
-every request in one pass over the points and returns the reductions.
-`evaluate(roots, points)` is one request whose result is that array,
-`evaluate_named` splits it by name, and `ScalarField.value`,
+Values are read through one entry, `run(requests)`.  A
+`Request(points, reduce, **groups)` names groups of root fields (or
+plain floats) or nested requests at the same points, and a reduction of
+their values by name; `run` sweeps every request in one pass over the
+points and returns each one's (roots x points) array of values,
+unreduced, and `Request.finish` reduces it.  `evaluate(roots, points)`
+is that array for one group, and `ScalarField.value`,
 `SymTensor2Field.matrix_values` and `ScalarField.jet` (at a degree) run
-the same sweep.  `sample_points` draws the points: it re-derives
-numpy's PCG64 stream, the one `np.random.default_rng(seed).uniform`
-reads, in plain integer arithmetic, so the points are numpy's bit for
-bit and no command imports `numpy.random`.
+the same sweep.  `sample_points` draws the points: it re-derives numpy's
+PCG64 stream, the one `np.random.default_rng(seed).uniform` reads, in
+plain integer arithmetic, so the points are numpy's bit for bit and no
+command imports `numpy.random`.
 
 Children are created before their parents, so a chart's creation order
 (`Chart.nodes`, a node's `index`) is already a topological order and
@@ -86,8 +87,8 @@ import numpy as np
 from .jets import Jet, value_apply, value_power, value_quotient
 
 __all__ = [
-    "Chart", "ScalarField", "Request", "run", "evaluate", "evaluate_named",
-    "max_abs", "sample_points", "SymTensor2Field", "FUNCTIONS",
+    "Chart", "ScalarField", "Request", "run", "evaluate", "max_abs",
+    "sample_points", "SymTensor2Field", "FUNCTIONS",
 ]
 
 # the analytic primitives a field applies, and an expression calls
@@ -470,52 +471,60 @@ def _checked(point, chart: Chart) -> tuple:
 
 
 class Request:
-    """Roots to evaluate at points, and the reduction of their values.
+    """Named groups of roots to evaluate at points, and the reduction of
+    their values.
 
-    `roots` are fields or plain floats; `reduce` takes the float64 array
-    of shape (len(roots), len(points)) that `evaluate` gives for them
-    (None: the array is the result).  A request holds nothing else, so
+    A group is a list of roots (fields or plain floats) or a request at
+    the same points.  `reduce` (None: the identity) receives by name a
+    list's values as a C-contiguous (len(points), len(group)) array, or
+    a nested request's result.  A request holds nothing else, so
     whatever its roots were built from can be dropped before it runs.
     """
 
-    __slots__ = ("roots", "points", "reduce")
+    __slots__ = ("points", "reduce", "groups", "roots")
 
-    def __init__(self, roots, points, reduce=None):
-        self.roots = list(roots)
+    def __init__(self, points, reduce=None, /, **groups):
         self.points = [tuple(p) for p in points]
         self.reduce = reduce
+        self.groups = {}  # name -> a nested request, or a list's length
+        self.roots = []
+        for name, group in groups.items():
+            nested = isinstance(group, Request)
+            if nested and group.points != self.points:
+                raise ValueError(f"group {name!r} is a request at other "
+                                 f"points")
+            roots = group.roots if nested else list(group)
+            self.groups[name] = group if nested else len(roots)
+            self.roots += roots
         for chart in {id(r.chart): r.chart for r in self.roots
                       if isinstance(r, ScalarField)}.values():
             for point in self.points:
                 _checked(point, chart)
 
-    @classmethod
-    def named(cls, points, reduce=None, **groups) -> "Request":
-        """One request for every group of roots; `reduce` (None: the
-        identity) takes name -> (len(points), len(group)) array, each
-        point's row C-contiguous."""
-        sizes = {name: len(group) for name, group in groups.items()}
-
-        def split(rows):
-            cuts = np.cumsum(list(sizes.values()))[:-1]
-            v = dict(zip(sizes, np.split(rows.T.copy(), cuts, axis=1)))
-            return v if reduce is None else reduce(v)
-
-        return cls([r for group in groups.values() for r in group], points,
-                   split)
+    def finish(self, values):
+        """This request's result from the array `run` gives for it: one
+        row per root of its groups, in order."""
+        v, start = {}, 0
+        for name, group in self.groups.items():
+            nested = isinstance(group, Request)
+            stop = start + (len(group.roots) if nested else group)
+            v[name] = (group.finish(values[start:stop]) if nested
+                       else values[start:stop].T.copy())
+            start = stop
+        return v if self.reduce is None else self.reduce(v)
 
     def result(self):
-        """This request's reduction, from a sweep of it alone."""
-        return run([self])[0]
+        """This request's result, from a sweep of it alone."""
+        return self.finish(run([self])[0])
 
 
 def run(requests) -> list:
-    """The result of each request, from one sweep over their points.
+    """The values of each request, from one sweep over their points: a
+    float64 array of shape (len(roots), len(points)), unreduced.
 
     Step k evaluates every root of each request that has a k-th point,
     so an evaluation error is raised at the first step where it occurs.
     Every chart that owns a root counts the call in `Chart.evaluations`.
-    The reductions run after the sweep, in order.
     """
     requests = list(requests)
     out = [np.empty((len(q.roots), len(q.points))) for q in requests]
@@ -538,20 +547,13 @@ def run(requests) -> list:
                     vals[r, k] = root
         for (vals, r), value in zip(slots, _sweep(roots, points, 0)):
             vals[r, k] = value.value if value.__class__ is Jet else value
-    return [vals if q.reduce is None else q.reduce(vals)
-            for q, vals in zip(requests, out)]
+    return out
 
 
 def evaluate(roots, points) -> np.ndarray:
     """The values of `roots` (fields or plain floats) at `points`, as a
     float64 array of shape (len(roots), len(points)): one request."""
-    return Request(roots, points).result()
-
-
-def evaluate_named(points, **groups) -> dict:
-    """One `evaluate` over every group of roots, split back by name into
-    (len(points), len(group)) arrays, each point's row C-contiguous."""
-    return Request.named(points, **groups).result()
+    return run([Request(points, roots=roots)])[0]
 
 
 def max_abs(values) -> float:

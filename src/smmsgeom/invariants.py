@@ -32,7 +32,7 @@ import numpy as np
 
 from . import curvature as cv
 from .fields import (Chart, Request, ScalarField, SymTensor2Field,
-                     evaluate, evaluate_named, max_abs, sample_points)
+                     evaluate, max_abs, sample_points)
 
 __all__ = [
     "MetricMeasureSpace", "ValidationError", "weighted_ricci", "schouten",
@@ -86,7 +86,7 @@ class MetricMeasureSpace:
         Cholesky does not raise on NaN, so finiteness is tested first; the
         density test is written so that NaN fails it."""
         d = self.dim
-        v = evaluate_named(points, g=self.g.entries(), f=[self.f])
+        v = Request(points, g=self.g.entries(), f=[self.f]).result()
         for p, gm, fv in zip(points, v["g"].reshape(-1, d, d), v["f"][:, 0]):
             if not np.all(np.isfinite(gm)):
                 raise ValidationError(f"metric not finite at {p}")
@@ -203,7 +203,7 @@ def curvature_scale(s: MetricMeasureSpace, points) -> Request:
             worst = max(worst, rm_norm + hf_norm + gf_norm + abs(mu))
         return max(worst, 1.0)
 
-    return Request.named(points, reduce, g=s.g.entries(),
-                         rm=[x for a in rm for b in a for c in b for x in c],
-                         hf=[c for row in hess_f for c in row],
-                         f=[s.f], df=[s.f.partial(i) for i in range(d)])
+    return Request(points, reduce, g=s.g.entries(),
+                   rm=[x for a in rm for b in a for c in b for x in c],
+                   hf=[c for row in hess_f for c in row],
+                   f=[s.f], df=[s.f.partial(i) for i in range(d)])

@@ -101,8 +101,9 @@ class PoincareResidual:
         blocks ("F" is the F scalar) at the points."""
         series = [s for name in names for s in
                   ([self.f_scalar] if name == "F" else self.ricci_blocks[name])]
-        return Request([s.coefficient(k) for k in powers for s in series],
-                       points, max_abs)
+        return Request(points, lambda v: max_abs(v["coefficients"]),
+                       coefficients=[s.coefficient(k) for k in powers
+                                     for s in series])
 
 
 def poincare_residual(p: PoincareStructure) -> PoincareResidual:
@@ -207,13 +208,13 @@ def cone_identity_check(p: PoincareStructure, *, points) -> Request:
 
     def reduce(v):
         rhs = v["ric"] + dm * v["g"]
-        lhs_F, F, f = v["F"].T
-        rhs_F = np.array([Fv - dm * fv ** 2 for Fv, fv in zip(F, f)])
-        return (max_abs(v["lhs"] - rhs), max_abs(lhs_F - rhs_F),
+        rhs_F = np.array([Fv - dm * fv ** 2
+                          for (Fv,), (fv,) in zip(v["F"], v["f"])])
+        return (max_abs(v["lhs"] - rhs), max_abs(v["lhs_F"][:, 0] - rhs_F),
                 max(max_abs(rhs), max_abs(rhs_F)))
 
-    return Request.named(
+    return Request(
         xr_points, reduce, lhs=[ric_cone[a + 1][b + 1].val for a, b in pairs],
         ric=[geo.ric_phi[a][b] for a, b in pairs],
         g=[space_plus.g.comp(a, b) for a, b in pairs],
-        F=[F_cone.val, geo.F_phi, space_plus.f])
+        lhs_F=[F_cone.val], F=[geo.F_phi], f=[space_plus.f])

@@ -758,6 +758,19 @@ def test_cli_obstruction_at_odd_dm_builds_nothing(tmp_path, monkeypatch,
     assert f"timings.stats.computed = {validation}\n" in text
 
 
+def test_cli_wlcf_entry_builds_its_schouten_tensor_only_when_read(tmp_path):
+    # d+m = 5, so `obstruction` stops before any request: building the
+    # Schouten tensor of the closed form at construction made 260 nodes,
+    # all of them unread, against 18 for the space itself
+    code, text = run_cli(["obstruction", "--catalog", "wlcf"], tmp_path,
+                         "o.txt")
+    assert code == 2
+    stats = dict(line[len("timings.stats."):].split(" = ")
+                 for line in text.splitlines()
+                 if line.startswith("timings.stats."))
+    assert int(stats["nodes"]) <= 20
+
+
 def test_cli_obstruction_branch_error(config_path, tmp_path):
     code, text = run_cli(["obstruction", "--config", config_path], tmp_path, "o.txt")
     assert code == 2

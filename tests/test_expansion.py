@@ -15,7 +15,7 @@ from smmsgeom.expansion import (CONSISTENCY_TOL, Branch, ConsistencyError,
                                 closed_form_residual_series, expand,
                                 gate_request, obstruction,
                                 obstruction_constant, solve_order_step)
-from smmsgeom.fields import evaluate, evaluate_named, max_abs
+from smmsgeom.fields import Request, evaluate, max_abs
 
 
 def gate_notes(e, points):
@@ -177,9 +177,9 @@ def test_even_branch_critical_and_trace_combination():
     Rt, Ft = closed_form_residual_series(e.slice())
     worst = 0.0
     for k in (0, 1):
-        v = evaluate_named(pts, g=s.g.entries(), f=[s.f],
-                           R=[Rt[i][j].coefficient(k) for i in range(3)
-                              for j in range(3)], F=[Ft.coefficient(k)])
+        v = Request(pts, g=s.g.entries(), f=[s.f],
+                    R=[Rt[i][j].coefficient(k) for i in range(3)
+                       for j in range(3)], F=[Ft.coefficient(k)]).result()
         for g, (fv,), R, (F,) in zip(v["g"], v["f"], v["R"], v["F"]):
             ginv = np.linalg.inv(g.reshape(3, 3))
             R = R.reshape(3, 3)
@@ -306,8 +306,8 @@ def test_obstruction_trace_and_divergence_identities():
     dphi = cv.phi_gradient(s.f, geo.derivs, s.m)
     div_O = cv.weighted_divergence(obs.tensor.as_matrix(), geo.ginv, dphi,
                                    geo.gamma, geo.derivs, geo.zero)
-    v = evaluate_named(pts, g=s.g.entries(), O=obs.tensor.entries(),
-                       f=[s.f, obs.scalar_part], dphi=dphi, div_O=div_O)
+    v = Request(pts, g=s.g.entries(), O=obs.tensor.entries(),
+                f=[s.f, obs.scalar_part], dphi=dphi, div_O=div_O).result()
     # trace: O^i_i = (m/f^2) Fscript
     for g, O, (fv, sp) in zip(v["g"], v["O"], v["f"]):
         ginv = np.linalg.inv(g.reshape(3, 3))
@@ -359,10 +359,10 @@ def test_consistency_gate_fails_above_its_limit():
     # residual (m/f^2) Ferr - tr Rerr is -tr Rerr
     values[-3:-1] = [[1.0] * 3, [0.0] * 3]
     values[-1] = [0.0, -0.99 * limit, 0.0]
-    assert request.reduce(values) == {"consistency": 0.99 * limit}
+    assert request.finish(values) == {"consistency": 0.99 * limit}
     values[-1, 1] = -2.0 * limit
     with pytest.raises(ConsistencyError) as failure:
-        request.reduce(values)
+        request.finish(values)
     assert str(failure.value) == (
         f"consistency residual {2.0 * limit:.3e} at order n = 5 exceeds "
         f"1.0e-08 x scale {scale:.3e}; the inputs are outside the "

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from smmsgeom.curvature import acc_sum, fold_sum
-from smmsgeom.fields import (Chart, SymTensor2Field, evaluate, evaluate_named,
+from smmsgeom.fields import (Chart, Request, SymTensor2Field, evaluate, run,
                              sample_points)
 from smmsgeom.expressions import parse_expression
 from smmsgeom.jets import (Jet, JetDivisionError, value_apply, value_power,
@@ -204,7 +204,7 @@ def test_zero_constant_roots_evaluate_to_zero():
     assert list(np.signbit(values[:2, 0])) == [False, True]
     assert pos.value((0.1, 0.2)) == 0.0
     np.testing.assert_array_equal(pos.jet((0.1, 0.2), 2).coeffs, np.zeros(6))
-    assert evaluate_named([(0.1, 0.2)], z=[pos])["z"].tolist() == [[0.0]]
+    assert Request([(0.1, 0.2)], z=[pos]).result()["z"].tolist() == [[0.0]]
 
 
 def test_fold_sum_with_a_zero_term_is_one_node():
@@ -416,17 +416,58 @@ def test_evaluate_takes_floats_constants_and_lifted_roots():
         evaluate([r], [(0.1, 0.2)])
 
 
-def test_evaluate_named_splits_one_call():
+def test_request_splits_groups_of_one_call():
     chart = Chart(("x1", "x2"))
     x, y = chart.coordinate(0), chart.coordinate(1)
     g = SymTensor2Field(chart, {(0, 0): x + 1.0, (0, 1): x * y, (1, 1): y})
     pts = [(0.5, 0.25), (-0.5, 2.0)]
-    v = evaluate_named(pts, g=g.entries(), f=[x * y * y])
+    v = Request(pts, g=g.entries(), f=[x * y * y]).result()
     assert chart.evaluations == 1
     for n, p in enumerate(pts):
         np.testing.assert_array_equal(v["g"][n].reshape(2, 2),
                                       g.matrix_values(p))
         assert v["f"][n, 0] == p[0] * p[1] * p[1]
+
+
+def test_request_group_is_a_c_contiguous_points_by_group_array():
+    chart = Chart(("x1", "x2"))
+    x, y = chart.coordinate(0), chart.coordinate(1)
+    pts = [(0.5, 0.25), (-0.5, 2.0), (0.125, -1.0)]
+    seen = {}
+    Request(pts, seen.update, a=[x, 2.0], b=[y, x * y, -1.0]).result()
+    assert seen["a"].shape == (3, 2) and seen["b"].shape == (3, 3)
+    assert seen["a"].flags.c_contiguous and seen["b"].flags.c_contiguous
+    np.testing.assert_array_equal(seen["a"], [[p[0], 2.0] for p in pts])
+    np.testing.assert_array_equal(
+        seen["b"], [[p[1], p[0] * p[1], -1.0] for p in pts])
+
+
+def test_request_nested_result_reaches_the_outer_reduction():
+    chart = Chart(("x1", "x2"))
+    x, y = chart.coordinate(0), chart.coordinate(1)
+    pts = [(0.5, 0.25), (-0.5, 2.0)]
+    inner = Request(pts, lambda v: float(v["s"].sum()), s=[x, y])
+    outer = Request(pts, lambda v: (v["inner"], v["t"][:, 0].tolist()),
+                    inner=inner, t=[x * y])
+    assert outer.roots == [x, y, x * y]
+    assert outer.result() == (0.5 + 0.25 - 0.5 + 2.0, [0.125, -1.0])
+    assert chart.evaluations == 1
+    with pytest.raises(ValueError, match="other points"):
+        Request(pts[:1], inner=inner)
+
+
+def test_run_returns_unreduced_values():
+    chart = Chart(("x1", "x2"))
+    x, y = chart.coordinate(0), chart.coordinate(1)
+    pts = [(0.5, 0.25), (-0.5, 2.0)]
+    inner = Request(pts, lambda v: 1 / 0, s=[y])
+    first = Request(pts, lambda v: 1 / 0, a=[x, 3.0], inner=inner)
+    second = Request(pts[:1], lambda v: 1 / 0, b=[x * y])
+    values = run([first, second])
+    np.testing.assert_array_equal(values[0], [[0.5, -0.5], [3.0, 3.0],
+                                              [0.25, 2.0]])
+    np.testing.assert_array_equal(values[1], [[0.125]])
+    assert chart.evaluations == 1
 
 
 @pytest.mark.parametrize("text", ["log(x1 - 1)", "sqrt(x1 - x2 - 2)",

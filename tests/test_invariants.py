@@ -6,7 +6,7 @@ import pytest
 
 from smmsgeom import curvature as cv
 from smmsgeom.expressions import parse_expression
-from smmsgeom.fields import (Chart, SymTensor2Field, evaluate, evaluate_named, max_abs,
+from smmsgeom.fields import (Chart, Request, SymTensor2Field, evaluate, max_abs,
                              sample_points)
 from smmsgeom import invariants as inv
 from smmsgeom.invariants import MetricMeasureSpace, ValidationError
@@ -221,8 +221,8 @@ def test_trace_identity_random_spaces():
         rphi = s.geometry.scal_phi
         fphi = s.geometry.F_phi
         d = s.dim
-        v = evaluate_named(pts, g=s.g.entries(), ric=ric.entries(),
-                           f=[s.f, fphi, rphi])
+        v = Request(pts, g=s.g.entries(), ric=ric.entries(),
+                    f=[s.f, fphi, rphi]).result()
         for gm, rv, (fv, Fv, Rv) in zip(v["g"], v["ric"], v["f"]):
             tr = float(np.trace(np.linalg.inv(gm.reshape(d, d))
                                 @ rv.reshape(d, d)))

@@ -7,7 +7,7 @@ import pytest
 from smmsgeom import invariants as inv
 from smmsgeom.catalog import flat_space, load_entry, random_entry
 from smmsgeom.expansion import expand
-from smmsgeom.fields import evaluate, evaluate_named
+from smmsgeom.fields import Request, evaluate
 from smmsgeom.poincare import (cone_identity_check, fixed_r_space,
                                poincare_residual, to_poincare)
 
@@ -181,8 +181,8 @@ def test_oracle_route_generic_space():
               if not isinstance(c, (int, float))]
     for pt in s.sample(2, seed=5):
         xr = tuple(pt) + (r0,)
-        v = evaluate_named([xr], ric=[ric_plus.comp(i, j) for i, j in pairs],
-                           g=[space_plus.g.comp(i, j) for i, j in pairs])
+        v = Request([xr], ric=[ric_plus.comp(i, j) for i, j in pairs],
+                    g=[space_plus.g.comp(i, j) for i, j in pairs]).result()
         at_pt = dict(zip(map(id, coeffs), evaluate(coeffs, [pt])[:, 0]))
         for idx in range(len(pairs)):
             series_val = summed(blocks[idx], r0, lambda c: at_pt[id(c)])

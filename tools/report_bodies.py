@@ -4,14 +4,15 @@
 
 Runs `invariants`, `expand`, `obstruction`, `poincare` and `verify` on
 every `configs/*.cfg` (`analytic.cfg` reaches the jets of `log`, `sqrt`,
-`sinh`, `cosh` and negative powers), on every catalog entry, on the
-`wlcf` entry at `--seed 7` (its defining equations are checked at that
-seed's points), on the seed-51 random-deep and even-critical configs of
+`sinh`, `cosh` and negative powers, `unweighted.cfg` the branches of
+m = 0), on every catalog entry, on the `wlcf` entry at `--seed 7` (its
+defining equations are checked at that seed's points), on the seed-51
+random-deep and even-critical configs of
 `bench/inputs.random_config`, on a seed-51 config that reaches the
 odd critical order n = d+m = 5 and on the even-critical config at
 order 3, past its nonzero obstruction; then three single runs:
 `verify --tol 1e-8` on `configs/flat.cfg`, a usage error (an unknown
-option) and a config with a malformed expression.  That is 78 reports,
+option) and a config with a malformed expression.  That is 83 reports,
 each from its own `python3 -m smmsgeom.cli` child of this checkout
 (`obstruction` exits 2 where d+m is not an even integer, `expand`,
 `poincare` and `verify` exit 2 past the obstruction, from the

@@ -24,7 +24,7 @@ P, _, Y = inv.schouten(s)
 p = s.sample(1, seed=2)[0]
 print("\nfirst-order coefficient versus 2P at a sample point:")
 print("  solver:", np.round(e.g_coeffs[1].matrix_values(p)[0], 6))
-print("  2P    :", np.round(2 * P.matrix_values(p)[0], 6))
+print("  2P    :", np.round([2 * x for x in P.matrix_values(p)[0]], 6))
 
 print("\nresidual report of the assembled ambient structure, "
       "max |rho^k coefficient| per block:")

@@ -27,18 +27,19 @@ v = Request(pts, O=obs.tensor.entries(), B=B.entries(),
             O2=obs2.tensor.entries(), g=s.g.entries(),
             scalars=[s.f, obs.scalar_part, u]).result()
 print("normalization constant c =", obs.c)
-print("max |obstruction - weighted Bach| over samples:", max_abs(v["O"] - v["B"]))
+print("max |obstruction - weighted Bach| over samples:",
+      max_abs(np.subtract(v["O"], v["B"])))
 
 tr_err = 0.0
 for g, O, (f, F, _) in zip(v["g"], v["O"], v["scalars"]):
-    tr = float(np.trace(np.linalg.inv(g.reshape(3, 3)) @ O.reshape(3, 3)))
+    tr = inv.metric_trace(g, O)
     tr_err = max(tr_err, abs(tr - s.m / f ** 2 * F))
 print("trace identity |O^i_i - (m/f^2) F|:", tr_err)
 
 # conformal covariance, exponent fitted from data
 logs, us = [], []
 for O1, O2, (_, _, up) in zip(v["O"], v["O2"], v["scalars"]):
-    O1, O2 = O1.reshape(3, 3), O2.reshape(3, 3)
+    O1, O2 = np.reshape(O1, (3, 3)), np.reshape(O2, (3, 3))
     for i in range(3):
         for j in range(3):
             if abs(O1[i, j]) > 1e-3 * np.max(np.abs(O1)):

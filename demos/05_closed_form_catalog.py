@@ -34,9 +34,9 @@ for name in ("quasi-einstein", "wlcf", "gover-leitner"):
           f"{residual_through(a, 4, pts):.2e}")
     e = expand(entry.space, 3)
     g_want, f_want = entry.closed_form(3)
-    got, want = np.split(evaluate(
+    got, want = np.split(np.asarray(evaluate(
         [c for g in (e.g_coeffs, g_want) for k in range(4)
-         for c in g[k].entries()], pts), 2)
+         for c in g[k].entries()], pts)), 2)
     worst = max_abs(got - want)
     print(f"  solver reproduces the closed form through order 3: {worst:.2e}")
 

@@ -31,12 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import curvature as cv
 from . import invariants as inv
 from .expressions import parse_expression
-from .fields import Chart, Request, SymTensor2Field
+from .fields import Chart, Request, SymTensor2Field, max_abs
 from .invariants import MetricMeasureSpace
 
 __all__ = [
@@ -119,10 +117,10 @@ def round_sphere_space(d=3, m=2.0, mu=-1.0, f_expr="1") -> MetricMeasureSpace:
 def _equations(s, pts, family, groups, residuals) -> Request:
     """The request that checks the defining equations of `family` at
     `pts`.  `groups` name the roots they read, and `residuals` maps the
-    values (name -> (len(pts), len(group)) array) to each equation's
-    residual at each point.  The result is an EntryRejected naming the
-    equations that exceed _TOL times the curvature scale at the first
-    point where one does, or None."""
+    values (name -> per-point rows) to each equation's residual at each
+    point.  The result is an EntryRejected naming the equations that
+    exceed _TOL times the curvature scale at the first point where one
+    does, or None."""
 
     def reduce(v):
         limit = _TOL * v.pop("scale")
@@ -139,9 +137,9 @@ def _equations(s, pts, family, groups, residuals) -> Request:
     return Request(pts, reduce, scale=inv.curvature_scale(s, pts), **groups)
 
 
-def _row_max(values):
-    """max |v| over each point's row of `values`."""
-    return np.max(np.abs(values), axis=1, initial=0.0)
+def _row_max(rows):
+    """max |v| over each point's row of values."""
+    return [max_abs(row) for row in rows]
 
 
 # -- closed-form deformations ----------------------------------------------------
@@ -175,8 +173,11 @@ def quasi_einstein_entry(space: MetricMeasureSpace, ric_eigenvalue, *,
         return _equations(space, pts, "quasi-Einstein", {
             "g": space.g.entries(), "ric": inv.weighted_ricci(space).entries(),
             "F": [space.geometry.F_phi], "f": [space.f]}, lambda v: {
-            "|Ric_phi - c g|": _row_max(v["ric"] - c * v["g"]),
-            "|F_phi + c f^2|": _row_max(v["F"] + c * v["f"] ** 2)})
+            "|Ric_phi - c g|": _row_max(
+                [[r - c * g for r, g in zip(rr, gr)]
+                 for rr, gr in zip(v["ric"], v["g"])]),
+            "|F_phi + c f^2|": [abs(F + c * (f * f))
+                                for (F,), (f,) in zip(v["F"], v["f"])]})
 
     def closed_form(order):
         g_coeffs = _einstein_like_g(space, a, order)
@@ -262,7 +263,8 @@ def gover_leitner_entry(space: MetricMeasureSpace, *,
         return _equations(space, pts, "Gover-Leitner", {
             "g": space.g.entries(), "ric": inv.weighted_ricci(space).entries()},
             lambda v: {"|Ric + (d-1) mu g|": _row_max(
-                v["ric"] + (space.dim - 1) * space.mu * v["g"])})
+                [[r + (space.dim - 1) * space.mu * g for r, g in zip(rr, gr)]
+                 for rr, gr in zip(v["ric"], v["g"])])})
 
     def closed_form(order):
         g_coeffs = _einstein_like_g(space, a, order)
@@ -280,18 +282,6 @@ def gover_leitner_entry(space: MetricMeasureSpace, *,
 _POLY_BASIS = ("{c}*{xi}", "{c}*{xi}*{xj}", "{c}*sin({k}*{xi})", "{c}*cos({k}*{xi})")
 
 
-def _random_perturbation(rng, names) -> str:
-    terms = []
-    for _ in range(3):
-        kind = int(rng.integers(0, len(_POLY_BASIS)))
-        xi = names[int(rng.integers(0, len(names)))]
-        xj = names[int(rng.integers(0, len(names)))]
-        k = int(rng.integers(1, 3))
-        c = float(np.round(rng.uniform(-1.0, 1.0), 6))
-        terms.append(_POLY_BASIS[kind].format(c=c, xi=xi, xj=xj, k=k))
-    return "+".join(terms)
-
-
 def random_entry(d=3, m=1.0, mu=0.0, seed=0, amplitude=0.05, *,
                  box_half=0.5, name=None) -> CatalogEntry:
     """Seeded analytic perturbation of the flat space, positivity-checked.
@@ -300,19 +290,35 @@ def random_entry(d=3, m=1.0, mu=0.0, seed=0, amplitude=0.05, *,
     f = 1 + amplitude * (analytic perturbation); identical seeds give
     bit-identical entries.
     """
+    # test corpora only, which no command builds: numpy's seeded
+    # generator and eigvalsh
+    import numpy as np
+
     names = [f"x{i+1}" for i in range(d)]
     chart = Chart(names, box=[(-box_half, box_half)] * d)
     rng = np.random.default_rng(seed)
+
+    def perturbation() -> str:
+        terms = []
+        for _ in range(3):
+            kind = int(rng.integers(0, len(_POLY_BASIS)))
+            xi = names[int(rng.integers(0, len(names)))]
+            xj = names[int(rng.integers(0, len(names)))]
+            k = int(rng.integers(1, 3))
+            c = float(np.round(rng.uniform(-1.0, 1.0), 6))
+            terms.append(_POLY_BASIS[kind].format(c=c, xi=xi, xj=xj, k=k))
+        return "+".join(terms)
+
     comps = {}
     exprs = {}
     for i in range(d):
         for j in range(i, d):
-            pert = _random_perturbation(rng, names)
+            pert = perturbation()
             base = "1" if i == j else "0"
             expr = f"{base}+{amplitude}*({pert})" if amplitude else base
             exprs[f"g{i+1}{j+1}"] = expr
             comps[(i, j)] = parse_expression(expr, chart)
-    f_expr = (f"1+{amplitude}*({_random_perturbation(rng, names)})"
+    f_expr = (f"1+{amplitude}*({perturbation()})"
               if amplitude else "1")
     exprs["f"] = f_expr
     g = SymTensor2Field(chart, comps)
@@ -323,8 +329,8 @@ def random_entry(d=3, m=1.0, mu=0.0, seed=0, amplitude=0.05, *,
     grid = [tuple(float(v) for v in p)
             for p in np.stack(np.meshgrid(*([grid_1d] * d)), -1).reshape(-1, d)]
     v = Request(grid, g=g.entries(), f=[f]).result()
-    lowest = np.linalg.eigvalsh(v["g"].reshape(-1, d, d)).min(axis=1)
-    for p, low, fv in zip(grid, lowest, v["f"][:, 0]):
+    lowest = np.linalg.eigvalsh(np.reshape(v["g"], (-1, d, d))).min(axis=1)
+    for p, low, (fv,) in zip(grid, lowest, v["f"]):
         if low <= 1e-6:
             raise EntryRejected(
                 f"perturbed metric loses positivity at {p} "

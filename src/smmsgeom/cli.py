@@ -66,8 +66,6 @@ import resource
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from . import curvature as cv
 from . import invariants as inv
@@ -78,7 +76,7 @@ from .config import (MINIMUMS, TOLERANCES, ConfigError, Report,
 from .expansion import (ConsistencyError, OrderError, classify_branch,
                         critical_order, expand, gate_request, obstruction)
 from . import fields
-from .fields import Request, SymTensor2Field, max_abs
+from .fields import Request, SymTensor2Field, max_abs, max_abs_difference
 from .invariants import ValidationError, curvature_scale
 from .jets import JetDivisionError
 from .poincare import cone_identity_check, poincare_residual, to_poincare
@@ -252,30 +250,29 @@ def _echo(report, prob):
     report.put("config.seed", prob.seed)
 
 
-def _put_tensor(report, key, values):
-    arr = np.asarray(values)
-    for idx in np.ndindex(arr.shape):
-        suffix = "".join(str(i) for i in idx)
-        report.put(f"{key}.{suffix}" if suffix else key, float(arr[idx]))
+def _put_tensor(report, key, values, d=None):
+    """Report `values`, a point's row of one field's values, entry by
+    entry as `key.<i>`, or as the d x d matrix `key.<i><j>` of a
+    row-major row of d*d values."""
+    for n, x in enumerate(values):
+        report.put(f"{key}.{n}" if d is None else f"{key}.{n // d}{n % d}", x)
 
 
 def cmd_invariants(args, report) -> int:
     prob = _start(args, report)
     s = prob.space
-    d = s.dim
     geo = s.geometry
 
     def trace_identity(v):
         trace_resid = []
         for n, p in enumerate(prob.points):
-            _put_tensor(report, f"point{n}.coords", list(p))
+            _put_tensor(report, f"point{n}.coords", p)
             for name in ("weyl_norm", "cotton_norm"):
                 report.put(f"point{n}.{name}", max_abs(v[name][n]))
             # the trace identity tr_g Ric_phi - (m/f^2) F_phi = R_phi
-            tr = float(np.trace(np.linalg.inv(v["g"][n].reshape(d, d))
-                                @ v["ricci_phi"][n].reshape(d, d)))
-            want = tr - float(s.m) / v["f"][n, 0] ** 2 * v["f_phi"][n, 0]
-            trace_resid.append(v["scalar_phi"][n, 0] - want)
+            tr = inv.metric_trace(v["g"][n], v["ricci_phi"][n])
+            want = tr - float(s.m) / v["f"][n][0] ** 2 * v["f_phi"][n][0]
+            trace_resid.append(v["scalar_phi"][n][0] - want)
         report.put_check("trace_identity", max_abs(trace_resid),
                          prob.tol("residual") * prob.scale)
 
@@ -363,9 +360,11 @@ def _put_points(checks, report, points, fields, then=None, **groups):
     def put(v):
         for n in range(len(points)):
             for name, f in fields.items():
-                _put_tensor(report, f"point{n}.{name}", v[name][n].reshape(
-                    (f.chart.dim,) * 2 if isinstance(f, SymTensor2Field)
-                    else ()))
+                key = f"point{n}.{name}"
+                if isinstance(f, SymTensor2Field):
+                    _put_tensor(report, key, v[name][n], f.chart.dim)
+                else:
+                    report.put(key, v[name][n][0])
         if then is not None:
             then(v)
 
@@ -394,11 +393,10 @@ def _obstruction_identities(prob, obs, report, checks):
     def put(v):
         tr_resid, div_resid = [], []
         for n in range(len(points)):
-            fv, sp = v["f"][n, 0], v["scalar"][n, 0]
-            tr = float(np.trace(np.linalg.inv(v["g"][n].reshape(d, d))
-                                @ v["O"][n].reshape(d, d)))
+            (fv,), (sp,) = v["f"][n], v["scalar"][n]
+            tr = inv.metric_trace(v["g"][n], v["O"][n])
             tr_resid.append(tr - m / fv ** 2 * sp)
-            div_resid += [v["div_O"][n, l] - sp / fv ** 2 * v["dphi"][n, l]
+            div_resid += [v["div_O"][n][l] - sp / fv ** 2 * v["dphi"][n][l]
                           for l in range(d)]
         tol = prob.tol("identities") * prob.scale
         report.put_check("obstruction_trace_identity", max_abs(tr_resid), tol)
@@ -406,7 +404,7 @@ def _obstruction_identities(prob, obs, report, checks):
                          tol)
         if compare:
             report.put_check("obstruction_equals_bach",
-                             max_abs(v["O"] - v["bach"]), tol)
+                             max_abs_difference(v["O"], v["bach"]), tol)
 
     checks.add(request, put)
 
@@ -532,7 +530,8 @@ def _closed_form_agreement(prob, e, entry) -> Request:
     g_want, f_want = entry.closed_form(upto)
     got, want = ([c for k in range(upto + 1) for c in g[k].entries() + [f[k]]]
                  for g, f in ((e.g_coeffs, e.f_coeffs), (g_want, f_want)))
-    return Request(prob.points, lambda v: max_abs(v["got"] - v["want"]),
+    return Request(prob.points,
+                   lambda v: max_abs_difference(v["got"], v["want"]),
                    got=got, want=want)
 
 

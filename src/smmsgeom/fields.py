@@ -17,7 +17,7 @@ dead branches.  `Chart.sum(terms)` builds the left fold of `+` over its
 terms as one node, and `x + y` is its two-term case: no chain of
 partial sums is built.  Evaluation adds the terms left to right, as the
 chain would (floats at degree 0; at a higher degree the first two
-coefficient arrays into a new one, then each further one in place), so
+coefficient lists into a new one, then each further one into it), so
 every value and jet keeps the bits of the chain.  Construction then
 interns the node (hash-consing): every chart owns one table per op (per
 op and param for a unary op), keyed by what the node already holds, so
@@ -31,9 +31,10 @@ Values are read through one entry, `run(requests)`.  A
 `Request(points, reduce, **groups)` names groups of root fields (or
 plain floats) or nested requests at the same points, and a reduction of
 their values by name; `run` sweeps every request in one pass over the
-points and returns each one's (roots x points) array of values,
-unreduced, and `Request.finish` reduces it.  `evaluate(roots, points)`
-is that array for one group, and `ScalarField.value`,
+points and returns each one's values, unreduced, as (roots x points)
+lists of floats, and `Request.finish` hands a reduction each group as
+per-point rows.  Nothing here imports numpy.  `evaluate(roots, points)`
+is those lists for one group, and `ScalarField.value`,
 `SymTensor2Field.matrix_values` and `ScalarField.jet` (at a degree) run
 the same sweep.  `sample_points` draws the points: it re-derives numpy's
 PCG64 stream, the one `np.random.default_rng(seed).uniform` reads, in
@@ -53,7 +54,7 @@ demand, and one reader, to the child chart at the point's leading
 coordinates, which is planned after it (charts go in descending
 dimension).  The forward pass computes each planned node once, in
 creation order, at its planned degree; a parent planned lower reads a
-prefix view (`Jet.truncated`) or the constant term.  A node's slot is
+prefix (`Jet.truncated`) or the constant term.  A node's slot is
 emptied as soon as its last reader has been computed, the roots' slots
 when the step's values are read, so only one point's live jets are
 resident and nothing is kept between calls (Griewank and Walther,
@@ -80,14 +81,13 @@ from __future__ import annotations
 
 import math
 from itertools import compress, islice
-from operator import index
-
-import numpy as np
+from operator import add, index
 
 from .jets import Jet, value_apply, value_power, value_quotient
 
 __all__ = [
     "Chart", "ScalarField", "Request", "run", "evaluate", "max_abs",
+    "max_abs_difference",
     "sample_points", "SymTensor2Field", "FUNCTIONS",
 ]
 
@@ -198,10 +198,12 @@ class Chart:
     @property
     def unread(self) -> int:
         """The number of nodes computed at no point so far."""
-        done = np.zeros(len(self.nodes), dtype=bool)
+        # every flag byte is 0 or 1, so or-ing the bytearrays as
+        # little-endian integers ors them byte by byte, node i in byte i
+        done = 0
         for flags in self._done.values():
-            done[:len(flags)] |= np.frombuffer(flags, dtype=bool)
-        return int(np.count_nonzero(~done))
+            done |= int.from_bytes(flags, "little")
+        return len(self.nodes) - done.to_bytes(len(self.nodes), "little").count(1)
 
     def coordinate(self, i: int) -> "ScalarField":
         if not 0 <= i < self.dim:
@@ -343,7 +345,7 @@ class ScalarField:
         return _sweep([self], [_checked(point, self.chart)], degree)[0]
 
     def value(self, point) -> float:
-        return float(evaluate([self], [point])[0, 0])
+        return evaluate([self], [point])[0][0]
 
     # -- structure ------------------------------------------------------
 
@@ -476,9 +478,10 @@ class Request:
 
     A group is a list of roots (fields or plain floats) or a request at
     the same points.  `reduce` (None: the identity) receives by name a
-    list's values as a C-contiguous (len(points), len(group)) array, or
-    a nested request's result.  A request holds nothing else, so
-    whatever its roots were built from can be dropped before it runs.
+    list's values as per-point rows, a list of len(points) lists of
+    len(group) floats, or a nested request's result.  A request holds
+    nothing else, so whatever its roots were built from can be dropped
+    before it runs.
     """
 
     __slots__ = ("points", "reduce", "groups", "roots")
@@ -502,14 +505,19 @@ class Request:
                 _checked(point, chart)
 
     def finish(self, values):
-        """This request's result from the array `run` gives for it: one
-        row per root of its groups, in order."""
+        """This request's result from the values `run` gives for it: one
+        list per root of its groups, in order, of its value at each
+        point."""
         v, start = {}, 0
         for name, group in self.groups.items():
             nested = isinstance(group, Request)
             stop = start + (len(group.roots) if nested else group)
-            v[name] = (group.finish(values[start:stop]) if nested
-                       else values[start:stop].T.copy())
+            if nested:
+                v[name] = group.finish(values[start:stop])
+            elif stop > start:
+                v[name] = list(map(list, zip(*values[start:stop])))
+            else:
+                v[name] = [[] for _ in self.points]
             start = stop
         return v if self.reduce is None else self.reduce(v)
 
@@ -520,14 +528,14 @@ class Request:
 
 def run(requests) -> list:
     """The values of each request, from one sweep over their points: a
-    float64 array of shape (len(roots), len(points)), unreduced.
+    list of len(roots) lists of len(points) floats, unreduced.
 
     Step k evaluates every root of each request that has a k-th point,
     so an evaluation error is raised at the first step where it occurs.
     Every chart that owns a root counts the call in `Chart.evaluations`.
     """
     requests = list(requests)
-    out = [np.empty((len(q.roots), len(q.points))) for q in requests]
+    out = [[[0.0] * len(q.points) for _ in q.roots] for q in requests]
     charts = {id(r.chart): r.chart for q in requests for r in q.roots
               if isinstance(r, ScalarField)}
     for chart in charts.values():
@@ -542,23 +550,37 @@ def run(requests) -> list:
                 if isinstance(root, ScalarField):
                     roots.append(root)
                     points.append(point)
-                    slots.append((vals, r))
+                    slots.append(vals[r])
                 else:
-                    vals[r, k] = root
-        for (vals, r), value in zip(slots, _sweep(roots, points, 0)):
-            vals[r, k] = value.value if value.__class__ is Jet else value
+                    vals[r][k] = float(root)
+        for row, value in zip(slots, _sweep(roots, points, 0)):
+            row[k] = value.value if value.__class__ is Jet else value
     return out
 
 
-def evaluate(roots, points) -> np.ndarray:
+def evaluate(roots, points) -> list:
     """The values of `roots` (fields or plain floats) at `points`, as a
-    float64 array of shape (len(roots), len(points)): one request."""
+    list of len(roots) lists of len(points) floats: one request."""
     return run([Request(points, roots=roots)])[0]
 
 
 def max_abs(values) -> float:
-    """max |v| over an array of values: 0.0 if it is empty, NaN if any v is."""
-    return float(np.max(np.abs(values), initial=0.0))
+    """max |v| over `values`, numbers or (nested) sequences of them such
+    as per-point rows: 0.0 if there are none, NaN if any v is."""
+    worst = 0.0
+    for v in values:
+        v = abs(v) if isinstance(v, (int, float)) else max_abs(v)
+        if v > worst:
+            worst = v
+        elif v != v:
+            return v
+    return worst
+
+
+def max_abs_difference(x, y) -> float:
+    """max |a - b| over the paired entries of two groups' per-point rows
+    of equal shape: 0.0 if there are none, NaN if any a - b is."""
+    return max_abs([a - b for xr, yr in zip(x, y) for a, b in zip(xr, yr)])
 
 
 class _Plan:
@@ -768,8 +790,8 @@ def _run(plan: _Plan, plans) -> None:
 def _add_terms(xs, deg: int):
     """The sum of the values `xs` of a sum's terms at `deg`, added left
     to right: floats at degree 0; at a higher degree the first two
-    coefficient arrays (prefixes where a term is held higher) into a new
-    jet, then each further one in place."""
+    coefficient lists (prefixes where a term is held higher) into a new
+    jet, then each further one into it."""
     if not deg:
         xs = [x.value if x.__class__ is Jet else x for x in xs]
         out = xs[0] + xs[1]
@@ -778,8 +800,9 @@ def _add_terms(xs, deg: int):
         return out
     xs = [x if x.degree == deg else x.truncated(deg) for x in xs]
     out = xs[0] + xs[1]
+    acc = out.coeffs
     for x in xs[2:]:
-        out.coeffs += x.coeffs
+        acc[:] = map(add, acc, x.coeffs)
     return out
 
 
@@ -830,8 +853,10 @@ class SymTensor2Field:
         return [self.comp(i, j) for i in range(d) for j in range(d)]
 
     def matrix_values(self, point):
+        """The d x d matrix of values at `point`, as a list of rows."""
         d = self.chart.dim
-        return evaluate(self.entries(), [point]).reshape(d, d)
+        flat = [row[0] for row in evaluate(self.entries(), [point])]
+        return [flat[i * d:(i + 1) * d] for i in range(d)]
 
     def scale(self, factor):
         return SymTensor2Field(self.chart, {

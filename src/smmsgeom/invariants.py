@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+import math
 
 from . import curvature as cv
 from .fields import (Chart, Request, ScalarField, SymTensor2Field,
@@ -38,6 +37,7 @@ __all__ = [
     "MetricMeasureSpace", "ValidationError", "weighted_ricci", "schouten",
     "weighted_bach", "conformally_flat_identities", "conformal_change",
     "curvature_scale", "euclidean_metric", "independent_components",
+    "metric_trace",
 ]
 
 
@@ -83,22 +83,78 @@ class MetricMeasureSpace:
     def check_at(self, points):
         """Finite positive-definite g and positive f at the given points.
 
-        Cholesky does not raise on NaN, so finiteness is tested first; the
-        density test is written so that NaN fails it."""
+        Finiteness is tested first, so that the Cholesky test only sees
+        finite entries; the density test is written so that NaN fails
+        it."""
         d = self.dim
         v = Request(points, g=self.g.entries(), f=[self.f]).result()
-        for p, gm, fv in zip(points, v["g"].reshape(-1, d, d), v["f"][:, 0]):
-            if not np.all(np.isfinite(gm)):
+        for p, g, (fv,) in zip(points, v["g"], v["f"]):
+            if not all(map(math.isfinite, g)):
                 raise ValidationError(f"metric not finite at {p}")
-            try:
-                np.linalg.cholesky(gm)
-            except np.linalg.LinAlgError:
+            if not _cholesky_succeeds(_square(g, d)):
                 raise ValidationError(f"metric not positive definite at {p}")
             if not fv > 0.0:
                 raise ValidationError(f"density f not positive at {p}")
 
     def sample(self, count: int, seed: int):
         return sample_points(self.chart, count, seed)
+
+
+def _square(row, d):
+    """The d x d matrix, as a list of rows, of a point's row-major row of
+    d*d values."""
+    return [row[i * d:(i + 1) * d] for i in range(d)]
+
+
+def _cholesky_succeeds(m) -> bool:
+    """Whether the Cholesky factorization of the symmetric matrix `m`
+    (read from its lower triangle) finds every pivot positive, that is
+    whether `m` is positive definite."""
+    d = len(m)
+    low = [[0.0] * d for _ in range(d)]
+    for j in range(d):
+        pivot = m[j][j]
+        for k in range(j):
+            pivot -= low[j][k] * low[j][k]
+        if not pivot > 0.0:
+            return False
+        low[j][j] = math.sqrt(pivot)
+        for i in range(j + 1, d):
+            x = m[i][j]
+            for k in range(j):
+                x -= low[i][k] * low[j][k]
+            low[i][j] = x / low[j][j]
+    return True
+
+
+def _inverse(m):
+    """The inverse of the invertible square matrix `m` (a list of rows),
+    by Gauss-Jordan elimination with partial pivoting."""
+    d = len(m)
+    rows = [list(row) + [1.0 if i == j else 0.0 for j in range(d)]
+            for i, row in enumerate(m)]
+    for c in range(d):
+        p = max(range(c, d), key=lambda r: abs(rows[r][c]))
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        top = rows[c] = [x / pivot for x in rows[c]]
+        for r in range(d):
+            if r != c:
+                factor = rows[r][c]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], top)]
+    return [row[d:] for row in rows]
+
+
+def metric_trace(g, x) -> float:
+    """tr(g^-1 x) of two d x d matrices given as one point's row-major
+    rows of d*d values: the sum over i, then k, of ginv[i][k] x[k][i]."""
+    d = math.isqrt(len(g))
+    x = _square(x, d)
+    out = 0.0
+    for i, row in enumerate(_inverse(_square(g, d))):
+        for k, y in enumerate(row):
+            out += y * x[k][i]
+    return out
 
 
 def euclidean_metric(chart: Chart) -> SymTensor2Field:
@@ -138,8 +194,11 @@ def weighted_bach(s: MetricMeasureSpace) -> SymTensor2Field:
 def bach_asymmetry(s: MetricMeasureSpace, point) -> float:
     """Residual |B_ij - B_ji| of the raw Bach computation (symmetry check)."""
     B = s.geometry.bach
-    vals = evaluate([c for row in B for c in row], [point]).reshape(s.dim, -1)
-    return max_abs(vals - vals.T)
+    d = s.dim
+    vals = _square([row[0] for row in evaluate([c for row in B for c in row],
+                                               [point])], d)
+    return max_abs([vals[i][j] - vals[j][i]
+                    for i in range(d) for j in range(d)])
 
 
 def conformally_flat_identities(s: MetricMeasureSpace):
@@ -193,13 +252,10 @@ def curvature_scale(s: MetricMeasureSpace, points) -> Request:
         worst = 0.0
         for g, rm_v, hf_v, (fv,), df_v in zip(v["g"], v["rm"], v["hf"],
                                              v["f"], v["df"]):
-            ginv = np.linalg.inv(g.reshape(d, d))
-            rm_v, hf_v = rm_v.reshape(d, d, d, d), hf_v.reshape(d, d)
-            rm_norm = np.sqrt(abs(np.einsum(
-                "ijkl,pqrs,ip,jq,kr,ls->", rm_v, rm_v, ginv, ginv, ginv, ginv)))
-            hf_norm = np.sqrt(abs(np.einsum("ij,kl,ik,jl->", hf_v, hf_v,
-                                            ginv, ginv))) / fv
-            gf_norm = float(df_v @ ginv @ df_v) / fv ** 2
+            ginv = _inverse(_square(g, d))
+            rm_norm = math.sqrt(abs(_norm_squared(rm_v, ginv)))
+            hf_norm = math.sqrt(abs(_norm_squared(hf_v, ginv))) / fv
+            gf_norm = _quadratic_form(df_v, ginv) / fv ** 2
             worst = max(worst, rm_norm + hf_norm + gf_norm + abs(mu))
         return max(worst, 1.0)
 
@@ -207,3 +263,49 @@ def curvature_scale(s: MetricMeasureSpace, points) -> Request:
                    rm=[x for a in rm for b in a for c in b for x in c],
                    hf=[c for row in hess_f for c in row],
                    f=[s.f], df=[s.f.partial(i) for i in range(d)])
+
+
+def _norm_squared(t, ginv) -> float:
+    """|t|^2 = t_A t_B ginv[a1][b1] ... ginv[ar][br] of a tensor of rank
+    r = 2 or 4 (a point's row-major row of d^r values), summed over the
+    pairs of multi-indices (A, B) in row-major order from +0.0, each term
+    multiplied left to right in that order.  A term with a zero ginv
+    factor adds a signed zero to that sum, so it is skipped, which leaves
+    d^r terms for a diagonal metric."""
+    d = len(ginv)
+    # per index a, its partners b with ginv[a][b] != 0
+    partners = [[(b, x) for b, x in enumerate(row) if x] for row in ginv]
+    out = 0.0
+    if len(t) == d * d:
+        for n, ta in enumerate(t):
+            for p, x1 in partners[n // d]:
+                for q, x2 in partners[n % d]:
+                    out += ((ta * t[p * d + q]) * x1) * x2
+        return out
+    d2, d3 = d * d, d * d * d
+    for n, ta in enumerate(t):
+        i, j, k, l = n // d3, n // d2 % d, n // d % d, n % d
+        for p, x1 in partners[i]:
+            for q, x2 in partners[j]:
+                pq = (p * d + q) * d
+                for r, x3 in partners[k]:
+                    pqr = (pq + r) * d
+                    for s, x4 in partners[l]:
+                        out += ((((ta * t[pqr + s]) * x1) * x2) * x3) * x4
+    return out
+
+
+def _quadratic_form(x, m) -> float:
+    """x m x, as (x m) x: the row vector x m first, each entry summed
+    over i, then its dot product with x."""
+    d = len(x)
+    xm = []
+    for j in range(d):
+        acc = 0.0
+        for i in range(d):
+            acc += x[i] * m[i][j]
+        xm.append(acc)
+    out = 0.0
+    for j in range(d):
+        out += xm[j] * x[j]
+    return out

@@ -4,30 +4,34 @@ A jet of degree D in n variables stores the coefficients
 
     coeff(alpha) = d^alpha F(p) / alpha!          for all |alpha| <= D,
 
-densely, in graded lexicographic order (total degree first, then
-lexicographic on the exponent tuple).  Grading first means a degree-D'
-jet is a prefix slice of a degree-D jet for D' <= D, so a parent that
-needs a node at a lower degree reads a view of its jet.
+densely, as a list of floats in graded lexicographic order (total degree
+first, then lexicographic on the exponent tuple).  Grading first means a
+degree-D' jet is a prefix of a degree-D jet for D' <= D, so a parent
+that needs a node at a lower degree reads a prefix of its jet.
 
 Arithmetic follows the represented functions: sums, truncated Cauchy
 products, division by jets with nonzero constant term, composition with
 univariate analytic functions, and partial differentiation (which lowers
-the degree by one).  Convolution sums always run in ascending graded-lex
-order over the left factor so repeated runs are bit-identical.  One
-product table per (nvars, degree) fixes that order for both: its terms
-are grouped by the total degree of the output coefficient and keep the
-left factor ascending within each group, so a product sums every output
-coefficient in that order, and division, which solves one degree after
-another, reads each degree's group as a slice.  The `value_*` functions
-are the degree-0 kernels on plain floats.
+the degree by one).  The kernels are plain Python loops over floats, so
+no command imports numpy (most jets are small).  Convolution sums
+always run in ascending graded-lex order over the left factor so
+repeated runs are bit-identical.  One product table per (nvars, degree)
+fixes that order for both: its terms are grouped by the total degree
+of the output coefficient and keep the left factor ascending within
+each group, so a product, which runs the table row by row of the left
+factor (or of the right one, J descending), sums every output
+coefficient in that order, and division,
+which solves one degree after another, adds each degree's group in
+table order.  These are the orders of `np.bincount` and `np.add.at`
+over the table, which `tests/test_jets.py` checks bit for bit.  The
+`value_*` functions are the degree-0 kernels on plain floats.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 import math
-
-import numpy as np
+from operator import add
 
 __all__ = ["Jet", "JetShapeError", "JetDivisionError", "jet_count",
            "value_quotient", "value_power", "value_apply"]
@@ -35,6 +39,8 @@ __all__ = ["Jet", "JetShapeError", "JetDivisionError", "jet_count",
 # Divisor jets whose constant term is at or below PIVOT_REL times the
 # magnitude of their largest coefficient (floored at 1) are rejected.
 PIVOT_REL = 1e-10
+
+_new = object.__new__
 
 
 class JetShapeError(ValueError):
@@ -119,36 +125,60 @@ def _exponent_table(nvars: int, degree: int):
 
 
 @lru_cache(maxsize=None)
+def _product_rows(nvars: int, degree: int):
+    """Per index I, the K with exps[K] = exps[I] + exps[J] for
+    J = 0, 1, ...: the J of total degree at most degree - |I|, a prefix
+    of the graded order, so a row zipped with the other factor's
+    coefficients pairs each K with its J (the table is symmetric in I
+    and J)."""
+    exps = _exponent_table(nvars, degree)[0]
+    # each exponent tuple as one integer, its digits in base degree + 1:
+    # every exponent is below that base, so the code of a sum of two
+    # tuples is the sum of their codes
+    codes = []
+    for e in exps:
+        code = 0
+        for x in e:
+            code = code * (degree + 1) + x
+        codes.append(code)
+    where = {code: k for k, code in enumerate(codes)}
+    return tuple([where[ci + cj] for cj in
+                  codes[:jet_count(nvars, degree - sum(e))]]
+                 for ci, e in zip(codes, exps))
+
+
+@lru_cache(maxsize=None)
 def _product_table(nvars: int, degree: int):
-    """Index triples (I, J, K) with exps[K] = exps[I] + exps[J].
+    """Index triples (I, J, K) with exps[K] = exps[I] + exps[J], as three
+    lists.
 
     Grouped by the total degree of K, ascending, and within each level
     ascending over the left factor index, then the right.  Every K's terms
     are then in I-ascending order, which fixes the summation order of
     every product, and each level starts with its I = 0 terms, which
-    division skips.
+    division skips.  Row I of `_product_rows` holds the K of I's terms
+    in this order.
     """
-    exps = np.array(_exponent_table(nvars, degree)[0], dtype=np.intp)
-    level = exps.sum(axis=1)
-    # np.nonzero walks the pair matrix row by row: I ascending, then J
-    ii, jj = np.nonzero(level[:, None] + level[None, :] <= degree)
-    # a stable sort keeps that order within each level of K
-    by_level = np.argsort(level[ii] + level[jj], kind="stable")
-    ii, jj = ii[by_level], jj[by_level]
-    # exponents are below degree + 1, so base degree + 1 encodes each
-    # tuple as one integer; the table's codes are not sorted (graded
-    # order), so search through their sorting permutation
-    radix = (degree + 1) ** np.arange(nvars - 1, -1, -1, dtype=np.intp)
-    codes = exps @ radix
-    order = np.argsort(codes)
-    kk = order[np.searchsorted(codes[order], (exps[ii] + exps[jj]) @ radix)]
+    rows = _product_rows(nvars, degree)
+    # positions [start[t], start[t + 1]) hold the exponents of total t
+    start = [0] + [jet_count(nvars, t) for t in range(degree + 1)]
+    ii, jj, kk = [], [], []
+    for t in range(degree + 1):
+        for level_i in range(t + 1):
+            # the J of total t - level_i, for every I of total level_i
+            lo, hi = start[t - level_i], start[t - level_i + 1]
+            for i in range(start[level_i], start[level_i + 1]):
+                ii += [i] * (hi - lo)
+                jj += range(lo, hi)
+                kk += rows[i][lo:hi]
     return ii, jj, kk
 
 
 @lru_cache(maxsize=None)
 def _division_levels(nvars: int, degree: int):
-    """Per total-degree level t >= 1: the coefficient slice [lo, hi) of
-    the level and views (I, J, K) of its product-table terms with I != 0.
+    """Per total-degree level t >= 1: the coefficient range [lo, hi) of
+    the level and the rows (I, Js, Ks) of its product-table terms with
+    I != 0: I ascending, each with its (J, K) in table order.
 
     Drives the graded long-division recursion
         c[K] = (a[K] - sum b[I] c[J]) / b[0],
@@ -163,7 +193,13 @@ def _division_levels(nvars: int, degree: int):
         # is the table slice past those below t, less its I = 0 terms
         start = math.comb(2 * nvars + t - 1, t - 1) + hi - lo
         stop = math.comb(2 * nvars + t, t)
-        out.append((lo, hi, ii[start:stop], jj[start:stop], kk[start:stop]))
+        rows = []
+        for i, j, k in zip(ii[start:stop], jj[start:stop], kk[start:stop]):
+            if not rows or rows[-1][0] != i:
+                rows.append((i, [], []))
+            rows[-1][1].append(j)
+            rows[-1][2].append(k)
+        out.append((lo, hi, rows))
         lo = hi
     return tuple(out)
 
@@ -175,7 +211,7 @@ def _promotion_table(nvars: int, extra: int, degree: int):
     exps, _ = _exponent_table(nvars, degree)
     _, pos_out = _exponent_table(nvars + extra, degree)
     pad = (0,) * extra
-    return np.asarray([pos_out[a + pad] for a in exps], dtype=np.intp)
+    return [pos_out[a + pad] for a in exps]
 
 
 @lru_cache(maxsize=None)
@@ -187,17 +223,35 @@ def _partial_table(nvars: int, degree: int, axis: int):
     """
     exps_out, _ = _exponent_table(nvars, degree - 1) if degree > 0 else ((), {})
     _, pos_in = _exponent_table(nvars, degree)
-    src = np.empty(len(exps_out), dtype=np.intp)
-    mult = np.empty(len(exps_out), dtype=np.float64)
-    for k, a in enumerate(exps_out):
+    src, mult = [], []
+    for a in exps_out:
         shifted = tuple(x + (1 if t == axis else 0) for t, x in enumerate(a))
-        src[k] = pos_in[shifted]
-        mult[k] = a[axis] + 1
+        src.append(pos_in[shifted])
+        mult.append(float(a[axis] + 1))
     return src, mult
 
 
+def _magnitude(coeffs) -> float:
+    """max |c| over the coefficients, NaN if any c is (as `np.max` of
+    their magnitudes gives, where Python's `max` would skip a NaN)."""
+    if any(map(math.isnan, coeffs)):
+        return math.nan
+    return max(map(abs, coeffs))
+
+
+def _jet(nvars: int, degree: int, coeffs: list) -> "Jet":
+    """A Jet of `coeffs`, a list of floats of the right length, built
+    without the checks and the copy of `Jet(...)`."""
+    out = _new(Jet)
+    out.nvars = nvars
+    out.degree = degree
+    out.coeffs = coeffs
+    return out
+
+
 class Jet:
-    """Dense truncated Taylor coefficients of a scalar quantity at a point."""
+    """Dense truncated Taylor coefficients of a scalar quantity at a point,
+    as a list of floats."""
 
     __slots__ = ("nvars", "degree", "coeffs")
 
@@ -206,28 +260,28 @@ class Jet:
         self.degree = degree
         n = jet_count(nvars, degree)
         if coeffs is None:
-            self.coeffs = np.zeros(n)
+            self.coeffs = [0.0] * n
         else:
-            arr = np.asarray(coeffs, dtype=np.float64)
-            if arr.shape != (n,):
+            coeffs = [float(c) for c in coeffs]
+            if len(coeffs) != n:
                 raise JetShapeError(
                     f"expected {n} coefficients for nvars={nvars}, "
-                    f"degree={degree}, got {arr.shape}")
-            self.coeffs = arr
+                    f"degree={degree}, got {len(coeffs)}")
+            self.coeffs = coeffs
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def constant(cls, value: float, nvars: int, degree: int) -> "Jet":
         out = cls(nvars, degree)
-        out.coeffs[0] = value
+        out.coeffs[0] = float(value)
         return out
 
     @classmethod
     def variable(cls, value: float, axis: int, nvars: int, degree: int) -> "Jet":
         """Jet of the coordinate function x_axis at x_axis = value."""
         out = cls(nvars, degree)
-        out.coeffs[0] = value
+        out.coeffs[0] = float(value)
         if degree >= 1:
             _, pos = _exponent_table(nvars, degree)
             e = tuple(1 if t == axis else 0 for t in range(nvars))
@@ -238,21 +292,21 @@ class Jet:
 
     @property
     def value(self) -> float:
-        return float(self.coeffs[0])
+        return self.coeffs[0]
 
     def coefficient(self, alpha) -> float:
         """Taylor coefficient of the multi-index alpha."""
         _, pos = _exponent_table(self.nvars, self.degree)
-        return float(self.coeffs[pos[tuple(alpha)]])
+        return self.coeffs[pos[tuple(alpha)]]
 
     def truncated(self, degree: int) -> "Jet":
-        """The degree-`degree` prefix, as a view: jets are never written
-        after construction."""
+        """The degree-`degree` prefix."""
         if degree > self.degree:
             raise JetShapeError(f"cannot extend degree {self.degree} to {degree}")
         if degree == self.degree:
             return self
-        return Jet(self.nvars, degree, self.coeffs[: jet_count(self.nvars, degree)])
+        return _jet(self.nvars, degree,
+                    self.coeffs[: jet_count(self.nvars, degree)])
 
     def _check(self, other: "Jet"):
         if self.nvars != other.nvars or self.degree != other.degree:
@@ -264,46 +318,80 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
-            out = Jet(self.nvars, self.degree, self.coeffs.copy())
-            out.coeffs[0] += other
-            return out
+            out = self.coeffs.copy()
+            out[0] += other
+            return _jet(self.nvars, self.degree, out)
         self._check(other)
-        return Jet(self.nvars, self.degree, self.coeffs + other.coeffs)
+        return _jet(self.nvars, self.degree,
+                    list(map(add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __mul__(self, other):
+        """The truncated product, by rows of the product table: every
+        output coefficient sums its terms a[I] * b[J] I-ascending from
+        +0.0, as `np.bincount` over the table does.  Row I of the left
+        factor adds a[I] * b[J] into K for each of its (J, K), I
+        ascending.  A row whose coefficient is 0.0 or -0.0 adds only
+        signed zeros to sums that start at +0.0 and so stay unchanged,
+        so it is skipped, unless the other factor holds an inf or a NaN
+        (0 * inf is NaN).  When the right factor has more zero
+        coefficients, its rows run instead, J descending: for a fixed K,
+        J = K - I descends as I ascends, so every sum keeps its order."""
         if isinstance(other, (int, float)):
-            return Jet(self.nvars, self.degree, self.coeffs * float(other))
+            k = float(other)
+            return _jet(self.nvars, self.degree, [x * k for x in self.coeffs])
         self._check(other)
-        ii, jj, kk = _product_table(self.nvars, self.degree)
-        out = np.bincount(kk, self.coeffs[ii] * other.coeffs[jj],
-                          len(self.coeffs))
-        return Jet(self.nvars, self.degree, out)
+        a, b = self.coeffs, other.coeffs
+        rows = _product_rows(self.nvars, self.degree)
+        out = [0.0] * len(b)
+        if b.count(0.0) > a.count(0.0) and all(map(math.isfinite, a)):
+            for bj, row in zip(reversed(b), reversed(rows)):
+                if bj:
+                    for k, ai in zip(row, a):
+                        out[k] += ai * bj
+        else:
+            skip = all(map(math.isfinite, b))
+            for ai, row in zip(a, rows):
+                if ai or not skip:
+                    for k, bj in zip(row, b):
+                        out[k] += ai * bj
+        return _jet(self.nvars, self.degree, out)
 
     __rmul__ = __mul__
 
     def _divided_by(self, other: "Jet") -> "Jet":
         """Graded long division: level t of the quotient is solved from the
         convolution contributions of strictly lower levels, which keeps the
-        noise floor at machine precision even for high degrees."""
-        b = other.coeffs
+        noise floor at machine precision even for high degrees.  Each
+        level adds its terms in table order, as `np.add.at` does, row by
+        row of the divisor; a row whose b[I] is 0.0 or -0.0 is skipped
+        while the quotient so far is finite, as in a product."""
+        a, b = self.coeffs, other.coeffs
         b0 = b[0]
-        _check_pivot(b0, float(np.max(np.abs(b))))
-        c = np.zeros_like(self.coeffs)
-        acc = np.zeros_like(self.coeffs)
-        c[0] = self.coeffs[0] / b0
-        for lo, hi, ii, jj, kk in _division_levels(self.nvars, self.degree):
-            np.add.at(acc, kk, b[ii] * c[jj])
-            c[lo:hi] = (self.coeffs[lo:hi] - acc[lo:hi]) / b0
-        return Jet(self.nvars, self.degree, c)
+        _check_pivot(b0, _magnitude(b))
+        c = [0.0] * len(a)
+        acc = [0.0] * len(a)
+        c[0] = a[0] / b0
+        finite = math.isfinite(c[0])
+        for lo, hi, rows in _division_levels(self.nvars, self.degree):
+            for i, js, ks in rows:
+                bi = b[i]
+                if bi or not finite:
+                    for j, k in zip(js, ks):
+                        acc[k] += bi * c[j]
+            for k in range(lo, hi):
+                c[k] = (a[k] - acc[k]) / b0
+            finite = finite and all(map(math.isfinite, c[lo:hi]))
+        return _jet(self.nvars, self.degree, c)
 
     def reciprocal(self) -> "Jet":
         return Jet.constant(1.0, self.nvars, self.degree)._divided_by(self)
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return Jet(self.nvars, self.degree, self.coeffs / float(other))
+            k = float(other)
+            return _jet(self.nvars, self.degree, [x / k for x in self.coeffs])
         self._check(other)
         return self._divided_by(other)
 
@@ -325,7 +413,7 @@ class Jet:
 
     def compose(self, derivs) -> "Jet":
         """Jet of h(F) from the derivatives h^(k)(F(p)), k = 0..degree."""
-        shifted = Jet(self.nvars, self.degree, self.coeffs.copy())
+        shifted = _jet(self.nvars, self.degree, self.coeffs.copy())
         shifted.coeffs[0] = 0.0
         acc = Jet.constant(float(derivs[0]), self.nvars, self.degree)
         power = Jet.constant(1.0, self.nvars, self.degree)
@@ -382,7 +470,9 @@ class Jet:
         if extra == 0:
             return self
         out = Jet(self.nvars + extra, self.degree)
-        out.coeffs[_promotion_table(self.nvars, extra, self.degree)] = self.coeffs
+        for k, c in zip(_promotion_table(self.nvars, extra, self.degree),
+                        self.coeffs):
+            out.coeffs[k] = c
         return out
 
     # -- differentiation ------------------------------------------------
@@ -394,7 +484,9 @@ class Jet:
         if self.degree == 0:
             raise JetShapeError("cannot differentiate a degree-0 jet")
         src, mult = _partial_table(self.nvars, self.degree, axis)
-        return Jet(self.nvars, self.degree - 1, self.coeffs[src] * mult)
+        c = self.coeffs
+        return _jet(self.nvars, self.degree - 1,
+                    [c[s] * k for s, k in zip(src, mult)])
 
     def __repr__(self):
         return f"Jet(nvars={self.nvars}, degree={self.degree}, value={self.value:.6g})"

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import curvature as cv
 from .ambient import Graded, graded_derivs
 from .expansion import RhoExpansion
-from .fields import Chart, Request, SymTensor2Field, max_abs
+from .fields import (Chart, Request, SymTensor2Field, max_abs,
+                     max_abs_difference)
 from .invariants import MetricMeasureSpace
 from .series import Series
 
@@ -207,10 +206,11 @@ def cone_identity_check(p: PoincareStructure, *, points) -> Request:
     pairs = [(a, b) for a in range(d + 1) for b in range(a, d + 1)]
 
     def reduce(v):
-        rhs = v["ric"] + dm * v["g"]
-        rhs_F = np.array([Fv - dm * fv ** 2
-                          for (Fv,), (fv,) in zip(v["F"], v["f"])])
-        return (max_abs(v["lhs"] - rhs), max_abs(v["lhs_F"][:, 0] - rhs_F),
+        rhs = [[r + dm * g for r, g in zip(rr, gr)]
+               for rr, gr in zip(v["ric"], v["g"])]
+        rhs_F = [Fv - dm * fv ** 2 for (Fv,), (fv,) in zip(v["F"], v["f"])]
+        return (max_abs_difference(v["lhs"], rhs),
+                max_abs([x - y for (x,), y in zip(v["lhs_F"], rhs_F)]),
                 max(max_abs(rhs), max_abs(rhs_F)))
 
     return Request(

@@ -29,6 +29,11 @@ def _scale(space, pts):
     return max(inv.curvature_scale(space, pts).result(), 1.0)
 
 
+def _arrays(request):
+    """A request's result, each group's per-point rows as an array."""
+    return {name: np.asarray(rows) for name, rows in request.result().items()}
+
+
 def _ricci_worst(a, count, pts):
     """max |rho^k coefficient| of the closed-form ambient Ricci blocks and
     F, k < count, over the points."""
@@ -63,8 +68,8 @@ def test_criterion_01_first_order_formulas(spaces):
         P, _, Y = inv.schouten(s)
         pts = s.sample(10, seed=2)
         scale = _scale(s, pts)
-        v = Request(pts, g1=e.g_coeffs[1].entries(), P=P.entries(),
-                    f=[s.f, Y, e.f_coeffs[1]]).result()
+        v = _arrays(Request(pts, g1=e.g_coeffs[1].entries(), P=P.entries(),
+                            f=[s.f, Y, e.f_coeffs[1]]))
         for g1, Pv, (fv, Yv, f1) in zip(v["g1"], v["P"], v["f"]):
             dg = g1 - 2.0 * Pv
             assert np.max(np.abs(dg)) <= 1e-9 * scale
@@ -84,8 +89,8 @@ def test_criterion_02_second_order_formula():
         dm4 = 3 + m - 4
         pts = s.sample(10, seed=1)
         scale = _scale(s, pts)
-        v = Request(pts, g=s.g.entries(), P=P.entries(),
-                    g2=e.g_coeffs[2].entries(), B=B.entries()).result()
+        v = _arrays(Request(pts, g=s.g.entries(), P=P.entries(),
+                            g2=e.g_coeffs[2].entries(), B=B.entries()))
         for g, Pv, g2, Bv in zip(v["g"], v["P"], v["g2"], v["B"]):
             ginv = np.linalg.inv(g.reshape(3, 3))
             Pv = Pv.reshape(3, 3)
@@ -110,9 +115,9 @@ def test_criterion_03_obstruction_is_bach(spaces):
     dphi = cv.phi_gradient(s.f, geo.derivs, s.m)
     div_O = cv.weighted_divergence(obs.tensor.as_matrix(), geo.ginv, dphi,
                                    geo.gamma, geo.derivs, geo.zero)
-    v = Request(pts, O=obs.tensor.entries(), B=B.entries(),
-                g=s.g.entries(), f=[s.f, obs.scalar_part],
-                dphi=dphi, div_O=div_O).result()
+    v = _arrays(Request(pts, O=obs.tensor.entries(), B=B.entries(),
+                        g=s.g.entries(), f=[s.f, obs.scalar_part],
+                        dphi=dphi, div_O=div_O))
     worst = max_abs(v["O"] - v["B"])
     assert worst <= 1e-8 * scale
     for g, O, (fv, sp), dp, div in zip(v["g"], v["O"], v["f"], v["dphi"],
@@ -139,9 +144,9 @@ def test_criterion_04_quasi_einstein_exactness():
     assert worst <= 1e-10 * scale
     e = expand(s, 4)
     g_want, f_want = entry.closed_form(4)
-    got, want = np.split(evaluate(
+    got, want = np.split(np.asarray(evaluate(
         [c for g, f in ((e.g_coeffs, e.f_coeffs), (g_want, f_want))
-         for k in range(5) for c in g[k].entries() + [f[k]]], pts), 2)
+         for k in range(5) for c in g[k].entries() + [f[k]]], pts)), 2)
     worst2 = max_abs(got - want)
     assert worst2 <= 1e-10 * scale
     _passed(4, f"quasi-Einstein ambient exact through degree 4 "
@@ -201,10 +206,10 @@ def test_criterion_07_unweighted_reduction_m0():
     scale = _scale(s, pts)
     worst = 0.0
     for p in pts:
-        gm = s.g.matrix_values(p)
+        gm = np.asarray(s.g.matrix_values(p))
         for k in range(4):
             worst = max(worst, float(np.max(np.abs(
-                e.g_coeffs[k].matrix_values(p) - want[k] * gm))))
+                np.asarray(e.g_coeffs[k].matrix_values(p)) - want[k] * gm))))
     assert worst <= 1e-10 * scale
     _passed(7, f"m = 0 reduction matches the round-sphere closed form "
                f"({worst:.2e})")
@@ -258,7 +263,8 @@ def test_criterion_08_branch_guarantees(spaces, expansions):
     pts2 = s2.sample(10, seed=3)
     scale2 = _scale(s2, pts2)
     worst_odd = max(abs(s2.m / fv ** 2 * F - R)
-                    for fv, F, R in evaluate([s2.f, Ferr, Rtr], pts2).T)
+                    for fv, F, R in np.asarray(
+                        evaluate([s2.f, Ferr, Rtr], pts2)).T)
     assert worst_odd <= 1e-8 * scale2
     # the odd critical step also solves the rho-rho block, read here from
     # the generic route, which the solver does not use
@@ -324,8 +330,8 @@ def test_criterion_11_conformal_covariance(spaces):
     obs2 = obstruction(s2)
     pts = s.sample(10, seed=9)
     scale = _scale(s, pts)
-    v = Request(pts, O1=obs1.tensor.entries(),
-                O2=obs2.tensor.entries(), u=[u]).result()
+    v = _arrays(Request(pts, O1=obs1.tensor.entries(),
+                        O2=obs2.tensor.entries(), u=[u]))
     O1s, O2s = v["O1"].reshape(-1, 3, 3), v["O2"].reshape(-1, 3, 3)
     logs, us = [], []
     mags = [float(np.max(np.abs(O1))) for O1 in O1s]

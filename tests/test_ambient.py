@@ -67,7 +67,7 @@ def test_homogeneity_t_powers():
     # evaluating at t and 2t scales each component by 2^deg
     for (I, J, deg) in [(0, 0, 0), (0, a.oo, 1), (1, 1, 2), (2, 3, 2)]:
         comp = a.gt[I][J]
-        v = evaluate([comp.val.coefficient(1)], [p])[0, 0]
+        v = evaluate([comp.val.coefficient(1)], [p])[0][0]
         v1, v2 = (t ** comp.deg * v for t in (1.0, 2.0))
         if v1 == 0.0:
             assert v2 == 0.0
@@ -86,7 +86,7 @@ def test_christoffels_flat_closed_form():
     oo = a.oo
     gam = a.christoffels_closed()
     p = (0.1, -0.2, 0.3)
-    gm = s.g.matrix_values(p)
+    gm = np.asarray(s.g.matrix_values(p))
     # Gam^k_0j = delta^k_j / t
     for k in range(3):
         for j in range(3):
@@ -176,9 +176,9 @@ def test_dual_route_agreement_random_metric():
     scale = max(inv.curvature_scale(s, pts).result(), 1.0)
     generic = [ric_g[i + 1][j + 1].val for i in range(3)
                for j in range(i, 3)] + [F_g.val]
-    got, want = np.split(evaluate(
+    got, want = np.split(np.asarray(evaluate(
         [c.coefficient(k) for blocks in (generic, _closed_blocks(Rt, Ft))
-         for k in range(2) for c in blocks], pts), 2)
+         for k in range(2) for c in blocks], pts)), 2)
     assert (np.abs(got - want) <= 1e-10 * scale).all()
 
 
@@ -331,7 +331,8 @@ def test_restricted_generic_build_matches_full_build_bitwise():
             ks = range(p.val.shift, p.val.trunc + 1)
             got += [p.val.coefficient(k) for k in ks]
             want += [f.val.coefficient(k) for k in ks]
-    assert (evaluate(got, pts) == evaluate(want, pts)).all()
+    assert (np.asarray(evaluate(got, pts))
+            == np.asarray(evaluate(want, pts))).all()
 
 
 @pytest.mark.parametrize("make_space, orders", [

@@ -94,7 +94,7 @@ def test_gover_leitner_sphere_values():
     assert F.value(p) == pytest.approx(s.m - 1.0, abs=1e-10)
     # P = lam g and Y = -m lam for this family
     P, _, Y = inv.schouten(s)
-    gm = s.g.matrix_values(p)
+    gm = np.asarray(s.g.matrix_values(p))
     assert np.allclose(P.matrix_values(p), 0.5 * gm, atol=1e-9)
     assert Y.value(p) == pytest.approx(-s.m * 0.5, abs=1e-9)
 
@@ -134,7 +134,8 @@ def test_wlcf_trivial_entry_and_solver_match():
     scale = max(inv.curvature_scale(s, pts).result(), 1.0)
     for p in pts:
         for k in range(4):
-            dg = e.g_coeffs[k].matrix_values(p) - g_want[k].matrix_values(p)
+            dg = (np.asarray(e.g_coeffs[k].matrix_values(p))
+                  - np.asarray(g_want[k].matrix_values(p)))
             assert np.max(np.abs(dg)) <= 1e-9 * scale
             assert abs(e.f_coeffs[k].value(p)
                        - f_want[k].value(p)) <= 1e-9 * scale
@@ -149,7 +150,8 @@ def test_gover_leitner_solver_matches_closed_form():
     scale = max(inv.curvature_scale(s, pts).result(), 1.0)
     for p in pts:
         for k in range(5):
-            dg = e.g_coeffs[k].matrix_values(p) - g_want[k].matrix_values(p)
+            dg = (np.asarray(e.g_coeffs[k].matrix_values(p))
+                  - np.asarray(g_want[k].matrix_values(p)))
             assert np.max(np.abs(dg)) <= 1e-10 * scale
             assert abs(e.f_coeffs[k].value(p)
                        - f_want[k].value(p)) <= 1e-10 * scale

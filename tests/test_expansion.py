@@ -98,7 +98,7 @@ def test_first_order_is_schouten_data():
     P, _, Y = inv.schouten(s)
     for p in s.sample(5, seed=2):
         assert np.allclose(e.g_coeffs[1].matrix_values(p),
-                           2.0 * P.matrix_values(p), atol=1e-11)
+                           2.0 * np.asarray(P.matrix_values(p)), atol=1e-11)
         want = s.f.value(p) / s.m * Y.value(p)
         assert e.f_coeffs[1].value(p) == pytest.approx(want, abs=1e-11)
 
@@ -124,9 +124,10 @@ def test_second_order_matches_bach_formula():
         scale = max(inv.curvature_scale(s, pts).result(), 1.0)
         for p in pts:
             ginv = np.linalg.inv(s.g.matrix_values(p))
-            Pv = P.matrix_values(p)
-            gpp = 2.0 * e.g_coeffs[2].matrix_values(p)
-            resid = dm4 * gpp + 2.0 * B.matrix_values(p) - 2.0 * dm4 * (Pv @ ginv @ Pv)
+            Pv = np.asarray(P.matrix_values(p))
+            gpp = 2.0 * np.asarray(e.g_coeffs[2].matrix_values(p))
+            resid = (dm4 * gpp + 2.0 * np.asarray(B.matrix_values(p))
+                     - 2.0 * dm4 * (Pv @ ginv @ Pv))
             assert np.max(np.abs(resid)) <= 1e-8 * scale
 
 
@@ -181,8 +182,8 @@ def test_even_branch_critical_and_trace_combination():
                     R=[Rt[i][j].coefficient(k) for i in range(3)
                        for j in range(3)], F=[Ft.coefficient(k)]).result()
         for g, (fv,), R, (F,) in zip(v["g"], v["f"], v["R"], v["F"]):
-            ginv = np.linalg.inv(g.reshape(3, 3))
-            R = R.reshape(3, 3)
+            ginv = np.linalg.inv(np.reshape(g, (3, 3)))
+            R = np.reshape(R, (3, 3))
             tr = sum(ginv[i, j] * R[i, j] for i in range(3) for j in range(3))
             combo = tr - s.m / fv ** 2 * F
             worst = max(worst, abs(combo))
@@ -229,7 +230,7 @@ def test_even_branch_continuation_when_obstruction_vanishes():
                for note in gate_notes(e, s.sample(10, seed=0)))
     a = 0.5  # Schouten eigenvalue of the unit sphere
     p = (0.1, -0.05, 0.2)
-    gm = s.g.matrix_values(p)
+    gm = np.asarray(s.g.matrix_values(p))
     ginv = np.linalg.inv(gm)
     # below the critical order the coefficients are unique: (1 + a rho)^2 g
     assert np.allclose(e.g_coeffs[1].matrix_values(p), 2 * a * gm, atol=1e-9)
@@ -272,7 +273,8 @@ def test_obstruction_equals_bach_at_dm4():
     pts = s.sample(5, seed=9)
     scale = max(inv.curvature_scale(s, pts).result(), 1.0)
     for p in pts:
-        diff = obs.tensor.matrix_values(p) - B.matrix_values(p)
+        diff = (np.asarray(obs.tensor.matrix_values(p))
+                - np.asarray(B.matrix_values(p)))
         assert np.max(np.abs(diff)) <= 1e-8 * scale
 
 
@@ -310,8 +312,8 @@ def test_obstruction_trace_and_divergence_identities():
                 f=[s.f, obs.scalar_part], dphi=dphi, div_O=div_O).result()
     # trace: O^i_i = (m/f^2) Fscript
     for g, O, (fv, sp) in zip(v["g"], v["O"], v["f"]):
-        ginv = np.linalg.inv(g.reshape(3, 3))
-        tr = float(np.trace(ginv @ O.reshape(3, 3)))
+        ginv = np.linalg.inv(np.reshape(g, (3, 3)))
+        tr = float(np.trace(ginv @ np.reshape(O, (3, 3))))
         want = s.m / fv ** 2 * sp
         assert abs(tr - want) <= 1e-8 * scale
     # divergence: delta_phi O compared against (1/f^2) Fscript dphi
@@ -331,7 +333,7 @@ def test_odd_branch_consistency_residual():
     Rtr = cv.trace(s.geometry.ginv, Rerr, s.chart.zero())
     pts = s.sample(5, seed=3)
     scale = max(inv.curvature_scale(s, pts).result(), 1.0)
-    for fv, F, R in evaluate([s.f, Ferr, Rtr], pts).T:
+    for fv, F, R in np.asarray(evaluate([s.f, Ferr, Rtr], pts)).T:
         v = s.m / fv ** 2 * F - R
         assert abs(v) <= 1e-8 * scale
 
@@ -360,7 +362,7 @@ def test_consistency_gate_fails_above_its_limit():
     values[-3:-1] = [[1.0] * 3, [0.0] * 3]
     values[-1] = [0.0, -0.99 * limit, 0.0]
     assert request.finish(values) == {"consistency": 0.99 * limit}
-    values[-1, 1] = -2.0 * limit
+    values[-1][1] = -2.0 * limit
     with pytest.raises(ConsistencyError) as failure:
         request.finish(values)
     assert str(failure.value) == (
@@ -390,7 +392,8 @@ def test_quasi_einstein_solver_matches_closed_form():
     scale = max(inv.curvature_scale(s, pts).result(), 1.0)
     for p in pts:
         for k in range(5):
-            dg = e.g_coeffs[k].matrix_values(p) - g_want[k].matrix_values(p)
+            dg = (np.asarray(e.g_coeffs[k].matrix_values(p))
+                  - np.asarray(g_want[k].matrix_values(p)))
             assert np.max(np.abs(dg)) <= 1e-10 * scale
             df = abs(e.f_coeffs[k].value(p) - f_want[k].value(p))
             assert df <= 1e-10 * scale
@@ -406,9 +409,9 @@ def test_fefferman_graham_reduction_m0_sphere():
     pts = s.sample(4, seed=5)
     scale = max(inv.curvature_scale(s, pts).result(), 1.0)
     for p in pts:
-        gm = s.g.matrix_values(p)
+        gm = np.asarray(s.g.matrix_values(p))
         for k in range(4):
-            dg = e.g_coeffs[k].matrix_values(p) - want[k] * gm
+            dg = np.asarray(e.g_coeffs[k].matrix_values(p)) - want[k] * gm
             assert np.max(np.abs(dg)) <= 1e-10 * scale
 
 

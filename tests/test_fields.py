@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+from smmsgeom.config import Report
 from smmsgeom.curvature import acc_sum, fold_sum
-from smmsgeom.fields import (Chart, Request, SymTensor2Field, evaluate, run,
-                             sample_points)
+from smmsgeom.fields import (Chart, Request, SymTensor2Field, evaluate, max_abs,
+                             run, sample_points)
 from smmsgeom.expressions import parse_expression
 from smmsgeom.jets import (Jet, JetDivisionError, value_apply, value_power,
                           value_quotient)
@@ -150,8 +151,8 @@ def test_sym_tensor_storage_and_values():
     t = SymTensor2Field(CHART, {(0, 1): f, (0, 0): CHART.constant(2.0)})
     assert t.comp(1, 0) is t.comp(0, 1)
     m = t.matrix_values((0.3, 0.5))
-    assert m[0, 1] == m[1, 0] == pytest.approx(0.15)
-    assert m[0, 0] == 2.0 and m[1, 1] == 0.0
+    assert m[0][1] == m[1][0] == pytest.approx(0.15)
+    assert m[0][0] == 2.0 and m[1][1] == 0.0
 
 
 def test_structurally_equal_fields_are_one_node():
@@ -201,10 +202,10 @@ def test_zero_constant_roots_evaluate_to_zero():
     values = evaluate([pos, neg, x, 0.0], [(0.25, 0.5), (0.75, 0.5)])
     np.testing.assert_array_equal(values, [[0.0, 0.0], [0.0, 0.0],
                                            [0.25, 0.75], [0.0, 0.0]])
-    assert list(np.signbit(values[:2, 0])) == [False, True]
+    assert [math.copysign(1.0, row[0]) for row in values[:2]] == [1.0, -1.0]
     assert pos.value((0.1, 0.2)) == 0.0
     np.testing.assert_array_equal(pos.jet((0.1, 0.2), 2).coeffs, np.zeros(6))
-    assert Request([(0.1, 0.2)], z=[pos]).result()["z"].tolist() == [[0.0]]
+    assert Request([(0.1, 0.2)], z=[pos]).result()["z"] == [[0.0]]
 
 
 def test_fold_sum_with_a_zero_term_is_one_node():
@@ -385,7 +386,7 @@ def test_evaluate_rows_do_not_depend_on_root_order():
 
     pts = [(0.1, -0.3), (0.0, 0.2), (-0.25, 0.45)]
     ref = evaluate(roots(), pts)
-    assert ref.shape == (5, 3)
+    assert [len(row) for row in ref] == [3] * 5
     reverse = evaluate(roots()[::-1], pts)[::-1]
     twice = roots()
     doubled = evaluate(twice + twice[::-1], pts)
@@ -410,8 +411,9 @@ def test_evaluate_takes_floats_constants_and_lifted_roots():
     # the call is counted on the chart its roots live on, not on the
     # chart a lift reads; plain floats belong to no chart
     assert xr.evaluations == 1 and base.evaluations == 2
-    assert evaluate([1.0], pts).tolist() == [[1.0, 1.0]]
-    assert evaluate([], pts).shape == (0, 2)
+    assert evaluate([1, 1.0], pts) == [[1.0, 1.0], [1.0, 1.0]]
+    assert type(evaluate([1], pts)[0][0]) is float
+    assert evaluate([], pts) == []
     with pytest.raises(ValueError, match="point has 2 entries"):
         evaluate([r], [(0.1, 0.2)])
 
@@ -424,30 +426,30 @@ def test_request_splits_groups_of_one_call():
     v = Request(pts, g=g.entries(), f=[x * y * y]).result()
     assert chart.evaluations == 1
     for n, p in enumerate(pts):
-        np.testing.assert_array_equal(v["g"][n].reshape(2, 2),
-                                      g.matrix_values(p))
-        assert v["f"][n, 0] == p[0] * p[1] * p[1]
+        assert [v["g"][n][:2], v["g"][n][2:]] == g.matrix_values(p)
+        assert v["f"][n] == [p[0] * p[1] * p[1]]
 
 
-def test_request_group_is_a_c_contiguous_points_by_group_array():
+def test_request_group_is_a_list_of_per_point_rows():
     chart = Chart(("x1", "x2"))
     x, y = chart.coordinate(0), chart.coordinate(1)
     pts = [(0.5, 0.25), (-0.5, 2.0), (0.125, -1.0)]
     seen = {}
-    Request(pts, seen.update, a=[x, 2.0], b=[y, x * y, -1.0]).result()
-    assert seen["a"].shape == (3, 2) and seen["b"].shape == (3, 3)
-    assert seen["a"].flags.c_contiguous and seen["b"].flags.c_contiguous
-    np.testing.assert_array_equal(seen["a"], [[p[0], 2.0] for p in pts])
-    np.testing.assert_array_equal(
-        seen["b"], [[p[1], p[0] * p[1], -1.0] for p in pts])
+    Request(pts, seen.update, a=[x, 2.0], b=[y, x * y, -1.0], c=[]).result()
+    assert seen["a"] == [[p[0], 2.0] for p in pts]
+    assert seen["b"] == [[p[1], p[0] * p[1], -1.0] for p in pts]
+    # an empty group still has one (empty) row per point
+    assert seen["c"] == [[], [], []]
+    assert {type(row) for rows in seen.values() for row in rows} == {list}
 
 
 def test_request_nested_result_reaches_the_outer_reduction():
     chart = Chart(("x1", "x2"))
     x, y = chart.coordinate(0), chart.coordinate(1)
     pts = [(0.5, 0.25), (-0.5, 2.0)]
-    inner = Request(pts, lambda v: float(v["s"].sum()), s=[x, y])
-    outer = Request(pts, lambda v: (v["inner"], v["t"][:, 0].tolist()),
+    inner = Request(pts, lambda v: v["s"][0][0] + v["s"][0][1]
+                    + v["s"][1][0] + v["s"][1][1], s=[x, y])
+    outer = Request(pts, lambda v: (v["inner"], [t for (t,) in v["t"]]),
                     inner=inner, t=[x * y])
     assert outer.roots == [x, y, x * y]
     assert outer.result() == (0.5 + 0.25 - 0.5 + 2.0, [0.125, -1.0])
@@ -634,3 +636,31 @@ def test_one_call_computes_each_node_at_most_once():
     assert chart.max_degree == 4
     assert _live_jets() == held + 1
     np.testing.assert_array_equal(jet.coeffs, reference(f, pts[0], 4).coeffs)
+
+
+def test_max_abs_over_per_point_rows():
+    rows = [[0.5, -2.0], [1.0, -0.0], [-3.0, 0.25]]
+    assert max_abs(rows) == 3.0
+    assert max_abs([-0.5, 0.25]) == 0.5
+    # no values, or only empty rows, give 0.0
+    assert max_abs([]) == 0.0
+    assert max_abs([[], []]) == 0.0
+    assert max_abs([[-0.0]]) == 0.0
+
+
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1), (2, 0), (2, 1)])
+def test_max_abs_is_nan_if_any_value_is(where):
+    # wherever the NaN sits: first, after a larger value, or last
+    rows = [[0.5, -2.0], [1.0, 4.0], [-3.0, 0.25]]
+    rows[where[0]][where[1]] = math.nan
+    assert math.isnan(max_abs(rows))
+    assert math.isnan(max_abs([row[where[1]] for row in rows]))
+    assert math.isnan(max_abs([[[x] for x in row] for row in rows]))
+
+
+def test_a_nan_check_value_fails_its_check():
+    report = Report("test")
+    assert report.put_check("residual", max_abs([[1e-12, math.nan]]),
+                            1.0) is False
+    assert report.entries["check.residual.ok"] is False
+    assert report.failures == ["residual"] and not report.ok

@@ -31,7 +31,7 @@ def sphere_space(m=0.0, mu=0.0, f_expr="1"):
 def values(t, p):
     """A nested list of fields at the point p, as an array of its shape."""
     arr = np.array(t, dtype=object)
-    return evaluate(arr.ravel().tolist(), [p]).reshape(arr.shape)
+    return np.asarray(evaluate(arr.ravel().tolist(), [p])).reshape(arr.shape)
 
 
 def random_space(seed, d=3, m=1.0, mu=0.0, amplitude=0.05):
@@ -117,7 +117,7 @@ def test_round_3sphere_positive_curvature():
     p = (0.1, -0.2, 0.15)
     assert s.geometry.scal.value(p) == pytest.approx(6.0, abs=1e-9)
     ric = s.geometry.ric
-    gm = s.g.matrix_values(p)
+    gm = np.asarray(s.g.matrix_values(p))
     for i in range(3):
         for j in range(3):
             assert ric[i][j].value(p) == pytest.approx(2.0 * gm[i, j], abs=1e-9)
@@ -176,7 +176,7 @@ def test_weighted_ricci_trivial_cases():
 def test_weighted_ricci_hand_value_and_fd_hessian():
     s = euclidean_space(m=2.0, f_expr="1+x1^2")
     origin = (0.0, 0.0, 0.0)
-    ric = inv.weighted_ricci(s).matrix_values(origin)
+    ric = np.asarray(inv.weighted_ricci(s).matrix_values(origin))
     assert np.allclose(ric, np.diag([-4.0, 0.0, 0.0]), atol=1e-12)
     # finite-difference Hessian oracle: flat chart, Hess f = d^2 f
     h = 1e-3
@@ -224,8 +224,8 @@ def test_trace_identity_random_spaces():
         v = Request(pts, g=s.g.entries(), ric=ric.entries(),
                     f=[s.f, fphi, rphi]).result()
         for gm, rv, (fv, Fv, Rv) in zip(v["g"], v["ric"], v["f"]):
-            tr = float(np.trace(np.linalg.inv(gm.reshape(d, d))
-                                @ rv.reshape(d, d)))
+            tr = float(np.trace(np.linalg.inv(np.reshape(gm, (d, d)))
+                                @ np.reshape(rv, (d, d))))
             want = tr - (s.m / fv ** 2) * Fv
             assert Rv == pytest.approx(want, rel=1e-10, abs=1e-10)
 
@@ -246,7 +246,7 @@ def test_schouten_round_sphere_m0():
     s = sphere_space(m=0.0)
     P, J, _ = inv.schouten(s)
     p = (0.1, 0.2, -0.1)
-    gm = s.g.matrix_values(p)
+    gm = np.asarray(s.g.matrix_values(p))
     assert J.value(p) == pytest.approx(1.5, abs=1e-9)
     for i in range(3):
         for j in range(3):
@@ -259,8 +259,8 @@ def test_schouten_reconstruction_random():
         P, J, _ = inv.schouten(s)
         ric = inv.weighted_ricci(s)
         for p in s.sample(3, seed=50 + seed):
-            gm = s.g.matrix_values(p)
-            lhs = (s.dim + s.m - 2) * P.matrix_values(p) + J.value(p) * gm
+            gm = np.asarray(s.g.matrix_values(p))
+            lhs = (s.dim + s.m - 2) * np.asarray(P.matrix_values(p)) + J.value(p) * gm
             assert np.allclose(lhs, ric.matrix_values(p), atol=1e-10)
 
 
@@ -384,7 +384,8 @@ def test_conformal_change_basics():
     const = s.chart.constant(0.3)
     s_scaled = inv.conformal_change(s, const)
     assert np.allclose(s_scaled.g.matrix_values(p),
-                       np.exp(0.6) * s.g.matrix_values(p), rtol=1e-14)
+                       np.exp(0.6) * np.asarray(s.g.matrix_values(p)),
+                       rtol=1e-14)
     assert s_scaled.f.value(p) == pytest.approx(np.exp(0.3) * s.f.value(p), rel=1e-14)
 
 
@@ -412,9 +413,9 @@ def test_coordinate_formula_matches_the_geometry_on_a_chart(d, m):
     ric, F = cv.weighted_ricci_coordinate_formula(
         g, geo.ginv, f, m, 0.1, cv.partials(d), chart.zero())
     pts = sample_points(chart, 2, seed=7)
-    got = evaluate([x for row in ric for x in row] + [F], pts)
-    want = evaluate([x for row in geo.ric_phi for x in row] + [geo.F_phi],
-                    pts)
+    got = np.asarray(evaluate([x for row in ric for x in row] + [F], pts))
+    want = np.asarray(evaluate(
+        [x for row in geo.ric_phi for x in row] + [geo.F_phi], pts))
     scale = max(1.0, max_abs(want))
     assert max_abs(got - want) <= 1e-10 * scale
 

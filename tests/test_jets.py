@@ -21,12 +21,12 @@ def test_counts_and_prefix_truncation():
     j = jet_of(lambda x, y: (x * y + x).exp(), (0.3, -0.2), 5)
     t = j.truncated(3)
     assert t.degree == 3
-    np.testing.assert_array_equal(t.coeffs, j.coeffs[: jet_count(2, 3)])
+    assert t.coeffs == j.coeffs[: jet_count(2, 3)]
 
 
 def test_constant_and_coordinate_jets():
     z = Jet.constant(0.0, 2, 2)
-    assert np.all(z.coeffs == 0.0)
+    assert z.coeffs == [0.0] * jet_count(2, 2)
     x = Jet.variable(0.3, 0, 2, 2)
     assert x.value == 0.3
     assert x.coefficient((1, 0)) == 1.0
@@ -47,7 +47,7 @@ def test_multiply_identity():
     rng = np.random.default_rng(0)
     a = Jet(2, 3, rng.normal(size=jet_count(2, 3)))
     one = Jet.constant(1.0, 2, 3)
-    np.testing.assert_array_equal((a * one).coeffs, a.coeffs)
+    assert (a * one).coeffs == a.coeffs
 
 
 def test_exp_product_closed_form():
@@ -103,6 +103,17 @@ def test_division_pivot_floor():
     b = Jet(1, 2, [1e-12, 1.0, 1.0])
     with pytest.raises(JetDivisionError):
         b.reciprocal()
+
+
+def test_division_pivot_scale_is_nan_after_a_large_coefficient():
+    # the floor scales with the largest magnitude, but a NaN coefficient
+    # makes that magnitude NaN (as np.max gives), and max(1, NaN) is 1:
+    # the floor stays at 1e-10 however large a coefficient before the NaN
+    with pytest.raises(JetDivisionError, match="pivot floor 1.000e-10"):
+        Jet(1, 2, [1e-11, 1e5, math.nan]).reciprocal()
+    # 1e-8 passes a floor of 1e-10, though not one of 1e-5
+    q = Jet(1, 2, [1e-8, 1e5, math.nan]).reciprocal()
+    assert q.value == 1e8
 
 
 def test_shape_mismatch():
@@ -200,43 +211,84 @@ def product_table_loop(nvars, degree):
                 ii.append(i)
                 jj.append(j)
                 kk.append(pos[tuple(x + y for x, y in zip(a, b))])
-    return (np.asarray(ii, dtype=np.intp), np.asarray(jj, dtype=np.intp),
-            np.asarray(kk, dtype=np.intp))
+    return ii, jj, kk
 
 
 @pytest.mark.parametrize("nvars", range(1, 6))
 def test_product_table_matches_loop(nvars):
-    from smmsgeom.jets import _product_table
+    from smmsgeom.jets import _product_rows, _product_table
     for degree in range(7 if nvars == 5 else 11):
-        got = _product_table(nvars, degree)
-        want = product_table_loop(nvars, degree)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            np.testing.assert_array_equal(g, w)
+        ii, jj, kk = product_table_loop(nvars, degree)
+        assert _product_table(nvars, degree) == (ii, jj, kk)
+        # the product's rows: per I, its K in table order, J = 0, 1, ...
+        rows = [[] for _ in range(jet_count(nvars, degree))]
+        for i, j, k in zip(ii, jj, kk):
+            assert j == len(rows[i])
+            rows[i].append(k)
+        assert list(_product_rows(nvars, degree)) == rows
 
 
-def _random_coeffs(rng, n):
-    """Normal coefficients with some exact +0.0 and -0.0 entries."""
+def _random_coeffs(rng, n, nonfinite=False, zeros=0.2):
+    """Normal coefficients with exact +0.0 and -0.0 entries (each with
+    probability `zeros`) and, with `nonfinite`, some inf, -inf and NaN
+    ones, as a list."""
     c = rng.normal(size=n)
-    c[rng.random(n) < 0.2] = 0.0
-    c[rng.random(n) < 0.2] = -0.0
-    return c
+    c[rng.random(n) < zeros] = 0.0
+    c[rng.random(n) < zeros] = -0.0
+    if nonfinite:
+        for value in (math.inf, -math.inf, math.nan):
+            c[rng.random(n) < 0.05] = value
+    return c.tolist()
+
+
+def _bits(coeffs):
+    """The bit patterns, so that signed zeros and NaNs count."""
+    return np.asarray(coeffs, dtype=np.float64).view(np.uint64)
+
+
+def _assert_products_match_add_at(nvars, degree, left=None, right=None):
+    """a * b against `np.add.at` over the product table, bit for bit, for
+    200 random pairs, a drawn by `_random_coeffs` with the options
+    `left`, b with `right`."""
+    from smmsgeom.jets import _product_table
+    rng = np.random.default_rng(nvars * 100 + degree)
+    ii, jj, kk = map(np.asarray, _product_table(nvars, degree))
+    n = jet_count(nvars, degree)
+    for _ in range(200):
+        a = Jet(nvars, degree, _random_coeffs(rng, n, **(left or {})))
+        b = Jet(nvars, degree, _random_coeffs(rng, n, **(right or {})))
+        want = np.zeros(n)
+        with np.errstate(invalid="ignore"):
+            np.add.at(want, kk, np.asarray(a.coeffs)[ii]
+                      * np.asarray(b.coeffs)[jj])
+        np.testing.assert_array_equal(_bits((a * b).coeffs), _bits(want))
 
 
 @pytest.mark.parametrize("nvars,degree", [(3, 10), (4, 6), (3, 2), (3, 0), (5, 4)])
 def test_product_matches_add_at_bitwise(nvars, degree):
-    from smmsgeom.jets import _product_table
-    rng = np.random.default_rng(nvars * 100 + degree)
-    ii, jj, kk = _product_table(nvars, degree)
-    n = jet_count(nvars, degree)
-    for _ in range(200):
-        a = Jet(nvars, degree, _random_coeffs(rng, n))
-        b = Jet(nvars, degree, _random_coeffs(rng, n))
-        want = np.zeros(n)
-        np.add.at(want, kk, a.coeffs[ii] * b.coeffs[jj])
-        # bit patterns, so that signed zeros count
-        np.testing.assert_array_equal((a * b).coeffs.view(np.uint64),
-                                      want.view(np.uint64))
+    _assert_products_match_add_at(nvars, degree)
+
+
+@pytest.mark.parametrize("nvars,degree", [(3, 10), (4, 6), (3, 2), (5, 4)])
+@pytest.mark.parametrize("sparse", ["left", "right"])
+def test_product_rows_of_either_factor_match_add_at(nvars, degree, sparse):
+    # the rows of the factor with more zeros run, the right one's J
+    # descending; each output coefficient keeps its I-ascending sum
+    few, many = {"zeros": 0.05}, {"zeros": 0.4}
+    _assert_products_match_add_at(
+        nvars, degree, *((many, few) if sparse == "left" else (few, many)))
+
+
+@pytest.mark.parametrize("nvars,degree", [(3, 10), (4, 6), (3, 2), (5, 4)])
+@pytest.mark.parametrize("nonfinite", ["left", "right"])
+def test_product_with_nonfinite_factor_matches_add_at(nvars, degree,
+                                                      nonfinite):
+    # zeros on one side, inf and NaN on the other: a row skipped for its
+    # zero coefficient would lose its 0 * inf = NaN terms
+    zeros, bad = {"zeros": 0.4}, {"nonfinite": True, "zeros": 0.05}
+    _assert_products_match_add_at(
+        nvars, degree, *((bad, zeros) if nonfinite == "left"
+                         else (zeros, bad)))
 
 
 def divided_by_levels(a, b):
@@ -244,35 +296,48 @@ def divided_by_levels(a, b):
     a mask on the product table, I != 0, accumulated by `np.add.at`."""
     from smmsgeom.jets import _exponent_table, _product_table
     exps, _ = _exponent_table(a.nvars, a.degree)
-    ii, jj, kk = _product_table(a.nvars, a.degree)
+    ii, jj, kk = map(np.asarray, _product_table(a.nvars, a.degree))
     level = np.array([sum(e) for e in exps], dtype=np.intp)
-    c = np.zeros_like(a.coeffs)
-    acc = np.zeros_like(a.coeffs)
-    c[0] = a.coeffs[0] / b.coeffs[0]
+    ac, bc = np.asarray(a.coeffs), np.asarray(b.coeffs)
+    c = np.zeros_like(ac)
+    acc = np.zeros_like(ac)
+    c[0] = ac[0] / bc[0]
     for t in range(1, a.degree + 1):
         sel = (level[kk] == t) & (ii != 0)
-        np.add.at(acc, kk[sel], b.coeffs[ii[sel]] * c[jj[sel]])
+        np.add.at(acc, kk[sel], bc[ii[sel]] * c[jj[sel]])
         at = level == t
-        c[at] = (a.coeffs[at] - acc[at]) / b.coeffs[0]
+        c[at] = (ac[at] - acc[at]) / bc[0]
     return c
+
+
+def _assert_quotients_match_masked_levels(nvars, degree, nonfinite):
+    rng = np.random.default_rng(nvars * 100 + degree)
+    n = jet_count(nvars, degree)
+    for _ in range(100):
+        a = Jet(nvars, degree, _random_coeffs(rng, n, nonfinite))
+        b = Jet(nvars, degree, _random_coeffs(rng, n))
+        b.coeffs[0] = float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]))
+        with np.errstate(invalid="ignore"):
+            want = divided_by_levels(a, b)
+        np.testing.assert_array_equal(_bits((a / b).coeffs), _bits(want))
 
 
 @pytest.mark.parametrize("nvars,degree", [(3, 10), (4, 6), (3, 2), (3, 0),
                                           (5, 4), (1, 8), (2, 5)])
 def test_division_matches_masked_levels_bitwise(nvars, degree):
-    rng = np.random.default_rng(nvars * 100 + degree)
-    n = jet_count(nvars, degree)
-    for _ in range(100):
-        a = Jet(nvars, degree, _random_coeffs(rng, n))
-        b = Jet(nvars, degree, _random_coeffs(rng, n))
-        b.coeffs[0] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-        np.testing.assert_array_equal(
-            (a / b).coeffs.view(np.uint64),
-            divided_by_levels(a, b).view(np.uint64))
+    _assert_quotients_match_masked_levels(nvars, degree, nonfinite=False)
+
+
+@pytest.mark.parametrize("nvars,degree", [(3, 10), (4, 6), (1, 8), (2, 5)])
+def test_division_of_a_nonfinite_dividend_matches_masked_levels(nvars,
+                                                                degree):
+    # an inf or NaN of the quotient reaches later levels: a divisor row
+    # skipped for its zero coefficient would lose its 0 * inf = NaN terms
+    _assert_quotients_match_masked_levels(nvars, degree, nonfinite=True)
 
 
 def test_operations_leave_operands_unchanged():
-    # truncated() hands out views of computed jets, so no operation may
+    # a sweep hands one computed jet to every reader, so no operation may
     # write into an operand's coefficients
     rng = np.random.default_rng(5)
     n = jet_count(2, 4)
@@ -283,7 +348,7 @@ def test_operations_leave_operands_unchanged():
     pos.coeffs[0] = 2.0
     low = a.truncated(2)
     jets = (a, b, pos, low)
-    before = [j.coeffs.tobytes() for j in jets]
+    before = [list(j.coeffs) for j in jets]
     ops = [
         lambda: a + b, lambda: a + 2.0, lambda: 2.0 + a,
         lambda: a * b, lambda: a * 2.0, lambda: 2.0 * a,
@@ -298,6 +363,5 @@ def test_operations_leave_operands_unchanged():
     ]
     for op in ops:
         op()
-    assert [j.coeffs.tobytes() for j in jets] == before
-    # the view still reads the prefix of its parent
-    np.testing.assert_array_equal(low.coeffs, a.coeffs[:jet_count(2, 2)])
+    assert [j.coeffs for j in jets] == before
+    assert low.coeffs == a.coeffs[:jet_count(2, 2)]

@@ -180,15 +180,23 @@ def test_console_script_is_the_main_block_entry():
     assert script == "smmsgeom.cli:run"
 
 
-# the modules `np.random.default_rng` imports: 11 ms and 5.8 MB per process
-SAMPLER_IMPORTS = ("numpy.random", "secrets", "hashlib")
+# numpy (12 MB and 0.06 s per process), and the modules
+# `np.random.default_rng` imports: 11 ms and 5.8 MB per process
+SAMPLER_IMPORTS = ("numpy", "numpy.random", "secrets", "hashlib")
+
+INPUTS = {
+    "problem": ["--config", "problem.cfg"],
+    "quasi-einstein": ["--catalog", "quasi-einstein", "--points", "1"],
+    "unweighted": ["--config", os.path.join(ROOT, "configs", "unweighted.cfg"),
+                   "--points", "1"],
+}
+# `obstruction` at an odd d+m (3.5 and 5) ends in an OrderError
+EXIT = {("obstruction", "problem"): 2, ("obstruction", "quasi-einstein"): 2}
 
 
-@pytest.mark.parametrize("argv", [
-    ["invariants", "--catalog", "flat", "--points", "1"],
-    ["verify", "--config", "problem.cfg"],
-])
-def test_commands_do_not_import_numpy_random(tmp_path, argv):
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("given", list(INPUTS))
+def test_commands_do_not_import_numpy(tmp_path, command, given):
     (tmp_path / "problem.cfg").write_text(CONFIG)
     child = ("import sys\n"
              "from smmsgeom import cli\n"
@@ -196,10 +204,13 @@ def test_commands_do_not_import_numpy_random(tmp_path, argv):
              f"print('loaded =', [m for m in {SAMPLER_IMPORTS!r} "
              "if m in sys.modules], code)\n")
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", child] + argv,
-                          capture_output=True, text=True, timeout=300,
-                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=pythonpath))
+    proc = subprocess.run([sys.executable, "-c", child, command]
+                          + INPUTS[given], capture_output=True, text=True,
+                          timeout=300, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "loaded = [] 0"
-    # the scale is a maximum over the sample points
-    assert "\nscale = " in (tmp_path / "report.txt").read_text()
+    code = EXIT.get((command, given), 0)
+    assert proc.stdout.splitlines()[-1] == f"loaded = [] {code}"
+    if code == 0:
+        # the scale is a maximum over the sample points
+        assert "\nscale = " in (tmp_path / "report.txt").read_text()

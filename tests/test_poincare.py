@@ -26,8 +26,8 @@ def test_flat_model_is_weighted_hyperbolic():
     p = to_poincare(expand(s, 2))
     pt = (0.1, -0.2, 0.3)
     # g_plus = r^-2 (dr^2 + g): boundary metric is g itself
-    vals = evaluate([x.coefficient(0) for row in p.g_r for x in row]
-                    + [p.f_r.coefficient(0)], [pt])[:, 0]
+    vals = np.asarray(evaluate([x.coefficient(0) for row in p.g_r for x in row]
+                               + [p.f_r.coefficient(0)], [pt]))[:, 0]
     assert np.allclose(vals[:-1].reshape(3, 3), np.eye(3))
     assert vals[-1] == 1.0
     res = poincare_residual(p)
@@ -183,10 +183,11 @@ def test_oracle_route_generic_space():
         xr = tuple(pt) + (r0,)
         v = Request([xr], ric=[ric_plus.comp(i, j) for i, j in pairs],
                     g=[space_plus.g.comp(i, j) for i, j in pairs]).result()
-        at_pt = dict(zip(map(id, coeffs), evaluate(coeffs, [pt])[:, 0]))
+        at_pt = dict(zip(map(id, coeffs),
+                         np.asarray(evaluate(coeffs, [pt]))[:, 0]))
         for idx in range(len(pairs)):
             series_val = summed(blocks[idx], r0, lambda c: at_pt[id(c)])
-            field_val = v["ric"][0, idx] + dm * v["g"][0, idx]
+            field_val = v["ric"][0][idx] + dm * v["g"][0][idx]
             assert field_val == pytest.approx(series_val, abs=tail)
 
 

@@ -184,8 +184,8 @@ def test_nary_series_sum_equals_the_pairwise_chain():
             got = [total.coefficient(p) for p in powers]
             want = [chain.coefficient(p) for p in powers]
             np.testing.assert_array_equal(
-                evaluate(got, pts).view(np.uint64),
-                evaluate(want, pts).view(np.uint64))
+                np.asarray(evaluate(got, pts)).view(np.uint64),
+                np.asarray(evaluate(want, pts)).view(np.uint64))
             long_sums += sum(c.op == "sum" and len(c.a) > 2 for c in got)
             if chain.trunc is not None:
                 with pytest.raises(SeriesTruncationError):

@@ -21,10 +21,8 @@ Their agreement is a standing self-test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Optional
 
 from . import curvature as cv
 from .expansion import Branch, RhoExpansion, closed_form_residual_series
@@ -312,15 +310,16 @@ class AmbientMetric:
 # -- residual reporting -------------------------------------------------------
 
 
-@dataclass
 class BlockReport:
-    name: str
-    coeff_max: list
-    guaranteed: int
-    tol_abs: float
+    def __init__(self, name: str, coeff_max: list, guaranteed: int,
+                 tol_abs: float):
+        self.name = name
+        self.coeff_max = coeff_max
+        self.guaranteed = guaranteed
+        self.tol_abs = tol_abs
 
     @property
-    def first_violation(self) -> Optional[int]:
+    def first_violation(self) -> int | None:
         """The first coefficient above the tolerance or NaN, if any."""
         for k, v in enumerate(self.coeff_max):
             if not v <= self.tol_abs:
@@ -338,10 +337,10 @@ class BlockReport:
         return bool(self.worst <= self.tol_abs)
 
 
-@dataclass
 class ResidualReport:
-    blocks: dict
-    branch: Branch
+    def __init__(self, blocks: dict, branch: Branch):
+        self.blocks = blocks
+        self.branch = branch
 
 
 def _coefficient_maxima(series_list, upto, points) -> Request:

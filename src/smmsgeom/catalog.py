@@ -28,9 +28,6 @@ with the rest of a command's checks and reports as `check.catalog_flags`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 from . import curvature as cv
 from . import invariants as inv
 from .expressions import parse_expression
@@ -54,14 +51,16 @@ class EntryRejected(ValueError):
     """The candidate space fails its family's defining equations."""
 
 
-@dataclass
 class CatalogEntry:
-    name: str
-    space: MetricMeasureSpace
-    params: dict
-    closed_form: Optional[Callable[[int], tuple]] = None
-    # sample points -> the request that checks the family's equations
-    equations: Optional[Callable[[list], Request]] = None
+    def __init__(self, name: str, space: MetricMeasureSpace, params: dict,
+                 closed_form=None, equations=None):
+        self.name = name
+        self.space = space
+        self.params = params
+        # order -> the closed-form (g_coeffs, f_coeffs), or None
+        self.closed_form = closed_form
+        # sample points -> the request that checks the family's equations
+        self.equations = equations
 
     def verify(self, points) -> Request:
         """The request that checks the entry's defining equations at the

@@ -46,8 +46,6 @@ import configparser
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Optional
 
 from .expressions import parse_expression
 from .fields import FUNCTIONS, Chart, SymTensor2Field
@@ -80,19 +78,21 @@ class ConfigError(ValueError):
     """The configuration file does not define a valid problem."""
 
 
-@dataclass
 class ProblemConfig:
-    dimension: int
-    coordinates: tuple
-    box: tuple
-    metric_exprs: dict
-    f_expr: str
-    m: float
-    mu: float
-    order: int
-    points: int
-    seed: int
-    tolerances: dict
+    def __init__(self, dimension: int, coordinates: tuple, box: tuple,
+                 metric_exprs: dict, f_expr: str, m: float, mu: float,
+                 order: int, points: int, seed: int, tolerances: dict):
+        self.dimension = dimension
+        self.coordinates = coordinates
+        self.box = box
+        self.metric_exprs = metric_exprs
+        self.f_expr = f_expr
+        self.m = m
+        self.mu = mu
+        self.order = order
+        self.points = points
+        self.seed = seed
+        self.tolerances = tolerances
 
     def space(self) -> MetricMeasureSpace:
         chart = Chart(self.coordinates, box=self.box)
@@ -289,7 +289,7 @@ class Report:
             lines.append(f"timings.{key} = {format_value(self.timings[key])}")
         return "\n".join(lines) + "\n"
 
-    def write(self, path: Optional[str]):
+    def write(self, path: str | None):
         text = self.render()
         if path:
             with open(path, "w") as fh:

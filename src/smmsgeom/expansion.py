@@ -37,12 +37,9 @@ model, so a transcription error in either would fail the round trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 import math
-from typing import Optional
 
 from . import curvature as cv
 from .fields import Request, ScalarField, SymTensor2Field, max_abs
@@ -77,7 +74,6 @@ class Branch(Enum):
     ODD_INTEGER = "OddInteger"
 
 
-@dataclass(frozen=True)
 class BranchGuarantees:
     """The orders to which the construction determines the ambient structure.
 
@@ -90,31 +86,35 @@ class BranchGuarantees:
     from the contracted Bianchi identity), and the Poincare residual
     through r^(2 solved - 1).
     """
-    solved: int
-    ij: int
-    trace: int
-    rho: int
-    poincare_power: int
+
+    def __init__(self, solved: int, ij: int, trace: int, rho: int,
+                 poincare_power: int):
+        self.solved = solved
+        self.ij = ij
+        self.trace = trace
+        self.rho = rho
+        self.poincare_power = poincare_power
 
 
-@dataclass(frozen=True)
 class BranchPlan:
     """The branch of d+m and every order the construction derives from it:
     the one statement of the branch rules that the solver, the
     obstruction and the report checks read.  `dm` is d+m as a float,
     snapped to the integer where `classify_branch` snapped it, and
     `warnings` says so."""
-    branch: Branch
-    dm: float
-    warnings: tuple = ()
+
+    def __init__(self, branch: Branch, dm: float, warnings: tuple = ()):
+        self.branch = branch
+        self.dm = dm
+        self.warnings = warnings
 
     @property
-    def n_c(self) -> Optional[int]:
+    def n_c(self) -> int | None:
         """The even critical order (d+m)/2, or None off the even branch."""
         return int(self.dm) // 2 if self.branch is Branch.EVEN_INTEGER else None
 
     @property
-    def n_odd(self) -> Optional[int]:
+    def n_odd(self) -> int | None:
         """The odd critical order d+m, where the trace system has rank one
         and a consistency residual must vanish: on either integer branch,
         else None."""
@@ -131,10 +131,11 @@ class BranchPlan:
 
 
 def classify_branch(d: int, m) -> BranchPlan:
-    """The BranchPlan of d+m.  Rationals classify exactly; floats within
-    1e-9 of an integer are snapped, with a warning."""
-    if isinstance(m, Fraction):
-        dm = Fraction(d) + m
+    """The BranchPlan of d+m.  Rationals (an `m` with a `denominator`,
+    such as an int or a `fractions.Fraction`) classify exactly; floats
+    within 1e-9 of an integer are snapped, with a warning."""
+    if hasattr(m, "denominator"):
+        dm = d + m
         integer = dm.denominator == 1
     else:
         dm = d + float(m)
@@ -148,35 +149,43 @@ def classify_branch(d: int, m) -> BranchPlan:
                       float(nearest), warnings)
 
 
-@dataclass
 class OrderStep:
-    n: int
-    psi: SymTensor2Field
-    upsilon: ScalarField
-    trace_system_det: float
-    note: Optional[str] = None
-    gate: tuple = ()  # at n = d+m: f, Ferr and tr Rerr, assumed consistent
+    def __init__(self, n: int, psi: SymTensor2Field, upsilon: ScalarField,
+                 trace_system_det: float, note: str | None = None,
+                 gate: tuple = ()):
+        self.n = n
+        self.psi = psi
+        self.upsilon = upsilon
+        self.trace_system_det = trace_system_det
+        self.note = note
+        # at n = d+m: f, Ferr and tr Rerr, assumed consistent
+        self.gate = gate
 
 
-@dataclass
 class ObstructionData:
-    tensor: SymTensor2Field
-    scalar_part: ScalarField
-    c: float
+    def __init__(self, tensor: SymTensor2Field, scalar_part: ScalarField,
+                 c: float):
+        self.tensor = tensor
+        self.scalar_part = scalar_part
+        self.c = c
 
 
-@dataclass
 class RhoExpansion:
-    base: MetricMeasureSpace
-    order: int
-    g_coeffs: list
-    f_coeffs: list
-    plan: BranchPlan
-    obstruction: Optional[ObstructionData] = None
-    # a gate's note has a format field, named after the gate, for the
-    # value `gate_request` measures
-    ambiguity_notes: list = dc_field(default_factory=list)
-    gates: dict = dc_field(default_factory=dict)  # gate name -> roots
+    def __init__(self, base: MetricMeasureSpace, order: int, g_coeffs: list,
+                 f_coeffs: list, plan: BranchPlan,
+                 obstruction: ObstructionData | None = None,
+                 ambiguity_notes: list | None = None,
+                 gates: dict | None = None):
+        self.base = base
+        self.order = order
+        self.g_coeffs = g_coeffs
+        self.f_coeffs = f_coeffs
+        self.plan = plan
+        self.obstruction = obstruction
+        # a gate's note has a format field, named after the gate, for the
+        # value `gate_request` measures
+        self.ambiguity_notes = [] if ambiguity_notes is None else ambiguity_notes
+        self.gates = {} if gates is None else gates  # gate name -> roots
 
     def slice(self) -> "RhoSlice":
         """The rho-slice (g_rho, f_rho) of the computed coefficients."""

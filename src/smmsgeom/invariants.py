@@ -25,7 +25,6 @@ and `weighted_bach` give the rank-2 ones as `SymTensor2Field`s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 import math
 
@@ -45,15 +44,14 @@ class ValidationError(ValueError):
     """The data does not define a smooth metric measure space."""
 
 
-@dataclass
 class MetricMeasureSpace:
-    chart: Chart
-    g: SymTensor2Field
-    f: ScalarField
-    m: float
-    mu: float
-
-    def __post_init__(self):
+    def __init__(self, chart: Chart, g: SymTensor2Field, f: ScalarField,
+                 m: float, mu: float):
+        self.chart = chart
+        self.g = g
+        self.f = f
+        self.m = m
+        self.mu = mu
         if self.chart.dim < 3:
             raise ValidationError("smooth metric measure spaces require d >= 3")
         if self.m < 0:
@@ -78,6 +76,13 @@ class MetricMeasureSpace:
     def slice_geometries(self) -> dict:
         """The Geometry of each rho-slice over this space, by the
         coefficient fields of the slice (see `expansion.RhoSlice`)."""
+        return {}
+
+    @cached_property
+    def scale_terms(self) -> dict:
+        """The term of each point in the curvature scale of this space, by
+        the point, kept by the first reduction that computes it (see
+        `curvature_scale`)."""
         return {}
 
     def check_at(self, points):
@@ -243,20 +248,29 @@ def curvature_scale(s: MetricMeasureSpace, points) -> Request:
 
     The reference magnitude that 'relative' tolerances are measured
     against throughout the package; the floor of 1 keeps a nearly flat
-    space from tightening them toward zero.
+    space from tightening them toward zero.  A point's term is a function
+    of the space and the point alone, so it is computed once, by the
+    first reduction that reaches the point, and kept in
+    `s.scale_terms`: the requests of one command that nest the scale
+    share its norms.
     """
     rm, hess_f = s.geometry.rm, s.geometry.hess_f
     d, mu = s.dim, s.mu
+    terms = s.scale_terms
+    keys = [tuple(p) for p in points]
 
     def reduce(v):
         worst = 0.0
-        for g, rm_v, hf_v, (fv,), df_v in zip(v["g"], v["rm"], v["hf"],
-                                             v["f"], v["df"]):
-            ginv = _inverse(_square(g, d))
-            rm_norm = math.sqrt(abs(_norm_squared(rm_v, ginv)))
-            hf_norm = math.sqrt(abs(_norm_squared(hf_v, ginv))) / fv
-            gf_norm = _quadratic_form(df_v, ginv) / fv ** 2
-            worst = max(worst, rm_norm + hf_norm + gf_norm + abs(mu))
+        for p, g, rm_v, hf_v, (fv,), df_v in zip(
+                keys, v["g"], v["rm"], v["hf"], v["f"], v["df"]):
+            term = terms.get(p)
+            if term is None:
+                ginv = _inverse(_square(g, d))
+                rm_norm = math.sqrt(abs(_norm_squared(rm_v, ginv)))
+                hf_norm = math.sqrt(abs(_norm_squared(hf_v, ginv))) / fv
+                gf_norm = _quadratic_form(df_v, ginv) / fv ** 2
+                term = terms[p] = rm_norm + hf_norm + gf_norm + abs(mu)
+            worst = max(worst, term)
         return max(worst, 1.0)
 
     return Request(points, reduce, g=s.g.entries(),

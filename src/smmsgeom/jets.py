@@ -125,6 +125,21 @@ def _exponent_table(nvars: int, degree: int):
 
 
 @lru_cache(maxsize=None)
+def _exponent_codes(nvars: int, degree: int):
+    """Each exponent tuple of the degree-`degree` table as one integer,
+    its digits in base degree + 1, and the code -> position map.  Every
+    exponent is below that base, so the code of a sum of two tuples
+    whose total is at most `degree` is the sum of their codes."""
+    codes = []
+    for e in _exponent_table(nvars, degree)[0]:
+        code = 0
+        for x in e:
+            code = code * (degree + 1) + x
+        codes.append(code)
+    return codes, {code: k for k, code in enumerate(codes)}
+
+
+@lru_cache(maxsize=None)
 def _product_rows(nvars: int, degree: int):
     """Per index I, the K with exps[K] = exps[I] + exps[J] for
     J = 0, 1, ...: the J of total degree at most degree - |I|, a prefix
@@ -132,16 +147,7 @@ def _product_rows(nvars: int, degree: int):
     coefficients pairs each K with its J (the table is symmetric in I
     and J)."""
     exps = _exponent_table(nvars, degree)[0]
-    # each exponent tuple as one integer, its digits in base degree + 1:
-    # every exponent is below that base, so the code of a sum of two
-    # tuples is the sum of their codes
-    codes = []
-    for e in exps:
-        code = 0
-        for x in e:
-            code = code * (degree + 1) + x
-        codes.append(code)
-    where = {code: k for k, code in enumerate(codes)}
+    codes, where = _exponent_codes(nvars, degree)
     return tuple([where[ci + cj] for cj in
                   codes[:jet_count(nvars, degree - sum(e))]]
                  for ci, e in zip(codes, exps))
@@ -182,25 +188,22 @@ def _division_levels(nvars: int, degree: int):
 
     Drives the graded long-division recursion
         c[K] = (a[K] - sum b[I] c[J]) / b[0],
-    where every J referenced at level t lies in a lower level.  Level t
-    has hi - lo terms with I = 0 (J = K), which lead its table slice.
+    where every J referenced at level t lies in a lower level.  A row's
+    Js are the level t - |I| of J and its Ks the slice of row I of
+    `_product_rows` there; the rows of one |I| share their Js.
     """
-    ii, jj, kk = _product_table(nvars, degree)
-    out, lo = [], 1
+    rows = _product_rows(nvars, degree)
+    # positions [start[t], start[t + 1]) hold the exponents of total t
+    start = [0] + [jet_count(nvars, t) for t in range(degree + 1)]
+    out = []
     for t in range(1, degree + 1):
-        hi = jet_count(nvars, t)
-        # C(2 nvars + t, t) pairs have total degree t or less, so level t
-        # is the table slice past those below t, less its I = 0 terms
-        start = math.comb(2 * nvars + t - 1, t - 1) + hi - lo
-        stop = math.comb(2 * nvars + t, t)
-        rows = []
-        for i, j, k in zip(ii[start:stop], jj[start:stop], kk[start:stop]):
-            if not rows or rows[-1][0] != i:
-                rows.append((i, [], []))
-            rows[-1][1].append(j)
-            rows[-1][2].append(k)
-        out.append((lo, hi, rows))
-        lo = hi
+        level = []
+        for level_i in range(1, t + 1):
+            lo, hi = start[t - level_i], start[t - level_i + 1]
+            js = list(range(lo, hi))
+            level += [(i, js, rows[i][lo:hi])
+                      for i in range(start[level_i], start[level_i + 1])]
+        out.append((start[t], start[t + 1], level))
     return tuple(out)
 
 
@@ -216,19 +219,19 @@ def _promotion_table(nvars: int, extra: int, degree: int):
 
 @lru_cache(maxsize=None)
 def _partial_table(nvars: int, degree: int, axis: int):
-    """Source positions and multipliers for d/dx_axis at this degree.
+    """Source positions and multipliers for d/dx_axis at this degree >= 1.
 
     Output position of alpha holds (alpha_axis + 1) * coeff(alpha + e_axis),
-    read off the degree-`degree` table; the result has degree-1.
+    read off the degree-`degree` table; the result has degree-1, whose
+    exponents lead that table.  Adding e_axis adds one digit to the
+    code of alpha.
     """
-    exps_out, _ = _exponent_table(nvars, degree - 1) if degree > 0 else ((), {})
-    _, pos_in = _exponent_table(nvars, degree)
-    src, mult = [], []
-    for a in exps_out:
-        shifted = tuple(x + (1 if t == axis else 0) for t, x in enumerate(a))
-        src.append(pos_in[shifted])
-        mult.append(float(a[axis] + 1))
-    return src, mult
+    exps = _exponent_table(nvars, degree)[0]
+    codes, where = _exponent_codes(nvars, degree)
+    step = (degree + 1) ** (nvars - 1 - axis)
+    n = jet_count(nvars, degree - 1)
+    return ([where[code + step] for code in codes[:n]],
+            [float(e[axis] + 1) for e in exps[:n]])
 
 
 def _magnitude(coeffs) -> float:

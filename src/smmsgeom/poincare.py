@@ -25,8 +25,6 @@ identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import curvature as cv
 from .ambient import Graded, graded_derivs
 from .expansion import RhoExpansion
@@ -39,13 +37,14 @@ __all__ = ["PoincareStructure", "PoincareResidual", "to_poincare",
            "poincare_residual", "cone_identity_check"]
 
 
-@dataclass
 class PoincareStructure:
-    base: MetricMeasureSpace
-    expansion: RhoExpansion
-    g_r: list          # d x d matrix of even r-series
-    f_r: Series
-    max_even_order: int
+    def __init__(self, base: MetricMeasureSpace, expansion: RhoExpansion,
+                 g_r: list, f_r: Series, max_even_order: int):
+        self.base = base
+        self.expansion = expansion
+        self.g_r = g_r  # d x d matrix of even r-series
+        self.f_r = f_r
+        self.max_even_order = max_even_order
 
     @property
     def dim(self) -> int:
@@ -89,11 +88,11 @@ def to_poincare(e: RhoExpansion) -> PoincareStructure:
     return PoincareStructure(base, e, g_r, f_r, 2 * e.order)
 
 
-@dataclass
 class PoincareResidual:
-    ricci_blocks: dict     # name -> list of r-series
-    f_scalar: Series
-    trunc: int
+    def __init__(self, ricci_blocks: dict, f_scalar: Series, trunc: int):
+        self.ricci_blocks = ricci_blocks  # name -> list of r-series
+        self.f_scalar = f_scalar
+        self.trunc = trunc
 
     def block_max(self, powers, points, names=("ij", "ri", "rr", "F")):
         """The request for max |coefficient| over the r powers of the named
@@ -111,8 +110,9 @@ def poincare_residual(p: PoincareStructure) -> PoincareResidual:
     f_r are cut two powers above it."""
     e = p.expansion
     cut = e.plan.guarantees(e.order).poincare_power + 2
-    p = replace(p, g_r=[[s.truncated(cut) for s in row] for row in p.g_r],
-                f_r=p.f_r.truncated(cut))
+    p = PoincareStructure(p.base, e,
+                          [[s.truncated(cut) for s in row] for row in p.g_r],
+                          p.f_r.truncated(cut), p.max_even_order)
     base = p.base
     d = base.dim
     n = d + 1

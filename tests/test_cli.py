@@ -262,6 +262,35 @@ def test_cli_verify_inverts_each_series_metric_once(tmp_path, monkeypatch):
     assert calls == {"matrix_inverse": 5, "christoffel": 5}
 
 
+@pytest.mark.parametrize("given,points", [
+    # one sample point, whose scale the checks, the gates and
+    # order_report each nest: 3 reductions of it before
+    ("random-deep", 1),
+    # the catalog equations add six points of the run's seed, the first
+    # of them the run's own point: 9 reductions before
+    ("quasi-einstein", 6),
+])
+def test_cli_verify_reduces_the_curvature_scale_once_per_point(
+        tmp_path, monkeypatch, given, points):
+    from smmsgeom import invariants
+    norm_squared, ranks = invariants._norm_squared, []
+
+    def counting(t, ginv):
+        ranks.append(len(t))
+        return norm_squared(t, ginv)
+
+    monkeypatch.setattr(invariants, "_norm_squared", counting)
+    path = tmp_path / "deep.cfg"
+    path.write_text(random_config(51, 0.5, 0.1, 4))
+    argv = {"random-deep": ["--config", str(path)],
+            "quasi-einstein": ["--catalog", "quasi-einstein",
+                               "--points", "1"]}[given]
+    code, text = run_cli(["verify"] + argv, tmp_path, "v.txt")
+    assert code == 0, text
+    # |Rm|^2 (3^4 components) and |Hess f|^2 (3^2) once per point
+    assert sorted(ranks) == [9] * points + [81] * points
+
+
 @pytest.mark.parametrize("odd", ["d3-m2", "d3-m0"])
 def test_cli_verify_solves_the_odd_critical_order(tmp_path, odd):
     # at n = d+m the trace system leaves tr psi / 2 + (m/f) upsilon free

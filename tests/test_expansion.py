@@ -32,15 +32,28 @@ def residual_worst(space, e, orders, points):
                              for s in series], points))
 
 
+# m -> (branch, dm, warnings) of d = 3: a value with a `denominator`
+# (an int, a Fraction) classifies exactly, anything else as a float,
+# snapped within BRANCH_SNAP_TOL = 1e-9 of an integer
+SNAPPED = "d+m = 4.000000000001 snapped to the integer 4 for branch logic"
+CLASSIFY_TABLE = [
+    (0.5, Branch.NON_INTEGER, 3.5, ()),
+    (1.0, Branch.EVEN_INTEGER, 4.0, ()),
+    (2.0, Branch.ODD_INTEGER, 5.0, ()),
+    (1, Branch.EVEN_INTEGER, 4.0, ()),
+    (Fraction(1, 2), Branch.NON_INTEGER, 3.5, ()),
+    (Fraction(3, 1), Branch.EVEN_INTEGER, 6.0, ()),
+    (1.0 + 1e-12, Branch.EVEN_INTEGER, 4.0, (SNAPPED,)),
+    (np.float64(1.0 + 1e-12), Branch.EVEN_INTEGER, 4.0, (SNAPPED,)),
+    (np.float64(2.0), Branch.ODD_INTEGER, 5.0, ()),
+]
+
+
 def test_classify_branch():
-    assert classify_branch(3, 0.5).branch is Branch.NON_INTEGER
-    assert classify_branch(3, 1.0).branch is Branch.EVEN_INTEGER
-    assert classify_branch(3, 2.0).branch is Branch.ODD_INTEGER
-    assert classify_branch(3, Fraction(1, 2)).branch is Branch.NON_INTEGER
-    assert classify_branch(3, Fraction(3, 1)).branch is Branch.EVEN_INTEGER
-    plan = classify_branch(3, 1.0 + 1e-12)
-    assert plan.branch is Branch.EVEN_INTEGER and plan.dm == 4.0
-    assert plan.warnings
+    for m, branch, dm, warnings in CLASSIFY_TABLE:
+        plan = classify_branch(3, m)
+        assert (plan.branch, plan.dm, plan.warnings) == (branch, dm, warnings)
+        assert type(plan.dm) is float
 
 
 # (d, m) -> (n_c, the odd critical order d+m), from the branch rules

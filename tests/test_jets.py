@@ -228,6 +228,49 @@ def test_product_table_matches_loop(nvars):
         assert list(_product_rows(nvars, degree)) == rows
 
 
+def division_levels_of_table(nvars, degree):
+    """Reference: the division levels read off the product table, each
+    level's slice past its I = 0 terms grouped into rows by I."""
+    from smmsgeom.jets import _product_table
+    ii, jj, kk = _product_table(nvars, degree)
+    out, lo = [], 1
+    for t in range(1, degree + 1):
+        hi = jet_count(nvars, t)
+        start = math.comb(2 * nvars + t - 1, t - 1) + hi - lo
+        stop = math.comb(2 * nvars + t, t)
+        rows = []
+        for i, j, k in zip(ii[start:stop], jj[start:stop], kk[start:stop]):
+            if not rows or rows[-1][0] != i:
+                rows.append((i, [], []))
+            rows[-1][1].append(j)
+            rows[-1][2].append(k)
+        out.append((lo, hi, rows))
+        lo = hi
+    return tuple(out)
+
+
+def partial_table_of_exponents(nvars, degree, axis):
+    """Reference: the partial table by looking up alpha + e_axis."""
+    from smmsgeom.jets import _exponent_table
+    exps_out, _ = _exponent_table(nvars, degree - 1)
+    _, pos_in = _exponent_table(nvars, degree)
+    src = [pos_in[tuple(x + (t == axis) for t, x in enumerate(a))]
+           for a in exps_out]
+    return src, [float(a[axis] + 1) for a in exps_out]
+
+
+@pytest.mark.parametrize("nvars,top", [(1, 10), (2, 10), (3, 10), (4, 4),
+                                       (5, 2), (6, 2)])
+def test_division_and_partial_tables_match_the_table_derived_ones(nvars, top):
+    from smmsgeom.jets import _division_levels, _partial_table
+    for degree in range(top + 1):
+        assert _division_levels(nvars, degree) == division_levels_of_table(
+            nvars, degree)
+        for axis in range(nvars if degree else 0):
+            assert _partial_table(nvars, degree, axis) == \
+                partial_table_of_exponents(nvars, degree, axis)
+
+
 def _random_coeffs(rng, n, nonfinite=False, zeros=0.2):
     """Normal coefficients with exact +0.0 and -0.0 entries (each with
     probability `zeros`) and, with `nonfinite`, some inf, -inf and NaN

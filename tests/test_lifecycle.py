@@ -194,14 +194,15 @@ INPUTS = {
 EXIT = {("obstruction", "problem"): 2, ("obstruction", "quasi-einstein"): 2}
 
 
-@pytest.mark.parametrize("command", list(cli._COMMANDS))
-@pytest.mark.parametrize("given", list(INPUTS))
-def test_commands_do_not_import_numpy(tmp_path, command, given):
+def _loaded_by(tmp_path, command, given, modules):
+    """Run `command` on the input `given` in a child, with its report in
+    tmp_path/report.txt; return which of `modules` the child then holds
+    and the command's exit status."""
     (tmp_path / "problem.cfg").write_text(CONFIG)
     child = ("import sys\n"
              "from smmsgeom import cli\n"
              "code = cli.main(sys.argv[1:] + ['--out', 'report.txt'])\n"
-             f"print('loaded =', [m for m in {SAMPLER_IMPORTS!r} "
+             f"print('loaded =', [m for m in {modules!r} "
              "if m in sys.modules], code)\n")
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", child, command]
@@ -209,8 +210,30 @@ def test_commands_do_not_import_numpy(tmp_path, command, given):
                           timeout=300, cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=pythonpath))
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("given", list(INPUTS))
+def test_commands_do_not_import_numpy(tmp_path, command, given):
     code = EXIT.get((command, given), 0)
-    assert proc.stdout.splitlines()[-1] == f"loaded = [] {code}"
+    assert _loaded_by(tmp_path, command, given,
+                      SAMPLER_IMPORTS) == f"loaded = [] {code}"
     if code == 0:
         # the scale is a maximum over the sample points
         assert "\nscale = " in (tmp_path / "report.txt").read_text()
+
+
+# `dataclasses` imports `inspect` (with `ast`, `dis` and `tokenize`) and
+# `fractions` imports `decimal`: 8-9 ms per process, and each dataclass
+# `exec`s generated source when its class is built
+CLASS_IMPORTS = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("given", list(INPUTS))
+def test_commands_do_not_import_dataclasses_or_fractions(tmp_path, command,
+                                                         given):
+    code = EXIT.get((command, given), 0)
+    assert _loaded_by(tmp_path, command, given,
+                      CLASS_IMPORTS) == f"loaded = [] {code}"

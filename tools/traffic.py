@@ -58,6 +58,10 @@ KNOWN = {
     "fields.evaluate": EVALUATION,
     "fields.SymTensor2Field.matrix_values": EVALUATION,
     "jets.Jet.coefficient": EVALUATION,
+    "jets._product_table":
+        "the product table as (I, J, K) lists: the summation order that "
+        "tests/test_jets.py checks the product and division kernels and "
+        "their row tables against",
     "cli.run": "the console entry, which exits the process; this tool "
                "calls `cli.main`",
     "ambient.Graded.__repr__": REPR,

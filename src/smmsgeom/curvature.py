@@ -122,6 +122,12 @@ def christoffel(g, ginv, derivs, zero):
     n = len(g)
     dg = [[[derivs[k](g[i][j]) for k in range(n)] for j in range(n)] for i in range(n)]
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+
+    @cache
+    def inner(i, j, l):
+        """d_i g_jl + d_j g_il - d_l g_ij, built on first use."""
+        return acc_sum([dg[j][l][i], dg[i][l][j], -dg[i][j][l]], zero)
+
     for k in range(n):
         for i in range(n):
             for j in range(i, n):
@@ -129,8 +135,7 @@ def christoffel(g, ginv, derivs, zero):
                 for l in range(n):
                     if _is_zero(ginv[k][l]):
                         continue
-                    inner = acc_sum([dg[j][l][i], dg[i][l][j], -dg[i][j][l]], zero)
-                    terms.append(ginv[k][l] * inner)
+                    terms.append(ginv[k][l] * inner(i, j, l))
                 val = acc_sum(terms, zero) * 0.5
                 gamma[k][i][j] = gamma[k][j][i] = val
     return gamma

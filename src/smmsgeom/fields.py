@@ -52,9 +52,12 @@ and the number of its planned readers: a `partial` needs its child one
 degree higher (so a jet even for a value), and a `lift` passes its
 demand, and one reader, to the child chart at the point's leading
 coordinates, which is planned after it (charts go in descending
-dimension).  The forward pass computes each planned node once, in
-creation order, at its planned degree; a parent planned lower reads a
-prefix (`Jet.truncated`) or the constant term.  A node's slot is
+dimension).  It also counts the products it plans at each degree and
+hands the counts to `jets.plan_products`, which decides from them
+which shapes compile a generated product kernel.  The forward pass
+computes each planned node once, in creation order, at its planned
+degree; a parent planned lower reads a prefix (`Jet.truncated`) or
+the constant term.  A node's slot is
 emptied as soon as its last reader has been computed, the roots' slots
 when the step's values are read, so only one point's live jets are
 resident and nothing is kept between calls (Griewank and Walther,
@@ -83,7 +86,7 @@ import math
 from itertools import compress, islice
 from operator import add, index
 
-from .jets import Jet, value_apply, value_power, value_quotient
+from .jets import Jet, plan_products, value_apply, value_power, value_quotient
 
 __all__ = [
     "Chart", "ScalarField", "Request", "run", "evaluate", "max_abs",
@@ -648,6 +651,7 @@ def _plan(plan: _Plan, plans) -> None:
     when the scan reaches the child; nodes with none (-1) are skipped
     without Python code per node."""
     need, uses, nodes = plan.need, plan.uses, plan.chart.nodes
+    products = {}  # planned degree -> the products planned at it
     top = low = plan.top
     for i in compress(range(top, -1, -1), map(_PLANNED, islice(
             reversed(need), len(need) - 1 - top, None))):
@@ -670,6 +674,8 @@ def _plan(plan: _Plan, plans) -> None:
         elif op == "lift":
             _demand(plans, a, plan.point[:node.param], deg).uses[a.index] += 1
             continue
+        elif op == "mul" and deg:
+            products[deg] = products.get(deg, 0) + 1
         j = a.index
         uses[j] += 1
         if need[j] < deg:
@@ -683,6 +689,8 @@ def _plan(plan: _Plan, plans) -> None:
     plan.low = low
     chart = plan.chart
     chart.max_degree = max(chart.max_degree, max(need, default=-1))
+    for deg, count in products.items():
+        plan_products(chart.dim, deg, count)
 
 
 _PLANNED = (-1).__lt__  # a planned degree, not -1

@@ -86,11 +86,12 @@ class MetricMeasureSpace:
         return {}
 
     def check_at(self, points):
-        """Finite positive-definite g and positive f at the given points.
+        """Finite positive-definite g and finite positive f at the given
+        points.
 
-        Finiteness is tested first, so that the Cholesky test only sees
-        finite entries; the density test is written so that NaN fails
-        it."""
+        Finiteness of g is tested first, so that the Cholesky test only
+        sees finite entries; the density test is written so that NaN
+        fails it, and +inf fails the test after it."""
         d = self.dim
         v = Request(points, g=self.g.entries(), f=[self.f]).result()
         for p, g, (fv,) in zip(points, v["g"], v["f"]):
@@ -100,6 +101,8 @@ class MetricMeasureSpace:
                 raise ValidationError(f"metric not positive definite at {p}")
             if not fv > 0.0:
                 raise ValidationError(f"density f not positive at {p}")
+            if fv == math.inf:
+                raise ValidationError(f"density f not finite at {p}")
 
     def sample(self, count: int, seed: int):
         return sample_points(self.chart, count, seed)

@@ -91,10 +91,13 @@ def test_negative_density_rejected_with_point(tmp_path):
      "ValidationError: metric not finite"),
     ("f = 1 + 0.05*x1", "f = 1e308*10 - 1e308*10",
      "ValidationError: density f not positive"),
+    ("f = 1 + 0.05*x1", "f = 1e308*10 + x1",
+     "ValidationError: density f not finite"),
 ])
 def test_cli_rejects_non_finite_input(tmp_path, old, new, error):
     # constants fold at build time: a fold that leaves the domain raises,
-    # and the NaN of inf - inf must not pass the metric and density checks
+    # and the NaN of inf - inf, or an infinite density, must not pass the
+    # metric and density checks
     path = tmp_path / "bad.cfg"
     path.write_text(CONFIG.replace(old, new))
     code, text = run_cli(["verify", "--config", str(path), "--order", "1"],

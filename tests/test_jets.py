@@ -289,14 +289,27 @@ def _bits(coeffs):
     return np.asarray(coeffs, dtype=np.float64).view(np.uint64)
 
 
+@pytest.fixture
+def row_kernel(monkeypatch):
+    """Nothing planned and nothing compiled, so `a * b` runs the row
+    kernel whatever other tests' sweeps planned, and a generated kernel
+    is compiled afresh, so that its first calls are checked too."""
+    from smmsgeom import jets
+    monkeypatch.setattr(jets, "_planned", {})
+    monkeypatch.setattr(jets, "_kernels", {})
+    jets._product_units.cache_clear()
+
+
 def _assert_products_match_add_at(nvars, degree, left=None, right=None):
-    """a * b against `np.add.at` over the product table, bit for bit, for
-    200 random pairs, a drawn by `_random_coeffs` with the options
-    `left`, b with `right`."""
-    from smmsgeom.jets import _product_table
+    """a * b by the row kernel, and by the shape's generated kernel,
+    against `np.add.at` over the product table, bit for bit, for 200
+    random pairs, a drawn by `_random_coeffs` with the options `left`, b
+    with `right`."""
+    from smmsgeom.jets import _generated_product, _product_table
     rng = np.random.default_rng(nvars * 100 + degree)
     ii, jj, kk = map(np.asarray, _product_table(nvars, degree))
     n = jet_count(nvars, degree)
+    generated = _generated_product(nvars, degree)
     for _ in range(200):
         a = Jet(nvars, degree, _random_coeffs(rng, n, **(left or {})))
         b = Jet(nvars, degree, _random_coeffs(rng, n, **(right or {})))
@@ -305,16 +318,27 @@ def _assert_products_match_add_at(nvars, degree, left=None, right=None):
             np.add.at(want, kk, np.asarray(a.coeffs)[ii]
                       * np.asarray(b.coeffs)[jj])
         np.testing.assert_array_equal(_bits((a * b).coeffs), _bits(want))
+        np.testing.assert_array_equal(_bits(generated(a.coeffs, b.coeffs)),
+                                      _bits(want))
 
 
-@pytest.mark.parametrize("nvars,degree", [(3, 10), (4, 6), (3, 2), (3, 0), (5, 4)])
-def test_product_matches_add_at_bitwise(nvars, degree):
-    _assert_products_match_add_at(nvars, degree)
+# every shape up to 4 variables and degree 8, and some larger ones
+SHAPES = [(nvars, degree) for nvars in range(1, 5) for degree in range(9)] + [
+    (6, 2), (5, 4), (3, 10)]
 
 
-@pytest.mark.parametrize("nvars,degree", [(3, 10), (4, 6), (3, 2), (5, 4)])
+@pytest.mark.parametrize("nvars,degree", SHAPES)
+def test_product_matches_add_at_bitwise(row_kernel, nvars, degree):
+    # dense operands, then operands with +0.0 and -0.0 entries
+    for zeros in (0.0, 0.2):
+        _assert_products_match_add_at(nvars, degree, {"zeros": zeros},
+                                      {"zeros": zeros})
+
+
+@pytest.mark.parametrize("nvars,degree", SHAPES)
 @pytest.mark.parametrize("sparse", ["left", "right"])
-def test_product_rows_of_either_factor_match_add_at(nvars, degree, sparse):
+def test_product_rows_of_either_factor_match_add_at(row_kernel, nvars, degree,
+                                                    sparse):
     # the rows of the factor with more zeros run, the right one's J
     # descending; each output coefficient keeps its I-ascending sum
     few, many = {"zeros": 0.05}, {"zeros": 0.4}
@@ -322,16 +346,49 @@ def test_product_rows_of_either_factor_match_add_at(nvars, degree, sparse):
         nvars, degree, *((many, few) if sparse == "left" else (few, many)))
 
 
-@pytest.mark.parametrize("nvars,degree", [(3, 10), (4, 6), (3, 2), (5, 4)])
+@pytest.mark.parametrize("nvars,degree", SHAPES)
 @pytest.mark.parametrize("nonfinite", ["left", "right"])
-def test_product_with_nonfinite_factor_matches_add_at(nvars, degree,
-                                                      nonfinite):
+def test_product_with_nonfinite_factor_matches_add_at(row_kernel, nvars,
+                                                      degree, nonfinite):
     # zeros on one side, inf and NaN on the other: a row skipped for its
     # zero coefficient would lose its 0 * inf = NaN terms
     zeros, bad = {"zeros": 0.4}, {"nonfinite": True, "zeros": 0.05}
     _assert_products_match_add_at(
         nvars, degree, *((bad, zeros) if nonfinite == "left"
                          else (zeros, bad)))
+
+
+def test_product_kernel_by_planned_count_and_density(row_kernel):
+    # a shape's dense products run its generated kernel once PAYBACK of
+    # its products are planned; a product with a sparse factor keeps the
+    # row kernel
+    from smmsgeom import jets
+    rng = np.random.default_rng(6)
+    n = jet_count(3, 4)
+    dense = [Jet(3, 4, rng.normal(size=n)) for _ in range(2)]
+    sparse = Jet.variable(0.3, 0, 3, 4)  # 2 of 35 coefficients nonzero
+    pairs = [(dense[0], dense[1]), (sparse, dense[1]), (dense[0], sparse)]
+    want = [_bits((a * b).coeffs) for a, b in pairs]
+    jets.plan_products(3, 4, jets.PAYBACK - 1)
+    dense[0] * dense[1]
+    assert jets._kernels == {}
+    jets.plan_products(3, 4, 1)
+    sparse * dense[1]
+    assert jets._kernels == {}
+    calls = []
+    kernel = jets._generated_product(3, 4)
+
+    def spy(a, b):
+        calls.append(1)
+        return kernel(a, b)
+
+    jets._kernels[3, 4] = spy
+    for (a, b), bits in zip(pairs, want):
+        np.testing.assert_array_equal(_bits((a * b).coeffs), bits)
+    assert len(calls) == 1  # the dense pair only
+    del jets._kernels[3, 4]
+    dense[0] * dense[1]  # compiles
+    assert set(jets._kernels) == {(3, 4)}
 
 
 def divided_by_levels(a, b):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from . import curvature as cv
 from . import invariants as inv
+from .errors import InputError
 from .expressions import parse_expression
 from .fields import Chart, Request, SymTensor2Field, max_abs
 from .invariants import MetricMeasureSpace
@@ -47,7 +48,7 @@ __all__ = [
 _TOL = 1e-9
 
 
-class EntryRejected(ValueError):
+class EntryRejected(InputError, ValueError):
     """The candidate space fails its family's defining equations."""
 
 

@@ -31,13 +31,14 @@ the command had already computed, and the highest jet degree computed
 was resolved; every report gives the peak resident set size of the
 process in MB (`timings.stats.peak_rss_mb`, from `getrusage`).  The
 exit status is 0 when every check passed, 1 when a check failed, 2 on
-a typed input or solver error (a usage error, an unwritable `--out`, a
-missing or malformed input, an order or point count below 1, an
-unknown catalog entry or tolerance name, a tolerance that is not
-finite and non-negative, a `--corrupt-coefficient` that does not name
-a solved coefficient, or a `JetDivisionError`: an input whose jets
-meet a division, `log` or `sqrt` outside its domain) and 3 on any
-other exception (`error = internal: ...`).
+a typed input or solver error, an `errors.InputError` (a usage error,
+an unwritable `--out`, a missing or malformed input, an order or point
+count below 1, a point count above 1000, an unknown catalog entry or
+tolerance name, a tolerance that is not finite and non-negative, a
+`--corrupt-coefficient` that does not name a solved coefficient, or a
+`JetDivisionError`: an input whose jets meet a division, `log` or
+`sqrt` outside its domain) and 3 on any other exception
+(`error = internal: ...`).
 `verify --corrupt-coefficient K,I,J,EPS` is a test hook that perturbs
 one solved coefficient (0 <= K <= order, 0 <= I, J < d) to demonstrate
 check sensitivity.
@@ -56,6 +57,12 @@ before it swept and reported, unless the sweep fails too, whose error
 then comes first.  `obstruction` at a d+m that is not an even integer
 fails before anything is built: its report has the config echo, the
 error and the counters of input validation.
+
+A command imports a stage module in the helper that builds with it,
+so it loads only what it runs: `expansion` (with `series`) for the
+solver, `ambient` for `order_report`, `poincare` for the Poincare
+checks and `catalog` for `--catalog`.  `invariants --config` loads
+none of them.
 """
 
 from __future__ import annotations
@@ -69,17 +76,12 @@ import time
 from . import __version__
 from . import curvature as cv
 from . import invariants as inv
-from .ambient import AmbientMetric, order_report
-from .catalog import EntryRejected, load_entry, standard_catalog
-from .config import (MINIMUMS, TOLERANCES, ConfigError, Report,
+from .config import (MAXIMUMS, MINIMUMS, TOLERANCES, ConfigError, Report,
                      check_tolerance, load_config)
-from .expansion import (ConsistencyError, OrderError, classify_branch,
-                        critical_order, expand, gate_request, obstruction)
+from .errors import InputError
 from . import fields
 from .fields import Request, SymTensor2Field, max_abs, max_abs_difference
-from .invariants import ValidationError, curvature_scale
-from .jets import JetDivisionError
-from .poincare import cone_identity_check, poincare_residual, to_poincare
+from .invariants import curvature_scale
 
 __all__ = ["main"]
 
@@ -106,8 +108,7 @@ def _parser():
             ("verify", "run the full residual suite; nonzero exit on failure")]:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="problem configuration file")
-        sp.add_argument("--catalog", help="named catalog entry "
-                        f"({', '.join(sorted(standard_catalog()))})")
+        sp.add_argument("--catalog", help="named catalog entry")
         sp.add_argument("--order", type=int, help="deformation order override")
         sp.add_argument("--points", type=int, help="sample point count override")
         sp.add_argument("--seed", type=int, help="sampling seed override")
@@ -131,6 +132,11 @@ class _Problem:
             if value is not None and value < least:
                 raise ConfigError(f"--{flag} must be at least {least}, "
                                   f"got {value}")
+        for flag, most in MAXIMUMS.items():
+            value = getattr(args, flag)
+            if value is not None and value > most:
+                raise ConfigError(f"--{flag} must be at most {most}, "
+                                  f"got {value}")
         if args.tol is not None:
             check_tolerance("--tol", args.tol)
         if args.config:
@@ -145,6 +151,7 @@ class _Problem:
             self.tolerances = dict(cfg.tolerances)
             self.label = args.config
         elif args.catalog:
+            from .catalog import load_entry, standard_catalog
             known = standard_catalog()
             if args.catalog not in known:
                 raise ConfigError(f"unknown catalog entry {args.catalog!r}; "
@@ -303,6 +310,7 @@ def _bianchi_check(prob, report, checks):
 
 def _expansion_for(prob, report, checks, finish=lambda measured: None):
     """The expansion of the problem, adding the request of its gates."""
+    from .expansion import expand, gate_request
     with report.stage("expand"):
         e = expand(prob.space, prob.order)
         checks.add(gate_request(e, prob.points), finish)
@@ -311,6 +319,7 @@ def _expansion_for(prob, report, checks, finish=lambda measured: None):
 
 def _order_report(prob, e, report, checks, finish):
     """Add the `order_report` request, whose report `finish` receives."""
+    from .ambient import AmbientMetric, order_report
     with report.stage("order_report"):
         request = order_report(AmbientMetric(e), prob.tol("residual"),
                                points=prob.points)
@@ -376,6 +385,7 @@ def _put_points(checks, report, points, fields, then=None, **groups):
 def _obstruction_identities(prob, obs, report, checks):
     """The trace and divergence identities of the obstruction tensor and,
     at d+m = 4 (n_c = 2), its agreement with the weighted Bach tensor."""
+    from .expansion import classify_branch
     with report.stage("identities"):
         s = prob.space
         d = s.dim
@@ -410,6 +420,7 @@ def _obstruction_identities(prob, obs, report, checks):
 
 
 def cmd_obstruction(args, report) -> int:
+    from .expansion import OrderError, critical_order, obstruction
     prob = _start(args, report)
     try:
         critical_order(prob.space)
@@ -434,6 +445,7 @@ def _poincare_checks(prob, e, report, checks, cone_points, sides=False):
     `sides`, report their sides' magnitude), then the weighted-Einstein
     residual in r through the guaranteed power, its last.  Returns
     (max_even_order, residual_trunc)."""
+    from .poincare import cone_identity_check, poincare_residual, to_poincare
     with report.stage("poincare"):
         pc = to_poincare(e)
     if prob.space.m > 0:
@@ -566,8 +578,7 @@ def main(argv=None) -> int:
             args = _parser().parse_args(argv)
             report.put("command", args.command)
             code = _COMMANDS[args.command](args, report)
-        except (ConfigError, ValidationError, EntryRejected, OrderError,
-                ConsistencyError, JetDivisionError) as exc:
+        except InputError as exc:
             report.put("error", f"{type(exc).__name__}: {exc}")
             code = 2
         except Exception as exc:

@@ -23,7 +23,7 @@ Configurations are INI files (configparser, UTF-8) with sections::
     order = 2
 
     [sampling]
-    points = 10
+    points = 10         # at most 1000 (config.MAXIMUMS)
     seed = 7
 
     [tolerances]        # optional overrides, finite and non-negative
@@ -47,13 +47,14 @@ import math
 import time
 from contextlib import contextmanager
 
+from .errors import InputError
 from .expressions import parse_expression
 from .fields import FUNCTIONS, Chart, SymTensor2Field
 from .invariants import MetricMeasureSpace
 
 __all__ = ["ProblemConfig", "ConfigError", "Report", "load_config",
            "check_tolerance", "format_value", "REPORT_SCHEMA_VERSION",
-           "TOLERANCES", "MINIMUMS"]
+           "TOLERANCES", "MINIMUMS", "MAXIMUMS"]
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -65,6 +66,9 @@ TOLERANCES = {"residual": 1e-9, "bianchi": 1e-8, "identities": 1e-8,
 
 # the least value of each integer setting, in a config file or a flag
 MINIMUMS = {"order": 1, "points": 1, "seed": 0}
+# the largest value of a bounded integer setting: every point is drawn up
+# front and swept with a flag per DAG node
+MAXIMUMS = {"points": 1000}
 
 # the keys of each section; [metric] takes the lower triangle g<i><j>,
 # i >= j, of the chart's dimension
@@ -74,7 +78,7 @@ _SECTIONS = {"chart": ("dimension", "coordinates", "box"), "metric": (),
              "tolerances": tuple(TOLERANCES)}
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError, ValueError):
     """The configuration file does not define a valid problem."""
 
 
@@ -223,6 +227,9 @@ def load_config(path: str) -> ProblemConfig:
     for key, value in (("order", order), ("points", points), ("seed", seed)):
         if value < MINIMUMS[key]:
             raise ConfigError(f"{key} must be at least {MINIMUMS[key]}, "
+                              f"got {value}")
+        if key in MAXIMUMS and value > MAXIMUMS[key]:
+            raise ConfigError(f"{key} must be at most {MAXIMUMS[key]}, "
                               f"got {value}")
     tolerances = {}
     if cp.has_section("tolerances"):

@@ -42,6 +42,7 @@ from functools import cached_property
 import math
 
 from . import curvature as cv
+from .errors import InputError
 from .fields import Request, ScalarField, SymTensor2Field, max_abs
 from .invariants import MetricMeasureSpace, curvature_scale
 from .series import Series
@@ -60,11 +61,11 @@ OBSTRUCTION_CONTINUATION_TOL = 1e-10
 CONSISTENCY_TOL = 1e-8
 
 
-class OrderError(ValueError):
+class OrderError(InputError, ValueError):
     """The requested order is not reachable (unresolved obstruction, etc.)."""
 
 
-class ConsistencyError(ArithmeticError):
+class ConsistencyError(InputError, ArithmeticError):
     """The odd-order consistency residual exceeded tolerance."""
 
 

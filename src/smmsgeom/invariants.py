@@ -29,6 +29,7 @@ from functools import cached_property
 import math
 
 from . import curvature as cv
+from .errors import InputError
 from .fields import (Chart, Request, ScalarField, SymTensor2Field,
                      evaluate, max_abs, sample_points)
 
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 
-class ValidationError(ValueError):
+class ValidationError(InputError, ValueError):
     """The data does not define a smooth metric measure space."""
 
 

@@ -59,6 +59,8 @@ from functools import lru_cache
 import math
 from operator import add
 
+from .errors import InputError
+
 __all__ = ["Jet", "JetShapeError", "JetDivisionError", "jet_count",
            "plan_products", "value_quotient", "value_power", "value_apply"]
 
@@ -88,7 +90,7 @@ class JetShapeError(ValueError):
     """Operands disagree in variable count or truncation degree."""
 
 
-class JetDivisionError(ZeroDivisionError):
+class JetDivisionError(InputError, ZeroDivisionError):
     """Divisor jet has a (near-)zero constant term."""
 
 

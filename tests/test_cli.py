@@ -11,7 +11,12 @@ import pytest
 import smmsgeom
 from smmsgeom import cli
 from smmsgeom.cli import main
+from smmsgeom.catalog import EntryRejected
 from smmsgeom.config import (ConfigError, Report, format_value, load_config)
+from smmsgeom.errors import InputError
+from smmsgeom.expansion import ConsistencyError, OrderError
+from smmsgeom.invariants import ValidationError
+from smmsgeom.jets import JetDivisionError
 
 CONFIG = """
 [chart]
@@ -594,6 +599,8 @@ def test_cli_error_report_gives_the_dag_counters(tmp_path):
     # no problem, no chart to count
     code, text = run_cli(["verify", "--catalog", "bogus"], tmp_path, "b.txt")
     assert code == 2
+    assert ("error = ConfigError: unknown catalog entry 'bogus'; known: flat, "
+            "gover-leitner, gover-leitner-flat, quasi-einstein, wlcf\n") in text
     assert "timings.stats.peak_rss_mb = " in text
     assert "timings.stats.nodes" not in text
 
@@ -603,7 +610,8 @@ def test_cli_failing_catalog_entry_is_a_failed_check(tmp_path, monkeypatch,
                                                      command):
     # Ric_phi = 2 g on the unit sphere, but F_phi = 0 != -2 f^2 at mu = 0
     from smmsgeom.catalog import quasi_einstein_entry, round_sphere_space
-    monkeypatch.setattr(cli, "load_entry", lambda name: quasi_einstein_entry(
+    from smmsgeom import catalog
+    monkeypatch.setattr(catalog, "load_entry", lambda name: quasi_einstein_entry(
         round_sphere_space(d=3, m=2.0, mu=0.0), ric_eigenvalue=2.0))
     code, text = run_cli([command, "--catalog", "quasi-einstein", "--points",
                           "1", "--order", "1"], tmp_path, "bad.txt")
@@ -973,6 +981,81 @@ def test_cli_rejects_bad_names_and_counts(tmp_path, argv, old, new, error):
     code, text = run_cli(argv, tmp_path, "bad.txt")
     assert code == 2
     assert f"error = {error}".replace("<path>", str(path)) in text
+
+
+@pytest.mark.parametrize("argv,old,new,error", [
+    (["expand", "--points", str(10 ** 20)], None, None,
+     f"--points must be at most 1000, got {10 ** 20}"),
+    (["expand"], "points = 5", f"points = {10 ** 20}",
+     f"points must be at most 1000, got {10 ** 20}"),
+    (["verify", "--catalog", "flat", "--points", "1001"], None, None,
+     "--points must be at most 1000, got 1001"),
+])
+def test_cli_rejects_a_point_count_before_drawing(tmp_path, monkeypatch, argv,
+                                                  old, new, error):
+    # every point is drawn up front and swept with a flag per DAG node, so
+    # a huge count must be refused before the first point is drawn
+    from smmsgeom import fields, invariants
+    drawn = []
+
+    def sample_points(chart, count, seed):
+        drawn.append(count)
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(fields, "sample_points", sample_points)
+    monkeypatch.setattr(invariants, "sample_points", sample_points)
+    if "--catalog" not in argv:
+        path = tmp_path / "problem.cfg"
+        path.write_text(CONFIG.replace(old, new) if old else CONFIG)
+        argv = argv[:1] + ["--config", str(path)] + argv[1:]
+    code, text = run_cli(argv, tmp_path, "many.txt")
+    assert (code, drawn) == (2, [])
+    assert f"\nerror = ConfigError: {error}\n" in text
+
+
+def test_config_point_count_bound_is_inclusive(tmp_path):
+    path = tmp_path / "problem.cfg"
+    path.write_text(CONFIG.replace("points = 5", "points = 1000"))
+    assert load_config(str(path)).points == 1000
+    path.write_text(CONFIG.replace("points = 5", "points = 1001"))
+    with pytest.raises(ConfigError, match="points must be at most 1000"):
+        load_config(str(path))
+
+
+# the typed errors, each with the built-in base it keeps
+TYPED_ERRORS = [(ConfigError, ValueError), (ValidationError, ValueError),
+                (EntryRejected, ValueError), (OrderError, ValueError),
+                (ConsistencyError, ArithmeticError),
+                (JetDivisionError, ZeroDivisionError)]
+
+
+@pytest.mark.parametrize("error,base", TYPED_ERRORS, ids=lambda v: v.__name__)
+def test_cli_typed_errors_exit_2_through_one_base(tmp_path, monkeypatch,
+                                                  error, base):
+    assert issubclass(error, InputError) and issubclass(error, base)
+
+    def command(args, report):
+        raise error("deliberate")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", command)
+    code, text = run_cli(["verify", "--catalog", "flat"], tmp_path, "t.txt")
+    assert code == 2
+    assert f"\nerror = {error.__name__}: deliberate\n" in text
+
+
+# the built-in bases of the typed errors are not typed themselves
+@pytest.mark.parametrize("error", [ValueError, ArithmeticError,
+                                   ZeroDivisionError, KeyError, RuntimeError],
+                         ids=lambda v: v.__name__)
+def test_cli_untyped_error_is_internal(tmp_path, monkeypatch, error):
+    def command(args, report):
+        raise error("deliberate")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", command)
+    code, text = run_cli(["verify", "--catalog", "flat"], tmp_path, "t.txt")
+    assert code == 3
+    message = str(error("deliberate"))
+    assert f"\nerror = internal: {error.__name__}: {message}\n" in text
 
 
 def test_cli_verify_reports_stage_timings(tmp_path):

@@ -237,3 +237,29 @@ def test_commands_do_not_import_dataclasses_or_fractions(tmp_path, command,
     code = EXIT.get((command, given), 0)
     assert _loaded_by(tmp_path, command, given,
                       CLASS_IMPORTS) == f"loaded = [] {code}"
+
+
+# the package modules every command loads, and those each command adds:
+# the solver (`expansion`, `series`), `ambient` for `order_report` and
+# `poincare` for the Poincare checks; `--catalog` adds `catalog`
+PACKAGE = sorted(f"smmsgeom.{name[:-3]}" for name in
+                 os.listdir(os.path.dirname(smmsgeom.__file__))
+                 if name.endswith(".py") and name != "__init__.py")
+BASE = {"cli", "config", "curvature", "errors", "expressions", "fields",
+        "invariants", "jets"}
+SOLVER = {"expansion", "series"}
+STAGES = {"invariants": set(), "expand": SOLVER | {"ambient"},
+          "obstruction": SOLVER, "poincare": SOLVER | {"ambient", "poincare"},
+          "verify": SOLVER | {"ambient", "poincare"}}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("given", list(INPUTS))
+def test_commands_import_only_the_modules_they_run(tmp_path, command, given):
+    want = BASE | STAGES[command]
+    if "--catalog" in INPUTS[given]:
+        want.add("catalog")
+    loaded = sorted(f"smmsgeom.{name}" for name in want)
+    code = EXIT.get((command, given), 0)
+    assert _loaded_by(tmp_path, command, given,
+                      PACKAGE) == f"loaded = {loaded} {code}"

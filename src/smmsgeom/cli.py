@@ -33,12 +33,12 @@ process in MB (`timings.stats.peak_rss_mb`, from `getrusage`).  The
 exit status is 0 when every check passed, 1 when a check failed, 2 on
 a typed input or solver error, an `errors.InputError` (a usage error,
 an unwritable `--out`, a missing or malformed input, an order or point
-count below 1, a point count above 1000, an unknown catalog entry or
-tolerance name, a tolerance that is not finite and non-negative, a
-`--corrupt-coefficient` that does not name a solved coefficient, or a
-`JetDivisionError`: an input whose jets meet a division, `log` or
-`sqrt` outside its domain) and 3 on any other exception
-(`error = internal: ...`).
+count below 1, an order above 8 or a point count above 1000, an
+unknown catalog entry or tolerance name, a tolerance that is not
+finite and non-negative, a `--corrupt-coefficient` that does not name
+a solved coefficient, or a `JetDivisionError`: an input whose jets
+meet a division, `log` or `sqrt` outside its domain) and 3 on any
+other exception (`error = internal: ...`).
 `verify --corrupt-coefficient K,I,J,EPS` is a test hook that perturbs
 one solved coefficient (0 <= K <= order, 0 <= I, J < d) to demonstrate
 check sensitivity.
@@ -48,10 +48,14 @@ a `fields.Request`; the command then evaluates every request, the
 curvature scale's first, a catalog entry's defining equations
 (`check.catalog_flags`) and the solver's gates next, in one
 `fields.run` call, timed as `timings.stage.evaluate`, and reports from
-the results.  Only input validation (the sample points of a config)
-evaluates before it.  A command stops at its first error: an error of
-the sweep is that of its first failing point (in the order of the
-sample points), a failing gate's comes before any stage's results, and
+the results.  So a command builds, then seals, then sweeps once: right
+before that call it seals every chart that owns a root of a request
+(`Chart.seal()` drops the intern tables), and a build on one of them
+after that raises; the reductions and the reports only read values.
+Only input validation (the sample points of a config) evaluates before
+it.  A command stops at its first error: an error of the sweep is that
+of its first failing point (in the order of the sample points), a
+failing gate's comes before any stage's results, and
 a stage that fails while the requests are built still has the requests
 before it swept and reported, unless the sweep fails too, whose error
 then comes first.  `obstruction` at a d+m that is not an even integer
@@ -186,11 +190,12 @@ class _Checks:
     """The requests of one command and what to do with their results.
 
     `add(request, finish)` collects a request; leaving the `with` block
-    sweeps them all in one `fields.run`, timed as the evaluate stage,
-    then hands each request's result (`Request.finish`) to its `finish`,
-    in order, and records the problem chart's DAG counters.  The curvature scale
-    comes first (its finish sets `prob.scale`), a catalog entry's defining
-    equations next, both built in the setup stage, then the solver's
+    seals the charts of their roots and sweeps them all in one
+    `fields.run`, timed as the evaluate stage, then hands each request's
+    result (`Request.finish`) to its `finish`, in order, and records the
+    problem chart's DAG counters.  The curvature scale comes first (its
+    finish sets `prob.scale`), a catalog entry's defining equations
+    next, both built in the setup stage, then the solver's
     gates, whose failing reduction raises before any stage's finish.  The
     block is swept when an error leaves it too, so the report keeps what
     the stages before the error measured, the counters included; an error
@@ -228,8 +233,13 @@ class _Checks:
 
     def __exit__(self, *error):
         try:
+            requests = [request for request, _ in self.pending]
+            # every field is built by now: free the intern tables first
+            for chart in {r.chart for q in requests for r in q.roots
+                          if isinstance(r, fields.ScalarField)}:
+                chart.seal()
             with self.report.stage("evaluate"):
-                values = fields.run([request for request, _ in self.pending])
+                values = fields.run(requests)
             for (request, finish), v in zip(self.pending, values):
                 finish(request.finish(v))
         finally:

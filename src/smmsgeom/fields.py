@@ -52,18 +52,24 @@ and the number of its planned readers: a `partial` needs its child one
 degree higher (so a jet even for a value), and a `lift` passes its
 demand, and one reader, to the child chart at the point's leading
 coordinates, which is planned after it (charts go in descending
-dimension).  It also counts the products it plans at each degree and
-hands the counts to `jets.plan_products`, which decides from them
-which shapes compile a generated product kernel.  The forward pass
+dimension).  A reader that raises a child's degree reads it higher
+than every reader after it, so it is recorded as the child's cut, with
+the degree held before (the lowest such reader is kept: the child's
+last reader at its full degree).  The pass also counts the products it
+plans at each degree and hands the counts to `jets.plan_products`,
+which decides from them which shapes compile a generated product
+kernel.  The forward pass
 computes each planned node once, in creation order, at its planned
 degree; a parent planned lower reads a prefix (`Jet.truncated`) or
-the constant term.  A node's slot is
-emptied as soon as its last reader has been computed, the roots' slots
-when the step's values are read, so only one point's live jets are
-resident and nothing is kept between calls (Griewank and Walther,
-*Evaluating Derivatives*, ch. 13).  Neither pass recurses, so the depth
-of a DAG (a thousand nodes for the generic ambient Ricci entries at
-d = 5) is limited only by memory.
+the constant term.  A node's slot is emptied as soon as its last
+reader has been computed, the roots' slots when the step's values are
+read, and a jet is cut, right after its last reader at its full degree,
+to the prefix its remaining readers read, so only one point's live
+jets, each at the degree still to be read, are resident and nothing is
+kept between calls (Griewank and Walther, *Evaluating Derivatives*,
+ch. 13, applied to a jet's degree as well as to its slot).  Neither
+pass recurses, so the depth of a DAG (a thousand nodes for the generic
+ambient Ricci entries at d = 5) is limited only by memory.
 
 Each chart counts, over all calls, its node computations
 (`Chart.computed`), those of a node at a point where an earlier call
@@ -73,6 +79,11 @@ computed (`Chart.max_degree`) and the nodes computed at no point
 there.  Values run the float kernels of `jets`, which give the constant
 term of every jet bit for bit, so a value does not depend on the degree
 its node was planned at, nor on which other roots share the sweep.
+
+A chart is built, then evaluated: `Chart.seal()` drops its intern
+tables, which nothing reads after the last build, and every build on
+it afterwards raises.  `run` does not seal, so a chart can be built on
+after it is evaluated until its owner seals it.
 
 Concurrency contract: building a field appends to the node list and an
 intern table of its chart, and evaluating one writes the chart's
@@ -105,7 +116,8 @@ class Chart:
     list in creation order (`nodes`, indexed by `ScalarField.index`) and
     the evaluation counters of the module docstring.  A chart is equal
     only to itself: another with the same names keeps its own tables and
-    rejects this one's fields.
+    rejects this one's fields.  `seal()` drops the tables once every
+    field is built; a build on a sealed chart raises.
     """
 
     __slots__ = ("names", "dim", "box", "evaluations", "computed",
@@ -240,8 +252,30 @@ class Chart:
             return self.constant(c)
         return self._node("lift", field, param=k)
 
+    def seal(self) -> None:
+        """Drop the intern tables: nothing can be built on this chart
+        afterwards.  Its nodes, their evaluation and the counters are
+        kept."""
+        self._tables = _Sealed(self)
+
     def __repr__(self):
         return f"Chart{self.names}"
+
+
+class _Sealed:
+    """The intern tables of a sealed chart: every lookup, so every build,
+    raises an error that names the chart."""
+
+    __slots__ = ("chart",)
+
+    def __init__(self, chart: Chart):
+        self.chart = chart
+
+    def __getitem__(self, key):
+        raise RuntimeError(f"{self.chart} is sealed: no field can be built "
+                           f"on it")
+
+    get = __getitem__
 
 
 _MASK32 = 0xFFFFFFFF
@@ -588,18 +622,26 @@ def max_abs_difference(x, y) -> float:
 
 class _Plan:
     """One chart at one point in a sweep step: by node index, the planned
-    degree (`need`, -1 for none), the readers not yet computed (`uses`)
-    and the computed value or jet (`values`)."""
+    degree plus one (`need`, 0 for none; so a degree is below 255), the
+    readers not yet computed (`uses`), the computed value or jet
+    (`values`) and its cut: the reader (`cut_at`, that reader's own
+    `index` object, so that no int is made per node) after which the jet
+    is read at degree `cut` - 1 at most (`cut`, 0 for no cut); `cuts`
+    flags the readers that cut."""
 
-    __slots__ = ("chart", "point", "need", "uses", "values", "top", "low")
+    __slots__ = ("chart", "point", "need", "uses", "values", "cut_at",
+                 "cut", "cuts", "top", "low")
 
     def __init__(self, chart: Chart, point: tuple):
         size = len(chart.nodes)
         self.chart = chart
         self.point = point
-        self.need = [-1] * size
+        self.need = bytearray(size)
         self.uses = [0] * size
         self.values = [None] * size
+        self.cut_at = [-1] * size
+        self.cut = bytearray(size)
+        self.cuts = bytearray(size)
         self.top = -1   # the largest demanded index
         self.low = 0    # the smallest planned index, once planned
 
@@ -637,8 +679,8 @@ def _demand(plans, node: ScalarField, point: tuple, degree: int) -> _Plan:
     if plan is None:
         plan = plans[(id(chart), point)] = _Plan(chart, point)
     i = node.index
-    if plan.need[i] < degree:
-        plan.need[i] = degree
+    if plan.need[i] <= degree:
+        plan.need[i] = degree + 1
     if plan.top < i:
         plan.top = i
     return plan
@@ -648,15 +690,23 @@ def _plan(plan: _Plan, plans) -> None:
     """The backward pass of one plan: from its top index down, hand each
     planned node's degree to its children and count it as their reader.
     The scan reads `need` lazily, so a demand a parent writes is seen
-    when the scan reaches the child; nodes with none (-1) are skipped
-    without Python code per node."""
+    when the scan reaches the child; nodes with none (0) are skipped
+    without Python code per node.
+
+    A reader that raises a child's degree reads it higher than every
+    reader after it (pins and lifts from other plans, demanded before
+    this pass, included): the lowest such reader is the child's last at
+    its full degree, and the degree held before it was raised, if any,
+    is all that the readers after it read.  So it is recorded as the
+    child's cut."""
     need, uses, nodes = plan.need, plan.uses, plan.chart.nodes
+    cut_at, cut, cuts = plan.cut_at, plan.cut, plan.cuts
     products = {}  # planned degree -> the products planned at it
     top = low = plan.top
-    for i in compress(range(top, -1, -1), map(_PLANNED, islice(
-            reversed(need), len(need) - 1 - top, None))):
+    for i in compress(range(top, -1, -1),
+                      islice(reversed(need), len(need) - 1 - top, None)):
         low = i
-        deg = need[i]
+        deg = need[i]  # plus one, as `need` holds it
         node = nodes[i]
         a = node.a
         if a is None:
@@ -667,41 +717,50 @@ def _plan(plan: _Plan, plans) -> None:
                 j = t.index
                 uses[j] += 1
                 if need[j] < deg:
+                    if need[j]:
+                        cut_at[j], cut[j], cuts[i] = node.index, need[j], 1
                     need[j] = deg
             continue
         if op == "partial":
             deg += 1
         elif op == "lift":
-            _demand(plans, a, plan.point[:node.param], deg).uses[a.index] += 1
+            _demand(plans, a, plan.point[:node.param],
+                    deg - 1).uses[a.index] += 1
             continue
-        elif op == "mul" and deg:
-            products[deg] = products.get(deg, 0) + 1
+        elif op == "mul" and deg > 1:
+            products[deg - 1] = products.get(deg - 1, 0) + 1
         j = a.index
         uses[j] += 1
         if need[j] < deg:
+            if need[j]:
+                cut_at[j], cut[j], cuts[i] = node.index, need[j], 1
             need[j] = deg
         b = node.b
         if b is not None:
             j = b.index
             uses[j] += 1
             if need[j] < deg:
+                if need[j]:
+                    cut_at[j], cut[j], cuts[i] = node.index, need[j], 1
                 need[j] = deg
     plan.low = low
     chart = plan.chart
-    chart.max_degree = max(chart.max_degree, max(need, default=-1))
+    chart.max_degree = max(chart.max_degree, max(need, default=0) - 1)
     for deg, count in products.items():
         plan_products(chart.dim, deg, count)
 
 
-_PLANNED = (-1).__lt__  # a planned degree, not -1
-
-
 def _run(plan: _Plan, plans) -> None:
     """The forward pass of one plan: every planned node of index `low`..
-    `top`, in creation order.  Computing node i writes only slot i and
-    empties the slots of the children it was the last reader of."""
+    `top`, in creation order.  Computing node i writes only slot i,
+    empties the slots of the children it was the last reader of, and
+    then, once it has read all of its operands, cuts the jets of those
+    it was the cut of to the prefix their later readers read.  The jet
+    is replaced, never shortened in place: one jet can sit in two
+    slots."""
     chart, pt, need, uses, values = (plan.chart, plan.point, plan.need,
                                      plan.uses, plan.values)
+    cut_at, cut, cuts = plan.cut_at, plan.cut, plan.cuts
     nodes = chart.nodes
     done = chart._done.get(pt)
     if done is None:
@@ -711,10 +770,9 @@ def _run(plan: _Plan, plans) -> None:
     low, top = plan.low, plan.top
     computed = recomputed = 0
     try:
-        for i in compress(range(low, top + 1),
-                          map(_PLANNED, islice(need, low, top + 1))):
+        for i in compress(range(low, top + 1), islice(need, low, top + 1)):
             node = nodes[i]
-            deg = need[i]
+            deg = need[i] - 1
             op = node.op
             a = node.a
             # a sum reads its terms below
@@ -785,6 +843,11 @@ def _run(plan: _Plan, plans) -> None:
             else:
                 raise ValueError(f"unknown field operation {op!r}")
             values[i] = out
+            if cuts[i]:
+                for t in node.a if op == "sum" else (node.a, node.b):
+                    if t is not None and cut_at[t.index] == i:
+                        j = t.index
+                        values[j] = values[j].truncated(cut[j] - 1)
             if done[i]:
                 recomputed += 1
             else:

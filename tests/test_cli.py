@@ -370,10 +370,10 @@ def test_cli_verify_memory_does_not_grow_with_the_points(tmp_path):
 
 def test_cli_verify_dag_bytes_per_node(tmp_path):
     # what `fields` allocated and the DAG still holds when the command
-    # returns (nodes, intern tables, term tuples, indices), per node of
-    # every chart: about 250 B with one (op, a, b, param) key tuple per
-    # node and an `is_zero` slot, 190 B with keys made of what each node
-    # holds
+    # returns (nodes, term tuples, indices), per node of every chart:
+    # about 250 B with one (op, a, b, param) key tuple per node and an
+    # `is_zero` slot, 190 B with keys made of what each node holds, and
+    # 134 B once the charts drop their intern tables before the sweep
     from smmsgeom import fields
     path = tmp_path / "small.cfg"
     path.write_text(random_config(51, 0.5, 0.1, 2))
@@ -403,7 +403,38 @@ def test_cli_verify_dag_bytes_per_node(tmp_path):
             gc.enable()
         gc.collect()
     assert code == 0, text
-    assert held / nodes <= 220, (held, nodes)
+    assert held / nodes <= 160, (held, nodes)
+
+
+@pytest.mark.parametrize("source", ["--config", "--catalog"])
+def test_cli_seals_every_chart_of_a_root_before_the_sweep(tmp_path,
+                                                          monkeypatch, source):
+    # every field is built before the sweep, so the charts that own its
+    # roots (the problem chart and the (x, r) chart of the cone check)
+    # no longer hold their intern tables while it runs
+    from smmsgeom import fields
+    run, calls = fields.run, []
+
+    def recorded(requests):
+        requests = list(requests)
+        charts = {r.chart for q in requests for r in q.roots
+                  if isinstance(r, fields.ScalarField)}
+        calls.append(sorted((c.dim, isinstance(c._tables, dict))
+                            for c in charts))
+        return run(requests)
+
+    monkeypatch.setattr(fields, "run", recorded)
+    if source == "--config":
+        path = tmp_path / "problem.cfg"
+        path.write_text(CONFIG.replace("points = 5", "points = 1")
+                        .replace("order = 2", "order = 1"))
+        argv = ["verify", "--config", str(path)]
+    else:
+        argv = ["verify", "--catalog", "wlcf", "--order", "1", "--points", "1"]
+    code, text = run_cli(argv, tmp_path, "sealed.txt")
+    assert code == 0, text
+    # the command's sweep is its last call
+    assert calls[-1] == [(3, False), (4, False)]
 
 
 def test_cli_verify_recomputes_at_most_in_proportion_to_the_points(tmp_path):
@@ -1011,6 +1042,40 @@ def test_cli_rejects_a_point_count_before_drawing(tmp_path, monkeypatch, argv,
     code, text = run_cli(argv, tmp_path, "many.txt")
     assert (code, drawn) == (2, [])
     assert f"\nerror = ConfigError: {error}\n" in text
+
+
+@pytest.mark.parametrize("argv,old,new,error", [
+    (["expand", "--order", str(10 ** 6)], None, None,
+     f"--order must be at most 8, got {10 ** 6}"),
+    (["expand"], "order = 2", f"order = {10 ** 6}",
+     f"order must be at most 8, got {10 ** 6}"),
+])
+def test_cli_rejects_an_order_before_solving(tmp_path, monkeypatch, argv, old,
+                                             new, error):
+    # time and memory grow steeply with the order (21 s and 131 MB for
+    # an order-10 `verify` of a dense d = 3 space), so a huge order must
+    # be refused before the solver starts
+    from smmsgeom import expansion
+
+    def expand(space, order):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(expansion, "expand", expand)
+    path = tmp_path / "problem.cfg"
+    path.write_text(CONFIG.replace(old, new) if old else CONFIG)
+    argv = argv[:1] + ["--config", str(path)] + argv[1:]
+    code, text = run_cli(argv, tmp_path, "deep.txt")
+    assert code == 2
+    assert f"\nerror = ConfigError: {error}\n" in text
+
+
+def test_config_order_bound_is_inclusive(tmp_path):
+    path = tmp_path / "problem.cfg"
+    path.write_text(CONFIG.replace("order = 2", "order = 8"))
+    assert load_config(str(path)).order == 8
+    path.write_text(CONFIG.replace("order = 2", "order = 9"))
+    with pytest.raises(ConfigError, match="order must be at most 8"):
+        load_config(str(path))
 
 
 def test_config_point_count_bound_is_inclusive(tmp_path):

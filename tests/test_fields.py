@@ -638,6 +638,57 @@ def test_one_call_computes_each_node_at_most_once():
     np.testing.assert_array_equal(jet.coeffs, reference(f, pts[0], 4).coeffs)
 
 
+def test_a_sealed_chart_builds_nothing_but_still_evaluates():
+    chart = Chart(("x1", "x2"))
+    f = parse_expression("exp(x1)*x2", chart)
+    g = parse_expression("sin(x2)", chart)
+    h = parse_expression("cos(x1)", Chart(("x1",)))
+    root = chart.lift(h) * f
+    pts = [(0.1, 0.2), (-0.3, 0.4)]
+    want = evaluate([root, f, g], pts)
+    chart.seal()
+    builds = [lambda: f * g, lambda: f + g, lambda: f.partial(0),
+              lambda: chart.constant(2.0), lambda: chart.coordinate(1),
+              lambda: chart.lift(h), lambda: f * 3.0]
+    for build in builds:
+        with pytest.raises(RuntimeError,
+                           match=re.escape(f"{chart!r} is sealed")):
+            build()
+    count = chart.node_count
+    assert evaluate([root, f, g], pts) == want
+    assert chart.node_count == count and chart.unread == 0
+    assert chart.evaluations == 2 and chart.computed == 2 * 2 * count
+
+
+@pytest.mark.parametrize("cutter", ["product", "sum"])
+def test_a_jet_is_cut_to_what_its_later_readers_read(cutter, monkeypatch):
+    # u is read at degree 4 by an early reader (u*u, or a sum with u
+    # twice), then at degree 1 by a sum with a repeated term and by a
+    # product: between them u is held at degree 1 only
+    chart = Chart(("x1", "x2"))
+    x1, x2 = chart.coordinate(0), chart.coordinate(1)
+    u = parse_expression("exp(x1)*sin(x2)", chart)
+    early = u * u if cutter == "product" else chart.sum([u, x2, u])
+    roots = [early.partial(0).partial(1).partial(0).partial(1),
+             chart.sum([x1, u, u]).partial(0), (u * x2).partial(1)]
+    pts = [(0.1, 0.2), (-0.3, 0.4)]
+    alone = [evaluate([root], pts)[0] for root in roots]
+    from smmsgeom import fields
+    add_terms, held = fields._add_terms, []
+
+    def recorded(xs, deg):
+        held.append((deg, [x.degree if isinstance(x, Jet) else 0
+                           for x in xs]))
+        return add_terms(xs, deg)
+
+    monkeypatch.setattr(fields, "_add_terms", recorded)
+    together = evaluate(roots, pts)
+    np.testing.assert_array_equal(_bits(together), _bits(alone))
+    assert chart.max_degree == 4
+    # the later sum reads u and x1, each held at degree 1 once cut
+    assert [d for deg, degrees in held if deg == 1 for d in degrees] == [1] * 6
+
+
 def test_max_abs_over_per_point_rows():
     rows = [[0.5, -2.0], [1.0, -0.0], [-3.0, 0.25]]
     assert max_abs(rows) == 3.0

@@ -64,6 +64,9 @@ KNOWN = {
         "their row tables against",
     "cli.run": "the console entry, which exits the process; this tool "
                "calls `cli.main`",
+    "fields._Sealed.__getitem__":
+        "the error of a build on a sealed chart: a command seals only "
+        "after its last build, and tests/test_fields.py checks the error",
     "ambient.Graded.__repr__": REPR,
     "fields.Chart.__repr__": REPR,
     "jets.Jet.__repr__": REPR,

@@ -288,10 +288,11 @@ def random_entry(d=3, m=1.0, mu=0.0, seed=0, amplitude=0.05, *,
 
     g = delta + amplitude * (symmetric low-degree polynomial/trig field),
     f = 1 + amplitude * (analytic perturbation); identical seeds give
-    bit-identical entries.
+    bit-identical entries.  It builds the test and benchmark corpora, and
+    no command calls it: it imports numpy, for its seeded generator and
+    `eigvalsh`, which the package does not depend on (the `test` extra
+    installs it).
     """
-    # test corpora only, which no command builds: numpy's seeded
-    # generator and eigvalsh
     import numpy as np
 
     names = [f"x{i+1}" for i in range(d)]

@@ -47,29 +47,33 @@ serves as the evaluation tape; no traversal is needed to plan.  The
 k-th step of a sweep evaluates every root of every request that has a
 k-th point, in two passes over each (chart, point) that step reads.
 The backward pass runs from the largest root index down and keeps, per
-node, the highest degree a parent needs (a sum gives it to every term)
-and the number of its planned readers: a `partial` needs its child one
-degree higher (so a jet even for a value), and a `lift` passes its
-demand, and one reader, to the child chart at the point's leading
-coordinates, which is planned after it (charts go in descending
-dimension).  A reader that raises a child's degree reads it higher
-than every reader after it, so it is recorded as the child's cut, with
-the degree held before (the lowest such reader is kept: the child's
-last reader at its full degree).  The pass also counts the products it
-plans at each degree and hands the counts to `jets.plan_products`,
-which decides from them which shapes compile a generated product
-kernel.  The forward pass
-computes each planned node once, in creation order, at its planned
-degree; a parent planned lower reads a prefix (`Jet.truncated`) or
-the constant term.  A node's slot is emptied as soon as its last
-reader has been computed, the roots' slots when the step's values are
-read, and a jet is cut, right after its last reader at its full degree,
-to the prefix its remaining readers read, so only one point's live
+node, the highest degree a parent needs (a sum gives it to every term):
+a `partial` needs its child one degree higher (so a jet even for a
+value), and a `lift` passes its demand to the child chart at the
+point's leading coordinates, which is planned after it (charts go in
+descending dimension).  Readers are met in reverse creation order, so
+the first reader the pass meets of a child is the last one to run: it
+is recorded as the child's last reader.  A child demanded before the
+pass (a root, or a node a lift of another plan reads) has none, and
+its slot is held until the sweep returns.  A later reader that raises
+a child's degree reads it higher than every reader after it, so it is
+recorded as the child's cut, with the degree held before (the lowest
+such reader is kept: the child's last reader at its full degree).  The
+pass also counts the products it plans at each degree and hands the
+counts to `jets.plan_products`, which decides from them which shapes
+compile a generated product kernel.  The forward pass computes each
+planned node once, in creation order, at its planned degree; a parent
+planned lower reads a prefix (`Jet.truncated`) or the constant term.
+Right after a node is computed, the slot of each child it was the last
+reader of is emptied, and the jet of each child it was the cut of is
+cut to the prefix its remaining readers read, so only one point's live
 jets, each at the degree still to be read, are resident and nothing is
-kept between calls (Griewank and Walther, *Evaluating Derivatives*,
-ch. 13, applied to a jet's degree as well as to its slot).  Neither
-pass recurses, so the depth of a DAG (a thousand nodes for the generic
-ambient Ricci entries at d = 5) is limited only by memory.
+kept between calls.  The live set is fixed by the plan, not counted
+down as the sweep runs (Griewank and Walther, *Evaluating
+Derivatives*, ch. 13, applied to a jet's degree as well as to its
+slot).  Neither pass recurses, so the depth of a DAG (a thousand nodes
+for the generic ambient Ricci entries at d = 5) is limited only by
+memory.
 
 Each chart counts, over all calls, its node computations
 (`Chart.computed`), those of a node at a point where an earlier call
@@ -623,27 +627,27 @@ def max_abs_difference(x, y) -> float:
 class _Plan:
     """One chart at one point in a sweep step: by node index, the planned
     degree plus one (`need`, 0 for none; so a degree is below 255), the
-    readers not yet computed (`uses`), the computed value or jet
-    (`values`) and its cut: the reader (`cut_at`, that reader's own
-    `index` object, so that no int is made per node) after which the jet
-    is read at degree `cut` - 1 at most (`cut`, 0 for no cut); `cuts`
-    flags the readers that cut."""
+    computed value or jet (`values`), the reader after which its slot is
+    emptied (`last`, -1 for a slot held until the sweep returns) and its
+    cut: the reader (`cut_at`) after which the jet is read at degree
+    `cut` - 1 at most (`cut`, 0 for no cut).  A reader is stored as its
+    own `index` object, so that no int is made per node; `frees` flags
+    the readers that empty or cut a slot."""
 
-    __slots__ = ("chart", "point", "need", "uses", "values", "cut_at",
-                 "cut", "cuts", "top", "low")
+    __slots__ = ("chart", "point", "need", "values", "last", "cut_at",
+                 "cut", "frees", "top")
 
     def __init__(self, chart: Chart, point: tuple):
         size = len(chart.nodes)
         self.chart = chart
         self.point = point
         self.need = bytearray(size)
-        self.uses = [0] * size
         self.values = [None] * size
+        self.last = [-1] * size
         self.cut_at = [-1] * size
         self.cut = bytearray(size)
-        self.cuts = bytearray(size)
+        self.frees = bytearray(size)
         self.top = -1   # the largest demanded index
-        self.low = 0    # the smallest planned index, once planned
 
 
 def _sweep(roots, points, degree: int) -> list:
@@ -652,11 +656,8 @@ def _sweep(roots, points, degree: int) -> list:
     descending chart dimension, so every lift is planned before the plan
     it reads, and run in the opposite order."""
     plans = {}  # (id(chart), point) -> _Plan
-    pins = []
-    for root, point in zip(roots, points):
-        plan = _demand(plans, root, point, degree)
-        plan.uses[root.index] += 1  # read after the passes
-        pins.append((plan, root.index))
+    pins = [(_demand(plans, root, point, degree), root.index)
+            for root, point in zip(roots, points)]
     order = []
     todo = list(plans.values())
     while todo:
@@ -688,62 +689,51 @@ def _demand(plans, node: ScalarField, point: tuple, degree: int) -> _Plan:
 
 def _plan(plan: _Plan, plans) -> None:
     """The backward pass of one plan: from its top index down, hand each
-    planned node's degree to its children and count it as their reader.
-    The scan reads `need` lazily, so a demand a parent writes is seen
-    when the scan reaches the child; nodes with none (0) are skipped
-    without Python code per node.
+    planned node's degree to its operands.  The scan reads `need`
+    lazily, so a demand a parent writes is seen when the scan reaches the
+    child; nodes with none (0) are skipped without Python code per node.
 
-    A reader that raises a child's degree reads it higher than every
-    reader after it (pins and lifts from other plans, demanded before
-    this pass, included): the lowest such reader is the child's last at
-    its full degree, and the degree held before it was raised, if any,
-    is all that the readers after it read.  So it is recorded as the
-    child's cut."""
-    need, uses, nodes = plan.need, plan.uses, plan.chart.nodes
-    cut_at, cut, cuts = plan.cut_at, plan.cut, plan.cuts
+    The first reader met of a child that has no demand yet is its last
+    reader.  A reader met later that raises the child's degree reads it
+    higher than every reader after it (roots and lifts from other plans,
+    demanded before this pass, included): the lowest such reader is the
+    child's last at its full degree, and the degree held before it was
+    raised is all that the readers after it read.  So it is recorded as
+    the child's cut."""
+    need, nodes, last = plan.need, plan.chart.nodes, plan.last
+    cut_at, cut, frees = plan.cut_at, plan.cut, plan.frees
     products = {}  # planned degree -> the products planned at it
-    top = low = plan.top
+    top = plan.top
     for i in compress(range(top, -1, -1),
                       islice(reversed(need), len(need) - 1 - top, None)):
-        low = i
-        deg = need[i]  # plus one, as `need` holds it
         node = nodes[i]
         a = node.a
         if a is None:
             continue
+        deg = need[i]  # plus one, as `need` holds it
         op = node.op
-        if op == "sum":
-            for t in a:
-                j = t.index
-                uses[j] += 1
-                if need[j] < deg:
-                    if need[j]:
-                        cut_at[j], cut[j], cuts[i] = node.index, need[j], 1
-                    need[j] = deg
+        if op == "lift":
+            _demand(plans, a, plan.point[:node.param], deg - 1)
             continue
-        if op == "partial":
-            deg += 1
-        elif op == "lift":
-            _demand(plans, a, plan.point[:node.param],
-                    deg - 1).uses[a.index] += 1
-            continue
-        elif op == "mul" and deg > 1:
-            products[deg - 1] = products.get(deg - 1, 0) + 1
-        j = a.index
-        uses[j] += 1
-        if need[j] < deg:
-            if need[j]:
-                cut_at[j], cut[j], cuts[i] = node.index, need[j], 1
+        operands = a
+        if op != "sum":
+            if op == "partial":
+                deg += 1
+            elif op == "mul" and deg > 1:
+                products[deg - 1] = products.get(deg - 1, 0) + 1
+            operands = (a,) if node.b is None else (a, node.b)
+        reader = node.index
+        for t in operands:
+            j = t.index
+            held = need[j]
+            if not held:
+                last[j] = reader
+            elif held < deg:
+                cut_at[j], cut[j] = reader, held
+            else:
+                continue
             need[j] = deg
-        b = node.b
-        if b is not None:
-            j = b.index
-            uses[j] += 1
-            if need[j] < deg:
-                if need[j]:
-                    cut_at[j], cut[j], cuts[i] = node.index, need[j], 1
-                need[j] = deg
-    plan.low = low
+            frees[i] = 1
     chart = plan.chart
     chart.max_degree = max(chart.max_degree, max(need, default=0) - 1)
     for deg, count in products.items():
@@ -751,53 +741,37 @@ def _plan(plan: _Plan, plans) -> None:
 
 
 def _run(plan: _Plan, plans) -> None:
-    """The forward pass of one plan: every planned node of index `low`..
-    `top`, in creation order.  Computing node i writes only slot i,
-    empties the slots of the children it was the last reader of, and
-    then, once it has read all of its operands, cuts the jets of those
-    it was the cut of to the prefix their later readers read.  The jet
-    is replaced, never shortened in place: one jet can sit in two
-    slots."""
-    chart, pt, need, uses, values = (plan.chart, plan.point, plan.need,
-                                     plan.uses, plan.values)
-    cut_at, cut, cuts = plan.cut_at, plan.cut, plan.cuts
+    """The forward pass of one plan: every planned node up to `top`, in
+    creation order.  Computing node i writes slot i; then, if node i
+    frees, each operand's slot is emptied if i is its last reader, or its
+    jet cut if i is its cut.  The jet is replaced, never shortened in
+    place: one jet can sit in two slots."""
+    chart, pt, need, values = plan.chart, plan.point, plan.need, plan.values
+    last, cut_at, cut, frees = plan.last, plan.cut_at, plan.cut, plan.frees
     nodes = chart.nodes
     done = chart._done.get(pt)
     if done is None:
         done = chart._done[pt] = bytearray()
     if len(done) < len(nodes):
         done.extend(bytes(len(nodes) - len(done)))
-    low, top = plan.low, plan.top
     computed = recomputed = 0
     try:
-        for i in compress(range(low, top + 1), islice(need, low, top + 1)):
+        for i in compress(range(plan.top + 1), need):
             node = nodes[i]
             deg = need[i] - 1
             op = node.op
             a = node.a
             # a sum reads its terms below
             if a is not None and op != "sum":
-                j = a.index
                 if op == "lift":
-                    src = plans[(id(a.chart), pt[:node.param])]
-                    a = src.values[j]
-                    src.uses[j] -= 1
-                    if not src.uses[j]:
-                        src.values[j] = None
+                    a = plans[(id(a.chart), pt[:node.param])].values[a.index]
                     cdeg = deg
                 else:
-                    a = values[j]
-                    uses[j] -= 1
-                    if not uses[j]:
-                        values[j] = None
+                    a = values[a.index]
                     cdeg = deg + 1 if op == "partial" else deg
                 b = node.b
                 if b is not None:
-                    j = b.index
-                    b = values[j]
-                    uses[j] -= 1
-                    if not uses[j]:
-                        values[j] = None
+                    b = values[b.index]
                 if cdeg:
                     if a.degree != cdeg:
                         a = a.truncated(cdeg)
@@ -809,14 +783,7 @@ def _run(plan: _Plan, plans) -> None:
                     if b.__class__ is Jet:
                         b = b.value
             if op == "sum":
-                xs = []
-                for t in a:
-                    j = t.index
-                    xs.append(values[j])
-                    uses[j] -= 1
-                    if not uses[j]:
-                        values[j] = None
-                out = _add_terms(xs, deg)
+                out = _add_terms([values[t.index] for t in a], deg)
             elif op == "mul":
                 out = a * b if deg else 0.0 + a * b
             elif op == "scale":
@@ -843,10 +810,14 @@ def _run(plan: _Plan, plans) -> None:
             else:
                 raise ValueError(f"unknown field operation {op!r}")
             values[i] = out
-            if cuts[i]:
+            if frees[i]:
                 for t in node.a if op == "sum" else (node.a, node.b):
-                    if t is not None and cut_at[t.index] == i:
-                        j = t.index
+                    if t is None:
+                        break
+                    j = t.index
+                    if last[j] == i:
+                        values[j] = None
+                    elif cut_at[j] == i:
                         values[j] = values[j].truncated(cut[j] - 1)
             if done[i]:
                 recomputed += 1

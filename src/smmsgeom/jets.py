@@ -91,7 +91,10 @@ class JetShapeError(ValueError):
 
 
 class JetDivisionError(InputError, ZeroDivisionError):
-    """Divisor jet has a (near-)zero constant term."""
+    """A jet or value with no finite result: a divisor with a (near-)zero
+    constant term, or an analytic primitive at a constant term outside
+    its domain, or where its value or derivatives leave the float
+    range."""
 
 
 def jet_count(nvars: int, degree: int) -> int:
@@ -140,10 +143,42 @@ def value_power(x: float, k: int) -> float:
 
 def value_apply(name: str, x: float) -> float:
     """The analytic primitive `name` (a `math` function) at x."""
-    _check_domain(name, x)
     # `compose` adds a +0.0 term to the constant term at every degree
     # >= 1, which turns sin(-0.0) = -0.0 (or sinh) into +0.0
-    return 0.0 + getattr(math, name)(x)
+    return 0.0 + _derivatives(name, x, 0)[0]
+
+
+def _derivatives(name: str, x: float, degree: int) -> list:
+    """h^(k)(x), k = 0..degree, of the analytic primitive h = `name`.  An
+    x outside h's domain, or where a `math` function rejects it (as sin
+    does inf) or a derivative leaves the float range, is a
+    `JetDivisionError`."""
+    _check_domain(name, x)
+    try:
+        if name == "exp":
+            return [math.exp(x)] * (degree + 1)
+        if name == "log":
+            derivs = [math.log(x)]
+            for k in range(1, degree + 1):
+                derivs.append(((-1.0) ** (k - 1)) * math.factorial(k - 1)
+                              / x ** k)
+            return derivs
+        if name == "sqrt":
+            derivs, c = [math.sqrt(x)], 0.5
+            for k in range(1, degree + 1):
+                derivs.append(c * x ** (0.5 - k))
+                c *= 0.5 - k
+            return derivs
+        if name in ("sin", "cos"):
+            s, c = math.sin(x), math.cos(x)
+            cycle = [s, c, -s, -c] if name == "sin" else [c, -s, -c, s]
+            return [cycle[k % 4] for k in range(degree + 1)]
+        s, c = math.sinh(x), math.cosh(x)
+        even, odd = (s, c) if name == "sinh" else (c, s)
+        return [even if k % 2 == 0 else odd for k in range(degree + 1)]
+    except (OverflowError, ValueError, ZeroDivisionError):
+        raise JetDivisionError(f"{name} of constant term {x:.3e} is out of "
+                               f"range") from None
 
 
 @lru_cache(maxsize=None)
@@ -579,44 +614,25 @@ class Jet:
         return acc
 
     def exp(self):
-        e = math.exp(self.value)
-        return self.compose([e] * (self.degree + 1))
+        return self.compose(_derivatives("exp", self.value, self.degree))
 
     def log(self):
-        x = self.value
-        _check_domain("log", x)
-        derivs = [math.log(x)]
-        for k in range(1, self.degree + 1):
-            derivs.append(((-1.0) ** (k - 1)) * math.factorial(k - 1) / x ** k)
-        return self.compose(derivs)
+        return self.compose(_derivatives("log", self.value, self.degree))
 
     def sqrt(self):
-        x = self.value
-        _check_domain("sqrt", x)
-        derivs = [math.sqrt(x)]
-        c = 0.5
-        for k in range(1, self.degree + 1):
-            derivs.append(c * x ** (0.5 - k))
-            c *= 0.5 - k
-        return self.compose(derivs)
+        return self.compose(_derivatives("sqrt", self.value, self.degree))
 
     def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        cycle = [s, c, -s, -c]
-        return self.compose([cycle[k % 4] for k in range(self.degree + 1)])
+        return self.compose(_derivatives("sin", self.value, self.degree))
 
     def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        cycle = [c, -s, -c, s]
-        return self.compose([cycle[k % 4] for k in range(self.degree + 1)])
+        return self.compose(_derivatives("cos", self.value, self.degree))
 
     def sinh(self):
-        s, c = math.sinh(self.value), math.cosh(self.value)
-        return self.compose([s if k % 2 == 0 else c for k in range(self.degree + 1)])
+        return self.compose(_derivatives("sinh", self.value, self.degree))
 
     def cosh(self):
-        s, c = math.sinh(self.value), math.cosh(self.value)
-        return self.compose([c if k % 2 == 0 else s for k in range(self.degree + 1)])
+        return self.compose(_derivatives("cosh", self.value, self.degree))
 
     def promote(self, extra: int) -> "Jet":
         """The same function viewed on a chart with `extra` appended

@@ -546,6 +546,30 @@ def test_cli_jet_domain_errors_are_typed(tmp_path, command, old, new, error):
     assert f"error = JetDivisionError: {error}" in text
 
 
+@pytest.mark.parametrize("command", ["invariants", "expand"])
+@pytest.mark.parametrize("f,error", [
+    # the value overflows
+    ("1 + 0.01*exp(3000*x1)", "exp of constant term 1.327e+03"),
+    ("1 + 0.01*cosh(3000*x1)", "cosh of constant term 1.327e+03"),
+    # an infinite argument, which `math.sin` rejects
+    ("1 + 0.01*sin(1e300*1e300*x1 + 1)", "sin of constant term inf"),
+    # the value is finite, but a derivative overflows, or divides by an
+    # underflowed power
+    ("1 + 0.01*sqrt(1e-300*(2+x1))", "sqrt of constant term 2.442e-300"),
+    ("1 + 0.0001*log(1e-200*(2+x1))", "log of constant term 2.442e-200"),
+])
+def test_cli_primitive_range_errors_are_typed(tmp_path, command, f, error):
+    # each ended as an internal error (exit 3) with a bare OverflowError,
+    # ValueError or ZeroDivisionError of `math`
+    text = random_config(51, 1.0, 0.1, 2)
+    start = text.index("\nf = ") + 1
+    path = tmp_path / "range.cfg"
+    path.write_text(text[:start] + f"f = {f}" + text[text.index("\n", start):])
+    code, text = run_cli([command, "--config", str(path)], tmp_path, "r.txt")
+    assert code == 2, text
+    assert f"error = JetDivisionError: {error} is out of range\n" in text
+
+
 @pytest.mark.parametrize("spec,error", [
     ("1,0,0", "takes K,I,J,EPS"),
     ("a,b,c,d", "must be integers"),

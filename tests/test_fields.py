@@ -344,7 +344,9 @@ def test_value_is_a_python_float():
 
 @pytest.mark.parametrize("text", ["log(x1 - 1)", "sqrt(x1 - x2 - 2)",
                                   "x2/(x1 - 0.5)", "(x1 - 0.5)^-2",
-                                  "exp(x2)*log(x1 - 0.5)"])
+                                  "exp(x2)*log(x1 - 0.5)",
+                                  "exp(3000*x1)", "cosh(3000*x1)",
+                                  "sin(1e300*1e300*x1 + 1)"])
 def test_value_raises_like_jet(text):
     p = (0.5, 0.25)
     with pytest.raises(JetDivisionError) as by_jet:
@@ -611,6 +613,31 @@ def test_lifted_root_and_its_base_subtree_in_one_call():
     assert _live_jets() == held
 
 
+def test_points_that_share_their_x_share_one_lifted_base_slot():
+    # two (x, r) points over one x: the lifted f is one base slot, read
+    # by both (x, r) plans (at degree 1 and 0), and by a base-chart
+    # reader at degree 2, which cuts it to degree 1 before either lift
+    # reads it; the slot is held until the sweep returns
+    base = Chart(("x1", "x2"))
+    f = parse_expression("exp(x1)*sin(x2) + x1*x2^2", base)
+    xr = Chart(("x1", "x2", "r"))
+    r = xr.coordinate(2)
+    requests = [Request([(0.1, 0.2, 0.3)],
+                        roots=[(xr.lift(f) * r).partial(0)]),
+                Request([(0.1, 0.2, -0.4)], roots=[xr.lift(f) * r]),
+                Request([(0.1, 0.2)], roots=[f.partial(0).partial(1)])]
+    alone = [q.result()["roots"] for q in requests]
+    held = _live_jets()
+    together = [q.finish(values)["roots"]
+                for q, values in zip(requests, run(requests))]
+    assert _live_jets() == held
+    assert base.max_degree == 2
+    for got, want, q in zip(together, alone, requests):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        want = reference(q.roots[0], q.points[0], 0)
+        np.testing.assert_array_equal(_bits(got), _bits([[want]]))
+
+
 def test_one_call_computes_each_node_at_most_once():
     chart = Chart(("x1", "x2"))
     f = parse_expression("exp(x1*x2)*sin(x2) + log(2 + x1)*x2^3", chart)
@@ -687,6 +714,33 @@ def test_a_jet_is_cut_to_what_its_later_readers_read(cutter, monkeypatch):
     assert chart.max_degree == 4
     # the later sum reads u and x1, each held at degree 1 once cut
     assert [d for deg, degrees in held if deg == 1 for d in degrees] == [1] * 6
+
+
+def test_a_slot_is_emptied_after_its_last_reader(monkeypatch):
+    # s_k = s_(k-1) + k*x2: when s_k is added, no slot is held but x2
+    # (read by every scale) and at most the two terms added, however
+    # long the chain
+    chart = Chart(("x1", "x2"))
+    x2 = chart.coordinate(1)
+    s = chart.coordinate(0)
+    for k in range(2, 40):
+        s = s + x2 * float(k)
+    from smmsgeom import fields
+    run_plan, add_terms, plans, held = fields._run, fields._add_terms, [], []
+
+    def recorded_run(plan, all_plans):
+        plans.append(plan)
+        return run_plan(plan, all_plans)
+
+    def recorded(xs, deg):
+        held.append(sum(v is not None for v in plans[-1].values))
+        return add_terms(xs, deg)
+
+    monkeypatch.setattr(fields, "_run", recorded_run)
+    monkeypatch.setattr(fields, "_add_terms", recorded)
+    want = reference(s, (0.1, 0.2), 2).coeffs
+    assert s.jet((0.1, 0.2), 2).coeffs == want
+    assert len(held) == 38 and max(held) <= 3
 
 
 def test_max_abs_over_per_point_rows():

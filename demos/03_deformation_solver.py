@@ -29,6 +29,6 @@ print("  2P    :", np.round([2 * x for x in P.matrix_values(p)[0]], 6))
 print("\nresidual report of the assembled ambient structure, "
       "max |rho^k coefficient| per block:")
 report = order_report(AmbientMetric(e), 1e-9, points=s.sample(10, 0)).result()
-for b in report.blocks.values():
+for b in report.values():
     print(f"  {b.name}: guaranteed through {b.guaranteed}, ok = {b.ok}:",
           " ".join(f"{v:.2e}" for v in b.coeff_max))

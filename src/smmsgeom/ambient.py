@@ -25,13 +25,13 @@ from functools import reduce
 from operator import add
 
 from . import curvature as cv
-from .expansion import Branch, RhoExpansion, closed_form_residual_series
+from .expansion import RhoExpansion, closed_form_residual_series
 from .fields import Request, max_abs
 from .invariants import curvature_scale
 from .series import Series, SeriesTruncationError
 
 __all__ = ["Graded", "graded_derivs", "AmbientMetric", "BlockReport",
-           "ResidualReport", "order_report"]
+           "order_report"]
 
 
 class Graded:
@@ -337,12 +337,6 @@ class BlockReport:
         return bool(self.worst <= self.tol_abs)
 
 
-class ResidualReport:
-    def __init__(self, blocks: dict, branch: Branch):
-        self.blocks = blocks
-        self.branch = branch
-
-
 def _coefficient_maxima(series_list, upto, points) -> Request:
     """The request for [max |rho^k coefficient| over `series_list` and
     the points], k = 0..upto or up to the first truncated coefficient."""
@@ -359,7 +353,8 @@ def _coefficient_maxima(series_list, upto, points) -> Request:
 def order_report(a: AmbientMetric, tol: float, *, points) -> Request:
     """The request for the measured per-block orders of vanishing of the
     weighted Ricci tensor and the F scalar, against the branch guarantees
-    of the construction, at `points`; its result is a ResidualReport.
+    of the construction, at `points`; its result maps each block name to
+    its BlockReport.
     While the solved order is at most 1 the rho_i and rho_rho blocks
     guarantee no coefficient, so they are neither built nor reported."""
     base = a.base
@@ -396,13 +391,11 @@ def order_report(a: AmbientMetric, tol: float, *, points) -> Request:
         table["rho_rho"] = ("Ric[oo oo]", [ric_g[oo][oo].val], upto, gu.rho)
     blocks = {name: (label, guaranteed)
               for name, (label, _, _, guaranteed) in table.items()}
-    branch = e.plan.branch
 
     def reduce(v):
         limit = tol * v["scale"]
-        return ResidualReport(
-            {name: BlockReport(label, v[name], guaranteed, limit)
-             for name, (label, guaranteed) in blocks.items()}, branch)
+        return {name: BlockReport(label, v[name], guaranteed, limit)
+                for name, (label, guaranteed) in blocks.items()}
 
     return Request(points, reduce, scale=curvature_scale(base, points), **{
         name: _coefficient_maxima(series, last, points)

@@ -29,7 +29,13 @@ the command had already computed, and the highest jet degree computed
 (`timings.stats.nodes`, `.unread`, `.evaluations`, `.computed`,
 `.recomputed`, `.max_degree`), in an error report too once the problem
 was resolved; every report gives the peak resident set size of the
-process in MB (`timings.stats.peak_rss_mb`, from `getrusage`).  The
+process in MB (`timings.stats.peak_rss_mb`, from `getrusage`).  Every
+report whose settings were read (a config file with the flags applied,
+or a catalog entry) echoes them as `config.*`, an error report too,
+even one whose error the parsing or validation of the space raised.
+`main` alone resolves and echoes the problem, writes the counters (in
+its common exit path, whenever the problem was resolved) and sets the
+exit status; a command only builds requests and returns nothing.  The
 exit status is 0 when every check passed, 1 when a check failed, 2 on
 a typed input or solver error, an `errors.InputError` (a usage error,
 an unwritable `--out`, a missing or malformed input, an order or point
@@ -80,7 +86,7 @@ import time
 from . import __version__
 from . import curvature as cv
 from . import invariants as inv
-from .config import (MAXIMUMS, MINIMUMS, TOLERANCES, ConfigError, Report,
+from .config import (MINIMUMS, TOLERANCES, ConfigError, Report, check_setting,
                      check_tolerance, load_config)
 from .errors import InputError
 from . import fields
@@ -125,31 +131,28 @@ def _parser():
 
 
 class _Problem:
-    """Resolved inputs: a space, solver order, samples, tolerances."""
+    """Resolved inputs: a space, solver order, samples, tolerances.
 
-    def __init__(self, args):
-        self.catalog_entry = None
+    The settings are echoed to `report` as `config.*` once they are read,
+    before a config's expressions are parsed and its space is validated,
+    so that an error there still reports what the run was asked to do."""
+
+    def __init__(self, args, report):
+        self.catalog_entry = space = None
         if args.config and args.catalog:
             raise ConfigError("give either --config or --catalog, not both")
-        for flag, least in MINIMUMS.items():
-            value = getattr(args, flag)
-            if value is not None and value < least:
-                raise ConfigError(f"--{flag} must be at least {least}, "
-                                  f"got {value}")
-        for flag, most in MAXIMUMS.items():
-            value = getattr(args, flag)
-            if value is not None and value > most:
-                raise ConfigError(f"--{flag} must be at most {most}, "
-                                  f"got {value}")
+        given = {key: getattr(args, key) for key in MINIMUMS
+                 if getattr(args, key) is not None}
+        for key, value in given.items():
+            check_setting(f"--{key}", value)
         if args.tol is not None:
             check_tolerance("--tol", args.tol)
         if args.config:
             cfg = load_config(args.config)
             # overrides first, so that the space is checked at the run's points
-            for flag in MINIMUMS:
-                if getattr(args, flag) is not None:
-                    setattr(cfg, flag, getattr(args, flag))
-            self.space = cfg.space()
+            for key, value in given.items():
+                setattr(cfg, key, value)
+            dim, m, mu = cfg.dimension, cfg.m, cfg.mu
             self.order, self.points_n = cfg.order, cfg.points
             self.seed = cfg.seed
             self.tolerances = dict(cfg.tolerances)
@@ -161,14 +164,21 @@ class _Problem:
                 raise ConfigError(f"unknown catalog entry {args.catalog!r}; "
                                   f"known: {', '.join(sorted(known))}")
             self.catalog_entry = load_entry(args.catalog)
-            self.space = self.catalog_entry.space
-            self.order = 3 if args.order is None else args.order
-            self.points_n = 10 if args.points is None else args.points
-            self.seed = 0 if args.seed is None else args.seed
+            space = self.catalog_entry.space
+            dim, m, mu = space.dim, space.m, space.mu
+            self.order = given.get("order", 3)
+            self.points_n = given.get("points", 10)
+            self.seed = given.get("seed", 0)
             self.tolerances = {}
             self.label = f"catalog:{args.catalog}"
         else:
             raise ConfigError("one of --config or --catalog is required")
+        for key, value in (("label", self.label), ("dimension", dim),
+                           ("m", float(m)), ("mu", float(mu)),
+                           ("order", self.order), ("points", self.points_n),
+                           ("seed", self.seed)):
+            report.put(f"config.{key}", value)
+        self.space = cfg.space() if space is None else space
         if args.tol is not None:
             self.tolerances["residual"] = args.tol
         self.points = self.space.sample(self.points_n, self.seed)
@@ -178,28 +188,19 @@ class _Problem:
         return float(self.tolerances.get(name, TOLERANCES[name]))
 
 
-def _start(args, report):
-    """Resolve the problem, timed as the setup stage, and echo it."""
-    with report.stage("setup"):
-        prob = _Problem(args)
-    _echo(report, prob)
-    return prob
-
-
 class _Checks:
     """The requests of one command and what to do with their results.
 
     `add(request, finish)` collects a request; leaving the `with` block
     seals the charts of their roots and sweeps them all in one
     `fields.run`, timed as the evaluate stage, then hands each request's
-    result (`Request.finish`) to its `finish`, in order, and records the
-    problem chart's DAG counters.  The curvature scale comes first (its
-    finish sets `prob.scale`), a catalog entry's defining equations
-    next, both built in the setup stage, then the solver's
-    gates, whose failing reduction raises before any stage's finish.  The
-    block is swept when an error leaves it too, so the report keeps what
-    the stages before the error measured, the counters included; an error
-    of the sweep or a reduction replaces that error.
+    result (`Request.finish`) to its `finish`, in order.  The curvature
+    scale comes first (its finish sets `prob.scale`), a catalog entry's
+    defining equations next, both built in the setup stage, then the
+    solver's gates, whose failing reduction raises before any stage's
+    finish.  The block is swept when an error leaves it too, so the
+    report keeps what the stages before the error measured; an error of
+    the sweep or a reduction replaces that error.
     """
 
     def __init__(self, prob, report):
@@ -232,18 +233,15 @@ class _Checks:
         return self
 
     def __exit__(self, *error):
-        try:
-            requests = [request for request, _ in self.pending]
-            # every field is built by now: free the intern tables first
-            for chart in {r.chart for q in requests for r in q.roots
-                          if isinstance(r, fields.ScalarField)}:
-                chart.seal()
-            with self.report.stage("evaluate"):
-                values = fields.run(requests)
-            for (request, finish), v in zip(self.pending, values):
-                finish(request.finish(v))
-        finally:
-            _put_counters(self.prob.space.chart, self.report)
+        requests = [request for request, _ in self.pending]
+        # every field is built by now: free the intern tables first
+        for chart in {r.chart for q in requests for r in q.roots
+                      if isinstance(r, fields.ScalarField)}:
+            chart.seal()
+        with self.report.stage("evaluate"):
+            values = fields.run(requests)
+        for (request, finish), v in zip(self.pending, values):
+            finish(request.finish(v))
         return False
 
 
@@ -257,16 +255,6 @@ def _put_counters(chart, report):
     report.put_timing("stats.max_degree", chart.max_degree)
 
 
-def _echo(report, prob):
-    report.put("config.label", prob.label)
-    report.put("config.dimension", prob.space.dim)
-    report.put("config.m", float(prob.space.m))
-    report.put("config.mu", float(prob.space.mu))
-    report.put("config.order", prob.order)
-    report.put("config.points", prob.points_n)
-    report.put("config.seed", prob.seed)
-
-
 def _put_tensor(report, key, values, d=None):
     """Report `values`, a point's row of one field's values, entry by
     entry as `key.<i>`, or as the d x d matrix `key.<i><j>` of a
@@ -275,8 +263,7 @@ def _put_tensor(report, key, values, d=None):
         report.put(f"{key}.{n}" if d is None else f"{key}.{n // d}{n % d}", x)
 
 
-def cmd_invariants(args, report) -> int:
-    prob = _start(args, report)
+def cmd_invariants(prob, args, report):
     s = prob.space
     geo = s.geometry
 
@@ -306,7 +293,6 @@ def cmd_invariants(args, report) -> int:
                 weyl_norm=inv.independent_components(geo.weyl),
                 cotton_norm=inv.independent_components(geo.cotton))
         _bianchi_check(prob, report, checks)
-    return 0 if report.ok else 1
 
 
 def _bianchi_check(prob, report, checks):
@@ -336,11 +322,9 @@ def _order_report(prob, e, report, checks, finish):
     checks.add(request, finish)
 
 
-def cmd_expand(args, report) -> int:
-    prob = _start(args, report)
-
-    def put_orders(rep):
-        for name, block in rep.blocks.items():
+def cmd_expand(prob, args, report):
+    def put_orders(blocks):
+        for name, block in blocks.items():
             report.put(f"order.{name}.guaranteed", block.guaranteed)
             fv = block.first_violation
             report.put(f"order.{name}.first_violation",
@@ -366,7 +350,6 @@ def cmd_expand(args, report) -> int:
                 f"{kind}_coeff{k}": coeffs[k] for k in range(e.order + 1)
                 for kind, coeffs in (("g", e.g_coeffs), ("f", e.f_coeffs))})
         _order_report(prob, e, report, checks, put_orders)
-    return 0 if report.ok else 1
 
 
 def _put_points(checks, report, points, fields, then=None, **groups):
@@ -429,15 +412,9 @@ def _obstruction_identities(prob, obs, report, checks):
     checks.add(request, put)
 
 
-def cmd_obstruction(args, report) -> int:
-    from .expansion import OrderError, critical_order, obstruction
-    prob = _start(args, report)
-    try:
-        critical_order(prob.space)
-    except OrderError:
-        # d+m alone decides, so nothing is built
-        _put_counters(prob.space.chart, report)
-        raise
+def cmd_obstruction(prob, args, report):
+    from .expansion import critical_order, obstruction
+    critical_order(prob.space)  # d+m alone decides, so nothing is built
     with _Checks(prob, report) as checks:
         with report.stage("expand"):
             obs = obstruction(prob.space)
@@ -447,7 +424,6 @@ def cmd_obstruction(args, report) -> int:
             _put_points(checks, report, prob.points[:3],
                         {"obstruction": obs.tensor,
                          "f_script": obs.scalar_part})
-    return 0 if report.ok else 1
 
 
 def _poincare_checks(prob, e, report, checks, cone_points, sides=False):
@@ -479,8 +455,7 @@ def _poincare_checks(prob, e, report, checks, cone_points, sides=False):
     return pc.max_even_order, res.trunc
 
 
-def cmd_poincare(args, report) -> int:
-    prob = _start(args, report)
+def cmd_poincare(prob, args, report):
     with _Checks(prob, report) as checks:
         e = _expansion_for(prob, report, checks)
         max_even, trunc = _poincare_checks(prob, e, report, checks,
@@ -488,15 +463,13 @@ def cmd_poincare(args, report) -> int:
         report.put("poincare.max_even_order", max_even)
         report.put("poincare.residual_trunc", trunc)
         report.put("poincare.guaranteed_power", trunc)
-    return 0 if report.ok else 1
 
 
-def cmd_verify(args, report) -> int:
-    prob = _start(args, report)
+def cmd_verify(prob, args, report):
     entry = prob.catalog_entry
 
-    def put_orders(rep):
-        for name, block in rep.blocks.items():
+    def put_orders(blocks):
+        for name, block in blocks.items():
             report.put_check(f"ambient_order_{name}", block.worst,
                              block.tol_abs)
 
@@ -523,7 +496,6 @@ def cmd_verify(args, report) -> int:
             checks.add(agreement, lambda worst: report.put_check(
                 "solver_matches_closed_form", worst,
                 prob.tol("residual") * prob.scale))
-    return 0 if report.ok else 1
 
 
 def _corruption(text, order, dim):
@@ -569,6 +541,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     """Run one command, write its report and return the exit status.
 
+    Resolves the problem, timed as the setup stage (`_Problem` echoes its
+    settings), hands it to the command, then records the problem chart's
+    DAG counters, whatever the command did, once the problem was
+    resolved.  The status is 2 or 3 when an error ended the command, else
+    1 when the report holds a failed check and 0 when it holds none.
+
     The cyclic collector is paused for the call and then restored to the
     caller's state.  The expression DAG a command builds lives until the
     command ends, so collections during it would only traverse the DAG
@@ -582,18 +560,22 @@ def main(argv=None) -> int:
     try:
         report = Report(__version__)
         started = time.perf_counter()
-        args = None
+        args = prob = None
         code = 0
         try:
             args = _parser().parse_args(argv)
             report.put("command", args.command)
-            code = _COMMANDS[args.command](args, report)
+            with report.stage("setup"):
+                prob = _Problem(args, report)
+            _COMMANDS[args.command](prob, args, report)
         except InputError as exc:
             report.put("error", f"{type(exc).__name__}: {exc}")
             code = 2
         except Exception as exc:
             report.put("error", f"internal: {type(exc).__name__}: {exc}")
             code = 3
+        if prob is not None:
+            _put_counters(prob.space.chart, report)
         # ru_maxrss is in KiB on Linux
         report.put_timing("stats.peak_rss_mb", resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024.0)
@@ -607,7 +589,7 @@ def main(argv=None) -> int:
                 code = 2
             text = report.render()
         sys.stdout.write(text)
-        if report.failures and code == 0:
+        if code == 0 and not report.ok:
             code = 1
         return code
     finally:

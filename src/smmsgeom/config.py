@@ -53,8 +53,8 @@ from .fields import FUNCTIONS, Chart, SymTensor2Field
 from .invariants import MetricMeasureSpace
 
 __all__ = ["ProblemConfig", "ConfigError", "Report", "load_config",
-           "check_tolerance", "format_value", "REPORT_SCHEMA_VERSION",
-           "TOLERANCES", "MINIMUMS", "MAXIMUMS"]
+           "check_setting", "check_tolerance", "format_value",
+           "REPORT_SCHEMA_VERSION", "TOLERANCES", "MINIMUMS", "MAXIMUMS"]
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -180,6 +180,19 @@ def check_tolerance(name: str, value: float) -> float:
     return value
 
 
+def check_setting(name: str, value: int) -> None:
+    """A ConfigError if `value` lies outside the MINIMUMS or MAXIMUMS bound
+    of the integer setting `name` (`order`, `points` or `seed`, or its
+    flag `--order`, ...), naming the setting as `name` does."""
+    key = name.lstrip("-")
+    if value < MINIMUMS[key]:
+        raise ConfigError(f"{name} must be at least {MINIMUMS[key]}, "
+                          f"got {value}")
+    if key in MAXIMUMS and value > MAXIMUMS[key]:
+        raise ConfigError(f"{name} must be at most {MAXIMUMS[key]}, "
+                          f"got {value}")
+
+
 def load_config(path: str) -> ProblemConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -227,12 +240,7 @@ def load_config(path: str) -> ProblemConfig:
     points = _number(cp, "sampling", "points", int, 10)
     seed = _number(cp, "sampling", "seed", int, 0)
     for key, value in (("order", order), ("points", points), ("seed", seed)):
-        if value < MINIMUMS[key]:
-            raise ConfigError(f"{key} must be at least {MINIMUMS[key]}, "
-                              f"got {value}")
-        if key in MAXIMUMS and value > MAXIMUMS[key]:
-            raise ConfigError(f"{key} must be at most {MAXIMUMS[key]}, "
-                              f"got {value}")
+        check_setting(key, value)
     tolerances = {}
     if cp.has_section("tolerances"):
         for key in cp.options("tolerances"):

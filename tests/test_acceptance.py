@@ -269,7 +269,7 @@ def test_criterion_08_branch_guarantees(spaces, expansions):
     # the odd critical step also solves the rho-rho block, read here from
     # the generic route, which the solver does not use
     rho_rho = order_report(AmbientMetric(expand(s2, 5)), 1e-9,
-                           points=pts2[:3]).result().blocks["rho_rho"]
+                           points=pts2[:3]).result()["rho_rho"]
     assert rho_rho.guaranteed == 3 and rho_rho.ok
     _passed(8, f"branch guarantees hold (non-integer {worst:.2e}, even trace "
                f"combination {worst_combo:.2e}, odd consistency {worst_odd:.2e}"

@@ -274,30 +274,30 @@ def test_order_report_noninteger():
     s = random_entry(d=3, m=0.5, mu=0.2, seed=5).space
     a = AmbientMetric(expand(s, 3))
     rep = order_report(a, 1e-9, points=s.sample(10, 0)).result()
-    assert all(b.ok for b in rep.blocks.values())
-    assert rep.blocks["ij"].guaranteed == 2
-    assert rep.blocks["ij"].first_violation is None
-    assert rep.blocks["t_row"].guaranteed == 1
-    assert rep.branch is Branch.NON_INTEGER
+    assert all(b.ok for b in rep.values())
+    assert rep["ij"].guaranteed == 2
+    assert rep["ij"].first_violation is None
+    assert rep["t_row"].guaranteed == 1
+    assert a.expansion.plan.branch is Branch.NON_INTEGER
 
 
 def test_order_report_even_branch_pattern():
     s = random_entry(d=3, m=1.0, mu=0.1, seed=21).space
     a = AmbientMetric(expand(s, 2))
     rep = order_report(a, 1e-9, points=s.sample(10, 0)).result()
-    assert all(b.ok for b in rep.blocks.values())
-    ij = rep.blocks["ij"]
+    assert all(b.ok for b in rep.values())
+    ij = rep["ij"]
     # residual survives at the obstruction order (d+m)/2 - 1 = 1
     assert ij.guaranteed == 0
     assert ij.first_violation == 1
     # the trace combination improves one order
-    assert rep.blocks["trace_combo"].first_violation is None
+    assert rep["trace_combo"].first_violation is None
 
 
 def test_order_report_flat_everything_vanishes():
     a, s = flat_ambient(order=4)
     rep = order_report(a, 1e-9, points=[(0.1, 0.2, -0.3)]).result()
-    for b in rep.blocks.values():
+    for b in rep.values():
         assert b.ok
         assert b.first_violation is None
 
@@ -353,7 +353,7 @@ def test_order_report_measures_through_every_guarantee(make_space, orders):
     for N in orders:
         rep = order_report(AmbientMetric(expand(s, N)), 1e-9,
                            points=pts).result()
-        for b in rep.blocks.values():
+        for b in rep.values():
             assert len(b.coeff_max) > b.guaranteed, (N, b.name)
 
 

@@ -907,7 +907,7 @@ def test_cli_determinism(config_path, tmp_path):
 
 
 def test_cli_internal_error_writes_report(config_path, tmp_path, monkeypatch):
-    def broken(args, report):
+    def broken(prob, args, report):
         raise RuntimeError("deliberate failure")
 
     monkeypatch.setitem(cli._COMMANDS, "verify", broken)
@@ -932,7 +932,7 @@ def test_cli_unwritable_out_is_a_typed_error(tmp_path, capsys, monkeypatch):
     assert not out.exists()
     # an earlier error is kept, with its exit status
 
-    def broken(args, report):
+    def broken(prob, args, report):
         raise RuntimeError("deliberate failure")
 
     monkeypatch.setitem(cli._COMMANDS, "verify", broken)
@@ -1123,7 +1123,7 @@ def test_cli_typed_errors_exit_2_through_one_base(tmp_path, monkeypatch,
                                                   error, base):
     assert issubclass(error, InputError) and issubclass(error, base)
 
-    def command(args, report):
+    def command(prob, args, report):
         raise error("deliberate")
 
     monkeypatch.setitem(cli._COMMANDS, "verify", command)
@@ -1132,12 +1132,57 @@ def test_cli_typed_errors_exit_2_through_one_base(tmp_path, monkeypatch,
     assert f"\nerror = {error.__name__}: deliberate\n" in text
 
 
+@pytest.mark.parametrize("value,status", [(1.0, 1), (0.0, 0)],
+                         ids=["failing", "passing"])
+def test_cli_exit_status_comes_from_the_report(tmp_path, monkeypatch, value,
+                                               status):
+    # a command returns nothing: main reads the checks it recorded
+    def command(prob, args, report):
+        report.put_check("passing", 0.0, 1.0)
+        report.put_check("deliberate", value, 0.5)
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", command)
+    code, text = run_cli(["verify", "--catalog", "flat", "--points", "1"],
+                         tmp_path, "s.txt")
+    assert code == status
+    assert f"\ncheck.deliberate.ok = {str(not status).lower()}\n" in text
+
+
+@pytest.mark.parametrize("old,new,error", [
+    ("g11 = 1\n", "g11 = -1\n",
+     "ValidationError: metric not positive definite at ("),
+    ("g22 = 1", "g22 = 1 + * x2", "ConfigError: metric entry g22 = "),
+], ids=["not-positive-definite", "malformed-expression"])
+@pytest.mark.parametrize("command", ["invariants", "verify"])
+def test_cli_echoes_the_settings_before_validating_them(tmp_path, command,
+                                                        old, new, error):
+    # an error that the parsing or validation of the space raises still
+    # reports what the run was asked to do
+    with open(FLAT_CFG) as fh:
+        text = fh.read()
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace(old, new))
+    code, report = run_cli([command, "--config", str(path), "--points", "3"],
+                           tmp_path, "e.txt")
+    body = dict(line.split(" = ", 1) for line in report.splitlines()
+                if not line.startswith("timings."))
+    assert code == 2
+    assert list(body) == ["schema_version", "command"] + [
+        f"config.{key}" for key in ("dimension", "label", "m", "mu", "order",
+                                    "points", "seed")] + ["error",
+                                                          "tool_version"]
+    assert (body["config.label"], body["config.dimension"],
+            body["config.m"], body["config.points"]) == (str(path), "3", "1",
+                                                         "3")
+    assert body["error"].startswith(error), body["error"]
+
+
 # the built-in bases of the typed errors are not typed themselves
 @pytest.mark.parametrize("error", [ValueError, ArithmeticError,
                                    ZeroDivisionError, KeyError, RuntimeError],
                          ids=lambda v: v.__name__)
 def test_cli_untyped_error_is_internal(tmp_path, monkeypatch, error):
-    def command(args, report):
+    def command(prob, args, report):
         raise error("deliberate")
 
     monkeypatch.setitem(cli._COMMANDS, "verify", command)

@@ -66,14 +66,15 @@ def test_verify_makes_next_to_no_cyclic_garbage(collector):
         if phase == "stop":
             collected.append(info["collected"])
 
+    report = Report("test")
     gc.collect()
     gc.enable()
     gc.callbacks.append(count)
     try:
-        code = cli._COMMANDS["verify"](args, Report("test"))
+        cli._COMMANDS["verify"](cli._Problem(args, report), args, report)
     finally:
         gc.callbacks.remove(count)
-    assert code == 0
+    assert report.ok
     assert collected, "the collector never ran"
     assert sum(collected) < 1000
 
@@ -95,7 +96,7 @@ def test_main_restores_collector_state(collector, tmp_path, enabled):
 def test_main_pauses_collector_for_the_command(collector, monkeypatch, tmp_path):
     seen = []
 
-    def command(args, report):
+    def command(prob, args, report):
         seen.append(gc.isenabled())
         raise RuntimeError("deliberate failure")
 

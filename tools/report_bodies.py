@@ -10,13 +10,14 @@ defining equations are checked at that seed's points), on the seed-51
 random-deep and even-critical configs of
 `bench/inputs.random_config`, on a seed-51 config that reaches the
 odd critical order n = d+m = 5 and on the even-critical config at
-order 3, past its nonzero obstruction; then three single runs:
+order 3, past its nonzero obstruction; then four single runs:
 `verify --tol 1e-8` on `configs/flat.cfg`, a usage error (an unknown
-option) and a config with a malformed expression.  That is 83 reports,
-each from its own `python3 -m smmsgeom.cli` child of this checkout
-(`obstruction` exits 2 where d+m is not an even integer, `expand`,
-`poincare` and `verify` exit 2 past the obstruction, from the
-continuation gate, and the two input errors exit 2).
+option), a config with a malformed expression and one whose metric is
+not positive definite.  That is 84 reports, each from its own
+`python3 -m smmsgeom.cli` child of this checkout (`obstruction` exits
+2 where d+m is not an even integer, `expand`, `poincare` and `verify`
+exit 2 past the obstruction, from the continuation gate, and the
+three input errors exit 2).
 Writes the body of each (every line before the first `timings.` line)
 to OUTDIR/<command>.<input>.txt, and prints one line per report with
 its exit status and `timings.stats.nodes`, `.max_degree`, `.unread`,
@@ -90,12 +91,14 @@ def inputs(outdir, env):
 def runs(outdir, env):
     """(command, input name, CLI arguments, working directory) of every
     report: each command on each of `inputs`, then the single runs, the
-    last on a copy of `configs/flat.cfg` with a malformed expression
-    that this writes to `outdir`."""
+    last two on copies of `configs/flat.cfg` with a malformed expression
+    and with `g11 = -1`, which this writes to `outdir`."""
     with open(os.path.join(ROOT, FLAT)) as fh:
         flat = fh.read()
     with open(os.path.join(outdir, "malformed.cfg"), "w") as fh:
         fh.write(flat.replace("g22 = 1", "g22 = 1 + * x2"))
+    with open(os.path.join(outdir, "indefinite.cfg"), "w") as fh:
+        fh.write(flat.replace("g11 = 1", "g11 = -1"))
     out = [(command, name, args, cwd) for name, args, cwd in inputs(outdir, env)
            for command in COMMANDS]
     return out + [
@@ -103,6 +106,8 @@ def runs(outdir, env):
         ("verify", "usage-error", ["--config", FLAT, "--no-such-option"],
          ROOT),
         ("verify", "malformed-expression", ["--config", "malformed.cfg"],
+         outdir),
+        ("verify", "not-positive-definite", ["--config", "indefinite.cfg"],
          outdir)]
 
 

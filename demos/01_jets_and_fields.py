@@ -14,7 +14,7 @@ from smmsgeom.jets import Jet
 # jets compose like the functions they represent
 x = Jet.variable(0.0, 0, 1, 4)
 print("jet of exp(x) * exp(2x) at 0, degree 4 (expect 3^k/k!):")
-print("  ", np.round((x.exp() * (2.0 * x).exp()).coeffs, 6))
+print("  ", np.round((x.apply("exp") * (2.0 * x).apply("exp")).coeffs, 6))
 
 # division is a graded long division with machine-precision noise floor
 z = Jet.variable(0.8, 0, 1, 8)

@@ -21,7 +21,8 @@ status.  `--help` prints the usage and exits 0.  `--tol` sets the
 catalog closed form.  The timings block gives the seconds of each stage
 a command ran (`timings.stage.*`: setup, invariants, expand,
 identities, coefficients, order_report, bianchi, poincare, cone,
-closed_form, evaluate; every field evaluation runs inside one of them),
+closed_form, evaluate, reduce; every field evaluation runs inside one
+of them, and reduce is the reductions and reports of the results),
 and for the problem chart its interned DAG nodes, those of them
 computed at no sampled point, its `fields.run` calls, its node
 computations, those of them at a (node, point) that an earlier call of
@@ -53,11 +54,12 @@ Each stage builds the fields it checks or prints and hands them on as
 a `fields.Request`; the command then evaluates every request, the
 curvature scale's first, a catalog entry's defining equations
 (`check.catalog_flags`) and the solver's gates next, in one
-`fields.run` call, timed as `timings.stage.evaluate`, and reports from
-the results.  So a command builds, then seals, then sweeps once: right
-before that call it seals every chart that owns a root of a request
-(`Chart.seal()` drops the intern tables), and a build on one of them
-after that raises; the reductions and the reports only read values.
+`fields.run` call, timed as `timings.stage.evaluate`, and reduces and
+reports the results, timed as `timings.stage.reduce`.  So a command
+builds, then seals, then sweeps once: right before that call it seals
+every chart that owns a root of a request (`Chart.seal()` drops the
+intern tables), and a build on one of them after that raises; the
+reductions and the reports only read values.
 Only input validation (the sample points of a config) evaluates before
 it.  A command stops at its first error: an error of the sweep is that
 of its first failing point (in the order of the sample points), a
@@ -194,13 +196,13 @@ class _Checks:
     `add(request, finish)` collects a request; leaving the `with` block
     seals the charts of their roots and sweeps them all in one
     `fields.run`, timed as the evaluate stage, then hands each request's
-    result (`Request.finish`) to its `finish`, in order.  The curvature
-    scale comes first (its finish sets `prob.scale`), a catalog entry's
-    defining equations next, both built in the setup stage, then the
-    solver's gates, whose failing reduction raises before any stage's
-    finish.  The block is swept when an error leaves it too, so the
-    report keeps what the stages before the error measured; an error of
-    the sweep or a reduction replaces that error.
+    result (`Request.finish`) to its `finish`, in order, timed as the
+    reduce stage.  The curvature scale comes first (its finish sets
+    `prob.scale`), a catalog entry's defining equations next, both built
+    in the setup stage, then the solver's gates, whose failing reduction
+    raises before any stage's finish.  The block is swept when an error
+    leaves it too, so the report keeps what the stages before the error
+    measured; an error of the sweep or a reduction replaces that error.
     """
 
     def __init__(self, prob, report):
@@ -240,8 +242,9 @@ class _Checks:
             chart.seal()
         with self.report.stage("evaluate"):
             values = fields.run(requests)
-        for (request, finish), v in zip(self.pending, values):
-            finish(request.finish(v))
+        with self.report.stage("reduce"):
+            for (request, finish), v in zip(self.pending, values):
+                finish(request.finish(v))
         return False
 
 

@@ -101,16 +101,14 @@ import math
 from itertools import compress, islice
 from operator import add, index
 
-from .jets import Jet, plan_products, value_apply, value_power, value_quotient
+from .jets import (FUNCTIONS, Jet, plan_products, value_apply, value_power,
+                   value_quotient)
 
 __all__ = [
     "Chart", "ScalarField", "Request", "run", "evaluate", "max_abs",
     "max_abs_difference",
     "sample_points", "SymTensor2Field", "FUNCTIONS",
 ]
-
-# the analytic primitives a field applies, and an expression calls
-FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
 
 
 class Chart:
@@ -483,9 +481,6 @@ class ScalarField:
             return self.chart.constant(value_apply(name, c))
         return self._wrap("apply", name)
 
-    def exp(self):
-        return self.apply("exp")
-
     # -- differentiation ---------------------------------------------------
 
     def partial(self, axis: int) -> "ScalarField":
@@ -745,7 +740,9 @@ def _run(plan: _Plan, plans) -> None:
     creation order.  Computing node i writes slot i; then, if node i
     frees, each operand's slot is emptied if i is its last reader, or its
     jet cut if i is its cut.  The jet is replaced, never shortened in
-    place: one jet can sit in two slots."""
+    place: one jet can sit in two slots.  Each op runs one kernel of
+    `jets`, on a jet or, at degree 0, on the constant term: an `apply`
+    node, for one, runs `Jet.apply(name)` or `value_apply(name, x)`."""
     chart, pt, need, values = plan.chart, plan.point, plan.need, plan.values
     last, cut_at, cut, frees = plan.last, plan.cut_at, plan.cut, plan.frees
     nodes = chart.nodes
@@ -803,7 +800,7 @@ def _run(plan: _Plan, plans) -> None:
             elif op == "pow":
                 out = a ** node.param if deg else value_power(a, node.param)
             elif op == "apply":
-                out = (getattr(a, node.param)() if deg
+                out = (a.apply(node.param) if deg
                        else value_apply(node.param, a))
             elif op == "lift":
                 out = a.promote(chart.dim - node.param) if deg else a

@@ -240,7 +240,7 @@ def conformally_flat_identities(s: MetricMeasureSpace):
 
 def conformal_change(s: MetricMeasureSpace, u: ScalarField) -> MetricMeasureSpace:
     """The pointwise-conformal image (e^{2u} g, e^u f, m, mu)."""
-    eu = u.exp()
+    eu = u.apply("exp")
     e2u = eu * eu
     g2 = SymTensor2Field(s.chart, {k: e2u * fld for k, fld in s.g.comps.items()})
     return MetricMeasureSpace(s.chart, g2, eu * s.f, s.m, s.mu)
@@ -272,7 +272,7 @@ def curvature_scale(s: MetricMeasureSpace, points) -> Request:
                 ginv = _inverse(_square(g, d))
                 rm_norm = math.sqrt(abs(_norm_squared(rm_v, ginv)))
                 hf_norm = math.sqrt(abs(_norm_squared(hf_v, ginv))) / fv
-                gf_norm = _quadratic_form(df_v, ginv) / fv ** 2
+                gf_norm = _norm_squared(df_v, ginv) / fv ** 2
                 term = terms[p] = rm_norm + hf_norm + gf_norm + abs(mu)
             worst = max(worst, term)
         return max(worst, 1.0)
@@ -284,46 +284,35 @@ def curvature_scale(s: MetricMeasureSpace, points) -> Request:
 
 
 def _norm_squared(t, ginv) -> float:
-    """|t|^2 = t_A t_B ginv[a1][b1] ... ginv[ar][br] of a tensor of rank
-    r = 2 or 4 (a point's row-major row of d^r values), summed over the
-    pairs of multi-indices (A, B) in row-major order from +0.0, each term
-    multiplied left to right in that order.  A term with a zero ginv
-    factor adds a signed zero to that sum, so it is skipped, which leaves
-    d^r terms for a diagonal metric."""
+    """|t|^2 = t_A t^A of a tensor of any rank r (a point's row-major row
+    of d^r values).  The indices of t are raised one at a time, the first
+    index first: each raised entry sums u[...b...] * ginv[b][a] over b
+    ascending from +0.0, where u is t with the indices before it raised.
+    Then the dot product of t and t^A is summed in row-major order from
+    +0.0.  That is r d^(r+1) + d^r products where a sum over every pair
+    of multi-indices would take d^(2r), and no sum has more than d^r
+    terms, which keeps the rounding error small (tests/test_invariants.py
+    bounds it).  A zero ginv[b][a] adds a signed zero to a sum that
+    starts at +0.0, so it is skipped.  Reading ginv by column makes rank
+    1 the quadratic form (x ginv) x, sum for sum."""
     d = len(ginv)
-    # per index a, its partners b with ginv[a][b] != 0
-    partners = [[(b, x) for b, x in enumerate(row) if x] for row in ginv]
+    # per index a, the b with ginv[b][a] != 0
+    columns = [[(b, row[a]) for b, row in enumerate(ginv) if row[a]]
+               for a in range(d)]
+    u, stride = t, len(t)
+    while stride > 1:
+        # raise the index whose step in the row is `stride`
+        stride //= d
+        raised = []
+        for n in range(len(u)):
+            a = n // stride % d
+            at = n - a * stride
+            acc = 0.0
+            for b, x in columns[a]:
+                acc += u[at + b * stride] * x
+            raised.append(acc)
+        u = raised
     out = 0.0
-    if len(t) == d * d:
-        for n, ta in enumerate(t):
-            for p, x1 in partners[n // d]:
-                for q, x2 in partners[n % d]:
-                    out += ((ta * t[p * d + q]) * x1) * x2
-        return out
-    d2, d3 = d * d, d * d * d
-    for n, ta in enumerate(t):
-        i, j, k, l = n // d3, n // d2 % d, n // d % d, n % d
-        for p, x1 in partners[i]:
-            for q, x2 in partners[j]:
-                pq = (p * d + q) * d
-                for r, x3 in partners[k]:
-                    pqr = (pq + r) * d
-                    for s, x4 in partners[l]:
-                        out += ((((ta * t[pqr + s]) * x1) * x2) * x3) * x4
-    return out
-
-
-def _quadratic_form(x, m) -> float:
-    """x m x, as (x m) x: the row vector x m first, each entry summed
-    over i, then its dot product with x."""
-    d = len(x)
-    xm = []
-    for j in range(d):
-        acc = 0.0
-        for i in range(d):
-            acc += x[i] * m[i][j]
-        xm.append(acc)
-    out = 0.0
-    for j in range(d):
-        out += xm[j] * x[j]
+    for x, y in zip(t, u):
+        out += x * y
     return out

@@ -62,7 +62,12 @@ from operator import add
 from .errors import InputError
 
 __all__ = ["Jet", "JetShapeError", "JetDivisionError", "jet_count",
-           "plan_products", "value_quotient", "value_power", "value_apply"]
+           "plan_products", "value_quotient", "value_power", "value_apply",
+           "FUNCTIONS"]
+
+# the analytic primitives, as `math` names, that `value_apply` and
+# `Jet.apply` take
+FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
 
 # Divisor jets whose constant term is at or below PIVOT_REL times the
 # magnitude of their largest coefficient (floored at 1) are rejected.
@@ -152,7 +157,9 @@ def _derivatives(name: str, x: float, degree: int) -> list:
     """h^(k)(x), k = 0..degree, of the analytic primitive h = `name`.  An
     x outside h's domain, or where a `math` function rejects it (as sin
     does inf) or a derivative leaves the float range, is a
-    `JetDivisionError`."""
+    `JetDivisionError`; a name outside `FUNCTIONS` is a ValueError."""
+    if name not in FUNCTIONS:
+        raise ValueError(f"unknown analytic primitive {name!r}")
     _check_domain(name, x)
     try:
         if name == "exp":
@@ -422,7 +429,9 @@ def _jet(nvars: int, degree: int, coeffs: list) -> "Jet":
 
 class Jet:
     """Dense truncated Taylor coefficients of a scalar quantity at a point,
-    as a list of floats."""
+    as a list of floats.  An analytic primitive has one entry per layer,
+    by its name in `FUNCTIONS`: `Jet.apply(name)` here, `value_apply(name,
+    x)` on the constant term and `ScalarField.apply(name)` on a field."""
 
     __slots__ = ("nvars", "degree", "coeffs")
 
@@ -613,26 +622,9 @@ class Jet:
             acc = acc + power * (float(derivs[k]) / fact)
         return acc
 
-    def exp(self):
-        return self.compose(_derivatives("exp", self.value, self.degree))
-
-    def log(self):
-        return self.compose(_derivatives("log", self.value, self.degree))
-
-    def sqrt(self):
-        return self.compose(_derivatives("sqrt", self.value, self.degree))
-
-    def sin(self):
-        return self.compose(_derivatives("sin", self.value, self.degree))
-
-    def cos(self):
-        return self.compose(_derivatives("cos", self.value, self.degree))
-
-    def sinh(self):
-        return self.compose(_derivatives("sinh", self.value, self.degree))
-
-    def cosh(self):
-        return self.compose(_derivatives("cosh", self.value, self.degree))
+    def apply(self, name: str) -> "Jet":
+        """Jet of h(F) for the analytic primitive h = `name`."""
+        return self.compose(_derivatives(name, self.value, self.degree))
 
     def promote(self, extra: int) -> "Jet":
         """The same function viewed on a chart with `extra` appended

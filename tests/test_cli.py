@@ -295,8 +295,9 @@ def test_cli_verify_reduces_the_curvature_scale_once_per_point(
                                "--points", "1"]}[given]
     code, text = run_cli(["verify"] + argv, tmp_path, "v.txt")
     assert code == 0, text
-    # |Rm|^2 (3^4 components) and |Hess f|^2 (3^2) once per point
-    assert sorted(ranks) == [9] * points + [81] * points
+    # |grad f|^2 (3 components), |Hess f|^2 (3^2) and |Rm|^2 (3^4) once
+    # per point
+    assert sorted(ranks) == [3] * points + [9] * points + [81] * points
 
 
 @pytest.mark.parametrize("odd", ["d3-m2", "d3-m0"])
@@ -877,11 +878,19 @@ def test_cli_verify_runs_the_analytic_jets(tmp_path, monkeypatch):
     # through log, sqrt, sinh, cosh and the reciprocal (a negative power)
     from smmsgeom.jets import Jet
     calls = dict.fromkeys(("log", "sqrt", "sinh", "cosh", "reciprocal"), 0)
-    for name in calls:
-        def counted(self, name=name, jet=getattr(Jet, name)):
+    apply, reciprocal = Jet.apply, Jet.reciprocal
+
+    def counted_apply(self, name):
+        if name in calls:
             calls[name] += 1
-            return jet(self)
-        monkeypatch.setattr(Jet, name, counted)
+        return apply(self, name)
+
+    def counted_reciprocal(self):
+        calls["reciprocal"] += 1
+        return reciprocal(self)
+
+    monkeypatch.setattr(Jet, "apply", counted_apply)
+    monkeypatch.setattr(Jet, "reciprocal", counted_reciprocal)
     path = os.path.join(os.path.dirname(FLAT_CFG), "analytic.cfg")
     bodies = []
     for n in range(2):
@@ -1199,7 +1208,7 @@ def test_cli_verify_reports_stage_timings(tmp_path):
     timings = dict(line.split(" = ") for line in text.splitlines()
                    if line.startswith("timings."))
     for stage in ("setup", "expand", "order_report", "bianchi", "poincare",
-                  "cone", "closed_form", "evaluate"):
+                  "cone", "closed_form", "evaluate", "reduce"):
         assert float(timings.pop(f"timings.stage.{stage}")) >= 0.0
     assert int(timings.pop("timings.stats.nodes")) > 0
     assert int(timings.pop("timings.stats.unread")) >= 0
@@ -1211,6 +1220,21 @@ def test_cli_verify_reports_stage_timings(tmp_path):
     assert int(timings.pop("timings.stats.max_degree")) == 4
     assert float(timings.pop("timings.stats.peak_rss_mb")) > 0.0
     assert set(timings) == {"timings.total_seconds"}
+
+
+def test_cli_every_command_times_its_reductions(tmp_path):
+    # the finishes run after the sweep, in the reduce stage: the
+    # curvature scale's norms and every check's reduction
+    even = tmp_path / "even.cfg"
+    even.write_text(random_config(51, 1.0, 0.1, 2))
+    for command in ("invariants", "expand", "obstruction", "poincare",
+                    "verify"):
+        code, text = run_cli([command, "--config", str(even)], tmp_path,
+                             f"{command}.txt")
+        assert code == 0, text
+        timings = dict(line.split(" = ") for line in text.splitlines()
+                       if line.startswith("timings."))
+        assert float(timings["timings.stage.reduce"]) > 0.0, command
 
 
 def test_cli_every_evaluation_runs_inside_a_timed_stage(tmp_path,

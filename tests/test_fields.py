@@ -277,7 +277,7 @@ def _sum_terms(chart, count):
     0.0, then a seeded mix of constants, 0.0, -0.0, a repeated term and
     fresh products."""
     x, y = chart.coordinate(0), chart.coordinate(1)
-    rep = (x * y).exp()
+    rep = (x * y).apply("exp")
     kinds = [lambda k: chart.constant(0.25 * k - 1.0),
              lambda k: chart.zero(), lambda k: chart.constant(-0.0),
              lambda k: rep, lambda k: (x + float(k)) * y,
@@ -547,7 +547,7 @@ def reference(node, point, degree, memo=None):
         elif op == "pow":
             out = x ** param if degree else value_power(x, param)
         else:
-            out = getattr(x, param)() if degree else value_apply(param, x)
+            out = x.apply(param) if degree else value_apply(param, x)
     memo[key] = out
     return out
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from smmsgeom.jets import Jet, JetDivisionError, JetShapeError, jet_count
+from smmsgeom.jets import (Jet, JetDivisionError, JetShapeError, jet_count,
+                           value_apply)
 
 
 def jet_of(fn, point, degree):
@@ -18,7 +19,7 @@ def jet_of(fn, point, degree):
 def test_counts_and_prefix_truncation():
     assert jet_count(2, 3) == 10
     assert jet_count(3, 4) == 35
-    j = jet_of(lambda x, y: (x * y + x).exp(), (0.3, -0.2), 5)
+    j = jet_of(lambda x, y: (x * y + x).apply("exp"), (0.3, -0.2), 5)
     t = j.truncated(3)
     assert t.degree == 3
     assert t.coeffs == j.coeffs[: jet_count(2, 3)]
@@ -53,7 +54,7 @@ def test_multiply_identity():
 def test_exp_product_closed_form():
     # exp(x) * exp(2x) = exp(3x): coefficients 3^k / k!
     x = Jet.variable(0.0, 0, 1, 4)
-    p = x.exp() * (2.0 * x).exp()
+    p = x.apply("exp") * (2.0 * x).apply("exp")
     for k in range(5):
         assert p.coefficient((k,)) == pytest.approx(3.0 ** k / math.factorial(k),
                                                     rel=1e-12)
@@ -72,7 +73,7 @@ def test_divide_identity_and_geometric_series():
 def test_tangent_from_quotient():
     # sin/cos at 0.4 must match the tan jet built independently below
     x = Jet.variable(0.4, 0, 1, 4)
-    q = x.sin() / x.cos()
+    q = x.apply("sin") / x.apply("cos")
     t = math.tan(0.4)
     # tan' = 1 + tan^2 and so on, generated by differentiating recursively
     derivs = [t]
@@ -116,6 +117,15 @@ def test_division_pivot_scale_is_nan_after_a_large_coefficient():
     assert q.value == 1e8
 
 
+def test_an_unknown_primitive_is_rejected():
+    # a name outside the seven is an error, not taken for cosh
+    x = Jet.variable(0.3, 0, 1, 3)
+    for call in (lambda: value_apply("tan", 0.3), lambda: x.apply("tan")):
+        with pytest.raises(ValueError,
+                           match="unknown analytic primitive 'tan'"):
+            call()
+
+
 def test_shape_mismatch():
     a = Jet.constant(1.0, 2, 2)
     b = Jet.constant(1.0, 2, 3)
@@ -147,7 +157,7 @@ def test_partial_shifts_degree():
 
 
 def test_partials_commute_exactly():
-    f = jet_of(lambda x, y, z: (x * y).sin() * z.exp(), (0.2, 0.4, -0.3), 5)
+    f = jet_of(lambda x, y, z: (x * y).apply("sin") * z.apply("exp"), (0.2, 0.4, -0.3), 5)
     xy = f.partial(0).partial(1)
     yx = f.partial(1).partial(0)
     np.testing.assert_array_equal(xy.coeffs, yx.coeffs)
@@ -174,11 +184,11 @@ def fd_derivative(fn, point, alpha, h=1e-2):
 
 
 @pytest.mark.parametrize("expr,point", [
-    (lambda x, y: x.exp() * y.sin(), (0.2, 0.5)),
-    (lambda x, y: (x * y).cos() + x ** 3, (0.4, -0.3)),
-    (lambda x, y: (1.0 + x ** 2 + y ** 2).sqrt(), (0.3, 0.6)),
-    (lambda x, y: (2.0 + x).log() * y.cosh(), (0.1, 0.2)),
-    (lambda x, y: x.sinh() / (2.0 + y ** 2), (-0.2, 0.5)),
+    (lambda x, y: x.apply("exp") * y.apply("sin"), (0.2, 0.5)),
+    (lambda x, y: (x * y).apply("cos") + x ** 3, (0.4, -0.3)),
+    (lambda x, y: (1.0 + x ** 2 + y ** 2).apply("sqrt"), (0.3, 0.6)),
+    (lambda x, y: (2.0 + x).apply("log") * y.apply("cosh"), (0.1, 0.2)),
+    (lambda x, y: x.apply("sinh") / (2.0 + y ** 2), (-0.2, 0.5)),
 ])
 def test_jets_match_finite_differences(expr, point):
     jet = jet_of(expr, point, 3)
@@ -454,12 +464,12 @@ def test_operations_leave_operands_unchanged():
         lambda: a * b, lambda: a * 2.0, lambda: 2.0 * a,
         lambda: a / b, lambda: a / 2.0, lambda: a.reciprocal(),
         lambda: a ** 3, lambda: a ** -2, lambda: a ** 0,
-        lambda: a.exp(), lambda: pos.log(), lambda: pos.sqrt(), lambda: a.sin(),
-        lambda: a.cos(), lambda: a.sinh(), lambda: a.cosh(),
+        lambda: a.apply("exp"), lambda: pos.apply("log"), lambda: pos.apply("sqrt"), lambda: a.apply("sin"),
+        lambda: a.apply("cos"), lambda: a.apply("sinh"), lambda: a.apply("cosh"),
         lambda: a.compose([1.0, 2.0, 3.0, 4.0, 5.0]),
         lambda: a.partial(0), lambda: a.partial(1), lambda: a.promote(2),
         lambda: a.truncated(1), lambda: low * low, lambda: low + 1.0,
-        lambda: low.exp(), lambda: low.promote(1), lambda: low.partial(0),
+        lambda: low.apply("exp"), lambda: low.promote(1), lambda: low.partial(0),
     ]
     for op in ops:
         op()

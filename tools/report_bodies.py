@@ -9,11 +9,12 @@ m = 0), on every catalog entry, on the `wlcf` entry at `--seed 7` (its
 defining equations are checked at that seed's points), on the seed-51
 random-deep and even-critical configs of
 `bench/inputs.random_config`, on a seed-51 config that reaches the
-odd critical order n = d+m = 5 and on the even-critical config at
-order 3, past its nonzero obstruction; then four single runs:
+odd critical order n = d+m = 5, on the even-critical config at
+order 3, past its nonzero obstruction, and on seed-51 configs at d = 4
+(order 2) and d = 5 (order 1); then four single runs:
 `verify --tol 1e-8` on `configs/flat.cfg`, a usage error (an unknown
 option), a config with a malformed expression and one whose metric is
-not positive definite.  That is 84 reports, each from its own
+not positive definite.  That is 94 reports, each from its own
 `python3 -m smmsgeom.cli` child of this checkout (`obstruction` exits
 2 where d+m is not an even integer, `expand`, `poincare` and `verify`
 exit 2 past the obstruction, from the continuation gate, and the
@@ -44,12 +45,16 @@ CATALOG = ("flat", "quasi-einstein", "wlcf", "gover-leitner",
 # the deterministic counts; peak_rss_mb is printed but not kept
 STATS = ("nodes", "max_degree", "unread", "computed", "recomputed")
 # (name, d, m, mu, seed, order) as the random-deep and even-critical
-# workloads generate them, one through the odd critical order d+m and
-# one past the even critical order, whose continuation gate fails
+# workloads generate them, one through the odd critical order d+m, one
+# past the even critical order, whose continuation gate fails, and one
+# each at d = 4 and d = 5, where the norms of the curvature scale have
+# the most terms
 RANDOM = (("random-deep-s51", 3, 0.5, 0.1, 51, 4),
           ("even-critical-s51", 3, 1.0, 0.1, 51, 2),
           ("odd-critical-s51", 3, 2.0, 0.1, 51, 5),
-          ("even-past-critical-s51", 3, 1.0, 0.1, 51, 3))
+          ("even-past-critical-s51", 3, 1.0, 0.1, 51, 3),
+          ("d4-s51", 4, 0.5, 0.1, 51, 2),
+          ("d5-s51", 5, 0.5, 0.1, 51, 1))
 FLAT = os.path.join("configs", "flat.cfg")
 
 

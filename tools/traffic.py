@@ -2,7 +2,7 @@
 
     python3 tools/traffic.py WORKDIR
 
-Runs, in this one process, the 84 commands of `tools/report_bodies.py`
+Runs, in this one process, the 94 commands of `tools/report_bodies.py`
 (writing its configs to WORKDIR) plus one `verify --corrupt-coefficient`,
 each through `smmsgeom.cli.main`, and `bench/inputs.random_config` on
 each of its random inputs, under a `sys.setprofile` hook that is

@@ -27,11 +27,10 @@ from operator import add
 from . import curvature as cv
 from .expansion import RhoExpansion, closed_form_residual_series
 from .fields import Request, max_abs
-from .invariants import curvature_scale
-from .series import Series, SeriesTruncationError
+from .series import Series
 
 __all__ = ["Graded", "graded_derivs", "AmbientMetric", "BlockReport",
-           "order_report"]
+           "coefficient_maxima", "order_report"]
 
 
 class Graded:
@@ -311,18 +310,20 @@ class AmbientMetric:
 
 
 class BlockReport:
-    def __init__(self, name: str, coeff_max: list, guaranteed: int,
-                 tol_abs: float):
+    """One block's max |rho^k coefficient| over the points, k = 0..its
+    last computed order (`coeff_max`), and the order its coefficients
+    vanish through by construction (`guaranteed`).  The caller passes
+    the limit each coefficient is measured against."""
+
+    def __init__(self, name: str, coeff_max: list, guaranteed: int):
         self.name = name
         self.coeff_max = coeff_max
         self.guaranteed = guaranteed
-        self.tol_abs = tol_abs
 
-    @property
-    def first_violation(self) -> int | None:
-        """The first coefficient above the tolerance or NaN, if any."""
+    def first_violation(self, limit: float) -> int | None:
+        """The first coefficient above `limit` or NaN, if any."""
         for k, v in enumerate(self.coeff_max):
-            if not v <= self.tol_abs:
+            if not v <= limit:
                 return k
         return None
 
@@ -331,34 +332,29 @@ class BlockReport:
         """max |coefficient| through the guaranteed order, NaN if any is."""
         return max_abs(self.coeff_max[: self.guaranteed + 1])
 
-    @property
-    def ok(self) -> bool:
-        """Every guaranteed coefficient within the tolerance (NaN fails)."""
-        return bool(self.worst <= self.tol_abs)
+    def ok(self, limit: float) -> bool:
+        """Every guaranteed coefficient within `limit` (NaN fails)."""
+        return bool(self.worst <= limit)
 
 
-def _coefficient_maxima(series_list, upto, points) -> Request:
-    """The request for [max |rho^k coefficient| over `series_list` and
-    the points], k = 0..upto or up to the first truncated coefficient."""
-    groups = {}
-    for k in range(upto + 1):
-        try:
-            groups[str(k)] = [s.coefficient(k) for s in series_list]
-        except SeriesTruncationError:
-            break
-    return Request(points, lambda v: [max_abs(c) for c in v.values()],
-                   **groups)
+def coefficient_maxima(series_list, powers, points) -> Request:
+    """The request for [max |X^k coefficient| over `series_list` and the
+    points, for k in `powers`]; a power past a series' truncation is a
+    SeriesTruncationError."""
+    return Request(points, lambda v: [max_abs(c) for c in v.values()], **{
+        str(k): [s.coefficient(k) for s in series_list] for k in powers})
 
 
-def order_report(a: AmbientMetric, tol: float, *, points) -> Request:
+def order_report(e: RhoExpansion, points) -> Request:
     """The request for the measured per-block orders of vanishing of the
-    weighted Ricci tensor and the F scalar, against the branch guarantees
-    of the construction, at `points`; its result maps each block name to
-    its BlockReport.
+    weighted Ricci tensor and the F scalar of the ambient metric of `e`,
+    against the branch guarantees of the construction, at `points`; its
+    result maps each block name to its BlockReport, whose coefficients
+    the caller measures against its limit.
     While the solved order is at most 1 the rho_i and rho_rho blocks
     guarantee no coefficient, so they are neither built nor reported."""
+    a = AmbientMetric(e)
     base = a.base
-    e = a.expansion
     d, oo = a.d, a.oo
     N = e.order
 
@@ -392,11 +388,8 @@ def order_report(a: AmbientMetric, tol: float, *, points) -> Request:
     blocks = {name: (label, guaranteed)
               for name, (label, _, _, guaranteed) in table.items()}
 
-    def reduce(v):
-        limit = tol * v["scale"]
-        return {name: BlockReport(label, v[name], guaranteed, limit)
-                for name, (label, guaranteed) in blocks.items()}
-
-    return Request(points, reduce, scale=curvature_scale(base, points), **{
-        name: _coefficient_maxima(series, last, points)
+    return Request(points, lambda v: {
+        name: BlockReport(label, v[name], guaranteed)
+        for name, (label, guaranteed) in blocks.items()}, **{
+        name: coefficient_maxima(series, range(last + 1), points)
         for name, (_, series, last, _) in table.items()})

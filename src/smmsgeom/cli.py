@@ -55,7 +55,11 @@ a `fields.Request`; the command then evaluates every request, the
 curvature scale's first, a catalog entry's defining equations
 (`check.catalog_flags`) and the solver's gates next, in one
 `fields.run` call, timed as `timings.stage.evaluate`, and reduces and
-reports the results, timed as `timings.stage.reduce`.  So a command
+reports the results, timed as `timings.stage.reduce`.  A stage's
+request gives unscaled measurements, and the command applies every
+limit, a tolerance times the one curvature scale; only a catalog
+entry's defining equations hold themselves to a scale of their own
+points.  So a command
 builds, then seals, then sweeps once: right before that call it seals
 every chart that owns a root of a request (`Chart.seal()` drops the
 intern tables), and a build on one of them after that raises; the
@@ -197,12 +201,15 @@ class _Checks:
     seals the charts of their roots and sweeps them all in one
     `fields.run`, timed as the evaluate stage, then hands each request's
     result (`Request.finish`) to its `finish`, in order, timed as the
-    reduce stage.  The curvature scale comes first (its finish sets
-    `prob.scale`), a catalog entry's defining equations next, both built
-    in the setup stage, then the solver's gates, whose failing reduction
-    raises before any stage's finish.  The block is swept when an error
-    leaves it too, so the report keeps what the stages before the error
-    measured; an error of the sweep or a reduction replaces that error.
+    reduce stage.  A stage's request gives unscaled measurements, and
+    its finish applies every limit, as a tolerance times `prob.scale`.
+    The curvature scale comes first (its finish sets `prob.scale`), a
+    catalog entry's defining equations next, both built in the setup
+    stage, then the solver's gates, whose finish raises the error of a
+    failing gate before any stage's finish runs.  The block is swept
+    when an error leaves it too, so the report keeps what the stages
+    before the error measured; an error of the sweep or a finish
+    replaces that error.
     """
 
     def __init__(self, prob, report):
@@ -308,32 +315,42 @@ def _bianchi_check(prob, report, checks):
 
 
 def _expansion_for(prob, report, checks, finish=lambda measured: None):
-    """The expansion of the problem, adding the request of its gates."""
-    from .expansion import expand, gate_request
+    """The expansion of the problem, adding the request of its gates:
+    their finish raises the error of the first that fails, else hands
+    the measured values to `finish`."""
+    from .expansion import check_gates, expand, gate_request
     with report.stage("expand"):
         e = expand(prob.space, prob.order)
-        checks.add(gate_request(e, prob.points), finish)
+        request = gate_request(e, prob.points)
+
+    def gates(measured):
+        check_gates(e, measured, prob.scale)
+        finish(measured)
+
+    checks.add(request, gates)
     return e
 
 
 def _order_report(prob, e, report, checks, finish):
-    """Add the `order_report` request, whose report `finish` receives."""
-    from .ambient import AmbientMetric, order_report
+    """Add the `order_report` request; `finish` receives its blocks and
+    the limit, `residual` times the curvature scale."""
+    from .ambient import order_report
     with report.stage("order_report"):
-        request = order_report(AmbientMetric(e), prob.tol("residual"),
-                               points=prob.points)
-    checks.add(request, finish)
+        request = order_report(e, prob.points)
+    checks.add(request, lambda blocks: finish(
+        blocks, prob.tol("residual") * prob.scale))
 
 
 def cmd_expand(prob, args, report):
-    def put_orders(blocks):
+    def put_orders(blocks, limit):
         for name, block in blocks.items():
             report.put(f"order.{name}.guaranteed", block.guaranteed)
-            fv = block.first_violation
+            fv = block.first_violation(limit)
             report.put(f"order.{name}.first_violation",
                        -1 if fv is None else fv)
-            report.put(f"order.{name}.ok", block.ok)
-            if not block.ok:
+            ok = block.ok(limit)
+            report.put(f"order.{name}.ok", ok)
+            if not ok:
                 report.failures.append(f"order.{name}")
 
     def put_notes(measured):
@@ -432,14 +449,11 @@ def cmd_obstruction(prob, args, report):
 def _poincare_checks(prob, e, report, checks, cone_points, sides=False):
     """Add, when m > 0, the cone identities at `cone_points` (and, with
     `sides`, report their sides' magnitude), then the weighted-Einstein
-    residual in r through the guaranteed power, its last.  Returns
-    (max_even_order, residual_trunc)."""
-    from .poincare import cone_identity_check, poincare_residual, to_poincare
-    with report.stage("poincare"):
-        pc = to_poincare(e)
+    residual in r through the guaranteed power."""
+    from .poincare import cone_identity_check, poincare_residual
     if prob.space.m > 0:
         with report.stage("cone"):
-            cone = cone_identity_check(pc, points=cone_points)
+            cone = cone_identity_check(e, cone_points)
 
         def put_cone(result):
             wr, wF, side = result
@@ -451,30 +465,28 @@ def _poincare_checks(prob, e, report, checks, cone_points, sides=False):
 
         checks.add(cone, put_cone)
     with report.stage("poincare"):
-        res = poincare_residual(pc)
-        worst = res.block_max(range(-2, res.trunc + 1), prob.points)
-    checks.add(worst, lambda w: report.put_check(
-        "poincare_residual", w, prob.tol("poincare") * prob.scale))
-    return pc.max_even_order, res.trunc
+        residual = poincare_residual(e, prob.points)
+    checks.add(residual, lambda maxima: report.put_check(
+        "poincare_residual", max_abs(maxima),
+        prob.tol("poincare") * prob.scale))
 
 
 def cmd_poincare(prob, args, report):
     with _Checks(prob, report) as checks:
         e = _expansion_for(prob, report, checks)
-        max_even, trunc = _poincare_checks(prob, e, report, checks,
-                                           prob.points[:4], sides=True)
-        report.put("poincare.max_even_order", max_even)
-        report.put("poincare.residual_trunc", trunc)
-        report.put("poincare.guaranteed_power", trunc)
+        _poincare_checks(prob, e, report, checks, prob.points[:4], sides=True)
+        power = e.plan.guarantees(e.order).poincare_power
+        report.put("poincare.max_even_order", 2 * e.order)
+        report.put("poincare.residual_trunc", power)
+        report.put("poincare.guaranteed_power", power)
 
 
 def cmd_verify(prob, args, report):
     entry = prob.catalog_entry
 
-    def put_orders(blocks):
+    def put_orders(blocks, limit):
         for name, block in blocks.items():
-            report.put_check(f"ambient_order_{name}", block.worst,
-                             block.tol_abs)
+            report.put_check(f"ambient_order_{name}", block.worst, limit)
 
     with _Checks(prob, report) as checks:
         corrupt = (_corruption(args.corrupt_coefficient, prob.order,

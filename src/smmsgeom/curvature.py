@@ -98,7 +98,8 @@ def _det(m, rows, cols, memo, zero):
 
 
 def matrix_inverse(g, zero):
-    """Cofactor inverse of a square matrix of ring elements; also returns det."""
+    """Cofactor inverse of a square matrix of ring elements, of at least
+    two rows; also returns det."""
     n = len(g)
     memo = {}
     all_idx = tuple(range(n))
@@ -108,10 +109,7 @@ def matrix_inverse(g, zero):
         rows = all_idx[:i] + all_idx[i + 1:]
         for j in range(n):
             cols = all_idx[:j] + all_idx[j + 1:]
-            if n == 1:
-                cof = 1.0 if isinstance(zero, float) else zero + 1.0
-            else:
-                cof = _det(g, rows, cols, memo, zero)
+            cof = _det(g, rows, cols, memo, zero)
             cof = cof if (i + j) % 2 == 0 else -cof
             inv[j][i] = cof / det
     return inv, det

@@ -44,15 +44,15 @@ import math
 from . import curvature as cv
 from .errors import InputError
 from .fields import Request, ScalarField, SymTensor2Field, max_abs
-from .invariants import MetricMeasureSpace, curvature_scale
+from .invariants import MetricMeasureSpace
 from .series import Series
 
 __all__ = [
     "Branch", "BranchGuarantees", "BranchPlan", "RhoExpansion", "RhoSlice",
     "OrderStep", "ObstructionData", "classify_branch", "expand",
-    "gate_request", "solve_order_step", "critical_order", "obstruction",
-    "obstruction_constant", "closed_form_residual_series", "OrderError",
-    "ConsistencyError",
+    "gate_request", "check_gates", "solve_order_step", "critical_order",
+    "obstruction", "obstruction_constant", "closed_form_residual_series",
+    "OrderError", "ConsistencyError",
 ]
 
 BRANCH_SNAP_TOL = 1e-9
@@ -414,7 +414,8 @@ def expand(s: MetricMeasureSpace, order: int) -> RhoExpansion:
     Every canonical choice made at a critical order is recorded in
     `ambiguity_notes`.  The solve evaluates nothing: the gates it passes
     on trust (the continuation past n_c, the consistency at n = d+m) are
-    recorded in `gates` and measured by `gate_request`.
+    recorded in `gates`, measured by `gate_request` and checked by
+    `check_gates`.
     """
     if order < 1:
         raise OrderError("expansion order must be at least 1")
@@ -452,36 +453,43 @@ def expand(s: MetricMeasureSpace, order: int) -> RhoExpansion:
 
 def gate_request(e: RhoExpansion, points) -> Request:
     """The request that measures the gates of `e` at `points`: the
-    obstruction past n_c, then the consistency residual at n = d+m, each
-    against the curvature scale.  Its reduction raises the error of the
-    first gate that fails, else gives gate name -> measured value."""
-    m, n_c = float(e.base.m), e.plan.n_c
+    obstruction past n_c and the consistency residual at n = d+m.  Its
+    result is gate name -> measured value, which `check_gates` measures
+    against the curvature scale."""
+    m = float(e.base.m)
 
     def reduce(v):
-        limit = v["scale"]
         measured = {}
         if "continuation" in v:
-            worst = measured["continuation"] = max_abs(v["continuation"])
-            if worst > OBSTRUCTION_CONTINUATION_TOL * limit:
-                raise OrderError(
-                    f"order {e.order} requested past the critical order {n_c}, "
-                    f"but the obstruction tensor is nonzero (measured "
-                    f"{worst:.3e} > {OBSTRUCTION_CONTINUATION_TOL:.1e} x scale "
-                    f"{limit:.3e}); the expansion stops at order {n_c}")
+            measured["continuation"] = max_abs(v["continuation"])
         if "consistency" in v:
-            worst = measured["consistency"] = max(
+            measured["consistency"] = max(
                 [0.0] + [abs((m / fv ** 2) * F - R)
                          for fv, F, R in v["consistency"]])
-            if worst > CONSISTENCY_TOL * limit:
-                raise ConsistencyError(
-                    f"consistency residual {worst:.3e} at order n = "
-                    f"{e.plan.n_odd} exceeds {CONSISTENCY_TOL:.1e} x scale "
-                    f"{limit:.3e}; the inputs are outside the construction's "
-                    f"hypotheses or precision degraded")
         return measured
 
-    return Request(points, reduce, scale=curvature_scale(e.base, points),
-                   **e.gates)
+    return Request(points, reduce, **e.gates)
+
+
+def check_gates(e: RhoExpansion, measured: dict, scale: float):
+    """Raise the error of the first gate of `e` whose `measured` value
+    (from `gate_request`) exceeds its tolerance times the curvature
+    `scale`: the obstruction past n_c, then the consistency residual at
+    n = d+m."""
+    worst = measured.get("continuation", 0.0)
+    if worst > OBSTRUCTION_CONTINUATION_TOL * scale:
+        raise OrderError(
+            f"order {e.order} requested past the critical order "
+            f"{e.plan.n_c}, but the obstruction tensor is nonzero (measured "
+            f"{worst:.3e} > {OBSTRUCTION_CONTINUATION_TOL:.1e} x scale "
+            f"{scale:.3e}); the expansion stops at order {e.plan.n_c}")
+    worst = measured.get("consistency", 0.0)
+    if worst > CONSISTENCY_TOL * scale:
+        raise ConsistencyError(
+            f"consistency residual {worst:.3e} at order n = "
+            f"{e.plan.n_odd} exceeds {CONSISTENCY_TOL:.1e} x scale "
+            f"{scale:.3e}; the inputs are outside the construction's "
+            f"hypotheses or precision degraded")
 
 
 def critical_order(s: MetricMeasureSpace) -> int:

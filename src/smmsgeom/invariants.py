@@ -79,20 +79,15 @@ class MetricMeasureSpace:
         coefficient fields of the slice (see `expansion.RhoSlice`)."""
         return {}
 
-    @cached_property
-    def scale_terms(self) -> dict:
-        """The term of each point in the curvature scale of this space, by
-        the point, kept by the first reduction that computes it (see
-        `curvature_scale`)."""
-        return {}
-
     def check_at(self, points):
-        """Finite positive-definite g and finite positive f at the given
-        points.
+        """Finite positive-definite g and finite positive f, whose square
+        f*f is a positive finite float too, at the given points.
 
         Finiteness of g is tested first, so that the Cholesky test only
         sees finite entries; the density test is written so that NaN
-        fails it, and +inf fails the test after it."""
+        fails it, and +inf fails the test after it.  The invariants divide
+        by f*f, so an f whose square overflows to inf or underflows to
+        0.0 is rejected here, before anything is built."""
         d = self.dim
         v = Request(points, g=self.g.entries(), f=[self.f]).result()
         for p, g, (fv,) in zip(points, v["g"], v["f"]):
@@ -104,6 +99,9 @@ class MetricMeasureSpace:
                 raise ValidationError(f"density f not positive at {p}")
             if fv == math.inf:
                 raise ValidationError(f"density f not finite at {p}")
+            if not 0.0 < fv * fv < math.inf:
+                raise ValidationError(
+                    f"density f = {fv!r} at {p}: f*f leaves the float range")
 
     def sample(self, count: int, seed: int):
         return sample_points(self.chart, count, seed)
@@ -252,29 +250,23 @@ def curvature_scale(s: MetricMeasureSpace, points) -> Request:
 
     The reference magnitude that 'relative' tolerances are measured
     against throughout the package; the floor of 1 keeps a nearly flat
-    space from tightening them toward zero.  A point's term is a function
-    of the space and the point alone, so it is computed once, by the
-    first reduction that reaches the point, and kept in
-    `s.scale_terms`: the requests of one command that nest the scale
-    share its norms.
+    space from tightening them toward zero.  A command builds it once,
+    at its sample points, and applies every limit of its checks as a
+    tolerance times its result; a catalog entry's defining equations
+    build their own, at their own points.
     """
     rm, hess_f = s.geometry.rm, s.geometry.hess_f
     d, mu = s.dim, s.mu
-    terms = s.scale_terms
-    keys = [tuple(p) for p in points]
 
     def reduce(v):
         worst = 0.0
-        for p, g, rm_v, hf_v, (fv,), df_v in zip(
-                keys, v["g"], v["rm"], v["hf"], v["f"], v["df"]):
-            term = terms.get(p)
-            if term is None:
-                ginv = _inverse(_square(g, d))
-                rm_norm = math.sqrt(abs(_norm_squared(rm_v, ginv)))
-                hf_norm = math.sqrt(abs(_norm_squared(hf_v, ginv))) / fv
-                gf_norm = _norm_squared(df_v, ginv) / fv ** 2
-                term = terms[p] = rm_norm + hf_norm + gf_norm + abs(mu)
-            worst = max(worst, term)
+        for g, rm_v, hf_v, (fv,), df_v in zip(
+                v["g"], v["rm"], v["hf"], v["f"], v["df"]):
+            ginv = _inverse(_square(g, d))
+            rm_norm = math.sqrt(abs(_norm_squared(rm_v, ginv)))
+            hf_norm = math.sqrt(abs(_norm_squared(hf_v, ginv))) / fv
+            gf_norm = _norm_squared(df_v, ginv) / fv ** 2
+            worst = max(worst, rm_norm + hf_norm + gf_norm + abs(mu))
         return max(worst, 1.0)
 
     return Request(points, reduce, g=s.g.entries(),

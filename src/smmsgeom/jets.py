@@ -108,8 +108,12 @@ def jet_count(nvars: int, degree: int) -> int:
 
 
 def _check_pivot(b0, scale):
-    """Reject a divisor whose constant term b0 is at or below the pivot
-    floor; `scale` is the magnitude of its largest coefficient."""
+    """Reject a divisor with an infinite coefficient, or whose constant
+    term b0 is at or below the pivot floor; `scale` is the magnitude of
+    its largest coefficient (NaN if any is)."""
+    if scale == math.inf:
+        raise JetDivisionError("a divisor coefficient is not finite: "
+                               "a value left the float range")
     floor = PIVOT_REL * max(1.0, scale)
     if abs(b0) <= floor:
         raise JetDivisionError(

@@ -21,131 +21,106 @@ identity
 
     Ric_phi(s^2 g_plus - ds^2) = Ric_phi(g_plus) + (d+m) g_plus,
     F(s^2 g_plus - ds^2)       = F_phi(g_plus) - (d+m) f_plus^2.
+
+Both checks, `poincare_residual` and `cone_identity_check`, take the
+expansion and their points and return a request of unscaled
+measurements; the caller holds them to its limits.
 """
 
 from __future__ import annotations
 
 from . import curvature as cv
-from .ambient import Graded, graded_derivs
+from .ambient import Graded, coefficient_maxima, graded_derivs
 from .expansion import RhoExpansion
 from .fields import (Chart, Request, SymTensor2Field, max_abs,
                      max_abs_difference)
 from .invariants import MetricMeasureSpace
 from .series import Series
 
-__all__ = ["PoincareStructure", "PoincareResidual", "to_poincare",
+__all__ = ["even_series", "laurent_metric", "residual_series",
            "poincare_residual", "cone_identity_check"]
 
 
-class PoincareStructure:
-    def __init__(self, base: MetricMeasureSpace, expansion: RhoExpansion,
-                 g_r: list, f_r: Series, max_even_order: int):
-        self.base = base
-        self.expansion = expansion
-        self.g_r = g_r  # d x d matrix of even r-series
-        self.f_r = f_r
-        self.max_even_order = max_even_order
+def even_series(e: RhoExpansion, last: int):
+    """(g_r, f_r): the d x d matrix of even r-series and the even r-series
+    of the rho-coefficients of `e`, cut after r^last; the r^(2k)
+    coefficient is (-1/2)^k times the rho^k one."""
+    zero = e.base.chart.zero()
 
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def g_plus(self):
-        """(d+1) x (d+1) Laurent components, r last; rr entry is r^-2."""
-        d = self.dim
-        zero = self.base.chart.zero()
-        rm2 = Series([self.base.chart.constant(1.0)], -2, None, zero)
-        out = [[Series.zero_series(zero)] * (d + 1) for _ in range(d + 1)]
-        for i in range(d):
-            for j in range(d):
-                out[i][j] = rm2 * self.g_r[i][j]
-        out[d][d] = rm2
-        return out
-
-    def f_plus(self):
-        zero = self.base.chart.zero()
-        rm1 = Series([self.base.chart.constant(1.0)], -1, None, zero)
-        return rm1 * self.f_r
-
-
-def to_poincare(e: RhoExpansion) -> PoincareStructure:
-    """Even r-series from the rho-coefficients: r^(2k) picks up (-1/2)^k."""
-    base = e.base
-    d = base.dim
-    chart = base.chart
-    zero = chart.zero()
-    trunc = 2 * e.order + 1
-
-    def even_series(coeffs):
-        out = [zero] * (trunc + 1)
-        for k, c in enumerate(coeffs):
+    def series(coeffs):
+        out = [zero] * (last + 1)
+        for k, c in enumerate(coeffs[:last // 2 + 1]):
             out[2 * k] = c * (-0.5) ** k if k else c
-        return Series(out, 0, trunc, zero)
+        return Series(out, 0, last, zero)
 
-    g_r = [[even_series([g.comp(i, j) for g in e.g_coeffs]) for j in range(d)]
-           for i in range(d)]
-    f_r = even_series(list(e.f_coeffs))
-    return PoincareStructure(base, e, g_r, f_r, 2 * e.order)
-
-
-class PoincareResidual:
-    def __init__(self, ricci_blocks: dict, f_scalar: Series, trunc: int):
-        self.ricci_blocks = ricci_blocks  # name -> list of r-series
-        self.f_scalar = f_scalar
-        self.trunc = trunc
-
-    def block_max(self, powers, points, names=("ij", "ri", "rr", "F")):
-        """The request for max |coefficient| over the r powers of the named
-        blocks ("F" is the F scalar) at the points."""
-        series = [s for name in names for s in
-                  ([self.f_scalar] if name == "F" else self.ricci_blocks[name])]
-        return Request(points, lambda v: max_abs(v["coefficients"]),
-                       coefficients=[s.coefficient(k) for k in powers
-                                     for s in series])
+    d = e.base.dim
+    return ([[series([g.comp(i, j) for g in e.g_coeffs]) for j in range(d)]
+             for i in range(d)], series(e.f_coeffs))
 
 
-def poincare_residual(p: PoincareStructure) -> PoincareResidual:
-    """Exact r-Laurent residual of the weighted-Einstein conditions, built
-    only through the r power the branch guarantees, its `trunc`: g_r and
-    f_r are cut two powers above it."""
-    e = p.expansion
-    cut = e.plan.guarantees(e.order).poincare_power + 2
-    p = PoincareStructure(p.base, e,
-                          [[s.truncated(cut) for s in row] for row in p.g_r],
-                          p.f_r.truncated(cut), p.max_even_order)
-    base = p.base
+def laurent_metric(e: RhoExpansion, last: int):
+    """(g_plus, f_plus) of `e` as r-Laurent series: the (d+1) x (d+1)
+    components of g_plus = r^-2 (dr^2 + g_r), r last, whose rr entry is
+    exactly r^-2, and f_plus = r^-1 f_r, with g_r and f_r cut after
+    r^last."""
+    g_r, f_r = even_series(e, last)
+    d, chart = e.base.dim, e.base.chart
+    zero = chart.zero()
+    rm2 = Series([chart.constant(1.0)], -2, None, zero)
+    g_plus = [[Series.zero_series(zero)] * (d + 1) for _ in range(d + 1)]
+    for i in range(d):
+        for j in range(d):
+            g_plus[i][j] = rm2 * g_r[i][j]
+    g_plus[d][d] = rm2
+    return g_plus, Series([chart.constant(1.0)], -1, None, zero) * f_r
+
+
+def residual_series(e: RhoExpansion) -> list:
+    """The exact r-Laurent residual of the weighted-Einstein conditions
+    of `e`: the upper triangle of the chart block of
+    Ric_phi(g_plus) + (d+m) g_plus, its r row (the d mixed entries, then
+    rr) and F_phi(g_plus) - (d+m) f_plus^2.  Each is built through
+    exactly the r power P = 2 solved - 1 that the branch guarantees,
+    from g_r and f_r cut two powers above it (g_plus is r^-2 times
+    them)."""
+    base = e.base
     d = base.dim
     n = d + 1
     dm = d + float(base.m)
-    gp = p.g_plus()
-    fp = p.f_plus()
+    gp, fp = laurent_metric(e, e.plan.guarantees(e.order).poincare_power + 2)
     # the chart partials, then d/dr
     derivs = cv.partials(d) + [lambda S: S.deriv()]
     geo = cv.Geometry(gp, derivs, Series.zero_series(base.chart.zero()), fp,
                       base.m, base.mu)
     resid = [[geo.ric_phi[a][b] + gp[a][b] * dm for b in range(n)]
              for a in range(n)]
-    resid_F = geo.F_phi - (fp * fp) * dm
-    blocks = {
-        "ij": [resid[i][j] for i in range(d) for j in range(i, d)],
-        "ri": [resid[d][i] for i in range(d)],
-        "rr": [resid[d][d]],
-    }
-    trunc = min([s.trunc for row in resid for s in row if s.trunc is not None]
-                + ([resid_F.trunc] if resid_F.trunc is not None else []))
-    return PoincareResidual(blocks, resid_F, trunc)
+    return ([resid[i][j] for i in range(d) for j in range(i, d)]
+            + [resid[d][i] for i in range(d)]
+            + [resid[d][d], geo.F_phi - (fp * fp) * dm])
+
+
+def poincare_residual(e: RhoExpansion, points) -> Request:
+    """The request for the max |r^k coefficient| of `residual_series(e)`
+    at `points`, for k = -2 through the guaranteed power P, one maximum
+    per power: a series cut short of P is a SeriesTruncationError, not
+    a shorter check."""
+    power = e.plan.guarantees(e.order).poincare_power
+    return coefficient_maxima(residual_series(e), range(-2, power + 1),
+                              points)
 
 
 # the r at which the cone identities are checked
 R = 0.1
 
 
-def fixed_r_space(p: PoincareStructure):
+def fixed_r_space(e: RhoExpansion):
     """The (d+1)-dimensional smooth metric measure space (g_plus, f_plus)
-    realized with honest fields on the (x, r) chart, for evaluation at
-    fixed small r; reuses the base tensor machinery verbatim."""
-    base = p.base
+    of `e` realized with honest fields on the (x, r) chart, for
+    evaluation at fixed small r; reuses the base tensor machinery
+    verbatim."""
+    base = e.base
     d = base.dim
+    g_r, f_r = even_series(e, 2 * e.order + 1)
     chart = Chart(tuple(base.chart.names) + ("r",))
     r = chart.coordinate(d)
     rinv2 = 1.0 / (r * r)
@@ -162,23 +137,24 @@ def fixed_r_space(p: PoincareStructure):
     comps = {}
     for i in range(d):
         for j in range(i, d):
-            comps[(i, j)] = assemble(p.g_r[i][j]) * rinv2
+            comps[(i, j)] = assemble(g_r[i][j]) * rinv2
     comps[(d, d)] = rinv2
     g_plus = SymTensor2Field(chart, comps)
-    f_plus = assemble(p.f_r) / r
+    f_plus = assemble(f_r) / r
     return MetricMeasureSpace(chart, g_plus, f_plus, base.m, base.mu)
 
 
-def cone_identity_check(p: PoincareStructure, *, points) -> Request:
-    """The request that verifies both cone identities at r = R and `points`.
+def cone_identity_check(e: RhoExpansion, points) -> Request:
+    """The request that verifies both cone identities of `e` at r = R and
+    `points`.
 
     Its result is (worst_ricci, worst_F, sides): the worst absolute
     two-sided disagreements and a sample of the individually nonzero
     side values.
     """
-    base = p.base
+    base = e.base
     d = base.dim
-    space_plus = fixed_r_space(p)
+    space_plus = fixed_r_space(e)
     chart = space_plus.chart
     dm = d + float(base.m)
     xr_points = [tuple(pt) + (R,) for pt in points]

@@ -18,7 +18,7 @@ from smmsgeom.expansion import (Branch, expand, obstruction,
                                 _residual_coefficients)
 from smmsgeom.fields import Request, evaluate, max_abs, run
 from smmsgeom.invariants import conformal_change
-from smmsgeom.poincare import cone_identity_check, poincare_residual, to_poincare
+from smmsgeom.poincare import cone_identity_check, poincare_residual
 
 
 def _passed(n, text):
@@ -268,9 +268,9 @@ def test_criterion_08_branch_guarantees(spaces, expansions):
     assert worst_odd <= 1e-8 * scale2
     # the odd critical step also solves the rho-rho block, read here from
     # the generic route, which the solver does not use
-    rho_rho = order_report(AmbientMetric(expand(s2, 5)), 1e-9,
-                           points=pts2[:3]).result()["rho_rho"]
-    assert rho_rho.guaranteed == 3 and rho_rho.ok
+    rho_rho = order_report(expand(s2, 5), pts2[:3]).result()["rho_rho"]
+    assert rho_rho.guaranteed == 3
+    assert rho_rho.ok(1e-9 * _scale(s2, pts2[:3]))
     _passed(8, f"branch guarantees hold (non-integer {worst:.2e}, even trace "
                f"combination {worst_combo:.2e}, odd consistency {worst_odd:.2e}"
                f", odd rho-rho {rho_rho.worst:.2e})")
@@ -300,17 +300,18 @@ def test_criterion_10_poincare_correspondence(spaces, expansions):
         s, e = spaces[m], expansions[m]
         pts = s.sample(6, seed=9)
         scale = _scale(s, pts)
-        p = to_poincare(e)
-        res = poincare_residual(p)
         if e.plan.branch is Branch.EVEN_INTEGER:
             n_c = int(3 + m) // 2
-            hi = min(2 * min(e.order, n_c - 1) - 1, res.trunc)
+            hi = 2 * min(e.order, n_c - 1) - 1
         else:
-            hi = min(2 * e.order - 1, res.trunc)
-        worst_res = max(worst_res,
-                        res.block_max(range(-2, hi + 1), pts).result() / scale)
+            hi = 2 * e.order - 1
+        # the residual is measured through the guaranteed power, r^-2 first
+        assert hi == e.plan.guarantees(e.order).poincare_power
+        maxima = poincare_residual(e, pts).result()
+        assert len(maxima) == hi + 3
+        worst_res = max(worst_res, max_abs(maxima) / scale)
         assert worst_res <= 1e-8
-        wr, wF, side = cone_identity_check(p, points=pts[:3]).result()
+        wr, wF, side = cone_identity_check(e, pts[:3]).result()
         cone_scale = max(scale, side)
         assert wr <= 1e-9 * cone_scale
         assert wF <= 1e-9 * cone_scale

@@ -35,14 +35,14 @@ def _closed_blocks(Rt, Ft):
 def test_block_report_counts_nan_as_a_violation():
     nan = float("nan")
     for coeff_max, first in (([1e-17, nan], 1), ([nan, 1e-17], 0)):
-        block = BlockReport("x", coeff_max, 1, 1e-9)
-        assert block.first_violation == first
-        assert not block.ok
+        block = BlockReport("x", coeff_max, 1)
+        assert block.first_violation(1e-9) == first
+        assert not block.ok(1e-9)
         assert np.isnan(block.worst)
-    block = BlockReport("x", [1e-17, 2e-9, nan], 0, 1e-9)
-    assert block.first_violation == 1
-    assert block.ok and block.worst == 1e-17
-    assert BlockReport("x", [], 2, 1e-9).ok
+    block = BlockReport("x", [1e-17, 2e-9, nan], 0)
+    assert block.first_violation(1e-9) == 1
+    assert block.ok(1e-9) and block.worst == 1e-17
+    assert BlockReport("x", [], 2).ok(1e-9)
 
 
 def test_normal_form_shape():
@@ -272,34 +272,33 @@ def test_rho_rho_block_responds_to_injected_perturbation():
 
 def test_order_report_noninteger():
     s = random_entry(d=3, m=0.5, mu=0.2, seed=5).space
-    a = AmbientMetric(expand(s, 3))
-    rep = order_report(a, 1e-9, points=s.sample(10, 0)).result()
-    assert all(b.ok for b in rep.values())
+    e = expand(s, 3)
+    rep = order_report(e, s.sample(10, 0)).result()
+    assert all(b.ok(1e-9) for b in rep.values())
     assert rep["ij"].guaranteed == 2
-    assert rep["ij"].first_violation is None
+    assert rep["ij"].first_violation(1e-9) is None
     assert rep["t_row"].guaranteed == 1
-    assert a.expansion.plan.branch is Branch.NON_INTEGER
+    assert e.plan.branch is Branch.NON_INTEGER
 
 
 def test_order_report_even_branch_pattern():
     s = random_entry(d=3, m=1.0, mu=0.1, seed=21).space
-    a = AmbientMetric(expand(s, 2))
-    rep = order_report(a, 1e-9, points=s.sample(10, 0)).result()
-    assert all(b.ok for b in rep.values())
+    rep = order_report(expand(s, 2), s.sample(10, 0)).result()
+    assert all(b.ok(1e-9) for b in rep.values())
     ij = rep["ij"]
     # residual survives at the obstruction order (d+m)/2 - 1 = 1
     assert ij.guaranteed == 0
-    assert ij.first_violation == 1
+    assert ij.first_violation(1e-9) == 1
     # the trace combination improves one order
-    assert rep["trace_combo"].first_violation is None
+    assert rep["trace_combo"].first_violation(1e-9) is None
 
 
 def test_order_report_flat_everything_vanishes():
-    a, s = flat_ambient(order=4)
-    rep = order_report(a, 1e-9, points=[(0.1, 0.2, -0.3)]).result()
+    s = flat_space(d=3, m=2.0, mu=0.0)
+    rep = order_report(expand(s, 4), [(0.1, 0.2, -0.3)]).result()
     for b in rep.values():
-        assert b.ok
-        assert b.first_violation is None
+        assert b.ok(1e-9)
+        assert b.first_violation(1e-9) is None
 
 
 
@@ -351,8 +350,7 @@ def test_order_report_measures_through_every_guarantee(make_space, orders):
     s = make_space()
     pts = s.sample(1, seed=0)
     for N in orders:
-        rep = order_report(AmbientMetric(expand(s, N)), 1e-9,
-                           points=pts).result()
+        rep = order_report(expand(s, N), pts).result()
         for b in rep.values():
             assert len(b.coeff_max) > b.guaranteed, (N, b.name)
 

@@ -271,12 +271,11 @@ def test_cli_verify_inverts_each_series_metric_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("given,points", [
-    # one sample point, whose scale the checks, the gates and
-    # order_report each nest: 3 reductions of it before
+    # one sample point, whose scale the command builds once
     ("random-deep", 1),
-    # the catalog equations add six points of the run's seed, the first
-    # of them the run's own point: 9 reductions before
-    ("quasi-einstein", 6),
+    # the catalog equations reduce a scale of their own at six points of
+    # the run's seed, the first of them the run's own point
+    ("quasi-einstein", 7),
 ])
 def test_cli_verify_reduces_the_curvature_scale_once_per_point(
         tmp_path, monkeypatch, given, points):
@@ -296,8 +295,33 @@ def test_cli_verify_reduces_the_curvature_scale_once_per_point(
     code, text = run_cli(["verify"] + argv, tmp_path, "v.txt")
     assert code == 0, text
     # |grad f|^2 (3 components), |Hess f|^2 (3^2) and |Rm|^2 (3^4) once
-    # per point
+    # per point of each scale
     assert sorted(ranks) == [3] * points + [9] * points + [81] * points
+
+
+@pytest.mark.parametrize("argv,built", [
+    # the checks, the gates and order_report each built one: 3 before
+    (["--config", FLAT_CFG], 1),
+    # and the catalog equations one at their own points: 4 before
+    (["--catalog", "quasi-einstein", "--points", "1"], 2),
+], ids=["config", "catalog"])
+def test_cli_verify_builds_one_curvature_scale_and_the_catalogs(
+        tmp_path, monkeypatch, argv, built):
+    from smmsgeom import invariants
+    scale, calls = invariants.curvature_scale, []
+
+    def counting(s, points):
+        calls.append(len(points))
+        return scale(s, points)
+
+    # every module of the package that binds the name
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("smmsgeom")
+                and getattr(module, "curvature_scale", None) is scale):
+            monkeypatch.setattr(module, "curvature_scale", counting)
+    code, text = run_cli(["verify"] + argv, tmp_path, "s.txt")
+    assert code == 0, text
+    assert len(calls) == built
 
 
 @pytest.mark.parametrize("odd", ["d3-m2", "d3-m0"])
@@ -545,6 +569,37 @@ def test_cli_jet_domain_errors_are_typed(tmp_path, command, old, new, error):
     code, text = run_cli([command, "--config", str(path)], tmp_path, "j.txt")
     assert code == 2, text
     assert f"error = JetDivisionError: {error}" in text
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("f", ["1e200", "1e160", "1e-170", "1e-300"])
+def test_cli_density_whose_square_leaves_the_float_range_is_rejected(
+        tmp_path, command, f):
+    # f is finite and positive, but f*f overflows to inf or underflows
+    # to 0.0: each command ended as an internal error (exit 3), an
+    # OverflowError of a float ** 2 or a ZeroDivisionError of a division
+    # by f*f
+    with open(FLAT_CFG) as fh:
+        text = fh.read()
+    path = tmp_path / "density.cfg"
+    path.write_text(text.replace("\nf = 1\n", f"\nf = {f}\n"))
+    code, text = run_cli([command, "--config", str(path)], tmp_path, "f.txt")
+    assert code == 2, text
+    assert f"error = ValidationError: density f = {float(f)!r} at (" in text
+    assert "): f*f leaves the float range\n" in text
+
+
+def test_cli_overflowed_divisor_is_not_called_a_small_pivot(tmp_path):
+    # g11 = 1e300 overflows a divisor to inf, and a pivot floor scaled by
+    # that inf read "constant term 1.000e+308 at or below pivot floor inf"
+    with open(FLAT_CFG) as fh:
+        text = fh.read()
+    path = tmp_path / "overflow.cfg"
+    path.write_text(text.replace("g11 = 1\n", "g11 = 1e300\n"))
+    code, text = run_cli(["verify", "--config", str(path)], tmp_path, "o.txt")
+    assert code == 2, text
+    assert ("error = JetDivisionError: a divisor coefficient is not "
+            "finite: a value left the float range\n") in text
 
 
 @pytest.mark.parametrize("command", ["invariants", "expand"])

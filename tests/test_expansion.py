@@ -12,15 +12,17 @@ from smmsgeom.catalog import (flat_space, hyperbolic_upper_half_space,
                               round_sphere_space)
 from smmsgeom.expansion import (CONSISTENCY_TOL, Branch, ConsistencyError,
                                 OrderError, classify_branch,
-                                closed_form_residual_series, expand,
-                                gate_request, obstruction,
+                                check_gates, closed_form_residual_series,
+                                expand, gate_request, obstruction,
                                 obstruction_constant, solve_order_step)
 from smmsgeom.fields import Request, evaluate, max_abs
 
 
 def gate_notes(e, points):
-    """The notes of `e`, with the gates measured at `points`."""
+    """The notes of `e`, with the gates measured and checked at
+    `points`."""
     measured = gate_request(e, points).result()
+    check_gates(e, measured, inv.curvature_scale(e.base, points).result())
     return [note.format(**measured) for note in e.ambiguity_notes]
 
 
@@ -232,7 +234,7 @@ def test_even_branch_blocks_past_obstruction():
     s = random_entry(d=3, m=1.0, mu=0.1, seed=21).space
     e = expand(s, 3)
     with pytest.raises(OrderError, match="obstruction"):
-        gate_request(e, s.sample(10, seed=0)).result()
+        gate_notes(e, s.sample(10, seed=0))
 
 
 def test_even_branch_continuation_when_obstruction_vanishes():
@@ -374,10 +376,13 @@ def test_consistency_gate_fails_above_its_limit():
     # residual (m/f^2) Ferr - tr Rerr is -tr Rerr
     values[-3:-1] = [[1.0] * 3, [0.0] * 3]
     values[-1] = [0.0, -0.99 * limit, 0.0]
-    assert request.finish(values) == {"consistency": 0.99 * limit}
+    measured = request.finish(values)
+    assert measured == {"consistency": 0.99 * limit}
+    check_gates(e, measured, scale)
     values[-1][1] = -2.0 * limit
+    measured = request.finish(values)
     with pytest.raises(ConsistencyError) as failure:
-        request.finish(values)
+        check_gates(e, measured, scale)
     assert str(failure.value) == (
         f"consistency residual {2.0 * limit:.3e} at order n = 5 exceeds "
         f"1.0e-08 x scale {scale:.3e}; the inputs are outside the "

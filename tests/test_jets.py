@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smmsgeom.jets import (Jet, JetDivisionError, JetShapeError, jet_count,
-                           value_apply)
+                           value_apply, value_quotient)
 
 
 def jet_of(fn, point, degree):
@@ -104,6 +104,16 @@ def test_division_pivot_floor():
     b = Jet(1, 2, [1e-12, 1.0, 1.0])
     with pytest.raises(JetDivisionError):
         b.reciprocal()
+
+
+def test_division_by_an_infinite_coefficient_is_not_a_small_pivot():
+    # the floor scales with the largest magnitude: at inf, every constant
+    # term was "at or below pivot floor inf"
+    message = "a divisor coefficient is not finite"
+    with pytest.raises(JetDivisionError, match=message):
+        Jet.constant(1.0, 3, 1) / Jet(3, 1, [1.0, math.inf, 0.0, 0.0])
+    with pytest.raises(JetDivisionError, match=message):
+        value_quotient(1.0, -math.inf)
 
 
 def test_division_pivot_scale_is_nan_after_a_large_coefficient():
